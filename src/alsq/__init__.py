@@ -39,14 +39,11 @@ from .solver import (
     IMPOSSIBLE,
     UNDETERMINED,
     WITNESS,
-    PartialAssignment,
-    QuadraticSystem,
+    Peel,
     SolverConfig,
     Verdict,
     aluthge_subnormal,
-    build_system,
-    propagate_ur,
-    solve_weights,
+    peel_root,
     sqrt_of,
     verify_witness,
 )

@@ -57,10 +57,6 @@ def _common_flags() -> argparse.ArgumentParser:
                         help="comparison tolerance (default 2^-64)")
     common.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized components")
-    common.add_argument("--max-candidates", type=int, default=20000,
-                        help="cap on enumerated candidate supports")
     return common
 
 
@@ -72,8 +68,7 @@ def _config(args) -> SolverConfig:
             tol = Fraction(args.tol)
         except (ValueError, ZeroDivisionError) as exc:
             raise ScalarError(f"cannot parse tolerance {args.tol!r}") from exc
-    return SolverConfig(precision_bits=args.precision, tolerance=tol,
-                        max_candidates=args.max_candidates, seed=args.seed)
+    return SolverConfig(precision_bits=args.precision, tolerance=tol)
 
 
 def _load(path: str, args) -> AtomicMeasure:
@@ -255,6 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", parents=[common],
                            help="generate a random instance")
     p_gen.add_argument("--p", type=int, required=True)
+    p_gen.add_argument("--seed", type=int, default=0,
+                       help="seed of the generator")
     p_gen.add_argument("--mode", choices=MODES, default="arbitrary")
     p_gen.add_argument("--style", choices=("geometric", "random"),
                        default="geometric")
@@ -273,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2, our impossible code
+        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return args.func(args)
     except (MeasureError, ScalarError, OSError) as exc:

@@ -81,13 +81,16 @@ def classify_small(
             "closed forms require rational atom positions; apply "
             "power_positions(mu, 2) first")
     checker = _Checker(mu, config)
-    if p == 3:
-        return _three_atoms(mu, checker, config)
-    if p == 4:
-        return _four_atoms(config)
-    if p == 5:
-        return _five_atoms(mu, checker, config)
-    return _six_atoms(mu, checker, config)
+    # real-mode identities multiply masses before comparing them, so they
+    # must run at the configured precision, not mpmath's global one
+    with workprec(config.precision_bits):
+        if p == 3:
+            return _three_atoms(mu, checker, config)
+        if p == 4:
+            return _four_atoms(config)
+        if p == 5:
+            return _five_atoms(mu, checker, config)
+        return _six_atoms(mu, checker, config)
 
 
 def _impossible(rule: str, indices: Tuple[int, ...], message: str,

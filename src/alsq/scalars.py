@@ -1,11 +1,8 @@
 """Scalar arithmetic used throughout the package.
 
-Three kinds of scalars appear:
+Two kinds of scalars appear:
 
-* exact rationals (``fractions.Fraction``),
-* exact elements of a single quadratic extension Q(sqrt(d)) for a
-  positive non-square rational d (``QuadExt``), used internally by the
-  weight solver so that impossibility certificates stay exact, and
+* exact rationals (``fractions.Fraction``), and
 * arbitrary-precision binary floats (``mpmath.mpf``) at a configured
   precision, used whenever a value genuinely leaves the rational field.
 
@@ -21,7 +18,7 @@ from typing import Optional, Union
 import mpmath
 from mpmath import mpf, workprec
 
-Scalar = Union[Fraction, "QuadExt", mpf]
+Scalar = Union[Fraction, mpf]
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = Fraction(1, 2 ** 64)
@@ -67,227 +64,12 @@ def sqrt_fraction(q: Fraction) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-def is_square(q: Fraction) -> bool:
-    return sqrt_fraction(q) is not None
-
-
-# ---------------------------------------------------------------------------
-# quadratic extension Q(sqrt(d))
-# ---------------------------------------------------------------------------
-
-class QuadExt:
-    """Element a + b*sqrt(d) with a, b rational and d a fixed positive
-    non-square rational.  Supports mixed arithmetic with ints/Fractions.
-
-    Because d is never a perfect square, the representation is unique and
-    equality/sign tests are exact.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b, d: Fraction):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = Fraction(d)
-
-    # -- construction --------------------------------------------------
-
-    @staticmethod
-    def make(a, b, d: Fraction) -> Scalar:
-        """Build a + b*sqrt(d), collapsing to Fraction when b == 0."""
-        b = Fraction(b)
-        if b == 0:
-            return Fraction(a)
-        return QuadExt(a, b, d)
-
-    def _coerce(self, other) -> Optional["QuadExt"]:
-        if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise ScalarError("mixing two different quadratic extensions")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
-        return None
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt.make(self.a + o.a, self.b + o.b, self.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt.make(self.a - o.a, self.b - o.b, self.d)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt.make(o.a - self.a, o.b - self.b, self.d)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt.make(
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        norm = o.a * o.a - o.b * o.b * o.d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in quadratic extension")
-        inv_a = o.a / norm
-        inv_b = -o.b / norm
-        return self * QuadExt(inv_a, inv_b, self.d)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out: Scalar = Fraction(1)
-        for _ in range(n):
-            out = self * out
-        return out
-
-    # -- predicates ----------------------------------------------------
-
-    def is_positive(self) -> bool:
-        a, b = self.a, self.b
-        if b == 0:
-            return a > 0
-        if a == 0:
-            return b > 0
-        if a > 0 and b > 0:
-            return True
-        if a < 0 and b < 0:
-            return False
-        if a > 0:  # b < 0: positive iff a^2 > b^2 d
-            return a * a > b * b * self.d
-        return b * b * self.d > a * a  # a < 0, b > 0
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        if isinstance(other, QuadExt):
-            return self.d == other.d and self.a == other.a and self.b == other.b
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        diff = self - o
-        return isinstance(diff, QuadExt) and diff.is_positive() or \
-            (isinstance(diff, Fraction) and diff > 0)
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        diff = o - self
-        return isinstance(diff, QuadExt) and diff.is_positive() or \
-            (isinstance(diff, Fraction) and diff > 0)
-
-    def __repr__(self):
-        return f"({self.a} + {self.b}*sqrt({self.d}))"
-
-    # -- conversions ---------------------------------------------------
-
-    def to_mpf(self, bits: int) -> mpf:
-        with workprec(bits):
-            return mpmath.mpmathify(self.a) + mpmath.mpmathify(self.b) * mpmath.sqrt(
-                mpmath.mpmathify(self.d)
-            )
-
-
-def sqrt_in_extension(q: Fraction, d: Optional[Fraction]) -> Optional[Scalar]:
-    """Exact square root of rational q >= 0 within Q(sqrt(d)).
-
-    Returns a Fraction when q is a perfect square, b*sqrt(d) when q/d is a
-    perfect square, and None otherwise (in particular when d is None and q
-    is not a square; the caller may then open a fresh extension on q).
-    """
-    root = sqrt_fraction(q)
-    if root is not None:
-        return root
-    if d is None or q <= 0:
-        return None
-    ratio = sqrt_fraction(q / d)
-    if ratio is not None:
-        return QuadExt.make(0, ratio, d)
-    return None
-
-
-def sqrt_exact(value: Scalar, d: Optional[Fraction]) -> Optional[Scalar]:
-    """Exact square root of a Fraction or QuadExt value, staying in Q(sqrt(d))."""
-    if isinstance(value, Fraction):
-        return sqrt_in_extension(value, d)
-    if isinstance(value, QuadExt):
-        # solve (x + y sqrt(d))^2 = a + b sqrt(d)
-        a, b, dd = value.a, value.b, value.d
-        disc = a * a - b * b * dd
-        t = sqrt_fraction(disc) if disc >= 0 else None
-        if t is None:
-            return None
-        for half in ((a + t) / 2, (a - t) / 2):
-            x = sqrt_fraction(half)
-            if x is None or x == 0:
-                continue
-            y = b / (2 * x)
-            cand = QuadExt(x, y, dd)
-            if cand * cand == value:
-                return cand if cand.is_positive() else -cand
-        return None
-    return None
-
-
-def scalar_is_positive(value: Scalar) -> bool:
-    if isinstance(value, QuadExt):
-        return value.is_positive()
-    return value > 0
-
-
-def scalar_is_zero(value: Scalar) -> bool:
-    if isinstance(value, QuadExt):
-        return value.a == 0 and value.b == 0
-    return value == 0
-
-
 # ---------------------------------------------------------------------------
 # real mode
 # ---------------------------------------------------------------------------
 
 def to_mpf(value, bits: int) -> mpf:
-    """Convert Fraction/QuadExt/int/str/mpf to an mpf at the given precision."""
-    if isinstance(value, QuadExt):
-        return value.to_mpf(bits)
+    """Convert Fraction/int/str/mpf to an mpf at the given precision."""
     with workprec(bits):
         return +mpmath.mpmathify(value)
 
@@ -301,11 +83,6 @@ def mpf_to_fraction(x: mpf) -> Fraction:
         raise ScalarError(f"cannot convert non-finite value {x!r} to a rational")
     value = Fraction(man) * Fraction(2) ** exp
     return -value if sign else value
-
-
-def close_abs(x: mpf, y: mpf, tol: mpf) -> bool:
-    with workprec(512):  # differences of high-precision values stay lossless
-        return abs(mpf(x) - mpf(y)) <= tol
 
 
 def close_rel(x: mpf, y: mpf, tol: mpf) -> bool:

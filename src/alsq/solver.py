@@ -3,37 +3,43 @@
 Two questions are answered for a finitely atomic measure mu on (0, inf):
 
 * ``sqrt_of``: does some nonnegative measure nu satisfy nu * nu = mu?
-* ``aluthge_subnormal``: does the reweighted self-convolution of mu admit a
-  root with the same support as mu?  (Equivalently, the Aluthge transform of
-  the weighted shift attached to mu is subnormal.)
+* ``aluthge_subnormal``: does the reweighted self-convolution mu * t(mu)
+  admit a root with the same support as mu?  (Equivalently, the Aluthge
+  transform of the weighted shift attached to mu is subnormal.)
 
-Both reduce to quadratic coefficient-matching systems: writing nu with
-masses b_i on the candidate support, each target atom contributes one
-equation  sum over its index pairs of (2 - delta_ij) b_i b_j = mass.
-Uniquely represented products pin down b-values directly; the rest follow by
-exact elimination, and any surviving mismatch is an impossibility
-certificate.  Numeric search is only a fallback and never proves
-impossibility on its own.
+Both are decided by :func:`peel_root`.  Measures on (0, inf) multiply like
+elements of the group ring of a torsion-free ordered group, which is an
+integral domain, so a root is unique when it exists.  Because the order is
+compatible with multiplication, the root can be peeled off smallest atom
+first: the smallest atom z of the residual target - root^2 can only come from
+the next root atom y times the first root atom y1, so y*y1 = z and the mass
+of y is half the residual mass at z (relative to the mass of y1).  The peel
+costs O(p^2) and ends with a witness, or with one of three certificates that
+re-running the peel re-checks:
+
+* ``peel-nonpositive-mass``: the forced mass of the next root atom is <= 0;
+* ``peel-overflow``: the next root atom would square beyond the top atom;
+* ``peel-support-mismatch``: the root leaves the prescribed support (the
+  transform question only).
+
+Relative to the first root atom every forced mass is rational for rational
+input, and the root masses are those values times sqrt(a_1); so rational
+input is always decided exactly, and ``undetermined`` only arises in real
+mode (a forced mass within tolerance of zero) or when a witness fails its
+independent re-check by convolution.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from heapq import heappop, heappush
+from typing import Collection, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
 
-from .diagram import (
-    Pair,
-    Violation,
-    cardinality_check,
-    pair_diagram,
-    structural_certificate,
-)
+from .diagram import Violation
 from .measures import (
     RATIONAL,
     REAL,
@@ -42,18 +48,14 @@ from .measures import (
     Position,
     convolve,
     make_measure,
-    scale_positions,
     t_weight,
 )
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
-    QuadExt,
     Scalar,
     close_rel,
     decimal_str,
-    scalar_is_positive,
-    sqrt_exact,
     sqrt_fraction,
     to_mpf,
 )
@@ -67,10 +69,6 @@ UNDETERMINED = "undetermined"
 class SolverConfig:
     precision_bits: int = DEFAULT_PRECISION_BITS
     tolerance: Fraction = DEFAULT_TOLERANCE
-    newton_starts: int = 32
-    newton_iterations: int = 200
-    max_candidates: int = 20000
-    seed: int = 0
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -119,513 +117,170 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# quadratic systems
+# the peel
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SystemEquation:
-    position: Position
-    pairs: Tuple[Pair, ...]
-    rhs: Scalar
+class Peel:
+    """Result of :func:`peel_root`.
+
+    When ``outcome`` is a witness, ``root`` lists one ``(j, c)`` per root
+    atom, smallest first: the atom y satisfies y * y1 = (target atom j) and
+    carries mass c * sqrt(a_1), where y1 is the first root atom
+    (y1^2 = target atom 0) and a_1 the first target mass.  ``residual`` is
+    the worst relative residual accepted as cancelled (0 in rational mode).
+    """
+
+    outcome: str
+    root: Tuple[Tuple[int, Scalar], ...] = ()
+    certificate: Optional[Violation] = None
+    residual: mpf = mpf(0)
+    note: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class QuadraticSystem:
-    p: int
-    support: Tuple[Position, ...]
-    equations: Tuple[SystemEquation, ...]
-    mode: str
-
-    def total_mass(self) -> Scalar:
-        total = None
-        for eq in self.equations:
-            total = eq.rhs if total is None else total + eq.rhs
-        return total
-
-
-def build_system(
+def peel_root(
     target: AtomicMeasure,
-    support: Sequence[Position],
-) -> Union[QuadraticSystem, Violation]:
-    """Match the pairwise products of ``support`` against the atoms of
-    ``target``.  Any product missing from the target, or target atom that is
-    not a product, makes a root on this support impossible."""
-    support = tuple(support)
-    diagram = pair_diagram(support)
-    target_by_key = {pos.squared(): w for pos, w in target.atoms}
-    if diagram.card != target.p:
-        missing = [str(pos) for pos, _ in target.atoms
-                   if not any(e.position.squared() == pos.squared()
-                              for e in diagram.entries)]
-        extra = [str(e.position) for e in diagram.entries
-                 if e.position.squared() not in target_by_key]
-        detail = []
-        if extra:
-            detail.append(f"products {', '.join(extra)} are not target atoms")
-        if missing:
-            detail.append(f"target atoms {', '.join(missing)} are not products")
-        return Violation("support-product-mismatch", (),
-                         "; ".join(detail) or "product/atom count mismatch")
-    equations = []
-    for entry in diagram.entries:
-        key = entry.position.squared()
-        if key not in target_by_key:
-            return Violation(
-                "support-product-mismatch", tuple(i + 1 for i in entry.pairs[0]),
-                f"product {entry.position} of the candidate support carries no "
-                "target mass")
-        equations.append(SystemEquation(entry.position, entry.pairs,
-                                        target_by_key[key]))
-    return QuadraticSystem(len(support), support, tuple(equations), target.mode)
+    config: SolverConfig = DEFAULT_CONFIG,
+    allowed: Optional[Collection[int]] = None,
+) -> Peel:
+    """Peel the unique root of ``target`` off its smallest atoms.
 
-
-# ---------------------------------------------------------------------------
-# assignments
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PartialAssignment:
-    mode: str
-    values: Dict[int, Scalar] = field(default_factory=dict)
-    provenance: Dict[int, str] = field(default_factory=dict)
-    extension_base: Optional[Fraction] = None
-    notes: List[str] = field(default_factory=list)
-
-    def assigned(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.values))
-
-    def is_complete(self, p: int) -> bool:
-        return len(self.values) == p
-
-
-class _RealFallback(Exception):
-    """Raised when exact arithmetic would need a second radical."""
-
-
-class _Blocked(Exception):
-    """Raised when a value is numerically too degenerate to trust."""
-
-    def __init__(self, note: str):
-        super().__init__(note)
-        self.note = note
-
-
-class _Refuted(Exception):
-    def __init__(self, violation: Violation):
-        super().__init__(violation.render())
-        self.violation = violation
-
-
-class _Engine:
-    """Shared state for propagation, elimination, checking and search."""
-
-    def __init__(self, system: QuadraticSystem, config: SolverConfig,
-                 assignment: Optional[PartialAssignment] = None):
-        self.config = config
-        self.p = system.p
-        self.support = system.support
-        self.mode = system.mode
-        self.extension: Optional[Fraction] = None
-        self.notes: List[str] = []
-        self.equations: List[Tuple[Position, Tuple[Pair, ...], Scalar]] = [
-            (eq.position, eq.pairs, eq.rhs) for eq in system.equations]
-        self.values: Dict[int, Scalar] = {}
-        self.provenance: Dict[int, str] = {}
-        if assignment is not None:
-            self.mode = assignment.mode
-            self.extension = assignment.extension_base
-            self.notes.extend(assignment.notes)
-            self.values = dict(assignment.values)
-            self.provenance = dict(assignment.provenance)
-            if self.mode == REAL:
-                self._realize_equations()
-
-    # -- scalar helpers -------------------------------------------------
-
-    @property
-    def tol(self) -> mpf:
-        return to_mpf(self.config.tolerance, self.config.precision_bits)
-
-    def to_real(self, note: str) -> None:
-        if self.mode == REAL:
-            return
-        bits = self.config.precision_bits
-        self.mode = REAL
-        self.notes.append(note)
-        self.values = {i: to_mpf(v, bits) for i, v in self.values.items()}
-        self.extension = None
-        self._realize_equations()
-
-    def _realize_equations(self) -> None:
-        bits = self.config.precision_bits
-        self.equations = [
-            (pos, pairs, rhs if isinstance(rhs, mpf) else to_mpf(rhs, bits))
-            for pos, pairs, rhs in self.equations]
-
-    def sqrt(self, value: Scalar) -> Scalar:
-        if self.mode == REAL:
-            with workprec(self.config.precision_bits):
-                if value < 0:
-                    raise _Blocked("square root of a negative numeric value")
-                return mpmath.sqrt(value)
-        root = sqrt_exact(value, self.extension)
-        if root is not None:
-            return root
-        if self.extension is None and isinstance(value, Fraction) and value > 0:
-            self.extension = value
-            self.notes.append(
-                f"weights computed in the quadratic extension by sqrt({value})")
-            return QuadExt(0, 1, value)
-        raise _RealFallback()
-
-    def is_positive(self, value: Scalar) -> bool:
-        if self.mode == REAL:
-            return value > self.tol
-        return scalar_is_positive(value)
-
-    def equal(self, x: Scalar, y: Scalar) -> bool:
-        if self.mode == REAL:
-            return close_rel(x, y, self.tol)
-        return x == y
-
-    # -- propagation and elimination ------------------------------------
-
-    def propagate(self) -> None:
-        """Resolve masses along uniquely represented products to a fixpoint."""
-        ur = [(pos, pairs[0], rhs) for pos, pairs, rhs in self.equations
-              if len(pairs) == 1]
-        changed = True
-        while changed:
-            changed = False
-            for pos, (i, j), rhs in ur:
-                if i == j:
-                    if i in self.values:
-                        b = self.values[i]
-                        self._require_consistent(
-                            b * b, rhs, i, f"square mass at product {pos}")
-                        continue
-                    value = self.sqrt(rhs)
-                    self._assign(i, value, f"square mass at product {pos}")
-                    changed = True
-                else:
-                    have_i, have_j = i in self.values, j in self.values
-                    if have_i and have_j:
-                        self._require_consistent(
-                            2 * self.values[i] * self.values[j], rhs, j,
-                            f"product {pos} shared between atoms {i + 1} "
-                            f"and {j + 1}")
-                        continue
-                    if have_i or have_j:
-                        known, unknown = (i, j) if have_i else (j, i)
-                        value = rhs / (2 * self.values[known])
-                        self._assign(
-                            unknown, value,
-                            f"product {pos} shared with atom {known + 1}")
-                        changed = True
-
-    def eliminate(self) -> None:
-        """Exactly solve every equation left with a single unresolved mass."""
-        changed = True
-        while changed:
-            changed = False
-            for pos, pairs, rhs in self.equations:
-                unknowns = {idx for pair in pairs for idx in pair
-                            if idx not in self.values}
-                if len(unknowns) != 1:
-                    continue
-                u = unknowns.pop()
-                quad = 0
-                linear: Scalar = 0
-                constant: Scalar = 0
-                for i, j in pairs:
-                    if i == u and j == u:
-                        quad += 1
-                    elif i == u or j == u:
-                        other = j if i == u else i
-                        linear = linear + 2 * self.values[other]
-                    else:
-                        factor = 1 if i == j else 2
-                        constant = constant + factor * self.values[i] * self.values[j]
-                remainder = rhs - constant
-                if quad == 0:
-                    value = remainder / linear
-                else:
-                    disc = linear * linear + 4 * remainder
-                    if self.mode == RATIONAL and not scalar_is_positive(disc):
-                        raise _Refuted(self._forced_violation(u, pos))
-                    root = self.sqrt(disc)
-                    value = (root - linear) / 2
-                if not self.is_positive(value):
-                    if self.mode == RATIONAL:
-                        raise _Refuted(self._forced_violation(u, pos))
-                    if value < -self.tol:
-                        raise _Refuted(self._forced_violation(u, pos))
-                    raise _Blocked(
-                        f"mass of atom {u + 1} is numerically degenerate")
-                self._assign(u, value, f"eliminated from the equation at {pos}")
-                changed = True
-
-    def _require_consistent(self, derived: Scalar, rhs: Scalar, index: int,
-                            how: str) -> None:
-        if not self.equal(derived, rhs):
-            raise _Refuted(Violation(
-                "propagation-conflict", (index + 1,),
-                f"atom {index + 1} receives incompatible masses: "
-                f"{self.provenance.get(index, 'earlier derivation')} vs {how}"))
-
-    def _forced_violation(self, index: int, pos: Position) -> Violation:
-        return Violation(
-            "nonpositive-forced-mass", (index + 1,),
-            f"the equation at product {pos} forces a nonpositive mass on atom "
-            f"{index + 1}")
-
-    def _assign(self, index: int, value: Scalar, how: str) -> None:
-        if index in self.values:
-            if not self.equal(self.values[index], value):
-                raise _Refuted(Violation(
-                    "propagation-conflict", (index + 1,),
-                    f"atom {index + 1} receives incompatible masses: "
-                    f"{self.provenance[index]} vs {how}"))
-            return
-        if not self.is_positive(value):
-            if self.mode == REAL and abs(value) <= self.tol:
-                raise _Blocked(f"mass of atom {index + 1} is numerically degenerate")
-            raise _Refuted(Violation(
-                "nonpositive-forced-mass", (index + 1,),
-                f"derivation '{how}' forces a nonpositive mass on atom {index + 1}"))
-        self.values[index] = value
-        self.provenance[index] = how
-
-    # -- final checking --------------------------------------------------
-
-    def residual(self) -> mpf:
-        bits = max(self.config.precision_bits, 2 * DEFAULT_PRECISION_BITS)
+    Works on squared positions divided by the first one (a rational
+    "ratio key" per atom) and on masses divided by the first mass, starting
+    from the root atom (1, 1).  ``allowed``, when given, lists the target
+    atoms j for which a root atom y with y * y1 = (atom j) is admissible; a
+    root atom anywhere else is a ``peel-support-mismatch``.
+    """
+    atoms = target.atoms
+    exact = target.mode == RATIONAL
+    bits = config.precision_bits
+    with workprec(bits):
+        first_key = atoms[0][0].squared()
+        keys = [pos.squared() / first_key for pos, _ in atoms]
+        if exact:
+            a1 = atoms[0][1]
+            masses: List[Scalar] = [w / a1 for _, w in atoms]
+        else:
+            a1 = to_mpf(atoms[0][1], bits)
+            masses = [to_mpf(w, bits) / a1 for _, w in atoms]
+            tol = to_mpf(config.tolerance, bits)
+        index = {key: j for j, key in enumerate(keys)}
+        residual = dict(zip(keys[1:], masses[1:]))
+        heap = keys[1:]  # ascending, hence already a heap
+        top = keys[-1]
+        root: List[Tuple[Fraction, Scalar, int]] = [(Fraction(1), masses[0], 0)]
         worst = mpf(0)
-        with workprec(bits):
-            for pos, pairs, rhs in self.equations:
-                lhs = mpf(0)
-                for i, j in pairs:
-                    factor = 1 if i == j else 2
-                    lhs += factor * to_mpf(self.values[i], bits) * to_mpf(self.values[j], bits)
-                scale = max(abs(to_mpf(rhs, bits)), mpf(1))
-                worst = max(worst, abs(lhs - to_mpf(rhs, bits)) / scale)
-        return worst
+        while heap:
+            z = heappop(heap)
+            r = residual.pop(z)
+            j = index.get(z)
+            if exact:
+                if r == 0:
+                    continue
+            else:
+                wanted = masses[j] if j is not None else 0
+                scale = max(abs(wanted), abs(wanted - r))
+                if abs(r) <= tol * scale:
+                    worst = max(worst, abs(r) / scale)
+                    continue
+            c = r / 2
+            if c <= 0 if exact else c < -tol * scale:
+                return Peel(IMPOSSIBLE, certificate=_nonpositive(
+                    atoms, root, z, j, c))
+            if not exact and c <= tol * scale:
+                return Peel(UNDETERMINED, note=(
+                    f"the root atom y with y*y1 = {_product(atoms, root, z, j)} "
+                    f"has a forced mass {_scalar_str(c)}*sqrt(a1) within "
+                    "tolerance of zero"))
+            if z * z > top:
+                return Peel(IMPOSSIBLE, certificate=Violation(
+                    "peel-overflow", (j + 1,),
+                    f"the root atom y with y*y1 = {atoms[j][0]} (y1^2 = "
+                    f"{atoms[0][0]}) would square to "
+                    f"{atoms[j][0] * atoms[j][0] / atoms[0][0]}, beyond the "
+                    f"top atom {atoms[-1][0]}"))
+            if allowed is not None and j not in allowed:
+                return Peel(IMPOSSIBLE, certificate=Violation(
+                    "peel-support-mismatch", (j + 1,),
+                    f"the root atom y with y*y1 = {atoms[j][0]} (y1^2 = "
+                    f"{atoms[0][0]}) lies outside the prescribed support"))
+            for key, mass, _ in root[1:]:
+                _subtract(residual, heap, key * z, 2 * c * mass)
+            _subtract(residual, heap, z * z, c * c)
+            root.append((z, c, j))
+    return Peel(WITNESS, root=tuple((j, c) for _, c, j in root), residual=worst)
 
-    def check_equations(self) -> None:
-        for pos, pairs, rhs in self.equations:
-            lhs: Scalar = 0
-            for i, j in pairs:
-                factor = 1 if i == j else 2
-                lhs = lhs + factor * self.values[i] * self.values[j]
-            if not self.equal(lhs, rhs):
-                raise _Refuted(Violation(
-                    "equation-mismatch",
-                    tuple(sorted({idx + 1 for pair in pairs for idx in pair})),
-                    f"the coefficient equation at product {pos} fails: "
-                    f"expected mass {_scalar_str(rhs)}, the candidate root "
-                    f"yields {_scalar_str(lhs)}"))
 
-    # -- numeric fallback --------------------------------------------------
+def _subtract(residual: dict, heap: list, key: Fraction, value: Scalar) -> None:
+    if key in residual:
+        residual[key] -= value
+    else:
+        residual[key] = -value
+        heappush(heap, key)
 
-    def newton(self) -> bool:
-        """Multi-start damped Gauss-Newton on the unresolved masses.
 
-        Returns True when a fully positive numeric solution within the
-        convergence tolerance was installed.  Never proves impossibility.
-        """
-        self.to_real("numeric search for masses not determined by elimination")
-        unknowns = sorted(set(range(self.p)) - set(self.values))
-        if not unknowns:
-            return True
-        rng = random.Random(self.config.seed)
-        bits = self.config.precision_bits
-        for attempt_bits in (bits, 2 * bits):
-            with workprec(attempt_bits):
-                masses = [to_mpf(rhs, attempt_bits) for _, _, rhs in self.equations]
-                low = mpmath.sqrt(min(masses)) / self.p
-                high = mpmath.sqrt(max(masses))
-                tol2 = to_mpf(self.config.tolerance, attempt_bits) ** 2
-                for _ in range(self.config.newton_starts):
-                    start = [low * (high / low) ** mpf(rng.random())
-                             for _ in unknowns]
-                    solution = self._newton_run(unknowns, start, tol2, attempt_bits)
-                    if solution is not None:
-                        for idx, value in zip(unknowns, solution):
-                            self.values[idx] = value
-                            self.provenance[idx] = "numeric search"
-                        return True
-        return False
+def _product(atoms, root, z: Fraction, j: Optional[int]) -> Position:
+    """The position y*y1 at ratio key z: a target atom, or the product
+    y_a * y_b = x_a * x_b / x_1 of two root atoms."""
+    if j is not None:
+        return atoms[j][0]
+    for key_a, _, a in root:
+        for key_b, _, b in root:
+            if key_a * key_b == z:
+                return atoms[a][0] * atoms[b][0] / atoms[0][0]
+    raise AssertionError("a residual atom is neither a target atom nor a product")
 
-    def _newton_run(self, unknowns, start, tol2, bits):
-        values = list(start)
-        eqs = [(pairs, to_mpf(rhs, bits)) for _, pairs, rhs in self.equations]
-        index_of = {idx: n for n, idx in enumerate(unknowns)}
 
-        def point(vals):
-            full = dict(self.values)
-            for idx, v in zip(unknowns, vals):
-                full[idx] = v
-            return full
-
-        def residual_vec(vals):
-            full = point(vals)
-            out = []
-            for pairs, rhs in eqs:
-                lhs = mpf(0)
-                for i, j in pairs:
-                    factor = 1 if i == j else 2
-                    lhs += factor * to_mpf(full[i], bits) * to_mpf(full[j], bits)
-                out.append(lhs - rhs)
-            return out
-
-        def norm(vec):
-            return mpmath.sqrt(mpmath.fsum(v * v for v in vec))
-
-        current = residual_vec(values)
-        best = norm(current)
-        for _ in range(self.config.newton_iterations):
-            if best < tol2:
-                break
-            jac = mpmath.zeros(len(eqs), len(unknowns))
-            full = point(values)
-            for row, (pairs, _) in enumerate(eqs):
-                for i, j in pairs:
-                    # d/db_i of (2 - delta_ij) b_i b_j is 2 b_j in every case
-                    if i in index_of:
-                        jac[row, index_of[i]] += 2 * to_mpf(full[j], bits)
-                    if j in index_of and j != i:
-                        jac[row, index_of[j]] += 2 * to_mpf(full[i], bits)
-            fvec = mpmath.matrix(current)
-            try:
-                if len(eqs) == len(unknowns):
-                    step = mpmath.lu_solve(jac, fvec)
-                else:
-                    jt = jac.T
-                    step = mpmath.lu_solve(jt * jac, jt * fvec)
-            except ZeroDivisionError:
-                return None
-            scale = mpf(1)
-            improved = False
-            for _ in range(40):
-                trial = [values[n] - scale * step[n] for n in range(len(unknowns))]
-                trial_res = residual_vec(trial)
-                trial_norm = norm(trial_res)
-                if trial_norm < best:
-                    values, current, best = trial, trial_res, trial_norm
-                    improved = True
-                    break
-                scale /= 2
-            if not improved:
-                return None
-        if best < tol2 and all(v > self.tol for v in values):
-            return values
-        return None
+def _nonpositive(atoms, root, z, j, c) -> Violation:
+    return Violation(
+        "peel-nonpositive-mass", (j + 1,) if j is not None else (),
+        f"after {len(root)} root atoms the smallest atom of target - root^2 "
+        f"sits at {_product(atoms, root, z, j)}; the root atom y with y*y1 "
+        f"there (y1^2 = {atoms[0][0]}) is forced to carry mass "
+        f"{_scalar_str(c)}*sqrt({_scalar_str(atoms[0][1])}), which is not "
+        "positive")
 
 
 def _scalar_str(value: Scalar) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, QuadExt):
-        return repr(value)
-    return decimal_str(value)
+    return str(value) if isinstance(value, Fraction) else decimal_str(value)
 
 
-# ---------------------------------------------------------------------------
-# public solver operations
-# ---------------------------------------------------------------------------
-
-def propagate_ur(
-    system: QuadraticSystem,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> Union[PartialAssignment, Violation]:
-    """Assign masses along uniquely represented products.  The first, second,
-    next-to-last and last atoms always resolve."""
-    engine = _Engine(system, config)
-    try:
-        with workprec(config.precision_bits):
-            try:
-                engine.propagate()
-            except _RealFallback:
-                engine.to_real("a second radical was needed; continuing numerically")
-                engine.propagate()
-    except _Refuted as refuted:
-        return refuted.violation
-    except _Blocked as blocked:
-        assignment = PartialAssignment(engine.mode, engine.values,
-                                       engine.provenance, engine.extension,
-                                       engine.notes + [blocked.note])
-        return assignment
-    return PartialAssignment(engine.mode, engine.values, engine.provenance,
-                             engine.extension, engine.notes)
+def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
+                 config: SolverConfig) -> Tuple[str, list, List[str]]:
+    """The root's masses c * sqrt(a_1), exact when sqrt(a_1) is rational."""
+    if mode == RATIONAL:
+        root = sqrt_fraction(a1)
+        if root is not None:
+            return RATIONAL, [c * root for c in cs], []
+    bits = config.precision_bits
+    with workprec(bits):
+        scale = mpmath.sqrt(to_mpf(a1, bits))
+        weights = [to_mpf(c, bits) * scale for c in cs]
+    notes = []
+    if mode == RATIONAL:
+        notes.append(f"witness masses lie in Q(sqrt({a1})); emitted as reals")
+    return REAL, weights, notes
 
 
-def solve_weights(
-    system: QuadraticSystem,
-    partial: Union[PartialAssignment, Violation, None] = None,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> Verdict:
-    """Complete a partial assignment to a full root of the system, decide
-    impossibility exactly, or fall back to verified numerics."""
-    if isinstance(partial, Violation):
-        return Verdict(IMPOSSIBLE, certificate=partial,
-                       precision_bits=config.precision_bits)
-    if partial is None:
-        partial = propagate_ur(system, config)
-        if isinstance(partial, Violation):
-            return Verdict(IMPOSSIBLE, certificate=partial,
-                           precision_bits=config.precision_bits)
-    engine = _Engine(system, config, partial)
-    try:
-        with workprec(config.precision_bits):
-            try:
-                engine.propagate()
-                engine.eliminate()
-            except _RealFallback:
-                engine.to_real("a second radical was needed; continuing numerically")
-                engine.propagate()
-                engine.eliminate()
-            if len(engine.values) != engine.p:
-                if not engine.newton():
-                    return Verdict(
-                        UNDETERMINED,
-                        precision_bits=config.precision_bits,
-                        notes=tuple(engine.notes + [
-                            "numeric search did not locate a positive root"]))
-            engine.check_equations()
-    except _Refuted as refuted:
-        return Verdict(IMPOSSIBLE, certificate=refuted.violation,
-                       precision_bits=config.precision_bits,
-                       notes=tuple(engine.notes))
-    except _Blocked as blocked:
-        return Verdict(UNDETERMINED, precision_bits=config.precision_bits,
-                       notes=tuple(engine.notes + [blocked.note]))
-    witness, extra_notes = _witness_measure(engine)
-    return Verdict(
-        WITNESS,
-        witness=witness,
-        residual=decimal_str(engine.residual()),
-        precision_bits=config.precision_bits,
-        notes=tuple(engine.notes + extra_notes),
-    )
-
-
-def _witness_measure(engine: _Engine) -> Tuple[AtomicMeasure, List[str]]:
-    notes: List[str] = []
-    values = [engine.values[i] for i in range(engine.p)]
-    if engine.mode == RATIONAL and all(isinstance(v, Fraction) for v in values):
-        mode = RATIONAL
-        weights: List = values
-    else:
-        mode = REAL
-        bits = engine.config.precision_bits
-        weights = [to_mpf(v, bits) for v in values]
-        if engine.mode == RATIONAL:
-            notes.append(
-                "witness masses lie in a quadratic extension; emitted as reals")
-    mu = make_measure(list(zip(engine.support, weights)), mode=mode,
-                      base=engine.support[0].base,
-                      bits=engine.config.precision_bits)
-    return mu, notes
+def _decide(target: AtomicMeasure, peel: Peel, positions: Sequence[Position],
+            base: Fraction, config: SolverConfig, notes: List[str]) -> Verdict:
+    """Turn a peel into a verdict; every witness is re-checked by
+    convolving it with itself."""
+    bits = config.precision_bits
+    if peel.outcome != WITNESS:
+        extra = [peel.note] if peel.note else []
+        return Verdict(peel.outcome, certificate=peel.certificate,
+                       precision_bits=bits, notes=tuple(notes + extra))
+    mode, weights, extra = _root_masses([c for _, c in peel.root],
+                                        target.atoms[0][1], target.mode, config)
+    witness = make_measure(list(zip(positions, weights)), mode=mode,
+                           base=base, bits=bits)
+    if not verify_witness(witness, target, config):
+        return Verdict(UNDETERMINED, precision_bits=bits, notes=tuple(
+            notes + ["witness failed independent re-verification"]))
+    return Verdict(WITNESS, witness=witness,
+                   residual=decimal_str(peel.residual), precision_bits=bits,
+                   notes=tuple(notes + extra))
 
 
 def verify_witness(
@@ -667,162 +322,52 @@ def aluthge_subnormal(
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> Verdict:
     """Decide whether nu * nu = (mu reweighted by t and convolved with mu)
-    is solvable with supp(nu) = supp(mu)."""
+    is solvable with supp(nu) = supp(mu), by peeling the unique root of the
+    reweighted square and comparing its support with supp(mu)."""
     mu.require_no_zero_atom("aluthge_subnormal")
-    cert = structural_certificate(mu)
-    if cert is not None:
-        return Verdict(IMPOSSIBLE, certificate=cert,
-                       precision_bits=config.precision_bits)
-    card = cardinality_check(mu)
-    if not card.ok:
-        return Verdict(
-            IMPOSSIBLE,
-            certificate=Violation(
-                "support-cardinality", (),
-                f"{card.card} distinct products violate the bounds "
-                f"[{card.lower}, {card.upper}] for {card.p} atoms"),
-            precision_bits=config.precision_bits)
+    bits = config.precision_bits
     if mu.p == 4:
         return Verdict(IMPOSSIBLE, certificate=_FOUR_ATOM_VIOLATION,
-                       precision_bits=config.precision_bits)
-
+                       precision_bits=bits)
     work = mu
     notes: List[str] = []
     if work.mode == RATIONAL and any(pos.k == 1 for pos in work.support):
-        work = work.to_real(config.precision_bits)
+        work = work.to_real(bits)
         notes.append("irrational positions: masses analysed numerically")
-    unscale: Optional[Fraction] = None
-    if work.mode == RATIONAL:
-        first = work.support[0].q
-        if first != 1:
-            unscale = first
-            work = scale_positions(work, Fraction(1, first))
-            notes.append(f"positions rescaled by 1/{first} for the analysis")
-    target = convolve(work, t_weight(work), bits=config.precision_bits)
-    system = build_system(target, work.support)
-    if isinstance(system, Violation):
-        return Verdict(IMPOSSIBLE, certificate=system,
-                       precision_bits=config.precision_bits,
-                       notes=tuple(notes))
-    verdict = solve_weights(system, None, config)
-    if verdict.is_witness:
-        if unscale is not None:
-            verdict = _unscale_witness(verdict, unscale, config)
-            check_target = convolve(mu, t_weight(mu), bits=config.precision_bits)
-        else:
-            check_target = target
-        if not verify_witness(verdict.witness, check_target, config):
-            return Verdict(UNDETERMINED, precision_bits=config.precision_bits,
-                           notes=tuple(notes + list(verdict.notes) + [
-                               "witness failed independent re-verification"]))
-    if notes:
-        verdict = Verdict(verdict.outcome, verdict.witness, verdict.certificate,
-                          verdict.residual, verdict.precision_bits,
-                          tuple(notes + list(verdict.notes)))
-    return verdict
-
-
-def _unscale_witness(verdict: Verdict, factor: Fraction,
-                     config: SolverConfig) -> Verdict:
-    """Map a witness for the rescaled problem back to the original one:
-    positions multiply by the factor, masses by its square root."""
-    witness = verdict.witness
-    root = sqrt_fraction(factor)
-    notes = list(verdict.notes)
-    if witness.mode == RATIONAL and root is not None:
-        atoms = [(pos.scale(factor), w * root) for pos, w in witness.atoms]
-        mapped = make_measure(atoms, mode=RATIONAL, base=witness.base)
-    else:
-        bits = config.precision_bits
-        with workprec(bits):
-            scale_root = mpmath.sqrt(to_mpf(factor, bits))
-            atoms = [(pos.scale(factor), to_mpf(w, bits) * scale_root)
-                     for pos, w in witness.atoms]
-        mapped = make_measure(atoms, mode=REAL, base=witness.base, bits=bits)
-        if witness.mode == RATIONAL:
-            notes.append("rescaling made the witness masses irrational; "
-                         "emitted as reals")
-    return Verdict(WITNESS, mapped, verdict.certificate, verdict.residual,
-                   verdict.precision_bits, tuple(notes))
+    target = convolve(work, t_weight(work, bits), bits=bits)
+    # a root atom y with y*x_1 = z lies in supp(mu) iff z = x_1*x_m for an
+    # atom x_m of mu
+    first = work.support[0]
+    first_key = first.squared()
+    products = {first_key * pos.squared() for pos in work.support}
+    allowed = {j for j, pos in enumerate(target.support)
+               if pos.squared() in products}
+    peel = peel_root(target, config, allowed)
+    if peel.outcome == WITNESS and len(peel.root) != mu.p:
+        peel = Peel(IMPOSSIBLE, certificate=Violation(
+            "peel-support-mismatch", (),
+            f"the root of the reweighted square has {len(peel.root)} atoms, "
+            f"all in supp(mu), which has {mu.p}"))
+    positions = [target.support[j] / first for j, _ in peel.root]
+    return _decide(target, peel, positions, work.base, config, notes)
 
 
 def sqrt_of(
     mu: AtomicMeasure,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> Verdict:
-    """Decide the square root problem nu * nu = mu by enumerating the finitely
-    many admissible supports and solving each coefficient system."""
+    """Decide the square root problem nu * nu = mu by peeling its unique
+    root; a witness sits at sqrt(x_1) * (x_j / x_1) over the radical base
+    x_1.  Positions must be rational."""
     mu.require_no_zero_atom("sqrt_of")
     if any(pos.k == 1 for pos in mu.support):
         raise MeasureError(
             "square-root search requires rational atom positions; apply "
             "power_positions(mu, 2) first")
-    p = mu.p
-    if p == 4:
+    if mu.p == 4:
         return Verdict(IMPOSSIBLE, certificate=_FOUR_ATOM_VIOLATION,
                        precision_bits=config.precision_bits)
-    lam = [pos.q for pos in mu.support]
-    base = lam[0]
-    # the largest atom of any root squares to the largest target atom, so a
-    # top candidate index must satisfy lam_m^2 = lam_1 * lam_p
-    top = next((m for m in range(p) if lam[m] * lam[m] == lam[0] * lam[-1]), None)
-    if top is None:
-        return Verdict(
-            IMPOSSIBLE,
-            certificate=Violation(
-                "candidates-exhausted", (),
-                "no atom squares to the product of the extreme target atoms, "
-                "so no candidate support exists"),
-            precision_bits=config.precision_bits)
-    candidate_values = [Position(l / base, 1, base) for l in lam]
-    target_keys = {pos.squared() for pos in mu.support}
-    tried = 0
-    saw_undetermined = False
-    notes: List[str] = []
-    q_min = next(q for q in range(1, p + 2) if q * (q + 1) // 2 >= p)
-    q_max = (p + 1) // 2 if p > 1 else 1
-    for q in range(q_min, q_max + 1):
-        middle = list(range(1, top))
-        needed = q - (2 if top != 0 else 1)
-        if needed < 0 or needed > len(middle):
-            continue
-        for chosen in combinations(middle, needed):
-            indices = (0,) + chosen + ((top,) if top != 0 else ())
-            tried += 1
-            if tried > config.max_candidates:
-                return Verdict(
-                    UNDETERMINED, precision_bits=config.precision_bits,
-                    notes=tuple(notes + [
-                        f"candidate cap {config.max_candidates} reached"]))
-            support = [candidate_values[i] for i in indices]
-            keys = set()
-            for a in range(q):
-                for b in range(a, q):
-                    keys.add((support[a] * support[b]).squared())
-            if keys != target_keys:
-                continue
-            system = build_system(mu, support)
-            if isinstance(system, Violation):
-                continue
-            verdict = solve_weights(system, None, config)
-            if verdict.is_witness:
-                if not verify_witness(verdict.witness, mu, config):
-                    saw_undetermined = True
-                    continue
-                return Verdict(WITNESS, verdict.witness, None, verdict.residual,
-                               config.precision_bits,
-                               tuple(notes + list(verdict.notes) + [
-                                   f"candidate supports tried: {tried}"]))
-            if verdict.outcome == UNDETERMINED:
-                saw_undetermined = True
-    if saw_undetermined:
-        return Verdict(UNDETERMINED, precision_bits=config.precision_bits,
-                       notes=tuple(notes + [
-                           "some candidate systems were not decided exactly"]))
-    return Verdict(
-        IMPOSSIBLE,
-        certificate=Violation(
-            "candidates-exhausted", (),
-            f"all {tried} admissible candidate supports were refuted exactly"),
-        precision_bits=config.precision_bits,
-        notes=tuple(notes))
+    peel = peel_root(mu, config)
+    base = mu.support[0].q
+    positions = [Position(mu.support[j].q / base, 1, base) for j, _ in peel.root]
+    return _decide(mu, peel, positions, base, config, [])

@@ -132,3 +132,11 @@ def test_precision_flag_roundtrip(capsys, six_atom_file):
     code = main(["aluthge", six_atom_file, "--precision", "192", "--json"])
     data = json.loads(capsys.readouterr().out)
     assert code == 0 and data["precision_bits"] == 192
+
+
+def test_usage_errors_exit_one(capsys, six_atom_file):
+    # argparse's own exit status 2 would read as "impossible"
+    assert main(["sqrt", "--max-candidates", "5", six_atom_file]) == 1
+    assert main(["sqrt", "--bogus", six_atom_file]) == 1
+    assert main(["sqrt", "--seed", "3", six_atom_file]) == 1
+    assert "usage" in capsys.readouterr().err

@@ -57,6 +57,15 @@ def test_five_atom_sharp_example(five_atom_real):
     assert verify_witness(verdict.witness, five_atom_real)
 
 
+def test_real_mode_identities_use_configured_precision():
+    # at mpmath's default 53 bits the five-atom identities fail on this
+    # constructed square; they must be evaluated at the configured 128 bits
+    mu = generate(GeneratorSpec(5, "with-root", 0)).measure.to_real(128)
+    verdict = classify_small(mu)
+    assert verdict.outcome == WITNESS
+    assert verify_witness(verdict.witness, mu)
+
+
 def test_five_atom_nongeometric_refuted():
     mu = make_measure([(v, F(1, 5)) for v in (1, 2, 4, 8, 17)])
     verdict = classify_small(mu)

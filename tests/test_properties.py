@@ -12,6 +12,7 @@ from alsq.diagram import cardinality_check, structural_certificate
 from alsq.generate import GeneratorSpec, generate
 from alsq.measures import convolve, t_weight
 from alsq.solver import (
+    IMPOSSIBLE,
     UNDETERMINED,
     WITNESS,
     aluthge_subnormal,
@@ -29,6 +30,14 @@ def _instance(seed: int):
     if p == 4 and kind in ("with-root", "with-aluthge-root"):
         kind = "arbitrary"
     return generate(GeneratorSpec(p, kind, 500_000 + seed)).measure
+
+
+def _arbitrary(ps=range(7, 24), seeds=3):
+    for p in ps:
+        for seed in range(seeds):
+            for style in ("geometric", "random"):
+                yield generate(GeneratorSpec(p, "arbitrary", 700_000 + seed,
+                                             position_style=style)).measure
 
 
 def test_oracle_agreement_ten_thousand_instances():
@@ -81,3 +90,23 @@ def test_doubly_unique_column_theory_on_witnesses():
         for k in full:
             assert diagram.product(k, k).squared() == \
                 diagram.product(0, p - 1).squared()
+
+
+def test_rational_mode_is_never_undetermined():
+    measures = [_instance(seed) for seed in range(1000)]
+    measures += list(_arbitrary())
+    for mu in measures:
+        assert sqrt_of(mu).outcome != UNDETERMINED, mu
+        assert aluthge_subnormal(mu).outcome != UNDETERMINED, mu
+
+
+def test_structural_certificates_imply_impossible_peel():
+    # the structural rules are explanations, not the decision; whenever one
+    # fires the peel must refute the transform question on its own
+    fired = 0
+    for mu in _arbitrary(range(2, 24), 6):
+        if structural_certificate(mu) is None:
+            continue
+        fired += 1
+        assert aluthge_subnormal(mu).outcome == IMPOSSIBLE, mu
+    assert fired > 100

@@ -4,12 +4,9 @@ import pytest
 from mpmath import mpf
 
 from alsq.scalars import (
-    QuadExt,
     ScalarError,
     mpf_to_fraction,
     parse_rational,
-    scalar_is_positive,
-    sqrt_exact,
     sqrt_fraction,
     to_mpf,
 )
@@ -29,54 +26,6 @@ def test_sqrt_fraction():
     assert sqrt_fraction(F(9, 4)) == F(3, 2)
     assert sqrt_fraction(F(2)) is None
     assert sqrt_fraction(F(-1)) is None
-
-
-def test_quadext_arithmetic():
-    d = F(2)
-    x = QuadExt(1, 1, d)      # 1 + sqrt(2)
-    y = QuadExt(3, -1, d)     # 3 - sqrt(2)
-    assert x + y == QuadExt(4, 0, d).make(4, 0, d)
-    assert x * y == QuadExt(1, 2, d)          # 3 - sqrt2 + 3 sqrt2 - 2
-    assert (x * y - QuadExt(1, 2, d)) == 0
-    assert x / x == 1
-    third = 1 / QuadExt(0, 1, d)              # 1/sqrt(2) = sqrt(2)/2
-    assert third == QuadExt(0, F(1, 2), d)
-
-
-def test_quadext_sign_tests():
-    d = F(2)
-    assert QuadExt(1, 1, d).is_positive()
-    assert not QuadExt(-3, 1, d).is_positive()        # sqrt(2) < 3
-    assert QuadExt(-1, 1, d).is_positive()            # sqrt(2) > 1
-    assert QuadExt(3, -2, d).is_positive()            # 3 > 2 sqrt(2)? 9 > 8
-    assert not QuadExt(2, -2, d).is_positive()        # 2 < 2 sqrt(2)
-    assert QuadExt(-1, 1, d) > 0
-    assert QuadExt(2, -2, d) < F(1, 100)
-
-
-def test_quadext_rejects_mixed_extensions():
-    with pytest.raises(ScalarError):
-        QuadExt(1, 1, F(2)) + QuadExt(1, 1, F(3))
-
-
-def test_sqrt_exact_in_extension():
-    # sqrt of a rational landing in Q(sqrt(2)): sqrt(8) = 2 sqrt(2)
-    got = sqrt_exact(F(8), F(2))
-    assert got == QuadExt(0, 2, F(2))
-    # perfect square stays rational even inside an extension
-    assert sqrt_exact(F(9, 16), F(2)) == F(3, 4)
-    # no exact root available
-    assert sqrt_exact(F(3), F(2)) is None
-    assert sqrt_exact(F(2), None) is None
-
-
-def test_sqrt_exact_of_extension_element():
-    # (1 + sqrt(2))^2 = 3 + 2 sqrt(2)
-    value = QuadExt(3, 2, F(2))
-    root = sqrt_exact(value, F(2))
-    assert root == QuadExt(1, 1, F(2))
-    assert scalar_is_positive(root)
-    assert sqrt_exact(QuadExt(1, 1, F(2)), F(2)) is None
 
 
 def test_mpf_fraction_round_trip():

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
-from alsq.diagram import Violation
 from alsq.generate import GeneratorSpec, generate
 from alsq.measures import (
     MeasureError,
@@ -22,12 +21,8 @@ from alsq.solver import (
     IMPOSSIBLE,
     UNDETERMINED,
     WITNESS,
-    PartialAssignment,
-    SolverConfig,
     aluthge_subnormal,
-    build_system,
-    propagate_ur,
-    solve_weights,
+    peel_root,
     sqrt_of,
     verify_witness,
 )
@@ -35,72 +30,31 @@ from alsq.solver import (
 F = Fraction
 
 
-def _aluthge_system(mu):
-    target = convolve(mu, t_weight(mu))
-    system = build_system(target, mu.support)
-    assert not isinstance(system, Violation)
-    return system
+def _transform_peel(mu):
+    return peel_root(convolve(mu, t_weight(mu)))
 
 
 # ---------------------------------------------------------------------------
-# system construction
-# ---------------------------------------------------------------------------
-
-def test_build_system_three_atom_values(three_atom_square):
-    # expected equations derived by expanding a_i a_j (x_i + x_j) by hand:
-    # b1^2 = 1/16, 2 b1 b2 = 3/8, 2 b1 b3 + b2^2 = 13/16, 2 b2 b3 = 3/4,
-    # b3^2 = 1/4
-    system = _aluthge_system(three_atom_square)
-    table = {tuple(eq.pairs): eq.rhs for eq in system.equations}
-    assert table[((0, 0),)] == F(1, 16)
-    assert table[((0, 1),)] == F(3, 8)
-    assert table[((0, 2), (1, 1))] == F(13, 16)
-    assert table[((1, 2),)] == F(3, 4)
-    assert table[((2, 2),)] == F(1, 4)
-
-
-def test_build_system_two_atom_complete():
-    nu = make_measure([(1, F(1, 2)), (2, F(1, 2))])
-    target = convolve(nu, nu)
-    system = build_system(target, nu.support)
-    table = {tuple(eq.pairs): eq.rhs for eq in system.equations}
-    assert table == {((0, 0),): F(1, 4), ((0, 1),): F(1, 2),
-                     ((1, 1),): F(1, 4)}
-
-
-def test_build_system_detects_missing_product():
-    target = make_measure([(v, F(1, 6)) for v in (1, 2, 3, 6, 9)])
-    support = [Position(F(v), 0, F(1)) for v in (1, 2, 3)]
-    result = build_system(target, support)
-    assert isinstance(result, Violation)
-    assert result.rule == "support-product-mismatch"
-
-
-def test_system_pairs_partition_all_indices(three_atom_square):
-    system = _aluthge_system(three_atom_square)
-    pairs = [pair for eq in system.equations for pair in eq.pairs]
-    assert sorted(pairs) == [(i, j) for i in range(3) for j in range(i, 3)]
-
-
-# ---------------------------------------------------------------------------
-# propagation
+# the peel
 # ---------------------------------------------------------------------------
 
 def test_propagation_resolves_three_atom_system(three_atom_square):
-    assignment = propagate_ur(_aluthge_system(three_atom_square))
-    assert isinstance(assignment, PartialAssignment)
-    assert assignment.values == {0: F(1, 4), 1: F(3, 4), 2: F(1, 2)}
+    # root masses 1/4, 3/4, 1/2 relative to sqrt(a_1) = 1/4 of the target
+    peel = _transform_peel(three_atom_square)
+    assert peel.outcome == WITNESS
+    assert peel.root == ((0, F(1)), (1, F(3)), (2, F(2)))
 
 
 def test_propagation_single_atom():
-    assignment = propagate_ur(_aluthge_system(dirac(1)))
-    assert assignment.values == {0: F(1)}
+    peel = _transform_peel(dirac(1))
+    assert peel.outcome == WITNESS
+    assert peel.root == ((0, F(1)),)
 
 
 def test_propagation_first_mass_of_sharp_example(five_atom_real):
-    assignment = propagate_ur(_aluthge_system(five_atom_real))
+    verdict = aluthge_subnormal(five_atom_real)
     with workprec(128):
-        assert abs(assignment.values[0] - mpf(1) / 8) < mpf(2) ** -100
+        assert abs(verdict.witness.weights[0] - mpf(1) / 8) < mpf(2) ** -100
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,24 +62,59 @@ def test_propagation_first_mass_of_sharp_example(five_atom_real):
        st.lists(st.fractions(min_value=F(1, 8), max_value=F(3),
                              max_denominator=8), min_size=6, max_size=6))
 def test_propagation_always_resolves_boundary_atoms(values, raw_weights):
+    # rational input is always decided exactly; a root of the reweighted
+    # square starts at the first atom of mu and ends at the last
     support = sorted(values)
     mu = make_measure(list(zip(support, raw_weights[:len(support)])))
-    assignment = propagate_ur(_aluthge_system(mu))
-    if isinstance(assignment, Violation):
-        return
-    p = mu.p
-    for index in {0, 1, p - 2, p - 1}:
-        if 0 <= index < p:
-            assert index in assignment.values
+    verdict = aluthge_subnormal(mu)
+    assert verdict.outcome != UNDETERMINED
+    if verdict.outcome == WITNESS:
+        assert verdict.witness.support[0] == mu.support[0]
+        assert verdict.witness.support[-1] == mu.support[-1]
 
 
-# ---------------------------------------------------------------------------
-# full solve
-# ---------------------------------------------------------------------------
+def test_peel_refutes_the_nine_atom_instance_exactly():
+    # the enumeration left this one undetermined; the peel forces -8/11
+    mu = generate(GeneratorSpec(9, "arbitrary", 174,
+                                position_style="geometric")).measure
+    verdict = sqrt_of(mu)
+    assert verdict.outcome == IMPOSSIBLE
+    assert verdict.certificate.rule == "peel-nonpositive-mass"
+    assert "-8/11" in verdict.certificate.message
+
+
+def test_peel_support_mismatch_names_the_atom():
+    target = convolve(make_measure([(1, 1), (2, 1)]),
+                      make_measure([(1, 1), (2, 1)]))
+    peel = peel_root(target, allowed={0})
+    assert peel.outcome == IMPOSSIBLE
+    assert peel.certificate.rule == "peel-support-mismatch"
+    assert peel.certificate.indices == (2,)
+    assert peel_root(target, allowed={0, 1}).outcome == WITNESS
+
+
+def test_real_mode_near_cancellation():
+    # (d(1) + d(2))^2 with the top mass moved by a multiple of the tolerance:
+    # within it the square is accepted, just beyond it the forced mass is
+    # too small to sign, and further out the leftover atom cannot be a root
+    # atom's cross term
+    tol = mpf(2) ** -64
+
+    def target(shift):
+        with workprec(128):
+            return make_measure([(1, 1), (2, 2), (4, 1 + shift * tol)],
+                                mode="real")
+
+    assert sqrt_of(target(F(1, 2))).outcome == WITNESS
+    assert sqrt_of(target(F(3, 2))).outcome == UNDETERMINED
+    verdict = sqrt_of(target(3))
+    assert verdict.outcome == IMPOSSIBLE
+    assert verdict.certificate.rule == "peel-overflow"
+
 
 def test_solve_three_atom_witness(three_atom_square):
     target = convolve(three_atom_square, t_weight(three_atom_square))
-    verdict = solve_weights(_aluthge_system(three_atom_square))
+    verdict = aluthge_subnormal(three_atom_square)
     assert verdict.outcome == WITNESS
     assert verdict.witness.weights == (F(1, 4), F(3, 4), F(1, 2))
     assert convolve(verdict.witness, verdict.witness).atoms == target.atoms
@@ -133,23 +122,10 @@ def test_solve_three_atom_witness(three_atom_square):
 
 def test_solve_uniform_three_atoms_impossible():
     mu = make_measure([(1, F(1, 3)), (2, F(1, 3)), (4, F(1, 3))])
-    verdict = solve_weights(_aluthge_system(mu))
+    verdict = aluthge_subnormal(mu)
     assert verdict.outcome == IMPOSSIBLE
-    assert verdict.certificate.rule == "equation-mismatch"
-
-
-def test_conflicting_derivations_name_both_paths():
-    # on candidate support {1,2,4} the mass chain forces b3 = 1 along the
-    # products while the square at 16 forces b3 = 3
-    target = make_measure([(1, 1), (2, 2), (4, 3), (8, 2), (16, 9)])
-    support = [Position(F(v), 0, F(1)) for v in (1, 2, 4)]
-    system = build_system(target, support)
-    result = propagate_ur(system)
-    assert isinstance(result, Violation)
-    assert result.rule == "propagation-conflict"
-    assert "vs" in result.message
-    verdict = sqrt_of(target)
-    assert verdict.outcome == IMPOSSIBLE
+    assert verdict.certificate.rule == "peel-nonpositive-mass"
+    assert "-9/16" in verdict.certificate.message
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +201,7 @@ def test_sqrt_of_four_atoms_impossible():
 def test_sqrt_of_two_atoms_impossible():
     verdict = sqrt_of(make_measure([(1, F(1, 2)), (2, F(1, 2))]))
     assert verdict.outcome == IMPOSSIBLE
-    assert verdict.certificate.rule == "candidates-exhausted"
+    assert verdict.certificate.rule == "peel-overflow"
 
 
 def test_sqrt_of_single_atom_radical_witness():
@@ -242,31 +218,28 @@ def test_sqrt_of_radical_positions_not_searched():
 
 
 def test_sqrt_no_candidate_top_atom():
-    # no atom squares to the product of the extremes: instant refutation
+    # no atom squares to the product of the extremes: the second root atom
+    # already squares beyond the top atom
     mu = make_measure([(1, F(1, 3)), (2, F(1, 3)), (3, F(1, 3))])
     verdict = sqrt_of(mu)
     assert verdict.outcome == IMPOSSIBLE
-    assert verdict.certificate.rule == "candidates-exhausted"
+    assert verdict.certificate.rule == "peel-overflow"
 
 
-def test_candidate_cap_gives_undetermined(six_atom_exact):
-    verdict = sqrt_of(six_atom_exact, SolverConfig(max_candidates=0))
-    assert verdict.outcome == UNDETERMINED
-
-
-def test_second_radical_falls_back_to_numerics():
-    # masses force sqrt(2) for the first root atom and sqrt(3) for the last;
-    # after opening the first extension the solver must continue numerically,
-    # and the remaining mismatch is decisive
-    target = make_measure([(1, 2), (2, 4), (4, F(13, 2)), (8, 10), (16, 12),
-                           (32, 6), (64, 3)])
-    support = [Position(F(v), 0, F(1)) for v in (1, 2, 4, 8)]
-    system = build_system(target, support)
-    partial = propagate_ur(system)
-    assert partial.mode == "real"
-    assert any("second radical" in note for note in partial.notes)
-    assert solve_weights(system, partial).outcome == IMPOSSIBLE
-    assert sqrt_of(target).outcome == IMPOSSIBLE
+def test_mass_conflicts_are_refuted_exactly():
+    # the first target forces sqrt(2) for the first root atom and sqrt(3)
+    # for the last; on the second the products force b3 = 1 while the
+    # square at 16 forces b3 = 3.  Relative to sqrt(a_1) every forced mass
+    # stays rational, so both refutations are exact
+    for target in (
+        make_measure([(1, 2), (2, 4), (4, F(13, 2)), (8, 10), (16, 12),
+                      (32, 6), (64, 3)]),
+        make_measure([(1, 1), (2, 2), (4, 3), (8, 2), (16, 9)]),
+    ):
+        verdict = sqrt_of(target)
+        assert verdict.outcome == IMPOSSIBLE
+        assert verdict.certificate.rule.startswith("peel-")
+        assert not verdict.notes
 
 
 def test_real_mode_root_with_two_radical_masses():

@@ -226,20 +226,42 @@ def test_sqrt_no_candidate_top_atom():
     assert verdict.certificate.rule == "peel-overflow"
 
 
-def test_mass_conflicts_are_refuted_exactly():
-    # the first target forces sqrt(2) for the first root atom and sqrt(3)
-    # for the last; on the second the products force b3 = 1 while the
-    # square at 16 forces b3 = 3.  Relative to sqrt(a_1) every forced mass
-    # stays rational, so both refutations are exact
-    for target in (
-        make_measure([(1, 2), (2, 4), (4, F(13, 2)), (8, 10), (16, 12),
-                      (32, 6), (64, 3)]),
-        make_measure([(1, 1), (2, 2), (4, 3), (8, 2), (16, 9)]),
-    ):
-        verdict = sqrt_of(target)
-        assert verdict.outcome == IMPOSSIBLE
-        assert verdict.certificate.rule.startswith("peel-")
-        assert not verdict.notes
+def test_second_radical_falls_back_to_numerics():
+    # the masses force sqrt(2) for the first root atom and sqrt(3) for the
+    # last; relative to sqrt(a_1) every forced mass stays rational, so the
+    # refutation is exact and carries no numeric note
+    target = make_measure([(1, 2), (2, 4), (4, F(13, 2)), (8, 10), (16, 12),
+                           (32, 6), (64, 3)])
+    verdict = sqrt_of(target)
+    assert verdict.outcome == IMPOSSIBLE
+    assert verdict.certificate.rule == "peel-overflow"
+    assert not verdict.notes
+
+
+def test_conflicting_derivations_name_both_paths():
+    # on root support {1,2,4} the products force b3 = 1 while the square at
+    # 16 forces b3 = 3; the peel takes b3 = 1 from the products, and the
+    # certificate names the leftover atom at 16 and the top atom it exceeds
+    target = make_measure([(1, 1), (2, 2), (4, 3), (8, 2), (16, 9)])
+    verdict = sqrt_of(target)
+    assert verdict.outcome == IMPOSSIBLE
+    assert verdict.certificate.rule == "peel-overflow"
+    assert verdict.certificate.indices == (5,)
+    assert "y*y1 = 16" in verdict.certificate.message
+    assert "top atom 16" in verdict.certificate.message
+
+
+def test_build_system_detects_missing_product():
+    # a root on {1,2,3} would put the product 2*2 = 4 into its square, and
+    # the target has no atom there: the mass forced at 4 is negative
+    target = make_measure([(v, F(1, 6)) for v in (1, 2, 3, 6, 9)])
+    for peel in (peel_root(target), peel_root(target, allowed={0, 1, 2})):
+        assert peel.outcome == IMPOSSIBLE
+        assert peel.certificate.rule == "peel-nonpositive-mass"
+        assert peel.certificate.indices == ()
+        assert "sits at 4" in peel.certificate.message
+        assert "-1/8" in peel.certificate.message
+    assert sqrt_of(target).certificate.rule == "peel-nonpositive-mass"
 
 
 def test_real_mode_root_with_two_radical_masses():

@@ -19,14 +19,15 @@ re-running the peel re-checks:
 
 * ``peel-nonpositive-mass``: the forced mass of the next root atom is <= 0;
 * ``peel-overflow``: the next root atom would square beyond the top atom;
-* ``peel-support-mismatch``: the root leaves the prescribed support (the
+* ``peel-support-mismatch``: the root's support differs from supp(mu) (the
   transform question only).
 
 Relative to the first root atom every forced mass is rational for rational
 input, and the root masses are those values times sqrt(a_1); so rational
 input is always decided exactly, and ``undetermined`` only arises in real
-mode (a forced mass within tolerance of zero) or when a witness fails its
-independent re-check by convolution.
+mode (a forced mass within tolerance of zero, or a refutation reached after
+a residual within tolerance of zero was taken as cancelled) or when a witness
+fails its independent re-check by convolution.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Collection, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
@@ -129,6 +130,8 @@ class Peel:
     carries mass c * sqrt(a_1), where y1 is the first root atom
     (y1^2 = target atom 0) and a_1 the first target mass.  ``residual`` is
     the worst relative residual accepted as cancelled (0 in rational mode).
+    ``doubt`` is set in real mode when a residual that could have been a root
+    atom was taken as cancelled: a refutation after it is not certain.
     """
 
     outcome: str
@@ -136,20 +139,24 @@ class Peel:
     certificate: Optional[Violation] = None
     residual: mpf = mpf(0)
     note: Optional[str] = None
+    doubt: Optional[str] = None
 
 
-def peel_root(
-    target: AtomicMeasure,
-    config: SolverConfig = DEFAULT_CONFIG,
-    allowed: Optional[Collection[int]] = None,
-) -> Peel:
+# a real-mode residual within 2^(_ROUNDING_BITS - precision_bits) of its
+# scale is rounding error, not a candidate root atom: each residual is a sum
+# of at most p positive terms, each rounded a few times
+_ROUNDING_BITS = 16
+
+
+def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> Peel:
     """Peel the unique root of ``target`` off its smallest atoms.
 
     Works on squared positions divided by the first one (a rational
     "ratio key" per atom) and on masses divided by the first mass, starting
-    from the root atom (1, 1).  ``allowed``, when given, lists the target
-    atoms j for which a root atom y with y * y1 = (atom j) is admissible; a
-    root atom anywhere else is a ``peel-support-mismatch``.
+    from the root atom (1, 1).  In real mode a residual within tolerance of
+    zero counts as cancelled; one above rounding level at a key whose root
+    atom would not overflow may hide a tiny root atom, so a later refutation
+    is reported as ``undetermined``.
     """
     atoms = target.atoms
     exact = target.mode == RATIONAL
@@ -164,12 +171,14 @@ def peel_root(
             a1 = to_mpf(atoms[0][1], bits)
             masses = [to_mpf(w, bits) / a1 for _, w in atoms]
             tol = to_mpf(config.tolerance, bits)
+            rounding = mpf(2) ** (_ROUNDING_BITS - bits)
         index = {key: j for j, key in enumerate(keys)}
         residual = dict(zip(keys[1:], masses[1:]))
         heap = keys[1:]  # ascending, hence already a heap
         top = keys[-1]
         root: List[Tuple[Fraction, Scalar, int]] = [(Fraction(1), masses[0], 0)]
         worst = mpf(0)
+        doubt: Optional[str] = None
         while heap:
             z = heappop(heap)
             r = residual.pop(z)
@@ -182,33 +191,41 @@ def peel_root(
                 scale = max(abs(wanted), abs(wanted - r))
                 if abs(r) <= tol * scale:
                     worst = max(worst, abs(r) / scale)
+                    if doubt is None and abs(r) > rounding * scale and z * z <= top:
+                        doubt = (
+                            f"the residual {_scalar_str(r)}*a1 at "
+                            f"{_at(atoms, z, j)} was taken as zero within "
+                            "tolerance, but a root atom of that tiny mass "
+                            "may sit there")
                     continue
             c = r / 2
             if c <= 0 if exact else c < -tol * scale:
-                return Peel(IMPOSSIBLE, certificate=_nonpositive(
-                    atoms, root, z, j, c))
+                return _refuted(_nonpositive(atoms, root, z, j, c), doubt)
             if not exact and c <= tol * scale:
                 return Peel(UNDETERMINED, note=(
-                    f"the root atom y with y*y1 = {_product(atoms, root, z, j)} "
-                    f"has a forced mass {_scalar_str(c)}*sqrt(a1) within "
-                    "tolerance of zero"))
+                    f"the root atom y with y*y1 = {_at(atoms, z, j)} has a "
+                    f"forced mass {_scalar_str(c)}*sqrt(a1) within tolerance "
+                    "of zero"))
             if z * z > top:
-                return Peel(IMPOSSIBLE, certificate=Violation(
+                return _refuted(Violation(
                     "peel-overflow", (j + 1,),
                     f"the root atom y with y*y1 = {atoms[j][0]} (y1^2 = "
                     f"{atoms[0][0]}) would square to "
                     f"{atoms[j][0] * atoms[j][0] / atoms[0][0]}, beyond the "
-                    f"top atom {atoms[-1][0]}"))
-            if allowed is not None and j not in allowed:
-                return Peel(IMPOSSIBLE, certificate=Violation(
-                    "peel-support-mismatch", (j + 1,),
-                    f"the root atom y with y*y1 = {atoms[j][0]} (y1^2 = "
-                    f"{atoms[0][0]}) lies outside the prescribed support"))
+                    f"top atom {atoms[-1][0]}"), doubt)
             for key, mass, _ in root[1:]:
                 _subtract(residual, heap, key * z, 2 * c * mass)
             _subtract(residual, heap, z * z, c * c)
             root.append((z, c, j))
-    return Peel(WITNESS, root=tuple((j, c) for _, c, j in root), residual=worst)
+    return Peel(WITNESS, root=tuple((j, c) for _, c, j in root), residual=worst,
+                doubt=doubt)
+
+
+def _refuted(certificate: Violation, doubt: Optional[str]) -> Peel:
+    if doubt is None:
+        return Peel(IMPOSSIBLE, certificate=certificate)
+    return Peel(UNDETERMINED, note=f"{doubt}; without it: {certificate.rule}: "
+                                   f"{certificate.message}")
 
 
 def _subtract(residual: dict, heap: list, key: Fraction, value: Scalar) -> None:
@@ -219,24 +236,20 @@ def _subtract(residual: dict, heap: list, key: Fraction, value: Scalar) -> None:
         heappush(heap, key)
 
 
-def _product(atoms, root, z: Fraction, j: Optional[int]) -> Position:
-    """The position y*y1 at ratio key z: a target atom, or the product
-    y_a * y_b = x_a * x_b / x_1 of two root atoms."""
+def _at(atoms, z: Fraction, j: Optional[int]) -> str:
+    """The position y*y1 at ratio key z: a target atom, or else named by
+    its square z * x_1^2."""
     if j is not None:
-        return atoms[j][0]
-    for key_a, _, a in root:
-        for key_b, _, b in root:
-            if key_a * key_b == z:
-                return atoms[a][0] * atoms[b][0] / atoms[0][0]
-    raise AssertionError("a residual atom is neither a target atom nor a product")
+        return str(atoms[j][0])
+    return f"the position with square {z * atoms[0][0].squared()}"
 
 
 def _nonpositive(atoms, root, z, j, c) -> Violation:
     return Violation(
         "peel-nonpositive-mass", (j + 1,) if j is not None else (),
         f"after {len(root)} root atoms the smallest atom of target - root^2 "
-        f"sits at {_product(atoms, root, z, j)}; the root atom y with y*y1 "
-        f"there (y1^2 = {atoms[0][0]}) is forced to carry mass "
+        f"sits at {_at(atoms, z, j)}; the root atom y with y*y1 there "
+        f"(y1^2 = {atoms[0][0]}) is forced to carry mass "
         f"{_scalar_str(c)}*sqrt({_scalar_str(atoms[0][1])}), which is not "
         "positive")
 
@@ -335,21 +348,32 @@ def aluthge_subnormal(
         work = work.to_real(bits)
         notes.append("irrational positions: masses analysed numerically")
     target = convolve(work, t_weight(work, bits), bits=bits)
-    # a root atom y with y*x_1 = z lies in supp(mu) iff z = x_1*x_m for an
-    # atom x_m of mu
+    peel = peel_root(target, config)
+    if peel.outcome == WITNESS:
+        mismatch = _support_mismatch(work, target, peel)
+        if mismatch is not None:
+            peel = _refuted(mismatch, peel.doubt)
     first = work.support[0]
-    first_key = first.squared()
-    products = {first_key * pos.squared() for pos in work.support}
-    allowed = {j for j, pos in enumerate(target.support)
-               if pos.squared() in products}
-    peel = peel_root(target, config, allowed)
-    if peel.outcome == WITNESS and len(peel.root) != mu.p:
-        peel = Peel(IMPOSSIBLE, certificate=Violation(
-            "peel-support-mismatch", (),
-            f"the root of the reweighted square has {len(peel.root)} atoms, "
-            f"all in supp(mu), which has {mu.p}"))
     positions = [target.support[j] / first for j, _ in peel.root]
     return _decide(target, peel, positions, work.base, config, notes)
+
+
+def _support_mismatch(mu: AtomicMeasure, target: AtomicMeasure,
+                      peel: Peel) -> Optional[Violation]:
+    """Compare the root's support with supp(mu): a root atom y with
+    y*x_1 = (target atom j) lies in supp(mu) iff that atom is x_1*x_m."""
+    first = mu.support[0]
+    products = {first.squared() * pos.squared() for pos in mu.support}
+    expected = {j for j, pos in enumerate(target.support)
+                if pos.squared() in products}
+    got = {j for j, _ in peel.root}
+    if got == expected:
+        return None
+    j = min(got ^ expected)
+    where = target.support[j] / first
+    message = (f"the root has an atom at {where}, outside supp(mu)" if j in got
+               else f"the root has no atom at {where}, an atom of mu")
+    return Violation("peel-support-mismatch", (j + 1,), message)
 
 
 def sqrt_of(

@@ -21,6 +21,7 @@ from alsq.solver import (
     IMPOSSIBLE,
     UNDETERMINED,
     WITNESS,
+    SolverConfig,
     aluthge_subnormal,
     peel_root,
     sqrt_of,
@@ -83,14 +84,31 @@ def test_peel_refutes_the_nine_atom_instance_exactly():
     assert "-8/11" in verdict.certificate.message
 
 
-def test_peel_support_mismatch_names_the_atom():
-    target = convolve(make_measure([(1, 1), (2, 1)]),
-                      make_measure([(1, 1), (2, 1)]))
-    peel = peel_root(target, allowed={0})
-    assert peel.outcome == IMPOSSIBLE
-    assert peel.certificate.rule == "peel-support-mismatch"
-    assert peel.certificate.indices == (2,)
-    assert peel_root(target, allowed={0, 1}).outcome == WITNESS
+def test_transform_support_mismatch_names_the_atom(monkeypatch,
+                                                   three_atom_square):
+    # the reweighted square lies on {1, 2, 4, 8, 16} and its root on
+    # {1, 2, 4}; hand aluthge_subnormal roots with a stray or missing atom
+    from alsq import solver
+
+    true_root = solver.peel_root(convolve(three_atom_square,
+                                          t_weight(three_atom_square)))
+
+    def decide(root, doubt=None):
+        fake = solver.Peel(WITNESS, root=root, doubt=doubt)
+        monkeypatch.setattr(solver, "peel_root", lambda target, config: fake)
+        return aluthge_subnormal(three_atom_square)
+
+    stray = decide(true_root.root + ((3, F(1)),))
+    assert stray.outcome == IMPOSSIBLE
+    assert stray.certificate.rule == "peel-support-mismatch"
+    assert stray.certificate.indices == (4,)
+    assert "atom at 8, outside supp(mu)" in stray.certificate.message
+    missing = decide(true_root.root[:1] + true_root.root[2:])
+    assert missing.certificate.indices == (2,)
+    assert "no atom at 2" in missing.certificate.message
+    doubtful = decide(true_root.root[:1], doubt="a residual was cancelled")
+    assert doubtful.outcome == UNDETERMINED
+    assert "peel-support-mismatch" in doubtful.notes[-1]
 
 
 def test_real_mode_near_cancellation():
@@ -108,6 +126,38 @@ def test_real_mode_near_cancellation():
     assert sqrt_of(target(F(1, 2))).outcome == WITNESS
     assert sqrt_of(target(F(3, 2))).outcome == UNDETERMINED
     verdict = sqrt_of(target(3))
+    assert verdict.outcome == IMPOSSIBLE
+    assert verdict.certificate.rule == "peel-overflow"
+
+
+def test_real_mode_cancelled_root_atom_is_not_refuted():
+    # (d(1) + d(2) + e*d(4))^2 with e within tolerance: the peel takes the
+    # residual 2e at 4 as cancelled, then meets the cross term 2e at 8, which
+    # no root atom can explain; the refutation rests on the cancellation
+    with workprec(128):
+        target = make_measure([(1, 1), (2, 2), (4, mpf("1.0002")),
+                               (8, mpf("0.0002")), (16, mpf("1e-8"))],
+                              mode="real")
+    verdict = sqrt_of(target, SolverConfig(tolerance=F(1, 1000)))
+    assert verdict.outcome == UNDETERMINED
+    assert "peel-overflow" in verdict.notes[-1]
+    # the same with masses spanning 2^70 at the default tolerance, on the
+    # transform question: the exact instance has a witness
+    rho = make_measure([(1, 1), (2, 1), (4, F(1, 2 ** 70))])
+    mu = convolve(rho, rho)
+    assert aluthge_subnormal(mu).outcome == WITNESS
+    assert aluthge_subnormal(mu.to_real(128)).outcome == UNDETERMINED
+
+
+def test_real_mode_rounding_level_cancellation_still_refutes():
+    # the product 2*2 = 4 below the top root atom 5 cancels up to rounding
+    # only; doubling the top mass is still refuted
+    rho = make_measure([(1, F(1, 3)), (2, F(1, 7)), (5, F(1, 11))])
+    square = convolve(rho, rho).to_real(128)
+    atoms = list(square.atoms)
+    atoms[-1] = (atoms[-1][0], 2 * atoms[-1][1])
+    assert sqrt_of(square).outcome == WITNESS
+    verdict = sqrt_of(make_measure(atoms, mode="real"))
     assert verdict.outcome == IMPOSSIBLE
     assert verdict.certificate.rule == "peel-overflow"
 
@@ -255,12 +305,12 @@ def test_build_system_detects_missing_product():
     # a root on {1,2,3} would put the product 2*2 = 4 into its square, and
     # the target has no atom there: the mass forced at 4 is negative
     target = make_measure([(v, F(1, 6)) for v in (1, 2, 3, 6, 9)])
-    for peel in (peel_root(target), peel_root(target, allowed={0, 1, 2})):
-        assert peel.outcome == IMPOSSIBLE
-        assert peel.certificate.rule == "peel-nonpositive-mass"
-        assert peel.certificate.indices == ()
-        assert "sits at 4" in peel.certificate.message
-        assert "-1/8" in peel.certificate.message
+    peel = peel_root(target)
+    assert peel.outcome == IMPOSSIBLE
+    assert peel.certificate.rule == "peel-nonpositive-mass"
+    assert peel.certificate.indices == ()
+    assert "sits at the position with square 16" in peel.certificate.message
+    assert "-1/8" in peel.certificate.message
     assert sqrt_of(target).certificate.rule == "peel-nonpositive-mass"
 
 

@@ -39,6 +39,7 @@ from .solver import (
     IMPOSSIBLE,
     UNDETERMINED,
     WITNESS,
+    InternalError,
     Peel,
     SolverConfig,
     Verdict,

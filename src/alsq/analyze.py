@@ -13,6 +13,7 @@ from mpmath import workprec
 
 from .closed_forms import classify_small
 from .diagram import (
+    ProductDiagram,
     cardinality_check,
     classify_ur,
     geometric_profile,
@@ -58,6 +59,9 @@ class AnalysisReport:
     agreement: Optional[bool]
     shift_tables: Optional[dict]
     notes: List[str] = field(default_factory=list)
+    # the product diagram every support statistic above was read from;
+    # kept for render_diagram, not serialized
+    diagram: Optional[ProductDiagram] = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,10 +143,10 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
 
     diagram = pair_diagram(body)
     classification = classify_ur(diagram)
-    card = cardinality_check(body)
-    profile = geometric_profile(body.support)
+    card = cardinality_check(diagram)
+    profile = geometric_profile(diagram)
     geometric = (str(profile[0]), str(profile[1])) if profile else None
-    violation = structural_certificate(body) if body.p >= 2 else None
+    violation = structural_certificate(diagram) if body.p >= 2 else None
 
     sqrt_verdict = None
     if options.run_sqrt:
@@ -183,6 +187,7 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
         agreement=agreement,
         shift_tables=shift_tables,
         notes=notes,
+        diagram=diagram,
     )
 
 

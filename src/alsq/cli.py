@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 when a witness was found (or the command simply succeeded),
-2 for a certified impossibility, 3 for an undetermined outcome, and 1 for
-usage or input errors.
+2 for a certified impossibility, 3 for an undetermined outcome, 1 for usage
+or input errors, and 4 for an internal fault (a result that contradicts the
+mathematics, i.e. a bug); under ``--json`` an internal fault also prints
+``{"error": ..., "kind": "internal"}`` on stdout.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from typing import Optional
 
@@ -32,6 +35,7 @@ from .solver import (
     IMPOSSIBLE,
     UNDETERMINED,
     WITNESS,
+    InternalError,
     SolverConfig,
     Verdict,
     aluthge_subnormal,
@@ -42,6 +46,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_IMPOSSIBLE = 2
 EXIT_UNDETERMINED = 3
+EXIT_INTERNAL = 4
 
 _VERDICT_EXIT = {WITNESS: EXIT_OK, IMPOSSIBLE: EXIT_IMPOSSIBLE,
                  UNDETERMINED: EXIT_UNDETERMINED}
@@ -92,15 +97,13 @@ def cmd_analyze(args) -> int:
     if args.json:
         payload = report.to_json_dict()
         if args.diagram:
-            _, body = strip_zero_atom(mu)
-            payload["diagram"] = render_diagram(body)
+            payload["diagram"] = render_diagram(report.diagram)
         print(json.dumps(payload, indent=2))
     else:
         print(report.render())
         if args.diagram:
-            _, body = strip_zero_atom(mu)
             print()
-            print(render_diagram(body))
+            print(render_diagram(report.diagram))
     if report.aluthge_verdict is not None:
         return _VERDICT_EXIT[report.aluthge_verdict.outcome]
     return EXIT_OK
@@ -279,6 +282,12 @@ def main(argv: Optional[list] = None) -> int:
     except (MeasureError, ScalarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except InternalError as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc}", file=sys.stderr)
+        if args.json:
+            print(json.dumps({"error": str(exc), "kind": "internal"}, indent=2))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ from .solver import (
     IMPOSSIBLE,
     WITNESS,
     DEFAULT_CONFIG,
+    InternalError,
     SolverConfig,
     Verdict,
     verify_witness,
@@ -295,7 +296,7 @@ def _sqrt_witness(mu: AtomicMeasure, spec: List[tuple],
 def _verified(witness: AtomicMeasure, mu: AtomicMeasure,
               config: SolverConfig) -> Verdict:
     if not verify_witness(witness, mu, config):
-        raise RuntimeError(
+        raise InternalError(
             "closed-form witness failed re-verification; this contradicts the "
             "characterization and indicates a bug")
     notes = ("witness squares to the measure itself",)

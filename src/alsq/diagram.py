@@ -7,6 +7,10 @@ a measure on this support is to admit a square root, a family of purely
 combinatorial conditions on the UR/non-UR pattern must hold; any failure is
 returned as a :class:`Violation`, which constitutes a sound impossibility
 certificate independent of the weights.
+
+Products are compared on the int keys of :func:`alsq.measures.int_keys`.
+Every function that reads a support accepts a :class:`ProductDiagram` in
+place of a measure or a position sequence, so one diagram can serve them all.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .measures import AtomicMeasure, MeasureError, Position
+from .measures import AtomicMeasure, MeasureError, Position, int_keys
 
 Pair = Tuple[int, int]  # 0-based, i <= j
 
@@ -37,22 +41,37 @@ class DiagramEntry:
 
 @dataclass(frozen=True, eq=False)
 class ProductDiagram:
-    p: int
+    """The distinct pairwise products of ``support``, ascending; ``keys``
+    are the support's int keys."""
+
+    support: Tuple[Position, ...]
+    keys: Tuple[int, ...]
     entries: Tuple[DiagramEntry, ...]
-    _by_pair: Dict[Pair, int] = field(repr=False, default_factory=dict)
+    _by_pair: Dict[Pair, int] = field(repr=False)
+
+    @property
+    def p(self) -> int:
+        return len(self.support)
 
     @property
     def card(self) -> int:
         return len(self.entries)
 
+    def _index(self, i: int, j: int) -> int:
+        return self._by_pair[(min(i, j), max(i, j))]
+
     def entry_of_pair(self, i: int, j: int) -> DiagramEntry:
-        return self.entries[self._by_pair[(min(i, j), max(i, j))]]
+        return self.entries[self._index(i, j)]
 
     def is_ur_pair(self, i: int, j: int) -> bool:
         return self.entry_of_pair(i, j).is_ur
 
     def product(self, i: int, j: int) -> Position:
         return self.entry_of_pair(i, j).position
+
+    def coincide(self, first: Pair, second: Pair) -> bool:
+        """Whether two index pairs have the same product."""
+        return self._index(*first) == self._index(*second)
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,40 +101,47 @@ class URClassification:
         }
 
 
-def _support_of(source: Union[AtomicMeasure, Sequence[Position]]) -> Tuple[Position, ...]:
+Source = Union[ProductDiagram, AtomicMeasure, Sequence[Position]]
+
+
+def _support_of(source: Source) -> Tuple[Tuple[Position, ...], Tuple[int, ...]]:
+    """The support and its int keys; a support must be strictly increasing."""
+    if isinstance(source, ProductDiagram):
+        return source.support, source.keys
     if isinstance(source, AtomicMeasure):
         source.require_no_zero_atom("support analysis")
-        return source.support
-    return tuple(source)
+        points = source.support
+    else:
+        points = tuple(source)
+    if not points:
+        raise MeasureError("empty support")
+    keys = tuple(int_keys(points))
+    for a, b in zip(keys, keys[1:]):
+        if a >= b:
+            raise MeasureError("support must be strictly increasing without duplicates")
+    return points, keys
+
+
+def _diagram_of(source: Source) -> ProductDiagram:
+    return source if isinstance(source, ProductDiagram) else pair_diagram(source)
 
 
 def pair_diagram(support: Union[AtomicMeasure, Sequence[Position]]) -> ProductDiagram:
     """Group all p(p+1)/2 pairwise products by exact equality of value."""
-    points = _support_of(support)
-    p = len(points)
-    if p < 1:
-        raise MeasureError("empty support")
-    keys = [pos.squared() for pos in points]
-    for a, b in zip(keys, keys[1:]):
-        if a >= b:
-            raise MeasureError("support must be strictly increasing without duplicates")
-    grouped: Dict[Fraction, List[Pair]] = {}
-    products: Dict[Fraction, Position] = {}
-    for i in range(p):
-        for j in range(i, p):
-            prod = points[i] * points[j]
-            key = prod.squared()
-            grouped.setdefault(key, []).append((i, j))
-            products[key] = prod
-    entries = tuple(
-        DiagramEntry(products[key], tuple(sorted(grouped[key])))
-        for key in sorted(grouped)
-    )
+    points, keys = _support_of(support)
+    grouped: Dict[int, List[Pair]] = {}
+    for i, ki in enumerate(keys):
+        for j in range(i, len(keys)):
+            grouped.setdefault(ki * keys[j], []).append((i, j))
+    entries = []
     by_pair: Dict[Pair, int] = {}
-    for index, entry in enumerate(entries):
-        for pair in entry.pairs:
+    for index, key in enumerate(sorted(grouped)):
+        pairs = tuple(grouped[key])  # ascending, as generated
+        i, j = pairs[0]
+        entries.append(DiagramEntry(points[i] * points[j], pairs))
+        for pair in pairs:
             by_pair[pair] = index
-    return ProductDiagram(p, entries, by_pair)
+    return ProductDiagram(points, keys, tuple(entries), by_pair)
 
 
 def classify_ur(diagram: ProductDiagram) -> URClassification:
@@ -128,30 +154,17 @@ def classify_ur(diagram: ProductDiagram) -> URClassification:
 # geometric profile
 # ---------------------------------------------------------------------------
 
-def geometric_profile(
-    support: Union[AtomicMeasure, Sequence[Position]],
-) -> Optional[Tuple[Position, Position]]:
+def geometric_profile(source: Source) -> Optional[Tuple[Position, Position]]:
     """Return (first atom, common ratio) when the support is a geometric
-    progression, else None.  Cross-checked against the equivalent counting
-    criterion card = 2p - 1 on the product diagram."""
-    points = _support_of(support)
-    p = len(points)
-    if p == 1:
-        profile: Optional[Tuple[Position, Position]] = (
-            points[0], Position(Fraction(1), 0, points[0].base))
-    else:
-        ratio = points[1] / points[0]
-        profile = (points[0], ratio)
-        for left, right in zip(points, points[1:]):
-            if (right / left).squared() != ratio.squared():
-                profile = None
-                break
-    count = pair_diagram(points).card
-    if (profile is not None) != (count == 2 * p - 1):
-        raise RuntimeError(
-            "geometric profile and diagram count disagree; this contradicts "
-            "the counting equivalence and indicates a bug")
-    return profile
+    progression, else None.  Equivalently, the product diagram has the
+    minimal card = 2p - 1."""
+    points, keys = _support_of(source)
+    if len(points) == 1:
+        return points[0], Position(Fraction(1), 0, points[0].base)
+    k0, k1 = keys[0], keys[1]
+    if any(right * k0 != left * k1 for left, right in zip(keys, keys[1:])):
+        return None
+    return points[0], points[1] / points[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +192,13 @@ class CardinalityCheck:
         }
 
 
-def cardinality_check(source: Union[AtomicMeasure, Sequence[Position]]) -> CardinalityCheck:
+def cardinality_check(source: Source) -> CardinalityCheck:
     """Compare card(supp of the reweighted self-convolution) against the
     bounds 2p-1 <= card <= floor(((p-1)^2 + 6)/2); the upper bound applies
     for p >= 4 and its failure certifies that no square root exists."""
-    points = _support_of(source)
-    p = len(points)
-    card = pair_diagram(points).card
+    diagram = _diagram_of(source)
+    p = diagram.p
+    card = diagram.card
     lower = 2 * p - 1
     upper = ((p - 1) ** 2 + 6) // 2 if p >= 4 else None
     ok = card >= lower and (upper is None or card <= upper)
@@ -268,13 +281,13 @@ def _check_extreme_square(diagram: ProductDiagram) -> List[Violation]:
     out: List[Violation] = []
     if p < 4:
         return out
-    extreme = diagram.product(0, p - 1).squared()
-    if diagram.product(1, 1).squared() == extreme:
+    extreme = (0, p - 1)
+    if diagram.coincide((1, 1), extreme):
         out.append(_v(
             "extreme-square-match", (1, 0, p - 1),
             "the square of atom 2 equals the product of the extreme atoms, "
             f"which forces p = 3 but p = {p}"))
-    if diagram.product(p - 2, p - 2).squared() == extreme:
+    if diagram.coincide((p - 2, p - 2), extreme):
         out.append(_v(
             "extreme-square-match", (p - 2, 0, p - 1),
             f"the square of atom {p - 1} equals the product of the extreme "
@@ -286,8 +299,8 @@ def _check_double_extreme(diagram: ProductDiagram) -> List[Violation]:
     p = diagram.p
     if p < 5:
         return []
-    if (diagram.product(1, 1).squared() == diagram.product(0, p - 2).squared()
-            and diagram.product(p - 2, p - 2).squared() == diagram.product(1, p - 1).squared()):
+    if (diagram.coincide((1, 1), (0, p - 2))
+            and diagram.coincide((p - 2, p - 2), (1, p - 1))):
         return [_v(
             "double-extreme-match", (1, p - 2),
             f"the squares of atoms 2 and {p - 1} match the opposite near-extreme "
@@ -320,7 +333,7 @@ def _check_doubly_ur_column(diagram: ProductDiagram) -> List[Violation]:
             f"represented products with the two extreme atoms; only one may"))
     elif len(full) == 1:
         k = full[0]
-        if diagram.product(k, k).squared() != diagram.product(0, p - 1).squared():
+        if not diagram.coincide((k, k), (0, p - 1)):
             out.append(_v(
                 "doubly-ur-column", (k,),
                 f"atom {k + 1} forms uniquely represented products with both "
@@ -372,7 +385,7 @@ def _check_ur_chain_midpoint(diagram: ProductDiagram) -> List[Violation]:
                 if j in (i, k):
                     continue
                 if diagram.is_ur_pair(i, j) and diagram.is_ur_pair(j, k):
-                    if diagram.product(j, j).squared() != diagram.product(i, k).squared():
+                    if not diagram.coincide((j, j), (i, k)):
                         out.append(_v(
                             "ur-chain-midpoint", (i, j, k),
                             f"the chain of uniquely represented products through "
@@ -383,43 +396,39 @@ def _check_ur_chain_midpoint(diagram: ProductDiagram) -> List[Violation]:
 
 
 def _check_ur_rectangle(diagram: ProductDiagram) -> List[Violation]:
+    """Four atoms carrying a four-cycle a-b-c-d of UR products: b and d are
+    two common UR neighbours of a and c.  One violation per set of four."""
     p = diagram.p
-    out: List[Violation] = []
-    for quad in combinations(range(p), 4):
-        a, b, c, d = quad
-        cycles = (
-            ((a, b), (b, c), (c, d), (d, a)),
-            ((a, b), (b, d), (d, c), (c, a)),
-            ((a, c), (c, b), (b, d), (d, a)),
-        )
-        for cycle in cycles:
-            if all(diagram.is_ur_pair(*pair) for pair in cycle):
-                out.append(_v(
-                    "ur-rectangle", quad,
-                    f"atoms {a + 1}, {b + 1}, {c + 1}, {d + 1} carry a four-cycle "
-                    "of uniquely represented products, which is impossible"))
-                break
-    return out
+    neighbours = [{j for j in range(p) if j != i and diagram.is_ur_pair(i, j)}
+                  for i in range(p)]
+    quads = set()
+    for a, c in combinations(range(p), 2):
+        for b, d in combinations(neighbours[a] & neighbours[c], 2):
+            quads.add(tuple(sorted((a, b, c, d))))
+    return [
+        _v("ur-rectangle", quad,
+           f"atoms {quad[0] + 1}, {quad[1] + 1}, {quad[2] + 1}, {quad[3] + 1} "
+           "carry a four-cycle of uniquely represented products, which is "
+           "impossible")
+        for quad in sorted(quads)
+    ]
 
 
 def _check_six_atom_rules(diagram: ProductDiagram) -> List[Violation]:
     if diagram.p != 6:
         return []
     out: List[Violation] = []
-    sq2 = diagram.product(1, 1).squared()
-    sq5 = diagram.product(4, 4).squared()
-    if sq2 == diagram.product(0, 4).squared():
+    if diagram.coincide((1, 1), (0, 4)):
         out.append(_v(
             "six-atom-wide-square", (1, 0, 4),
             "the square of atom 2 equals the product of atoms 1 and 5, which "
             "six-atom supports with a root never satisfy"))
-    if sq5 == diagram.product(1, 5).squared():
+    if diagram.coincide((4, 4), (1, 5)):
         out.append(_v(
             "six-atom-wide-square", (4, 1, 5),
             "the square of atom 5 equals the product of atoms 2 and 6, which "
             "six-atom supports with a root never satisfy"))
-    if (sq2 == diagram.product(0, 3).squared()
-            and sq5 == diagram.product(2, 5).squared()):
+    if diagram.coincide((1, 1), (0, 3)) and diagram.coincide((4, 4), (2, 5)):
         out.append(_v(
             "six-atom-crossed-squares", (1, 3, 2, 4),
             "the squares of atoms 2 and 5 match the crossed products of atoms "
@@ -443,7 +452,7 @@ _RULE_SEQUENCE = (
 
 
 def structural_certificate(
-    source: Union[AtomicMeasure, Sequence[Position]],
+    source: Source,
     exhaustive: bool = False,
 ) -> Union[Optional[Violation], List[Violation]]:
     """Run the necessary-condition rules in fixed cheapest-first order.
@@ -451,10 +460,7 @@ def structural_certificate(
     Returns the first Violation (or None), or every violation when
     ``exhaustive`` is set.  All rules are weight-independent.
     """
-    points = _support_of(source)
-    if len(points) < 2:
-        return [] if exhaustive else None
-    diagram = pair_diagram(points)
+    diagram = _diagram_of(source)
     found: List[Violation] = []
     for rule in _RULE_SEQUENCE:
         violations = rule(diagram)
@@ -472,16 +478,15 @@ def structural_certificate(
 MAX_RENDER_ATOMS = 12
 
 
-def render_diagram(source: Union[AtomicMeasure, Sequence[Position]]) -> str:
+def render_diagram(source: Source) -> str:
     """ASCII triangular table of pairwise products; '*' marks products with
     several index pairs, and the coincidence classes are listed below."""
-    points = _support_of(source)
-    p = len(points)
+    diagram = _diagram_of(source)
+    p = diagram.p
     if p > MAX_RENDER_ATOMS:
         raise MeasureError(
             f"diagram rendering supports at most {MAX_RENDER_ATOMS} atoms; "
             "use the JSON output instead")
-    diagram = pair_diagram(points)
     cells = {}
     width = 4
     for i in range(p):

@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple, Union
+from math import lcm
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mpf, workprec
@@ -26,7 +27,6 @@ from .scalars import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
     ScalarError,
-    close_rel,
     format_rational,
     mpf_to_fraction,
     parse_rational,
@@ -92,7 +92,8 @@ class Position:
         Injective over a common base: q1^2 = q2^2 * s would make s a square
         of a rational, and square bases are collapsed at construction.
         """
-        return self.q * self.q * (self.base if self.k else 1)
+        square = self.q * self.q
+        return square * self.base if self.k else square
 
     def rebase(self, base: Fraction) -> "Position":
         if self.k == 1 and base != self.base:
@@ -132,9 +133,6 @@ class Position:
         if x <= 0:
             raise MeasureError(f"scale factor must be positive, got {x}")
         return Position(self.q * x, self.k, self.base)
-
-    def is_rational(self) -> bool:
-        return self.k == 0
 
     def as_fraction(self) -> Fraction:
         if self.k != 0:
@@ -227,9 +225,6 @@ class AtomicMeasure:
                 f"{op} requires a measure without mass at the origin; "
                 "apply strip_zero_atom first")
 
-    def is_exact(self) -> bool:
-        return self.mode == RATIONAL
-
     def to_real(self, bits: int = DEFAULT_PRECISION_BITS) -> "AtomicMeasure":
         if self.mode == REAL:
             return self
@@ -246,9 +241,6 @@ class AtomicMeasure:
             parts.append(f"{_weight_str(self.zero_mass)}*d(0)")
         parts.extend(f"{_weight_str(w)}*d({pos})" for pos, w in self.atoms)
         return " + ".join(parts) if parts else "0"
-
-    def describe(self) -> str:
-        return f"{self.p}-atom {self.mode} measure: {self}"
 
 
 def _weight_nonzero(w: Weight) -> bool:
@@ -352,6 +344,16 @@ def _mode_join(mu: AtomicMeasure, nu: AtomicMeasure) -> str:
     return REAL if REAL in (mu.mode, nu.mode) else RATIONAL
 
 
+def int_keys(positions: Sequence[Position]) -> List[int]:
+    """One int per position: its square times the lcm of the squares'
+    denominators.  Over a common base x_i*x_j = x_k*x_l exactly when
+    key_i*key_j = key_k*key_l, and keys order like the positions, because
+    ``squared`` is injective there."""
+    squares = [pos.squared() for pos in positions]
+    scale = lcm(*(s.denominator for s in squares))
+    return [s.numerator * (scale // s.denominator) for s in squares]
+
+
 def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
     """Multiplicative convolution: atoms at all pairwise products x*y with
     mass summed over coinciding products."""
@@ -359,22 +361,30 @@ def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION
     nu.require_no_zero_atom("convolve")
     base = _common_base(mu, nu)
     mode = _mode_join(mu, nu)
-    mu_atoms = [(pos.rebase(base) if pos.k == 0 else pos, w) for pos, w in mu.atoms]
-    nu_atoms = [(pos.rebase(base) if pos.k == 0 else pos, w) for pos, w in nu.atoms]
+    mu_points = [pos if pos.base == base else pos.rebase(base) for pos in mu.support]
+    nu_points = [pos if pos.base == base else pos.rebase(base) for pos in nu.support]
+    mu_weights, nu_weights = mu.weights, nu.weights
     if mode == REAL:
-        mu_atoms = [(pos, to_mpf(w, bits)) for pos, w in mu_atoms]
-        nu_atoms = [(pos, to_mpf(w, bits)) for pos, w in nu_atoms]
+        mu_weights = [to_mpf(w, bits) for w in mu_weights]
+        nu_weights = [to_mpf(w, bits) for w in nu_weights]
+    keys = int_keys(mu_points + nu_points)
+    mu_keys, nu_keys = keys[:mu.p], keys[mu.p:]
     merged = {}
+    first = {}  # product key -> the first pair of positions that reaches it
     with workprec(bits):
-        for px, wx in mu_atoms:
-            for py, wy in nu_atoms:
-                key = px * py
+        for px, kx, wx in zip(mu_points, mu_keys, mu_weights):
+            for py, ky, wy in zip(nu_points, nu_keys, nu_weights):
+                key = kx * ky
                 mass = wx * wy
                 if key in merged:
                     merged[key] = merged[key] + mass
                 else:
                     merged[key] = mass
-    atoms = sorted(merged.items(), key=lambda item: item[0].squared())
+                    first[key] = (px, py)
+    atoms = []
+    for key in sorted(merged):
+        px, py = first[key]
+        atoms.append((px * py, merged[key]))
     return AtomicMeasure(base, mode, tuple(atoms))
 
 
@@ -451,34 +461,6 @@ def normalize(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMe
         atoms = tuple((pos, w / total) for pos, w in mu.atoms)
         zero = mu.zero_mass / total if _weight_nonzero(mu.zero_mass) else mu.zero_mass
     return AtomicMeasure(mu.base, mu.mode, atoms, zero)
-
-
-def measures_equal(
-    mu: AtomicMeasure,
-    nu: AtomicMeasure,
-    tol: Optional[mpf] = None,
-) -> bool:
-    """Atom-by-atom equality; positions exactly, weights exactly or within a
-    relative tolerance when either side is real."""
-    if mu.p != nu.p:
-        return False
-    if mu.has_zero_atom() != nu.has_zero_atom():
-        return False
-    pairs = list(zip(mu.atoms, nu.atoms))
-    if mu.has_zero_atom():
-        pairs.append(((None, mu.zero_mass), (None, nu.zero_mass)))
-    for (pos_a, w_a), (pos_b, w_b) in pairs:
-        if pos_a is not None and pos_a.squared() != pos_b.squared():
-            return False
-        if isinstance(w_a, Fraction) and isinstance(w_b, Fraction):
-            if w_a != w_b:
-                return False
-        else:
-            if tol is None:
-                raise MeasureError("comparing real weights requires a tolerance")
-            if not close_rel(to_mpf(w_a, 300), to_mpf(w_b, 300), tol):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

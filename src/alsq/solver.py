@@ -48,6 +48,7 @@ from .measures import (
     MeasureError,
     Position,
     convolve,
+    int_keys,
     make_measure,
     t_weight,
 )
@@ -64,6 +65,11 @@ from .scalars import (
 WITNESS = "witness"
 IMPOSSIBLE = "impossible"
 UNDETERMINED = "undetermined"
+
+
+class InternalError(RuntimeError):
+    """A result contradicts the mathematics the code implements: a bug, not
+    bad input."""
 
 
 @dataclass(frozen=True)
@@ -151,19 +157,21 @@ _ROUNDING_BITS = 16
 def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> Peel:
     """Peel the unique root of ``target`` off its smallest atoms.
 
-    Works on squared positions divided by the first one (a rational
-    "ratio key" per atom) and on masses divided by the first mass, starting
-    from the root atom (1, 1).  In real mode a residual within tolerance of
-    zero counts as cancelled; one above rounding level at a key whose root
-    atom would not overflow may hide a tiny root atom, so a later refutation
-    is reported as ``undetermined``.
+    Works on the int keys K_j of the target's support (:func:`int_keys`) and
+    on masses divided by the first mass, starting from the root atom y1 with
+    key K_1 and mass 1.  The root atom y with y*y1 = (target atom j) has key
+    K_j: the target atom sits at K_j*K_1 and the root atoms a, b meet at
+    K_a*K_b.  In real mode a
+    residual within tolerance of zero counts as cancelled; one above rounding
+    level at a key whose root atom would not overflow may hide a tiny root
+    atom, so a later refutation is reported as ``undetermined``.
     """
     atoms = target.atoms
     exact = target.mode == RATIONAL
     bits = config.precision_bits
     with workprec(bits):
-        first_key = atoms[0][0].squared()
-        keys = [pos.squared() / first_key for pos, _ in atoms]
+        keys = int_keys(target.support)
+        k1 = keys[0]
         if exact:
             a1 = atoms[0][1]
             masses: List[Scalar] = [w / a1 for _, w in atoms]
@@ -172,11 +180,14 @@ def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> P
             masses = [to_mpf(w, bits) / a1 for _, w in atoms]
             tol = to_mpf(config.tolerance, bits)
             rounding = mpf(2) ** (_ROUNDING_BITS - bits)
-        index = {key: j for j, key in enumerate(keys)}
-        residual = dict(zip(keys[1:], masses[1:]))
-        heap = keys[1:]  # ascending, hence already a heap
-        top = keys[-1]
-        root: List[Tuple[Fraction, Scalar, int]] = [(Fraction(1), masses[0], 0)]
+        at = [key * k1 for key in keys]
+        index = {z: j for j, z in enumerate(at)}
+        residual = dict(zip(at[1:], masses[1:]))
+        heap = at[1:]  # ascending, hence already a heap
+        # the root atom y with y*y1 at z squares to (z/K_1)^2; it overflows
+        # beyond the top target atom K_p*K_1 when z^2 > K_p*K_1^3
+        limit = keys[-1] * k1 ** 3
+        root: List[Tuple[int, Scalar, int]] = [(k1, masses[0], 0)]
         worst = mpf(0)
         doubt: Optional[str] = None
         while heap:
@@ -191,32 +202,35 @@ def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> P
                 scale = max(abs(wanted), abs(wanted - r))
                 if abs(r) <= tol * scale:
                     worst = max(worst, abs(r) / scale)
-                    if doubt is None and abs(r) > rounding * scale and z * z <= top:
+                    if doubt is None and abs(r) > rounding * scale and z * z <= limit:
                         doubt = (
                             f"the residual {_scalar_str(r)}*a1 at "
-                            f"{_at(atoms, z, j)} was taken as zero within "
+                            f"{_at(atoms, z, j, k1)} was taken as zero within "
                             "tolerance, but a root atom of that tiny mass "
                             "may sit there")
                     continue
             c = r / 2
             if c <= 0 if exact else c < -tol * scale:
-                return _refuted(_nonpositive(atoms, root, z, j, c), doubt)
+                return _refuted(_nonpositive(atoms, root, z, j, c, k1), doubt)
             if not exact and c <= tol * scale:
                 return Peel(UNDETERMINED, note=(
-                    f"the root atom y with y*y1 = {_at(atoms, z, j)} has a "
+                    f"the root atom y with y*y1 = {_at(atoms, z, j, k1)} has a "
                     f"forced mass {_scalar_str(c)}*sqrt(a1) within tolerance "
                     "of zero"))
-            if z * z > top:
+            # c > 0 here, so z is a target atom: elsewhere the residual is a
+            # sum of subtracted positive terms
+            if z * z > limit:
                 return _refuted(Violation(
                     "peel-overflow", (j + 1,),
                     f"the root atom y with y*y1 = {atoms[j][0]} (y1^2 = "
                     f"{atoms[0][0]}) would square to "
                     f"{atoms[j][0] * atoms[j][0] / atoms[0][0]}, beyond the "
                     f"top atom {atoms[-1][0]}"), doubt)
-            for key, mass, _ in root[1:]:
-                _subtract(residual, heap, key * z, 2 * c * mass)
-            _subtract(residual, heap, z * z, c * c)
-            root.append((z, c, j))
+            key = keys[j]
+            for other, mass, _ in root[1:]:
+                _subtract(residual, heap, other * key, 2 * c * mass)
+            _subtract(residual, heap, key * key, c * c)
+            root.append((key, c, j))
     return Peel(WITNESS, root=tuple((j, c) for _, c, j in root), residual=worst,
                 doubt=doubt)
 
@@ -228,7 +242,7 @@ def _refuted(certificate: Violation, doubt: Optional[str]) -> Peel:
                                    f"{certificate.message}")
 
 
-def _subtract(residual: dict, heap: list, key: Fraction, value: Scalar) -> None:
+def _subtract(residual: dict, heap: list, key: int, value: Scalar) -> None:
     if key in residual:
         residual[key] -= value
     else:
@@ -236,19 +250,19 @@ def _subtract(residual: dict, heap: list, key: Fraction, value: Scalar) -> None:
         heappush(heap, key)
 
 
-def _at(atoms, z: Fraction, j: Optional[int]) -> str:
-    """The position y*y1 at ratio key z: a target atom, or else named by
-    its square z * x_1^2."""
+def _at(atoms, z: int, j: Optional[int], k1: int) -> str:
+    """The position y*y1 at key z: a target atom, or else named by its
+    square (z / K_1^2) * x_1^2."""
     if j is not None:
         return str(atoms[j][0])
-    return f"the position with square {z * atoms[0][0].squared()}"
+    return f"the position with square {Fraction(z, k1 * k1) * atoms[0][0].squared()}"
 
 
-def _nonpositive(atoms, root, z, j, c) -> Violation:
+def _nonpositive(atoms, root, z, j, c, k1) -> Violation:
     return Violation(
         "peel-nonpositive-mass", (j + 1,) if j is not None else (),
         f"after {len(root)} root atoms the smallest atom of target - root^2 "
-        f"sits at {_at(atoms, z, j)}; the root atom y with y*y1 there "
+        f"sits at {_at(atoms, z, j, k1)}; the root atom y with y*y1 there "
         f"(y1^2 = {atoms[0][0]}) is forced to carry mass "
         f"{_scalar_str(c)}*sqrt({_scalar_str(atoms[0][1])}), which is not "
         "positive")
@@ -361,11 +375,15 @@ def aluthge_subnormal(
 def _support_mismatch(mu: AtomicMeasure, target: AtomicMeasure,
                       peel: Peel) -> Optional[Violation]:
     """Compare the root's support with supp(mu): a root atom y with
-    y*x_1 = (target atom j) lies in supp(mu) iff that atom is x_1*x_m."""
+    y*x_1 = (target atom j) lies in supp(mu) iff that atom is x_1*x_m.
+
+    On int keys over both supports, with T_0 the key of x_1^2, that is
+    K_1 * T_j = K_m * T_0."""
     first = mu.support[0]
-    products = {first.squared() * pos.squared() for pos in mu.support}
-    expected = {j for j, pos in enumerate(target.support)
-                if pos.squared() in products}
+    keys = int_keys(mu.support + target.support)
+    k1, t0, targets = keys[0], keys[mu.p], keys[mu.p:]
+    products = {key * t0 for key in keys[:mu.p]}
+    expected = {j for j, key in enumerate(targets) if k1 * key in products}
     got = {j for j, _ in peel.root}
     if got == expected:
         return None

@@ -85,3 +85,34 @@ def test_two_atom_report_is_refuted():
     assert report.sqrt_verdict.outcome == "impossible"
     assert report.aluthge_verdict.outcome == "impossible"
     assert report.structural is not None
+
+
+def test_analyze_builds_one_diagram(monkeypatch, capsys, tmp_path):
+    import importlib
+
+    import alsq.diagram
+    from alsq.cli import main
+    from alsq.measures import dumps_measure
+    from alsq.selftest import example_one
+
+    built = []
+    original = alsq.diagram.pair_diagram
+
+    def counting(source):
+        built.append(source)
+        return original(source)
+
+    monkeypatch.setattr(alsq.diagram, "pair_diagram", counting)
+    # the package exports the function analyze under the module's name
+    monkeypatch.setattr(importlib.import_module("alsq.analyze"),
+                        "pair_diagram", counting)
+    # five atoms: classify_small tests the geometric profile too
+    mu = example_one()
+    report = analyze(mu)
+    assert len(built) == 1 and report.diagram.card == report.card == 9
+    path = tmp_path / "five.json"
+    path.write_text(dumps_measure(mu))
+    built.clear()
+    main(["analyze", str(path), "--diagram"])
+    assert len(built) == 1
+    assert "coincidence classes:" in capsys.readouterr().out

@@ -140,3 +140,17 @@ def test_usage_errors_exit_one(capsys, six_atom_file):
     assert main(["sqrt", "--bogus", six_atom_file]) == 1
     assert main(["sqrt", "--seed", "3", six_atom_file]) == 1
     assert "usage" in capsys.readouterr().err
+
+
+def test_internal_fault_exits_four(capsys, monkeypatch, six_atom_file):
+    # a closed-form witness that fails its re-check contradicts the
+    # characterization: an internal fault, not a usage error
+    monkeypatch.setattr("alsq.closed_forms.verify_witness",
+                        lambda *args, **kwargs: False)
+    assert main(["analyze", six_atom_file]) == 4
+    captured = capsys.readouterr()
+    assert "internal error: closed-form witness failed" in captured.err
+    assert main(["analyze", six_atom_file, "--json"]) == 4
+    data = json.loads(capsys.readouterr().out)
+    assert data["kind"] == "internal"
+    assert "indicates a bug" in data["error"]

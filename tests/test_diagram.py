@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -106,22 +107,32 @@ def test_profile_with_radical_ratio():
     assert r == Position(F(1), 1, F(2))
 
 
-@settings(max_examples=60)
-@given(st.fractions(min_value=F(6, 5), max_value=F(4), max_denominator=6),
-       st.integers(2, 7), st.booleans(), st.integers(5, 40))
-def test_profile_iff_minimal_product_count(ratio, p, perturb, denom):
-    points = [ratio ** k for k in range(p)]
-    if perturb:
-        points[-1] *= 1 + F(1, denom)
-        points = sorted(set(points))
-    support = _support_from(points)
+@settings(max_examples=200)
+@given(st.sampled_from(("rational", "radical", "random")),
+       st.fractions(min_value=F(6, 5), max_value=F(4), max_denominator=6),
+       st.sampled_from((F(2), F(3), F(5, 3))),
+       st.integers(1, 7), st.booleans(), st.integers(5, 40),
+       st.lists(st.integers(1, 60), min_size=1, max_size=7, unique=True))
+def test_profile_iff_minimal_product_count(style, ratio, base, p, perturb,
+                                           denom, values):
+    """geometric_profile's O(p) ratio test agrees with the counting criterion
+    card = 2p - 1, on rational ratios, radical ratios q*sqrt(base) and random
+    supports."""
+    if style == "random":
+        support = _support(sorted(values))
+    else:
+        step = Position(ratio, 1 if style == "radical" else 0, base)
+        support = [Position(F(1), 0, base)] + [step.power(k)
+                                               for k in range(1, p)]
+        if perturb and p > 1:
+            support[-1] = support[-1].scale(1 + F(1, denom))
     profile = geometric_profile(support)
     count = pair_diagram(support).card
-    assert (profile is not None) == (count == 2 * len(points) - 1)
-
-
-def _support_from(points):
-    return [Position(F(v), 0, F(1)) for v in points]
+    assert (profile is not None) == (count == 2 * len(support) - 1)
+    if profile is not None:
+        assert profile[0] == support[0]
+        assert all(right == left * profile[1]
+                   for left, right in zip(support, support[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +201,38 @@ def test_wide_square_rule_for_six_atoms():
     support = _support([1, 4, 6, 8, 16, 50])
     violation = structural_certificate(support)
     assert violation is not None
+
+
+def _brute_force_rectangles(diagram):
+    """Every 4-subset, with its three four-cycles in turn."""
+    out = []
+    for quad in combinations(range(diagram.p), 4):
+        a, b, c, d = quad
+        cycles = (((a, b), (b, c), (c, d), (d, a)),
+                  ((a, b), (b, d), (d, c), (c, a)),
+                  ((a, c), (c, b), (b, d), (d, a)))
+        if any(all(diagram.is_ur_pair(*pair) for pair in cycle)
+               for cycle in cycles):
+            out.append(quad)
+    return out
+
+
+@settings(max_examples=150)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True),
+       st.integers(1, 6))
+def test_ur_rectangle_matches_brute_force(values, denom):
+    # small integers over a few denominators make every UR density occur
+    support = _support(sorted(F(v, denom) for v in values))
+    diagram = pair_diagram(support)
+    found = structural_certificate(diagram, exhaustive=True)
+    rectangles = [v for v in found if v.rule == "ur-rectangle"]
+    expected = _brute_force_rectangles(diagram)
+    assert [tuple(i - 1 for i in v.indices) for v in rectangles] == expected
+    for v, quad in zip(rectangles, expected):
+        names = ", ".join(str(i + 1) for i in quad)
+        assert v.message == (f"atoms {names} carry a four-cycle of uniquely "
+                             "represented products, which is impossible")
+    assert found == structural_certificate(support, exhaustive=True)
 
 
 def test_violation_json_shape():

@@ -6,14 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
+from alsq.diagram import pair_diagram
 from alsq.measures import (
+    RATIONAL,
+    REAL,
     IncompatibleBasesError,
     MeasureError,
     Position,
     ZeroAtomError,
+    _common_base,
     convolve,
     dirac,
     dumps_measure,
+    int_keys,
     loads_measure,
     make_measure,
     moment,
@@ -23,6 +28,7 @@ from alsq.measures import (
     strip_zero_atom,
     t_weight,
 )
+from alsq.scalars import to_mpf
 
 F = Fraction
 
@@ -130,6 +136,84 @@ def test_convolve_rebase_when_one_side_rational():
     nu = make_measure([(2, F(1, 2))])
     out = convolve(mu, nu)
     assert out.support[0] == Position(F(2), 1, F(2))
+
+
+# ---------------------------------------------------------------------------
+# int keys against plain Position products
+# ---------------------------------------------------------------------------
+
+_RADICAL_BASES = (F(2), F(3), F(5, 2), F(6))
+
+
+@st.composite
+def keyed_measures(draw, base, radical):
+    """Up to six atoms q*sqrt(base)^k, k = 1 allowed when ``radical``, with
+    rational or real masses."""
+    p = draw(st.integers(1, 6))
+    atoms = {}
+    for _ in range(p):
+        pos = Position(draw(st.sampled_from(_POSITION_POOL)),
+                       draw(st.integers(0, 1)) if radical else 0, base)
+        atoms.setdefault(pos.squared(), (pos, draw(_weights)))
+    mu = make_measure(list(atoms.values()), base=base)
+    return mu.to_real(draw(st.sampled_from((64, 128)))) if draw(st.booleans()) else mu
+
+
+@st.composite
+def keyed_pairs(draw):
+    """Two measures over one radical base, or a rational measure over one
+    base with a radical one over another (joined by _common_base)."""
+    base = draw(st.sampled_from(_RADICAL_BASES))
+    if draw(st.booleans()):
+        return draw(keyed_measures(base, True)), draw(keyed_measures(base, True))
+    other = draw(st.sampled_from((F(1), F(7))))
+    pair = [draw(keyed_measures(other, False)), draw(keyed_measures(base, True))]
+    return tuple(pair) if draw(st.booleans()) else tuple(reversed(pair))
+
+
+def _position_convolve(mu, nu, bits=128):
+    """Reference: merge masses on Position products, pair by pair."""
+    base = _common_base(mu, nu)
+    mode = REAL if REAL in (mu.mode, nu.mode) else RATIONAL
+    def atoms(measure):
+        if mode == RATIONAL:
+            return measure.atoms
+        return [(pos, to_mpf(w, bits)) for pos, w in measure.atoms]
+
+    merged = {}
+    with workprec(bits):
+        for px, wx in atoms(mu):
+            for py, wy in atoms(nu):
+                key = px.rebase(base) * py.rebase(base)
+                merged[key] = merged[key] + wx * wy if key in merged else wx * wy
+    return sorted(merged.items(), key=lambda item: item[0].squared())
+
+
+@settings(max_examples=150)
+@given(keyed_pairs())
+def test_int_keyed_convolve_matches_position_products(pair):
+    mu, nu = pair
+    out = convolve(mu, nu)
+    expected = _position_convolve(mu, nu)
+    assert [pos for pos, _ in out.atoms] == [pos for pos, _ in expected]
+    assert all(pos.base == out.base for pos in out.support)
+    assert [w for _, w in out.atoms] == [w for _, w in expected]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(_RADICAL_BASES + (F(1),)).flatmap(
+    lambda base: keyed_measures(base, True)))
+def test_int_keyed_diagram_matches_position_products(mu):
+    points = mu.support
+    grouped = {}
+    for i in range(mu.p):
+        for j in range(i, mu.p):
+            grouped.setdefault(points[i] * points[j], []).append((i, j))
+    expected = sorted(grouped.items(), key=lambda item: item[0].squared())
+    diagram = pair_diagram(mu)
+    assert [(e.position, list(e.pairs)) for e in diagram.entries] == expected
+    keys = int_keys(points)
+    assert all(isinstance(k, int) for k in keys) and keys == sorted(set(keys))
 
 
 @settings(max_examples=60)

@@ -57,6 +57,7 @@ from .shifts import (
     minimal_recurrence,
     moment_sequence,
     moments_from_weights,
+    shift_rows,
     support_characteristic,
     weights_from_measure,
 )

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 import mpmath
-from mpmath import workprec
+from mpmath.libmp import to_str
 
 from .closed_forms import classify_small
 from .diagram import (
@@ -26,11 +26,7 @@ from .measures import (
     dumps_measure,
     strip_zero_atom,
 )
-from .shifts import (
-    aluthge_weights,
-    moments_from_weights,
-    weights_from_measure,
-)
+from .shifts import shift_rows
 from .solver import DEFAULT_CONFIG, SolverConfig, Verdict, aluthge_subnormal, sqrt_of
 
 
@@ -192,19 +188,6 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
 
 
 def _shift_tables(mu: AtomicMeasure, terms: int, config: SolverConfig) -> dict:
-    bits = config.precision_bits
-    alpha = weights_from_measure(mu, terms + 1, bits=bits)
-    tilde = aluthge_weights(alpha, bits=bits)
-    gammas = moments_from_weights(alpha, bits=bits)
-    tilde_gammas = moments_from_weights(tilde, bits=bits)
-    rows = []
-    with workprec(bits):
-        for n in range(terms):
-            rows.append((
-                n,
-                mpmath.nstr(alpha[n], 15),
-                mpmath.nstr(tilde[n], 15) if n < len(tilde) else "",
-                mpmath.nstr(gammas[n], 15),
-                mpmath.nstr(tilde_gammas[n], 15) if n < len(tilde_gammas) else "",
-            ))
+    rows = [(n,) + tuple(to_str(x, 15) for x in row)
+            for n, row in enumerate(shift_rows(mu, terms, config.precision_bits))]
     return {"terms": terms, "rows": rows}

@@ -42,12 +42,15 @@ class DiagramEntry:
 @dataclass(frozen=True, eq=False)
 class ProductDiagram:
     """The distinct pairwise products of ``support``, ascending; ``keys``
-    are the support's int keys."""
+    are the support's int keys.  ``index[i][j]`` is the entry holding
+    x_i*x_j and ``ur[i][j]`` whether that product is uniquely represented,
+    both p x p and symmetric."""
 
     support: Tuple[Position, ...]
     keys: Tuple[int, ...]
     entries: Tuple[DiagramEntry, ...]
-    _by_pair: Dict[Pair, int] = field(repr=False)
+    index: Tuple[Tuple[int, ...], ...] = field(repr=False)
+    ur: Tuple[Tuple[bool, ...], ...] = field(repr=False)
 
     @property
     def p(self) -> int:
@@ -57,21 +60,16 @@ class ProductDiagram:
     def card(self) -> int:
         return len(self.entries)
 
-    def _index(self, i: int, j: int) -> int:
-        return self._by_pair[(min(i, j), max(i, j))]
-
     def entry_of_pair(self, i: int, j: int) -> DiagramEntry:
-        return self.entries[self._index(i, j)]
-
-    def is_ur_pair(self, i: int, j: int) -> bool:
-        return self.entry_of_pair(i, j).is_ur
+        return self.entries[self.index[i][j]]
 
     def product(self, i: int, j: int) -> Position:
         return self.entry_of_pair(i, j).position
 
     def coincide(self, first: Pair, second: Pair) -> bool:
         """Whether two index pairs have the same product."""
-        return self._index(*first) == self._index(*second)
+        (i, j), (k, l) = first, second
+        return self.index[i][j] == self.index[k][l]
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,15 +131,19 @@ def pair_diagram(support: Union[AtomicMeasure, Sequence[Position]]) -> ProductDi
     for i, ki in enumerate(keys):
         for j in range(i, len(keys)):
             grouped.setdefault(ki * keys[j], []).append((i, j))
+    p = len(keys)
     entries = []
-    by_pair: Dict[Pair, int] = {}
-    for index, key in enumerate(sorted(grouped)):
+    index = [[0] * p for _ in range(p)]
+    ur = [[False] * p for _ in range(p)]
+    for n, key in enumerate(sorted(grouped)):
         pairs = tuple(grouped[key])  # ascending, as generated
         i, j = pairs[0]
         entries.append(DiagramEntry(points[i] * points[j], pairs))
-        for pair in pairs:
-            by_pair[pair] = index
-    return ProductDiagram(points, keys, tuple(entries), by_pair)
+        for a, b in pairs:
+            index[a][b] = index[b][a] = n
+            ur[a][b] = ur[b][a] = len(pairs) == 1
+    return ProductDiagram(points, keys, tuple(entries),
+                          tuple(map(tuple, index)), tuple(map(tuple, ur)))
 
 
 def classify_ur(diagram: ProductDiagram) -> URClassification:
@@ -255,7 +257,7 @@ def _check_boundary_products(diagram: ProductDiagram) -> List[Violation]:
         if pair in seen:
             continue
         seen.add(pair)
-        if diagram.is_ur_pair(*pair):
+        if diagram.ur[pair[0]][pair[1]]:
             out.append(_v(
                 "boundary-products", pair,
                 f"{label} ({diagram.product(*pair)}) coincides with no other "
@@ -310,22 +312,22 @@ def _check_double_extreme(diagram: ProductDiagram) -> List[Violation]:
 
 def _check_doubly_ur_column(diagram: ProductDiagram) -> List[Violation]:
     p = diagram.p
+    ur = diagram.ur
     out: List[Violation] = []
     if p < 3:
         return out
     for k in range(1, p - 1):
-        if diagram.is_ur_pair(0, k) and diagram.is_ur_pair(1, k):
+        if ur[0][k] and ur[1][k]:
             out.append(_v(
                 "doubly-ur-column", (0, 1, k),
                 f"the products of atom {k + 1} with both atoms 1 and 2 are "
                 "uniquely represented, but at least one must coincide"))
-        if diagram.is_ur_pair(p - 2, k) and diagram.is_ur_pair(p - 1, k):
+        if ur[p - 2][k] and ur[p - 1][k]:
             out.append(_v(
                 "doubly-ur-column", (p - 2, p - 1, k),
                 f"the products of atom {k + 1} with both atoms {p - 1} and {p} "
                 "are uniquely represented, but at least one must coincide"))
-    full = [k for k in range(1, p - 1)
-            if diagram.is_ur_pair(0, k) and diagram.is_ur_pair(p - 1, k)]
+    full = [k for k in range(1, p - 1) if ur[0][k] and ur[p - 1][k]]
     if len(full) >= 2:
         out.append(_v(
             "doubly-ur-column", (full[0], full[1]),
@@ -344,11 +346,11 @@ def _check_doubly_ur_column(diagram: ProductDiagram) -> List[Violation]:
 
 def _check_ur_diagonals_edge(diagram: ProductDiagram) -> List[Violation]:
     p = diagram.p
+    ur = diagram.ur
     out: List[Violation] = []
     for i in range(p):
         for j in range(i + 1, p):
-            if (diagram.is_ur_pair(i, i) and diagram.is_ur_pair(j, j)
-                    and diagram.is_ur_pair(i, j)):
+            if ur[i][i] and ur[j][j] and ur[i][j]:
                 out.append(_v(
                     "ur-diagonals-edge", (i, j),
                     f"the squares of atoms {i + 1} and {j + 1} and their mutual "
@@ -358,14 +360,14 @@ def _check_ur_diagonals_edge(diagram: ProductDiagram) -> List[Violation]:
 
 def _check_ur_corner_triangle(diagram: ProductDiagram) -> List[Violation]:
     p = diagram.p
+    ur = diagram.ur
     out: List[Violation] = []
     for i in range(p):
-        if not diagram.is_ur_pair(i, i):
+        if not ur[i][i]:
             continue
         others = [j for j in range(p) if j != i]
         for j, k in combinations(others, 2):
-            if (diagram.is_ur_pair(i, j) and diagram.is_ur_pair(i, k)
-                    and diagram.is_ur_pair(j, k)):
+            if ur[i][j] and ur[i][k] and ur[j][k]:
                 out.append(_v(
                     "ur-corner-triangle", (i, j, k),
                     f"the square of atom {i + 1} and the three products among "
@@ -376,15 +378,16 @@ def _check_ur_corner_triangle(diagram: ProductDiagram) -> List[Violation]:
 
 def _check_ur_chain_midpoint(diagram: ProductDiagram) -> List[Violation]:
     p = diagram.p
+    ur = diagram.ur
     out: List[Violation] = []
     for i in range(p):
         for k in range(i + 1, p):
-            if not (diagram.is_ur_pair(i, i) and diagram.is_ur_pair(k, k)):
+            if not (ur[i][i] and ur[k][k]):
                 continue
             for j in range(p):
                 if j in (i, k):
                     continue
-                if diagram.is_ur_pair(i, j) and diagram.is_ur_pair(j, k):
+                if ur[i][j] and ur[j][k]:
                     if not diagram.coincide((j, j), (i, k)):
                         out.append(_v(
                             "ur-chain-midpoint", (i, j, k),
@@ -399,7 +402,7 @@ def _check_ur_rectangle(diagram: ProductDiagram) -> List[Violation]:
     """Four atoms carrying a four-cycle a-b-c-d of UR products: b and d are
     two common UR neighbours of a and c.  One violation per set of four."""
     p = diagram.p
-    neighbours = [{j for j in range(p) if j != i and diagram.is_ur_pair(i, j)}
+    neighbours = [{j for j in range(p) if j != i and diagram.ur[i][j]}
                   for i in range(p)]
     quads = set()
     for a, c in combinations(range(p), 2):

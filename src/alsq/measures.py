@@ -17,21 +17,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mpf, workprec
+from mpmath.libmp import mpf_mul, mpf_sqrt, round_nearest
 
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
     ScalarError,
     format_rational,
+    from_raw,
     mpf_to_fraction,
     parse_rational,
     sqrt_fraction,
     to_mpf,
+    to_raw,
 )
 
 RATIONAL = "rational"
@@ -140,11 +143,11 @@ class Position:
         return self.q
 
     def to_mpf(self, bits: int = DEFAULT_PRECISION_BITS) -> mpf:
-        with workprec(bits):
-            value = mpmath.mpmathify(self.q)
-            if self.k:
-                value *= mpmath.sqrt(mpmath.mpmathify(self.base))
-            return value
+        value = to_raw(self.q, bits)
+        if self.k:
+            root = mpf_sqrt(to_raw(self.base, bits), bits, round_nearest)
+            value = mpf_mul(value, root, bits, round_nearest)
+        return from_raw(value)
 
     def _key(self):
         return (self.q, self.k, self.base if self.k else None)
@@ -349,9 +352,21 @@ def int_keys(positions: Sequence[Position]) -> List[int]:
     denominators.  Over a common base x_i*x_j = x_k*x_l exactly when
     key_i*key_j = key_k*key_l, and keys order like the positions, because
     ``squared`` is injective there."""
-    squares = [pos.squared() for pos in positions]
-    scale = lcm(*(s.denominator for s in squares))
-    return [s.numerator * (scale // s.denominator) for s in squares]
+    # the reduced squares as int pairs; q^2 is reduced already, so only a
+    # radical's q^2 * base needs a gcd (no Fraction is built: this runs per
+    # product diagram, peel and witness check)
+    squares = []
+    for pos in positions:
+        q = pos.q
+        num, den = q.numerator * q.numerator, q.denominator * q.denominator
+        if pos.k:
+            num *= pos.base.numerator
+            den *= pos.base.denominator
+            common = gcd(num, den)
+            num, den = num // common, den // common
+        squares.append((num, den))
+    scale = lcm(*(den for _, den in squares))
+    return [num * (scale // den) for num, den in squares]
 
 
 def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:

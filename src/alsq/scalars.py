@@ -16,7 +16,23 @@ from fractions import Fraction
 from typing import Optional, Union
 
 import mpmath
-from mpmath import mpf, workprec
+from mpmath import mpf
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_int,
+    from_rational,
+    from_str,
+    mpf_abs,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_pos,
+    mpf_sub,
+    round_down,
+    round_nearest,
+    to_str,
+)
 
 Scalar = Union[Fraction, mpf]
 
@@ -68,10 +84,30 @@ def sqrt_fraction(q: Fraction) -> Optional[Fraction]:
 # real mode
 # ---------------------------------------------------------------------------
 
+def to_raw(value, bits: int) -> tuple:
+    """The raw libmp value (``mpf._mpf_``) of ``value`` at ``bits``, rounded
+    as ``+mpmathify(value)`` rounds it under ``workprec(bits)``: to nearest,
+    except that a Fraction is rounded toward zero, as mpmath converts one.
+    Takes no state from mpmath's global context."""
+    if isinstance(value, mpf):
+        return mpf_pos(value._mpf_, bits, round_nearest)
+    if isinstance(value, Fraction):
+        return from_rational(value.numerator, value.denominator, bits, round_down)
+    if isinstance(value, int):
+        return from_int(value, bits, round_nearest)
+    if isinstance(value, float):
+        return from_float(value, bits, round_nearest)
+    if isinstance(value, str):
+        return from_str(value, bits, round_nearest)
+    raise ScalarError(f"cannot convert {value!r} to a binary float")
+
+
+from_raw = mpmath.mp.make_mpf  # an mpf holding a raw value, unrounded
+
+
 def to_mpf(value, bits: int) -> mpf:
     """Convert Fraction/int/str/mpf to an mpf at the given precision."""
-    with workprec(bits):
-        return +mpmath.mpmathify(value)
+    return from_raw(to_raw(value, bits))
 
 
 def mpf_to_fraction(x: mpf) -> Fraction:
@@ -86,13 +122,14 @@ def mpf_to_fraction(x: mpf) -> Fraction:
 
 
 def close_rel(x: mpf, y: mpf, tol: mpf) -> bool:
-    """Relative closeness with graceful fallback to absolute near zero."""
-    with workprec(512):
-        x = mpf(x)
-        y = mpf(y)
-        scale = max(abs(x), abs(y), mpf(1))
-        return abs(x - y) <= tol * scale
+    """|x - y| <= tol * max(|x|, |y|, 1), decided exactly."""
+    x, y = x._mpf_, y._mpf_
+    scale = fone
+    for value in (mpf_abs(x), mpf_abs(y)):
+        if mpf_lt(scale, value):
+            scale = value
+    return mpf_le(mpf_abs(mpf_sub(x, y)), mpf_mul(tol._mpf_, scale))
 
 
-def decimal_str(x, digits: int = 12) -> str:
-    return mpmath.nstr(mpf(x), digits)
+def decimal_str(x: mpf, digits: int = 12) -> str:
+    return to_str(x._mpf_, digits)

@@ -21,53 +21,150 @@ from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_sqrt,
+    round_nearest,
+)
 
-from .measures import AtomicMeasure, MeasureError, moment, normalize
-from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, to_mpf
+from .measures import RATIONAL, AtomicMeasure, MeasureError
+from .scalars import (
+    DEFAULT_PRECISION_BITS,
+    DEFAULT_TOLERANCE,
+    from_raw,
+    to_mpf,
+    to_raw,
+)
+
+# The weights and moments below are computed on raw libmp values with the
+# precision and rounding of every operation given explicitly.  Each call is
+# the one an mpf operator makes under workprec(bits), in the same order, so
+# the values are those of mpf arithmetic bit for bit, and no result depends
+# on mpmath's global precision.  Each atom is converted once per measure.
+
+_N = round_nearest
+_TOTAL_BITS = 512  # the total mass is summed wider, as total_mass() sums it
+
+
+def _moments(mu: AtomicMeasure, weights: Sequence, count: int,
+             bits: int) -> list:
+    """g_0 .. g_{count-1} of the atoms of ``mu`` carrying ``weights``.
+
+    A moment is an exact Fraction when every term is rational (rational mode;
+    only the even orders when a position is radical), else a raw value at
+    ``bits``, summed as :func:`alsq.measures.moment` sums it."""
+    mu.require_no_zero_atom("moment")
+    radical = any(pos.k for pos in mu.support)
+    gammas: list = [None] * count
+    if mu.mode == RATIONAL:
+        # w * x^n, stepping n by 1, or by 2 through the rational x^2
+        factors = [pos.squared() if radical else pos.q for pos in mu.support]
+        terms = list(weights)
+        for n in range(0, count, 2 if radical else 1):
+            gammas[n] = sum(terms, Fraction(0))
+            terms = [t * f for t, f in zip(terms, factors)]
+    inexact = [n for n, g in enumerate(gammas) if g is None]
+    if inexact:
+        ws = [to_raw(w, bits) for w in weights]
+        xs = [pos.to_mpf(bits)._mpf_ for pos in mu.support]
+        for n in inexact:
+            total = fzero
+            for w, x in zip(ws, xs):
+                term = mpf_mul(w, mpf_pow_int(x, n, bits, _N), bits, _N)
+                total = mpf_add(total, term, bits, _N)
+            gammas[n] = total
+    return gammas
+
+
+def _alpha(mu: AtomicMeasure, count: int, bits: int) -> list:
+    """Raw shift weights alpha_0 .. alpha_{count-1} of the normalized
+    measure: sqrt(g_{n+1} / g_n)."""
+    if count < 1:
+        raise MeasureError("at least one weight must be requested")
+    weights = mu.weights
+    if mu.mode == RATIONAL:
+        total = sum(weights, Fraction(0))
+        prob = [w / total for w in weights]
+    else:
+        total = fzero
+        for w in weights:
+            total = mpf_add(total, _operand(w, _TOTAL_BITS), _TOTAL_BITS, _N)
+        prob = [from_raw(mpf_div(_operand(w, bits), total, bits, _N))
+                for w in weights]
+    gammas = [g if type(g) is tuple else to_raw(g, bits)
+              for g in _moments(mu, prob, count + 1, bits)]
+    return [mpf_sqrt(mpf_div(gammas[n + 1], gammas[n], bits, _N), bits, _N)
+            for n in range(count)]
+
+
+def _geometric_means(alpha: Sequence[tuple], bits: int) -> List[tuple]:
+    if len(alpha) < 2:
+        raise MeasureError("need at least two weights")
+    return [mpf_sqrt(mpf_mul(a, b, bits, _N), bits, _N)
+            for a, b in zip(alpha, alpha[1:])]
+
+
+def _products(alpha: Sequence[tuple], bits: int) -> List[tuple]:
+    gammas = [fone]
+    for a in alpha:
+        gammas.append(mpf_mul(mpf_mul(gammas[-1], a, bits, _N), a, bits, _N))
+    return gammas
+
+
+def _operand(value, bits: int) -> tuple:
+    """The raw value an mpf operator under workprec(bits) uses for
+    ``value``: an mpf as it is, anything else converted at ``bits``."""
+    return value._mpf_ if isinstance(value, mpf) else to_raw(value, bits)
+
+
+def shift_rows(mu: AtomicMeasure, terms: int,
+               bits: int = DEFAULT_PRECISION_BITS) -> List[Tuple[tuple, ...]]:
+    """Rows n = 0 .. terms-1 of (alpha_n, transformed alpha_n, g_n,
+    transformed g_n) as raw libmp values at ``bits``; the moment columns
+    are :func:`moments_from_weights` of the two weight sequences."""
+    alpha = _alpha(mu, terms + 1, bits)
+    tilde = _geometric_means(alpha, bits)
+    return list(zip(alpha, tilde, _products(alpha, bits),
+                    _products(tilde, bits)))
 
 
 def moment_sequence(mu: AtomicMeasure, count: int,
                     bits: int = DEFAULT_PRECISION_BITS) -> List:
     """g_0 .. g_{count-1}; exact Fractions whenever the measure allows it."""
-    return [moment(mu, n, bits=bits) for n in range(count)]
+    return [g if type(g) is Fraction else from_raw(g)
+            for g in _moments(mu, mu.weights, count, bits)]
 
 
 def weights_from_measure(mu: AtomicMeasure, count: int,
                          bits: int = DEFAULT_PRECISION_BITS) -> List[mpf]:
     """Shift weights alpha_0 .. alpha_{count-1} of the normalized measure."""
-    if count < 1:
-        raise MeasureError("at least one weight must be requested")
-    prob = normalize(mu, bits=bits)
-    gammas = moment_sequence(prob, count + 1, bits=bits)
-    with workprec(bits):
-        return [mpmath.sqrt(to_mpf(gammas[n + 1], bits) / to_mpf(gammas[n], bits))
-                for n in range(count)]
+    return [from_raw(a) for a in _alpha(mu, count, bits)]
 
 
 def aluthge_weights(alpha: Sequence[mpf],
                     bits: int = DEFAULT_PRECISION_BITS) -> List[mpf]:
     """Geometric means of consecutive weights; one entry shorter."""
-    if len(alpha) < 2:
-        raise MeasureError("need at least two weights")
-    with workprec(bits):
-        return [mpmath.sqrt(alpha[n] * alpha[n + 1]) for n in range(len(alpha) - 1)]
+    raw = [_operand(a, bits) for a in alpha]
+    return [from_raw(a) for a in _geometric_means(raw, bits)]
 
 
 def moments_from_weights(alpha: Sequence[mpf],
                          bits: int = DEFAULT_PRECISION_BITS) -> List[mpf]:
     """g_0 = 1 and g_k = alpha_0^2 ... alpha_{k-1}^2."""
-    with workprec(bits):
-        gammas = [mpf(1)]
-        for a in alpha:
-            gammas.append(gammas[-1] * a * a)
-        return gammas
+    raw = [_operand(a, bits) for a in alpha]
+    return [from_raw(g) for g in _products(raw, bits)]
 
 
 def aluthge_moment_sequence(mu: AtomicMeasure, count: int,
                             bits: int = DEFAULT_PRECISION_BITS) -> List[mpf]:
     """Moments of the Aluthge-transformed shift, g~_0 .. g~_{count-1}."""
-    alpha = weights_from_measure(mu, count, bits=bits)
-    return moments_from_weights(aluthge_weights(alpha, bits=bits), bits=bits)
+    tilde = _geometric_means(_alpha(mu, count, bits), bits)
+    return [from_raw(g) for g in _products(tilde, bits)]
 
 
 def hankel_psd(

@@ -316,20 +316,20 @@ def verify_witness(
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> bool:
     """Independent check: convolve the witness with itself and compare."""
-    square = convolve(witness, witness, bits=config.precision_bits)
+    bits = config.precision_bits
+    square = convolve(witness, witness, bits=bits)
     if square.p != target.p:
         return False
-    with workprec(config.precision_bits):
-        tol = to_mpf(config.tolerance, config.precision_bits)
-        for (pos_a, w_a), (pos_b, w_b) in zip(square.atoms, target.atoms):
-            if pos_a.squared() != pos_b.squared():
+    keys = int_keys(square.support + target.support)
+    if keys[:square.p] != keys[square.p:]:
+        return False
+    tol = to_mpf(config.tolerance, bits)
+    for w_a, w_b in zip(square.weights, target.weights):
+        if isinstance(w_a, Fraction) and isinstance(w_b, Fraction):
+            if w_a != w_b:
                 return False
-            if isinstance(w_a, Fraction) and isinstance(w_b, Fraction):
-                if w_a != w_b:
-                    return False
-            elif not close_rel(to_mpf(w_a, config.precision_bits),
-                               to_mpf(w_b, config.precision_bits), tol):
-                return False
+        elif not close_rel(to_mpf(w_a, bits), to_mpf(w_b, bits), tol):
+            return False
     return True
 
 

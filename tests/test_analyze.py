@@ -1,6 +1,10 @@
+import json
 from fractions import Fraction
 
+import mpmath
+
 from alsq.analyze import AnalyzeOptions, analyze
+from alsq.generate import GeneratorSpec, generate
 from alsq.measures import Position, make_measure
 
 F = Fraction
@@ -116,3 +120,24 @@ def test_analyze_builds_one_diagram(monkeypatch, capsys, tmp_path):
     main(["analyze", str(path), "--diagram"])
     assert len(built) == 1
     assert "coincidence classes:" in capsys.readouterr().out
+
+
+def test_analysis_ignores_global_precision():
+    # a rational, a radical-position and a real-mode instance, each with
+    # witnesses, certificates and shift tables in its report
+    rational = generate(GeneratorSpec(5, "with-aluthge-root", 11)).measure
+    radical = make_measure([(Position(F(k), 1, F(2)), F(1, 3))
+                            for k in (1, 2, 3)])
+    real = generate(GeneratorSpec(6, "with-root", 12)).measure.to_real(128)
+    options = AnalyzeOptions(shift_terms=20)
+    saved = mpmath.mp.prec
+    for mu in (rational, radical, real):
+        expected = json.dumps(analyze(mu, options).to_json_dict())
+        for prec in (53, 300):
+            mpmath.mp.prec = prec
+            try:
+                got = json.dumps(analyze(mu, options).to_json_dict())
+                assert mpmath.mp.prec == prec
+            finally:
+                mpmath.mp.prec = saved
+            assert got == expected

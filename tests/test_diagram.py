@@ -83,7 +83,24 @@ def test_corner_products_always_unique(values):
     diagram = pair_diagram(support)
     p = diagram.p
     for pair in ((0, 0), (0, 1), (p - 2, p - 1), (p - 1, p - 1)):
-        assert diagram.is_ur_pair(*pair)
+        assert diagram.entry_of_pair(*pair).is_ur
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=9, unique=True))
+def test_pair_tables_match_entries(values):
+    # index and ur are read in both orders by the rules; each must agree
+    # with the entry lists they are built from
+    diagram = pair_diagram(_support(sorted(values)))
+    p = diagram.p
+    for n, entry in enumerate(diagram.entries):
+        for i, j in entry.pairs:
+            assert diagram.index[i][j] == diagram.index[j][i] == n
+    for i in range(p):
+        for j in range(p):
+            entry = diagram.entries[diagram.index[i][j]]
+            assert (min(i, j), max(i, j)) in entry.pairs
+            assert diagram.ur[i][j] == (len(entry.pairs) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +228,7 @@ def _brute_force_rectangles(diagram):
         cycles = (((a, b), (b, c), (c, d), (d, a)),
                   ((a, b), (b, d), (d, c), (c, a)),
                   ((a, c), (c, b), (b, d), (d, a)))
-        if any(all(diagram.is_ur_pair(*pair) for pair in cycle)
+        if any(all(diagram.entry_of_pair(*pair).is_ur for pair in cycle)
                for cycle in cycles):
             out.append(quad)
     return out

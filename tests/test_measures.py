@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import pytest
@@ -214,6 +215,9 @@ def test_int_keyed_diagram_matches_position_products(mu):
     assert [(e.position, list(e.pairs)) for e in diagram.entries] == expected
     keys = int_keys(points)
     assert all(isinstance(k, int) for k in keys) and keys == sorted(set(keys))
+    squares = [pos.squared() for pos in points]
+    scale = lcm(*(s.denominator for s in squares))
+    assert keys == [s.numerator * (scale // s.denominator) for s in squares]
 
 
 @settings(max_examples=60)

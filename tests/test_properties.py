@@ -85,7 +85,8 @@ def test_doubly_unique_column_theory_on_witnesses():
         diagram = pair_diagram(mu)
         p = diagram.p
         full = [k for k in range(1, p - 1)
-                if diagram.is_ur_pair(0, k) and diagram.is_ur_pair(p - 1, k)]
+                if diagram.entry_of_pair(0, k).is_ur
+                and diagram.entry_of_pair(p - 1, k).is_ur]
         assert len(full) <= 1
         for k in full:
             assert diagram.product(k, k).squared() == \

@@ -1,10 +1,16 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
-from mpmath import mpf
+from hypothesis import given
+from hypothesis import strategies as st
+from mpmath import mpf, workprec
+from mpmath.libmp import from_man_exp
 
 from alsq.scalars import (
     ScalarError,
+    close_rel,
+    from_raw,
     mpf_to_fraction,
     parse_rational,
     sqrt_fraction,
@@ -33,3 +39,37 @@ def test_mpf_fraction_round_trip():
     back = mpf_to_fraction(x)
     assert to_mpf(back, 128) == x
     assert mpf_to_fraction(mpf(0)) == 0
+
+
+def test_to_mpf_rounds_like_working_precision():
+    with workprec(300):
+        wide = mpf(1) / 3
+    values = [F(1, 3), F(-2, 7), F(10 ** 40 + 1, 3), F(5, 8), 7, -5,
+              2 ** 200 + 1, 0.1, "0.1", "3/7", "-2.5e-30", wide, mpf(-3)]
+    for bits in (24, 53, 128, 200):
+        for value in values:
+            with workprec(bits):
+                expected = +mpmath.mpmathify(value)
+            assert to_mpf(value, bits)._mpf_ == expected._mpf_, (value, bits)
+
+
+_DYADIC = st.builds(lambda man, exp: from_raw(from_man_exp(man, exp)),
+                    st.integers(-(2 ** 140), 2 ** 140), st.integers(-300, 300))
+
+
+@given(_DYADIC, _DYADIC, st.sampled_from([F(0), F(1, 2 ** 64), F(1, 3), F(2)]))
+def test_close_rel_is_exact(x, y, tol):
+    tol = to_mpf(tol, 128)
+    fx, fy, ft = (mpf_to_fraction(v) for v in (x, y, tol))
+    expected = abs(fx - fy) <= ft * max(abs(fx), abs(fy), 1)
+    assert close_rel(x, y, tol) == expected
+    assert close_rel(x, x, tol)
+
+
+def test_close_rel_decides_beyond_working_precision():
+    # |1 - y| exceeds tol = tol * max(|1|, |y|, 1) by 2^-600, which a
+    # 512-bit difference rounds away
+    one, tol = mpf(1), to_mpf(F(1, 2 ** 64), 128)
+    y = from_raw(from_man_exp(2 ** 600 - 2 ** 536 - 1, -600))
+    assert not close_rel(one, y, tol)
+    assert close_rel(one, from_raw(from_man_exp(2 ** 64 - 1, -64)), tol)

@@ -5,7 +5,14 @@ import pytest
 from mpmath import mpf, workprec
 
 from alsq.generate import GeneratorSpec, generate
-from alsq.measures import MeasureError, dirac, make_measure, moment, normalize
+from alsq.measures import (
+    MeasureError,
+    Position,
+    dirac,
+    make_measure,
+    moment,
+    normalize,
+)
 from alsq.scalars import to_mpf
 from alsq.shifts import (
     RecurrenceCoefficients,
@@ -15,6 +22,7 @@ from alsq.shifts import (
     minimal_recurrence,
     moment_sequence,
     moments_from_weights,
+    shift_rows,
     support_characteristic,
     weights_from_measure,
 )
@@ -109,6 +117,62 @@ def test_witness_moments_match_transformed_moments(three_atom_square):
     tilde = aluthge_moment_sequence(three_atom_square, 10)
     for n in range(10):
         assert _close(to_mpf(moment(nu, n), 128), tilde[n])
+
+
+def _pin_mix():
+    """p = 3..6 measures, each also with radical positions q*sqrt(2), and
+    both in real mode."""
+    out = []
+    for seed in range(8):
+        mu = generate(GeneratorSpec(3 + seed % 4, "arbitrary", 700 + seed,
+                                    position_style="random")).measure
+        radical = make_measure([(Position(pos.q, 1, F(2)), w)
+                                for pos, w in mu.atoms])
+        out += [mu, radical, mu.to_real(128), radical.to_real(96)]
+    return out
+
+
+def _per_moment_reference(mu, count, bits):
+    """The shift columns by mpf operators, one moment at a time."""
+    with workprec(bits):
+        prob = normalize(mu, bits)
+        gammas = [to_mpf(moment(prob, n, bits), bits) for n in range(count + 1)]
+        alpha = [mpmath.sqrt(gammas[n + 1] / gammas[n]) for n in range(count)]
+        tilde = [mpmath.sqrt(alpha[n] * alpha[n + 1])
+                 for n in range(count - 1)]
+
+        def products(weights):
+            out = [mpf(1)]
+            for a in weights:
+                out.append(out[-1] * a * a)
+            return out
+
+        return alpha, tilde, products(alpha), products(tilde)
+
+
+def test_moment_sequence_equals_per_moment_values():
+    for mu in _pin_mix():
+        for bits in (64, 128):
+            got = moment_sequence(mu, 22, bits=bits)
+            expected = [moment(mu, n, bits=bits) for n in range(22)]
+            assert got == expected
+            assert [type(g) for g in got] == [type(g) for g in expected]
+
+
+def test_shift_weights_equal_per_moment_reference():
+    for mu in _pin_mix():
+        for bits in (64, 128):
+            alpha, tilde, gammas, tilde_gammas = _per_moment_reference(
+                mu, 9, bits)
+            got = weights_from_measure(mu, 9, bits=bits)
+            assert got == alpha
+            assert aluthge_weights(got, bits=bits) == tilde
+            assert moments_from_weights(got, bits=bits) == gammas
+            assert aluthge_moment_sequence(mu, 9, bits=bits) == tilde_gammas
+            rows = shift_rows(mu, 8, bits=bits)
+            assert rows == [tuple(column[n]._mpf_ for column in
+                                  (alpha, tilde, gammas, tilde_gammas))
+                            for n in range(8)]
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,19 @@ def test_transform_nonunit_first_atom_nonsquare():
     assert verify_witness(verdict.witness, convolve(mu, t_weight(mu)))
 
 
+def test_verify_witness_compares_positions():
+    witness = make_measure([(1, F(1, 2)), (2, F(1, 2))])
+    square = make_measure([(1, F(1, 4)), (2, F(1, 2)), (4, F(1, 4))])
+    assert verify_witness(witness, square)
+    moved = make_measure([(1, F(1, 4)), (2, F(1, 2)), (5, F(1, 4))])
+    assert not verify_witness(witness, moved)
+    # a root over the radical base 2 squares onto rational positions
+    radical = make_measure([(Position(F(1), 1, F(2)), F(1, 2)),
+                            (Position(F(2), 1, F(2)), F(1, 2))])
+    assert verify_witness(radical, scale_positions(square, 2))
+    assert not verify_witness(radical, square)
+
+
 # ---------------------------------------------------------------------------
 # the square root decision
 # ---------------------------------------------------------------------------

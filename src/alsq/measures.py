@@ -15,6 +15,7 @@ operation requires it to be absent.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -22,7 +23,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mpf, workprec
-from mpmath.libmp import mpf_mul, mpf_sqrt, round_nearest
+from mpmath.libmp import mpf_add, mpf_mul, mpf_sqrt, round_nearest
 
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -31,6 +32,7 @@ from .scalars import (
     format_rational,
     from_raw,
     mpf_to_fraction,
+    operand,
     parse_rational,
     sqrt_fraction,
     to_mpf,
@@ -111,8 +113,8 @@ class Position:
         k = self.k + other.k
         q = self.q * other.q
         if k == 2:
-            return Position(q * self.base, 0, self.base)
-        return Position(q, k, self.base)
+            return _position(q * self.base, 0, self.base)
+        return _position(q, k, self.base)
 
     def __truediv__(self, other: "Position") -> "Position":
         if self.base != other.base:
@@ -121,8 +123,8 @@ class Position:
         k = self.k - other.k
         q = self.q / other.q
         if k == -1:
-            return Position(q / self.base, 1, self.base)
-        return Position(q, k, self.base)
+            return _position(q / self.base, 1, self.base)
+        return _position(q, k, self.base)
 
     def power(self, n: int) -> "Position":
         if n < 1:
@@ -175,6 +177,16 @@ class Position:
 
     def __repr__(self):
         return f"Position({self})"
+
+
+def _position(q: Fraction, k: int, base: Fraction) -> Position:
+    """A product or quotient of validated positions, built without
+    ``__post_init__``: q is a positive Fraction and k is 0 or 1, and a
+    result with k = 1 keeps the base of its k = 1 factor, which was found
+    non-square when that factor was built."""
+    pos = object.__new__(Position)
+    pos.__dict__.update(q=q, k=k, base=base)
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +290,7 @@ def make_measure(
 
     built: List[Tuple[Position, Weight]] = []
     zero = _convert_weight(zero_mass, mode, bits)
+    floor = to_mpf(DEFAULT_TOLERANCE, bits) if mode == REAL else None
     for pos_like, w in pairs:
         weight = _convert_weight(w, mode, bits)
         if isinstance(pos_like, Position):
@@ -292,18 +305,21 @@ def make_measure(
             pos = Position(raw, 0, inferred)
         if weight <= 0:
             raise MeasureError(f"weight at {pos} must be positive, got {weight}")
-        if mode == REAL and weight <= to_mpf(DEFAULT_TOLERANCE, bits):
+        if mode == REAL and weight <= floor:
             raise MeasureError(
                 f"weight at {pos} lies below the comparison tolerance")
         built.append((pos, weight))
 
-    built.sort(key=lambda item: item[0].squared())
-    for left, right in zip(built, built[1:]):
-        if left[0].squared() == right[0].squared():
-            raise MeasureError(f"duplicate position {left[0]}")
+    # int keys order like the positions and are equal exactly when the
+    # positions are; the stable sort names the first of two duplicates
+    keyed = sorted(zip(int_keys([pos for pos, _ in built]), built),
+                   key=lambda item: item[0])
+    for (left_key, (left, _)), (right_key, _) in zip(keyed, keyed[1:]):
+        if left_key == right_key:
+            raise MeasureError(f"duplicate position {left}")
     if not built:
         raise MeasureError("a measure needs at least one atom on (0, inf)")
-    return AtomicMeasure(inferred, mode, tuple(built), zero)
+    return AtomicMeasure(inferred, mode, tuple(atom for _, atom in keyed), zero)
 
 
 def _convert_weight(w, mode: str, bits: int) -> Weight:
@@ -371,40 +387,69 @@ def int_keys(positions: Sequence[Position]) -> List[int]:
 
 def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
     """Multiplicative convolution: atoms at all pairwise products x*y with
-    mass summed over coinciding products."""
+    mass summed over coinciding products.
+
+    No scalar object is built per pair.  Rational masses are summed as int
+    numerators over the product of each factor's common denominator, and
+    one Fraction is built per product.  Real masses are converted once and
+    summed as raw libmp values, each operation rounded to nearest at
+    ``bits`` in the order of the pairs, as mpf arithmetic under
+    ``workprec(bits)`` rounds it, without entering mpmath's global context."""
     mu.require_no_zero_atom("convolve")
     nu.require_no_zero_atom("convolve")
     base = _common_base(mu, nu)
     mode = _mode_join(mu, nu)
     mu_points = [pos if pos.base == base else pos.rebase(base) for pos in mu.support]
     nu_points = [pos if pos.base == base else pos.rebase(base) for pos in nu.support]
-    mu_weights, nu_weights = mu.weights, nu.weights
     if mode == REAL:
-        mu_weights = [to_mpf(w, bits) for w in mu_weights]
-        nu_weights = [to_mpf(w, bits) for w in nu_weights]
+        mu_masses = [to_raw(w, bits) for w in mu.weights]
+        nu_masses = [to_raw(w, bits) for w in nu.weights]
+
+        def mul(x, y):
+            return mpf_mul(x, y, bits, round_nearest)
+
+        def add(x, y):
+            return mpf_add(x, y, bits, round_nearest)
+
+        finish = from_raw
+    else:
+        (mu_masses, mu_den), (nu_masses, nu_den) = _numerators(mu), _numerators(nu)
+        mul, add = operator.mul, operator.add
+        den = mu_den * nu_den
+
+        def finish(num):
+            return Fraction(num, den)
     keys = int_keys(mu_points + nu_points)
     mu_keys, nu_keys = keys[:mu.p], keys[mu.p:]
     merged = {}
     first = {}  # product key -> the first pair of positions that reaches it
-    with workprec(bits):
-        for px, kx, wx in zip(mu_points, mu_keys, mu_weights):
-            for py, ky, wy in zip(nu_points, nu_keys, nu_weights):
-                key = kx * ky
-                mass = wx * wy
-                if key in merged:
-                    merged[key] = merged[key] + mass
-                else:
-                    merged[key] = mass
-                    first[key] = (px, py)
+    for px, kx, wx in zip(mu_points, mu_keys, mu_masses):
+        for py, ky, wy in zip(nu_points, nu_keys, nu_masses):
+            key = kx * ky
+            if key in merged:
+                merged[key] = add(merged[key], mul(wx, wy))
+            else:
+                merged[key] = mul(wx, wy)
+                first[key] = (px, py)
     atoms = []
     for key in sorted(merged):
         px, py = first[key]
-        atoms.append((px * py, merged[key]))
+        atoms.append((px * py, finish(merged[key])))
     return AtomicMeasure(base, mode, tuple(atoms))
 
 
+def _numerators(mu: AtomicMeasure) -> Tuple[List[int], int]:
+    """The rational masses of ``mu`` as int numerators over the lcm of
+    their denominators, and that lcm."""
+    den = lcm(*(w.denominator for w in mu.weights))
+    return [w.numerator * (den // w.denominator) for w in mu.weights], den
+
+
 def t_weight(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
-    """Multiply each mass by its position (the density-t reweighting)."""
+    """Multiply each mass by its position (the density-t reweighting).
+
+    In real mode each product is rounded to nearest at ``bits``, as an mpf
+    product under ``workprec(bits)`` rounds it."""
     mu.require_no_zero_atom("t_weight")
     atoms = []
     for pos, w in mu.atoms:
@@ -415,8 +460,9 @@ def t_weight(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMea
                     "field; use real mode")
             atoms.append((pos, w * pos.q))
         else:
-            with workprec(bits):
-                atoms.append((pos, w * pos.to_mpf(bits)))
+            x = pos.to_mpf(bits)._mpf_
+            atoms.append((pos, from_raw(mpf_mul(operand(w, bits), x, bits,
+                                                round_nearest))))
     return AtomicMeasure(mu.base, mu.mode, tuple(atoms))
 
 

@@ -105,6 +105,12 @@ def to_raw(value, bits: int) -> tuple:
 from_raw = mpmath.mp.make_mpf  # an mpf holding a raw value, unrounded
 
 
+def operand(value, bits: int) -> tuple:
+    """The raw value an mpf operator under ``workprec(bits)`` uses for
+    ``value``: an mpf as it is, anything else converted at ``bits``."""
+    return value._mpf_ if isinstance(value, mpf) else to_raw(value, bits)
+
+
 def to_mpf(value, bits: int) -> mpf:
     """Convert Fraction/int/str/mpf to an mpf at the given precision."""
     return from_raw(to_raw(value, bits))

@@ -37,6 +37,7 @@ from .scalars import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
     from_raw,
+    operand,
     to_mpf,
     to_raw,
 )
@@ -93,8 +94,8 @@ def _alpha(mu: AtomicMeasure, count: int, bits: int) -> list:
     else:
         total = fzero
         for w in weights:
-            total = mpf_add(total, _operand(w, _TOTAL_BITS), _TOTAL_BITS, _N)
-        prob = [from_raw(mpf_div(_operand(w, bits), total, bits, _N))
+            total = mpf_add(total, operand(w, _TOTAL_BITS), _TOTAL_BITS, _N)
+        prob = [from_raw(mpf_div(operand(w, bits), total, bits, _N))
                 for w in weights]
     gammas = [g if type(g) is tuple else to_raw(g, bits)
               for g in _moments(mu, prob, count + 1, bits)]
@@ -114,12 +115,6 @@ def _products(alpha: Sequence[tuple], bits: int) -> List[tuple]:
     for a in alpha:
         gammas.append(mpf_mul(mpf_mul(gammas[-1], a, bits, _N), a, bits, _N))
     return gammas
-
-
-def _operand(value, bits: int) -> tuple:
-    """The raw value an mpf operator under workprec(bits) uses for
-    ``value``: an mpf as it is, anything else converted at ``bits``."""
-    return value._mpf_ if isinstance(value, mpf) else to_raw(value, bits)
 
 
 def shift_rows(mu: AtomicMeasure, terms: int,
@@ -149,14 +144,14 @@ def weights_from_measure(mu: AtomicMeasure, count: int,
 def aluthge_weights(alpha: Sequence[mpf],
                     bits: int = DEFAULT_PRECISION_BITS) -> List[mpf]:
     """Geometric means of consecutive weights; one entry shorter."""
-    raw = [_operand(a, bits) for a in alpha]
+    raw = [operand(a, bits) for a in alpha]
     return [from_raw(a) for a in _geometric_means(raw, bits)]
 
 
 def moments_from_weights(alpha: Sequence[mpf],
                          bits: int = DEFAULT_PRECISION_BITS) -> List[mpf]:
     """g_0 = 1 and g_k = alpha_0^2 ... alpha_{k-1}^2."""
-    raw = [_operand(a, bits) for a in alpha]
+    raw = [operand(a, bits) for a in alpha]
     return [from_raw(g) for g in _products(raw, bits)]
 
 

@@ -37,8 +37,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
-import mpmath
 from mpmath import mpf, workprec
+from mpmath.libmp import mpf_mul, mpf_sqrt, round_nearest
 
 from .diagram import Violation
 from .measures import (
@@ -58,8 +58,10 @@ from .scalars import (
     Scalar,
     close_rel,
     decimal_str,
+    from_raw,
     sqrt_fraction,
     to_mpf,
+    to_raw,
 )
 
 WITNESS = "witness"
@@ -138,6 +140,7 @@ class Peel:
     the worst relative residual accepted as cancelled (0 in rational mode).
     ``doubt`` is set in real mode when a residual that could have been a root
     atom was taken as cancelled: a refutation after it is not certain.
+    ``keys`` are the int keys of the target's support (on a witness).
     """
 
     outcome: str
@@ -146,6 +149,7 @@ class Peel:
     residual: mpf = mpf(0)
     note: Optional[str] = None
     doubt: Optional[str] = None
+    keys: Tuple[int, ...] = ()
 
 
 # a real-mode residual within 2^(_ROUNDING_BITS - precision_bits) of its
@@ -232,7 +236,7 @@ def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> P
             _subtract(residual, heap, key * key, c * c)
             root.append((key, c, j))
     return Peel(WITNESS, root=tuple((j, c) for _, c, j in root), residual=worst,
-                doubt=doubt)
+                doubt=doubt, keys=tuple(keys))
 
 
 def _refuted(certificate: Violation, doubt: Optional[str]) -> Peel:
@@ -280,9 +284,11 @@ def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
         if root is not None:
             return RATIONAL, [c * root for c in cs], []
     bits = config.precision_bits
-    with workprec(bits):
-        scale = mpmath.sqrt(to_mpf(a1, bits))
-        weights = [to_mpf(c, bits) * scale for c in cs]
+    # rounded to nearest at bits, as mpmath.sqrt and the mpf product under
+    # workprec(bits) round them
+    scale = mpf_sqrt(to_raw(a1, bits), bits, round_nearest)
+    weights = [from_raw(mpf_mul(to_raw(c, bits), scale, bits, round_nearest))
+               for c in cs]
     notes = []
     if mode == RATIONAL:
         notes.append(f"witness masses lie in Q(sqrt({a1})); emitted as reals")
@@ -377,12 +383,13 @@ def _support_mismatch(mu: AtomicMeasure, target: AtomicMeasure,
     """Compare the root's support with supp(mu): a root atom y with
     y*x_1 = (target atom j) lies in supp(mu) iff that atom is x_1*x_m.
 
-    On int keys over both supports, with T_0 the key of x_1^2, that is
-    K_1 * T_j = K_m * T_0."""
+    On the int keys K of supp(mu) and the peel's keys T of the target's
+    support, with T_0 the key of x_1^2, that is K_1 * T_j = K_m * T_0; the
+    test holds whatever positive scale each set of keys carries."""
     first = mu.support[0]
-    keys = int_keys(mu.support + target.support)
-    k1, t0, targets = keys[0], keys[mu.p], keys[mu.p:]
-    products = {key * t0 for key in keys[:mu.p]}
+    keys, targets = int_keys(mu.support), peel.keys
+    k1, t0 = keys[0], targets[0]
+    products = {key * t0 for key in keys}
     expected = {j for j, key in enumerate(targets) if k1 * key in products}
     got = {j for j, _ in peel.root}
     if got == expected:

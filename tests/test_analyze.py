@@ -5,7 +5,8 @@ import mpmath
 
 from alsq.analyze import AnalyzeOptions, analyze
 from alsq.generate import GeneratorSpec, generate
-from alsq.measures import Position, make_measure
+from alsq.measures import Position, convolve, make_measure, t_weight
+from alsq.solver import aluthge_subnormal
 
 F = Fraction
 
@@ -130,13 +131,25 @@ def test_analysis_ignores_global_precision():
                             for k in (1, 2, 3)])
     real = generate(GeneratorSpec(6, "with-root", 12)).measure.to_real(128)
     options = AnalyzeOptions(shift_terms=20)
+
+    def results(mu):
+        # the report, and on their own the convolution, the reweighting
+        # and the real-mode transform verdict, masses as raw values
+        def atoms(measure):
+            return [(str(pos), getattr(w, "_mpf_", w)) for pos, w in measure.atoms]
+
+        at_128 = mu.to_real(128)
+        return repr((analyze(mu, options).to_json_dict(),
+                     atoms(convolve(mu, mu)), atoms(t_weight(at_128)),
+                     aluthge_subnormal(at_128).to_json_dict()))
+
     saved = mpmath.mp.prec
     for mu in (rational, radical, real):
-        expected = json.dumps(analyze(mu, options).to_json_dict())
+        expected = results(mu)
         for prec in (53, 300):
             mpmath.mp.prec = prec
             try:
-                got = json.dumps(analyze(mu, options).to_json_dict())
+                got = results(mu)
                 assert mpmath.mp.prec == prec
             finally:
                 mpmath.mp.prec = saved

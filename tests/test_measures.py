@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import lcm
 
@@ -86,6 +87,41 @@ def test_position_power_and_scale():
         pos.scale(F(-1))
 
 
+_POSITION_BASES = (F(1), F(2), F(3), F(5, 2), F(4), F(9, 4))
+
+
+@st.composite
+def position_pairs(draw):
+    """Two positions over one base: rational, radical or perfect-square
+    (where k = 1 collapses to k = 0 at construction)."""
+    base = draw(st.sampled_from(_POSITION_BASES))
+    q = st.fractions(min_value=F(1, 30), max_value=F(50), max_denominator=30)
+    return tuple(Position(draw(q), draw(st.integers(0, 1)), base)
+                 for _ in range(2))
+
+
+def _fields(pos):
+    return pos.q, pos.k, pos.base, type(pos.q), type(pos.base)
+
+
+@settings(max_examples=300)
+@given(position_pairs())
+def test_position_products_match_validating_constructor(pair):
+    # the reference rebuilds each result from its square alone:
+    # (q * sqrt(base)^k)^2 = square, with k the parity of the exponents
+    a, b = pair
+    base = a.base
+    for result, k, square in ((a * b, a.k + b.k, a.squared() * b.squared()),
+                              (a / b, a.k - b.k, a.squared() / b.squared())):
+        k %= 2
+        q_squared = square / base ** k
+        q = F(math.isqrt(q_squared.numerator), math.isqrt(q_squared.denominator))
+        assert q * q == q_squared
+        expected = Position(q, k, base)
+        assert _fields(result) == _fields(expected)
+        assert result == expected and hash(result) == hash(expected)
+
+
 def test_position_validation():
     with pytest.raises(MeasureError):
         Position(F(0), 0, F(1))
@@ -146,16 +182,21 @@ def test_convolve_rebase_when_one_side_rational():
 _RADICAL_BASES = (F(2), F(3), F(5, 2), F(6))
 
 
+# masses with large, mostly coprime denominators: their lcm is large
+_wide_weights = st.one_of(_weights, st.builds(
+    F, st.integers(1, 10 ** 15), st.integers(10 ** 6, 10 ** 12)))
+
+
 @st.composite
-def keyed_measures(draw, base, radical):
-    """Up to six atoms q*sqrt(base)^k, k = 1 allowed when ``radical``, with
-    rational or real masses."""
-    p = draw(st.integers(1, 6))
+def keyed_measures(draw, base, radical, max_atoms=6, weights=_weights):
+    """Up to ``max_atoms`` atoms q*sqrt(base)^k, k = 1 allowed when
+    ``radical``, with rational or real masses."""
+    p = draw(st.integers(1, max_atoms))
     atoms = {}
     for _ in range(p):
         pos = Position(draw(st.sampled_from(_POSITION_POOL)),
                        draw(st.integers(0, 1)) if radical else 0, base)
-        atoms.setdefault(pos.squared(), (pos, draw(_weights)))
+        atoms.setdefault(pos.squared(), (pos, draw(weights)))
     mu = make_measure(list(atoms.values()), base=base)
     return mu.to_real(draw(st.sampled_from((64, 128)))) if draw(st.booleans()) else mu
 
@@ -165,10 +206,14 @@ def keyed_pairs(draw):
     """Two measures over one radical base, or a rational measure over one
     base with a radical one over another (joined by _common_base)."""
     base = draw(st.sampled_from(_RADICAL_BASES))
+
+    def measure(over, radical):
+        return draw(keyed_measures(over, radical, 12, _wide_weights))
+
     if draw(st.booleans()):
-        return draw(keyed_measures(base, True)), draw(keyed_measures(base, True))
+        return measure(base, True), measure(base, True)
     other = draw(st.sampled_from((F(1), F(7))))
-    pair = [draw(keyed_measures(other, False)), draw(keyed_measures(base, True))]
+    pair = [measure(other, False), measure(base, True)]
     return tuple(pair) if draw(st.booleans()) else tuple(reversed(pair))
 
 
@@ -198,7 +243,12 @@ def test_int_keyed_convolve_matches_position_products(pair):
     expected = _position_convolve(mu, nu)
     assert [pos for pos, _ in out.atoms] == [pos for pos, _ in expected]
     assert all(pos.base == out.base for pos in out.support)
-    assert [w for _, w in out.atoms] == [w for _, w in expected]
+    assert [type(w) for _, w in out.atoms] == [type(w) for _, w in expected]
+    if out.mode == REAL:
+        # bit for bit what mpf arithmetic under workprec(128) gives
+        assert [w._mpf_ for _, w in out.atoms] == [w._mpf_ for _, w in expected]
+    else:
+        assert [w for _, w in out.atoms] == [w for _, w in expected]
 
 
 @settings(max_examples=150)
@@ -289,6 +339,14 @@ def test_t_weight_radical_position_requires_real_mode():
     out = t_weight(mu.to_real())
     with workprec(128):
         assert abs(out.weights[0] - mpmath.sqrt(2)) < mpf(2) ** -100
+    # masses that round: bit for bit the mpf products at 128 bits
+    mu = make_measure([(Position(F(q), 1, F(2)), w)
+                       for q, w in ((1, F(1, 3)), (3, F(2, 7)), (5, F(5, 11)))],
+                      mode="real")
+    out = t_weight(mu)
+    with workprec(128):
+        expected = [w * pos.to_mpf(128) for pos, w in mu.atoms]
+    assert [w._mpf_ for w in out.weights] == [w._mpf_ for w in expected]
 
 
 def test_moment_values():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,7 +95,8 @@ def test_transform_support_mismatch_names_the_atom(monkeypatch,
                                           t_weight(three_atom_square)))
 
     def decide(root, doubt=None):
-        fake = solver.Peel(WITNESS, root=root, doubt=doubt)
+        fake = solver.Peel(WITNESS, root=root, doubt=doubt,
+                           keys=true_root.keys)
         monkeypatch.setattr(solver, "peel_root", lambda target, config: fake)
         return aluthge_subnormal(three_atom_square)
 
@@ -223,7 +225,15 @@ def test_transform_nonunit_first_atom_nonsquare():
     mu = make_measure([(3, F(1, 4)), (6, F(1, 2)), (12, F(1, 4))])
     verdict = aluthge_subnormal(mu)
     assert verdict.outcome == WITNESS and verdict.witness.mode == "real"
-    assert verify_witness(verdict.witness, convolve(mu, t_weight(mu)))
+    target = convolve(mu, t_weight(mu))
+    assert verify_witness(verdict.witness, target)
+    # the masses c * sqrt(a_1), bit for bit as mpf arithmetic at 128 bits
+    with workprec(128):
+        scale = mpmath.sqrt(target.weights[0])
+        expected = [mpmath.mpmathify(c) * scale
+                    for _, c in peel_root(target).root]
+    assert [w._mpf_ for w in verdict.witness.weights] == \
+        [w._mpf_ for w in expected]
 
 
 def test_verify_witness_compares_positions():

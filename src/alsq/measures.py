@@ -218,12 +218,6 @@ class AtomicMeasure:
     def weights(self) -> Tuple[Weight, ...]:
         return tuple(w for _, w in self.atoms)
 
-    def weight_at(self, pos: Position) -> Optional[Weight]:
-        for candidate, w in self.atoms:
-            if candidate == pos:
-                return w
-        return None
-
     def total_mass(self) -> Weight:
         with workprec(512):  # exact for rationals, lossless for real sums
             total = self.zero_mass
@@ -413,7 +407,7 @@ def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION
 
         finish = from_raw
     else:
-        (mu_masses, mu_den), (nu_masses, nu_den) = _numerators(mu), _numerators(nu)
+        (mu_masses, mu_den), (nu_masses, nu_den) = numerators(mu), numerators(nu)
         mul, add = operator.mul, operator.add
         den = mu_den * nu_den
 
@@ -431,14 +425,19 @@ def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION
             else:
                 merged[key] = mul(wx, wy)
                 first[key] = (px, py)
+    # every point is over ``base``, so a product is built as
+    # ``Position.__mul__`` builds it, without its base comparison
     atoms = []
     for key in sorted(merged):
         px, py = first[key]
-        atoms.append((px * py, finish(merged[key])))
+        k = px.k + py.k
+        pos = (_position(px.q * py.q * base, 0, base) if k == 2
+               else _position(px.q * py.q, k, base))
+        atoms.append((pos, finish(merged[key])))
     return AtomicMeasure(base, mode, tuple(atoms))
 
 
-def _numerators(mu: AtomicMeasure) -> Tuple[List[int], int]:
+def numerators(mu: AtomicMeasure) -> Tuple[List[int], int]:
     """The rational masses of ``mu`` as int numerators over the lcm of
     their denominators, and that lcm."""
     den = lcm(*(w.denominator for w in mu.weights))

@@ -28,6 +28,14 @@ input is always decided exactly, and ``undetermined`` only arises in real
 mode (a forced mass within tolerance of zero, or a refutation reached after
 a residual within tolerance of zero was taken as cancelled) or when a witness
 fails its independent re-check by convolution.
+
+The decision path takes its precision explicitly from ``SolverConfig``:
+``convolve``, ``t_weight``, the peel, the witness masses and the witness
+check compute exactly or on raw libmp values rounded at ``precision_bits``,
+and none of them enters mpmath's global context, so threads may call
+``sqrt_of`` and ``aluthge_subnormal`` at different precisions at once.  The closed forms of ``analyze``, the loader's string
+weights, ``moment``/``normalize``/``total_mass`` and ``hankel_psd`` still
+switch that context.
 """
 
 from __future__ import annotations
@@ -37,8 +45,23 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
-from mpmath import mpf, workprec
-from mpmath.libmp import mpf_mul, mpf_sqrt, round_nearest
+from mpmath import mpf
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpf_abs,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pow_int,
+    mpf_sqrt,
+    mpf_sub,
+    round_nearest,
+)
 
 from .diagram import Violation
 from .measures import (
@@ -50,6 +73,7 @@ from .measures import (
     convolve,
     int_keys,
     make_measure,
+    numerators,
     t_weight,
 )
 from .scalars import (
@@ -63,6 +87,8 @@ from .scalars import (
     to_mpf,
     to_raw,
 )
+
+_TWO = from_int(2)
 
 WITNESS = "witness"
 IMPOSSIBLE = "impossible"
@@ -158,6 +184,18 @@ class Peel:
 _ROUNDING_BITS = 16
 
 
+class _Powers(dict):
+    """The powers of one int, each computed on first use."""
+
+    def __init__(self, base: int):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, exponent: int) -> int:
+        value = self[exponent] = self.base ** exponent
+        return value
+
+
 def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> Peel:
     """Peel the unique root of ``target`` off its smallest atoms.
 
@@ -169,74 +207,143 @@ def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> P
     residual within tolerance of zero counts as cancelled; one above rounding
     level at a key whose root atom would not overflow may hide a tiny root
     atom, so a later refutation is reported as ``undetermined``.
+
+    No scalar object is built in the loop.  Rational masses are int pairs
+    (n, e) standing for n / D^e: with N_j the int numerators of the target
+    masses over their common denominator and D = 2*N_1, the masses relative
+    to a_1 are 2*N_j / D and halving multiplies by N_1 / D, so every forced
+    mass lies in Z[1/D]; whole factors of D are divided out of each forced
+    mass, and one Fraction is built per root atom.  Real masses are raw
+    libmp values, each operation rounded to nearest at ``bits``, as mpf
+    operators at that working precision round them and in the same order,
+    without entering mpmath's global context.
     """
     atoms = target.atoms
     exact = target.mode == RATIONAL
     bits = config.precision_bits
-    with workprec(bits):
-        keys = int_keys(target.support)
-        k1 = keys[0]
+    if exact:
+        nums, _ = numerators(target)
+        n1 = nums[0]
+        d = 2 * n1
+        powers = _Powers(d)
+        masses = [(1, 0)] + [(2 * n, 1) for n in nums[1:]]
+
+        def half(r):
+            n, e = r[0] * n1, r[1] + 1
+            while e and n % d == 0:
+                n //= d
+                e -= 1
+            return n, e
+
+        def twice(x):
+            return 2 * x[0], x[1]
+
+        def mul(x, y):
+            return x[0] * y[0], x[1] + y[1]
+
+        def sub(x, y):
+            (a, ea), (b, eb) = x, y
+            if ea == eb:
+                return a - b, ea
+            if ea > eb:
+                return a - b * powers[ea - eb], ea
+            return a * powers[eb - ea] - b, eb
+
+        def neg(x):
+            return -x[0], x[1]
+
+        def value(x):
+            return Fraction(x[0], powers[x[1]])
+    else:
+        a1 = to_raw(atoms[0][1], bits)
+        masses = [mpf_div(to_raw(w, bits), a1, bits, round_nearest)
+                  for _, w in atoms]
+        tol = to_raw(config.tolerance, bits)
+        neg_tol = mpf_neg(tol, bits, round_nearest)
+        rounding = mpf_pow_int(_TWO, _ROUNDING_BITS - bits, bits, round_nearest)
+
+        def half(r):
+            return mpf_div(r, _TWO, bits, round_nearest)
+
+        def twice(x):
+            return mpf_mul_int(x, 2, bits, round_nearest)
+
+        def mul(x, y):
+            return mpf_mul(x, y, bits, round_nearest)
+
+        def sub(x, y):
+            return mpf_sub(x, y, bits, round_nearest)
+
+        def neg(x):
+            return mpf_neg(x, bits, round_nearest)
+
+        value = from_raw
+    keys = int_keys(target.support)
+    k1 = keys[0]
+    at = [key * k1 for key in keys]
+    index = {z: j for j, z in enumerate(at)}
+    residual = dict(zip(at[1:], masses[1:]))
+    heap = at[1:]  # ascending, hence already a heap
+    # the root atom y with y*y1 at z squares to (z/K_1)^2; it overflows
+    # beyond the top target atom K_p*K_1 when z^2 > K_p*K_1^3
+    limit = keys[-1] * k1 ** 3
+    root = [(k1, masses[0], 0)]
+    worst = fzero
+    doubt: Optional[str] = None
+    while heap:
+        z = heappop(heap)
+        r = residual.pop(z)
+        j = index.get(z)
         if exact:
-            a1 = atoms[0][1]
-            masses: List[Scalar] = [w / a1 for _, w in atoms]
+            if not r[0]:
+                continue
         else:
-            a1 = to_mpf(atoms[0][1], bits)
-            masses = [to_mpf(w, bits) / a1 for _, w in atoms]
-            tol = to_mpf(config.tolerance, bits)
-            rounding = mpf(2) ** (_ROUNDING_BITS - bits)
-        at = [key * k1 for key in keys]
-        index = {z: j for j, z in enumerate(at)}
-        residual = dict(zip(at[1:], masses[1:]))
-        heap = at[1:]  # ascending, hence already a heap
-        # the root atom y with y*y1 at z squares to (z/K_1)^2; it overflows
-        # beyond the top target atom K_p*K_1 when z^2 > K_p*K_1^3
-        limit = keys[-1] * k1 ** 3
-        root: List[Tuple[int, Scalar, int]] = [(k1, masses[0], 0)]
-        worst = mpf(0)
-        doubt: Optional[str] = None
-        while heap:
-            z = heappop(heap)
-            r = residual.pop(z)
-            j = index.get(z)
-            if exact:
-                if r == 0:
-                    continue
-            else:
-                wanted = masses[j] if j is not None else 0
-                scale = max(abs(wanted), abs(wanted - r))
-                if abs(r) <= tol * scale:
-                    worst = max(worst, abs(r) / scale)
-                    if doubt is None and abs(r) > rounding * scale and z * z <= limit:
-                        doubt = (
-                            f"the residual {_scalar_str(r)}*a1 at "
-                            f"{_at(atoms, z, j, k1)} was taken as zero within "
-                            "tolerance, but a root atom of that tiny mass "
-                            "may sit there")
-                    continue
-            c = r / 2
-            if c <= 0 if exact else c < -tol * scale:
-                return _refuted(_nonpositive(atoms, root, z, j, c, k1), doubt)
-            if not exact and c <= tol * scale:
-                return Peel(UNDETERMINED, note=(
-                    f"the root atom y with y*y1 = {_at(atoms, z, j, k1)} has a "
-                    f"forced mass {_scalar_str(c)}*sqrt(a1) within tolerance "
-                    "of zero"))
-            # c > 0 here, so z is a target atom: elsewhere the residual is a
-            # sum of subtracted positive terms
-            if z * z > limit:
-                return _refuted(Violation(
-                    "peel-overflow", (j + 1,),
-                    f"the root atom y with y*y1 = {atoms[j][0]} (y1^2 = "
-                    f"{atoms[0][0]}) would square to "
-                    f"{atoms[j][0] * atoms[j][0] / atoms[0][0]}, beyond the "
-                    f"top atom {atoms[-1][0]}"), doubt)
-            key = keys[j]
-            for other, mass, _ in root[1:]:
-                _subtract(residual, heap, other * key, 2 * c * mass)
-            _subtract(residual, heap, key * key, c * c)
-            root.append((key, c, j))
-    return Peel(WITNESS, root=tuple((j, c) for _, c, j in root), residual=worst,
-                doubt=doubt, keys=tuple(keys))
+            wanted = masses[j] if j is not None else fzero
+            size = mpf_abs(r, bits, round_nearest)
+            scale = mpf_abs(wanted, bits, round_nearest)
+            moved = mpf_abs(mpf_sub(wanted, r, bits, round_nearest), bits,
+                            round_nearest)
+            if mpf_gt(moved, scale):
+                scale = moved
+            if mpf_le(size, mpf_mul(tol, scale, bits, round_nearest)):
+                ratio = mpf_div(size, scale, bits, round_nearest)
+                if mpf_gt(ratio, worst):
+                    worst = ratio
+                if (doubt is None and z * z <= limit and mpf_gt(
+                        size, mpf_mul(rounding, scale, bits, round_nearest))):
+                    doubt = (
+                        f"the residual {_scalar_str(value(r))}*a1 at "
+                        f"{_at(atoms, z, j, k1)} was taken as zero within "
+                        "tolerance, but a root atom of that tiny mass "
+                        "may sit there")
+                continue
+        c = half(r)
+        if c[0] <= 0 if exact else mpf_lt(
+                c, mpf_mul(neg_tol, scale, bits, round_nearest)):
+            return _refuted(_nonpositive(atoms, root, z, j, value(c), k1),
+                            doubt)
+        if not exact and mpf_le(c, mpf_mul(tol, scale, bits, round_nearest)):
+            return Peel(UNDETERMINED, note=(
+                f"the root atom y with y*y1 = {_at(atoms, z, j, k1)} has a "
+                f"forced mass {_scalar_str(value(c))}*sqrt(a1) within "
+                "tolerance of zero"))
+        # c > 0 here, so z is a target atom: elsewhere the residual is a
+        # sum of subtracted positive terms
+        if z * z > limit:
+            return _refuted(Violation(
+                "peel-overflow", (j + 1,),
+                f"the root atom y with y*y1 = {atoms[j][0]} (y1^2 = "
+                f"{atoms[0][0]}) would square to "
+                f"{atoms[j][0] * atoms[j][0] / atoms[0][0]}, beyond the "
+                f"top atom {atoms[-1][0]}"), doubt)
+        key = keys[j]
+        double = twice(c)
+        for other, mass, _ in root[1:]:
+            _subtract(residual, heap, other * key, mul(double, mass), sub, neg)
+        _subtract(residual, heap, key * key, mul(c, c), sub, neg)
+        root.append((key, c, j))
+    return Peel(WITNESS, root=tuple((j, value(c)) for _, c, j in root),
+                residual=from_raw(worst), doubt=doubt, keys=tuple(keys))
 
 
 def _refuted(certificate: Violation, doubt: Optional[str]) -> Peel:
@@ -246,11 +353,11 @@ def _refuted(certificate: Violation, doubt: Optional[str]) -> Peel:
                                    f"{certificate.message}")
 
 
-def _subtract(residual: dict, heap: list, key: int, value: Scalar) -> None:
+def _subtract(residual: dict, heap: list, key: int, value, sub, neg) -> None:
     if key in residual:
-        residual[key] -= value
+        residual[key] = sub(residual[key], value)
     else:
-        residual[key] = -value
+        residual[key] = neg(value)
         heappush(heap, key)
 
 
@@ -284,8 +391,8 @@ def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
         if root is not None:
             return RATIONAL, [c * root for c in cs], []
     bits = config.precision_bits
-    # rounded to nearest at bits, as mpmath.sqrt and the mpf product under
-    # workprec(bits) round them
+    # rounded to nearest at bits, as mpmath.sqrt and the mpf product at that
+    # working precision round them
     scale = mpf_sqrt(to_raw(a1, bits), bits, round_nearest)
     weights = [from_raw(mpf_mul(to_raw(c, bits), scale, bits, round_nearest))
                for c in cs]

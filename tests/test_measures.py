@@ -158,7 +158,7 @@ def test_convolve_merges_coinciding_products():
     mu = make_measure([(1, F(1, 2)), (2, F(1, 4)), (4, F(1, 4))])
     square = convolve(mu, mu)
     # 4 arises from 1*4 and 2*2
-    assert square.weight_at(Position.of(F(4))) == 2 * F(1, 2) * F(1, 4) + F(1, 16)
+    assert dict(square.atoms)[Position.of(F(4))] == 2 * F(1, 2) * F(1, 4) + F(1, 16)
 
 
 def test_convolve_incompatible_radical_bases():

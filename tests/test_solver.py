@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import mpmath
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
+from alsq import solver
+from alsq.diagram import Violation
 from alsq.generate import GeneratorSpec, generate
 from alsq.measures import (
     MeasureError,
@@ -13,15 +17,18 @@ from alsq.measures import (
     ZeroAtomError,
     convolve,
     dirac,
+    int_keys,
     make_measure,
     power_positions,
     scale_positions,
     t_weight,
 )
+from alsq.scalars import DEFAULT_TOLERANCE, to_mpf
 from alsq.solver import (
     IMPOSSIBLE,
     UNDETERMINED,
     WITNESS,
+    Peel,
     SolverConfig,
     aluthge_subnormal,
     peel_root,
@@ -178,6 +185,244 @@ def test_solve_uniform_three_atoms_impossible():
     assert verdict.outcome == IMPOSSIBLE
     assert verdict.certificate.rule == "peel-nonpositive-mass"
     assert "-9/16" in verdict.certificate.message
+
+
+# ---------------------------------------------------------------------------
+# the peel against its Fraction / mpf reference
+# ---------------------------------------------------------------------------
+
+def _reference_peel(target, config=SolverConfig()):
+    """The peel on Fraction and mpf scalars under ``workprec``: the
+    reference that the int / raw libmp peel must match field by field."""
+    atoms = target.atoms
+    exact = target.mode == "rational"
+    bits = config.precision_bits
+    with workprec(bits):
+        keys = int_keys(target.support)
+        k1 = keys[0]
+        if exact:
+            a1 = atoms[0][1]
+            masses = [w / a1 for _, w in atoms]
+        else:
+            a1 = to_mpf(atoms[0][1], bits)
+            masses = [to_mpf(w, bits) / a1 for _, w in atoms]
+            tol = to_mpf(config.tolerance, bits)
+            rounding = mpf(2) ** (solver._ROUNDING_BITS - bits)
+        at = [key * k1 for key in keys]
+        index = {z: j for j, z in enumerate(at)}
+        residual = dict(zip(at[1:], masses[1:]))
+        heap = at[1:]
+        limit = keys[-1] * k1 ** 3
+        root = [(k1, masses[0], 0)]
+        worst = mpf(0)
+        doubt = None
+        while heap:
+            z = heappop(heap)
+            r = residual.pop(z)
+            j = index.get(z)
+            if exact:
+                if r == 0:
+                    continue
+            else:
+                wanted = masses[j] if j is not None else 0
+                scale = max(abs(wanted), abs(wanted - r))
+                if abs(r) <= tol * scale:
+                    worst = max(worst, abs(r) / scale)
+                    if (doubt is None and abs(r) > rounding * scale
+                            and z * z <= limit):
+                        doubt = (
+                            f"the residual {solver._scalar_str(r)}*a1 at "
+                            f"{solver._at(atoms, z, j, k1)} was taken as zero "
+                            "within tolerance, but a root atom of that tiny "
+                            "mass may sit there")
+                    continue
+            c = r / 2
+            if c <= 0 if exact else c < -tol * scale:
+                return solver._refuted(
+                    solver._nonpositive(atoms, root, z, j, c, k1), doubt)
+            if not exact and c <= tol * scale:
+                return Peel(UNDETERMINED, note=(
+                    f"the root atom y with y*y1 = "
+                    f"{solver._at(atoms, z, j, k1)} has a forced mass "
+                    f"{solver._scalar_str(c)}*sqrt(a1) within tolerance of "
+                    "zero"))
+            if z * z > limit:
+                return solver._refuted(Violation(
+                    "peel-overflow", (j + 1,),
+                    f"the root atom y with y*y1 = {atoms[j][0]} (y1^2 = "
+                    f"{atoms[0][0]}) would square to "
+                    f"{atoms[j][0] * atoms[j][0] / atoms[0][0]}, beyond the "
+                    f"top atom {atoms[-1][0]}"), doubt)
+            key = keys[j]
+            for other, mass, _ in root[1:]:
+                _reference_subtract(residual, heap, other * key, 2 * c * mass)
+            _reference_subtract(residual, heap, key * key, c * c)
+            root.append((key, c, j))
+    return Peel(WITNESS, root=tuple((j, c) for _, c, j in root),
+                residual=worst, doubt=doubt, keys=tuple(keys))
+
+
+def _reference_subtract(residual, heap, key, value):
+    if key in residual:
+        residual[key] -= value
+    else:
+        residual[key] = -value
+        heappush(heap, key)
+
+
+def _peel_fields(peel):
+    """Every field of a peel, masses with their type and raw libmp value."""
+    cert = peel.certificate
+    return (peel.outcome,
+            [(j, type(c), c._mpf_ if isinstance(c, mpf) else c)
+             for j, c in peel.root],
+            peel.residual._mpf_, peel.doubt, peel.note, peel.keys,
+            (cert.rule, cert.indices, cert.message) if cert else None)
+
+
+def _assert_peel_matches_reference(target, config=SolverConfig()):
+    assert _peel_fields(peel_root(target, config)) == \
+        _peel_fields(_reference_peel(target, config))
+
+
+_RATIOS = (F(2), F(3, 2), F(5, 3), F(7, 4))
+_MASSES = st.fractions(min_value=F(1, 12), max_value=F(12),
+                       max_denominator=12)
+
+
+@st.composite
+def _small_measures(draw, max_atoms=7):
+    """Geometric, random or radical supports with small rational masses."""
+    n = draw(st.integers(1, max_atoms))
+    style = draw(st.sampled_from(["geometric", "random", "radical"]))
+    if style == "geometric":
+        ratio = draw(st.sampled_from(_RATIOS))
+        start = draw(st.sampled_from([F(1), F(1, 3), F(5, 2)]))
+        support = [start * ratio ** i for i in range(n)]
+    else:
+        qs = draw(st.lists(st.integers(1, 90), min_size=n, max_size=n,
+                           unique=True))
+        support = sorted(qs)
+        if style == "radical":
+            base = draw(st.sampled_from([F(2), F(3), F(5, 2)]))
+            support = [Position(F(q), draw(st.integers(0, 1)), base)
+                       for q in qs]
+    masses = draw(st.lists(_MASSES, min_size=n, max_size=n))
+    return make_measure(list(zip(support, masses)))
+
+
+@st.composite
+def _peel_targets(draw):
+    kind = draw(st.sampled_from(["square", "twin", "transform", "plain",
+                                 "arbitrary"]))
+    if kind == "arbitrary":
+        spec = GeneratorSpec(draw(st.integers(3, 23)), "arbitrary",
+                             draw(st.integers(0, 10_000)),
+                             position_style=draw(st.sampled_from(
+                                 ["geometric", "random"])))
+        target = generate(spec).measure
+    else:
+        mu = draw(_small_measures())
+        if kind == "plain":
+            target = mu
+        elif kind == "transform" and all(pos.k == 0 for pos in mu.support):
+            target = convolve(mu, t_weight(mu))
+        else:
+            target = convolve(mu, mu)
+        if kind == "twin":
+            atoms = list(target.atoms)
+            factor = draw(st.sampled_from([F(2), F(1, 2), F(3, 2)]))
+            atoms[-1] = (atoms[-1][0], atoms[-1][1] * factor)
+            target = make_measure(atoms)
+    bits = draw(st.sampled_from([None, 64, 128]))
+    if bits is None:
+        return target, SolverConfig()
+    tolerance = draw(st.sampled_from([DEFAULT_TOLERANCE, F(1, 2 ** 40),
+                                      F(1, 1000)]))
+    return target.to_real(bits), SolverConfig(bits, tolerance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_peel_targets())
+def test_peel_matches_fraction_reference(case):
+    # rational squares, twins, transform targets, radical supports and
+    # targets that are not squares, exact and at 64 and 128 bits
+    target, config = case
+    _assert_peel_matches_reference(target, config)
+
+
+def _cancellation_targets(bits):
+    tol = DEFAULT_TOLERANCE
+    out = [(make_measure([(1, 1), (2, 2), (4, 1 + shift * tol)], mode="real",
+                         bits=bits), SolverConfig(bits))
+           for shift in (F(1, 2), F(3, 2), F(3))]
+    with workprec(bits):
+        cancelled = make_measure([(1, 1), (2, 2), (4, mpf("1.0002")),
+                                  (8, mpf("0.0002")), (16, mpf("1e-8"))],
+                                 mode="real")
+    out.append((cancelled, SolverConfig(bits, F(1, 1000))))
+    rho = make_measure([(1, 1), (2, 1), (4, F(1, 2 ** 70))])
+    mu = convolve(rho, rho)
+    out.append((convolve(mu, t_weight(mu)).to_real(bits), SolverConfig(bits)))
+    rho = make_measure([(1, F(1, 3)), (2, F(1, 7)), (5, F(1, 11))])
+    square = convolve(rho, rho).to_real(bits)
+    atoms = list(square.atoms)
+    atoms[-1] = (atoms[-1][0], 2 * atoms[-1][1])
+    out.append((square, SolverConfig(bits)))
+    out.append((make_measure(atoms, mode="real"), SolverConfig(bits)))
+    # a residual 2^12 or 2^20 units of the last place at the top bit of the
+    # cancelled atom at 4, below and above the rounding floor 2^16 of them
+    for shift in (12, 20):
+        out.append((make_measure(
+            [(1, 1), (2, 2), (4, 1 + F(2 ** shift, 2 ** bits)), (8, F(1, 4)),
+             (16, F(1, 100))], mode="real", bits=bits),
+            SolverConfig(bits, F(1, 2 ** 32))))
+    return out
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_peel_matches_fraction_reference_at_cancellation(bits):
+    # the near-cancellation and rounding-floor cases of the real-mode tests
+    cases = _cancellation_targets(bits)
+    for target, config in cases:
+        _assert_peel_matches_reference(target, config)
+    peels = [peel_root(target, config) for target, config in cases]
+    assert {peel.outcome for peel in peels} == {WITNESS, IMPOSSIBLE,
+                                                UNDETERMINED}
+    below, above = peels[-2:]
+    assert below.outcome == IMPOSSIBLE
+    assert above.outcome == UNDETERMINED
+    assert "taken as zero" in above.note
+
+
+@pytest.mark.parametrize("bits", [None, 128, 256])
+def test_decisions_enter_no_working_precision(monkeypatch, bits):
+    # the decision path passes precision explicitly: it never switches
+    # mpmath's global context, so threads cannot disturb one another
+    entered = []
+    real_workprec = mpmath.workprec
+
+    def spy(n, *args, **kwargs):
+        entered.append(n)
+        return real_workprec(n, *args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "workprec", spy)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "alsq" and hasattr(module, "workprec"):
+            monkeypatch.setattr(module, "workprec", spy)
+    config = SolverConfig() if bits is None else SolverConfig(bits)
+    for spec in (GeneratorSpec(6, "with-root", 3),
+                 GeneratorSpec(5, "with-aluthge-root", 4),
+                 GeneratorSpec(9, "arbitrary", 174)):
+        mu = generate(spec).measure
+        if bits is not None:
+            mu = mu.to_real(bits)
+        sqrt_of(mu, config)
+        aluthge_subnormal(mu, config)
+        peel_root(mu, config)
+        peel_root(convolve(mu, t_weight(mu, config.precision_bits),
+                           bits=config.precision_bits), config)
+    assert entered == []
 
 
 # ---------------------------------------------------------------------------

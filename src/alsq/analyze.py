@@ -34,8 +34,6 @@ from .solver import DEFAULT_CONFIG, SolverConfig, Verdict, aluthge_subnormal, sq
 class AnalyzeOptions:
     config: SolverConfig = DEFAULT_CONFIG
     shift_terms: int = 0  # 0 disables the tables
-    run_sqrt: bool = True
-    run_aluthge: bool = True
 
 
 @dataclass
@@ -50,7 +48,7 @@ class AnalysisReport:
     ur_summary: dict
     structural: Optional[dict]
     sqrt_verdict: Optional[Verdict]
-    aluthge_verdict: Optional[Verdict]
+    aluthge_verdict: Verdict
     small_verdict: Optional[Verdict]
     agreement: Optional[bool]
     shift_tables: Optional[dict]
@@ -72,7 +70,7 @@ class AnalysisReport:
             "ur": self.ur_summary,
             "structural_certificate": self.structural,
             "sqrt": self.sqrt_verdict.to_json_dict() if self.sqrt_verdict else None,
-            "aluthge": self.aluthge_verdict.to_json_dict() if self.aluthge_verdict else None,
+            "aluthge": self.aluthge_verdict.to_json_dict(),
             "closed_form": self.small_verdict.to_json_dict() if self.small_verdict else None,
             "agreement": self.agreement,
             "shift_tables": self.shift_tables,
@@ -103,14 +101,13 @@ class AnalysisReport:
                 lines.append(f"    root = {self.sqrt_verdict.witness}")
             if self.sqrt_verdict.certificate is not None:
                 lines.append(f"    {self.sqrt_verdict.certificate.render()}")
-        if self.aluthge_verdict:
-            lines.append(f"transform    : {self.aluthge_verdict.outcome}"
-                         + (" (subnormal)" if self.aluthge_verdict.is_witness else ""))
-            if self.aluthge_verdict.witness is not None:
-                lines.append(f"    root of reweighted square = "
-                             f"{self.aluthge_verdict.witness}")
-            if self.aluthge_verdict.certificate is not None:
-                lines.append(f"    {self.aluthge_verdict.certificate.render()}")
+        lines.append(f"transform    : {self.aluthge_verdict.outcome}"
+                     + (" (subnormal)" if self.aluthge_verdict.is_witness else ""))
+        if self.aluthge_verdict.witness is not None:
+            lines.append(f"    root of reweighted square = "
+                         f"{self.aluthge_verdict.witness}")
+        if self.aluthge_verdict.certificate is not None:
+            lines.append(f"    {self.aluthge_verdict.certificate.render()}")
         if self.small_verdict is not None:
             mark = "agrees" if self.agreement else "DISAGREES"
             lines.append(f"closed form  : {self.small_verdict.outcome} "
@@ -119,12 +116,8 @@ class AnalysisReport:
             lines.append(f"note         : {note}")
         if self.shift_tables:
             lines.append("shift tables :")
-            header = f"    {'n':>3} {'alpha':>22} {'aluthge alpha':>22} " \
-                     f"{'gamma':>22} {'aluthge gamma':>22}"
-            lines.append(header)
-            rows = self.shift_tables["rows"]
-            for row in rows:
-                lines.append("    {:>3} {:>22} {:>22} {:>22} {:>22}".format(*row))
+            lines.extend("    " + line
+                         for line in render_shift_rows(self.shift_tables["rows"]))
         return "\n".join(lines)
 
 
@@ -145,23 +138,22 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
     violation = structural_certificate(diagram) if body.p >= 2 else None
 
     sqrt_verdict = None
-    if options.run_sqrt:
-        try:
-            sqrt_verdict = sqrt_of(body, config)
-        except MeasureError as exc:
-            notes.append(f"square-root search skipped: {exc}")
-    aluthge_verdict = aluthge_subnormal(body, config) if options.run_aluthge else None
+    try:
+        sqrt_verdict = sqrt_of(body, config)
+    except MeasureError as exc:
+        notes.append(f"square-root search skipped: {exc}")
+    aluthge_verdict = aluthge_subnormal(body, config)
 
     small_verdict = None
     agreement = None
     if 3 <= body.p <= 6 and all(pos.k == 0 for pos in body.support):
         small_verdict = classify_small(body, config)
-        if aluthge_verdict is not None:
-            agreement = small_verdict.outcome == aluthge_verdict.outcome
+        agreement = small_verdict.outcome == aluthge_verdict.outcome
 
     shift_tables = None
     if options.shift_terms > 0:
-        shift_tables = _shift_tables(body, options.shift_terms, config)
+        shift_tables = shift_table(body, options.shift_terms,
+                                   config.precision_bits)
 
     if zero_note:
         notes.insert(0, "analysis applies to the restriction away from the "
@@ -187,7 +179,17 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
     )
 
 
-def _shift_tables(mu: AtomicMeasure, terms: int, config: SolverConfig) -> dict:
+def shift_table(mu: AtomicMeasure, terms: int, bits: int) -> dict:
+    """:func:`shift_rows` with each value printed to 15 digits."""
     rows = [(n,) + tuple(to_str(x, 15) for x in row)
-            for n, row in enumerate(shift_rows(mu, terms, config.precision_bits))]
+            for n, row in enumerate(shift_rows(mu, terms, bits))]
     return {"terms": terms, "rows": rows}
+
+
+def render_shift_rows(rows) -> List[str]:
+    """A header line and one aligned line per row of a shift table."""
+    lines = [f"{'n':>3} {'alpha':>22} {'aluthge alpha':>22} "
+             f"{'gamma':>22} {'aluthge gamma':>22}"]
+    lines.extend("{:>3} {:>22} {:>22} {:>22} {:>22}".format(*row)
+                 for row in rows)
+    return lines

@@ -16,7 +16,7 @@ import traceback
 from fractions import Fraction
 from typing import Optional
 
-from .analyze import AnalyzeOptions, analyze
+from .analyze import AnalyzeOptions, analyze, render_shift_rows, shift_table
 from .diagram import render_diagram
 from .generate import MODES, GeneratorSpec, generate
 from .measures import (
@@ -104,9 +104,7 @@ def cmd_analyze(args) -> int:
         if args.diagram:
             print()
             print(render_diagram(report.diagram))
-    if report.aluthge_verdict is not None:
-        return _VERDICT_EXIT[report.aluthge_verdict.outcome]
-    return EXIT_OK
+    return _VERDICT_EXIT[report.aluthge_verdict.outcome]
 
 
 def cmd_sqrt(args) -> int:
@@ -134,19 +132,14 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_shift(args) -> int:
+    if args.terms < 1:
+        raise MeasureError("--terms must be at least 1")
     _, mu = strip_zero_atom(_load(args.measure, args))
-    options = AnalyzeOptions(config=_config(args), shift_terms=args.terms,
-                             run_sqrt=False, run_aluthge=False)
-    report = analyze(mu, options)
+    tables = shift_table(mu, args.terms, args.precision)
     if args.json:
-        print(json.dumps({"schema": SCHEMA, "shift_tables": report.shift_tables},
-                         indent=2))
+        print(json.dumps({"schema": SCHEMA, "shift_tables": tables}, indent=2))
     else:
-        header = f"{'n':>3} {'alpha':>22} {'aluthge alpha':>22} " \
-                 f"{'gamma':>22} {'aluthge gamma':>22}"
-        print(header)
-        for row in report.shift_tables["rows"]:
-            print("{:>3} {:>22} {:>22} {:>22} {:>22}".format(*row))
+        print("\n".join(render_shift_rows(tables["rows"])))
     return EXIT_OK
 
 

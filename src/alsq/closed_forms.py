@@ -17,6 +17,9 @@ explicit small witness:
 The witness returned squares to the measure itself; its existence is
 equivalent to solvability of the reweighted self-convolution problem in
 this atom range, so the outcome doubles as the subnormality answer.
+
+A real mass is a dyadic rational, so the identities are evaluated exactly in
+both modes; in real mode only their final comparison allows the tolerance.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Tuple
 
-import mpmath
-from mpmath import workprec
+from mpmath.libmp import mpf_div, mpf_mul_int, mpf_sqrt, round_nearest
 
 from .diagram import Violation, geometric_profile
 from .measures import (
@@ -36,9 +38,11 @@ from .measures import (
     Position,
     make_measure,
 )
-from .scalars import close_rel, sqrt_fraction, to_mpf
+from .scalars import from_raw, mpf_to_fraction, sqrt_fraction, to_raw
 from .solver import (
     IMPOSSIBLE,
+    UNDETERMINED,
+    UNVERIFIED,
     WITNESS,
     DEFAULT_CONFIG,
     InternalError,
@@ -49,22 +53,23 @@ from .solver import (
 
 
 class _Checker:
-    """Mode-aware equality/positivity for weight identities."""
+    """The masses as exact rationals, and the comparisons of the weight
+    identities: exact in rational mode, within the relative tolerance
+    (|x - y| <= tol * max(|x|, |y|, 1), as ``close_rel``) in real mode."""
 
     def __init__(self, mu: AtomicMeasure, config: SolverConfig):
-        self.real = mu.mode == REAL
-        self.bits = config.precision_bits
-        self.tol = to_mpf(config.tolerance, config.precision_bits)
+        real = mu.mode == REAL
+        self.a = ([mpf_to_fraction(w) for w in mu.weights] if real
+                  else list(mu.weights))
+        self.tol = config.tolerance if real else None
 
-    def eq(self, x, y) -> bool:
-        if self.real:
-            return close_rel(to_mpf(x, self.bits), to_mpf(y, self.bits), self.tol)
-        return x == y
+    def eq(self, x: Fraction, y: Fraction) -> bool:
+        if self.tol is None:
+            return x == y
+        return abs(x - y) <= self.tol * max(abs(x), abs(y), 1)
 
-    def pos(self, x) -> bool:
-        if self.real:
-            return x > self.tol
-        return x > 0
+    def pos(self, x: Fraction) -> bool:
+        return x > (0 if self.tol is None else self.tol)
 
 
 def classify_small(
@@ -82,16 +87,13 @@ def classify_small(
             "closed forms require rational atom positions; apply "
             "power_positions(mu, 2) first")
     checker = _Checker(mu, config)
-    # real-mode identities multiply masses before comparing them, so they
-    # must run at the configured precision, not mpmath's global one
-    with workprec(config.precision_bits):
-        if p == 3:
-            return _three_atoms(mu, checker, config)
-        if p == 4:
-            return _four_atoms(config)
-        if p == 5:
-            return _five_atoms(mu, checker, config)
-        return _six_atoms(mu, checker, config)
+    if p == 3:
+        return _three_atoms(mu, checker, config)
+    if p == 4:
+        return _four_atoms(config)
+    if p == 5:
+        return _five_atoms(mu, checker, config)
+    return _six_atoms(mu, checker, config)
 
 
 def _impossible(rule: str, indices: Tuple[int, ...], message: str,
@@ -110,7 +112,7 @@ def _four_atoms(config: SolverConfig) -> Verdict:
 def _three_atoms(mu: AtomicMeasure, checker: _Checker,
                  config: SolverConfig) -> Verdict:
     lam = [pos.q for pos in mu.support]
-    a = list(mu.weights)
+    a = checker.a
     if lam[1] * lam[1] != lam[0] * lam[2]:
         return _impossible(
             "three-atom-support", (1, 2, 3),
@@ -120,9 +122,8 @@ def _three_atoms(mu: AtomicMeasure, checker: _Checker,
         return _impossible(
             "three-atom-weights", (1, 2, 3),
             "the middle mass must satisfy a2^2 = 4*a1*a3", config)
-    ratio = lam[1] / lam[0]
-    witness = _sqrt_witness(mu, [(Fraction(1), a[0]),
-                                 (ratio, a[2])], config)
+    witness = _sqrt_witness(mu, [(Fraction(1), 0), (lam[1] / lam[0], 2)],
+                            config)
     return _verified(witness, mu, config)
 
 
@@ -134,7 +135,7 @@ def _five_atoms(mu: AtomicMeasure, checker: _Checker,
             "a five-atom measure admits a root only on a geometric support",
             config)
     lam = [pos.q for pos in mu.support]
-    a = list(mu.weights)
+    a = checker.a
     if not checker.eq(a[1] * a[1] * a[4], a[3] * a[3] * a[0]):
         return _impossible(
             "five-atom-weights", (1, 2, 4, 5),
@@ -147,19 +148,15 @@ def _five_atoms(mu: AtomicMeasure, checker: _Checker,
             "the middle mass must satisfy a3 = a2^2/(4*a1) + 2*sqrt(a1*a5)",
             config)
     ratio = lam[1] / lam[0]
-    half = _half_weight(a[1], a[0], mu, config)
-    witness = _sqrt_witness(mu, [
-        (Fraction(1), a[0]),
-        (ratio, None, half),
-        (ratio * ratio, a[4]),
-    ], config)
+    witness = _sqrt_witness(mu, [(Fraction(1), 0), (ratio, None),
+                                 (ratio * ratio, 4)], config)
     return _verified(witness, mu, config)
 
 
 def _six_atoms(mu: AtomicMeasure, checker: _Checker,
                config: SolverConfig) -> Verdict:
     lam = [pos.q for pos in mu.support]
-    a = list(mu.weights)
+    a = checker.a
     sq2 = lam[1] * lam[1]
     sq5 = lam[4] * lam[4]
     j = next((m for m in range(2, 6) if sq2 == lam[0] * lam[m]), None)
@@ -236,9 +233,7 @@ def _six_atoms(mu: AtomicMeasure, checker: _Checker,
             return _impossible(
                 "six-atom-case-weights", indices,
                 f"the masses must satisfy {text}", config)
-    witness = _sqrt_witness(mu, [
-        (rel, a[anchor]) for rel, anchor in zip(rels, anchors)
-    ], config)
+    witness = _sqrt_witness(mu, list(zip(rels, anchors)), config)
     return _verified(witness, mu, config)
 
 
@@ -246,61 +241,50 @@ def _six_atoms(mu: AtomicMeasure, checker: _Checker,
 # witness construction
 # ---------------------------------------------------------------------------
 
-def _half_weight(a2, a1, mu: AtomicMeasure, config: SolverConfig):
-    """a2 / (2 sqrt(a1)), exact when possible."""
-    if mu.mode == RATIONAL:
-        root = sqrt_fraction(a1)
-        if root is not None:
-            return a2 / (2 * root)
-    with workprec(config.precision_bits):
-        return to_mpf(a2, config.precision_bits) / (
-            2 * mpmath.sqrt(to_mpf(a1, config.precision_bits)))
-
-
 def _sqrt_witness(mu: AtomicMeasure, spec: List[tuple],
                   config: SolverConfig) -> AtomicMeasure:
-    """Build the witness sqrt-measure: entries are (relative position,
-    mass-to-square-root) or (relative position, None, explicit mass).
-    Positions are rel * sqrt(lam_1), exact over the radical base lam_1."""
-    lam1 = mu.support[0].q
-    atoms = []
-    exact = mu.mode == RATIONAL
-    weights = []
-    for entry in spec:
-        if entry[1] is not None:
-            value = entry[1]
-            if exact and isinstance(value, Fraction):
-                weights.append(sqrt_fraction(value))  # None when irrational
-            else:
-                weights.append(None)
-        else:
-            weights.append(entry[2] if isinstance(entry[2], Fraction) and exact else None)
-    all_exact = exact and all(w is not None for w in weights)
+    """The root with an atom rel * sqrt(lam_1) per entry (rel, m) of
+    ``spec`` and mass sqrt(a_m), or a_2 / (2 sqrt(a_1)) when m is None:
+    exact when every mass is rational, else all rounded to nearest at the
+    configured precision."""
+    w = mu.weights
     bits = config.precision_bits
-    for entry, w in zip(spec, weights):
-        rel = entry[0]
-        pos = Position(rel, 1, lam1)
-        if all_exact:
-            atoms.append((pos, w))
-        else:
-            with workprec(bits):
-                if entry[1] is not None:
-                    mass = mpmath.sqrt(to_mpf(entry[1], bits))
-                else:
-                    mass = to_mpf(entry[2], bits)
-            atoms.append((pos, mass))
-    mode = RATIONAL if all_exact else REAL
+
+    def exact(m):
+        if m is not None:
+            return sqrt_fraction(w[m])
+        root = sqrt_fraction(w[0])
+        return None if root is None else w[1] / (2 * root)
+
+    def rounded(m):
+        if m is not None:
+            return mpf_sqrt(to_raw(w[m], bits), bits, round_nearest)
+        twice_root = mpf_mul_int(rounded(0), 2, bits, round_nearest)
+        return mpf_div(to_raw(w[1], bits), twice_root, bits, round_nearest)
+
+    mode = mu.mode
+    masses = [exact(m) for _, m in spec] if mode == RATIONAL else [None]
+    if None in masses:
+        mode = REAL
+        masses = [from_raw(rounded(m)) for _, m in spec]
+    lam1 = mu.support[0].q
+    atoms = [(Position(rel, 1, lam1), mass)
+             for (rel, _), mass in zip(spec, masses)]
     return make_measure(atoms, mode=mode, base=lam1, bits=bits)
 
 
 def _verified(witness: AtomicMeasure, mu: AtomicMeasure,
               config: SolverConfig) -> Verdict:
+    """An exact witness must square back to ``mu``; a rounded one may miss
+    at a low precision, and then the verdict is ``undetermined``."""
+    bits = config.precision_bits
     if not verify_witness(witness, mu, config):
-        raise InternalError(
-            "closed-form witness failed re-verification; this contradicts the "
-            "characterization and indicates a bug")
+        if witness.mode == RATIONAL:
+            raise InternalError(
+                "closed-form witness failed re-verification; this contradicts "
+                "the characterization and indicates a bug")
+        return Verdict(UNDETERMINED, precision_bits=bits, notes=(UNVERIFIED,))
     notes = ("witness squares to the measure itself",)
     if witness.mode == REAL and mu.mode == RATIONAL:
         notes += ("witness masses are irrational; emitted as reals",)
-    return Verdict(WITNESS, witness=witness, precision_bits=config.precision_bits,
-                   notes=notes)
+    return Verdict(WITNESS, witness=witness, precision_bits=bits, notes=notes)

@@ -22,13 +22,20 @@ from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
-from mpmath import mpf, workprec
-from mpmath.libmp import mpf_add, mpf_mul, mpf_sqrt, round_nearest
+from mpmath import mpf
+from mpmath.libmp import (
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_sqrt,
+    round_nearest,
+)
 
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
-    ScalarError,
     format_rational,
     from_raw,
     mpf_to_fraction,
@@ -41,6 +48,10 @@ from .scalars import (
 
 RATIONAL = "rational"
 REAL = "real"
+
+# real-mode total masses are summed this wide: lossless for masses of
+# comparable size at any working precision up to it
+_SUM_BITS = 512
 
 
 class MeasureError(ValueError):
@@ -219,11 +230,15 @@ class AtomicMeasure:
         return tuple(w for _, w in self.atoms)
 
     def total_mass(self) -> Weight:
-        with workprec(512):  # exact for rationals, lossless for real sums
-            total = self.zero_mass
-            for _, w in self.atoms:
-                total = total + w
-            return total
+        """The sum of all masses, the one at the origin included: exact in
+        rational mode, rounded to nearest at 512 bits in real mode."""
+        if self.mode == RATIONAL:
+            return sum(self.weights, self.zero_mass)
+        total = operand(self.zero_mass, _SUM_BITS)
+        for w in self.weights:
+            total = mpf_add(total, operand(w, _SUM_BITS), _SUM_BITS,
+                            round_nearest)
+        return from_raw(total)
 
     def has_zero_atom(self) -> bool:
         return _weight_nonzero(self.zero_mass)
@@ -294,7 +309,8 @@ def make_measure(
             if raw == 0:
                 if weight <= 0:
                     raise MeasureError("mass at the origin must be positive")
-                zero = zero + weight
+                zero = (zero + weight if mode == RATIONAL else from_raw(
+                    mpf_add(zero._mpf_, weight._mpf_, bits, round_nearest)))
                 continue
             pos = Position(raw, 0, inferred)
         if weight <= 0:
@@ -317,21 +333,18 @@ def make_measure(
 
 
 def _convert_weight(w, mode: str, bits: int) -> Weight:
+    """A weight of ``mode``.  A string is parsed as an exact rational (a
+    non-finite one raises ``ScalarError``), rounded toward zero at ``bits``
+    in real mode."""
+    if isinstance(w, str):
+        w = parse_rational(w)
     if mode == RATIONAL:
         if isinstance(w, mpf):
             raise MeasureError("rational mode cannot hold floating weights")
-        if isinstance(w, str):
-            return parse_rational(w)
         return Fraction(w)
     if isinstance(w, mpf):
         return w
-    if isinstance(w, str):
-        with workprec(bits):
-            try:
-                return +mpmath.mpmathify(Fraction(w))
-            except (ValueError, ZeroDivisionError):
-                return mpmath.mpf(w)
-    return to_mpf(Fraction(w) if not isinstance(w, Fraction) else w, bits)
+    return to_mpf(Fraction(w), bits)
 
 
 def dirac(position, weight=1, mode: str = RATIONAL, base: Fraction = Fraction(1)) -> AtomicMeasure:
@@ -479,11 +492,21 @@ def moment(mu: AtomicMeasure, n: int, bits: int = DEFAULT_PRECISION_BITS):
             value = pos.q ** n * pos.base ** ((pos.k * n) // 2)
             total += w * value
         return total
-    with workprec(bits):
-        total = mpf(0)
-        for pos, w in mu.atoms:
-            total += to_mpf(w, bits) * pos.to_mpf(bits) ** n
-        return total
+    ws = [to_raw(w, bits) for w in mu.weights]
+    xs = [pos.to_mpf(bits)._mpf_ for pos in mu.support]
+    return from_raw(power_sum(ws, xs, n, bits))
+
+
+def power_sum(ws: Sequence[tuple], xs: Sequence[tuple], n: int,
+              bits: int) -> tuple:
+    """The sum of w * x^n over raw libmp values, each power, product and
+    partial sum rounded to nearest at ``bits`` in the order of the atoms."""
+    total = fzero
+    for w, x in zip(ws, xs):
+        term = mpf_mul(w, mpf_pow_int(x, n, bits, round_nearest), bits,
+                       round_nearest)
+        total = mpf_add(total, term, bits, round_nearest)
+    return total
 
 
 def scale_positions(mu: AtomicMeasure, x: Union[Fraction, int, str]) -> AtomicMeasure:
@@ -517,9 +540,15 @@ def normalize(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMe
     total = mu.total_mass()
     if not _weight_nonzero(total):
         raise MeasureError("cannot normalize a measure with zero total mass")
-    with workprec(bits):
-        atoms = tuple((pos, w / total) for pos, w in mu.atoms)
-        zero = mu.zero_mass / total if _weight_nonzero(mu.zero_mass) else mu.zero_mass
+
+    def share(w):  # real masses rounded to nearest at bits
+        if mu.mode == RATIONAL:
+            return w / total
+        return from_raw(mpf_div(operand(w, bits), total._mpf_, bits,
+                                round_nearest))
+
+    atoms = tuple((pos, share(w)) for pos, w in mu.atoms)
+    zero = share(mu.zero_mass) if _weight_nonzero(mu.zero_mass) else mu.zero_mass
     return AtomicMeasure(mu.base, mu.mode, atoms, zero)
 
 
@@ -562,35 +591,30 @@ def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> At
     if mode not in (RATIONAL, REAL):
         raise MeasureError(f"unknown scalar mode {mode!r}")
     atoms: List[AtomLike] = []
-    zero: Union[Weight, int] = 0
     for index, atom in enumerate(raw_atoms):
         try:
             q = parse_rational(str(atom["pos_q"]))
             k = int(atom["pos_k"])
-            weight = str(atom["weight"])
-        except (KeyError, TypeError, ValueError, ScalarError) as exc:
+            weight = _convert_weight(str(atom["weight"]), mode, bits)
+        except (KeyError, TypeError, ValueError) as exc:
             raise MeasureError(f"atom {index}: {exc}") from exc
         if k not in (0, 1):
             raise MeasureError(f"atom {index}: pos_k must be 0 or 1")
-        if q == 0:
-            if k != 0:
-                raise MeasureError(f"atom {index}: the origin cannot carry a radical")
-            zero_w = _convert_weight(weight, mode, bits)
-            if zero_w <= 0:
-                raise MeasureError(f"atom {index}: weight must be positive")
-            zero = zero_w if zero == 0 else zero + zero_w
-            continue
         if q < 0:
             raise MeasureError(f"atom {index}: negative positions are not modeled")
+        if q == 0 and k != 0:
+            raise MeasureError(f"atom {index}: the origin cannot carry a radical")
+        if weight <= 0:
+            raise MeasureError(f"atom {index}: weight must be positive")
+        if q == 0:  # make_measure sums the masses at the origin
+            atoms.append((q, weight))
+            continue
         try:
-            parsed = _convert_weight(weight, mode, bits)
-            if parsed <= 0:
-                raise MeasureError("weight must be positive")
-            atoms.append((Position(q, k, base), parsed))
+            atoms.append((Position(q, k, base), weight))
         except MeasureError as exc:
             raise MeasureError(f"atom {index}: {exc}") from exc
     try:
-        return make_measure(atoms, mode=mode, base=base, zero_mass=zero, bits=bits)
+        return make_measure(atoms, mode=mode, base=base, bits=bits)
     except MeasureError as exc:
         raise MeasureError(str(exc)) from exc
 

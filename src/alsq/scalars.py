@@ -123,8 +123,9 @@ def mpf_to_fraction(x: mpf) -> Fraction:
         if x == 0:
             return Fraction(0)
         raise ScalarError(f"cannot convert non-finite value {x!r} to a rational")
-    value = Fraction(man) * Fraction(2) ** exp
-    return -value if sign else value
+    if sign:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def close_rel(x: mpf, y: mpf, tol: mpf) -> bool:

@@ -20,19 +20,16 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath
-from mpmath import mpf, workprec
-from mpmath.libmp import (
-    fone,
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_pow_int,
-    mpf_sqrt,
-    round_nearest,
-)
+from mpmath import mpf
+from mpmath.libmp import fone, mpf_div, mpf_mul, mpf_sqrt, round_nearest
 
-from .measures import RATIONAL, AtomicMeasure, MeasureError
+from .measures import (
+    RATIONAL,
+    AtomicMeasure,
+    MeasureError,
+    normalize,
+    power_sum,
+)
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
@@ -49,7 +46,6 @@ from .scalars import (
 # on mpmath's global precision.  Each atom is converted once per measure.
 
 _N = round_nearest
-_TOTAL_BITS = 512  # the total mass is summed wider, as total_mass() sums it
 
 
 def _moments(mu: AtomicMeasure, weights: Sequence, count: int,
@@ -74,11 +70,7 @@ def _moments(mu: AtomicMeasure, weights: Sequence, count: int,
         ws = [to_raw(w, bits) for w in weights]
         xs = [pos.to_mpf(bits)._mpf_ for pos in mu.support]
         for n in inexact:
-            total = fzero
-            for w, x in zip(ws, xs):
-                term = mpf_mul(w, mpf_pow_int(x, n, bits, _N), bits, _N)
-                total = mpf_add(total, term, bits, _N)
-            gammas[n] = total
+            gammas[n] = power_sum(ws, xs, n, bits)
     return gammas
 
 
@@ -87,16 +79,7 @@ def _alpha(mu: AtomicMeasure, count: int, bits: int) -> list:
     measure: sqrt(g_{n+1} / g_n)."""
     if count < 1:
         raise MeasureError("at least one weight must be requested")
-    weights = mu.weights
-    if mu.mode == RATIONAL:
-        total = sum(weights, Fraction(0))
-        prob = [w / total for w in weights]
-    else:
-        total = fzero
-        for w in weights:
-            total = mpf_add(total, operand(w, _TOTAL_BITS), _TOTAL_BITS, _N)
-        prob = [from_raw(mpf_div(operand(w, bits), total, bits, _N))
-                for w in weights]
+    prob = normalize(mu, bits).weights
     gammas = [g if type(g) is tuple else to_raw(g, bits)
               for g in _moments(mu, prob, count + 1, bits)]
     return [mpf_sqrt(mpf_div(gammas[n + 1], gammas[n], bits, _N), bits, _N)
@@ -173,7 +156,7 @@ def hankel_psd(
     if len(gammas) < 2 * n + 2:
         raise MeasureError(
             f"need {2 * n + 2} moments for order {n}, got {len(gammas)}")
-    with workprec(bits):
+    with mpmath.workprec(bits):
         values = [to_mpf(g, bits) for g in gammas]
         results = []
         for offset in (0, 1):

@@ -33,9 +33,10 @@ The decision path takes its precision explicitly from ``SolverConfig``:
 ``convolve``, ``t_weight``, the peel, the witness masses and the witness
 check compute exactly or on raw libmp values rounded at ``precision_bits``,
 and none of them enters mpmath's global context, so threads may call
-``sqrt_of`` and ``aluthge_subnormal`` at different precisions at once.  The closed forms of ``analyze``, the loader's string
-weights, ``moment``/``normalize``/``total_mass`` and ``hankel_psd`` still
-switch that context.
+``sqrt_of`` and ``aluthge_subnormal`` at different precisions at once.  The
+same holds for the closed forms, the loader and ``analyze``; only
+``shifts.hankel_psd`` and the acceptance suite in ``selftest`` still switch
+that context.
 """
 
 from __future__ import annotations
@@ -93,6 +94,10 @@ _TWO = from_int(2)
 WITNESS = "witness"
 IMPOSSIBLE = "impossible"
 UNDETERMINED = "undetermined"
+
+# the note of an ``undetermined`` verdict whose rounded witness does not
+# square back to the target within tolerance
+UNVERIFIED = "witness failed independent re-verification"
 
 
 class InternalError(RuntimeError):
@@ -416,8 +421,8 @@ def _decide(target: AtomicMeasure, peel: Peel, positions: Sequence[Position],
     witness = make_measure(list(zip(positions, weights)), mode=mode,
                            base=base, bits=bits)
     if not verify_witness(witness, target, config):
-        return Verdict(UNDETERMINED, precision_bits=bits, notes=tuple(
-            notes + ["witness failed independent re-verification"]))
+        return Verdict(UNDETERMINED, precision_bits=bits,
+                       notes=tuple(notes + [UNVERIFIED]))
     return Verdict(WITNESS, witness=witness,
                    residual=decimal_str(peel.residual), precision_bits=bits,
                    notes=tuple(notes + extra))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from alsq.cli import main
+from alsq.generate import GeneratorSpec, generate
 from alsq.measures import dumps_measure, load_measure, make_measure
 from alsq.selftest import example_two
 
@@ -79,6 +80,32 @@ def test_shift_table(capsys, six_atom_file):
     assert code == 0
     assert "aluthge gamma" in out
     assert len([l for l in out.splitlines() if l.strip()]) == 5
+
+
+def test_shift_table_matches_analyze(capsys, six_atom_file):
+    assert main(["shift", six_atom_file, "--terms", "6"]) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert main(["shift", six_atom_file, "--terms", "6", "--json"]) == 0
+    tables = json.loads(capsys.readouterr().out)["shift_tables"]
+    main(["analyze", six_atom_file, "--shift-terms", "6"])
+    report = capsys.readouterr().out.splitlines()
+    assert ["    " + line for line in text] == report[-7:]
+    main(["analyze", six_atom_file, "--shift-terms", "6", "--json"])
+    assert json.loads(capsys.readouterr().out)["shift_tables"] == tables
+    assert main(["shift", six_atom_file, "--terms", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_low_precision_real_witness_is_no_internal_fault(capsys, tmp_path):
+    # at 64 bits the closed-form witness of this instance fails its re-check
+    path = tmp_path / "m.json"
+    mu = generate(GeneratorSpec(5, "with-aluthge-root", 4046)).measure
+    path.write_text(dumps_measure(mu.to_real(64)))
+    assert main(["analyze", "--precision", "64", "--json", str(path)]) != 4
+    data = json.loads(capsys.readouterr().out)
+    assert data["closed_form"]["outcome"] == "undetermined"
+    assert main(["shift", "--precision", "64", str(path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_recurrence_output(capsys, six_atom_file):

@@ -10,7 +10,15 @@ from alsq.measures import (
     convolve,
     make_measure,
 )
-from alsq.solver import IMPOSSIBLE, WITNESS, aluthge_subnormal, verify_witness
+from alsq.solver import (
+    IMPOSSIBLE,
+    UNDETERMINED,
+    UNVERIFIED,
+    WITNESS,
+    SolverConfig,
+    aluthge_subnormal,
+    verify_witness,
+)
 
 F = Fraction
 
@@ -64,6 +72,16 @@ def test_real_mode_identities_use_configured_precision():
     verdict = classify_small(mu)
     assert verdict.outcome == WITNESS
     assert verify_witness(verdict.witness, mu)
+
+
+def test_real_witness_failing_its_check_is_undetermined():
+    # the exact identities hold for these masses rounded to 64 bits, but
+    # the witness rounded at 64 bits does not square back within 2^-64:
+    # rounding, not a contradiction of the characterization
+    mu = generate(GeneratorSpec(5, "with-aluthge-root", 4046)).measure
+    verdict = classify_small(mu.to_real(64), SolverConfig(64))
+    assert verdict.outcome == UNDETERMINED
+    assert verdict.notes == (UNVERIFIED,)
 
 
 def test_five_atom_nongeometric_refuted():

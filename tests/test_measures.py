@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from math import lcm
@@ -507,6 +508,24 @@ def test_real_mode_accepts_decimal_and_rational_weights():
     mu = loads_measure(text)
     assert mu.mode == "real"
     assert mu.total_mass() == 1
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0x10"])
+def test_real_mode_nonfinite_or_malformed_weight_rejected(weight, tmp_path,
+                                                          capsys):
+    from alsq.cli import main
+
+    text = json.dumps({"radical_base": "1", "mode": "real", "atoms": [
+        {"pos_q": "1", "pos_k": 0, "weight": "1/4"},
+        {"pos_q": "2", "pos_k": 0, "weight": weight},
+        {"pos_q": "4", "pos_k": 0, "weight": "1/4"}]})
+    with pytest.raises(MeasureError, match="atom 1"):
+        loads_measure(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["aluthge", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: atom 1") and "Traceback" not in err
 
 
 def test_real_mode_weight_below_tolerance_rejected():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
 from alsq import solver
+from alsq.analyze import AnalyzeOptions, analyze
+from alsq.closed_forms import classify_small
 from alsq.diagram import Violation
 from alsq.generate import GeneratorSpec, generate
 from alsq.measures import (
@@ -18,7 +20,10 @@ from alsq.measures import (
     convolve,
     dirac,
     int_keys,
+    loads_measure,
     make_measure,
+    moment,
+    normalize,
     power_positions,
     scale_positions,
     t_weight,
@@ -397,8 +402,9 @@ def test_peel_matches_fraction_reference_at_cancellation(bits):
 
 @pytest.mark.parametrize("bits", [None, 128, 256])
 def test_decisions_enter_no_working_precision(monkeypatch, bits):
-    # the decision path passes precision explicitly: it never switches
-    # mpmath's global context, so threads cannot disturb one another
+    # the decision path, analyze, the loader and the measure helpers pass
+    # precision explicitly: they never switch mpmath's global context, so
+    # threads cannot disturb one another
     entered = []
     real_workprec = mpmath.workprec
 
@@ -411,17 +417,32 @@ def test_decisions_enter_no_working_precision(monkeypatch, bits):
         if name.split(".")[0] == "alsq" and hasattr(module, "workprec"):
             monkeypatch.setattr(module, "workprec", spy)
     config = SolverConfig() if bits is None else SolverConfig(bits)
-    for spec in (GeneratorSpec(6, "with-root", 3),
-                 GeneratorSpec(5, "with-aluthge-root", 4),
-                 GeneratorSpec(9, "arbitrary", 174)):
-        mu = generate(spec).measure
+    prec = config.precision_bits
+    radical = make_measure([(Position(F(k), 1, F(2)), F(1, 3))
+                            for k in (1, 2, 3)])
+    for mu in [generate(spec).measure
+               for spec in (GeneratorSpec(3, "with-root", 2),
+                            GeneratorSpec(6, "with-root", 3),
+                            GeneratorSpec(5, "with-aluthge-root", 4),
+                            GeneratorSpec(9, "arbitrary", 174))] + [radical]:
         if bits is not None:
             mu = mu.to_real(bits)
-        sqrt_of(mu, config)
+        if mu.support[0].k == 0:  # rational positions
+            sqrt_of(mu, config)
+            peel_root(mu, config)
+            peel_root(convolve(mu, t_weight(mu, prec), bits=prec), config)
+            if mu.p <= 6:
+                classify_small(mu, config)
         aluthge_subnormal(mu, config)
-        peel_root(mu, config)
-        peel_root(convolve(mu, t_weight(mu, config.precision_bits),
-                           bits=config.precision_bits), config)
+        analyze(mu, AnalyzeOptions(config, shift_terms=20))
+        normalize(mu, prec)
+        mu.total_mass()
+        moment(mu, 3, prec)
+    loads_measure('''{"radical_base": "1", "mode": "real", "atoms": [
+        {"pos_q": "1", "pos_k": 0, "weight": "0.125"},
+        {"pos_q": "2", "pos_k": 0, "weight": "1.1e-3"},
+        {"pos_q": "0", "pos_k": 0, "weight": "1/3"},
+        {"pos_q": "0", "pos_k": 0, "weight": "0.3"}]}''', bits=prec)
     assert entered == []
 
 

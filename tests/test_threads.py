@@ -1,14 +1,22 @@
 """Real-mode results do not depend on which thread computes them.
 
-The decision path and the shift tables take their precision explicitly and
-never switch mpmath's global context, so threads working at different
-precisions at the same time must each get the serial results bit for bit.
-``analyze`` is left out: its closed forms still switch that context."""
+Real arithmetic in ``alsq`` takes its precision explicitly and never
+switches mpmath's global context; only ``shifts.hankel_psd`` and the
+acceptance suite in ``selftest`` still do.  So threads running ``analyze``
+and the decision path at different precisions at the same time must each
+get the serial results bit for bit and leave the global precision as it
+was, and no other code may name ``workprec``."""
 
+import ast
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
+
+import alsq
+from alsq.analyze import AnalyzeOptions, analyze
 from alsq.generate import GeneratorSpec, generate
 from alsq.measures import convolve, make_measure, t_weight
 from alsq.shifts import shift_rows
@@ -52,7 +60,8 @@ def _results(measures, bits):
                     _raw(weighted),
                     _verdict(sqrt_of(real, config)),
                     _verdict(aluthge_subnormal(real, config)),
-                    shift_rows(real, 12, bits)))
+                    shift_rows(real, 12, bits),
+                    analyze(real, AnalyzeOptions(config, 12)).to_json_dict()))
     return out
 
 
@@ -62,6 +71,7 @@ def test_threads_at_different_precisions_match_serial_runs():
     assert expected[128] != expected[256]
     mismatches = []
     done = []
+    prec = mpmath.mp.prec
 
     def work(bits):
         for _ in range(ROUNDS):
@@ -83,3 +93,39 @@ def test_threads_at_different_precisions_match_serial_runs():
     assert not any(thread.is_alive() for thread in threads)
     assert len(done) == THREADS
     assert mismatches == []
+    # threads entering and leaving workprec at once restore one another's
+    # precision, so any entry from these calls would show here
+    assert mpmath.mp.prec == prec
+
+
+def _workprec_uses(tree):
+    """(enclosing function or None, line) of every name, attribute and
+    imported name ``workprec`` in a module."""
+    uses = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        names = ((node.id,) if isinstance(node, ast.Name)
+                 else (node.attr,) if isinstance(node, ast.Attribute)
+                 else (node.name, node.asname) if isinstance(node, ast.alias)
+                 else ())
+        if "workprec" in names:
+            uses.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return uses
+
+
+def test_only_hankel_psd_and_selftest_use_workprec():
+    allowed, found = [], []
+    for path in sorted(Path(alsq.__file__).parent.glob("*.py")):
+        if path.name == "selftest.py":
+            continue
+        for function, line in _workprec_uses(ast.parse(path.read_text())):
+            ok = (path.name, function) == ("shifts.py", "hankel_psd")
+            (allowed if ok else found).append(f"{path.name}:{line} in {function}")
+    assert allowed  # the scan sees hankel_psd's use
+    assert found == []

@@ -27,7 +27,7 @@ from .measures import (
     strip_zero_atom,
 )
 from .shifts import shift_rows
-from .solver import DEFAULT_CONFIG, SolverConfig, Verdict, aluthge_subnormal, sqrt_of
+from .solver import DEFAULT_CONFIG, WITNESS, SolverConfig, Verdict, aluthge_subnormal, sqrt_of
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class AnalysisReport:
             if self.sqrt_verdict.certificate is not None:
                 lines.append(f"    {self.sqrt_verdict.certificate.render()}")
         lines.append(f"transform    : {self.aluthge_verdict.outcome}"
-                     + (" (subnormal)" if self.aluthge_verdict.is_witness else ""))
+                     + (" (subnormal)" if self.aluthge_verdict.outcome == WITNESS else ""))
         if self.aluthge_verdict.witness is not None:
             lines.append(f"    root of reweighted square = "
                          f"{self.aluthge_verdict.witness}")

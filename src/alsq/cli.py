@@ -29,7 +29,7 @@ from .measures import (
     save_measure,
     strip_zero_atom,
 )
-from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, ScalarError
+from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, ScalarError, parse_rational
 from .shifts import minimal_recurrence, moment_sequence
 from .solver import (
     IMPOSSIBLE,
@@ -54,26 +54,32 @@ _VERDICT_EXIT = {WITNESS: EXIT_OK, IMPOSSIBLE: EXIT_IMPOSSIBLE,
 SCHEMA = "alsq/1"
 
 
+def _precision(text: str) -> int:
+    bits = int(text)  # argparse reports a ValueError as an invalid value
+    if bits < 1:  # libmp reads precision 0 as exact and may never return
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {bits}")
+    return bits
+
+
+def _tolerance(text: str) -> Fraction:
+    try:
+        tol = parse_rational(text)
+    except ScalarError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not 0 < tol < 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {tol}")
+    return tol
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS,
+    common.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION_BITS,
                         metavar="BITS", help="working precision in bits")
-    common.add_argument("--tol", default=None, metavar="DECIMAL",
-                        help="comparison tolerance (default 2^-64)")
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
+                        metavar="DECIMAL", help="comparison tolerance in (0, 1) (default 2^-64)")
     common.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     return common
-
-
-def _config(args) -> SolverConfig:
-    if args.tol is None:
-        tol = DEFAULT_TOLERANCE
-    else:
-        try:
-            tol = Fraction(args.tol)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarError(f"cannot parse tolerance {args.tol!r}") from exc
-    return SolverConfig(precision_bits=args.precision, tolerance=tol)
 
 
 def _load(path: str, args) -> AtomicMeasure:
@@ -92,7 +98,7 @@ def _print_verdict(verdict: Verdict, args) -> int:
 
 def cmd_analyze(args) -> int:
     mu = _load(args.measure, args)
-    options = AnalyzeOptions(config=_config(args), shift_terms=args.shift_terms)
+    options = AnalyzeOptions(SolverConfig(args.precision, args.tol), args.shift_terms)
     report = analyze(mu, options)
     if args.json:
         payload = report.to_json_dict()
@@ -109,12 +115,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_sqrt(args) -> int:
     _, mu = strip_zero_atom(_load(args.measure, args))
-    return _print_verdict(sqrt_of(mu, _config(args)), args)
+    return _print_verdict(sqrt_of(mu, SolverConfig(args.precision, args.tol)), args)
 
 
 def cmd_aluthge(args) -> int:
     _, mu = strip_zero_atom(_load(args.measure, args))
-    return _print_verdict(aluthge_subnormal(mu, _config(args)), args)
+    return _print_verdict(aluthge_subnormal(mu, SolverConfig(args.precision, args.tol)), args)
 
 
 def cmd_convolve(args) -> int:

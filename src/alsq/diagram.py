@@ -71,20 +71,6 @@ class ProductDiagram:
         (i, j), (k, l) = first, second
         return self.index[i][j] == self.index[k][l]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "card": self.card,
-            "entries": [
-                {
-                    "product": str(entry.position),
-                    "pairs": [[i + 1, j + 1] for i, j in entry.pairs],
-                    "uniquely_represented": entry.is_ur,
-                }
-                for entry in self.entries
-            ],
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class URClassification:
@@ -183,15 +169,6 @@ class CardinalityCheck:
 
     def bounds(self) -> Tuple[int, Optional[int]]:
         return (self.lower, self.upper)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "card": self.card,
-            "lower": self.lower,
-            "upper": self.upper,
-            "ok": self.ok,
-        }
 
 
 def cardinality_check(source: Source) -> CardinalityCheck:

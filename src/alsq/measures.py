@@ -590,18 +590,16 @@ def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> At
         raise MeasureError(f"malformed measure document: missing {exc}") from exc
     if mode not in (RATIONAL, REAL):
         raise MeasureError(f"unknown scalar mode {mode!r}")
+    if not isinstance(raw_atoms, list):
+        raise MeasureError("malformed measure document: atoms must be a list")
     atoms: List[AtomLike] = []
     for index, atom in enumerate(raw_atoms):
         try:
             q = parse_rational(str(atom["pos_q"]))
             k = int(atom["pos_k"])
             weight = _convert_weight(str(atom["weight"]), mode, bits)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MeasureError(f"atom {index}: {exc}") from exc
-        if k not in (0, 1):
-            raise MeasureError(f"atom {index}: pos_k must be 0 or 1")
-        if q < 0:
-            raise MeasureError(f"atom {index}: negative positions are not modeled")
         if q == 0 and k != 0:
             raise MeasureError(f"atom {index}: the origin cannot carry a radical")
         if weight <= 0:
@@ -610,13 +608,13 @@ def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> At
             atoms.append((q, weight))
             continue
         try:
-            atoms.append((Position(q, k, base), weight))
-        except MeasureError as exc:
+            pos = Position(q, k, base)
+            if pos.k < k:  # a square base folded its root into q
+                format_rational(pos.q)
+        except ValueError as exc:  # a MeasureError, or q beyond the digit limit
             raise MeasureError(f"atom {index}: {exc}") from exc
-    try:
-        return make_measure(atoms, mode=mode, base=base, bits=bits)
-    except MeasureError as exc:
-        raise MeasureError(str(exc)) from exc
+        atoms.append((pos, weight))
+    return make_measure(atoms, mode=mode, base=base, bits=bits)
 
 
 def dumps_measure(mu: AtomicMeasure) -> str:
@@ -626,7 +624,7 @@ def dumps_measure(mu: AtomicMeasure) -> str:
 def loads_measure(text: str, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int literal beyond the digit limit
         raise MeasureError(f"invalid JSON: {exc}") from exc
     return measure_from_json_dict(data, bits=bits)
 

@@ -12,6 +12,7 @@ Positions of atoms are always exact; only masses may be floating.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -49,11 +50,26 @@ class ScalarError(ValueError):
 # ---------------------------------------------------------------------------
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", an integer string, or a plain decimal string exactly."""
+    """Parse "p/q", an integer string, or a plain decimal string exactly, but
+    build no numerator or denominator over ``sys.get_int_max_str_digits()``."""
+    text = text.strip()
+    limit = sys.get_int_max_str_digits()
+    mantissa, _, exponent = text.lstrip("+-").upper().partition("E")
     try:
-        return Fraction(text.strip())
+        # digits of the unreduced numerator and denominator, or more
+        size = len(mantissa)
+        if size > limit:  # p and q of "p/q" count separately
+            size = max(map(len, mantissa.split("/")))
+        if exponent:
+            whole, _, decimals = mantissa.partition(".")
+            shift = int(exponent)
+            size = max(len(whole) + len(decimals) + max(shift, 0),
+                       len(decimals) + max(-shift, 0) + 1)
+        if not limit or size <= limit:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ScalarError(f"malformed rational {text!r}") from exc
+        raise ScalarError(f"malformed rational {text[:40]!r}") from exc
+    raise ScalarError(f"rational {text[:40]!r} has more than {limit} digits")
 
 
 def format_rational(value: Fraction) -> str:

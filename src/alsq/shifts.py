@@ -15,11 +15,11 @@ atom count and the characteristic polynomial of the support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import mpmath
 from mpmath import mpf
 from mpmath.libmp import fone, mpf_div, mpf_mul, mpf_sqrt, round_nearest
 
@@ -34,8 +34,8 @@ from .scalars import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
     from_raw,
+    mpf_to_fraction,
     operand,
-    to_mpf,
     to_raw,
 )
 
@@ -148,28 +148,38 @@ def aluthge_moment_sequence(mu: AtomicMeasure, count: int,
 def hankel_psd(
     gammas: Sequence,
     n: int,
-    bits: int = DEFAULT_PRECISION_BITS,
     tol: Fraction = DEFAULT_TOLERANCE,
 ) -> Tuple[bool, bool]:
-    """Positive semidefiniteness of (g_{i+j}) and (g_{i+j+1}) for i,j <= n,
-    via symmetric eigenvalues with threshold -tol * trace."""
+    """Positive semidefiniteness of (g_{i+j}) and (g_{i+j+1}) for i,j <= n
+    up to ``tol``: whether each one's least eigenvalue exceeds -tol times its
+    trace, decided exactly on the values given (an mpf is dyadic)."""
     if len(gammas) < 2 * n + 2:
         raise MeasureError(
             f"need {2 * n + 2} moments for order {n}, got {len(gammas)}")
-    with mpmath.workprec(bits):
-        values = [to_mpf(g, bits) for g in gammas]
-        results = []
-        for offset in (0, 1):
-            size = n + 1
-            matrix = mpmath.matrix(size, size)
-            for i in range(size):
-                for j in range(size):
-                    matrix[i, j] = values[i + j + offset]
-            eigenvalues, _ = mpmath.eigsy(matrix)
-            trace = mpmath.fsum(matrix[i, i] for i in range(size))
-            threshold = -to_mpf(tol, bits) * trace
-            results.append(min(eigenvalues) > threshold)
-    return results[0], results[1]
+    values = [mpf_to_fraction(g) if isinstance(g, mpf) else Fraction(g)
+              for g in gammas[:2 * n + 2]]
+    common = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (common // v.denominator) for v in values]
+    return tuple(_shifted_positive_definite(ints[offset:], n, tol) for offset in (0, 1))
+
+
+def _shifted_positive_definite(h: Sequence[int], n: int, tol: Fraction) -> bool:
+    """Whether H + tol * trace(H) * I, H = (h_{i+j}) for i,j <= n, is positive
+    definite.  Sylvester's criterion asks every leading minor to be positive;
+    those of the integer matrix tol.denominator times it are Bareiss's pivots."""
+    shift = tol.numerator * sum(h[0:2 * n + 1:2])
+    rows = [[h[i + j] * tol.denominator + (shift if i == j else 0)
+             for j in range(n + 1)] for i in range(n + 1)]
+    previous = 1
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            return False
+        for row in rows[k + 1:]:
+            row[k + 1:] = [(x * pivot - row[k] * y) // previous
+                           for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
+        previous = pivot
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,9 @@ The decision path takes its precision explicitly from ``SolverConfig``:
 check compute exactly or on raw libmp values rounded at ``precision_bits``,
 and none of them enters mpmath's global context, so threads may call
 ``sqrt_of`` and ``aluthge_subnormal`` at different precisions at once.  The
-same holds for the closed forms, the loader and ``analyze``; only
-``shifts.hankel_psd`` and the acceptance suite in ``selftest`` still switch
-that context.
+same holds for the closed forms, the loader, ``analyze`` and
+``shifts.hankel_psd``, which is exact; only the acceptance suite in
+``selftest`` still switches that context.
 """
 
 from __future__ import annotations
@@ -122,14 +122,6 @@ class Verdict:
     residual: Optional[str] = None
     precision_bits: int = DEFAULT_PRECISION_BITS
     notes: Tuple[str, ...] = ()
-
-    @property
-    def is_witness(self) -> bool:
-        return self.outcome == WITNESS
-
-    @property
-    def is_impossible(self) -> bool:
-        return self.outcome == IMPOSSIBLE
 
     def to_json_dict(self) -> dict:
         from .measures import measure_to_json_dict

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import alsq
 from alsq.cli import main
 from alsq.generate import GeneratorSpec, generate
 from alsq.measures import dumps_measure, load_measure, make_measure
@@ -181,3 +186,51 @@ def test_internal_fault_exits_four(capsys, monkeypatch, six_atom_file):
     data = json.loads(capsys.readouterr().out)
     assert data["kind"] == "internal"
     assert "indicates a bug" in data["error"]
+
+
+def _cli(*argv):
+    """``python -m alsq.cli`` in a subprocess with a timeout, so that a hang
+    fails the test instead of stalling the suite."""
+    env = dict(os.environ)
+    src = str(Path(alsq.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "alsq.cli", *argv],
+                          capture_output=True, text=True, timeout=15, env=env)
+
+
+def _assert_usage_error(result):
+    assert result.returncode == 1
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("bits", ["0", "-5"])
+@pytest.mark.parametrize("command", ["analyze", "sqrt", "aluthge", "shift",
+                                     "convolve"])
+def test_nonpositive_precision_is_usage_error(six_atom_file, command, bits):
+    files = [six_atom_file] * (2 if command == "convolve" else 1)
+    _assert_usage_error(_cli(command, "--precision", bits, *files))
+
+
+def test_tolerance_outside_unit_interval_is_usage_error(tmp_path):
+    # a square by construction, which a tolerance of 0 or below refutes
+    path = tmp_path / "m.json"
+    mu = generate(GeneratorSpec(5, "with-aluthge-root", 7)).measure
+    path.write_text(dumps_measure(mu.to_real(128)))
+    for tol in ("1e100000000", "0", "-1", "1", "abc"):
+        _assert_usage_error(_cli("aluthge", "--tol", tol, str(path)))
+    assert main(["aluthge", "--tol", "1e-30", str(path)]) == 0
+    assert main(["aluthge", "--tol", "1/1000", str(path)]) == 0
+
+
+@pytest.mark.parametrize("mode, weight", [
+    ("real", "1e1000000"), ("rational", "1e300000"), ("rational", "1" * 5001)],
+    ids=["real-exponent", "rational-exponent", "rational-digits"])
+def test_oversized_weight_is_usage_error(tmp_path, mode, weight):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"radical_base": "1", "mode": mode, "atoms": [
+        {"pos_q": "1", "pos_k": 0, "weight": weight},
+        {"pos_q": "2", "pos_k": 0, "weight": "1"}]}))
+    result = _cli("analyze", str(path))
+    _assert_usage_error(result)
+    assert len(result.stderr) < 200  # the input is quoted by a prefix only

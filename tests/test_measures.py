@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -31,7 +32,7 @@ from alsq.measures import (
     strip_zero_atom,
     t_weight,
 )
-from alsq.scalars import to_mpf
+from alsq.scalars import ScalarError, to_mpf
 
 F = Fraction
 
@@ -534,3 +535,69 @@ def test_real_mode_weight_below_tolerance_rejected():
                          {"pos_q": "2", "pos_k": 0, "weight": "1/2"}]}'''
     with pytest.raises(MeasureError, match="tolerance"):
         loads_measure(text)
+
+
+# ---------------------------------------------------------------------------
+# hostile documents
+# ---------------------------------------------------------------------------
+
+_LIMIT = sys.get_int_max_str_digits()
+
+_number_strings = st.one_of(
+    st.fractions(min_value=F(1, 10 ** 6), max_value=F(10 ** 6),
+                 max_denominator=10 ** 6).map(str),
+    st.builds("{}e{}{}".format, st.integers(1, 99),
+              st.sampled_from(["", "-", "+"]),
+              st.one_of(st.integers(0, 2 * _LIMIT), st.integers(0, 10 ** 9))),
+    st.builds(lambda digit, n: digit * n, st.sampled_from("0123456789"),
+              st.integers(1, 2 * _LIMIT)),
+    st.builds("{}.{}".format, st.integers(0, 99),
+              st.builds(lambda n: "3" * n, st.integers(1, 2 * _LIMIT))),
+    st.builds("{}/{}".format, st.integers(-5, 10 ** 6),
+              st.integers(-5, 10 ** 6)),
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "0x10", "", " ", "-1",
+                     "0", "-0", "1e", "e5", "--1", "1.5.2", "1_", "١٢"]),
+    st.text(max_size=12),
+)
+
+# one field as JSON text: a string, or a value of another JSON type (an
+# int literal may exceed the digit limit, a float literal overflow)
+_json_fields = st.one_of(
+    _number_strings.map(json.dumps),
+    st.sampled_from(["true", "false", "null", "[]", "{}", "[1]", "1e400",
+                     "-1e400", "1e-400", "0.5", "-2", "1" * (_LIMIT + 1)]),
+    st.integers(-3, 10 ** 30).map(str),
+    st.floats().map(json.dumps),
+)
+
+
+@st.composite
+def _hostile_documents(draw):
+    """A document whose fields are mostly usual, large but valid values,
+    each replaced by a hostile one with probability 1/8."""
+    def field(*usual):
+        if draw(st.integers(0, 7)) == 0:
+            return draw(_json_fields)
+        return json.dumps(draw(st.sampled_from(usual)))
+
+    atoms = [f'{{"pos_q": {field(str(q), f"{q}e4000")}, '
+             f'"pos_k": {field(0, 1)}, '
+             f'"weight": {field("1/3", "0.25", "1e-50", "7e4000", "3" * 4000)}}}'
+             for q in draw(st.lists(st.integers(0, 60), min_size=1, max_size=4))]
+    atom_list = f"[{', '.join(atoms)}]"
+    if draw(st.integers(0, 19)) == 0:
+        atom_list = draw(_json_fields)
+    return (f'{{"radical_base": {field("1", "2", "1e4000")}, '
+            f'"mode": {field("rational", "real")}, "atoms": {atom_list}}}')
+
+
+@settings(max_examples=300, deadline=2000)
+@given(_hostile_documents(), st.sampled_from([64, 128]))
+def test_loader_rejects_hostile_documents_cleanly(text, bits):
+    """The loader returns a measure or raises its own errors, without a
+    stall; every measure it accepts survives a JSON round trip."""
+    try:
+        mu = loads_measure(text, bits)
+    except (MeasureError, ScalarError):
+        return
+    assert loads_measure(dumps_measure(mu), bits) == mu

@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -26,6 +28,24 @@ def test_parse_rational_forms():
     assert parse_rational("0.125") == F(1, 8)
     with pytest.raises(ScalarError):
         parse_rational("a/b")
+
+
+def test_parse_rational_bounds_digits_before_building():
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert parse_rational(f"1e-{limit - 1}") == F(1, 10 ** (limit - 1))
+    assert parse_rational("1" * limit) == int("1" * limit)
+    hostile = [f"1e{limit}", f"1e-{limit}", "1e100000000", "-1E1000000",
+               "1" * (limit + 1), "1/" + "3" * (limit + 1),
+               "1" * limit + "." + "1" * limit,
+               "1" * (limit - 1000) + "." + "1" * 1001 + "e-1",
+               "1e" + "9" * (limit + 1)]
+    for text in hostile:
+        start = time.perf_counter()
+        with pytest.raises(ScalarError) as caught:
+            parse_rational(text)
+        assert time.perf_counter() - start < 0.5
+        assert len(str(caught.value)) < 100  # quotes a prefix only
 
 
 def test_sqrt_fraction():

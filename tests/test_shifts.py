@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mpf, workprec
 
+from alsq import selftest
 from alsq.generate import GeneratorSpec, generate
 from alsq.measures import (
     MeasureError,
@@ -13,7 +15,7 @@ from alsq.measures import (
     moment,
     normalize,
 )
-from alsq.scalars import to_mpf
+from alsq.scalars import DEFAULT_TOLERANCE, from_raw, mpf_to_fraction, to_mpf
 from alsq.shifts import (
     RecurrenceCoefficients,
     aluthge_moment_sequence,
@@ -230,6 +232,126 @@ def test_hankel_psd_rejects_non_moment_sequence():
 def test_hankel_needs_enough_entries():
     with pytest.raises(MeasureError):
         hankel_psd([F(1), F(1), F(1)], 1)
+
+
+def _reference_hankel_psd(gammas, n, bits=128, tol=DEFAULT_TOLERANCE):
+    """The symmetric-eigenvalue test under ``workprec``: the reference
+    whose verdicts the exact test must give."""
+    with workprec(bits):
+        values = [to_mpf(g, bits) for g in gammas]
+        results = []
+        for offset in (0, 1):
+            size = n + 1
+            matrix = mpmath.matrix(size, size)
+            for i in range(size):
+                for j in range(size):
+                    matrix[i, j] = values[i + j + offset]
+            eigenvalues, _ = mpmath.eigsy(matrix)
+            trace = mpmath.fsum(matrix[i, i] for i in range(size))
+            threshold = -to_mpf(tol, bits) * trace
+            results.append(min(eigenvalues) > threshold)
+    return results[0], results[1]
+
+
+def _perturbed(gammas, rng):
+    """One entry sign-flipped, bumped by a relative 2^-1..2^-40 or
+    2^-60..2^-70, or moved by an additive 2^-100..2^-130."""
+    out = list(gammas)
+    i = rng.randrange(len(out))
+    kind, sign = rng.randrange(3), rng.choice((-1, 1))
+    if kind == 0:
+        out[i] = -out[i]
+    elif kind == 1:
+        k = rng.choice(list(range(1, 41)) + list(range(60, 71)))
+        out[i] = out[i] * (1 + sign * F(1, 2 ** k))
+    else:
+        out[i] = out[i] + sign * F(1, 2 ** rng.randint(100, 130))
+    return out
+
+
+def _as_mpf(values):
+    return [to_mpf(v, 256) for v in values]
+
+
+def _assert_reference_verdicts(cases):
+    rejected = 0
+    for gammas, n in cases:
+        verdict = hankel_psd(gammas, n)
+        assert verdict == _reference_hankel_psd(gammas, n), (gammas, n)
+        rejected += not all(verdict)
+    assert rejected  # the cases are not all positive
+
+
+def _criterion_10_sequences():
+    good3, _ = selftest._corpus_p3()
+    good5, _ = selftest._corpus_p5()
+    case_one, case_two, _ = selftest._corpus_p6()
+    return [aluthge_moment_sequence(mu, 14) for mu in
+            list(good3) + list(good5) + list(case_one) + list(case_two)]
+
+
+def test_hankel_psd_exact_boundary():
+    # [[1, b], [b, 1]] + tol * 2 * I has determinant (1 + 2 tol)^2 - b^2
+    tol = DEFAULT_TOLERANCE
+    edge = 1 + 2 * tol
+    assert hankel_psd([F(1), edge, F(1), edge], 1) == (False, True)
+    below = edge - F(1, 2 ** 200)
+    assert hankel_psd([F(1), below, F(1), below], 1) == (True, True)
+    assert hankel_psd(_as_mpf([1, edge, 1, edge]), 1) == (False, True)
+
+
+def test_hankel_psd_matches_eigenvalue_reference_on_criterion_10():
+    """Criterion 10's corpus (every instance is accepted by both tests, at
+    order 6: the criterion asserts so) and perturbations of it at orders 1,
+    2, 3 and 6, as mpf values."""
+    sequences = _criterion_10_sequences()
+    assert len(sequences) == 600
+    for gammas in sequences[::15]:
+        assert hankel_psd(gammas, 6) == _reference_hankel_psd(gammas, 6) == \
+            (True, True)
+    rng = random.Random(10)
+    cases = []
+    for index in range(200):
+        n = (1, 2, 3, 6)[index % 4]
+        gammas = rng.choice(sequences)[:2 * n + 2]
+        perturbed = _perturbed([mpf_to_fraction(g) for g in gammas], rng)
+        cases.append((_as_mpf(perturbed), n))
+    _assert_reference_verdicts(cases)
+
+
+def test_hankel_psd_matches_eigenvalue_reference_on_rational_moments():
+    rng = random.Random(11)
+    cases = []
+    for index in range(120):
+        mu = generate(GeneratorSpec(1 + index % 6, "arbitrary", 500 + index,
+                                    position_style=("geometric", "random")[index % 2])).measure
+        n = 1 + index % 4
+        gammas = moment_sequence(mu, 2 * n + 2)
+        cases.append((gammas if index % 3 == 0 else _perturbed(gammas, rng), n))
+    _assert_reference_verdicts(cases)
+
+
+def test_hankel_psd_matches_eigenvalue_reference_on_real_and_radical_moments():
+    """Both moment columns of ``shift_rows`` at orders 1..8, for rational
+    measures, their ``to_real(64/128/256)`` copies and supports moved to
+    q * sqrt(2), as they are and perturbed."""
+    rng = random.Random(12)
+    cases = []
+    for index in range(120):
+        mu = generate(GeneratorSpec(1 + index % 6, "arbitrary", 700 + index,
+                                    position_style=("geometric", "random")[index % 2])).measure
+        if index % 5 == 4:
+            mu = make_measure([(Position(pos.q, 1, F(2)), w)
+                               for pos, w in mu.atoms], base=F(2))
+        if index % 4:
+            mu = mu.to_real((64, 128, 256)[index % 4 - 1])
+        n = 1 + index % 8
+        column = 2 + index % 2
+        gammas = [from_raw(row[column]) for row in shift_rows(mu, 2 * n + 2)]
+        if index % 3:
+            gammas = _as_mpf(_perturbed([mpf_to_fraction(g) for g in gammas], rng))
+        cases.append((gammas, n))
+    _assert_reference_verdicts(cases)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from alsq.measures import (
     t_weight,
 )
 from alsq.scalars import DEFAULT_TOLERANCE, to_mpf
+from alsq.shifts import aluthge_moment_sequence, hankel_psd
 from alsq.solver import (
     IMPOSSIBLE,
     UNDETERMINED,
@@ -402,9 +403,9 @@ def test_peel_matches_fraction_reference_at_cancellation(bits):
 
 @pytest.mark.parametrize("bits", [None, 128, 256])
 def test_decisions_enter_no_working_precision(monkeypatch, bits):
-    # the decision path, analyze, the loader and the measure helpers pass
-    # precision explicitly: they never switch mpmath's global context, so
-    # threads cannot disturb one another
+    # the decision path, analyze, the loader, the measure helpers and the
+    # Hankel test pass precision explicitly or are exact: they never switch
+    # mpmath's global context, so threads cannot disturb one another
     entered = []
     real_workprec = mpmath.workprec
 
@@ -438,6 +439,7 @@ def test_decisions_enter_no_working_precision(monkeypatch, bits):
         normalize(mu, prec)
         mu.total_mass()
         moment(mu, 3, prec)
+        hankel_psd(aluthge_moment_sequence(mu, 8, prec), 3)
     loads_measure('''{"radical_base": "1", "mode": "real", "atoms": [
         {"pos_q": "1", "pos_k": 0, "weight": "0.125"},
         {"pos_q": "2", "pos_k": 0, "weight": "1.1e-3"},

@@ -1,11 +1,11 @@
 """Real-mode results do not depend on which thread computes them.
 
-Real arithmetic in ``alsq`` takes its precision explicitly and never
-switches mpmath's global context; only ``shifts.hankel_psd`` and the
-acceptance suite in ``selftest`` still do.  So threads running ``analyze``
-and the decision path at different precisions at the same time must each
-get the serial results bit for bit and leave the global precision as it
-was, and no other code may name ``workprec``."""
+Real arithmetic in ``alsq`` takes its precision explicitly or is exact, and
+never switches mpmath's global context; only the acceptance suite in
+``selftest`` still does.  So threads running ``analyze`` and the decision
+path at different precisions at the same time must each get the serial
+results bit for bit and leave the global precision as it was, and no other
+code may name ``workprec``."""
 
 import ast
 import sys
@@ -119,13 +119,11 @@ def _workprec_uses(tree):
     return uses
 
 
-def test_only_hankel_psd_and_selftest_use_workprec():
+def test_only_selftest_uses_workprec():
     allowed, found = [], []
     for path in sorted(Path(alsq.__file__).parent.glob("*.py")):
-        if path.name == "selftest.py":
-            continue
         for function, line in _workprec_uses(ast.parse(path.read_text())):
-            ok = (path.name, function) == ("shifts.py", "hankel_psd")
-            (allowed if ok else found).append(f"{path.name}:{line} in {function}")
-    assert allowed  # the scan sees hankel_psd's use
+            (allowed if path.name == "selftest.py" else found).append(
+                f"{path.name}:{line} in {function}")
+    assert allowed  # the scan sees selftest's uses
     assert found == []

@@ -54,10 +54,18 @@ _VERDICT_EXIT = {WITNESS: EXIT_OK, IMPOSSIBLE: EXIT_IMPOSSIBLE,
 SCHEMA = "alsq/1"
 
 
+# the largest --precision: a decision at 65536 bits takes about a second,
+# and the cost grows faster than linearly beyond it
+MAX_PRECISION_BITS = 65536
+
+
 def _precision(text: str) -> int:
     bits = int(text)  # argparse reports a ValueError as an invalid value
     if bits < 1:  # libmp reads precision 0 as exact and may never return
         raise argparse.ArgumentTypeError(f"must be at least 1, got {bits}")
+    if bits > MAX_PRECISION_BITS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_PRECISION_BITS}, got {bits}")
     return bits
 
 

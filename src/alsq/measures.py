@@ -10,12 +10,20 @@ Masses are either exact rationals ("rational" mode) or arbitrary-precision
 reals ("real" mode).  A mass sitting at the origin is stored separately as
 ``zero_mass`` and is only consumed by :func:`strip_zero_atom`; every other
 operation requires it to be absent.
+
+The decision procedures read a measure as a :class:`Table`: the int keys of
+its support and its masses as int numerators over one denominator or as raw
+libmp values.  :func:`products` tables a convolution without building its
+positions or masses, so ``solver`` decides the transform question on the
+table of mu * t(mu) and never materializes that measure; :func:`convolve`
+is ``products(...).measure()``.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -223,11 +231,14 @@ class AtomicMeasure:
 
     @property
     def support(self) -> Tuple[Position, ...]:
-        return tuple(pos for pos, _ in self.atoms)
+        # tuples on the decision path are built from lists: one grown from a
+        # generator is resized, which moves memory between the interpreter's
+        # per-size tuple free lists until a full garbage collection
+        return tuple([pos for pos, _ in self.atoms])
 
     @property
     def weights(self) -> Tuple[Weight, ...]:
-        return tuple(w for _, w in self.atoms)
+        return tuple([w for _, w in self.atoms])
 
     def total_mass(self) -> Weight:
         """The sum of all masses, the one at the origin included: exact in
@@ -329,7 +340,8 @@ def make_measure(
             raise MeasureError(f"duplicate position {left}")
     if not built:
         raise MeasureError("a measure needs at least one atom on (0, inf)")
-    return AtomicMeasure(inferred, mode, tuple(atom for _, atom in keyed), zero)
+    return AtomicMeasure(inferred, mode, tuple([atom for _, atom in keyed]),
+                         zero)
 
 
 def _convert_weight(w, mode: str, bits: int) -> Weight:
@@ -375,9 +387,14 @@ def int_keys(positions: Sequence[Position]) -> List[int]:
     denominators.  Over a common base x_i*x_j = x_k*x_l exactly when
     key_i*key_j = key_k*key_l, and keys order like the positions, because
     ``squared`` is injective there."""
+    return _scaled_keys(positions)[0]
+
+
+def _scaled_keys(positions: Sequence[Position]) -> Tuple[List[int], int]:
+    """The int keys of ``positions`` and the lcm that scales them."""
     # the reduced squares as int pairs; q^2 is reduced already, so only a
     # radical's q^2 * base needs a gcd (no Fraction is built: this runs per
-    # product diagram, peel and witness check)
+    # product diagram, product table and witness check)
     squares = []
     for pos in positions:
         q = pos.q
@@ -388,26 +405,110 @@ def int_keys(positions: Sequence[Position]) -> List[int]:
             common = gcd(num, den)
             num, den = num // common, den // common
         squares.append((num, den))
-    scale = lcm(*(den for _, den in squares))
-    return [num * (scale // den) for num, den in squares]
+    scale = lcm(*[den for _, den in squares])
+    return [num * (scale // den) for num, den in squares], scale
 
 
-def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
-    """Multiplicative convolution: atoms at all pairwise products x*y with
-    mass summed over coinciding products.
+class Table:
+    """A measure as the peel and the witness check read it: the int keys of
+    its support in ascending order and its masses, with no scalar object
+    per atom.
 
-    No scalar object is built per pair.  Rational masses are summed as int
-    numerators over the product of each factor's common denominator, and
-    one Fraction is built per product.  Real masses are converted once and
-    summed as raw libmp values, each operation rounded to nearest at
+    ``keys`` are the int keys of the support (:func:`int_keys`).  Rational
+    masses are the int numerators ``masses`` over the one denominator
+    ``den``; real masses are raw libmp values and ``den`` is None.  Atom j
+    sits at the product of the positions ``factors[j]``: one position for
+    an atom of a measure, the first pair that reaches it for a product.
+    ``left_keys`` are the int keys of the left factor's support, on a scale
+    of their own (the keys of the support itself for a measure).
+    """
+
+    # a plain class: making a frozen dataclass of these fields takes about
+    # 1.7 ms at import, which every CLI process pays
+    __slots__ = ("base", "mode", "keys", "masses", "den", "factors",
+                 "left_keys")
+
+    def __init__(self, base: Fraction, mode: str, keys: List[int],
+                 masses: list, den: Optional[int],
+                 factors: Sequence[Tuple[Position, ...]],
+                 left_keys: List[int]):
+        self.base, self.mode, self.keys = base, mode, keys
+        self.masses, self.den = masses, den
+        self.factors, self.left_keys = factors, left_keys
+
+    @property
+    def p(self) -> int:
+        return len(self.keys)
+
+    def position(self, j: int) -> Position:
+        return _product(self.factors[j], self.base)
+
+    def square(self, j: int) -> Fraction:
+        """The square of the position of atom j, with no position built."""
+        value = Fraction(1)
+        for pos in self.factors[j]:
+            value *= pos.squared()
+        return value
+
+    def weight(self, j: int) -> Weight:
+        if self.den is None:
+            return from_raw(self.masses[j])
+        return Fraction(self.masses[j], self.den)
+
+    def measure(self) -> AtomicMeasure:
+        base, den = self.base, self.den
+        positions = [_product(factors, base) for factors in self.factors]
+        weights = (map(from_raw, self.masses) if den is None
+                   else [Fraction(n, den) for n in self.masses])
+        return AtomicMeasure(base, self.mode,
+                             tuple(list(zip(positions, weights))))
+
+
+def _product(factors: Tuple[Position, ...], base: Fraction) -> Position:
+    """The product of one or two positions over ``base``, built as
+    ``Position.__mul__`` builds it, without its base comparison."""
+    if len(factors) == 1:
+        return factors[0]
+    px, py = factors
+    k = px.k + py.k
+    if k == 2:
+        return _position(px.q * py.q * base, 0, base)
+    return _position(px.q * py.q, k, base)
+
+
+def table(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> Table:
+    """The table of ``mu`` itself.  Real masses are kept as they are; only a
+    real-mode mass that is not an mpf is converted, at ``bits``."""
+    keys = int_keys(mu.support)
+    if mu.mode == REAL:
+        masses, den = [operand(w, bits) for w in mu.weights], None
+    else:
+        masses, den = numerators(mu)
+    return Table(mu.base, mu.mode, keys, masses, den,
+                 [(pos,) for pos in mu.support], keys)
+
+
+def products(mu: AtomicMeasure, nu: AtomicMeasure,
+             bits: int = DEFAULT_PRECISION_BITS) -> Table:
+    """The table of the multiplicative convolution mu * nu: atoms at all
+    pairwise products x*y with mass summed over coinciding products.
+
+    No scalar object is built per pair, and no position or mass per
+    product.  Rational masses are summed as int numerators over the product
+    of each factor's common denominator.  Real masses are converted once
+    and summed as raw libmp values, each operation rounded to nearest at
     ``bits`` in the order of the pairs, as mpf arithmetic under
-    ``workprec(bits)`` rounds it, without entering mpmath's global context."""
+    ``workprec(bits)`` rounds it, without entering mpmath's global context.
+    A product's key is the product of its factors' keys, divided by the
+    gcd that brings the keys to the scale :func:`int_keys` gives them."""
     mu.require_no_zero_atom("convolve")
     nu.require_no_zero_atom("convolve")
     base = _common_base(mu, nu)
     mode = _mode_join(mu, nu)
-    mu_points = [pos if pos.base == base else pos.rebase(base) for pos in mu.support]
-    nu_points = [pos if pos.base == base else pos.rebase(base) for pos in nu.support]
+    # every position of a measure is over the measure's base
+    mu_points, nu_points = (
+        list(m.support) if m.base == base
+        else [pos.rebase(base) for pos in m.support] for m in (mu, nu))
     if mode == REAL:
         mu_masses = [to_raw(w, bits) for w in mu.weights]
         nu_masses = [to_raw(w, bits) for w in nu.weights]
@@ -418,15 +519,12 @@ def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION
         def add(x, y):
             return mpf_add(x, y, bits, round_nearest)
 
-        finish = from_raw
+        den = None
     else:
         (mu_masses, mu_den), (nu_masses, nu_den) = numerators(mu), numerators(nu)
         mul, add = operator.mul, operator.add
         den = mu_den * nu_den
-
-        def finish(num):
-            return Fraction(num, den)
-    keys = int_keys(mu_points + nu_points)
+    keys, scale = _scaled_keys(mu_points + nu_points)
     mu_keys, nu_keys = keys[:mu.p], keys[mu.p:]
     merged = {}
     first = {}  # product key -> the first pair of positions that reaches it
@@ -438,22 +536,25 @@ def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION
             else:
                 merged[key] = mul(wx, wy)
                 first[key] = (px, py)
-    # every point is over ``base``, so a product is built as
-    # ``Position.__mul__`` builds it, without its base comparison
-    atoms = []
-    for key in sorted(merged):
-        px, py = first[key]
-        k = px.k + py.k
-        pos = (_position(px.q * py.q * base, 0, base) if k == 2
-               else _position(px.q * py.q, k, base))
-        atoms.append((pos, finish(merged[key])))
-    return AtomicMeasure(base, mode, tuple(atoms))
+    order = sorted(merged)
+    # the squares of the products are the keys over scale^2, so the lcm of
+    # their denominators is scale^2 / g (g = 1 when nu has the support of mu)
+    g = gcd(scale * scale, *order) if scale > 1 else 1
+    return Table(base, mode, order if g == 1 else [key // g for key in order],
+                 [merged[key] for key in order], den,
+                 [first[key] for key in order], mu_keys)
+
+
+def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
+    """Multiplicative convolution: :func:`products` with one position and
+    one mass built per distinct product."""
+    return products(mu, nu, bits).measure()
 
 
 def numerators(mu: AtomicMeasure) -> Tuple[List[int], int]:
     """The rational masses of ``mu`` as int numerators over the lcm of
     their denominators, and that lcm."""
-    den = lcm(*(w.denominator for w in mu.weights))
+    den = lcm(*[w.denominator for w in mu.weights])
     return [w.numerator * (den // w.denominator) for w in mu.weights], den
 
 
@@ -596,10 +697,13 @@ def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> At
     for index, atom in enumerate(raw_atoms):
         try:
             q = parse_rational(str(atom["pos_q"]))
-            k = int(atom["pos_k"])
+            k = atom["pos_k"]
             weight = _convert_weight(str(atom["weight"]), mode, bits)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MeasureError(f"atom {index}: {exc}") from exc
+        if type(k) is not int:  # bool is a subclass of int
+            raise MeasureError(
+                f"atom {index}: pos_k must be the JSON integer 0 or 1")
         if q == 0 and k != 0:
             raise MeasureError(f"atom {index}: the origin cannot carry a radical")
         if weight <= 0:
@@ -609,12 +713,30 @@ def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> At
             continue
         try:
             pos = Position(q, k, base)
-            if pos.k < k:  # a square base folded its root into q
-                format_rational(pos.q)
-        except ValueError as exc:  # a MeasureError, or q beyond the digit limit
+        except MeasureError as exc:
             raise MeasureError(f"atom {index}: {exc}") from exc
+        if not _square_prints(pos):
+            raise MeasureError(
+                f"atom {index}: the square of the position has more than "
+                f"{sys.get_int_max_str_digits()} digits")
         atoms.append((pos, weight))
     return make_measure(atoms, mode=mode, base=base, bits=bits)
+
+
+def _square_prints(pos: Position) -> bool:
+    """Whether the numerator and the denominator of the square of ``pos``
+    have at most ``sys.get_int_max_str_digits()`` digits (for a rational
+    position: pos_q at most half of them), so that every product of two
+    positions prints."""
+    limit = sys.get_int_max_str_digits()
+    if pos.k:
+        square = pos.squared()
+        num, den = square.numerator, square.denominator
+    else:
+        num, den = pos.q.numerator ** 2, pos.q.denominator ** 2
+    # 2^(3 * limit) < 10^limit: the power is built only for long values
+    return not limit or all(n.bit_length() <= 3 * limit or n < 10 ** limit
+                            for n in (num, den))
 
 
 def dumps_measure(mu: AtomicMeasure) -> str:

@@ -7,15 +7,15 @@ Two questions are answered for a finitely atomic measure mu on (0, inf):
   admit a root with the same support as mu?  (Equivalently, the Aluthge
   transform of the weighted shift attached to mu is subnormal.)
 
-Both are decided by :func:`peel_root`.  Measures on (0, inf) multiply like
-elements of the group ring of a torsion-free ordered group, which is an
-integral domain, so a root is unique when it exists.  Because the order is
-compatible with multiplication, the root can be peeled off smallest atom
-first: the smallest atom z of the residual target - root^2 can only come from
-the next root atom y times the first root atom y1, so y*y1 = z and the mass
-of y is half the residual mass at z (relative to the mass of y1).  The peel
-costs O(p^2) and ends with a witness, or with one of three certificates that
-re-running the peel re-checks:
+Both are decided by the peel of :func:`peel_root`.  Measures on (0, inf)
+multiply like elements of the group ring of a torsion-free ordered group,
+which is an integral domain, so a root is unique when it exists.  Because
+the order is compatible with multiplication, the root can be peeled off
+smallest atom first: the smallest atom z of the residual target - root^2 can
+only come from the next root atom y times the first root atom y1, so
+y*y1 = z and the mass of y is half the residual mass at z (relative to the
+mass of y1).  The peel costs O(p^2) and ends with a witness, or with one of
+three certificates that re-running the peel re-checks:
 
 * ``peel-nonpositive-mass``: the forced mass of the next root atom is <= 0;
 * ``peel-overflow``: the next root atom would square beyond the top atom;
@@ -29,6 +29,14 @@ mode (a forced mass within tolerance of zero, or a refutation reached after
 a residual within tolerance of zero was taken as cancelled) or when a witness
 fails its independent re-check by convolution.
 
+The peel and the witness check read tables (:class:`alsq.measures.Table`):
+``aluthge_subnormal`` peels the product table of mu * t(mu) that
+:func:`alsq.measures.products` returns and never materializes that measure,
+``sqrt_of`` peels the table of mu, and the witness check compares the table
+of the witness's square with the target's.  A position or a Fraction is
+built only for what a verdict prints: the root's atoms, a certificate's
+atoms and a_1 in a message.
+
 The decision path takes its precision explicitly from ``SolverConfig``:
 ``convolve``, ``t_weight``, the peel, the witness masses and the witness
 check compute exactly or on raw libmp values rounded at ``precision_bits``,
@@ -41,6 +49,7 @@ same holds for the closed forms, the loader, ``analyze`` and
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -49,6 +58,7 @@ from typing import List, Optional, Sequence, Tuple
 from mpmath import mpf
 from mpmath.libmp import (
     from_int,
+    from_rational,
     fzero,
     mpf_abs,
     mpf_div,
@@ -58,9 +68,11 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
+    mpf_pos,
     mpf_pow_int,
     mpf_sqrt,
     mpf_sub,
+    round_down,
     round_nearest,
 )
 
@@ -71,11 +83,11 @@ from .measures import (
     AtomicMeasure,
     MeasureError,
     Position,
-    convolve,
-    int_keys,
+    Table,
     make_measure,
-    numerators,
+    products,
     t_weight,
+    table,
 )
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -194,32 +206,39 @@ class _Powers(dict):
 
 
 def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> Peel:
-    """Peel the unique root of ``target`` off its smallest atoms.
+    """Peel the unique root of ``target`` off its smallest atoms: the peel
+    of its :func:`table`."""
+    return _peel(table(target, config.precision_bits), config)
 
-    Works on the int keys K_j of the target's support (:func:`int_keys`) and
-    on masses divided by the first mass, starting from the root atom y1 with
-    key K_1 and mass 1.  The root atom y with y*y1 = (target atom j) has key
-    K_j: the target atom sits at K_j*K_1 and the root atoms a, b meet at
-    K_a*K_b.  In real mode a
-    residual within tolerance of zero counts as cancelled; one above rounding
-    level at a key whose root atom would not overflow may hide a tiny root
-    atom, so a later refutation is reported as ``undetermined``.
 
-    No scalar object is built in the loop.  Rational masses are int pairs
-    (n, e) standing for n / D^e: with N_j the int numerators of the target
-    masses over their common denominator and D = 2*N_1, the masses relative
-    to a_1 are 2*N_j / D and halving multiplies by N_1 / D, so every forced
-    mass lies in Z[1/D]; whole factors of D are divided out of each forced
-    mass, and one Fraction is built per root atom.  Real masses are raw
-    libmp values, each operation rounded to nearest at ``bits``, as mpf
-    operators at that working precision round them and in the same order,
-    without entering mpmath's global context.
+def _peel(target: Table, config: SolverConfig) -> Peel:
+    """Peel the unique root of the measure tabled in ``target``.
+
+    Works on the int keys K_j of the target's support and on masses
+    divided by the first mass, starting from the root atom y1 with key K_1
+    and mass 1.  The root atom y with y*y1 = (target atom j) has key K_j:
+    the target atom sits at K_j*K_1 and the root atoms a, b meet at
+    K_a*K_b.  In real mode a residual within tolerance of zero counts as
+    cancelled; one above rounding level at a key whose root atom would not
+    overflow may hide a tiny root atom, so a later refutation is reported
+    as ``undetermined``.
+
+    No scalar object is built in the loop, and a position only for a
+    certificate or a note.  Rational masses are int pairs (n, e) standing
+    for n / D^e: with N_j the int numerators of the target masses over
+    their common denominator and D = 2*N_1, the masses relative to a_1 are
+    2*N_j / D and halving multiplies by N_1 / D, so every forced mass lies
+    in Z[1/D]; whole factors of D are divided out of each forced mass, and
+    one Fraction is built per root atom.  The result does not depend on the
+    denominator the numerators are over.  Real masses are raw libmp
+    values, each operation rounded to nearest at ``bits``, as mpf operators
+    at that working precision round them and in the same order, without
+    entering mpmath's global context.
     """
-    atoms = target.atoms
     exact = target.mode == RATIONAL
     bits = config.precision_bits
     if exact:
-        nums, _ = numerators(target)
+        nums = target.masses
         n1 = nums[0]
         d = 2 * n1
         powers = _Powers(d)
@@ -252,9 +271,9 @@ def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> P
         def value(x):
             return Fraction(x[0], powers[x[1]])
     else:
-        a1 = to_raw(atoms[0][1], bits)
-        masses = [mpf_div(to_raw(w, bits), a1, bits, round_nearest)
-                  for _, w in atoms]
+        raw = [mpf_pos(w, bits, round_nearest) for w in target.masses]
+        a1 = raw[0]
+        masses = [mpf_div(w, a1, bits, round_nearest) for w in raw]
         tol = to_raw(config.tolerance, bits)
         neg_tol = mpf_neg(tol, bits, round_nearest)
         rounding = mpf_pow_int(_TWO, _ROUNDING_BITS - bits, bits, round_nearest)
@@ -275,7 +294,7 @@ def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> P
             return mpf_neg(x, bits, round_nearest)
 
         value = from_raw
-    keys = int_keys(target.support)
+    keys = target.keys
     k1 = keys[0]
     at = [key * k1 for key in keys]
     index = {z: j for j, z in enumerate(at)}
@@ -310,36 +329,37 @@ def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> P
                         size, mpf_mul(rounding, scale, bits, round_nearest))):
                     doubt = (
                         f"the residual {_scalar_str(value(r))}*a1 at "
-                        f"{_at(atoms, z, j, k1)} was taken as zero within "
+                        f"{_at(target, z, j, k1)} was taken as zero within "
                         "tolerance, but a root atom of that tiny mass "
                         "may sit there")
                 continue
         c = half(r)
         if c[0] <= 0 if exact else mpf_lt(
                 c, mpf_mul(neg_tol, scale, bits, round_nearest)):
-            return _refuted(_nonpositive(atoms, root, z, j, value(c), k1),
-                            doubt)
+            return _refuted(_nonpositive(target, len(root), z, j, value(c),
+                                         k1), doubt)
         if not exact and mpf_le(c, mpf_mul(tol, scale, bits, round_nearest)):
             return Peel(UNDETERMINED, note=(
-                f"the root atom y with y*y1 = {_at(atoms, z, j, k1)} has a "
+                f"the root atom y with y*y1 = {_at(target, z, j, k1)} has a "
                 f"forced mass {_scalar_str(value(c))}*sqrt(a1) within "
                 "tolerance of zero"))
         # c > 0 here, so z is a target atom: elsewhere the residual is a
         # sum of subtracted positive terms
         if z * z > limit:
+            y, first = target.position(j), target.position(0)
             return _refuted(Violation(
                 "peel-overflow", (j + 1,),
-                f"the root atom y with y*y1 = {atoms[j][0]} (y1^2 = "
-                f"{atoms[0][0]}) would square to "
-                f"{atoms[j][0] * atoms[j][0] / atoms[0][0]}, beyond the "
-                f"top atom {atoms[-1][0]}"), doubt)
+                f"the root atom y with y*y1 = {_scalar_str(y)} (y1^2 = "
+                f"{_scalar_str(first)}) would square to "
+                f"{_scalar_str(y * y / first)}, beyond the top atom "
+                f"{_scalar_str(target.position(target.p - 1))}"), doubt)
         key = keys[j]
         double = twice(c)
         for other, mass, _ in root[1:]:
             _subtract(residual, heap, other * key, mul(double, mass), sub, neg)
         _subtract(residual, heap, key * key, mul(c, c), sub, neg)
         root.append((key, c, j))
-    return Peel(WITNESS, root=tuple((j, value(c)) for _, c, j in root),
+    return Peel(WITNESS, root=tuple([(j, value(c)) for _, c, j in root]),
                 residual=from_raw(worst), doubt=doubt, keys=tuple(keys))
 
 
@@ -358,26 +378,35 @@ def _subtract(residual: dict, heap: list, key: int, value, sub, neg) -> None:
         heappush(heap, key)
 
 
-def _at(atoms, z: int, j: Optional[int], k1: int) -> str:
+def _at(target: Table, z: int, j: Optional[int], k1: int) -> str:
     """The position y*y1 at key z: a target atom, or else named by its
     square (z / K_1^2) * x_1^2."""
     if j is not None:
-        return str(atoms[j][0])
-    return f"the position with square {Fraction(z, k1 * k1) * atoms[0][0].squared()}"
+        return _scalar_str(target.position(j))
+    square = Fraction(z, k1 * k1) * target.square(0)
+    return f"the position with square {_scalar_str(square)}"
 
 
-def _nonpositive(atoms, root, z, j, c, k1) -> Violation:
+def _nonpositive(target: Table, count: int, z: int, j: Optional[int],
+                 c: Scalar, k1: int) -> Violation:
     return Violation(
         "peel-nonpositive-mass", (j + 1,) if j is not None else (),
-        f"after {len(root)} root atoms the smallest atom of target - root^2 "
-        f"sits at {_at(atoms, z, j, k1)}; the root atom y with y*y1 there "
-        f"(y1^2 = {atoms[0][0]}) is forced to carry mass "
-        f"{_scalar_str(c)}*sqrt({_scalar_str(atoms[0][1])}), which is not "
-        "positive")
+        f"after {count} root atoms the smallest atom of target - root^2 "
+        f"sits at {_at(target, z, j, k1)}; the root atom y with y*y1 there "
+        f"(y1^2 = {_scalar_str(target.position(0))}) is forced to carry mass "
+        f"{_scalar_str(c)}*sqrt({_scalar_str(target.weight(0))}), which is "
+        "not positive")
 
 
-def _scalar_str(value: Scalar) -> str:
-    return str(value) if isinstance(value, Fraction) else decimal_str(value)
+def _scalar_str(value) -> str:
+    """A scalar or a position as a message quotes it: a rational with more
+    digits than the interpreter converts to a string by its size only."""
+    if isinstance(value, mpf):
+        return decimal_str(value)
+    try:
+        return str(value)
+    except ValueError:
+        return f"(a number of more than {sys.get_int_max_str_digits()} digits)"
 
 
 def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
@@ -395,11 +424,12 @@ def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
                for c in cs]
     notes = []
     if mode == RATIONAL:
-        notes.append(f"witness masses lie in Q(sqrt({a1})); emitted as reals")
+        notes.append(f"witness masses lie in Q(sqrt({_scalar_str(a1)})); "
+                     "emitted as reals")
     return REAL, weights, notes
 
 
-def _decide(target: AtomicMeasure, peel: Peel, positions: Sequence[Position],
+def _decide(target: Table, peel: Peel, positions: Sequence[Position],
             base: Fraction, config: SolverConfig, notes: List[str]) -> Verdict:
     """Turn a peel into a verdict; every witness is re-checked by
     convolving it with itself."""
@@ -409,10 +439,10 @@ def _decide(target: AtomicMeasure, peel: Peel, positions: Sequence[Position],
         return Verdict(peel.outcome, certificate=peel.certificate,
                        precision_bits=bits, notes=tuple(notes + extra))
     mode, weights, extra = _root_masses([c for _, c in peel.root],
-                                        target.atoms[0][1], target.mode, config)
+                                        target.weight(0), target.mode, config)
     witness = make_measure(list(zip(positions, weights)), mode=mode,
                            base=base, bits=bits)
-    if not verify_witness(witness, target, config):
+    if not _verify(witness, target, config):
         return Verdict(UNDETERMINED, precision_bits=bits,
                        notes=tuple(notes + [UNVERIFIED]))
     return Verdict(WITNESS, witness=witness,
@@ -426,21 +456,34 @@ def verify_witness(
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> bool:
     """Independent check: convolve the witness with itself and compare."""
+    return _verify(witness, table(target, config.precision_bits), config)
+
+
+def _verify(witness: AtomicMeasure, target: Table,
+            config: SolverConfig) -> bool:
+    """Compare the table of the witness's square with ``target``.  Equal
+    int keys and equal first squares give equal positions; rational masses
+    are compared exactly on cross-multiplied numerators, and otherwise each
+    pair of masses at ``bits`` must be within the tolerance."""
     bits = config.precision_bits
-    square = convolve(witness, witness, bits=bits)
-    if square.p != target.p:
+    square = products(witness, witness, bits)
+    if square.keys != target.keys or square.square(0) != target.square(0):
         return False
-    keys = int_keys(square.support + target.support)
-    if keys[:square.p] != keys[square.p:]:
-        return False
+    if square.den is not None and target.den is not None:
+        return all(a * target.den == b * square.den
+                   for a, b in zip(square.masses, target.masses))
     tol = to_mpf(config.tolerance, bits)
-    for w_a, w_b in zip(square.weights, target.weights):
-        if isinstance(w_a, Fraction) and isinstance(w_b, Fraction):
-            if w_a != w_b:
-                return False
-        elif not close_rel(to_mpf(w_a, bits), to_mpf(w_b, bits), tol):
-            return False
-    return True
+    return all(close_rel(x, y, tol) for x, y in zip(_reals(square, bits),
+                                                      _reals(target, bits)))
+
+
+def _reals(target: Table, bits: int) -> List[mpf]:
+    """The masses of ``target`` at ``bits``, as ``to_mpf`` converts them."""
+    if target.den is None:
+        return [from_raw(mpf_pos(w, bits, round_nearest))
+                for w in target.masses]
+    return [from_raw(from_rational(n, target.den, bits, round_down))
+            for n in target.masses]
 
 
 # ---------------------------------------------------------------------------
@@ -471,27 +514,26 @@ def aluthge_subnormal(
     if work.mode == RATIONAL and any(pos.k == 1 for pos in work.support):
         work = work.to_real(bits)
         notes.append("irrational positions: masses analysed numerically")
-    target = convolve(work, t_weight(work, bits), bits=bits)
-    peel = peel_root(target, config)
+    target = products(work, t_weight(work, bits), bits)
+    peel = _peel(target, config)
     if peel.outcome == WITNESS:
         mismatch = _support_mismatch(work, target, peel)
         if mismatch is not None:
             peel = _refuted(mismatch, peel.doubt)
-    first = work.support[0]
-    positions = [target.support[j] / first for j, _ in peel.root]
-    return _decide(target, peel, positions, work.base, config, notes)
+    # a witness that passed the support check sits on supp(mu)
+    return _decide(target, peel, work.support, work.base, config, notes)
 
 
-def _support_mismatch(mu: AtomicMeasure, target: AtomicMeasure,
+def _support_mismatch(mu: AtomicMeasure, target: Table,
                       peel: Peel) -> Optional[Violation]:
     """Compare the root's support with supp(mu): a root atom y with
     y*x_1 = (target atom j) lies in supp(mu) iff that atom is x_1*x_m.
 
-    On the int keys K of supp(mu) and the peel's keys T of the target's
-    support, with T_0 the key of x_1^2, that is K_1 * T_j = K_m * T_0; the
-    test holds whatever positive scale each set of keys carries."""
-    first = mu.support[0]
-    keys, targets = int_keys(mu.support), peel.keys
+    On the keys K of supp(mu) (the table's left factor) and the peel's keys
+    T of the target's support, with T_0 the key of x_1^2, that is
+    K_1 * T_j = K_m * T_0; the test holds whatever positive scale each set
+    of keys carries."""
+    keys, targets = target.left_keys, peel.keys
     k1, t0 = keys[0], targets[0]
     products = {key * t0 for key in keys}
     expected = {j for j, key in enumerate(targets) if k1 * key in products}
@@ -499,7 +541,7 @@ def _support_mismatch(mu: AtomicMeasure, target: AtomicMeasure,
     if got == expected:
         return None
     j = min(got ^ expected)
-    where = target.support[j] / first
+    where = _scalar_str(target.position(j) / mu.support[0])
     message = (f"the root has an atom at {where}, outside supp(mu)" if j in got
                else f"the root has no atom at {where}, an atom of mu")
     return Violation("peel-support-mismatch", (j + 1,), message)
@@ -520,7 +562,8 @@ def sqrt_of(
     if mu.p == 4:
         return Verdict(IMPOSSIBLE, certificate=_FOUR_ATOM_VIOLATION,
                        precision_bits=config.precision_bits)
-    peel = peel_root(mu, config)
+    target = table(mu, config.precision_bits)
+    peel = _peel(target, config)
     base = mu.support[0].q
     positions = [Position(mu.support[j].q / base, 1, base) for j, _ in peel.root]
-    return _decide(mu, peel, positions, base, config, [])
+    return _decide(target, peel, positions, base, config, [])

@@ -234,3 +234,41 @@ def test_oversized_weight_is_usage_error(tmp_path, mode, weight):
     result = _cli("analyze", str(path))
     _assert_usage_error(result)
     assert len(result.stderr) < 200  # the input is quoted by a prefix only
+
+
+def test_precision_above_maximum_is_usage_error(tmp_path):
+    # 1000000 bits took 30 s on this square and 20000000 did not return
+    path = tmp_path / "m.json"
+    path.write_text(dumps_measure(
+        generate(GeneratorSpec(5, "with-aluthge-root", 7)).measure))
+    for bits in ("65537", "1000000", "20000000"):
+        result = _cli("aluthge", "--precision", bits, str(path))
+        _assert_usage_error(result)
+        assert "at most 65536" in result.stderr
+    assert _cli("aluthge", "--precision", "65536", str(path)).returncode == 0
+
+
+def _big_document(path, positions):
+    path.write_text(json.dumps({"radical_base": "1", "mode": "rational",
+                                "atoms": [{"pos_q": q, "pos_k": 0,
+                                           "weight": "1/3"}
+                                          for q in positions]}))
+    return str(path)
+
+
+def test_oversized_products_give_no_traceback(tmp_path):
+    # products of these positions have 8001 digits, more than prints
+    path = _big_document(tmp_path / "big.json", ["1e4000", "3e4000", "7e4000"])
+    for command in ("analyze", "sqrt", "aluthge"):
+        result = _cli(command, path)
+        _assert_usage_error(result)
+        assert "atom 0: the square of the position" in result.stderr
+    # within the bound every verdict prints; a certificate quotes a value
+    # beyond the digit limit by its size
+    path = _big_document(tmp_path / "wide.json",
+                         ["1/3" + "0" * 2148, "5" + "0" * 2148])
+    result = _cli("aluthge", "--json", path)
+    assert result.returncode == 2 and not result.stderr
+    message = json.loads(result.stdout)["certificate"]["message"]
+    assert "(a number of more than" in message
+    assert _cli("analyze", path).returncode == 2

@@ -28,6 +28,7 @@ from alsq.measures import (
     moment,
     normalize,
     power_positions,
+    products,
     scale_positions,
     strip_zero_atom,
     t_weight,
@@ -251,6 +252,29 @@ def test_int_keyed_convolve_matches_position_products(pair):
         assert [w._mpf_ for _, w in out.atoms] == [w._mpf_ for _, w in expected]
     else:
         assert [w for _, w in out.atoms] == [w for _, w in expected]
+
+
+@settings(max_examples=150)
+@given(keyed_pairs())
+def test_product_table_matches_its_measure(pair):
+    # the table the peel reads holds the int keys, positions, squares and
+    # masses of the measure convolve materializes from it
+    mu, nu = pair
+    table = products(mu, nu)
+    out = table.measure()
+    assert table.keys == int_keys(out.support)
+    assert [table.position(j) for j in range(table.p)] == list(out.support)
+    assert [table.square(j) for j in range(table.p)] == \
+        [pos.squared() for pos in out.support]
+    assert [table.weight(j) for j in range(table.p)] == list(out.weights)
+    if out.mode == RATIONAL:
+        assert [F(n, table.den) for n in table.masses] == list(out.weights)
+    else:
+        assert table.den is None
+        assert table.masses == [w._mpf_ for w in out.weights]
+    left = [pos.rebase(out.base) for pos in mu.support]
+    ratios = [F(key, table.left_keys[0]) for key in table.left_keys]
+    assert ratios == [x.squared() / left[0].squared() for x in left]
 
 
 @settings(max_examples=150)
@@ -502,6 +526,41 @@ def test_json_validation_errors():
             loads_measure(text)
 
 
+@pytest.mark.parametrize("pos_k", ["1.7", "0.2", "true", "false", "1.0",
+                                   '"1"', "null"])
+def test_json_non_integer_pos_k_rejected_with_atom_index(pos_k):
+    # a JSON integer only: int() would truncate 1.7 to a radical and 0.2 to
+    # a rational position
+    text = ('{"radical_base": "2", "mode": "rational", "atoms": ['
+            '{"pos_q": "1", "pos_k": 0, "weight": "1/2"}, '
+            f'{{"pos_q": "3", "pos_k": {pos_k}, "weight": "1/2"}}]}}')
+    with pytest.raises(MeasureError, match="atom 1: pos_k"):
+        loads_measure(text)
+
+
+def test_json_positions_bounded_so_products_print():
+    # the square of every position fits the digit limit, so every product
+    # of two positions prints; at 1e4000 a product has 8001 digits
+    half = sys.get_int_max_str_digits() // 2
+
+    def document(q, k=0, base="1"):
+        return json.dumps({"radical_base": base, "mode": "rational",
+                           "atoms": [{"pos_q": q, "pos_k": k, "weight": "1"},
+                                     {"pos_q": "1", "pos_k": 0,
+                                      "weight": "1"}]})
+
+    for q in ("1e4000", "1/" + "3" * (half + 1), "9" * (half + 1)):
+        with pytest.raises(MeasureError, match="atom 0: the square"):
+            loads_measure(document(q))
+    mu = loads_measure(document("9" * half))
+    assert str(mu.support[-1] * mu.support[-1]) == \
+        str((10 ** half - 1) ** 2)
+    # a radical position is bounded on q^2 * base
+    with pytest.raises(MeasureError, match="atom 0: the square"):
+        loads_measure(document("9" * half, 1, "11"))
+    assert loads_measure(document("9" * (half - 1), 1, "11")).support[1].k
+
+
 def test_real_mode_accepts_decimal_and_rational_weights():
     text = '''{"radical_base": "1", "mode": "real",
                "atoms": [{"pos_q": "1", "pos_k": 0, "weight": "0.25"},
@@ -580,8 +639,14 @@ def _hostile_documents(draw):
             return draw(_json_fields)
         return json.dumps(draw(st.sampled_from(usual)))
 
-    atoms = [f'{{"pos_q": {field(str(q), f"{q}e4000")}, '
-             f'"pos_k": {field(0, 1)}, '
+    def pos_k():
+        if draw(st.integers(0, 7)) == 0:
+            return draw(st.sampled_from(["1.7", "0.2", "1.0", "true",
+                                         "false", '"1"', "-0.0"]))
+        return field(0, 1)
+
+    atoms = [f'{{"pos_q": {field(str(q), f"{q}e2000", f"{q}e4000")}, '
+             f'"pos_k": {pos_k()}, '
              f'"weight": {field("1/3", "0.25", "1e-50", "7e4000", "3" * 4000)}}}'
              for q in draw(st.lists(st.integers(0, 60), min_size=1, max_size=4))]
     atom_list = f"[{', '.join(atoms)}]"
@@ -595,9 +660,12 @@ def _hostile_documents(draw):
 @given(_hostile_documents(), st.sampled_from([64, 128]))
 def test_loader_rejects_hostile_documents_cleanly(text, bits):
     """The loader returns a measure or raises its own errors, without a
-    stall; every measure it accepts survives a JSON round trip."""
+    stall; every measure it accepts has JSON integer radical exponents and
+    survives a JSON round trip."""
     try:
         mu = loads_measure(text, bits)
     except (MeasureError, ScalarError):
         return
+    assert all(type(atom["pos_k"]) is int
+               for atom in json.loads(text)["atoms"])
     assert loads_measure(dumps_measure(mu), bits) == mu

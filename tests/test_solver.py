@@ -25,6 +25,7 @@ from alsq.measures import (
     moment,
     normalize,
     power_positions,
+    products,
     scale_positions,
     t_weight,
 )
@@ -110,7 +111,7 @@ def test_transform_support_mismatch_names_the_atom(monkeypatch,
     def decide(root, doubt=None):
         fake = solver.Peel(WITNESS, root=root, doubt=doubt,
                            keys=true_root.keys)
-        monkeypatch.setattr(solver, "peel_root", lambda target, config: fake)
+        monkeypatch.setattr(solver, "_peel", lambda target, config: fake)
         return aluthge_subnormal(three_atom_square)
 
     stray = decide(true_root.root + ((3, F(1)),))
@@ -238,18 +239,18 @@ def _reference_peel(target, config=SolverConfig()):
                             and z * z <= limit):
                         doubt = (
                             f"the residual {solver._scalar_str(r)}*a1 at "
-                            f"{solver._at(atoms, z, j, k1)} was taken as zero "
+                            f"{_at(atoms, z, j, k1)} was taken as zero "
                             "within tolerance, but a root atom of that tiny "
                             "mass may sit there")
                     continue
             c = r / 2
             if c <= 0 if exact else c < -tol * scale:
                 return solver._refuted(
-                    solver._nonpositive(atoms, root, z, j, c, k1), doubt)
+                    _nonpositive(atoms, root, z, j, c, k1), doubt)
             if not exact and c <= tol * scale:
                 return Peel(UNDETERMINED, note=(
                     f"the root atom y with y*y1 = "
-                    f"{solver._at(atoms, z, j, k1)} has a forced mass "
+                    f"{_at(atoms, z, j, k1)} has a forced mass "
                     f"{solver._scalar_str(c)}*sqrt(a1) within tolerance of "
                     "zero"))
             if z * z > limit:
@@ -266,6 +267,27 @@ def _reference_peel(target, config=SolverConfig()):
             root.append((key, c, j))
     return Peel(WITNESS, root=tuple((j, c) for _, c, j in root),
                 residual=worst, doubt=doubt, keys=tuple(keys))
+
+
+# the certificate texts of the reference, written on the target's atoms
+def _at(atoms, z, j, k1):
+    """The position y*y1 at key z: a target atom, or else named by its
+    square (z / K_1^2) * x_1^2."""
+    if j is not None:
+        return str(atoms[j][0])
+    return ("the position with square "
+            f"{Fraction(z, k1 * k1) * atoms[0][0].squared()}")
+
+
+def _nonpositive(atoms, root, z, j, c, k1) -> Violation:
+    scalar_str = solver._scalar_str
+    return Violation(
+        "peel-nonpositive-mass", (j + 1,) if j is not None else (),
+        f"after {len(root)} root atoms the smallest atom of target - root^2 "
+        f"sits at {_at(atoms, z, j, k1)}; the root atom y with y*y1 there "
+        f"(y1^2 = {atoms[0][0]}) is forced to carry mass "
+        f"{scalar_str(c)}*sqrt({scalar_str(atoms[0][1])}), which is not "
+        "positive")
 
 
 def _reference_subtract(residual, heap, key, value):
@@ -399,6 +421,80 @@ def test_peel_matches_fraction_reference_at_cancellation(bits):
     assert below.outcome == IMPOSSIBLE
     assert above.outcome == UNDETERMINED
     assert "taken as zero" in above.note
+
+
+@st.composite
+def _product_targets(draw):
+    """Factors of mu * t(mu) or mu * mu, rational or real, with the
+    configuration to peel them at."""
+    if draw(st.booleans()):
+        mu = draw(_small_measures())
+    else:
+        mu = generate(GeneratorSpec(
+            draw(st.integers(3, 23)), "arbitrary", draw(st.integers(0, 10_000)),
+            position_style=draw(st.sampled_from(["geometric",
+                                                 "random"])))).measure
+    bits = draw(st.sampled_from([None, 64, 128]))
+    radical = any(pos.k for pos in mu.support)
+    if bits is None and radical:
+        bits = 128  # t_weight at a radical position needs real masses
+    config = SolverConfig() if bits is None else SolverConfig(bits)
+    if bits is not None:
+        mu = mu.to_real(bits)
+    prec = config.precision_bits
+    if draw(st.booleans()):
+        return mu, t_weight(mu, prec), config
+    return mu, mu, config
+
+
+@settings(max_examples=120, deadline=None)
+@given(_product_targets())
+def test_peel_of_product_table_matches_peel_of_measure(case):
+    # the peel that reads the product table gives, field for field, the peel
+    # of the measure convolve materializes from that table
+    mu, nu, config = case
+    table = products(mu, nu, config.precision_bits)
+    assert _peel_fields(solver._peel(table, config)) == \
+        _peel_fields(peel_root(table.measure(), config))
+
+
+def _ladder_cases(p=23):
+    """A p-atom geometric square, its top-scaled twin and a random-position
+    p-atom instance."""
+    rho = make_measure([(F(3, 2) ** i, F(1 + i % 7, 1 + i % 5))
+                        for i in range((p + 1) // 2)])
+    square = convolve(rho, rho)
+    atoms = list(square.atoms)
+    atoms[-1] = (atoms[-1][0], 2 * atoms[-1][1])
+    spec = GeneratorSpec(p, "arbitrary", 50_000_023, position_style="random")
+    return [square, make_measure(atoms), generate(spec).measure]
+
+
+def test_transform_builds_positions_only_for_the_verdict(monkeypatch):
+    # mu * t(mu) has up to ((p-1)^2 + 6)/2 atoms; the decision builds a
+    # position only for what its verdict prints, not one per product
+    from alsq import measures
+
+    built = []
+    real_position = measures._position
+
+    def spy(*args):
+        built.append(args)
+        return real_position(*args)
+
+    monkeypatch.setattr(measures, "_position", spy)
+    outcomes = set()
+    for mu in _ladder_cases():
+        built.clear()
+        verdict = aluthge_subnormal(mu)
+        outcomes.add(verdict.outcome)
+        assert verdict.outcome != UNDETERMINED
+        assert len(built) <= 2 * mu.p + 2, (mu.p, len(built))
+    assert outcomes == {WITNESS, IMPOSSIBLE}
+    # the spy sees the products that convolve does build
+    built.clear()
+    target = convolve(mu, t_weight(mu))
+    assert len(built) == target.p > 2 * mu.p + 2
 
 
 @pytest.mark.parametrize("bits", [None, 128, 256])

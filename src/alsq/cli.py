@@ -29,7 +29,13 @@ from .measures import (
     save_measure,
     strip_zero_atom,
 )
-from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, ScalarError, parse_rational
+from .scalars import (
+    DEFAULT_PRECISION_BITS,
+    DEFAULT_TOLERANCE,
+    ScalarError,
+    parse_rational,
+    scalar_str,
+)
 from .shifts import minimal_recurrence, moment_sequence
 from .solver import (
     IMPOSSIBLE,
@@ -169,7 +175,7 @@ def cmd_recurrence(args) -> int:
         payload = {
             "schema": SCHEMA,
             "order": recurrence.order if recurrence else None,
-            "coefficients": [str(c) for c in recurrence.coefficients]
+            "coefficients": [scalar_str(c) for c in recurrence.coefficients]
             if recurrence else None,
         }
         print(json.dumps(payload, indent=2))
@@ -177,7 +183,8 @@ def cmd_recurrence(args) -> int:
         print(f"no linear recurrence of order <= {args.max_order}")
     else:
         terms = " + ".join(
-            f"({c})*g[n+{j}]" for j, c in enumerate(recurrence.coefficients))
+            f"({scalar_str(c)})*g[n+{j}]"
+            for j, c in enumerate(recurrence.coefficients))
         print(f"order {recurrence.order}: g[n+{recurrence.order}] = {terms}")
     return EXIT_OK if recurrence is not None else EXIT_UNDETERMINED
 

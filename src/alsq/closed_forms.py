@@ -103,10 +103,12 @@ def _impossible(rule: str, indices: Tuple[int, ...], message: str,
 
 
 def _four_atoms(config: SolverConfig) -> Verdict:
-    from .solver import _FOUR_ATOM_VIOLATION
-
-    return Verdict(IMPOSSIBLE, certificate=_FOUR_ATOM_VIOLATION,
-                   precision_bits=config.precision_bits)
+    return _impossible(
+        "four-atom-family", (),
+        "no four-atom measure on (0, inf) admits a root: the support would "
+        "have to be geometric with exactly seven products, and the resulting "
+        "coefficient equations are jointly infeasible for every choice of "
+        "masses", config)
 
 
 def _three_atoms(mu: AtomicMeasure, checker: _Checker,

@@ -418,23 +418,19 @@ class Table:
     masses are the int numerators ``masses`` over the one denominator
     ``den``; real masses are raw libmp values and ``den`` is None.  Atom j
     sits at the product of the positions ``factors[j]``: one position for
-    an atom of a measure, the first pair that reaches it for a product.
-    ``left_keys`` are the int keys of the left factor's support, on a scale
-    of their own (the keys of the support itself for a measure).
+    an atom of a measure, the first pair that reaches it for a product, with
+    the pairs taken left factor outermost.
     """
 
     # a plain class: making a frozen dataclass of these fields takes about
     # 1.7 ms at import, which every CLI process pays
-    __slots__ = ("base", "mode", "keys", "masses", "den", "factors",
-                 "left_keys")
+    __slots__ = ("base", "mode", "keys", "masses", "den", "factors")
 
     def __init__(self, base: Fraction, mode: str, keys: List[int],
                  masses: list, den: Optional[int],
-                 factors: Sequence[Tuple[Position, ...]],
-                 left_keys: List[int]):
+                 factors: Sequence[Tuple[Position, ...]]):
         self.base, self.mode, self.keys = base, mode, keys
-        self.masses, self.den = masses, den
-        self.factors, self.left_keys = factors, left_keys
+        self.masses, self.den, self.factors = masses, den, factors
 
     @property
     def p(self) -> int:
@@ -479,13 +475,12 @@ def _product(factors: Tuple[Position, ...], base: Fraction) -> Position:
 def table(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> Table:
     """The table of ``mu`` itself.  Real masses are kept as they are; only a
     real-mode mass that is not an mpf is converted, at ``bits``."""
-    keys = int_keys(mu.support)
     if mu.mode == REAL:
         masses, den = [operand(w, bits) for w in mu.weights], None
     else:
         masses, den = numerators(mu)
-    return Table(mu.base, mu.mode, keys, masses, den,
-                 [(pos,) for pos in mu.support], keys)
+    return Table(mu.base, mu.mode, int_keys(mu.support), masses, den,
+                 [(pos,) for pos in mu.support])
 
 
 def products(mu: AtomicMeasure, nu: AtomicMeasure,
@@ -542,7 +537,7 @@ def products(mu: AtomicMeasure, nu: AtomicMeasure,
     g = gcd(scale * scale, *order) if scale > 1 else 1
     return Table(base, mode, order if g == 1 else [key // g for key in order],
                  [merged[key] for key in order], den,
-                 [first[key] for key in order], mu_keys)
+                 [first[key] for key in order])
 
 
 def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:

@@ -156,3 +156,14 @@ def close_rel(x: mpf, y: mpf, tol: mpf) -> bool:
 
 def decimal_str(x: mpf, digits: int = 12) -> str:
     return to_str(x._mpf_, digits)
+
+
+def scalar_str(value) -> str:
+    """A scalar or a position as a message quotes it: a rational with more
+    digits than the interpreter converts to a string by its size only."""
+    if isinstance(value, mpf):
+        return decimal_str(value)
+    try:
+        return str(value)
+    except ValueError:
+        return f"(a number of more than {sys.get_int_max_str_digits()} digits)"

@@ -7,15 +7,17 @@ Two questions are answered for a finitely atomic measure mu on (0, inf):
   admit a root with the same support as mu?  (Equivalently, the Aluthge
   transform of the weighted shift attached to mu is subnormal.)
 
-Both are decided by the peel of :func:`peel_root`.  Measures on (0, inf)
-multiply like elements of the group ring of a torsion-free ordered group,
-which is an integral domain, so a root is unique when it exists.  Because
-the order is compatible with multiplication, the root can be peeled off
-smallest atom first: the smallest atom z of the residual target - root^2 can
-only come from the next root atom y times the first root atom y1, so
-y*y1 = z and the mass of y is half the residual mass at z (relative to the
-mass of y1).  The peel costs O(p^2) and ends with a witness, or with one of
-three certificates that re-running the peel re-checks:
+Both are decided by the peel of :func:`peel_root` for every atom count;
+the four-atom family that :mod:`alsq.closed_forms` states is not assumed
+here.  Measures on (0, inf) multiply like elements of the group ring of a
+torsion-free ordered group, which is an integral domain, so a root is
+unique when it exists.  Because the order is compatible with
+multiplication, the root can be peeled off smallest atom first: the
+smallest atom z of the residual target - root^2 can only come from the
+next root atom y times the first root atom y1, so y*y1 = z and the mass of
+y is half the residual mass at z (relative to the mass of y1).  The peel
+costs O(p^2) and ends with a witness, or with one of three certificates
+that re-running the peel re-checks:
 
 * ``peel-nonpositive-mass``: the forced mass of the next root atom is <= 0;
 * ``peel-overflow``: the next root atom would square beyond the top atom;
@@ -49,7 +51,6 @@ same holds for the closed forms, the loader, ``analyze`` and
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -96,6 +97,7 @@ from .scalars import (
     close_rel,
     decimal_str,
     from_raw,
+    scalar_str,
     sqrt_fraction,
     to_mpf,
     to_raw,
@@ -175,7 +177,6 @@ class Peel:
     the worst relative residual accepted as cancelled (0 in rational mode).
     ``doubt`` is set in real mode when a residual that could have been a root
     atom was taken as cancelled: a refutation after it is not certain.
-    ``keys`` are the int keys of the target's support (on a witness).
     """
 
     outcome: str
@@ -184,7 +185,6 @@ class Peel:
     residual: mpf = mpf(0)
     note: Optional[str] = None
     doubt: Optional[str] = None
-    keys: Tuple[int, ...] = ()
 
 
 # a real-mode residual within 2^(_ROUNDING_BITS - precision_bits) of its
@@ -328,7 +328,7 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
                 if (doubt is None and z * z <= limit and mpf_gt(
                         size, mpf_mul(rounding, scale, bits, round_nearest))):
                     doubt = (
-                        f"the residual {_scalar_str(value(r))}*a1 at "
+                        f"the residual {scalar_str(value(r))}*a1 at "
                         f"{_at(target, z, j, k1)} was taken as zero within "
                         "tolerance, but a root atom of that tiny mass "
                         "may sit there")
@@ -341,7 +341,7 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
         if not exact and mpf_le(c, mpf_mul(tol, scale, bits, round_nearest)):
             return Peel(UNDETERMINED, note=(
                 f"the root atom y with y*y1 = {_at(target, z, j, k1)} has a "
-                f"forced mass {_scalar_str(value(c))}*sqrt(a1) within "
+                f"forced mass {scalar_str(value(c))}*sqrt(a1) within "
                 "tolerance of zero"))
         # c > 0 here, so z is a target atom: elsewhere the residual is a
         # sum of subtracted positive terms
@@ -349,10 +349,10 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
             y, first = target.position(j), target.position(0)
             return _refuted(Violation(
                 "peel-overflow", (j + 1,),
-                f"the root atom y with y*y1 = {_scalar_str(y)} (y1^2 = "
-                f"{_scalar_str(first)}) would square to "
-                f"{_scalar_str(y * y / first)}, beyond the top atom "
-                f"{_scalar_str(target.position(target.p - 1))}"), doubt)
+                f"the root atom y with y*y1 = {scalar_str(y)} (y1^2 = "
+                f"{scalar_str(first)}) would square to "
+                f"{scalar_str(y * y / first)}, beyond the top atom "
+                f"{scalar_str(target.position(target.p - 1))}"), doubt)
         key = keys[j]
         double = twice(c)
         for other, mass, _ in root[1:]:
@@ -360,7 +360,7 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
         _subtract(residual, heap, key * key, mul(c, c), sub, neg)
         root.append((key, c, j))
     return Peel(WITNESS, root=tuple([(j, value(c)) for _, c, j in root]),
-                residual=from_raw(worst), doubt=doubt, keys=tuple(keys))
+                residual=from_raw(worst), doubt=doubt)
 
 
 def _refuted(certificate: Violation, doubt: Optional[str]) -> Peel:
@@ -382,9 +382,9 @@ def _at(target: Table, z: int, j: Optional[int], k1: int) -> str:
     """The position y*y1 at key z: a target atom, or else named by its
     square (z / K_1^2) * x_1^2."""
     if j is not None:
-        return _scalar_str(target.position(j))
+        return scalar_str(target.position(j))
     square = Fraction(z, k1 * k1) * target.square(0)
-    return f"the position with square {_scalar_str(square)}"
+    return f"the position with square {scalar_str(square)}"
 
 
 def _nonpositive(target: Table, count: int, z: int, j: Optional[int],
@@ -393,20 +393,9 @@ def _nonpositive(target: Table, count: int, z: int, j: Optional[int],
         "peel-nonpositive-mass", (j + 1,) if j is not None else (),
         f"after {count} root atoms the smallest atom of target - root^2 "
         f"sits at {_at(target, z, j, k1)}; the root atom y with y*y1 there "
-        f"(y1^2 = {_scalar_str(target.position(0))}) is forced to carry mass "
-        f"{_scalar_str(c)}*sqrt({_scalar_str(target.weight(0))}), which is "
+        f"(y1^2 = {scalar_str(target.position(0))}) is forced to carry mass "
+        f"{scalar_str(c)}*sqrt({scalar_str(target.weight(0))}), which is "
         "not positive")
-
-
-def _scalar_str(value) -> str:
-    """A scalar or a position as a message quotes it: a rational with more
-    digits than the interpreter converts to a string by its size only."""
-    if isinstance(value, mpf):
-        return decimal_str(value)
-    try:
-        return str(value)
-    except ValueError:
-        return f"(a number of more than {sys.get_int_max_str_digits()} digits)"
 
 
 def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
@@ -424,7 +413,7 @@ def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
                for c in cs]
     notes = []
     if mode == RATIONAL:
-        notes.append(f"witness masses lie in Q(sqrt({_scalar_str(a1)})); "
+        notes.append(f"witness masses lie in Q(sqrt({scalar_str(a1)})); "
                      "emitted as reals")
     return REAL, weights, notes
 
@@ -490,13 +479,6 @@ def _reals(target: Table, bits: int) -> List[mpf]:
 # the two decision procedures
 # ---------------------------------------------------------------------------
 
-_FOUR_ATOM_VIOLATION = Violation(
-    "four-atom-family", (),
-    "no four-atom measure on (0, inf) admits a root: the support would have "
-    "to be geometric with exactly seven products, and the resulting "
-    "coefficient equations are jointly infeasible for every choice of masses")
-
-
 def aluthge_subnormal(
     mu: AtomicMeasure,
     config: SolverConfig = DEFAULT_CONFIG,
@@ -506,9 +488,6 @@ def aluthge_subnormal(
     reweighted square and comparing its support with supp(mu)."""
     mu.require_no_zero_atom("aluthge_subnormal")
     bits = config.precision_bits
-    if mu.p == 4:
-        return Verdict(IMPOSSIBLE, certificate=_FOUR_ATOM_VIOLATION,
-                       precision_bits=bits)
     work = mu
     notes: List[str] = []
     if work.mode == RATIONAL and any(pos.k == 1 for pos in work.support):
@@ -517,31 +496,27 @@ def aluthge_subnormal(
     target = products(work, t_weight(work, bits), bits)
     peel = _peel(target, config)
     if peel.outcome == WITNESS:
-        mismatch = _support_mismatch(work, target, peel)
+        mismatch = _support_mismatch(target, peel)
         if mismatch is not None:
             peel = _refuted(mismatch, peel.doubt)
     # a witness that passed the support check sits on supp(mu)
     return _decide(target, peel, work.support, work.base, config, notes)
 
 
-def _support_mismatch(mu: AtomicMeasure, target: Table,
-                      peel: Peel) -> Optional[Violation]:
+def _support_mismatch(target: Table, peel: Peel) -> Optional[Violation]:
     """Compare the root's support with supp(mu): a root atom y with
     y*x_1 = (target atom j) lies in supp(mu) iff that atom is x_1*x_m.
 
-    On the keys K of supp(mu) (the table's left factor) and the peel's keys
-    T of the target's support, with T_0 the key of x_1^2, that is
-    K_1 * T_j = K_m * T_0; the test holds whatever positive scale each set
-    of keys carries."""
-    keys, targets = target.left_keys, peel.keys
-    k1, t0 = keys[0], targets[0]
-    products = {key * t0 for key in keys}
-    expected = {j for j, key in enumerate(targets) if k1 * key in products}
+    The table of mu * t(mu) records the first pair per product with the
+    left factor outermost, so that atom is x_1*x_m exactly when its first
+    pair starts at x_1, the left factor of atom 0."""
+    x1 = target.factors[0][0]
+    expected = {j for j, pair in enumerate(target.factors) if pair[0] is x1}
     got = {j for j, _ in peel.root}
     if got == expected:
         return None
     j = min(got ^ expected)
-    where = _scalar_str(target.position(j) / mu.support[0])
+    where = scalar_str(target.position(j) / x1)
     message = (f"the root has an atom at {where}, outside supp(mu)" if j in got
                else f"the root has no atom at {where}, an atom of mu")
     return Violation("peel-support-mismatch", (j + 1,), message)
@@ -559,9 +534,6 @@ def sqrt_of(
         raise MeasureError(
             "square-root search requires rational atom positions; apply "
             "power_positions(mu, 2) first")
-    if mu.p == 4:
-        return Verdict(IMPOSSIBLE, certificate=_FOUR_ATOM_VIOLATION,
-                       precision_bits=config.precision_bits)
     target = table(mu, config.precision_bits)
     peel = _peel(target, config)
     base = mu.support[0].q

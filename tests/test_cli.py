@@ -59,7 +59,7 @@ def test_aluthge_exit_codes(capsys, six_atom_file, four_atom_file):
     assert main(["aluthge", six_atom_file]) == 0
     assert main(["aluthge", four_atom_file]) == 2
     out = capsys.readouterr().out
-    assert "four-atom-family" in out
+    assert "peel-nonpositive-mass" in out
 
 
 def test_sqrt_json_verdict(capsys, four_atom_file):
@@ -272,3 +272,20 @@ def test_oversized_products_give_no_traceback(tmp_path):
     message = json.loads(result.stdout)["certificate"]["message"]
     assert "(a number of more than" in message
     assert _cli("analyze", path).returncode == 2
+
+
+def test_recurrence_quotes_oversized_coefficients_by_size(tmp_path):
+    # each square prints, but the recurrence coefficients are products of
+    # up to five positions, more digits than the interpreter prints
+    path = _big_document(tmp_path / "rec.json",
+                         [f"{q}e2000" for q in (1, 2, 5, 9, 13)])
+    result = _cli("recurrence", "--max-order", "6", path)
+    assert result.returncode == 0 and not result.stderr
+    assert result.stdout.startswith("order 5: g[n+5] = ")
+    assert "((a number of more than" in result.stdout
+    result = _cli("recurrence", "--json", "--max-order", "6", path)
+    assert result.returncode == 0 and not result.stderr
+    data = json.loads(result.stdout)
+    assert data["order"] == 5
+    assert "(a number of more than" in data["coefficients"][0]
+    assert data["coefficients"][-1] == "30" + "0" * 2000  # the sum of the atoms

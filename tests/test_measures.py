@@ -272,9 +272,13 @@ def test_product_table_matches_its_measure(pair):
     else:
         assert table.den is None
         assert table.masses == [w._mpf_ for w in out.weights]
-    left = [pos.rebase(out.base) for pos in mu.support]
-    ratios = [F(key, table.left_keys[0]) for key in table.left_keys]
-    assert ratios == [x.squared() / left[0].squared() for x in left]
+    # the first pair per product, left factor outermost: an atom is x_1*y
+    # with y in supp(nu) exactly when its first pair starts at x_1
+    x1 = table.factors[0][0]
+    assert x1 == mu.support[0].rebase(out.base)
+    edge = {x1 * y.rebase(out.base) for y in nu.support}
+    assert [pair[0] is x1 for pair in table.factors] == \
+        [pos in edge for pos in out.support]
 
 
 @settings(max_examples=150)

@@ -29,7 +29,7 @@ from alsq.measures import (
     scale_positions,
     t_weight,
 )
-from alsq.scalars import DEFAULT_TOLERANCE, to_mpf
+from alsq.scalars import DEFAULT_TOLERANCE, scalar_str, to_mpf
 from alsq.shifts import aluthge_moment_sequence, hankel_psd
 from alsq.solver import (
     IMPOSSIBLE,
@@ -109,8 +109,7 @@ def test_transform_support_mismatch_names_the_atom(monkeypatch,
                                           t_weight(three_atom_square)))
 
     def decide(root, doubt=None):
-        fake = solver.Peel(WITNESS, root=root, doubt=doubt,
-                           keys=true_root.keys)
+        fake = solver.Peel(WITNESS, root=root, doubt=doubt)
         monkeypatch.setattr(solver, "_peel", lambda target, config: fake)
         return aluthge_subnormal(three_atom_square)
 
@@ -238,7 +237,7 @@ def _reference_peel(target, config=SolverConfig()):
                     if (doubt is None and abs(r) > rounding * scale
                             and z * z <= limit):
                         doubt = (
-                            f"the residual {solver._scalar_str(r)}*a1 at "
+                            f"the residual {scalar_str(r)}*a1 at "
                             f"{_at(atoms, z, j, k1)} was taken as zero "
                             "within tolerance, but a root atom of that tiny "
                             "mass may sit there")
@@ -251,7 +250,7 @@ def _reference_peel(target, config=SolverConfig()):
                 return Peel(UNDETERMINED, note=(
                     f"the root atom y with y*y1 = "
                     f"{_at(atoms, z, j, k1)} has a forced mass "
-                    f"{solver._scalar_str(c)}*sqrt(a1) within tolerance of "
+                    f"{scalar_str(c)}*sqrt(a1) within tolerance of "
                     "zero"))
             if z * z > limit:
                 return solver._refuted(Violation(
@@ -266,7 +265,7 @@ def _reference_peel(target, config=SolverConfig()):
             _reference_subtract(residual, heap, key * key, c * c)
             root.append((key, c, j))
     return Peel(WITNESS, root=tuple((j, c) for _, c, j in root),
-                residual=worst, doubt=doubt, keys=tuple(keys))
+                residual=worst, doubt=doubt)
 
 
 # the certificate texts of the reference, written on the target's atoms
@@ -280,7 +279,6 @@ def _at(atoms, z, j, k1):
 
 
 def _nonpositive(atoms, root, z, j, c, k1) -> Violation:
-    scalar_str = solver._scalar_str
     return Violation(
         "peel-nonpositive-mass", (j + 1,) if j is not None else (),
         f"after {len(root)} root atoms the smallest atom of target - root^2 "
@@ -304,7 +302,7 @@ def _peel_fields(peel):
     return (peel.outcome,
             [(j, type(c), c._mpf_ if isinstance(c, mpf) else c)
              for j, c in peel.root],
-            peel.residual._mpf_, peel.doubt, peel.note, peel.keys,
+            peel.residual._mpf_, peel.doubt, peel.note,
             (cert.rule, cert.indices, cert.message) if cert else None)
 
 
@@ -561,6 +559,21 @@ def test_transform_impossible_for_any_four_atoms():
     for mu in (geometric, ragged):
         verdict = aluthge_subnormal(mu)
         assert verdict.outcome == IMPOSSIBLE
+
+
+@pytest.mark.parametrize("style", ["geometric", "random"])
+def test_peel_refutes_four_atoms_as_the_closed_form_does(style):
+    # no four-atom shortcut: both decisions peel, and their peel certificate
+    # agrees with the closed-form four-atom family
+    for seed in range(25):
+        exact = generate(GeneratorSpec(4, "arbitrary", 7000 + seed,
+                                       position_style=style)).measure
+        for mu in (exact, exact.to_real(64), exact.to_real(128)):
+            for verdict in (sqrt_of(mu), aluthge_subnormal(mu)):
+                assert verdict.outcome == IMPOSSIBLE
+                assert verdict.certificate.rule.startswith("peel-")
+            assert classify_small(mu).outcome == IMPOSSIBLE
+            assert analyze(mu).agreement is True
 
 
 def test_transform_mass_convention(three_atom_square):

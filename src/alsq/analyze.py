@@ -1,15 +1,12 @@
 """Full analysis of a measure: support combinatorics, both root decisions,
-closed-form agreement, and optional shift tables."""
+closed-form agreement, and optional shift tables.  Only the shift tables
+and real-mode values use :mod:`alsq.reals`, which loads mpmath."""
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional
-
-import mpmath
-from mpmath.libmp import to_str
 
 from .closed_forms import classify_small
 from .diagram import (
@@ -26,6 +23,7 @@ from .measures import (
     dumps_measure,
     strip_zero_atom,
 )
+from .scalars import real_arithmetic, scalar_str
 from .shifts import shift_rows
 from .solver import DEFAULT_CONFIG, WITNESS, SolverConfig, Verdict, aluthge_subnormal, sqrt_of
 
@@ -126,7 +124,7 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
     zero_note: Optional[str] = None
     zero, body = strip_zero_atom(mu)
     if mu.has_zero_atom():
-        zero_note = str(zero) if isinstance(zero, Fraction) else mpmath.nstr(zero, 12)
+        zero_note = scalar_str(zero)
     config = options.config
     notes: List[str] = []
 
@@ -181,6 +179,7 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
 
 def shift_table(mu: AtomicMeasure, terms: int, bits: int) -> dict:
     """:func:`shift_rows` with each value printed to 15 digits."""
+    to_str = real_arithmetic().to_str
     rows = [(n,) + tuple(to_str(x, 15) for x in row)
             for n, row in enumerate(shift_rows(mu, terms, bits))]
     return {"terms": terms, "rows": rows}

@@ -20,14 +20,14 @@ this atom range, so the outcome doubles as the subnormality answer.
 
 A real mass is a dyadic rational, so the identities are evaluated exactly in
 both modes; in real mode only their final comparison allows the tolerance.
+A rounded witness mass is computed through :mod:`alsq.reals`, loaded only
+when one is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import List, Tuple
-
-from mpmath.libmp import mpf_div, mpf_mul_int, mpf_sqrt, round_nearest
 
 from .diagram import Violation, geometric_profile
 from .measures import (
@@ -38,7 +38,7 @@ from .measures import (
     Position,
     make_measure,
 )
-from .scalars import from_raw, mpf_to_fraction, sqrt_fraction, to_raw
+from .scalars import real_arithmetic, sqrt_fraction
 from .solver import (
     IMPOSSIBLE,
     UNDETERMINED,
@@ -58,10 +58,11 @@ class _Checker:
     (|x - y| <= tol * max(|x|, |y|, 1), as ``close_rel``) in real mode."""
 
     def __init__(self, mu: AtomicMeasure, config: SolverConfig):
-        real = mu.mode == REAL
-        self.a = ([mpf_to_fraction(w) for w in mu.weights] if real
-                  else list(mu.weights))
-        self.tol = config.tolerance if real else None
+        self.a, self.tol = list(mu.weights), None
+        if mu.mode == REAL:
+            mpf_to_fraction = real_arithmetic().mpf_to_fraction
+            self.a = [mpf_to_fraction(w) for w in self.a]
+            self.tol = config.tolerance
 
     def eq(self, x: Fraction, y: Fraction) -> bool:
         if self.tol is None:
@@ -258,17 +259,20 @@ def _sqrt_witness(mu: AtomicMeasure, spec: List[tuple],
         root = sqrt_fraction(w[0])
         return None if root is None else w[1] / (2 * root)
 
-    def rounded(m):
-        if m is not None:
-            return mpf_sqrt(to_raw(w[m], bits), bits, round_nearest)
-        twice_root = mpf_mul_int(rounded(0), 2, bits, round_nearest)
-        return mpf_div(to_raw(w[1], bits), twice_root, bits, round_nearest)
-
     mode = mu.mode
     masses = [exact(m) for _, m in spec] if mode == RATIONAL else [None]
     if None in masses:
+        reals = real_arithmetic()
+        to_raw, nearest = reals.to_raw, reals.round_nearest
+
+        def rounded(m):
+            if m is not None:
+                return reals.mpf_sqrt(to_raw(w[m], bits), bits, nearest)
+            twice_root = reals.mpf_mul_int(rounded(0), 2, bits, nearest)
+            return reals.mpf_div(to_raw(w[1], bits), twice_root, bits, nearest)
+
         mode = REAL
-        masses = [from_raw(rounded(m)) for _, m in spec]
+        masses = [reals.from_raw(rounded(m)) for _, m in spec]
     lam1 = mu.support[0].q
     atoms = [(Position(rel, 1, lam1), mass)
              for (rel, _), mass in zip(spec, masses)]

@@ -63,7 +63,16 @@ def _geometric_support(rng: random.Random, p: int) -> List[Fraction]:
     return [start * ratio ** i for i in range(p)]
 
 
+# random positions are n/d with 1 <= n <= 60 and 1 <= d <= 8, of which this
+# many are distinct
+RANDOM_POSITIONS = 310
+
+
 def _random_support(rng: random.Random, p: int) -> List[Fraction]:
+    if p > RANDOM_POSITIONS:
+        raise MeasureError(
+            f"random positions are drawn from {RANDOM_POSITIONS} distinct "
+            f"fractions, too few for {p} atoms")
     points = set()
     while len(points) < p:
         points.add(Fraction(rng.randint(1, 60), rng.randint(1, 8)))

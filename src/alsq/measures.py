@@ -17,6 +17,9 @@ libmp values.  :func:`products` tables a convolution without building its
 positions or masses, so ``solver`` decides the transform question on the
 table of mu * t(mu) and never materializes that measure; :func:`convolve`
 is ``products(...).measure()``.
+
+Real-mode branches get :mod:`alsq.reals` from ``real_arithmetic`` once per
+call; rational ones never load mpmath.
 """
 
 from __future__ import annotations
@@ -29,29 +32,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-import mpmath
-from mpmath import mpf
-from mpmath.libmp import (
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_pow_int,
-    mpf_sqrt,
-    round_nearest,
-)
-
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
+    Scalar,
     format_rational,
-    from_raw,
-    mpf_to_fraction,
-    operand,
     parse_rational,
+    real_arithmetic,
     sqrt_fraction,
-    to_mpf,
-    to_raw,
 )
 
 RATIONAL = "rational"
@@ -163,12 +151,9 @@ class Position:
             raise MeasureError(f"{self} is irrational")
         return self.q
 
-    def to_mpf(self, bits: int = DEFAULT_PRECISION_BITS) -> mpf:
-        value = to_raw(self.q, bits)
-        if self.k:
-            root = mpf_sqrt(to_raw(self.base, bits), bits, round_nearest)
-            value = mpf_mul(value, root, bits, round_nearest)
-        return from_raw(value)
+    def to_mpf(self, bits: int = DEFAULT_PRECISION_BITS) -> "mpf":
+        reals = real_arithmetic()
+        return reals.from_raw(reals.position_raw(self, bits))
 
     def _key(self):
         return (self.q, self.k, self.base if self.k else None)
@@ -212,7 +197,7 @@ def _position(q: Fraction, k: int, base: Fraction) -> Position:
 # measures
 # ---------------------------------------------------------------------------
 
-Weight = Union[Fraction, mpf]
+Weight = Scalar
 AtomLike = Tuple[Union[Position, Fraction, int, str], Union[Weight, int, str]]
 
 
@@ -245,11 +230,13 @@ class AtomicMeasure:
         rational mode, rounded to nearest at 512 bits in real mode."""
         if self.mode == RATIONAL:
             return sum(self.weights, self.zero_mass)
+        reals = real_arithmetic()
+        operand, mpf_add = reals.operand, reals.mpf_add
         total = operand(self.zero_mass, _SUM_BITS)
         for w in self.weights:
             total = mpf_add(total, operand(w, _SUM_BITS), _SUM_BITS,
-                            round_nearest)
-        return from_raw(total)
+                            reals.round_nearest)
+        return reals.from_raw(total)
 
     def has_zero_atom(self) -> bool:
         return _weight_nonzero(self.zero_mass)
@@ -263,6 +250,7 @@ class AtomicMeasure:
     def to_real(self, bits: int = DEFAULT_PRECISION_BITS) -> "AtomicMeasure":
         if self.mode == REAL:
             return self
+        to_mpf = real_arithmetic().to_mpf
         return AtomicMeasure(
             self.base,
             REAL,
@@ -271,21 +259,23 @@ class AtomicMeasure:
         )
 
     def __str__(self):
+        show = format_rational
+        if self.mode == REAL:
+            decimal_str = real_arithmetic().decimal_str
+
+            def show(w):
+                return (format_rational(w) if type(w) is Fraction
+                        else decimal_str(w))
+
         parts = []
         if self.has_zero_atom():
-            parts.append(f"{_weight_str(self.zero_mass)}*d(0)")
-        parts.extend(f"{_weight_str(w)}*d({pos})" for pos, w in self.atoms)
+            parts.append(f"{show(self.zero_mass)}*d(0)")
+        parts.extend(f"{show(w)}*d({pos})" for pos, w in self.atoms)
         return " + ".join(parts) if parts else "0"
 
 
 def _weight_nonzero(w: Weight) -> bool:
     return w != 0
-
-
-def _weight_str(w: Weight) -> str:
-    if isinstance(w, Fraction):
-        return format_rational(w)
-    return mpmath.nstr(w, 12)
 
 
 def make_measure(
@@ -309,10 +299,13 @@ def make_measure(
         inferred = Fraction(1)
 
     built: List[Tuple[Position, Weight]] = []
-    zero = _convert_weight(zero_mass, mode, bits)
-    floor = to_mpf(DEFAULT_TOLERANCE, bits) if mode == REAL else None
+    convert = _weight_converter(mode, bits)
+    zero = convert(zero_mass)
+    if mode == REAL:
+        reals = real_arithmetic()
+        floor = reals.to_mpf(DEFAULT_TOLERANCE, bits)
     for pos_like, w in pairs:
-        weight = _convert_weight(w, mode, bits)
+        weight = convert(w)
         if isinstance(pos_like, Position):
             pos = pos_like if pos_like.base == inferred else pos_like.rebase(inferred)
         else:
@@ -320,8 +313,9 @@ def make_measure(
             if raw == 0:
                 if weight <= 0:
                     raise MeasureError("mass at the origin must be positive")
-                zero = (zero + weight if mode == RATIONAL else from_raw(
-                    mpf_add(zero._mpf_, weight._mpf_, bits, round_nearest)))
+                zero = (zero + weight if mode == RATIONAL else reals.from_raw(
+                    reals.mpf_add(zero._mpf_, weight._mpf_, bits,
+                                  reals.round_nearest)))
                 continue
             pos = Position(raw, 0, inferred)
         if weight <= 0:
@@ -344,19 +338,31 @@ def make_measure(
                          zero)
 
 
-def _convert_weight(w, mode: str, bits: int) -> Weight:
-    """A weight of ``mode``.  A string is parsed as an exact rational (a
-    non-finite one raises ``ScalarError``), rounded toward zero at ``bits``
-    in real mode."""
-    if isinstance(w, str):
-        w = parse_rational(w)
+def _weight_converter(mode: str, bits: int):
+    """The function that makes each weight of a ``mode`` measure.  A string
+    is parsed as an exact rational (a non-finite one raises
+    ``ScalarError``), rounded toward zero at ``bits`` in real mode."""
     if mode == RATIONAL:
+        return _rational_weight
+    reals = real_arithmetic()
+    mpf, to_mpf = reals.mpf, reals.to_mpf
+
+    def real_weight(w) -> Weight:
+        if isinstance(w, str):
+            w = parse_rational(w)
         if isinstance(w, mpf):
-            raise MeasureError("rational mode cannot hold floating weights")
-        return Fraction(w)
-    if isinstance(w, mpf):
-        return w
-    return to_mpf(Fraction(w), bits)
+            return w
+        return to_mpf(Fraction(w), bits)
+
+    return real_weight
+
+
+def _rational_weight(w) -> Fraction:
+    if isinstance(w, str):
+        return parse_rational(w)
+    if hasattr(w, "_mpf_"):  # an mpf
+        raise MeasureError("rational mode cannot hold floating weights")
+    return Fraction(w)
 
 
 def dirac(position, weight=1, mode: str = RATIONAL, base: Fraction = Fraction(1)) -> AtomicMeasure:
@@ -448,14 +454,16 @@ class Table:
 
     def weight(self, j: int) -> Weight:
         if self.den is None:
-            return from_raw(self.masses[j])
+            return real_arithmetic().from_raw(self.masses[j])
         return Fraction(self.masses[j], self.den)
 
     def measure(self) -> AtomicMeasure:
         base, den = self.base, self.den
         positions = [_product(factors, base) for factors in self.factors]
-        weights = (map(from_raw, self.masses) if den is None
-                   else [Fraction(n, den) for n in self.masses])
+        if den is None:
+            weights = map(real_arithmetic().from_raw, self.masses)
+        else:
+            weights = [Fraction(n, den) for n in self.masses]
         return AtomicMeasure(base, self.mode,
                              tuple(list(zip(positions, weights))))
 
@@ -476,6 +484,7 @@ def table(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> Table:
     """The table of ``mu`` itself.  Real masses are kept as they are; only a
     real-mode mass that is not an mpf is converted, at ``bits``."""
     if mu.mode == REAL:
+        operand = real_arithmetic().operand
         masses, den = [operand(w, bits) for w in mu.weights], None
     else:
         masses, den = numerators(mu)
@@ -505,6 +514,9 @@ def products(mu: AtomicMeasure, nu: AtomicMeasure,
         list(m.support) if m.base == base
         else [pos.rebase(base) for pos in m.support] for m in (mu, nu))
     if mode == REAL:
+        reals = real_arithmetic()
+        to_raw, mpf_mul, mpf_add = reals.to_raw, reals.mpf_mul, reals.mpf_add
+        round_nearest = reals.round_nearest
         mu_masses = [to_raw(w, bits) for w in mu.weights]
         nu_masses = [to_raw(w, bits) for w in nu.weights]
 
@@ -560,17 +572,19 @@ def t_weight(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMea
     product under ``workprec(bits)`` rounds it."""
     mu.require_no_zero_atom("t_weight")
     atoms = []
-    for pos, w in mu.atoms:
-        if mu.mode == RATIONAL:
+    if mu.mode == RATIONAL:
+        for pos, w in mu.atoms:
             if pos.k != 0:
                 raise MeasureError(
                     f"t_weight at irrational position {pos} leaves the rational "
                     "field; use real mode")
             atoms.append((pos, w * pos.q))
-        else:
-            x = pos.to_mpf(bits)._mpf_
-            atoms.append((pos, from_raw(mpf_mul(operand(w, bits), x, bits,
-                                                round_nearest))))
+    else:
+        reals = real_arithmetic()
+        for pos, w in mu.atoms:
+            x = reals.position_raw(pos, bits)
+            atoms.append((pos, reals.from_raw(reals.mpf_mul(
+                reals.operand(w, bits), x, bits, reals.round_nearest))))
     return AtomicMeasure(mu.base, mu.mode, tuple(atoms))
 
 
@@ -588,21 +602,10 @@ def moment(mu: AtomicMeasure, n: int, bits: int = DEFAULT_PRECISION_BITS):
             value = pos.q ** n * pos.base ** ((pos.k * n) // 2)
             total += w * value
         return total
-    ws = [to_raw(w, bits) for w in mu.weights]
-    xs = [pos.to_mpf(bits)._mpf_ for pos in mu.support]
-    return from_raw(power_sum(ws, xs, n, bits))
-
-
-def power_sum(ws: Sequence[tuple], xs: Sequence[tuple], n: int,
-              bits: int) -> tuple:
-    """The sum of w * x^n over raw libmp values, each power, product and
-    partial sum rounded to nearest at ``bits`` in the order of the atoms."""
-    total = fzero
-    for w, x in zip(ws, xs):
-        term = mpf_mul(w, mpf_pow_int(x, n, bits, round_nearest), bits,
-                       round_nearest)
-        total = mpf_add(total, term, bits, round_nearest)
-    return total
+    reals = real_arithmetic()
+    ws = [reals.to_raw(w, bits) for w in mu.weights]
+    xs = [reals.position_raw(pos, bits) for pos in mu.support]
+    return reals.from_raw(reals.power_sum(ws, xs, n, bits))
 
 
 def scale_positions(mu: AtomicMeasure, x: Union[Fraction, int, str]) -> AtomicMeasure:
@@ -628,7 +631,10 @@ def strip_zero_atom(mu: AtomicMeasure) -> Tuple[Weight, AtomicMeasure]:
     if not mu.atoms:
         raise MeasureError("measure carries mass only at the origin")
     if not mu.has_zero_atom():
-        return (Fraction(0) if mu.mode == RATIONAL else mpf(0)), mu
+        if mu.mode == RATIONAL:
+            return Fraction(0), mu
+        reals = real_arithmetic()
+        return reals.from_raw(reals.fzero), mu
     return mu.zero_mass, AtomicMeasure(mu.base, mu.mode, mu.atoms)
 
 
@@ -637,11 +643,15 @@ def normalize(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMe
     if not _weight_nonzero(total):
         raise MeasureError("cannot normalize a measure with zero total mass")
 
-    def share(w):  # real masses rounded to nearest at bits
-        if mu.mode == RATIONAL:
+    if mu.mode == RATIONAL:
+        def share(w):
             return w / total
-        return from_raw(mpf_div(operand(w, bits), total._mpf_, bits,
-                                round_nearest))
+    else:
+        reals = real_arithmetic()
+
+        def share(w):  # rounded to nearest at bits
+            return reals.from_raw(reals.mpf_div(
+                reals.operand(w, bits), total._mpf_, bits, reals.round_nearest))
 
     atoms = tuple((pos, share(w)) for pos, w in mu.atoms)
     zero = share(mu.zero_mass) if _weight_nonzero(mu.zero_mass) else mu.zero_mass
@@ -653,28 +663,30 @@ def normalize(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMe
 # ---------------------------------------------------------------------------
 
 def measure_to_json_dict(mu: AtomicMeasure) -> dict:
+    weight = format_rational
+    if mu.mode == REAL:
+        mpf_to_fraction = real_arithmetic().mpf_to_fraction
+
+        def weight(w):
+            # exact dyadic form: parses back to the identical mpf, so
+            # emission is byte-stable under reload
+            return format_rational(w if type(w) is Fraction
+                                   else mpf_to_fraction(w))
+
     atoms = []
     if mu.has_zero_atom():
-        atoms.append({"pos_q": "0", "pos_k": 0, "weight": _weight_json(mu.zero_mass)})
+        atoms.append({"pos_q": "0", "pos_k": 0, "weight": weight(mu.zero_mass)})
     for pos, w in mu.atoms:
         atoms.append({
             "pos_q": format_rational(pos.q),
             "pos_k": pos.k,
-            "weight": _weight_json(w),
+            "weight": weight(w),
         })
     return {
         "radical_base": format_rational(mu.base),
         "mode": mu.mode,
         "atoms": atoms,
     }
-
-
-def _weight_json(w: Weight) -> str:
-    if isinstance(w, Fraction):
-        return format_rational(w)
-    # exact dyadic form: parses back to the identical mpf, so emission is
-    # byte-stable under reload
-    return format_rational(mpf_to_fraction(w))
 
 
 def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
@@ -689,11 +701,12 @@ def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> At
     if not isinstance(raw_atoms, list):
         raise MeasureError("malformed measure document: atoms must be a list")
     atoms: List[AtomLike] = []
+    convert = _weight_converter(mode, bits)
     for index, atom in enumerate(raw_atoms):
         try:
             q = parse_rational(str(atom["pos_q"]))
             k = atom["pos_k"]
-            weight = _convert_weight(str(atom["weight"]), mode, bits)
+            weight = convert(str(atom["weight"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MeasureError(f"atom {index}: {exc}") from exc
         if type(k) is not int:  # bool is a subclass of int

@@ -1,0 +1,137 @@
+"""Real-mode arithmetic: the one module of the package that loads mpmath.
+
+A real-mode mass is an ``mpmath.mpf``.  The package computes on its raw
+libmp value (``mpf._mpf_``), with the precision and the rounding of every
+operation given explicitly, so no result depends on mpmath's global
+context.
+
+``import alsq`` does not import this module.  Each real-mode branch gets it
+from ``alsq.scalars.real_arithmetic`` once per call, so a process that only
+meets rational input never loads mpmath.  The libmp names stay module
+globals here, for the helpers below that run once per scalar, and the
+real-mode branches elsewhere call them through this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import mpmath
+from mpmath import mpf
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_int,
+    from_rational,
+    from_str,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pos,
+    mpf_pow_int,
+    mpf_sqrt,
+    mpf_sub,
+    round_down,
+    round_nearest,
+    to_str,
+)
+
+from .scalars import ScalarError
+
+TWO = from_int(2)
+
+
+def to_raw(value, bits: int) -> tuple:
+    """The raw libmp value (``mpf._mpf_``) of ``value`` at ``bits``, rounded
+    as ``+mpmathify(value)`` rounds it under ``workprec(bits)``: to nearest,
+    except that a Fraction is rounded toward zero, as mpmath converts one.
+    Takes no state from mpmath's global context."""
+    if isinstance(value, mpf):
+        return mpf_pos(value._mpf_, bits, round_nearest)
+    if isinstance(value, Fraction):
+        return from_rational(value.numerator, value.denominator, bits, round_down)
+    if isinstance(value, int):
+        return from_int(value, bits, round_nearest)
+    if isinstance(value, float):
+        return from_float(value, bits, round_nearest)
+    if isinstance(value, str):
+        return from_str(value, bits, round_nearest)
+    raise ScalarError(f"cannot convert {value!r} to a binary float")
+
+
+from_raw = mpmath.mp.make_mpf  # an mpf holding a raw value, unrounded
+
+
+def operand(value, bits: int) -> tuple:
+    """The raw value an mpf operator under ``workprec(bits)`` uses for
+    ``value``: an mpf as it is, anything else converted at ``bits``."""
+    return value._mpf_ if isinstance(value, mpf) else to_raw(value, bits)
+
+
+def to_mpf(value, bits: int) -> mpf:
+    """Convert Fraction/int/str/mpf to an mpf at the given precision."""
+    return from_raw(to_raw(value, bits))
+
+
+def position_raw(pos, bits: int) -> tuple:
+    """The raw value of the position q * sqrt(base)^k at ``bits``: q
+    converted, times the square root of the base rounded to nearest."""
+    value = to_raw(pos.q, bits)
+    if pos.k:
+        root = mpf_sqrt(to_raw(pos.base, bits), bits, round_nearest)
+        value = mpf_mul(value, root, bits, round_nearest)
+    return value
+
+
+def mpf_to_fraction(x: mpf) -> Fraction:
+    """Exact dyadic rational equal to a finite mpf."""
+    sign, man, exp, _ = x._mpf_
+    if man == 0:
+        if x == 0:
+            return Fraction(0)
+        raise ScalarError(f"cannot convert non-finite value {x!r} to a rational")
+    if sign:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def close_rel(x: mpf, y: mpf, tol: mpf) -> bool:
+    """|x - y| <= tol * max(|x|, |y|, 1), decided exactly."""
+    x, y = x._mpf_, y._mpf_
+    scale = fone
+    for value in (mpf_abs(x), mpf_abs(y)):
+        if mpf_lt(scale, value):
+            scale = value
+    return mpf_le(mpf_abs(mpf_sub(x, y)), mpf_mul(tol._mpf_, scale))
+
+
+def decimal_str(x: mpf, digits: int = 12) -> str:
+    """``x`` to ``digits`` significant digits, as ``mpmath.nstr`` prints it."""
+    return to_str(x._mpf_, digits)
+
+
+def masses_at(masses, den, bits: int) -> list:
+    """The masses of a table (``alsq.measures.Table``) as mpfs at ``bits``,
+    as :func:`to_mpf` converts them: raw values when ``den`` is None, else
+    int numerators over ``den``."""
+    if den is None:
+        return [from_raw(mpf_pos(w, bits, round_nearest)) for w in masses]
+    return [from_raw(from_rational(n, den, bits, round_down)) for n in masses]
+
+
+def power_sum(ws, xs, n: int, bits: int) -> tuple:
+    """The sum of w * x^n over raw libmp values, each power, product and
+    partial sum rounded to nearest at ``bits`` in the order of the atoms."""
+    total = fzero
+    for w, x in zip(ws, xs):
+        term = mpf_mul(w, mpf_pow_int(x, n, bits, round_nearest), bits,
+                       round_nearest)
+        total = mpf_add(total, term, bits, round_nearest)
+    return total

@@ -6,36 +6,23 @@ Two kinds of scalars appear:
 * arbitrary-precision binary floats (``mpmath.mpf``) at a configured
   precision, used whenever a value genuinely leaves the rational field.
 
-Positions of atoms are always exact; only masses may be floating.
+Positions of atoms are always exact; only masses may be floating.  This
+module holds the rational helpers and imports no mpmath.  Real-mode
+arithmetic lives in :mod:`alsq.reals`, the one module that loads mpmath;
+a rational run never imports it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
 from typing import Optional, Union
 
-import mpmath
-from mpmath import mpf
-from mpmath.libmp import (
-    fone,
-    from_float,
-    from_int,
-    from_rational,
-    from_str,
-    mpf_abs,
-    mpf_le,
-    mpf_lt,
-    mpf_mul,
-    mpf_pos,
-    mpf_sub,
-    round_down,
-    round_nearest,
-    to_str,
-)
-
-Scalar = Union[Fraction, mpf]
+# a mass: an exact Fraction, or in real mode an mpmath mpf (named here
+# without importing mpmath)
+Scalar = Union[Fraction, "mpf"]
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = Fraction(1, 2 ** 64)
@@ -43,6 +30,20 @@ DEFAULT_TOLERANCE = Fraction(1, 2 ** 64)
 
 class ScalarError(ValueError):
     pass
+
+
+@functools.cache
+def real_arithmetic():
+    """The module :mod:`alsq.reals`, imported on the first call.
+
+    Real-mode branches get that module here, once per call, and nothing
+    imports it at module level, so a process that meets only rational input
+    never loads mpmath.  After the first call this is one dict lookup; a
+    function-local import statement costs about fifty function calls each
+    time it runs, and real-mode ``analyze`` would run dozens."""
+    from . import reals
+
+    return reals
 
 
 # ---------------------------------------------------------------------------
@@ -96,73 +97,11 @@ def sqrt_fraction(q: Fraction) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-# ---------------------------------------------------------------------------
-# real mode
-# ---------------------------------------------------------------------------
-
-def to_raw(value, bits: int) -> tuple:
-    """The raw libmp value (``mpf._mpf_``) of ``value`` at ``bits``, rounded
-    as ``+mpmathify(value)`` rounds it under ``workprec(bits)``: to nearest,
-    except that a Fraction is rounded toward zero, as mpmath converts one.
-    Takes no state from mpmath's global context."""
-    if isinstance(value, mpf):
-        return mpf_pos(value._mpf_, bits, round_nearest)
-    if isinstance(value, Fraction):
-        return from_rational(value.numerator, value.denominator, bits, round_down)
-    if isinstance(value, int):
-        return from_int(value, bits, round_nearest)
-    if isinstance(value, float):
-        return from_float(value, bits, round_nearest)
-    if isinstance(value, str):
-        return from_str(value, bits, round_nearest)
-    raise ScalarError(f"cannot convert {value!r} to a binary float")
-
-
-from_raw = mpmath.mp.make_mpf  # an mpf holding a raw value, unrounded
-
-
-def operand(value, bits: int) -> tuple:
-    """The raw value an mpf operator under ``workprec(bits)`` uses for
-    ``value``: an mpf as it is, anything else converted at ``bits``."""
-    return value._mpf_ if isinstance(value, mpf) else to_raw(value, bits)
-
-
-def to_mpf(value, bits: int) -> mpf:
-    """Convert Fraction/int/str/mpf to an mpf at the given precision."""
-    return from_raw(to_raw(value, bits))
-
-
-def mpf_to_fraction(x: mpf) -> Fraction:
-    """Exact dyadic rational equal to a finite mpf."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        if x == 0:
-            return Fraction(0)
-        raise ScalarError(f"cannot convert non-finite value {x!r} to a rational")
-    if sign:
-        man = -man
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def close_rel(x: mpf, y: mpf, tol: mpf) -> bool:
-    """|x - y| <= tol * max(|x|, |y|, 1), decided exactly."""
-    x, y = x._mpf_, y._mpf_
-    scale = fone
-    for value in (mpf_abs(x), mpf_abs(y)):
-        if mpf_lt(scale, value):
-            scale = value
-    return mpf_le(mpf_abs(mpf_sub(x, y)), mpf_mul(tol._mpf_, scale))
-
-
-def decimal_str(x: mpf, digits: int = 12) -> str:
-    return to_str(x._mpf_, digits)
-
-
 def scalar_str(value) -> str:
     """A scalar or a position as a message quotes it: a rational with more
     digits than the interpreter converts to a string by its size only."""
-    if isinstance(value, mpf):
-        return decimal_str(value)
+    if hasattr(value, "_mpf_"):  # a real: mpmath is loaded already
+        return real_arithmetic().decimal_str(value)
     try:
         return str(value)
     except ValueError:

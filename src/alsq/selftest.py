@@ -33,7 +33,7 @@ from .measures import (
     normalize,
     t_weight,
 )
-from .scalars import to_mpf
+from .reals import to_mpf
 from .shifts import (
     aluthge_moment_sequence,
     hankel_psd,

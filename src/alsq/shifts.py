@@ -20,32 +20,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from mpmath import mpf
-from mpmath.libmp import fone, mpf_div, mpf_mul, mpf_sqrt, round_nearest
-
 from .measures import (
     RATIONAL,
     AtomicMeasure,
     MeasureError,
     normalize,
-    power_sum,
 )
-from .scalars import (
-    DEFAULT_PRECISION_BITS,
-    DEFAULT_TOLERANCE,
-    from_raw,
-    mpf_to_fraction,
-    operand,
-    to_raw,
-)
+from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, real_arithmetic
 
 # The weights and moments below are computed on raw libmp values with the
 # precision and rounding of every operation given explicitly.  Each call is
 # the one an mpf operator makes under workprec(bits), in the same order, so
 # the values are those of mpf arithmetic bit for bit, and no result depends
 # on mpmath's global precision.  Each atom is converted once per measure.
-
-_N = round_nearest
+# The raw arithmetic comes from alsq.reals (``real_arithmetic``); exact
+# moments and the Hankel test of exact values never load mpmath.
 
 
 def _moments(mu: AtomicMeasure, weights: Sequence, count: int,
@@ -67,10 +56,11 @@ def _moments(mu: AtomicMeasure, weights: Sequence, count: int,
             terms = [t * f for t, f in zip(terms, factors)]
     inexact = [n for n, g in enumerate(gammas) if g is None]
     if inexact:
-        ws = [to_raw(w, bits) for w in weights]
-        xs = [pos.to_mpf(bits)._mpf_ for pos in mu.support]
+        reals = real_arithmetic()
+        ws = [reals.to_raw(w, bits) for w in weights]
+        xs = [reals.position_raw(pos, bits) for pos in mu.support]
         for n in inexact:
-            gammas[n] = power_sum(ws, xs, n, bits)
+            gammas[n] = reals.power_sum(ws, xs, n, bits)
     return gammas
 
 
@@ -79,24 +69,34 @@ def _alpha(mu: AtomicMeasure, count: int, bits: int) -> list:
     measure: sqrt(g_{n+1} / g_n)."""
     if count < 1:
         raise MeasureError("at least one weight must be requested")
+    reals = real_arithmetic()
+    mpf_div, mpf_sqrt = reals.mpf_div, reals.mpf_sqrt
+    nearest = reals.round_nearest
     prob = normalize(mu, bits).weights
-    gammas = [g if type(g) is tuple else to_raw(g, bits)
+    gammas = [g if type(g) is tuple else reals.to_raw(g, bits)
               for g in _moments(mu, prob, count + 1, bits)]
-    return [mpf_sqrt(mpf_div(gammas[n + 1], gammas[n], bits, _N), bits, _N)
+    return [mpf_sqrt(mpf_div(gammas[n + 1], gammas[n], bits, nearest), bits,
+                     nearest)
             for n in range(count)]
 
 
 def _geometric_means(alpha: Sequence[tuple], bits: int) -> List[tuple]:
     if len(alpha) < 2:
         raise MeasureError("need at least two weights")
-    return [mpf_sqrt(mpf_mul(a, b, bits, _N), bits, _N)
+    reals = real_arithmetic()
+    mpf_mul, mpf_sqrt = reals.mpf_mul, reals.mpf_sqrt
+    nearest = reals.round_nearest
+    return [mpf_sqrt(mpf_mul(a, b, bits, nearest), bits, nearest)
             for a, b in zip(alpha, alpha[1:])]
 
 
 def _products(alpha: Sequence[tuple], bits: int) -> List[tuple]:
-    gammas = [fone]
+    reals = real_arithmetic()
+    mpf_mul, nearest = reals.mpf_mul, reals.round_nearest
+    gammas = [reals.fone]
     for a in alpha:
-        gammas.append(mpf_mul(mpf_mul(gammas[-1], a, bits, _N), a, bits, _N))
+        gammas.append(mpf_mul(mpf_mul(gammas[-1], a, bits, nearest), a, bits,
+                              nearest))
     return gammas
 
 
@@ -114,33 +114,40 @@ def shift_rows(mu: AtomicMeasure, terms: int,
 def moment_sequence(mu: AtomicMeasure, count: int,
                     bits: int = DEFAULT_PRECISION_BITS) -> List:
     """g_0 .. g_{count-1}; exact Fractions whenever the measure allows it."""
-    return [g if type(g) is Fraction else from_raw(g)
-            for g in _moments(mu, mu.weights, count, bits)]
+    gammas = _moments(mu, mu.weights, count, bits)
+    if all(type(g) is Fraction for g in gammas):
+        return gammas
+    from_raw = real_arithmetic().from_raw
+    return [g if type(g) is Fraction else from_raw(g) for g in gammas]
 
 
 def weights_from_measure(mu: AtomicMeasure, count: int,
-                         bits: int = DEFAULT_PRECISION_BITS) -> List[mpf]:
+                         bits: int = DEFAULT_PRECISION_BITS) -> List["mpf"]:
     """Shift weights alpha_0 .. alpha_{count-1} of the normalized measure."""
+    from_raw = real_arithmetic().from_raw
     return [from_raw(a) for a in _alpha(mu, count, bits)]
 
 
-def aluthge_weights(alpha: Sequence[mpf],
-                    bits: int = DEFAULT_PRECISION_BITS) -> List[mpf]:
+def aluthge_weights(alpha: Sequence["mpf"],
+                    bits: int = DEFAULT_PRECISION_BITS) -> List["mpf"]:
     """Geometric means of consecutive weights; one entry shorter."""
-    raw = [operand(a, bits) for a in alpha]
-    return [from_raw(a) for a in _geometric_means(raw, bits)]
+    reals = real_arithmetic()
+    raw = [reals.operand(a, bits) for a in alpha]
+    return [reals.from_raw(a) for a in _geometric_means(raw, bits)]
 
 
-def moments_from_weights(alpha: Sequence[mpf],
-                         bits: int = DEFAULT_PRECISION_BITS) -> List[mpf]:
+def moments_from_weights(alpha: Sequence["mpf"],
+                         bits: int = DEFAULT_PRECISION_BITS) -> List["mpf"]:
     """g_0 = 1 and g_k = alpha_0^2 ... alpha_{k-1}^2."""
-    raw = [operand(a, bits) for a in alpha]
-    return [from_raw(g) for g in _products(raw, bits)]
+    reals = real_arithmetic()
+    raw = [reals.operand(a, bits) for a in alpha]
+    return [reals.from_raw(g) for g in _products(raw, bits)]
 
 
 def aluthge_moment_sequence(mu: AtomicMeasure, count: int,
-                            bits: int = DEFAULT_PRECISION_BITS) -> List[mpf]:
+                            bits: int = DEFAULT_PRECISION_BITS) -> List["mpf"]:
     """Moments of the Aluthge-transformed shift, g~_0 .. g~_{count-1}."""
+    from_raw = real_arithmetic().from_raw
     tilde = _geometric_means(_alpha(mu, count, bits), bits)
     return [from_raw(g) for g in _products(tilde, bits)]
 
@@ -156,8 +163,12 @@ def hankel_psd(
     if len(gammas) < 2 * n + 2:
         raise MeasureError(
             f"need {2 * n + 2} moments for order {n}, got {len(gammas)}")
-    values = [mpf_to_fraction(g) if isinstance(g, mpf) else Fraction(g)
-              for g in gammas[:2 * n + 2]]
+    values = gammas[:2 * n + 2]
+    if any(hasattr(g, "_mpf_") for g in values):
+        mpf_to_fraction = real_arithmetic().mpf_to_fraction
+        values = [mpf_to_fraction(g) if hasattr(g, "_mpf_") else g
+                  for g in values]
+    values = [Fraction(g) for g in values]
     common = math.lcm(*(v.denominator for v in values))
     ints = [v.numerator * (common // v.denominator) for v in values]
     return tuple(_shifted_positive_definite(ints[offset:], n, tol) for offset in (0, 1))

@@ -47,6 +47,11 @@ and none of them enters mpmath's global context, so threads may call
 same holds for the closed forms, the loader, ``analyze`` and
 ``shifts.hankel_psd``, which is exact; only the acceptance suite in
 ``selftest`` still switches that context.
+
+mpmath belongs to :mod:`alsq.reals`.  The real-mode branches here get that
+module from ``scalars.real_arithmetic`` once per call (the peel, the root
+masses, the witness check), and a rational decision never loads mpmath: its
+peel is on ints, and its ``residual`` is an exact 0.
 """
 
 from __future__ import annotations
@@ -55,27 +60,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
-
-from mpmath import mpf
-from mpmath.libmp import (
-    from_int,
-    from_rational,
-    fzero,
-    mpf_abs,
-    mpf_div,
-    mpf_gt,
-    mpf_le,
-    mpf_lt,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
-    mpf_pos,
-    mpf_pow_int,
-    mpf_sqrt,
-    mpf_sub,
-    round_down,
-    round_nearest,
-)
 
 from .diagram import Violation
 from .measures import (
@@ -86,6 +70,7 @@ from .measures import (
     Position,
     Table,
     make_measure,
+    measure_to_json_dict,
     products,
     t_weight,
     table,
@@ -94,16 +79,10 @@ from .scalars import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
     Scalar,
-    close_rel,
-    decimal_str,
-    from_raw,
+    real_arithmetic,
     scalar_str,
     sqrt_fraction,
-    to_mpf,
-    to_raw,
 )
-
-_TWO = from_int(2)
 
 WITNESS = "witness"
 IMPOSSIBLE = "impossible"
@@ -138,8 +117,6 @@ class Verdict:
     notes: Tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        from .measures import measure_to_json_dict
-
         return {
             "outcome": self.outcome,
             "witness": measure_to_json_dict(self.witness) if self.witness else None,
@@ -174,15 +151,16 @@ class Peel:
     atom, smallest first: the atom y satisfies y * y1 = (target atom j) and
     carries mass c * sqrt(a_1), where y1 is the first root atom
     (y1^2 = target atom 0) and a_1 the first target mass.  ``residual`` is
-    the worst relative residual accepted as cancelled (0 in rational mode).
-    ``doubt`` is set in real mode when a residual that could have been a root
-    atom was taken as cancelled: a refutation after it is not certain.
+    the worst relative residual accepted as cancelled, an exact 0 in
+    rational mode.  ``doubt`` is set in real mode when a residual that could
+    have been a root atom was taken as cancelled: a refutation after it is
+    not certain.
     """
 
     outcome: str
     root: Tuple[Tuple[int, Scalar], ...] = ()
     certificate: Optional[Violation] = None
-    residual: mpf = mpf(0)
+    residual: Scalar = Fraction(0)
     note: Optional[str] = None
     doubt: Optional[str] = None
 
@@ -271,18 +249,25 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
         def value(x):
             return Fraction(x[0], powers[x[1]])
     else:
-        raw = [mpf_pos(w, bits, round_nearest) for w in target.masses]
+        reals = real_arithmetic()
+        mpf_abs, mpf_div, mpf_gt = reals.mpf_abs, reals.mpf_div, reals.mpf_gt
+        mpf_le, mpf_lt, mpf_mul = reals.mpf_le, reals.mpf_lt, reals.mpf_mul
+        mpf_neg, mpf_sub = reals.mpf_neg, reals.mpf_sub
+        round_nearest, two, fzero = reals.round_nearest, reals.TWO, reals.fzero
+
+        raw = [reals.mpf_pos(w, bits, round_nearest) for w in target.masses]
         a1 = raw[0]
         masses = [mpf_div(w, a1, bits, round_nearest) for w in raw]
-        tol = to_raw(config.tolerance, bits)
+        tol = reals.to_raw(config.tolerance, bits)
         neg_tol = mpf_neg(tol, bits, round_nearest)
-        rounding = mpf_pow_int(_TWO, _ROUNDING_BITS - bits, bits, round_nearest)
+        rounding = reals.mpf_pow_int(two, _ROUNDING_BITS - bits, bits,
+                                     round_nearest)
 
         def half(r):
-            return mpf_div(r, _TWO, bits, round_nearest)
+            return mpf_div(r, two, bits, round_nearest)
 
         def twice(x):
-            return mpf_mul_int(x, 2, bits, round_nearest)
+            return reals.mpf_mul_int(x, 2, bits, round_nearest)
 
         def mul(x, y):
             return mpf_mul(x, y, bits, round_nearest)
@@ -293,7 +278,8 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
         def neg(x):
             return mpf_neg(x, bits, round_nearest)
 
-        value = from_raw
+        value = reals.from_raw
+        worst = fzero
     keys = target.keys
     k1 = keys[0]
     at = [key * k1 for key in keys]
@@ -304,7 +290,6 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
     # beyond the top target atom K_p*K_1 when z^2 > K_p*K_1^3
     limit = keys[-1] * k1 ** 3
     root = [(k1, masses[0], 0)]
-    worst = fzero
     doubt: Optional[str] = None
     while heap:
         z = heappop(heap)
@@ -359,8 +344,10 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
             _subtract(residual, heap, other * key, mul(double, mass), sub, neg)
         _subtract(residual, heap, key * key, mul(c, c), sub, neg)
         root.append((key, c, j))
-    return Peel(WITNESS, root=tuple([(j, value(c)) for _, c, j in root]),
-                residual=from_raw(worst), doubt=doubt)
+    root = tuple([(j, value(c)) for _, c, j in root])
+    if exact:
+        return Peel(WITNESS, root=root)
+    return Peel(WITNESS, root=root, residual=value(worst), doubt=doubt)
 
 
 def _refuted(certificate: Violation, doubt: Optional[str]) -> Peel:
@@ -406,11 +393,13 @@ def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
         if root is not None:
             return RATIONAL, [c * root for c in cs], []
     bits = config.precision_bits
+    reals = real_arithmetic()
+    from_raw, mpf_mul, to_raw = reals.from_raw, reals.mpf_mul, reals.to_raw
     # rounded to nearest at bits, as mpmath.sqrt and the mpf product at that
     # working precision round them
-    scale = mpf_sqrt(to_raw(a1, bits), bits, round_nearest)
-    weights = [from_raw(mpf_mul(to_raw(c, bits), scale, bits, round_nearest))
-               for c in cs]
+    scale = reals.mpf_sqrt(to_raw(a1, bits), bits, reals.round_nearest)
+    weights = [from_raw(mpf_mul(to_raw(c, bits), scale, bits,
+                                reals.round_nearest)) for c in cs]
     notes = []
     if mode == RATIONAL:
         notes.append(f"witness masses lie in Q(sqrt({scalar_str(a1)})); "
@@ -435,8 +424,16 @@ def _decide(target: Table, peel: Peel, positions: Sequence[Position],
         return Verdict(UNDETERMINED, precision_bits=bits,
                        notes=tuple(notes + [UNVERIFIED]))
     return Verdict(WITNESS, witness=witness,
-                   residual=decimal_str(peel.residual), precision_bits=bits,
+                   residual=_residual_str(peel.residual), precision_bits=bits,
                    notes=tuple(notes + extra))
+
+
+def _residual_str(residual: Scalar) -> str:
+    """The residual as a verdict prints it: an exact 0 as ``decimal_str``
+    prints a zero mpf."""
+    if not residual:
+        return "0.0"
+    return real_arithmetic().decimal_str(residual)
 
 
 def verify_witness(
@@ -461,18 +458,11 @@ def _verify(witness: AtomicMeasure, target: Table,
     if square.den is not None and target.den is not None:
         return all(a * target.den == b * square.den
                    for a, b in zip(square.masses, target.masses))
-    tol = to_mpf(config.tolerance, bits)
-    return all(close_rel(x, y, tol) for x, y in zip(_reals(square, bits),
-                                                      _reals(target, bits)))
-
-
-def _reals(target: Table, bits: int) -> List[mpf]:
-    """The masses of ``target`` at ``bits``, as ``to_mpf`` converts them."""
-    if target.den is None:
-        return [from_raw(mpf_pos(w, bits, round_nearest))
-                for w in target.masses]
-    return [from_raw(from_rational(n, target.den, bits, round_down))
-            for n in target.masses]
+    reals = real_arithmetic()
+    tol = reals.to_mpf(config.tolerance, bits)
+    return all(reals.close_rel(x, y, tol) for x, y in zip(
+        reals.masses_at(square.masses, square.den, bits),
+        reals.masses_at(target.masses, target.den, bits)))
 
 
 # ---------------------------------------------------------------------------

@@ -289,3 +289,14 @@ def test_recurrence_quotes_oversized_coefficients_by_size(tmp_path):
     assert data["order"] == 5
     assert "(a number of more than" in data["coefficients"][0]
     assert data["coefficients"][-1] == "30" + "0" * 2000  # the sum of the atoms
+
+
+def test_gen_beyond_the_random_positions_is_usage_error():
+    # the random style draws from 310 distinct fractions; 311 atoms never
+    # returned
+    result = _cli("gen", "--p", "311", "--style", "random")
+    _assert_usage_error(result)
+    assert "310 distinct fractions" in result.stderr
+    result = _cli("gen", "--p", "310", "--style", "random")
+    assert result.returncode == 0
+    assert len(json.loads(result.stdout)["measure"]["atoms"]) == 310

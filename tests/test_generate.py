@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from alsq.generate import GeneratorSpec, generate
+from alsq.generate import RANDOM_POSITIONS, GeneratorSpec, generate
 from alsq.measures import MeasureError, convolve
 from alsq.solver import WITNESS, aluthge_subnormal, sqrt_of
 
@@ -67,3 +67,11 @@ def test_arbitrary_mode_styles():
     geo = generate(GeneratorSpec(5, "arbitrary", 3, position_style="geometric"))
     rnd = generate(GeneratorSpec(5, "arbitrary", 3, position_style="random"))
     assert geo.measure.p == rnd.measure.p == 5
+
+
+def test_random_support_is_bounded_by_its_pool():
+    assert RANDOM_POSITIONS == len({F(n, d) for n in range(1, 61)
+                                    for d in range(1, 9)})
+    with pytest.raises(MeasureError, match="310 distinct fractions"):
+        generate(GeneratorSpec(RANDOM_POSITIONS + 1, "arbitrary", 1,
+                               position_style="random"))

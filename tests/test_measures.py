@@ -33,7 +33,8 @@ from alsq.measures import (
     strip_zero_atom,
     t_weight,
 )
-from alsq.scalars import ScalarError, to_mpf
+from alsq.reals import to_mpf
+from alsq.scalars import ScalarError
 
 F = Fraction
 

@@ -9,15 +9,8 @@ from hypothesis import strategies as st
 from mpmath import mpf, workprec
 from mpmath.libmp import from_man_exp
 
-from alsq.scalars import (
-    ScalarError,
-    close_rel,
-    from_raw,
-    mpf_to_fraction,
-    parse_rational,
-    sqrt_fraction,
-    to_mpf,
-)
+from alsq.reals import close_rel, from_raw, mpf_to_fraction, to_mpf
+from alsq.scalars import ScalarError, parse_rational, sqrt_fraction
 
 F = Fraction
 

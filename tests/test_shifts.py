@@ -15,7 +15,8 @@ from alsq.measures import (
     moment,
     normalize,
 )
-from alsq.scalars import DEFAULT_TOLERANCE, from_raw, mpf_to_fraction, to_mpf
+from alsq.reals import from_raw, mpf_to_fraction, to_mpf
+from alsq.scalars import DEFAULT_TOLERANCE
 from alsq.shifts import (
     RecurrenceCoefficients,
     aluthge_moment_sequence,

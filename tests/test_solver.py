@@ -29,7 +29,8 @@ from alsq.measures import (
     scale_positions,
     t_weight,
 )
-from alsq.scalars import DEFAULT_TOLERANCE, scalar_str, to_mpf
+from alsq.reals import to_mpf
+from alsq.scalars import DEFAULT_TOLERANCE, scalar_str
 from alsq.shifts import aluthge_moment_sequence, hankel_psd
 from alsq.solver import (
     IMPOSSIBLE,
@@ -220,7 +221,7 @@ def _reference_peel(target, config=SolverConfig()):
         heap = at[1:]
         limit = keys[-1] * k1 ** 3
         root = [(k1, masses[0], 0)]
-        worst = mpf(0)
+        worst = F(0) if exact else mpf(0)
         doubt = None
         while heap:
             z = heappop(heap)
@@ -302,7 +303,9 @@ def _peel_fields(peel):
     return (peel.outcome,
             [(j, type(c), c._mpf_ if isinstance(c, mpf) else c)
              for j, c in peel.root],
-            peel.residual._mpf_, peel.doubt, peel.note,
+            type(peel.residual),
+            getattr(peel.residual, "_mpf_", peel.residual), peel.doubt,
+            peel.note,
             (cert.rule, cert.indices, cert.message) if cert else None)
 
 

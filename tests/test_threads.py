@@ -5,9 +5,12 @@ never switches mpmath's global context; only the acceptance suite in
 ``selftest`` still does.  So threads running ``analyze`` and the decision
 path at different precisions at the same time must each get the serial
 results bit for bit and leave the global precision as it was, and no other
-code may name ``workprec``."""
+code may name ``workprec``.  The same holds in a fresh interpreter where the
+threads' first real-mode calls load mpmath at once."""
 
 import ast
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -96,6 +99,73 @@ def test_threads_at_different_precisions_match_serial_runs():
     # threads entering and leaving workprec at once restore one another's
     # precision, so any entry from these calls would show here
     assert mpmath.mp.prec == prec
+
+
+# In a fresh interpreter that has not loaded mpmath, THREADS threads make
+# the process's first real-mode call at once, each importing alsq.reals;
+# every thread must get the results a serial run gets afterwards.
+_FIRST_REAL_CALL = """
+import sys, threading
+from alsq import AnalyzeOptions, GeneratorSpec, SolverConfig, analyze
+from alsq import aluthge_subnormal, convolve, generate, sqrt_of
+
+THREADS = int(sys.argv[1])
+measures = [generate(GeneratorSpec(p, mode, seed)).measure
+            for p, mode, seed in ((3, "with-root", 1), (5, "with-aluthge-root", 2),
+                                  (6, "arbitrary", 4))]
+
+
+def raw(mu):
+    return [(str(pos), w._mpf_) for pos, w in mu.atoms] if mu else None
+
+
+def results(bits):
+    config = SolverConfig(bits)
+    out = []
+    for mu in measures:
+        real = mu.to_real(bits)
+        out.append((raw(convolve(real, real, bits=bits)),
+                    [(v.outcome, raw(v.witness), v.residual, v.notes)
+                     for v in (sqrt_of(real, config),
+                               aluthge_subnormal(real, config))],
+                    analyze(real, AnalyzeOptions(config, 6)).to_json_dict()))
+    return out
+
+
+assert "mpmath" not in sys.modules
+barrier = threading.Barrier(THREADS)
+got = {}
+
+
+def work(i):
+    barrier.wait()
+    got[i] = results((128, 256)[i % 2])
+
+
+threads = [threading.Thread(target=work, args=(i,)) for i in range(THREADS)]
+sys.setswitchinterval(1e-6)
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=120)
+assert not any(thread.is_alive() for thread in threads)
+sys.setswitchinterval(0.005)
+expected = {bits: results(bits) for bits in (128, 256)}
+assert expected[128] != expected[256]
+print(sorted(i for i in range(THREADS)
+             if got.get(i) != expected[(128, 256)[i % 2]]))
+"""
+
+
+def test_threads_making_the_first_real_call_match_serial_runs():
+    env = dict(os.environ)
+    src = str(Path(alsq.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FIRST_REAL_CALL, str(THREADS)],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"  # no thread differs
 
 
 def _workprec_uses(tree):

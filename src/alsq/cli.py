@@ -90,7 +90,10 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION_BITS,
                         metavar="BITS", help="working precision in bits")
     common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
-                        metavar="DECIMAL", help="comparison tolerance in (0, 1) (default 2^-64)")
+                        metavar="DECIMAL",
+                        help="in (0, 1) (default 2^-64): each real mass "
+                             "stands for the values within relative "
+                             "max(tol, 2^(1-precision)) of it")
     common.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     return common

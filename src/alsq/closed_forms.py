@@ -19,14 +19,16 @@ equivalent to solvability of the reweighted self-convolution problem in
 this atom range, so the outcome doubles as the subnormality answer.
 
 A real mass is a dyadic rational, so the identities are evaluated exactly in
-both modes; in real mode only their final comparison allows the tolerance.
-A rounded witness mass is computed through :mod:`alsq.reals`, loaded only
-when one is needed.
+both modes.  In real mode a mass stands for every value within relative eps
+of it (``SolverConfig.radius``), and an identity refutes only when it fails
+for every such value.  A rounded witness mass is computed through
+:mod:`alsq.reals`, loaded only when one is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Tuple
 
 from .diagram import Violation, geometric_profile
@@ -53,24 +55,41 @@ from .solver import (
 
 
 class _Checker:
-    """The masses as exact rationals, and the comparisons of the weight
-    identities: exact in rational mode, within the relative tolerance
-    (|x - y| <= tol * max(|x|, |y|, 1), as ``close_rel``) in real mode."""
+    """The masses as exact rationals, and the tests of the weight identities.
+
+    In real mode each mass a stands for the values within a*(1 +- eps), so
+    a positive x made of k masses stands for the values between
+    x*(1 - eps)^k and x*(1 + eps)^k (its span); an identity holds when the
+    spans of its sides meet.  In rational mode eps = 0 and the tests are
+    exact."""
 
     def __init__(self, mu: AtomicMeasure, config: SolverConfig):
-        self.a, self.tol = list(mu.weights), None
+        self.a, self.eps = list(mu.weights), Fraction(0)
         if mu.mode == REAL:
             mpf_to_fraction = real_arithmetic().mpf_to_fraction
             self.a = [mpf_to_fraction(w) for w in self.a]
-            self.tol = config.tolerance
+            self.eps = config.radius
 
-    def eq(self, x: Fraction, y: Fraction) -> bool:
-        if self.tol is None:
+    def span(self, x: Fraction, k: int) -> Tuple[Fraction, Fraction]:
+        if not self.eps:
+            return x, x
+        low, high = _span_factors(self.eps.numerator, self.eps.denominator, k)
+        return x * low, x * high
+
+    def eq(self, x: Fraction, y: Fraction, k: int) -> bool:
+        """Whether x = y can hold, each side k masses times a constant."""
+        if not self.eps:
             return x == y
-        return abs(x - y) <= self.tol * max(abs(x), abs(y), 1)
+        (x_low, x_high), (y_low, y_high) = self.span(x, k), self.span(y, k)
+        return x_low <= y_high and y_low <= x_high
 
-    def pos(self, x: Fraction) -> bool:
-        return x > (0 if self.tol is None else self.tol)
+
+@lru_cache(maxsize=64)
+def _span_factors(top: int, bottom: int, k: int) -> Tuple[Fraction, Fraction]:
+    """(1 - eps)^k and (1 + eps)^k for eps = top / bottom (keyed on ints:
+    hashing a Fraction takes a modular inverse)."""
+    return (Fraction(bottom - top, bottom) ** k,
+            Fraction(bottom + top, bottom) ** k)
 
 
 def classify_small(
@@ -121,7 +140,7 @@ def _three_atoms(mu: AtomicMeasure, checker: _Checker,
             "three-atom-support", (1, 2, 3),
             "a three-atom measure admits a root only when the square of the "
             "middle atom equals the product of the outer atoms", config)
-    if not checker.eq(a[1] * a[1], 4 * a[0] * a[2]):
+    if not checker.eq(a[1] * a[1], 4 * a[0] * a[2], 2):
         return _impossible(
             "three-atom-weights", (1, 2, 3),
             "the middle mass must satisfy a2^2 = 4*a1*a3", config)
@@ -139,13 +158,20 @@ def _five_atoms(mu: AtomicMeasure, checker: _Checker,
             config)
     lam = [pos.q for pos in mu.support]
     a = checker.a
-    if not checker.eq(a[1] * a[1] * a[4], a[3] * a[3] * a[0]):
+    if not checker.eq(a[1] * a[1] * a[4], a[3] * a[3] * a[0], 3):
         return _impossible(
             "five-atom-weights", (1, 2, 4, 5),
             "the masses must satisfy a2^2*a5 = a4^2*a1", config)
-    # a3 = a2^2/(4 a1) + 2 sqrt(a1 a5), tested squared to stay exact
-    gap = a[2] - a[1] * a[1] / (4 * a[0])
-    if not (checker.pos(gap) and checker.eq(gap * gap, 4 * a[0] * a[4])):
+    # a3 = a2^2/(4 a1) + 2 sqrt(a1 a5), times 4 a1 and squared to stay
+    # exact: g = 4 a1 a3 - a2^2 > 0 and g^2 = 64 a1^3 a5; in real mode g
+    # spans from the low end of its first term less the high end of its
+    # second to the other way round
+    plus_low, plus_high = checker.span(4 * a[0] * a[2], 2)
+    minus_low, minus_high = checker.span(a[1] * a[1], 2)
+    gap_low, gap_high = max(plus_low - minus_high, 0), plus_high - minus_low
+    rest_low, rest_high = checker.span(64 * a[0] ** 3 * a[4], 4)
+    if not (gap_high > 0 and gap_low * gap_low <= rest_high
+            and rest_low <= gap_high * gap_high):
         return _impossible(
             "five-atom-weights", (1, 2, 3, 5),
             "the middle mass must satisfy a3 = a2^2/(4*a1) + 2*sqrt(a1*a5)",
@@ -232,7 +258,7 @@ def _six_atoms(mu: AtomicMeasure, checker: _Checker,
         anchors = (0, 2, 5)
         rels = (Fraction(1), lam[1] / lam[0], lam[3] / lam[0])
     for lhs, rhs, text, indices in identities:
-        if not checker.eq(lhs, rhs):
+        if not checker.eq(lhs, rhs, 2):
             return _impossible(
                 "six-atom-case-weights", indices,
                 f"the masses must satisfy {text}", config)

@@ -12,11 +12,12 @@ reals ("real" mode).  A mass sitting at the origin is stored separately as
 operation requires it to be absent.
 
 The decision procedures read a measure as a :class:`Table`: the int keys of
-its support and its masses as int numerators over one denominator or as raw
-libmp values.  :func:`products` tables a convolution without building its
-positions or masses, so ``solver`` decides the transform question on the
-table of mu * t(mu) and never materializes that measure; :func:`convolve`
-is ``products(...).measure()``.
+its support, its masses as int numerators over one denominator (a power of
+two in real mode, where each mass is a dyadic rational) and the relative
+radius of the masses.  :func:`products` tables a convolution without
+building its positions or masses, so ``solver`` decides the transform
+question on the table of mu * t(mu) and never materializes that measure;
+:func:`convolve` is ``products(...).measure()``.
 
 Real-mode branches get :mod:`alsq.reals` from ``real_arithmetic`` once per
 call; rational ones never load mpmath.
@@ -29,12 +30,12 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (
     DEFAULT_PRECISION_BITS,
-    DEFAULT_TOLERANCE,
     Scalar,
     format_rational,
     parse_rational,
@@ -48,6 +49,10 @@ REAL = "real"
 # real-mode total masses are summed this wide: lossless for masses of
 # comparable size at any working precision up to it
 _SUM_BITS = 512
+
+# the most atoms a measure document may hold: at p = 321 a transform decision
+# takes 0.9 to 2.3 s and its cost grows about as p^3.3 (9.3 s at p = 641)
+MAX_ATOMS = 400
 
 
 class MeasureError(ValueError):
@@ -301,9 +306,6 @@ def make_measure(
     built: List[Tuple[Position, Weight]] = []
     convert = _weight_converter(mode, bits)
     zero = convert(zero_mass)
-    if mode == REAL:
-        reals = real_arithmetic()
-        floor = reals.to_mpf(DEFAULT_TOLERANCE, bits)
     for pos_like, w in pairs:
         weight = convert(w)
         if isinstance(pos_like, Position):
@@ -313,16 +315,16 @@ def make_measure(
             if raw == 0:
                 if weight <= 0:
                     raise MeasureError("mass at the origin must be positive")
-                zero = (zero + weight if mode == RATIONAL else reals.from_raw(
-                    reals.mpf_add(zero._mpf_, weight._mpf_, bits,
-                                  reals.round_nearest)))
+                if mode == RATIONAL:
+                    zero += weight
+                else:
+                    reals = real_arithmetic()
+                    zero = reals.from_raw(reals.mpf_add(
+                        zero._mpf_, weight._mpf_, bits, reals.round_nearest))
                 continue
             pos = Position(raw, 0, inferred)
         if weight <= 0:
             raise MeasureError(f"weight at {pos} must be positive, got {weight}")
-        if mode == REAL and weight <= floor:
-            raise MeasureError(
-                f"weight at {pos} lies below the comparison tolerance")
         built.append((pos, weight))
 
     # int keys order like the positions and are equal exactly when the
@@ -420,23 +422,25 @@ class Table:
     its support in ascending order and its masses, with no scalar object
     per atom.
 
-    ``keys`` are the int keys of the support (:func:`int_keys`).  Rational
-    masses are the int numerators ``masses`` over the one denominator
-    ``den``; real masses are raw libmp values and ``den`` is None.  Atom j
-    sits at the product of the positions ``factors[j]``: one position for
-    an atom of a measure, the first pair that reaches it for a product, with
-    the pairs taken left factor outermost.
+    ``keys`` are the int keys of the support (:func:`int_keys`).  The masses
+    are the int numerators ``masses`` over the one denominator ``den``, a
+    power of two in real mode.  Every mass stands for the values within
+    ``radius`` times it, a Fraction that is 0 in rational mode.  Atom j sits
+    at the product of the positions ``factors[j]``: one position for an atom
+    of a measure, the first pair that reaches it for a product, with the
+    pairs taken left factor outermost.
     """
 
     # a plain class: making a frozen dataclass of these fields takes about
     # 1.7 ms at import, which every CLI process pays
-    __slots__ = ("base", "mode", "keys", "masses", "den", "factors")
+    __slots__ = ("base", "mode", "keys", "masses", "den", "radius", "factors")
 
     def __init__(self, base: Fraction, mode: str, keys: List[int],
-                 masses: list, den: Optional[int],
+                 masses: List[int], den: int, radius: Fraction,
                  factors: Sequence[Tuple[Position, ...]]):
         self.base, self.mode, self.keys = base, mode, keys
-        self.masses, self.den, self.factors = masses, den, factors
+        self.masses, self.den, self.radius = masses, den, radius
+        self.factors = factors
 
     @property
     def p(self) -> int:
@@ -453,15 +457,16 @@ class Table:
         return value
 
     def weight(self, j: int) -> Weight:
-        if self.den is None:
-            return real_arithmetic().from_raw(self.masses[j])
+        if self.mode == REAL:
+            return real_arithmetic().from_dyadic(self.masses[j], self.den)
         return Fraction(self.masses[j], self.den)
 
     def measure(self) -> AtomicMeasure:
         base, den = self.base, self.den
         positions = [_product(factors, base) for factors in self.factors]
-        if den is None:
-            weights = map(real_arithmetic().from_raw, self.masses)
+        if self.mode == REAL:
+            from_dyadic = real_arithmetic().from_dyadic
+            weights = [from_dyadic(n, den) for n in self.masses]
         else:
             weights = [Fraction(n, den) for n in self.masses]
         return AtomicMeasure(base, self.mode,
@@ -480,20 +485,43 @@ def _product(factors: Tuple[Position, ...], base: Fraction) -> Position:
     return _position(px.q * py.q, k, base)
 
 
-def table(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> Table:
-    """The table of ``mu`` itself.  Real masses are kept as they are; only a
-    real-mode mass that is not an mpf is converted, at ``bits``."""
+def table(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,
+          eps: Fraction = Fraction(0)) -> Table:
+    """The table of ``mu`` itself.  Real masses are kept exactly, each one
+    standing for the values within relative ``eps`` of it; only a real-mode
+    mass that is not an mpf is converted, at ``bits``."""
     if mu.mode == REAL:
-        operand = real_arithmetic().operand
-        masses, den = [operand(w, bits) for w in mu.weights], None
+        reals = real_arithmetic()
+        masses, den = reals.to_dyadic([reals.operand(w, bits)
+                                       for w in mu.weights])
+        radius = eps
     else:
-        masses, den = numerators(mu)
-    return Table(mu.base, mu.mode, int_keys(mu.support), masses, den,
+        (masses, den), radius = numerators(mu), Fraction(0)
+    return Table(mu.base, mu.mode, int_keys(mu.support), masses, den, radius,
                  [(pos,) for pos in mu.support])
 
 
+# the roundings at bits a real factor mass may carry before it reaches
+# ``products``: a ``t_weight`` mass at a radical position carries nine, a
+# witness mass six, both counting a conversion toward zero as three
+_FACTOR_ROUNDINGS = 10
+
+
+@lru_cache(maxsize=256)
+def _product_radius(eps: Fraction, k: int, bits: int) -> Fraction:
+    """The relative radius of a sum of products of two masses, each within
+    relative ``eps`` of its value, computed with k roundings to nearest at
+    ``bits``: (1 + eps)^2 (1 + g) - 1, where g bounds |y - x| / y for y the
+    result of k such roundings on x, (1 - 2^-bits)^-k - 1 <= k / (2^bits -
+    k)."""
+    n = 1 << bits
+    g = Fraction(k, n - k) if n > k else Fraction(n, n - 1) ** k - 1
+    return (1 + eps) ** 2 * (1 + g) - 1
+
+
 def products(mu: AtomicMeasure, nu: AtomicMeasure,
-             bits: int = DEFAULT_PRECISION_BITS) -> Table:
+             bits: int = DEFAULT_PRECISION_BITS,
+             eps: Fraction = Fraction(0)) -> Table:
     """The table of the multiplicative convolution mu * nu: atoms at all
     pairwise products x*y with mass summed over coinciding products.
 
@@ -502,9 +530,12 @@ def products(mu: AtomicMeasure, nu: AtomicMeasure,
     of each factor's common denominator.  Real masses are converted once
     and summed as raw libmp values, each operation rounded to nearest at
     ``bits`` in the order of the pairs, as mpf arithmetic under
-    ``workprec(bits)`` rounds it, without entering mpmath's global context.
-    A product's key is the product of its factors' keys, divided by the
-    gcd that brings the keys to the scale :func:`int_keys` gives them."""
+    ``workprec(bits)`` rounds it, without entering mpmath's global context;
+    the sums are then tabled exactly.  A real table's radius covers the
+    relative ``eps`` of each factor mass (2*eps + eps^2 for a product of
+    two), the roundings of the factor masses and those of the sum.  A
+    product's key is the product of its factors' keys, divided by the gcd
+    that brings the keys to the scale :func:`int_keys` gives them."""
     mu.require_no_zero_atom("convolve")
     nu.require_no_zero_atom("convolve")
     base = _common_base(mu, nu)
@@ -526,13 +557,21 @@ def products(mu: AtomicMeasure, nu: AtomicMeasure,
         def add(x, y):
             return mpf_add(x, y, bits, round_nearest)
 
-        den = None
+        # per pair: two factor masses and their conversions, one product, and
+        # at most min(p) - 1 sums per product
+        k = 2 * (_FACTOR_ROUNDINGS + 3) + min(mu.p, nu.p)
+        radius = _product_radius(eps, k, bits)
     else:
         (mu_masses, mu_den), (nu_masses, nu_den) = numerators(mu), numerators(nu)
         mul, add = operator.mul, operator.add
-        den = mu_den * nu_den
-    keys, scale = _scaled_keys(mu_points + nu_points)
-    mu_keys, nu_keys = keys[:mu.p], keys[mu.p:]
+        den, radius = mu_den * nu_den, Fraction(0)
+    # mu * mu, mu * t(mu) and a witness's square key one support once
+    if mu.p == nu.p and all([x is y for x, y in zip(mu_points, nu_points)]):
+        mu_keys, scale = _scaled_keys(mu_points)
+        nu_keys = mu_keys
+    else:
+        keys, scale = _scaled_keys(mu_points + nu_points)
+        mu_keys, nu_keys = keys[:mu.p], keys[mu.p:]
     merged = {}
     first = {}  # product key -> the first pair of positions that reaches it
     for px, kx, wx in zip(mu_points, mu_keys, mu_masses):
@@ -547,9 +586,11 @@ def products(mu: AtomicMeasure, nu: AtomicMeasure,
     # the squares of the products are the keys over scale^2, so the lcm of
     # their denominators is scale^2 / g (g = 1 when nu has the support of mu)
     g = gcd(scale * scale, *order) if scale > 1 else 1
+    masses = [merged[key] for key in order]
+    if mode == REAL:
+        masses, den = reals.to_dyadic(masses)
     return Table(base, mode, order if g == 1 else [key // g for key in order],
-                 [merged[key] for key in order], den,
-                 [first[key] for key in order])
+                 masses, den, radius, [first[key] for key in order])
 
 
 def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
@@ -700,6 +741,9 @@ def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> At
         raise MeasureError(f"unknown scalar mode {mode!r}")
     if not isinstance(raw_atoms, list):
         raise MeasureError("malformed measure document: atoms must be a list")
+    if len(raw_atoms) > MAX_ATOMS:
+        raise MeasureError(f"a measure document holds at most {MAX_ATOMS} "
+                           f"atoms, this one {len(raw_atoms)}")
     atoms: List[AtomLike] = []
     convert = _weight_converter(mode, bits)
     for index, atom in enumerate(raw_atoms):

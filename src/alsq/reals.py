@@ -22,30 +22,23 @@ from mpmath.libmp import (
     fone,
     from_float,
     from_int,
+    from_man_exp,
     from_rational,
     from_str,
     fzero,
-    mpf_abs,
     mpf_add,
     mpf_div,
-    mpf_gt,
-    mpf_le,
-    mpf_lt,
     mpf_mul,
     mpf_mul_int,
-    mpf_neg,
     mpf_pos,
     mpf_pow_int,
     mpf_sqrt,
-    mpf_sub,
     round_down,
     round_nearest,
     to_str,
 )
 
 from .scalars import ScalarError
-
-TWO = from_int(2)
 
 
 def to_raw(value, bits: int) -> tuple:
@@ -102,28 +95,21 @@ def mpf_to_fraction(x: mpf) -> Fraction:
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def close_rel(x: mpf, y: mpf, tol: mpf) -> bool:
-    """|x - y| <= tol * max(|x|, |y|, 1), decided exactly."""
-    x, y = x._mpf_, y._mpf_
-    scale = fone
-    for value in (mpf_abs(x), mpf_abs(y)):
-        if mpf_lt(scale, value):
-            scale = value
-    return mpf_le(mpf_abs(mpf_sub(x, y)), mpf_mul(tol._mpf_, scale))
-
-
 def decimal_str(x: mpf, digits: int = 12) -> str:
     """``x`` to ``digits`` significant digits, as ``mpmath.nstr`` prints it."""
     return to_str(x._mpf_, digits)
 
 
-def masses_at(masses, den, bits: int) -> list:
-    """The masses of a table (``alsq.measures.Table``) as mpfs at ``bits``,
-    as :func:`to_mpf` converts them: raw values when ``den`` is None, else
-    int numerators over ``den``."""
-    if den is None:
-        return [from_raw(mpf_pos(w, bits, round_nearest)) for w in masses]
-    return [from_raw(from_rational(n, den, bits, round_down)) for n in masses]
+def to_dyadic(raws) -> tuple:
+    """Nonnegative raw libmp values, exactly, as int numerators over one
+    power of two, and that power."""
+    low = min(0, min([exp for _, _, exp, _ in raws]))
+    return [man << (exp - low) for _, man, exp, _ in raws], 1 << -low
+
+
+def from_dyadic(n: int, den: int) -> mpf:
+    """The mpf equal to n / den for a power of two ``den``, unrounded."""
+    return from_raw(from_man_exp(n, 1 - den.bit_length()))
 
 
 def power_sum(ws, xs, n: int, bits: int) -> tuple:

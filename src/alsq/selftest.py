@@ -5,7 +5,9 @@ prints one PASS/FAIL line per criterion.  The same functions back the
 pytest acceptance module, so `alsq selftest` and the test suite agree by
 construction.  Criterion 12 re-checks impossibility verdicts against an
 independent brute-force root search (float multistart prescan, then a
-256-bit polish), which shares no code with the exact solver.
+256-bit polish), which shares no code with the exact solver.  Criterion 13
+checks that real mode is sound at low precision: instances with a root,
+rounded to 53, 64 and 128 bits, are never declared impossible.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .solver import (
     IMPOSSIBLE,
     UNDETERMINED,
     WITNESS,
+    SolverConfig,
     aluthge_subnormal,
     sqrt_of,
 )
@@ -494,6 +497,43 @@ def criterion_12() -> CriterionResult:
         time.time() - start)
 
 
+def criterion_13() -> CriterionResult:
+    """Sound real mode: the witnessed instances of criteria 5, 7 and 8,
+    rounded to 53, 64 and 128 bits, are never impossible for ``sqrt_of``,
+    ``aluthge_subnormal`` or ``classify_small``, and at least 99.9% of the
+    refuted instances of criteria 5 to 8 stay impossible at 64 and 128
+    bits."""
+    start = time.time()
+    good3, bad3 = _corpus_p3()
+    good5, bad5 = _corpus_p5()
+    case_one, case_two, middle = _corpus_p6()
+    witnessed = list(good3) + list(good5) + list(case_one) + list(case_two)
+    refuted = list(bad3) + list(_corpus_p4()) + list(bad5) + list(middle)
+    unsound = []
+    kept = total = 0
+    for bits in (53, 64, 128):
+        config = SolverConfig(bits)
+        for n, mu in enumerate(witnessed):
+            real = mu.to_real(bits)
+            for decide in (sqrt_of, aluthge_subnormal, classify_small):
+                if decide(real, config).outcome == IMPOSSIBLE:
+                    unsound.append(f"{decide.__name__} on witnessed #{n} at "
+                                   f"{bits} bits")
+        if bits == 53:
+            continue
+        for mu in refuted:
+            total += 1
+            kept += aluthge_subnormal(mu.to_real(bits),
+                                      config).outcome == IMPOSSIBLE
+    passed = not unsound and kept >= 0.999 * total
+    detail = (f"{3 * 3 * len(witnessed)} witnessed decisions, {len(unsound)} "
+              f"impossible; {kept} of {total} refuted stay impossible")
+    if unsound:
+        detail += f" (first: {unsound[0]})"
+    return CriterionResult(13, "sound real mode", passed, detail,
+                           time.time() - start)
+
+
 # ---------------------------------------------------------------------------
 # independent brute-force oracle
 # ---------------------------------------------------------------------------
@@ -647,7 +687,7 @@ def _confirm_root(target: AtomicMeasure, support, b, bits: int = 256) -> bool:
 ALL_CRITERIA: Tuple[Callable[[], CriterionResult], ...] = (
     criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
     criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
-    criterion_11, criterion_12,
+    criterion_11, criterion_12, criterion_13,
 )
 
 

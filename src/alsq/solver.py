@@ -26,10 +26,13 @@ that re-running the peel re-checks:
 
 Relative to the first root atom every forced mass is rational for rational
 input, and the root masses are those values times sqrt(a_1); so rational
-input is always decided exactly, and ``undetermined`` only arises in real
-mode (a forced mass within tolerance of zero, or a refutation reached after
-a residual within tolerance of zero was taken as cancelled) or when a witness
-fails its independent re-check by convolution.
+input is always decided exactly.  A real mass is a dyadic rational standing
+for every value within relative eps = max(tolerance, 2^(1 - precision_bits))
+of it (``SolverConfig.radius``).  The peel carries an exact error radius
+beside each mass, so ``impossible`` holds for every measure in that box and
+a witness squares back within the error carried to each atom.
+``undetermined`` arises only in real mode: a root atom of supp(mu) may have
+mass 0, or a witness fails its independent re-check by convolution.
 
 The peel and the witness check read tables (:class:`alsq.measures.Table`):
 ``aluthge_subnormal`` peels the product table of mu * t(mu) that
@@ -40,24 +43,20 @@ built only for what a verdict prints: the root's atoms, a certificate's
 atoms and a_1 in a message.
 
 The decision path takes its precision explicitly from ``SolverConfig``:
-``convolve``, ``t_weight``, the peel, the witness masses and the witness
-check compute exactly or on raw libmp values rounded at ``precision_bits``,
-and none of them enters mpmath's global context, so threads may call
-``sqrt_of`` and ``aluthge_subnormal`` at different precisions at once.  The
-same holds for the closed forms, the loader, ``analyze`` and
-``shifts.hankel_psd``, which is exact; only the acceptance suite in
-``selftest`` still switches that context.
-
-mpmath belongs to :mod:`alsq.reals`.  The real-mode branches here get that
-module from ``scalars.real_arithmetic`` once per call (the peel, the root
-masses, the witness check), and a rational decision never loads mpmath: its
-peel is on ints, and its ``residual`` is an exact 0.
+``convolve``, ``t_weight`` and the witness masses round raw libmp values at
+``precision_bits``, the peel and the witness check are exact, and none of
+them enters mpmath's global context, so threads may decide at different
+precisions at once.  The same holds for the closed forms, the loader,
+``analyze`` and ``shifts.hankel_psd``; only ``selftest`` still switches that
+context.  mpmath belongs to :mod:`alsq.reals`, which the real-mode branches
+get from ``scalars.real_arithmetic``; a rational decision never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
@@ -88,8 +87,8 @@ WITNESS = "witness"
 IMPOSSIBLE = "impossible"
 UNDETERMINED = "undetermined"
 
-# the note of an ``undetermined`` verdict whose rounded witness does not
-# square back to the target within tolerance
+# the note of an ``undetermined`` verdict whose witness does not square back
+# to the target within the error the peel carried
 UNVERIFIED = "witness failed independent re-verification"
 
 
@@ -102,6 +101,13 @@ class InternalError(RuntimeError):
 class SolverConfig:
     precision_bits: int = DEFAULT_PRECISION_BITS
     tolerance: Fraction = DEFAULT_TOLERANCE
+
+    @cached_property
+    def radius(self) -> Fraction:
+        """eps = max(tolerance, 2^(1 - precision_bits)): every real mass
+        stands for the values within relative eps of it."""
+        return max(Fraction(self.tolerance),
+                   Fraction(2, 1 << self.precision_bits))
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -150,11 +156,14 @@ class Peel:
     When ``outcome`` is a witness, ``root`` lists one ``(j, c)`` per root
     atom, smallest first: the atom y satisfies y * y1 = (target atom j) and
     carries mass c * sqrt(a_1), where y1 is the first root atom
-    (y1^2 = target atom 0) and a_1 the first target mass.  ``residual`` is
-    the worst relative residual accepted as cancelled, an exact 0 in
-    rational mode.  ``doubt`` is set in real mode when a residual that could
-    have been a root atom was taken as cancelled: a refutation after it is
-    not certain.
+    (y1^2 = target atom 0) and a_1 the first target mass.  In real mode
+    ``radii[j]`` is an int pair (r, q): r / q is the error, relative to a_1,
+    that the peel carried to target atom j.  ``residual`` is the largest
+    such error relative to the mass of its atom (an exact 0 in rational
+    mode), and ``maybe`` lists the j of the root atoms whose mass bound
+    includes 0: they are left out of ``root``.  The c and the residual are
+    exact Fractions in rational mode and mpfs rounded toward zero at the
+    working precision in real mode.
     """
 
     outcome: str
@@ -162,13 +171,8 @@ class Peel:
     certificate: Optional[Violation] = None
     residual: Scalar = Fraction(0)
     note: Optional[str] = None
-    doubt: Optional[str] = None
-
-
-# a real-mode residual within 2^(_ROUNDING_BITS - precision_bits) of its
-# scale is rounding error, not a candidate root atom: each residual is a sum
-# of at most p positive terms, each rounded a few times
-_ROUNDING_BITS = 16
+    radii: Tuple[Tuple[int, int], ...] = ()
+    maybe: Tuple[int, ...] = ()
 
 
 class _Powers(dict):
@@ -186,7 +190,7 @@ class _Powers(dict):
 def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> Peel:
     """Peel the unique root of ``target`` off its smallest atoms: the peel
     of its :func:`table`."""
-    return _peel(table(target, config.precision_bits), config)
+    return _peel(table(target, config.precision_bits, config.radius), config)
 
 
 def _peel(target: Table, config: SolverConfig) -> Peel:
@@ -196,90 +200,82 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
     divided by the first mass, starting from the root atom y1 with key K_1
     and mass 1.  The root atom y with y*y1 = (target atom j) has key K_j:
     the target atom sits at K_j*K_1 and the root atoms a, b meet at
-    K_a*K_b.  In real mode a residual within tolerance of zero counts as
-    cancelled; one above rounding level at a key whose root atom would not
-    overflow may hide a tiny root atom, so a later refutation is reported
-    as ``undetermined``.
+    K_a*K_b.
 
     No scalar object is built in the loop, and a position only for a
-    certificate or a note.  Rational masses are int pairs (n, e) standing
-    for n / D^e: with N_j the int numerators of the target masses over
-    their common denominator and D = 2*N_1, the masses relative to a_1 are
-    2*N_j / D and halving multiplies by N_1 / D, so every forced mass lies
-    in Z[1/D]; whole factors of D are divided out of each forced mass, and
-    one Fraction is built per root atom.  The result does not depend on the
-    denominator the numerators are over.  Real masses are raw libmp
-    values, each operation rounded to nearest at ``bits``, as mpf operators
-    at that working precision round them and in the same order, without
-    entering mpmath's global context.
+    certificate or a note.  A mass is an int triple (n, e, r) standing for
+    the ball of midpoint n / D^e and radius r / D^e: with N_j the int
+    numerators of the target masses and D = 2*N_1, the masses relative to
+    a_1 are 2*N_j / D and halving multiplies by N_1 / D, so every midpoint
+    lies in Z[1/D]; whole factors of D are divided out of a ball when they
+    divide both its ints, and one scalar is built per root atom.  The
+    result does not depend on the denominator the numerators are over.
+
+    The radius is 0 in rational mode.  A real target mass of relative
+    radius rho has 2*rho / (1 - rho) relative to a_1, rounded up once to a
+    whole r; after that radii are exact: |a|*s + |b|*r + r*s for a product,
+    r + s for a difference.  A residual ball wholly below 0 refutes, and so
+    does one wholly above 0 where the root atom would overflow.  A ball
+    holding 0 where a root atom could sit gives a maybe atom of mass in
+    [0, hi], carried as 0 +- hi: it stays in the cross terms, so a later
+    refutation holds for every mass in the box, and it moves no midpoint,
+    so the witness leaves it out.
     """
-    exact = target.mode == RATIONAL
-    bits = config.precision_bits
-    if exact:
-        nums = target.masses
-        n1 = nums[0]
-        d = 2 * n1
-        powers = _Powers(d)
-        masses = [(1, 0)] + [(2 * n, 1) for n in nums[1:]]
+    rho = target.radius
+    if rho >= 1:
+        return Peel(UNDETERMINED, note=(
+            f"at relative error {float(rho):.3g} a mass may be 0"))
+    nums = target.masses
+    if rho:
+        top, bottom = _spread(rho.numerator, rho.denominator)
+        # over a denominator that makes the smallest radius about 2^32 units,
+        # rounding each radius up to a whole unit adds at most 2^-32 of it
+        shift = max(0, 32 + bottom.bit_length()
+                    - (top * 2 * min(nums)).bit_length())
+        nums = [n << shift for n in nums]
+    n1 = nums[0]
+    d = 2 * n1
+    powers = _Powers(d)
+    masses = [(1, 0, 0)] + [(2 * n, 1, 0) for n in nums[1:]]
+    if rho:
+        masses = [(n, e, -(-n * top // bottom)) for n, e, _ in masses]
 
-        def half(r):
-            n, e = r[0] * n1, r[1] + 1
-            while e and n % d == 0:
-                n //= d
-                e -= 1
-            return n, e
+    def half(x):
+        n, e, r = x[0] * n1, x[1] + 1, x[2] * n1
+        while e and n % d == 0 and r % d == 0:
+            n, e, r = n // d, e - 1, r // d
+        return n, e, r
 
-        def twice(x):
-            return 2 * x[0], x[1]
+    def twice(x):
+        return 2 * x[0], x[1], 2 * x[2]
 
-        def mul(x, y):
-            return x[0] * y[0], x[1] + y[1]
+    def mul(x, y):
+        (a, ea, r), (b, eb, s) = x, y
+        if r or s:
+            r = abs(a) * s + (abs(b) + s) * r
+        return a * b, ea + eb, r
 
-        def sub(x, y):
-            (a, ea), (b, eb) = x, y
-            if ea == eb:
-                return a - b, ea
-            if ea > eb:
-                return a - b * powers[ea - eb], ea
-            return a * powers[eb - ea] - b, eb
+    def sub(x, y):
+        (a, ea, r), (b, eb, s) = x, y
+        if ea == eb:
+            return a - b, ea, r + s
+        if ea > eb:
+            scale = powers[ea - eb]
+            return a - b * scale, ea, r + s * scale
+        scale = powers[eb - ea]
+        return a * scale - b, eb, r * scale + s
 
-        def neg(x):
-            return -x[0], x[1]
+    def neg(x):
+        return -x[0], x[1], x[2]
 
-        def value(x):
-            return Fraction(x[0], powers[x[1]])
-    else:
-        reals = real_arithmetic()
-        mpf_abs, mpf_div, mpf_gt = reals.mpf_abs, reals.mpf_div, reals.mpf_gt
-        mpf_le, mpf_lt, mpf_mul = reals.mpf_le, reals.mpf_lt, reals.mpf_mul
-        mpf_neg, mpf_sub = reals.mpf_neg, reals.mpf_sub
-        round_nearest, two, fzero = reals.round_nearest, reals.TWO, reals.fzero
+    value = Fraction
+    if target.mode == REAL:
+        reals, bits = real_arithmetic(), config.precision_bits
 
-        raw = [reals.mpf_pos(w, bits, round_nearest) for w in target.masses]
-        a1 = raw[0]
-        masses = [mpf_div(w, a1, bits, round_nearest) for w in raw]
-        tol = reals.to_raw(config.tolerance, bits)
-        neg_tol = mpf_neg(tol, bits, round_nearest)
-        rounding = reals.mpf_pow_int(two, _ROUNDING_BITS - bits, bits,
-                                     round_nearest)
+        def value(n, q):  # as to_mpf rounds Fraction(n, q), with no gcd
+            return reals.from_raw(reals.from_rational(n, q, bits,
+                                                      reals.round_down))
 
-        def half(r):
-            return mpf_div(r, two, bits, round_nearest)
-
-        def twice(x):
-            return reals.mpf_mul_int(x, 2, bits, round_nearest)
-
-        def mul(x, y):
-            return mpf_mul(x, y, bits, round_nearest)
-
-        def sub(x, y):
-            return mpf_sub(x, y, bits, round_nearest)
-
-        def neg(x):
-            return mpf_neg(x, bits, round_nearest)
-
-        value = reals.from_raw
-        worst = fzero
     keys = target.keys
     k1 = keys[0]
     at = [key * k1 for key in keys]
@@ -290,71 +286,65 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
     # beyond the top target atom K_p*K_1 when z^2 > K_p*K_1^3
     limit = keys[-1] * k1 ** 3
     root = [(k1, masses[0], 0)]
-    doubt: Optional[str] = None
+    maybe = []
+    radii = [(0, 0)] * target.p if rho else None
     while heap:
         z = heappop(heap)
-        r = residual.pop(z)
+        ball = residual.pop(z)
+        n, e, r = ball
         j = index.get(z)
-        if exact:
-            if not r[0]:
+        if radii and j is not None:
+            radii[j] = r, e
+        if n + r < 0:
+            c, e, r = half(ball)
+            return Peel(IMPOSSIBLE, certificate=_nonpositive(
+                target, len(root), z, j, k1, value(c, powers[e]),
+                value(r, powers[e]) if r else None))
+        if n <= r:  # the ball holds 0; off the target's atoms it always does,
+            # the residual there being minus products of positive midpoints
+            if j is None or n + r == 0 or z * z > limit:
                 continue
-        else:
-            wanted = masses[j] if j is not None else fzero
-            size = mpf_abs(r, bits, round_nearest)
-            scale = mpf_abs(wanted, bits, round_nearest)
-            moved = mpf_abs(mpf_sub(wanted, r, bits, round_nearest), bits,
-                            round_nearest)
-            if mpf_gt(moved, scale):
-                scale = moved
-            if mpf_le(size, mpf_mul(tol, scale, bits, round_nearest)):
-                ratio = mpf_div(size, scale, bits, round_nearest)
-                if mpf_gt(ratio, worst):
-                    worst = ratio
-                if (doubt is None and z * z <= limit and mpf_gt(
-                        size, mpf_mul(rounding, scale, bits, round_nearest))):
-                    doubt = (
-                        f"the residual {scalar_str(value(r))}*a1 at "
-                        f"{_at(target, z, j, k1)} was taken as zero within "
-                        "tolerance, but a root atom of that tiny mass "
-                        "may sit there")
-                continue
-        c = half(r)
-        if c[0] <= 0 if exact else mpf_lt(
-                c, mpf_mul(neg_tol, scale, bits, round_nearest)):
-            return _refuted(_nonpositive(target, len(root), z, j, value(c),
-                                         k1), doubt)
-        if not exact and mpf_le(c, mpf_mul(tol, scale, bits, round_nearest)):
-            return Peel(UNDETERMINED, note=(
-                f"the root atom y with y*y1 = {_at(target, z, j, k1)} has a "
-                f"forced mass {scalar_str(value(c))}*sqrt(a1) within "
-                "tolerance of zero"))
-        # c > 0 here, so z is a target atom: elsewhere the residual is a
-        # sum of subtracted positive terms
-        if z * z > limit:
+            # its mass lies in [0, hi]: carried as 0 +- hi, it leaves the
+            # midpoints alone, so the witness can leave it out
+            hi, e, _ = half((n + r, e, 0))
+            c = (0, e, hi)
+            maybe.append(j)
+        elif z * z > limit:
             y, first = target.position(j), target.position(0)
-            return _refuted(Violation(
+            return Peel(IMPOSSIBLE, certificate=Violation(
                 "peel-overflow", (j + 1,),
                 f"the root atom y with y*y1 = {scalar_str(y)} (y1^2 = "
                 f"{scalar_str(first)}) would square to "
                 f"{scalar_str(y * y / first)}, beyond the top atom "
-                f"{scalar_str(target.position(target.p - 1))}"), doubt)
+                f"{scalar_str(target.position(target.p - 1))}"))
+        else:
+            c = half(ball)
         key = keys[j]
         double = twice(c)
         for other, mass, _ in root[1:]:
             _subtract(residual, heap, other * key, mul(double, mass), sub, neg)
         _subtract(residual, heap, key * key, mul(c, c), sub, neg)
         root.append((key, c, j))
-    root = tuple([(j, value(c)) for _, c, j in root])
-    if exact:
+    dropped = set(maybe)
+    root = tuple([(j, value(c[0], powers[c[1]])) for _, c, j in root
+                  if j not in dropped])
+    if not rho:
         return Peel(WITNESS, root=root)
-    return Peel(WITNESS, root=root, residual=value(worst), doubt=doubt)
+    radii = tuple([(r, powers[e]) for r, e in radii])
+    # the largest r / q over the mass 2*N_j / D of its atom, relative to a_1
+    top, low = 0, 1
+    for (r, q), n in zip(radii, nums):
+        if r * n1 * low > top * q * n:
+            top, low = r * n1, q * n
+    return Peel(WITNESS, root=root, residual=value(top, low), radii=radii,
+                maybe=tuple(maybe))
 
 
-def _refuted(certificate: Violation, doubt: Optional[str]) -> Peel:
-    if doubt is None:
-        return Peel(IMPOSSIBLE, certificate=certificate)
-    return Peel(UNDETERMINED, note=f"{doubt}; without it: {certificate.rule}: "
-                                   f"{certificate.message}")
+@lru_cache(maxsize=64)
+def _spread(top: int, bottom: int) -> Tuple[int, int]:
+    """2*rho / (1 - rho) for rho = top / bottom (ints hash faster)."""
+    spread = Fraction(2 * top, bottom - top)
+    return spread.numerator, spread.denominator
 
 
 def _subtract(residual: dict, heap: list, key: int, value, sub, neg) -> None:
@@ -375,14 +365,17 @@ def _at(target: Table, z: int, j: Optional[int], k1: int) -> str:
 
 
 def _nonpositive(target: Table, count: int, z: int, j: Optional[int],
-                 c: Scalar, k1: int) -> Violation:
+                 k1: int, c: Scalar, bound: Optional[Scalar]) -> Violation:
+    a1 = scalar_str(target.weight(0))
+    mass = f"{scalar_str(c)}*sqrt({a1})"
+    if bound is not None:
+        mass += f" +- {scalar_str(bound)}*sqrt({a1})"
     return Violation(
         "peel-nonpositive-mass", (j + 1,) if j is not None else (),
         f"after {count} root atoms the smallest atom of target - root^2 "
         f"sits at {_at(target, z, j, k1)}; the root atom y with y*y1 there "
         f"(y1^2 = {scalar_str(target.position(0))}) is forced to carry mass "
-        f"{scalar_str(c)}*sqrt({scalar_str(target.weight(0))}), which is "
-        "not positive")
+        f"{mass}, which is not positive")
 
 
 def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
@@ -420,20 +413,17 @@ def _decide(target: Table, peel: Peel, positions: Sequence[Position],
                                         target.weight(0), target.mode, config)
     witness = make_measure(list(zip(positions, weights)), mode=mode,
                            base=base, bits=bits)
-    if not _verify(witness, target, config):
+    if not _verify(witness, target, peel.radii, config):
         return Verdict(UNDETERMINED, precision_bits=bits,
                        notes=tuple(notes + [UNVERIFIED]))
-    return Verdict(WITNESS, witness=witness,
-                   residual=_residual_str(peel.residual), precision_bits=bits,
-                   notes=tuple(notes + extra))
-
-
-def _residual_str(residual: Scalar) -> str:
-    """The residual as a verdict prints it: an exact 0 as ``decimal_str``
-    prints a zero mpf."""
-    if not residual:
-        return "0.0"
-    return real_arithmetic().decimal_str(residual)
+    if peel.maybe:
+        extra.append(f"{len(peel.maybe)} root atoms whose mass bound "
+                     "includes 0 were left out")
+    # an exact 0 as decimal_str prints a zero mpf
+    residual = (real_arithmetic().decimal_str(peel.residual)
+                if peel.residual else "0.0")
+    return Verdict(WITNESS, witness=witness, residual=residual,
+                   precision_bits=bits, notes=tuple(notes + extra))
 
 
 def verify_witness(
@@ -441,28 +431,39 @@ def verify_witness(
     target: AtomicMeasure,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> bool:
-    """Independent check: convolve the witness with itself and compare."""
-    return _verify(witness, table(target, config.precision_bits), config)
+    """Independent check: convolve the witness with itself and compare, in
+    real mode within the error that the peel of ``target`` carries to each
+    of its atoms."""
+    tabled = table(target, config.precision_bits, config.radius)
+    peel = _peel(tabled, config) if tabled.radius else Peel(WITNESS)
+    return (peel.outcome == WITNESS
+            and _verify(witness, tabled, peel.radii, config))
 
 
 def _verify(witness: AtomicMeasure, target: Table,
-            config: SolverConfig) -> bool:
+            radii: Sequence[Tuple[int, int]], config: SolverConfig) -> bool:
     """Compare the table of the witness's square with ``target``.  Equal
-    int keys and equal first squares give equal positions; rational masses
-    are compared exactly on cross-multiplied numerators, and otherwise each
-    pair of masses at ``bits`` must be within the tolerance."""
-    bits = config.precision_bits
-    square = products(witness, witness, bits)
+    int keys and equal first squares give equal positions.  Exact masses
+    must be equal; otherwise |S_j - T_j| <= r / q * a_1 + rho * S_j, as a
+    re-squared mass S_j lies within the square's radius rho of the square
+    of the peel's root, and that within r / q * a_1 of the target mass T_j,
+    (r, q) = radii[j] (0 for a rational target)."""
+    square = products(witness, witness, config.precision_bits)
     if square.keys != target.keys or square.square(0) != target.square(0):
         return False
-    if square.den is not None and target.den is not None:
-        return all(a * target.den == b * square.den
-                   for a, b in zip(square.masses, target.masses))
-    reals = real_arithmetic()
-    tol = reals.to_mpf(config.tolerance, bits)
-    return all(reals.close_rel(x, y, tol) for x, y in zip(
-        reals.masses_at(square.masses, square.den, bits),
-        reals.masses_at(target.masses, target.den, bits)))
+    sden, tden, rho = square.den, target.den, square.radius
+    if not rho and not radii:
+        return all(s * tden == t * sden
+                   for s, t in zip(square.masses, target.masses))
+    top, bottom = rho.numerator, rho.denominator
+    t1 = target.masses[0]
+    for s, t, (r, q) in zip(square.masses, target.masses,
+                            radii or [(0, 1)] * target.p):
+        # the inequality above times sden * tden * q * bottom
+        if (abs(s * tden - t * sden) * q * bottom
+                > r * t1 * sden * bottom + top * s * tden * q):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -483,33 +484,38 @@ def aluthge_subnormal(
     if work.mode == RATIONAL and any(pos.k == 1 for pos in work.support):
         work = work.to_real(bits)
         notes.append("irrational positions: masses analysed numerically")
-    target = products(work, t_weight(work, bits), bits)
+    target = products(work, t_weight(work, bits), bits, config.radius)
     peel = _peel(target, config)
     if peel.outcome == WITNESS:
-        mismatch = _support_mismatch(target, peel)
-        if mismatch is not None:
-            peel = _refuted(mismatch, peel.doubt)
+        peel = _support_check(target, peel)
     # a witness that passed the support check sits on supp(mu)
     return _decide(target, peel, work.support, work.base, config, notes)
 
 
-def _support_mismatch(target: Table, peel: Peel) -> Optional[Violation]:
+def _support_check(target: Table, peel: Peel) -> Peel:
     """Compare the root's support with supp(mu): a root atom y with
     y*x_1 = (target atom j) lies in supp(mu) iff that atom is x_1*x_m.
 
     The table of mu * t(mu) records the first pair per product with the
     left factor outermost, so that atom is x_1*x_m exactly when its first
-    pair starts at x_1, the left factor of atom 0."""
+    pair starts at x_1, the left factor of atom 0.  A root atom whose mass
+    bound includes 0 may or may not be there."""
     x1 = target.factors[0][0]
     expected = {j for j, pair in enumerate(target.factors) if pair[0] is x1}
-    got = {j for j, _ in peel.root}
-    if got == expected:
-        return None
-    j = min(got ^ expected)
+    got, maybe = {j for j, _ in peel.root}, set(peel.maybe)
+    wrong = (got - expected) | (expected - got - maybe)
+    if not wrong and not expected & maybe:
+        return peel
+    j = min(wrong or expected & maybe)
     where = scalar_str(target.position(j) / x1)
+    if not wrong:
+        return Peel(UNDETERMINED, note=(
+            f"the mass bound of the root atom at {where}, an atom of mu, "
+            "includes 0"))
     message = (f"the root has an atom at {where}, outside supp(mu)" if j in got
                else f"the root has no atom at {where}, an atom of mu")
-    return Violation("peel-support-mismatch", (j + 1,), message)
+    return Peel(IMPOSSIBLE, certificate=Violation("peel-support-mismatch",
+                                                  (j + 1,), message))
 
 
 def sqrt_of(
@@ -524,7 +530,7 @@ def sqrt_of(
         raise MeasureError(
             "square-root search requires rational atom positions; apply "
             "power_positions(mu, 2) first")
-    target = table(mu, config.precision_bits)
+    target = table(mu, config.precision_bits, config.radius)
     peel = _peel(target, config)
     base = mu.support[0].q
     positions = [Position(mu.support[j].q / base, 1, base) for j, _ in peel.root]

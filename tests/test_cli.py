@@ -10,8 +10,8 @@ import pytest
 import alsq
 from alsq.cli import main
 from alsq.generate import GeneratorSpec, generate
-from alsq.measures import dumps_measure, load_measure, make_measure
-from alsq.selftest import example_two
+from alsq.measures import MAX_ATOMS, dumps_measure, load_measure, make_measure
+from alsq.selftest import example_one, example_two
 
 F = Fraction
 
@@ -102,13 +102,15 @@ def test_shift_table_matches_analyze(capsys, six_atom_file):
 
 
 def test_low_precision_real_witness_is_no_internal_fault(capsys, tmp_path):
-    # at 64 bits the closed-form witness of this instance fails its re-check
+    # at 64 bits the closed-form witness of this instance is rounded; it
+    # squares back within the error the peel carries from the box of radius
+    # 2^-63, so it is a witness
     path = tmp_path / "m.json"
     mu = generate(GeneratorSpec(5, "with-aluthge-root", 4046)).measure
     path.write_text(dumps_measure(mu.to_real(64)))
-    assert main(["analyze", "--precision", "64", "--json", str(path)]) != 4
+    assert main(["analyze", "--precision", "64", "--json", str(path)]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["closed_form"]["outcome"] == "undetermined"
+    assert data["closed_form"]["outcome"] == "witness"
     assert main(["shift", "--precision", "64", str(path)]) == 0
     assert "Traceback" not in capsys.readouterr().err
 
@@ -254,6 +256,32 @@ def _big_document(path, positions):
                                            "weight": "1/3"}
                                           for q in positions]}))
     return str(path)
+
+
+def test_too_many_atoms_is_usage_error(tmp_path):
+    # a transform decision at p = 321 takes seconds and grows about as p^3.3
+    over = _big_document(tmp_path / "over.json",
+                         [str(q) for q in range(1, MAX_ATOMS + 2)])
+    result = _cli("analyze", over)
+    _assert_usage_error(result)
+    assert f"at most {MAX_ATOMS} atoms" in result.stderr
+    at_cap = _big_document(tmp_path / "cap.json",
+                           [str(q) for q in range(1, MAX_ATOMS + 1)])
+    assert load_measure(at_cap).p == MAX_ATOMS
+
+
+def test_low_precision_sharp_example_is_never_refuted(tmp_path):
+    # the paper's five-atom example with its 128-bit masses, read at 53 bits:
+    # the box of radius 2^-52 around those masses holds the example, which
+    # has a root, so impossible would be unsound
+    path = tmp_path / "one.json"
+    path.write_text(dumps_measure(example_one()))
+    assert _cli("aluthge", "--precision", "53", str(path)).returncode == 0
+    assert main(["sqrt", "--precision", "53", str(path)]) == 0
+    # at 1 and 2 bits the box lets a mass be 0: undetermined, not a fault
+    for bits in ("1", "2"):
+        assert main(["analyze", "--precision", bits, "--shift-terms", "3",
+                     str(path)]) == 3
 
 
 def test_oversized_products_give_no_traceback(tmp_path):

@@ -74,11 +74,17 @@ def test_real_mode_identities_use_configured_precision():
     assert verify_witness(verdict.witness, mu)
 
 
-def test_real_witness_failing_its_check_is_undetermined():
-    # the exact identities hold for these masses rounded to 64 bits, but
-    # the witness rounded at 64 bits does not square back within 2^-64:
-    # rounding, not a contradiction of the characterization
+def test_real_witness_failing_its_check_is_undetermined(monkeypatch):
+    # the identities hold for these masses rounded to 64 bits within their
+    # box of radius eps = 2^-63, and the witness rounded at 64 bits squares
+    # back within the error the peel carries to each atom: a witness
     mu = generate(GeneratorSpec(5, "with-aluthge-root", 4046)).measure
+    verdict = classify_small(mu.to_real(64), SolverConfig(64))
+    assert verdict.outcome == WITNESS
+    # a rounded witness that fails its check is undetermined, not a fault
+    from alsq import closed_forms
+
+    monkeypatch.setattr(closed_forms, "verify_witness", lambda *args: False)
     verdict = classify_small(mu.to_real(64), SolverConfig(64))
     assert verdict.outcome == UNDETERMINED
     assert verdict.notes == (UNVERIFIED,)

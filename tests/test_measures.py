@@ -33,7 +33,7 @@ from alsq.measures import (
     strip_zero_atom,
     t_weight,
 )
-from alsq.reals import to_mpf
+from alsq.reals import mpf_to_fraction, to_mpf
 from alsq.scalars import ScalarError
 
 F = Fraction
@@ -270,9 +270,14 @@ def test_product_table_matches_its_measure(pair):
     assert [table.weight(j) for j in range(table.p)] == list(out.weights)
     if out.mode == RATIONAL:
         assert [F(n, table.den) for n in table.masses] == list(out.weights)
+        assert table.radius == 0
     else:
-        assert table.den is None
-        assert table.masses == [w._mpf_ for w in out.weights]
+        # the rounded sums, held exactly as ints over one power of two, with
+        # a radius that covers the roundings
+        assert table.den & (table.den - 1) == 0
+        assert [F(n, table.den) for n in table.masses] == \
+            [mpf_to_fraction(w) for w in out.weights]
+        assert 0 < table.radius < F(1, 2 ** 50)
     # the first pair per product, left factor outermost: an atom is x_1*y
     # with y in supp(nu) exactly when its first pair starts at x_1
     x1 = table.factors[0][0]
@@ -593,12 +598,14 @@ def test_real_mode_nonfinite_or_malformed_weight_rejected(weight, tmp_path,
     assert err.startswith("error: atom 1") and "Traceback" not in err
 
 
-def test_real_mode_weight_below_tolerance_rejected():
+def test_real_mode_tiny_weight_is_accepted():
+    # a real mass stands for the values within relative eps of it, whatever
+    # its size, so a weight far below eps is a valid mass
     text = '''{"radical_base": "1", "mode": "real",
                "atoms": [{"pos_q": "1", "pos_k": 0, "weight": "1e-30"},
                          {"pos_q": "2", "pos_k": 0, "weight": "1/2"}]}'''
-    with pytest.raises(MeasureError, match="tolerance"):
-        loads_measure(text)
+    mu = loads_measure(text)
+    assert mu.p == 2 and 0 < mu.weights[0] < mpf("1e-29")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from mpmath import mpf, workprec
 from mpmath.libmp import from_man_exp
 
-from alsq.reals import close_rel, from_raw, mpf_to_fraction, to_mpf
+from alsq.reals import (from_dyadic, from_raw, mpf_to_fraction, to_dyadic,
+                        to_mpf)
 from alsq.scalars import ScalarError, parse_rational, sqrt_fraction
 
 F = Fraction
@@ -67,22 +68,14 @@ def test_to_mpf_rounds_like_working_precision():
 
 
 _DYADIC = st.builds(lambda man, exp: from_raw(from_man_exp(man, exp)),
-                    st.integers(-(2 ** 140), 2 ** 140), st.integers(-300, 300))
+                    st.integers(0, 2 ** 140), st.integers(-300, 300))
 
 
-@given(_DYADIC, _DYADIC, st.sampled_from([F(0), F(1, 2 ** 64), F(1, 3), F(2)]))
-def test_close_rel_is_exact(x, y, tol):
-    tol = to_mpf(tol, 128)
-    fx, fy, ft = (mpf_to_fraction(v) for v in (x, y, tol))
-    expected = abs(fx - fy) <= ft * max(abs(fx), abs(fy), 1)
-    assert close_rel(x, y, tol) == expected
-    assert close_rel(x, x, tol)
-
-
-def test_close_rel_decides_beyond_working_precision():
-    # |1 - y| exceeds tol = tol * max(|1|, |y|, 1) by 2^-600, which a
-    # 512-bit difference rounds away
-    one, tol = mpf(1), to_mpf(F(1, 2 ** 64), 128)
-    y = from_raw(from_man_exp(2 ** 600 - 2 ** 536 - 1, -600))
-    assert not close_rel(one, y, tol)
-    assert close_rel(one, from_raw(from_man_exp(2 ** 64 - 1, -64)), tol)
+@given(st.lists(_DYADIC, min_size=1, max_size=6))
+def test_dyadic_masses_are_exact(values):
+    # a real table holds its masses as ints over one power of two
+    nums, den = to_dyadic([v._mpf_ for v in values])
+    assert den & (den - 1) == 0
+    for value, n in zip(values, nums):
+        assert F(n, den) == mpf_to_fraction(value)
+        assert from_dyadic(n, den)._mpf_ == value._mpf_

@@ -1,6 +1,7 @@
 import sys
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import ceil, gcd
 
 import mpmath
 import pytest
@@ -28,8 +29,9 @@ from alsq.measures import (
     products,
     scale_positions,
     t_weight,
+    table,
 )
-from alsq.reals import to_mpf
+from alsq.reals import mpf_to_fraction, to_mpf
 from alsq.scalars import DEFAULT_TOLERANCE, scalar_str
 from alsq.shifts import aluthge_moment_sequence, hankel_psd
 from alsq.solver import (
@@ -109,8 +111,8 @@ def test_transform_support_mismatch_names_the_atom(monkeypatch,
     true_root = solver.peel_root(convolve(three_atom_square,
                                           t_weight(three_atom_square)))
 
-    def decide(root, doubt=None):
-        fake = solver.Peel(WITNESS, root=root, doubt=doubt)
+    def decide(root, maybe=()):
+        fake = solver.Peel(WITNESS, root=root, maybe=maybe)
         monkeypatch.setattr(solver, "_peel", lambda target, config: fake)
         return aluthge_subnormal(three_atom_square)
 
@@ -122,16 +124,24 @@ def test_transform_support_mismatch_names_the_atom(monkeypatch,
     missing = decide(true_root.root[:1] + true_root.root[2:])
     assert missing.certificate.indices == (2,)
     assert "no atom at 2" in missing.certificate.message
-    doubtful = decide(true_root.root[:1], doubt="a residual was cancelled")
+    # a root atom of supp(mu) whose mass bound includes 0 may be there
+    doubtful = decide(true_root.root[:1] + true_root.root[2:], maybe=(1,))
     assert doubtful.outcome == UNDETERMINED
-    assert "peel-support-mismatch" in doubtful.notes[-1]
+    assert "root atom at 2, an atom of mu" in doubtful.notes[-1]
+    # one outside supp(mu) is left out of the witness
+    assert decide(true_root.root, maybe=(3,)).outcome == WITNESS
+    stray = decide(true_root.root[:1] + true_root.root[2:] + ((3, F(1)),),
+                   maybe=(1,))
+    assert stray.certificate.indices == (4,)
 
 
 def test_real_mode_near_cancellation():
-    # (d(1) + d(2))^2 with the top mass moved by a multiple of the tolerance:
-    # within it the square is accepted, just beyond it the forced mass is
-    # too small to sign, and further out the leftover atom cannot be a root
-    # atom's cross term
+    # (d(1) + d(2))^2 with the top mass moved by a multiple of eps = 2^-64.
+    # Each mass stands for its box of relative radius eps, and up to a shift
+    # of 3*eps the box holds an exact square: 1 - eps, 2 + 2*eps and
+    # (1 + eps)^2 / (1 - eps) = 1 + 3*eps + O(eps^2), within eps of
+    # 1 + 3*eps.  So all three are witnesses, and impossible would be
+    # unsound
     tol = mpf(2) ** -64
 
     def target(shift):
@@ -139,35 +149,45 @@ def test_real_mode_near_cancellation():
             return make_measure([(1, 1), (2, 2), (4, 1 + shift * tol)],
                                 mode="real")
 
-    assert sqrt_of(target(F(1, 2))).outcome == WITNESS
-    assert sqrt_of(target(F(3, 2))).outcome == UNDETERMINED
-    verdict = sqrt_of(target(3))
+    for shift in (F(1, 2), F(3, 2), 3):
+        verdict = sqrt_of(target(shift))
+        assert verdict.outcome == WITNESS
+        assert verify_witness(verdict.witness, target(shift))
+    # far outside the box the leftover atom still cannot be a root atom's
+    # cross term
+    verdict = sqrt_of(target(2 ** 20))
     assert verdict.outcome == IMPOSSIBLE
     assert verdict.certificate.rule == "peel-overflow"
 
 
 def test_real_mode_cancelled_root_atom_is_not_refuted():
-    # (d(1) + d(2) + e*d(4))^2 with e within tolerance: the peel takes the
-    # residual 2e at 4 as cancelled, then meets the cross term 2e at 8, which
-    # no root atom can explain; the refutation rests on the cancellation
+    # (d(1) + d(2) + e*d(4))^2 with e within tolerance: at eps = 1/1000 the
+    # residual 2e at 4 holds 0, so the root atom e at 4 is a maybe atom,
+    # which the cross term 2e at 8 needs; no refutation may rest on it, and
+    # the witness without it misses the atoms at 8 and 16 and fails its
+    # re-check
     with workprec(128):
         target = make_measure([(1, 1), (2, 2), (4, mpf("1.0002")),
                                (8, mpf("0.0002")), (16, mpf("1e-8"))],
                               mode="real")
     verdict = sqrt_of(target, SolverConfig(tolerance=F(1, 1000)))
     assert verdict.outcome == UNDETERMINED
-    assert "peel-overflow" in verdict.notes[-1]
+    assert verdict.notes == (solver.UNVERIFIED,)
     # the same with masses spanning 2^70 at the default tolerance, on the
-    # transform question: the exact instance has a witness
+    # transform question: the exact instance has a witness, and in real mode
+    # the root atom at 8, an atom of mu, has a mass bound that includes 0
     rho = make_measure([(1, 1), (2, 1), (4, F(1, 2 ** 70))])
     mu = convolve(rho, rho)
     assert aluthge_subnormal(mu).outcome == WITNESS
-    assert aluthge_subnormal(mu.to_real(128)).outcome == UNDETERMINED
+    verdict = aluthge_subnormal(mu.to_real(128))
+    assert verdict.outcome == UNDETERMINED
+    assert "root atom at 8, an atom of mu" in verdict.notes[-1]
 
 
 def test_real_mode_rounding_level_cancellation_still_refutes():
     # the product 2*2 = 4 below the top root atom 5 cancels up to rounding
-    # only; doubling the top mass is still refuted
+    # only, so a maybe atom sits at 4 and is left out of the witness;
+    # doubling the top mass is still refuted, for every mass in the box
     rho = make_measure([(1, F(1, 3)), (2, F(1, 7)), (5, F(1, 11))])
     square = convolve(rho, rho).to_real(128)
     atoms = list(square.atoms)
@@ -199,74 +219,93 @@ def test_solve_uniform_three_atoms_impossible():
 # ---------------------------------------------------------------------------
 
 def _reference_peel(target, config=SolverConfig()):
-    """The peel on Fraction and mpf scalars under ``workprec``: the
-    reference that the int / raw libmp peel must match field by field."""
+    """The peel on Fraction midpoints and radii: the reference that the int
+    peel must match field by field.
+
+    A real mass a stands for the ball a*(1 +- eps); relative to a_1 that is
+    (a / a_1)*(1 +- 2*eps/(1 - eps)), a radius the int peel rounds up once
+    to a whole multiple of 1/D (D = 2*N_1, the masses N_j over 2^shift
+    times their least common denominator, the shift making the smallest
+    radius about 2^32 units).  Every later step is exact in both."""
     atoms = target.atoms
     exact = target.mode == "rational"
     bits = config.precision_bits
-    with workprec(bits):
-        keys = int_keys(target.support)
-        k1 = keys[0]
-        if exact:
-            a1 = atoms[0][1]
-            masses = [w / a1 for _, w in atoms]
+    weights = [w if exact else mpf_to_fraction(w) for _, w in atoms]
+    eps = F(0) if exact else config.radius
+    if eps >= 1:
+        return Peel(UNDETERMINED,
+                    note=f"at relative error {float(eps):.3g} a mass may be 0")
+    den = 1
+    for w in weights:
+        den = den * w.denominator // gcd(den, w.denominator)
+    spread = 2 * eps / (1 - eps)
+    if eps:
+        smallest = spread.numerator * 2 * min(weights) * den
+        den <<= max(0, 32 + spread.denominator.bit_length()
+                    - int(smallest).bit_length())
+    d = 2 * weights[0] * den
+    masses = [(w / weights[0], ceil(spread * w / weights[0] * d) / d)
+              for w in weights]
+
+    def shown(x):
+        return scalar_str(x if exact else to_mpf(x, bits))
+
+    keys = int_keys(target.support)
+    k1 = keys[0]
+    at = [key * k1 for key in keys]
+    index = {z: j for j, z in enumerate(at)}
+    residual = dict(zip(at[1:], masses[1:]))
+    heap = at[1:]
+    limit = keys[-1] * k1 ** 3
+    root = [(k1, (F(1), F(0)), 0)]
+    radii = [F(0)] * target.p
+    maybe = []
+    while heap:
+        z = heappop(heap)
+        mid, rad = residual.pop(z)
+        j = index.get(z)
+        if j is not None:
+            radii[j] = rad
+        if mid + rad < 0:
+            mass = f"{shown(mid / 2)}*sqrt({shown(weights[0])})"
+            if rad:
+                mass += f" +- {shown(rad / 2)}*sqrt({shown(weights[0])})"
+            return Peel(IMPOSSIBLE, certificate=_nonpositive(
+                atoms, root, z, j, mass, k1))
+        if mid <= rad:
+            if j is None or mid + rad == 0 or z * z > limit:
+                continue
+            c = (F(0), (mid + rad) / 2)
+            maybe.append(j)
+        elif z * z > limit:
+            return Peel(IMPOSSIBLE, certificate=Violation(
+                "peel-overflow", (j + 1,),
+                f"the root atom y with y*y1 = {atoms[j][0]} (y1^2 = "
+                f"{atoms[0][0]}) would square to "
+                f"{atoms[j][0] * atoms[j][0] / atoms[0][0]}, beyond the "
+                f"top atom {atoms[-1][0]}"))
         else:
-            a1 = to_mpf(atoms[0][1], bits)
-            masses = [to_mpf(w, bits) / a1 for _, w in atoms]
-            tol = to_mpf(config.tolerance, bits)
-            rounding = mpf(2) ** (solver._ROUNDING_BITS - bits)
-        at = [key * k1 for key in keys]
-        index = {z: j for j, z in enumerate(at)}
-        residual = dict(zip(at[1:], masses[1:]))
-        heap = at[1:]
-        limit = keys[-1] * k1 ** 3
-        root = [(k1, masses[0], 0)]
-        worst = F(0) if exact else mpf(0)
-        doubt = None
-        while heap:
-            z = heappop(heap)
-            r = residual.pop(z)
-            j = index.get(z)
-            if exact:
-                if r == 0:
-                    continue
-            else:
-                wanted = masses[j] if j is not None else 0
-                scale = max(abs(wanted), abs(wanted - r))
-                if abs(r) <= tol * scale:
-                    worst = max(worst, abs(r) / scale)
-                    if (doubt is None and abs(r) > rounding * scale
-                            and z * z <= limit):
-                        doubt = (
-                            f"the residual {scalar_str(r)}*a1 at "
-                            f"{_at(atoms, z, j, k1)} was taken as zero "
-                            "within tolerance, but a root atom of that tiny "
-                            "mass may sit there")
-                    continue
-            c = r / 2
-            if c <= 0 if exact else c < -tol * scale:
-                return solver._refuted(
-                    _nonpositive(atoms, root, z, j, c, k1), doubt)
-            if not exact and c <= tol * scale:
-                return Peel(UNDETERMINED, note=(
-                    f"the root atom y with y*y1 = "
-                    f"{_at(atoms, z, j, k1)} has a forced mass "
-                    f"{scalar_str(c)}*sqrt(a1) within tolerance of "
-                    "zero"))
-            if z * z > limit:
-                return solver._refuted(Violation(
-                    "peel-overflow", (j + 1,),
-                    f"the root atom y with y*y1 = {atoms[j][0]} (y1^2 = "
-                    f"{atoms[0][0]}) would square to "
-                    f"{atoms[j][0] * atoms[j][0] / atoms[0][0]}, beyond the "
-                    f"top atom {atoms[-1][0]}"), doubt)
-            key = keys[j]
-            for other, mass, _ in root[1:]:
-                _reference_subtract(residual, heap, other * key, 2 * c * mass)
-            _reference_subtract(residual, heap, key * key, c * c)
-            root.append((key, c, j))
-    return Peel(WITNESS, root=tuple((j, c) for _, c, j in root),
-                residual=worst, doubt=doubt)
+            c = (mid / 2, rad / 2)
+        key = keys[j]
+        for other, mass, _ in root[1:]:
+            _reference_subtract(residual, heap, other * key,
+                                _ball_product((2 * c[0], 2 * c[1]), mass))
+        _reference_subtract(residual, heap, key * key, _ball_product(c, c))
+        root.append((key, c, j))
+    witness = tuple((j, c[0] if exact else to_mpf(c[0], bits))
+                    for _, c, j in root if j not in maybe)
+    if exact:
+        return Peel(WITNESS, root=witness)
+    return Peel(WITNESS, root=witness,
+                radii=tuple((r.numerator, r.denominator) for r in radii),
+                residual=to_mpf(max(r / (w / weights[0])
+                                    for r, w in zip(radii, weights)), bits),
+                maybe=tuple(maybe))
+
+
+def _ball_product(x, y):
+    (a, r), (b, s) = x, y
+    return a * b, abs(a) * s + abs(b) * r + r * s
 
 
 # the certificate texts of the reference, written on the target's atoms
@@ -284,29 +323,27 @@ def _nonpositive(atoms, root, z, j, c, k1) -> Violation:
         "peel-nonpositive-mass", (j + 1,) if j is not None else (),
         f"after {len(root)} root atoms the smallest atom of target - root^2 "
         f"sits at {_at(atoms, z, j, k1)}; the root atom y with y*y1 there "
-        f"(y1^2 = {atoms[0][0]}) is forced to carry mass "
-        f"{scalar_str(c)}*sqrt({scalar_str(atoms[0][1])}), which is not "
+        f"(y1^2 = {atoms[0][0]}) is forced to carry mass {c}, which is not "
         "positive")
 
 
 def _reference_subtract(residual, heap, key, value):
+    mid, rad = value
     if key in residual:
-        residual[key] -= value
+        old_mid, old_rad = residual[key]
+        residual[key] = (old_mid - mid, old_rad + rad)
     else:
-        residual[key] = -value
+        residual[key] = (-mid, rad)
         heappush(heap, key)
 
 
 def _peel_fields(peel):
-    """Every field of a peel, masses with their type and raw libmp value."""
+    """Every field of a peel, masses with their type."""
     cert = peel.certificate
-    return (peel.outcome,
-            [(j, type(c), c._mpf_ if isinstance(c, mpf) else c)
-             for j, c in peel.root],
-            type(peel.residual),
-            getattr(peel.residual, "_mpf_", peel.residual), peel.doubt,
-            peel.note,
-            (cert.rule, cert.indices, cert.message) if cert else None)
+    return (peel.outcome, [(j, type(c), c) for j, c in peel.root],
+            type(peel.residual), peel.residual,
+            [F(*radius) for radius in peel.radii], peel.maybe,
+            peel.note, (cert.rule, cert.indices, cert.message) if cert else None)
 
 
 def _assert_peel_matches_reference(target, config=SolverConfig()):
@@ -400,7 +437,7 @@ def _cancellation_targets(bits):
     out.append((square, SolverConfig(bits)))
     out.append((make_measure(atoms, mode="real"), SolverConfig(bits)))
     # a residual 2^12 or 2^20 units of the last place at the top bit of the
-    # cancelled atom at 4, below and above the rounding floor 2^16 of them
+    # cancelled atom at 4, both far inside the box of radius 2^-32
     for shift in (12, 20):
         out.append((make_measure(
             [(1, 1), (2, 2), (4, 1 + F(2 ** shift, 2 ** bits)), (8, F(1, 4)),
@@ -416,12 +453,19 @@ def test_peel_matches_fraction_reference_at_cancellation(bits):
     for target, config in cases:
         _assert_peel_matches_reference(target, config)
     peels = [peel_root(target, config) for target, config in cases]
-    assert {peel.outcome for peel in peels} == {WITNESS, IMPOSSIBLE,
-                                                UNDETERMINED}
+    # the peel itself refutes or gives a root; maybe atoms sat where a
+    # residual held 0 (the cancelled atom at 4, the cross terms of the tiny
+    # atom at 4 of the transform target)
+    assert {peel.outcome for peel in peels} == {WITNESS, IMPOSSIBLE}
+    assert [peel.maybe for peel in peels[3:6]] == [(2,), (3, 4), (2,)]
+    # both residuals at 4 hold 0, so a maybe atom of mass at most about
+    # 2^-33 sits there; the mass 1/4 at 8 is then surely positive where its
+    # root atom would square to 64, beyond the top atom 16: impossible for
+    # every measure in the box
     below, above = peels[-2:]
-    assert below.outcome == IMPOSSIBLE
-    assert above.outcome == UNDETERMINED
-    assert "taken as zero" in above.note
+    assert below.outcome == above.outcome == IMPOSSIBLE
+    assert below.maybe == above.maybe == ()
+    assert above.certificate.rule == "peel-overflow"
 
 
 @st.composite
@@ -452,11 +496,15 @@ def _product_targets(draw):
 @given(_product_targets())
 def test_peel_of_product_table_matches_peel_of_measure(case):
     # the peel that reads the product table gives, field for field, the peel
-    # of the measure convolve materializes from that table
+    # of the measure convolve materializes from that table, tabled with the
+    # product table's radius (0 in rational mode)
     mu, nu, config = case
-    table = products(mu, nu, config.precision_bits)
-    assert _peel_fields(solver._peel(table, config)) == \
-        _peel_fields(peel_root(table.measure(), config))
+    tabled = products(mu, nu, config.precision_bits)
+    again = table(tabled.measure(), config.precision_bits, tabled.radius)
+    assert [F(n, again.den) for n in again.masses] == \
+        [F(n, tabled.den) for n in tabled.masses]
+    assert _peel_fields(solver._peel(tabled, config)) == \
+        _peel_fields(solver._peel(again, config))
 
 
 def _ladder_cases(p=23):

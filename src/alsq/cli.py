@@ -20,6 +20,7 @@ from .analyze import AnalyzeOptions, analyze, render_shift_rows, shift_table
 from .diagram import render_diagram
 from .generate import MODES, GeneratorSpec, generate
 from .measures import (
+    MAX_ATOMS,
     AtomicMeasure,
     MeasureError,
     convolve,
@@ -64,15 +65,23 @@ SCHEMA = "alsq/1"
 # and the cost grows faster than linearly beyond it
 MAX_PRECISION_BITS = 65536
 
+# the most rows of shift tables (--terms, --shift-terms): exact moments of
+# the geometric 400-atom `gen --p 400 --seed 1` (ratio 4) reach 80000 bits
+# at row 100, where `alsq shift` takes 2.4 s; the cost grows faster than
+# linearly in the rows (6.7 s at 200, 14 s at 300)
+MAX_SHIFT_TERMS = 100
 
-def _precision(text: str) -> int:
-    bits = int(text)  # argparse reports a ValueError as an invalid value
-    if bits < 1:  # libmp reads precision 0 as exact and may never return
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {bits}")
-    if bits > MAX_PRECISION_BITS:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_PRECISION_BITS}, got {bits}")
-    return bits
+
+def _bounded(low: int, high: int):
+    """argparse type of an integer in [low, high]."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+        return value
+    return integer
 
 
 def _tolerance(text: str) -> Fraction:
@@ -85,18 +94,11 @@ def _tolerance(text: str) -> Fraction:
     return tol
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION_BITS,
-                        metavar="BITS", help="working precision in bits")
-    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
-                        metavar="DECIMAL",
-                        help="in (0, 1) (default 2^-64): each real mass "
-                             "stands for the values within relative "
-                             "max(tol, 2^(1-precision)) of it")
-    common.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON")
-    return common
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
 
 
 def _load(path: str, args) -> AtomicMeasure:
@@ -155,8 +157,6 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_shift(args) -> int:
-    if args.terms < 1:
-        raise MeasureError("--terms must be at least 1")
     _, mu = strip_zero_atom(_load(args.measure, args))
     tables = shift_table(mu, args.terms, args.precision)
     if args.json:
@@ -167,7 +167,8 @@ def cmd_shift(args) -> int:
 
 
 def cmd_recurrence(args) -> int:
-    _, mu = strip_zero_atom(_load(args.measure, args))
+    # real and radical input is refused, so the load precision never matters
+    _, mu = strip_zero_atom(load_measure(args.measure))
     if mu.mode != "rational" or any(pos.k == 1 for pos in mu.support):
         print("error: exact moments require a rational-mode measure with "
               "rational positions", file=sys.stderr)
@@ -226,49 +227,63 @@ def build_parser() -> argparse.ArgumentParser:
         prog="alsq",
         description="Square roots of finitely atomic measures under "
                     "multiplicative convolution, with exact certificates.")
-    common = _common_flags()
+    # libmp reads precision 0 as exact and may never return
+    precision = _flag("--precision", type=_bounded(1, MAX_PRECISION_BITS),
+                      default=DEFAULT_PRECISION_BITS, metavar="BITS",
+                      help="working precision in bits")
+    tol = _flag("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
+                metavar="DECIMAL",
+                help="in (0, 1) (default 2^-64): each real mass stands for "
+                     "the values within relative max(tol, 2^(1-precision)) "
+                     "of it")
+    as_json = _flag("--json", action="store_true",
+                    help="emit machine-readable JSON")
+    decide = [precision, tol, as_json]
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser("analyze", parents=[common],
+    p_analyze = sub.add_parser("analyze", parents=decide,
                                help="full report for a measure file")
     p_analyze.add_argument("measure")
     p_analyze.add_argument("--diagram", action="store_true",
                            help="append the ASCII product diagram")
-    p_analyze.add_argument("--shift-terms", type=int, default=0, metavar="N",
+    p_analyze.add_argument("--shift-terms", type=_bounded(0, MAX_SHIFT_TERMS),
+                           default=0, metavar="N",
                            help="include N rows of shift/moment tables")
     p_analyze.set_defaults(func=cmd_analyze)
 
-    p_sqrt = sub.add_parser("sqrt", parents=[common],
+    p_sqrt = sub.add_parser("sqrt", parents=decide,
                             help="decide the square root problem")
     p_sqrt.add_argument("measure")
     p_sqrt.set_defaults(func=cmd_sqrt)
 
-    p_aluthge = sub.add_parser("aluthge", parents=[common],
+    p_aluthge = sub.add_parser("aluthge", parents=decide,
                                help="decide subnormality of the transformed shift")
     p_aluthge.add_argument("measure")
     p_aluthge.set_defaults(func=cmd_aluthge)
 
-    p_conv = sub.add_parser("convolve", parents=[common],
+    p_conv = sub.add_parser("convolve", parents=[precision, as_json],
                             help="multiplicative convolution of two measures")
     p_conv.add_argument("left")
     p_conv.add_argument("right")
     p_conv.add_argument("--out", help="write the result to a measure file")
     p_conv.set_defaults(func=cmd_convolve)
 
-    p_shift = sub.add_parser("shift", parents=[common],
+    p_shift = sub.add_parser("shift", parents=[precision, as_json],
                              help="shift weight and moment tables")
     p_shift.add_argument("measure")
-    p_shift.add_argument("--terms", type=int, default=8)
+    p_shift.add_argument("--terms", type=_bounded(1, MAX_SHIFT_TERMS), default=8,
+                         metavar="N")
     p_shift.set_defaults(func=cmd_shift)
 
-    p_rec = sub.add_parser("recurrence", parents=[common],
+    p_rec = sub.add_parser("recurrence", parents=[as_json],
                            help="minimal linear recurrence of the moments")
     p_rec.add_argument("measure")
-    p_rec.add_argument("--max-order", type=int, default=8)
+    # a measure's moments obey a recurrence of order at most its atom count
+    p_rec.add_argument("--max-order", type=_bounded(1, MAX_ATOMS), default=8,
+                       metavar="M")
     p_rec.set_defaults(func=cmd_recurrence)
 
-    p_gen = sub.add_parser("gen", parents=[common],
-                           help="generate a random instance")
+    p_gen = sub.add_parser("gen", help="generate a random instance")
     p_gen.add_argument("--p", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0,
                        help="seed of the generator")
@@ -282,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the retained witness, when one exists")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_self = sub.add_parser("selftest", parents=[common],
-                            help="run the acceptance suite")
+    p_self = sub.add_parser("selftest", help="run the acceptance suite")
     p_self.set_defaults(func=cmd_selftest)
     return parser
 
@@ -302,7 +316,7 @@ def main(argv: Optional[list] = None) -> int:
     except InternalError as exc:
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
-        if args.json:
+        if getattr(args, "json", False):  # gen and selftest take no --json
             print(json.dumps({"error": str(exc), "kind": "internal"}, indent=2))
         return EXIT_INTERNAL
 

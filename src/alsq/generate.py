@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .measures import AtomicMeasure, MeasureError, convolve, make_measure
+from .measures import (MAX_ATOMS, AtomicMeasure, MeasureError, convolve,
+                       make_measure)
 
 WITH_ROOT = "with-root"
 WITH_ALUTHGE_ROOT = "with-aluthge-root"
@@ -80,6 +81,9 @@ def _random_support(rng: random.Random, p: int) -> List[Fraction]:
 
 
 def generate(spec: GeneratorSpec) -> GeneratedInstance:
+    if not 1 <= spec.p <= MAX_ATOMS:  # what a measure document may hold
+        raise MeasureError(
+            f"a generated measure has 1 to {MAX_ATOMS} atoms, got {spec.p}")
     if spec.mode not in MODES:
         raise MeasureError(f"unknown generator mode {spec.mode!r}")
     rng = random.Random(spec.seed)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import List, Optional, Sequence, Tuple
 
 from .measures import (
@@ -224,56 +225,44 @@ def minimal_recurrence(
 ) -> Optional[RecurrenceCoefficients]:
     """Smallest-order exact linear recurrence satisfied by all entries.
 
-    Works over the rationals only; rank decisions are ill-posed in floating
-    point.  Needs len(gammas) >= 2 * max_order.
+    Berlekamp-Massey over the rationals (rank decisions are ill-posed in
+    floating point): one pass of O(n L) Fraction operations on n entries
+    for a recurrence of order L, which is unique when n >= 2 L.  Needs
+    len(gammas) >= 2 * max_order.  The all-zero sequence gets order 1 with
+    coefficient 0.
     """
     seq = [Fraction(g) for g in gammas]
     if len(seq) < 2 * max_order:
         raise MeasureError(
             f"need at least {2 * max_order} exact moments for order "
             f"{max_order}, got {len(seq)}")
-    for order in range(1, max_order + 1):
-        rows = [[seq[n + j] for j in range(order)] + [seq[n + order]]
-                for n in range(len(seq) - order)]
-        solution = _solve_exact(rows, order)
-        if solution is None:
+    if max_order < 1:
+        return None
+    # connection polynomial C (C[0] = 1) of length L: sum_i C[i] g[n-i] = 0
+    # for n >= L; ``backup`` is C before the last change of L, ``last`` the
+    # discrepancy then and ``gap`` the steps since
+    connection, backup = [Fraction(1)], [Fraction(1)]
+    length, gap, last = 0, 1, Fraction(1)
+    for n, value in enumerate(seq):
+        discrepancy = sum((c * seq[n - i]
+                           for i, c in enumerate(connection[1:], 1)), value)
+        if discrepancy == 0:
+            gap += 1
             continue
-        candidate = RecurrenceCoefficients(order, tuple(solution))
-        if candidate.holds_for(seq):
-            return candidate
-    return None
-
-
-def _solve_exact(rows: List[List[Fraction]], width: int) -> Optional[List[Fraction]]:
-    """Gaussian elimination over Q on an overdetermined augmented system;
-    None when inconsistent, free variables pinned to zero."""
-    matrix = [row[:] for row in rows]
-    pivots: List[Tuple[int, int]] = []
-    row = 0
-    for col in range(width):
-        pivot = next((r for r in range(row, len(matrix)) if matrix[r][col] != 0),
-                     None)
-        if pivot is None:
-            continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        lead = matrix[row][col]
-        matrix[row] = [value / lead for value in matrix[row]]
-        for r in range(len(matrix)):
-            if r != row and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [value - factor * keep
-                             for value, keep in zip(matrix[r], matrix[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == len(matrix):
-            break
-    for r in range(row, len(matrix)):
-        if matrix[r][width] != 0 and all(v == 0 for v in matrix[r][:width]):
-            return None
-    solution = [Fraction(0)] * width
-    for r, col in pivots:
-        solution[col] = matrix[r][width]
-    return solution
+        scale = discrepancy / last
+        update = [Fraction(0)] * gap + [scale * c for c in backup]
+        corrected = [a - b for a, b in zip_longest(connection, update,
+                                                   fillvalue=Fraction(0))]
+        if 2 * length <= n:
+            backup, last, length, gap = connection, discrepancy, n + 1 - length, 1
+            if length > max_order:
+                return None
+        else:
+            gap += 1
+        connection = corrected
+    order = max(length, 1)
+    padded = (connection + [Fraction(0)] * order)[1:order + 1]
+    return RecurrenceCoefficients(order, tuple(-c for c in reversed(padded)))
 
 
 def support_characteristic(mu: AtomicMeasure) -> Tuple[Fraction, ...]:

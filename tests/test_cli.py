@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import alsq
-from alsq.cli import main
+from alsq.cli import MAX_SHIFT_TERMS, main
 from alsq.generate import GeneratorSpec, generate
 from alsq.measures import MAX_ATOMS, dumps_measure, load_measure, make_measure
 from alsq.selftest import example_one, example_two
@@ -98,7 +98,8 @@ def test_shift_table_matches_analyze(capsys, six_atom_file):
     main(["analyze", six_atom_file, "--shift-terms", "6", "--json"])
     assert json.loads(capsys.readouterr().out)["shift_tables"] == tables
     assert main(["shift", six_atom_file, "--terms", "0"]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert "error: argument --terms: must be at least 1, got 0" in \
+        capsys.readouterr().err
 
 
 def test_low_precision_real_witness_is_no_internal_fault(capsys, tmp_path):
@@ -174,6 +175,17 @@ def test_usage_errors_exit_one(capsys, six_atom_file):
     assert main(["sqrt", "--bogus", six_atom_file]) == 1
     assert main(["sqrt", "--seed", "3", six_atom_file]) == 1
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--p", "3", "--json"], ["gen", "--p", "3", "--precision", "64"],
+    ["selftest", "--tol", "1/10"], ["selftest", "--json"],
+    ["recurrence", "FILE", "--precision", "64"],
+    ["recurrence", "FILE", "--tol", "1/10"], ["shift", "FILE", "--tol", "1/10"],
+    ["convolve", "FILE", "FILE", "--tol", "1/10"]], ids=" ".join)
+def test_flags_a_command_does_not_read_are_refused(capsys, six_atom_file, argv):
+    assert main([six_atom_file if a == "FILE" else a for a in argv]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_internal_fault_exits_four(capsys, monkeypatch, six_atom_file):
@@ -328,3 +340,40 @@ def test_gen_beyond_the_random_positions_is_usage_error():
     result = _cli("gen", "--p", "310", "--style", "random")
     assert result.returncode == 0
     assert len(json.loads(result.stdout)["measure"]["atoms"]) == 310
+
+
+@pytest.mark.parametrize("argv", [
+    ["shift", "--terms", "2000000"], ["shift", "--terms", "0"],
+    ["shift", "--terms", "101"],
+    ["analyze", "--shift-terms", "2000000"], ["analyze", "--shift-terms", "-1"],
+    ["analyze", "--shift-terms", "101"],
+    ["recurrence", "--max-order", "100000"], ["recurrence", "--max-order", "-2"],
+    ["recurrence", "--max-order", "0"], ["recurrence", "--max-order", "401"]],
+    ids=" ".join)
+def test_count_out_of_range_is_usage_error(four_atom_file, argv):
+    # without a bound the large counts were still running after 10 s, and
+    # a negative --shift-terms silently dropped the tables
+    result = _cli(*argv, four_atom_file)
+    _assert_usage_error(result)
+    assert f"argument {argv[1]}: must be at " in result.stderr
+
+
+def test_counts_at_their_bounds_are_accepted(capsys, four_atom_file):
+    assert main(["recurrence", "--max-order", str(MAX_ATOMS), four_atom_file]) == 0
+    assert capsys.readouterr().out.startswith("order 4: ")
+    assert main(["shift", "--terms", str(MAX_SHIFT_TERMS), four_atom_file]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == MAX_SHIFT_TERMS + 1
+    assert main(["analyze", "--shift-terms", str(MAX_SHIFT_TERMS),
+                 four_atom_file]) == 2
+    assert "shift tables" in capsys.readouterr().out
+    assert main(["analyze", "--shift-terms", "0", four_atom_file]) == 2
+    assert "shift tables" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p", ["401", "3000", "0", "-1"])
+def test_gen_outside_the_atom_bound_is_usage_error(tmp_path, p):
+    # 401 atoms used to be written to a file that `analyze` then refused
+    out = tmp_path / "m.json"
+    result = _cli("gen", "--p", p, "--out", str(out))
+    _assert_usage_error(result)
+    assert not out.exists()

@@ -401,5 +401,104 @@ def test_recurrence_absent_when_order_too_small(six_atom_exact):
 
 
 def test_recurrence_requires_enough_data():
-    with pytest.raises(MeasureError):
+    with pytest.raises(MeasureError, match="need at least 6 exact moments "
+                                           "for order 3, got 2"):
         minimal_recurrence([F(1), F(2)], 3)
+
+
+def test_recurrence_edge_cases():
+    # every order-1 recurrence fits zeros; the one with coefficient 0 is kept
+    assert minimal_recurrence([F(0)] * 6, 3) == RecurrenceCoefficients(1, (F(0),))
+    assert minimal_recurrence([F(1), F(2), F(3)], 0) is None
+    assert minimal_recurrence([], 0) is None
+    assert minimal_recurrence([F(1), F(2)], -2) is None
+    # a leading zero followed by a geometric tail needs order 2 with c_0 = 0
+    assert minimal_recurrence([F(0), F(1), F(3), F(9)], 2) == \
+        RecurrenceCoefficients(2, (F(0), F(3)))
+
+
+def _gaussian_recurrence(gammas, max_order):
+    """Reference: for each order in turn, Gaussian elimination over Q on the
+    overdetermined system of all its equations; the first consistent order
+    wins."""
+    seq = [Fraction(g) for g in gammas]
+    if len(seq) < 2 * max_order:
+        raise MeasureError(
+            f"need at least {2 * max_order} exact moments for order "
+            f"{max_order}, got {len(seq)}")
+    for order in range(1, max_order + 1):
+        rows = [[seq[n + j] for j in range(order)] + [seq[n + order]]
+                for n in range(len(seq) - order)]
+        solution = _solve_exact(rows, order)
+        if solution is None:
+            continue
+        candidate = RecurrenceCoefficients(order, tuple(solution))
+        if candidate.holds_for(seq):
+            return candidate
+    return None
+
+
+def _solve_exact(rows, width):
+    """Gaussian elimination over Q on an overdetermined augmented system;
+    None when inconsistent, free variables pinned to zero."""
+    matrix = [row[:] for row in rows]
+    pivots = []
+    row = 0
+    for col in range(width):
+        pivot = next((r for r in range(row, len(matrix)) if matrix[r][col] != 0),
+                     None)
+        if pivot is None:
+            continue
+        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
+        lead = matrix[row][col]
+        matrix[row] = [value / lead for value in matrix[row]]
+        for r in range(len(matrix)):
+            if r != row and matrix[r][col] != 0:
+                factor = matrix[r][col]
+                matrix[r] = [value - factor * keep
+                             for value, keep in zip(matrix[r], matrix[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == len(matrix):
+            break
+    for r in range(row, len(matrix)):
+        if matrix[r][width] != 0 and all(v == 0 for v in matrix[r][:width]):
+            return None
+    solution = [Fraction(0)] * width
+    for r, col in pivots:
+        solution[col] = matrix[r][width]
+    return solution
+
+
+def _random_sequences(rng, count):
+    """Rational sequences of length 0..12, about 30% zeros."""
+    for _ in range(count):
+        length = rng.randint(0, 12)
+        seq = [F(0) if rng.random() < 0.3
+               else F(rng.randint(-9, 9), rng.randint(1, 4))
+               for _ in range(length)]
+        yield seq, length // 2
+
+
+def _moment_sequences(count):
+    """Exact moments of generated p = 1..6 measures, with the order bound
+    below, above and well above p."""
+    for index in range(count):
+        p = 1 + index % 6
+        mu = generate(GeneratorSpec(p, "arbitrary", 5000 + index,
+                                    position_style=("geometric", "random")[index % 2])).measure
+        for max_order in (p - 1, p + 1, 8):
+            yield moment_sequence(mu, 2 * max_order), max_order
+
+
+def test_berlekamp_massey_matches_gaussian_search():
+    cases = list(_random_sequences(random.Random(2105), 3000))
+    cases += list(_moment_sequences(300))
+    assert len(cases) == 3900
+    orders = set()
+    for seq, max_order in cases:
+        expected = _gaussian_recurrence(seq, max_order)
+        assert minimal_recurrence(seq, max_order) == expected, (seq, max_order)
+        orders.add(expected.order if expected else None)
+    # absent, trivial and every order up to six occurred
+    assert orders >= {None, 1, 2, 3, 4, 5, 6}

@@ -145,7 +145,8 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
     small_verdict = None
     agreement = None
     if 3 <= body.p <= 6 and all(pos.k == 0 for pos in body.support):
-        small_verdict = classify_small(body, config)
+        # rational positions, so sqrt_of decided: reuse its root
+        small_verdict = classify_small(body, config, root=sqrt_verdict)
         agreement = small_verdict.outcome == aluthge_verdict.outcome
 
     shift_tables = None

@@ -173,7 +173,12 @@ def cmd_recurrence(args) -> int:
         print("error: exact moments require a rational-mode measure with "
               "rational positions", file=sys.stderr)
         return EXIT_ERROR
-    gammas = moment_sequence(mu, 2 * args.max_order)
+    # g_0..g_2m with m = max_order, one more than minimal_recurrence needs:
+    # g_0..g_{2m-1} generically fit some recurrence of order m whatever p is.
+    # A positive measure with more than m atoms has a positive definite
+    # Hankel matrix (g_{i+j}), i, j <= m, so no recurrence of order <= m fits
+    # g_0..g_2m; with p <= m atoms the extra moment leaves the unique answer
+    gammas = moment_sequence(mu, 2 * args.max_order + 1)
     recurrence = minimal_recurrence(gammas, args.max_order)
     if args.json:
         payload = {

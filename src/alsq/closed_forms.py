@@ -1,46 +1,41 @@
 """Closed-form root decisions for measures with three to six atoms.
 
 For p in this range the root question is settled by explicit support
-identities and weight identities, and a positive answer comes with an
-explicit small witness:
+identities and weight identities; each failing one names its own
+refutation:
 
 * p = 3: the support must be geometric and the middle mass must satisfy
-  a2^2 = 4 a1 a3; the witness has two atoms.
+  a2^2 = 4 a1 a3 (a two-atom root).
 * p = 4: never; the four-atom family admits no root at all.
 * p = 5: geometric support, a2^2 a5 = a4^2 a1, and
-  a3 = a2^2/(4 a1) + 2 sqrt(a1 a5); three-atom witness.
+  a3 = a2^2/(4 a1) + 2 sqrt(a1 a5) (a three-atom root).
 * p = 6: after excluding the forbidden square/product coincidences, the
   squares of atoms 2 and 5 select one of three patterns; two of them admit
-  roots under three product-of-mass identities (three-atom witness), the
+  roots under three product-of-mass identities (a three-atom root), the
   mixed pattern never does.
 
-The witness returned squares to the measure itself; its existence is
-equivalent to solvability of the reweighted self-convolution problem in
-this atom range, so the outcome doubles as the subnormality answer.
+This module states the conditions and builds no root of its own.  A root
+is unique when it exists (see :mod:`alsq.solver`), so when the identities
+hold the witness is the root that :func:`alsq.solver.sqrt_of` peels off
+mu.  It squares to the measure itself; its existence is equivalent to
+solvability of the reweighted self-convolution problem in this atom range,
+so the outcome doubles as the subnormality answer.
 
 A real mass is a dyadic rational, so the identities are evaluated exactly in
 both modes.  In real mode a mass stands for every value within relative eps
 of it (``SolverConfig.radius``), and an identity refutes only when it fails
-for every such value.  A rounded witness mass is computed through
-:mod:`alsq.reals`, loaded only when one is needed.
+for every such value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Optional, Tuple
 
 from .diagram import Violation, geometric_profile
-from .measures import (
-    RATIONAL,
-    REAL,
-    AtomicMeasure,
-    MeasureError,
-    Position,
-    make_measure,
-)
-from .scalars import real_arithmetic, sqrt_fraction
+from .measures import RATIONAL, REAL, AtomicMeasure, MeasureError
+from .scalars import real_arithmetic
 from .solver import (
     IMPOSSIBLE,
     UNDETERMINED,
@@ -50,7 +45,7 @@ from .solver import (
     InternalError,
     SolverConfig,
     Verdict,
-    verify_witness,
+    sqrt_of,
 )
 
 
@@ -95,8 +90,13 @@ def _span_factors(top: int, bottom: int, k: int) -> Tuple[Fraction, Fraction]:
 def classify_small(
     mu: AtomicMeasure,
     config: SolverConfig = DEFAULT_CONFIG,
+    *,
+    root: Optional[Verdict] = None,
 ) -> Verdict:
-    """Closed-form verdict for 3 <= p <= 6; errors outside that range."""
+    """Closed-form verdict for 3 <= p <= 6; errors outside that range.
+
+    ``root`` is the verdict of ``sqrt_of(mu, config)``, when the caller has
+    it; otherwise it is computed when the identities hold."""
     mu.require_no_zero_atom("classify_small")
     p = mu.p
     if not 3 <= p <= 6:
@@ -108,12 +108,14 @@ def classify_small(
             "power_positions(mu, 2) first")
     checker = _Checker(mu, config)
     if p == 3:
-        return _three_atoms(mu, checker, config)
-    if p == 4:
-        return _four_atoms(config)
-    if p == 5:
-        return _five_atoms(mu, checker, config)
-    return _six_atoms(mu, checker, config)
+        refuted = _three_atoms(mu, checker, config)
+    elif p == 4:
+        refuted = _four_atoms(config)
+    elif p == 5:
+        refuted = _five_atoms(mu, checker, config)
+    else:
+        refuted = _six_atoms(mu, checker, config)
+    return refuted or _witness(mu, config, root)
 
 
 def _impossible(rule: str, indices: Tuple[int, ...], message: str,
@@ -132,7 +134,7 @@ def _four_atoms(config: SolverConfig) -> Verdict:
 
 
 def _three_atoms(mu: AtomicMeasure, checker: _Checker,
-                 config: SolverConfig) -> Verdict:
+                 config: SolverConfig) -> Optional[Verdict]:
     lam = [pos.q for pos in mu.support]
     a = checker.a
     if lam[1] * lam[1] != lam[0] * lam[2]:
@@ -144,19 +146,16 @@ def _three_atoms(mu: AtomicMeasure, checker: _Checker,
         return _impossible(
             "three-atom-weights", (1, 2, 3),
             "the middle mass must satisfy a2^2 = 4*a1*a3", config)
-    witness = _sqrt_witness(mu, [(Fraction(1), 0), (lam[1] / lam[0], 2)],
-                            config)
-    return _verified(witness, mu, config)
+    return None
 
 
 def _five_atoms(mu: AtomicMeasure, checker: _Checker,
-                config: SolverConfig) -> Verdict:
+                config: SolverConfig) -> Optional[Verdict]:
     if geometric_profile(mu.support) is None:
         return _impossible(
             "five-atom-support", (),
             "a five-atom measure admits a root only on a geometric support",
             config)
-    lam = [pos.q for pos in mu.support]
     a = checker.a
     if not checker.eq(a[1] * a[1] * a[4], a[3] * a[3] * a[0], 3):
         return _impossible(
@@ -176,14 +175,11 @@ def _five_atoms(mu: AtomicMeasure, checker: _Checker,
             "five-atom-weights", (1, 2, 3, 5),
             "the middle mass must satisfy a3 = a2^2/(4*a1) + 2*sqrt(a1*a5)",
             config)
-    ratio = lam[1] / lam[0]
-    witness = _sqrt_witness(mu, [(Fraction(1), 0), (ratio, None),
-                                 (ratio * ratio, 4)], config)
-    return _verified(witness, mu, config)
+    return None
 
 
 def _six_atoms(mu: AtomicMeasure, checker: _Checker,
-               config: SolverConfig) -> Verdict:
+               config: SolverConfig) -> Optional[Verdict]:
     lam = [pos.q for pos in mu.support]
     a = checker.a
     sq2 = lam[1] * lam[1]
@@ -240,9 +236,6 @@ def _six_atoms(mu: AtomicMeasure, checker: _Checker,
             (a[2] * a[2], 4 * a[0] * a[5], "a3^2 = 4*a1*a6", (3, 1, 6)),
             (a[4] * a[4], 4 * a[3] * a[5], "a5^2 = 4*a4*a6", (5, 4, 6)),
         ]
-        # witness atoms sit at sqrt(lam_1), sqrt(lam_4), sqrt(lam_6)
-        anchors = (0, 3, 5)
-        rels = (Fraction(1), lam[1] / lam[0], lam[2] / lam[0])
     else:  # (j, i) == (2, 2): squares match (1,3) and (3,6)
         if lam[3] * lam[3] != lam[0] * lam[5]:
             return _impossible(
@@ -254,68 +247,30 @@ def _six_atoms(mu: AtomicMeasure, checker: _Checker,
             (a[3] * a[3], 4 * a[0] * a[5], "a4^2 = 4*a1*a6", (4, 1, 6)),
             (a[4] * a[4], 4 * a[2] * a[5], "a5^2 = 4*a3*a6", (5, 3, 6)),
         ]
-        # witness atoms sit at sqrt(lam_1), sqrt(lam_3), sqrt(lam_6)
-        anchors = (0, 2, 5)
-        rels = (Fraction(1), lam[1] / lam[0], lam[3] / lam[0])
     for lhs, rhs, text, indices in identities:
         if not checker.eq(lhs, rhs, 2):
             return _impossible(
                 "six-atom-case-weights", indices,
                 f"the masses must satisfy {text}", config)
-    witness = _sqrt_witness(mu, list(zip(rels, anchors)), config)
-    return _verified(witness, mu, config)
+    return None
 
 
-# ---------------------------------------------------------------------------
-# witness construction
-# ---------------------------------------------------------------------------
-
-def _sqrt_witness(mu: AtomicMeasure, spec: List[tuple],
-                  config: SolverConfig) -> AtomicMeasure:
-    """The root with an atom rel * sqrt(lam_1) per entry (rel, m) of
-    ``spec`` and mass sqrt(a_m), or a_2 / (2 sqrt(a_1)) when m is None:
-    exact when every mass is rational, else all rounded to nearest at the
-    configured precision."""
-    w = mu.weights
+def _witness(mu: AtomicMeasure, config: SolverConfig,
+             root: Optional[Verdict]) -> Verdict:
+    """The identities hold, so mu has a root, and the peel's unique root is
+    the closed form's witness.  With exact masses a peel that finds none is
+    a bug; a rounded measure may miss at a low precision, and then the
+    verdict is ``undetermined``."""
+    if root is None:
+        root = sqrt_of(mu, config)
     bits = config.precision_bits
-
-    def exact(m):
-        if m is not None:
-            return sqrt_fraction(w[m])
-        root = sqrt_fraction(w[0])
-        return None if root is None else w[1] / (2 * root)
-
-    mode = mu.mode
-    masses = [exact(m) for _, m in spec] if mode == RATIONAL else [None]
-    if None in masses:
-        reals = real_arithmetic()
-        to_raw, nearest = reals.to_raw, reals.round_nearest
-
-        def rounded(m):
-            if m is not None:
-                return reals.mpf_sqrt(to_raw(w[m], bits), bits, nearest)
-            twice_root = reals.mpf_mul_int(rounded(0), 2, bits, nearest)
-            return reals.mpf_div(to_raw(w[1], bits), twice_root, bits, nearest)
-
-        mode = REAL
-        masses = [reals.from_raw(rounded(m)) for _, m in spec]
-    lam1 = mu.support[0].q
-    atoms = [(Position(rel, 1, lam1), mass)
-             for (rel, _), mass in zip(spec, masses)]
-    return make_measure(atoms, mode=mode, base=lam1, bits=bits)
-
-
-def _verified(witness: AtomicMeasure, mu: AtomicMeasure,
-              config: SolverConfig) -> Verdict:
-    """An exact witness must square back to ``mu``; a rounded one may miss
-    at a low precision, and then the verdict is ``undetermined``."""
-    bits = config.precision_bits
-    if not verify_witness(witness, mu, config):
-        if witness.mode == RATIONAL:
+    if root.outcome != WITNESS:
+        if mu.mode == RATIONAL:
             raise InternalError(
                 "closed-form witness failed re-verification; this contradicts "
                 "the characterization and indicates a bug")
         return Verdict(UNDETERMINED, precision_bits=bits, notes=(UNVERIFIED,))
+    witness = root.witness
     notes = ("witness squares to the measure itself",)
     if witness.mode == REAL and mu.mode == RATIONAL:
         notes += ("witness masses are irrational; emitted as reals",)

@@ -2,11 +2,12 @@ import json
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from alsq.analyze import AnalyzeOptions, analyze
 from alsq.generate import GeneratorSpec, generate
 from alsq.measures import Position, convolve, make_measure, t_weight
-from alsq.solver import aluthge_subnormal
+from alsq.solver import WITNESS, SolverConfig, aluthge_subnormal
 
 F = Fraction
 
@@ -23,6 +24,35 @@ def test_report_fields_for_six_atom_example(six_atom_exact):
     assert report.sqrt_verdict.outcome == "witness"
     assert report.aluthge_verdict.outcome == "witness"
     assert report.zero_mass is None
+
+
+@pytest.mark.parametrize("bits", [None, 128])
+def test_analyze_decides_the_root_once(monkeypatch, bits):
+    # the closed form's witness is sqrt_of's root, reused: one peel each for
+    # the square root and the transform, and one product table each for the
+    # transform target and the two witness re-checks
+    from alsq import solver
+
+    calls = {"_peel": 0, "products": 0}
+
+    def spy(name):
+        original = getattr(solver, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(solver, name, counting)
+
+    spy("_peel")
+    spy("products")
+    mu = generate(GeneratorSpec(5, "with-aluthge-root", 4000)).measure
+    options = AnalyzeOptions()
+    if bits:
+        mu, options = mu.to_real(bits), AnalyzeOptions(SolverConfig(bits))
+    report = analyze(mu, options)
+    assert calls == {"_peel": 2, "products": 3}
+    assert report.small_verdict.outcome == WITNESS
+    assert report.small_verdict.witness == report.sqrt_verdict.witness
 
 
 def test_report_is_deterministic(six_atom_exact):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from alsq.cli import MAX_SHIFT_TERMS, main
 from alsq.generate import GeneratorSpec, generate
 from alsq.measures import MAX_ATOMS, dumps_measure, load_measure, make_measure
 from alsq.selftest import example_one, example_two
+from alsq.solver import IMPOSSIBLE, Verdict
 
 F = Fraction
 
@@ -123,6 +125,14 @@ def test_recurrence_output(capsys, six_atom_file):
     assert "order 6" in out
 
 
+def test_recurrence_below_the_atom_count_is_not_found(capsys, six_atom_file):
+    # g_0..g_5 of six atoms fit some order-3 recurrence; g_6 rules it out
+    assert main(["recurrence", six_atom_file, "--max-order", "3"]) == 3
+    assert capsys.readouterr().out == "no linear recurrence of order <= 3\n"
+    assert main(["recurrence", six_atom_file, "--max-order", "3", "--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["order"] is None
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "gen.json"
     witness_path = tmp_path / "wit.json"
@@ -189,10 +199,15 @@ def test_flags_a_command_does_not_read_are_refused(capsys, six_atom_file, argv):
 
 
 def test_internal_fault_exits_four(capsys, monkeypatch, six_atom_file):
-    # a closed-form witness that fails its re-check contradicts the
-    # characterization: an internal fault, not a usage error
-    monkeypatch.setattr("alsq.closed_forms.verify_witness",
-                        lambda *args, **kwargs: False)
+    # exact masses that satisfy the closed-form identities but have no
+    # peeled root contradict the characterization: an internal fault, not a
+    # usage error
+    def no_root(mu, config):
+        return Verdict(IMPOSSIBLE, precision_bits=config.precision_bits)
+
+    # the package exports the function analyze under the module's name
+    monkeypatch.setattr(importlib.import_module("alsq.analyze"), "sqrt_of",
+                        no_root)
     assert main(["analyze", six_atom_file]) == 4
     captured = capsys.readouterr()
     assert "internal error: closed-form witness failed" in captured.err

@@ -16,7 +16,9 @@ from alsq.solver import (
     UNVERIFIED,
     WITNESS,
     SolverConfig,
+    Verdict,
     aluthge_subnormal,
+    sqrt_of,
     verify_witness,
 )
 
@@ -81,13 +83,36 @@ def test_real_witness_failing_its_check_is_undetermined(monkeypatch):
     mu = generate(GeneratorSpec(5, "with-aluthge-root", 4046)).measure
     verdict = classify_small(mu.to_real(64), SolverConfig(64))
     assert verdict.outcome == WITNESS
-    # a rounded witness that fails its check is undetermined, not a fault
+    # a rounded measure whose peel finds no root (its witness failing the
+    # re-check) is undetermined, not a fault
     from alsq import closed_forms
 
-    monkeypatch.setattr(closed_forms, "verify_witness", lambda *args: False)
+    monkeypatch.setattr(closed_forms, "sqrt_of", lambda mu, config: Verdict(
+        UNDETERMINED, precision_bits=config.precision_bits))
     verdict = classify_small(mu.to_real(64), SolverConfig(64))
     assert verdict.outcome == UNDETERMINED
     assert verdict.notes == (UNVERIFIED,)
+
+
+@pytest.mark.parametrize("bits", [None, 64])
+def test_given_root_gives_the_same_verdict(bits):
+    # analyze passes the root it already decided; alone, classify_small
+    # decides it itself when the identities hold
+    config = SolverConfig(bits) if bits else SolverConfig()
+    outcomes = set()
+    for seed in range(48):
+        p = 3 + seed % 4
+        kind = ("with-aluthge-root", "perturbed", "arbitrary")[seed % 3]
+        if p == 4 and kind == "with-aluthge-root":
+            kind = "arbitrary"
+        mu = generate(GeneratorSpec(p, kind, 31_000 + seed)).measure
+        if bits:
+            mu = mu.to_real(bits)
+        verdict = classify_small(mu, config)
+        assert verdict == classify_small(mu, config,
+                                         root=sqrt_of(mu, config)), seed
+        outcomes.add(verdict.outcome)
+    assert outcomes == {WITNESS, IMPOSSIBLE}
 
 
 def test_five_atom_nongeometric_refuted():

@@ -25,7 +25,8 @@ from .measures import (
 )
 from .scalars import real_arithmetic, scalar_str
 from .shifts import shift_rows
-from .solver import DEFAULT_CONFIG, WITNESS, SolverConfig, Verdict, aluthge_subnormal, sqrt_of
+from .solver import (DEFAULT_CONFIG, UNDETERMINED, WITNESS, SolverConfig,
+                     Verdict, aluthge_subnormal, sqrt_of)
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,11 @@ class AnalysisReport:
         if self.aluthge_verdict.certificate is not None:
             lines.append(f"    {self.aluthge_verdict.certificate.render()}")
         if self.small_verdict is not None:
-            mark = "agrees" if self.agreement else "DISAGREES"
+            mark = {None: "not compared: undetermined",
+                    True: "agrees with the generic solver",
+                    False: "DISAGREES with the generic solver"}[self.agreement]
             lines.append(f"closed form  : {self.small_verdict.outcome} "
-                         f"({mark} with the generic solver)")
+                         f"({mark})")
         for note in self.notes:
             lines.append(f"note         : {note}")
         if self.shift_tables:
@@ -147,7 +150,10 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
     if 3 <= body.p <= 6 and all(pos.k == 0 for pos in body.support):
         # rational positions, so sqrt_of decided: reuse its root
         small_verdict = classify_small(body, config, root=sqrt_verdict)
-        agreement = small_verdict.outcome == aluthge_verdict.outcome
+        # an undetermined verdict neither agrees nor disagrees
+        outcomes = (small_verdict.outcome, aluthge_verdict.outcome)
+        if UNDETERMINED not in outcomes:
+            agreement = outcomes[0] == outcomes[1]
 
     shift_tables = None
     if options.shift_terms > 0:

@@ -37,7 +37,7 @@ from .scalars import (
     parse_rational,
     scalar_str,
 )
-from .shifts import minimal_recurrence, moment_sequence
+from .shifts import RecurrenceCoefficients, support_characteristic
 from .solver import (
     IMPOSSIBLE,
     UNDETERMINED,
@@ -173,13 +173,15 @@ def cmd_recurrence(args) -> int:
         print("error: exact moments require a rational-mode measure with "
               "rational positions", file=sys.stderr)
         return EXIT_ERROR
-    # g_0..g_2m with m = max_order, one more than minimal_recurrence needs:
-    # g_0..g_{2m-1} generically fit some recurrence of order m whatever p is.
-    # A positive measure with more than m atoms has a positive definite
-    # Hankel matrix (g_{i+j}), i, j <= m, so no recurrence of order <= m fits
-    # g_0..g_2m; with p <= m atoms the extra moment leaves the unique answer
-    gammas = moment_sequence(mu, 2 * args.max_order + 1)
-    recurrence = minimal_recurrence(gammas, args.max_order)
+    # the moments g_n = sum w_i x_i^n, with p distinct atoms x_i of positive
+    # mass w_i, obey the recurrence with characteristic polynomial P exactly
+    # when P(x_i) = 0 at every atom, so the minimal one is prod(t - x_i), of
+    # order p; selftest criterion 11 checks minimal_recurrence against it
+    recurrence = None
+    if mu.p <= args.max_order:
+        characteristic = support_characteristic(mu)
+        recurrence = RecurrenceCoefficients(
+            mu.p, tuple([-c for c in characteristic[:-1]]))
     if args.json:
         payload = {
             "schema": SCHEMA,

@@ -30,7 +30,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -45,10 +45,6 @@ from .scalars import (
 
 RATIONAL = "rational"
 REAL = "real"
-
-# real-mode total masses are summed this wide: lossless for masses of
-# comparable size at any working precision up to it
-_SUM_BITS = 512
 
 # the most atoms a measure document may hold: at p = 321 a transform decision
 # takes 0.9 to 2.3 s and its cost grows about as p^3.3 (9.3 s at p = 641)
@@ -231,17 +227,13 @@ class AtomicMeasure:
         return tuple([w for _, w in self.atoms])
 
     def total_mass(self) -> Weight:
-        """The sum of all masses, the one at the origin included: exact in
-        rational mode, rounded to nearest at 512 bits in real mode."""
+        """The sum of all masses, the one at the origin included, exact: in
+        real mode the masses as :func:`numerators` reads them at the default
+        precision, summed as ints."""
         if self.mode == RATIONAL:
             return sum(self.weights, self.zero_mass)
-        reals = real_arithmetic()
-        operand, mpf_add = reals.operand, reals.mpf_add
-        total = operand(self.zero_mass, _SUM_BITS)
-        for w in self.weights:
-            total = mpf_add(total, operand(w, _SUM_BITS), _SUM_BITS,
-                            reals.round_nearest)
-        return reals.from_raw(total)
+        masses, den = numerators((self.zero_mass,) + self.weights, REAL)
+        return real_arithmetic().from_dyadic(sum(masses), den)
 
     def has_zero_atom(self) -> bool:
         return _weight_nonzero(self.zero_mass)
@@ -447,7 +439,7 @@ class Table:
         return len(self.keys)
 
     def position(self, j: int) -> Position:
-        return _product(self.factors[j], self.base)
+        return reduce(operator.mul, self.factors[j])
 
     def square(self, j: int) -> Fraction:
         """The square of the position of atom j, with no position built."""
@@ -462,48 +454,46 @@ class Table:
         return Fraction(self.masses[j], self.den)
 
     def measure(self) -> AtomicMeasure:
-        base, den = self.base, self.den
-        positions = [_product(factors, base) for factors in self.factors]
+        den = self.den
+        positions = [reduce(operator.mul, factors) for factors in self.factors]
         if self.mode == REAL:
             from_dyadic = real_arithmetic().from_dyadic
             weights = [from_dyadic(n, den) for n in self.masses]
         else:
             weights = [Fraction(n, den) for n in self.masses]
-        return AtomicMeasure(base, self.mode,
+        return AtomicMeasure(self.base, self.mode,
                              tuple(list(zip(positions, weights))))
 
 
-def _product(factors: Tuple[Position, ...], base: Fraction) -> Position:
-    """The product of one or two positions over ``base``, built as
-    ``Position.__mul__`` builds it, without its base comparison."""
-    if len(factors) == 1:
-        return factors[0]
-    px, py = factors
-    k = px.k + py.k
-    if k == 2:
-        return _position(px.q * py.q * base, 0, base)
-    return _position(px.q * py.q, k, base)
+def numerators(weights: Sequence[Weight], mode: str,
+               bits: int = DEFAULT_PRECISION_BITS) -> Tuple[List[int], int]:
+    """``weights`` exactly as int numerators over one denominator, and that
+    denominator: the lcm of theirs in rational mode, a power of two in real
+    mode.  A real-mode mass is read as an mpf operator under
+    ``workprec(bits)`` reads it: an mpf as it is, anything else converted
+    at ``bits``."""
+    if mode == REAL:
+        reals = real_arithmetic()
+        return reals.to_dyadic([reals.operand(w, bits) for w in weights])
+    den = lcm(*[w.denominator for w in weights])
+    return [w.numerator * (den // w.denominator) for w in weights], den
 
 
 def table(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,
           eps: Fraction = Fraction(0)) -> Table:
-    """The table of ``mu`` itself.  Real masses are kept exactly, each one
-    standing for the values within relative ``eps`` of it; only a real-mode
-    mass that is not an mpf is converted, at ``bits``."""
-    if mu.mode == REAL:
-        reals = real_arithmetic()
-        masses, den = reals.to_dyadic([reals.operand(w, bits)
-                                       for w in mu.weights])
-        radius = eps
-    else:
-        (masses, den), radius = numerators(mu), Fraction(0)
-    return Table(mu.base, mu.mode, int_keys(mu.support), masses, den, radius,
+    """The table of ``mu`` itself (:func:`numerators`).  Each real mass
+    stands for the values within relative ``eps`` of it."""
+    masses, den = numerators(mu.weights, mu.mode, bits)
+    return Table(mu.base, mu.mode, int_keys(mu.support), masses, den,
+                 eps if mu.mode == REAL else Fraction(0),
                  [(pos,) for pos in mu.support])
 
 
-# the roundings at bits a real factor mass may carry before it reaches
-# ``products``: a ``t_weight`` mass at a radical position carries nine, a
-# witness mass six, both counting a conversion toward zero as three
+# the roundings at bits a real factor mass may carry into ``products``,
+# counting a conversion toward zero as three: a ``t_weight`` mass at a
+# radical position carries nine, a witness mass six and a rational mass
+# that ``numerators`` converts three; a product's mass adds one rounding
+# of its sum to those of its two factors
 _FACTOR_ROUNDINGS = 10
 
 
@@ -526,16 +516,14 @@ def products(mu: AtomicMeasure, nu: AtomicMeasure,
     pairwise products x*y with mass summed over coinciding products.
 
     No scalar object is built per pair, and no position or mass per
-    product.  Rational masses are summed as int numerators over the product
-    of each factor's common denominator.  Real masses are converted once
-    and summed as raw libmp values, each operation rounded to nearest at
-    ``bits`` in the order of the pairs, as mpf arithmetic under
-    ``workprec(bits)`` rounds it, without entering mpmath's global context;
-    the sums are then tabled exactly.  A real table's radius covers the
-    relative ``eps`` of each factor mass (2*eps + eps^2 for a product of
-    two), the roundings of the factor masses and those of the sum.  A
-    product's key is the product of its factors' keys, divided by the gcd
-    that brings the keys to the scale :func:`int_keys` gives them."""
+    product.  The masses of each factor are int numerators over one
+    denominator (:func:`numerators`), so every sum of pair products is
+    exact.  In real mode each sum is then rounded once to nearest at
+    ``bits``, and the table's radius covers the relative ``eps`` of each
+    factor mass (2*eps + eps^2 for a product of two), the roundings the
+    factor masses carry and that of the sum.  A product's key is the
+    product of its factors' keys, divided by the gcd that brings the keys
+    to the scale :func:`int_keys` gives them."""
     mu.require_no_zero_atom("convolve")
     nu.require_no_zero_atom("convolve")
     base = _common_base(mu, nu)
@@ -544,27 +532,8 @@ def products(mu: AtomicMeasure, nu: AtomicMeasure,
     mu_points, nu_points = (
         list(m.support) if m.base == base
         else [pos.rebase(base) for pos in m.support] for m in (mu, nu))
-    if mode == REAL:
-        reals = real_arithmetic()
-        to_raw, mpf_mul, mpf_add = reals.to_raw, reals.mpf_mul, reals.mpf_add
-        round_nearest = reals.round_nearest
-        mu_masses = [to_raw(w, bits) for w in mu.weights]
-        nu_masses = [to_raw(w, bits) for w in nu.weights]
-
-        def mul(x, y):
-            return mpf_mul(x, y, bits, round_nearest)
-
-        def add(x, y):
-            return mpf_add(x, y, bits, round_nearest)
-
-        # per pair: two factor masses and their conversions, one product, and
-        # at most min(p) - 1 sums per product
-        k = 2 * (_FACTOR_ROUNDINGS + 3) + min(mu.p, nu.p)
-        radius = _product_radius(eps, k, bits)
-    else:
-        (mu_masses, mu_den), (nu_masses, nu_den) = numerators(mu), numerators(nu)
-        mul, add = operator.mul, operator.add
-        den, radius = mu_den * nu_den, Fraction(0)
+    (mu_masses, mu_den), (nu_masses, nu_den) = (
+        numerators(m.weights, mode, bits) for m in (mu, nu))
     # mu * mu, mu * t(mu) and a witness's square key one support once
     if mu.p == nu.p and all([x is y for x, y in zip(mu_points, nu_points)]):
         mu_keys, scale = _scaled_keys(mu_points)
@@ -578,17 +547,19 @@ def products(mu: AtomicMeasure, nu: AtomicMeasure,
         for py, ky, wy in zip(nu_points, nu_keys, nu_masses):
             key = kx * ky
             if key in merged:
-                merged[key] = add(merged[key], mul(wx, wy))
+                merged[key] += wx * wy
             else:
-                merged[key] = mul(wx, wy)
+                merged[key] = wx * wy
                 first[key] = (px, py)
     order = sorted(merged)
     # the squares of the products are the keys over scale^2, so the lcm of
     # their denominators is scale^2 / g (g = 1 when nu has the support of mu)
     g = gcd(scale * scale, *order) if scale > 1 else 1
-    masses = [merged[key] for key in order]
+    masses, den = [merged[key] for key in order], mu_den * nu_den
+    radius = Fraction(0)
     if mode == REAL:
-        masses, den = reals.to_dyadic(masses)
+        masses, den = real_arithmetic().round_dyadic(masses, den, bits)
+        radius = _product_radius(eps, 2 * _FACTOR_ROUNDINGS + 1, bits)
     return Table(base, mode, order if g == 1 else [key // g for key in order],
                  masses, den, radius, [first[key] for key in order])
 
@@ -597,13 +568,6 @@ def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION
     """Multiplicative convolution: :func:`products` with one position and
     one mass built per distinct product."""
     return products(mu, nu, bits).measure()
-
-
-def numerators(mu: AtomicMeasure) -> Tuple[List[int], int]:
-    """The rational masses of ``mu`` as int numerators over the lcm of
-    their denominators, and that lcm."""
-    den = lcm(*[w.denominator for w in mu.weights])
-    return [w.numerator * (den // w.denominator) for w in mu.weights], den
 
 
 def t_weight(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:

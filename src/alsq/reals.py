@@ -107,6 +107,13 @@ def to_dyadic(raws) -> tuple:
     return [man << (exp - low) for _, man, exp, _ in raws], 1 << -low
 
 
+def round_dyadic(nums, den: int, bits: int) -> tuple:
+    """n / den for each int n, rounded to nearest at ``bits``, for a power
+    of two ``den``: as :func:`to_dyadic` gives them."""
+    exp = 1 - den.bit_length()
+    return to_dyadic([from_man_exp(n, exp, bits, round_nearest) for n in nums])
+
+
 def from_dyadic(n: int, den: int) -> mpf:
     """The mpf equal to n / den for a power of two ``den``, unrounded."""
     return from_raw(from_man_exp(n, 1 - den.bit_length()))

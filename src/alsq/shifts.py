@@ -267,11 +267,13 @@ def minimal_recurrence(
 
 def support_characteristic(mu: AtomicMeasure) -> Tuple[Fraction, ...]:
     """Coefficients of prod(t - position) from the constant term upward;
-    rational positions required."""
-    coeffs = [Fraction(1)]
+    rational positions required.  Multiplied out on ints as prod(b*t - a)
+    over the positions a/b, then divided by prod(b) once per coefficient."""
+    coeffs, scale = [1], 1
     for pos in mu.support:
         root = pos.as_fraction()
-        coeffs = ([Fraction(0)] + coeffs[:])
-        for idx in range(len(coeffs) - 1):
-            coeffs[idx] -= root * coeffs[idx + 1]
-    return tuple(coeffs)
+        a, b = root.numerator, root.denominator
+        coeffs = [b * high - a * low
+                  for high, low in zip([0] + coeffs, coeffs + [0])]
+        scale *= b
+    return tuple([Fraction(c, scale) for c in coeffs])

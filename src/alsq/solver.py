@@ -43,9 +43,10 @@ built only for what a verdict prints: the root's atoms, a certificate's
 atoms and a_1 in a message.
 
 The decision path takes its precision explicitly from ``SolverConfig``:
-``convolve``, ``t_weight`` and the witness masses round raw libmp values at
-``precision_bits``, the peel and the witness check are exact, and none of
-them enters mpmath's global context, so threads may decide at different
+``t_weight`` and the witness masses round raw libmp values at
+``precision_bits``, ``convolve`` sums exactly and rounds each real sum once
+there, the peel and the witness check are exact, and none of them enters
+mpmath's global context, so threads may decide at different
 precisions at once.  The same holds for the closed forms, the loader,
 ``analyze`` and ``shifts.hankel_psd``; only ``selftest`` still switches that
 context.  mpmath belongs to :mod:`alsq.reals`, which the real-mode branches

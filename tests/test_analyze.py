@@ -55,6 +55,20 @@ def test_analyze_decides_the_root_once(monkeypatch, bits):
     assert report.small_verdict.witness == report.sqrt_verdict.witness
 
 
+def test_undetermined_verdict_is_not_compared():
+    # at 3 bits the transform is undetermined while the closed form finds
+    # the witness: neither agreement nor disagreement
+    mu = make_measure([(1, F(1, 4)), (2, F(1, 2)), (4, F(1, 4))], mode="real")
+    report = analyze(mu, AnalyzeOptions(SolverConfig(3)))
+    assert report.small_verdict.outcome == WITNESS
+    assert report.aluthge_verdict.outcome == "undetermined"
+    assert report.agreement is None
+    assert report.to_json_dict()["agreement"] is None
+    text = report.render()
+    assert "closed form  : witness (not compared: undetermined)" in text
+    assert "DISAGREES" not in text
+
+
 def test_report_is_deterministic(six_atom_exact):
     a = analyze(six_atom_exact).to_json_dict()
     b = analyze(six_atom_exact).to_json_dict()

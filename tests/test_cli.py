@@ -346,6 +346,15 @@ def test_recurrence_quotes_oversized_coefficients_by_size(tmp_path):
     assert data["coefficients"][-1] == "30" + "0" * 2000  # the sum of the atoms
 
 
+def test_recurrence_of_a_hundred_atoms_is_read_off_the_support(tmp_path):
+    # Berlekamp-Massey over the 201 exact moments was still running at 60 s
+    path = str(tmp_path / "g100.json")
+    assert _cli("gen", "--p", "100", "--seed", "1", "--out", path).returncode == 0
+    result = _cli("recurrence", "--max-order", "100", path)
+    assert result.returncode == 0 and not result.stderr
+    assert result.stdout.startswith("order 100: g[n+100] = ")
+
+
 def test_gen_beyond_the_random_positions_is_usage_error():
     # the random style draws from 310 distinct fractions; 311 atoms never
     # returned

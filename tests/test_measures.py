@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 from math import lcm
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workprec
+from mpmath.libmp import from_rational, round_nearest
 
 from alsq.diagram import pair_diagram
 from alsq.measures import (
@@ -222,20 +224,27 @@ def keyed_pairs(draw):
 
 
 def _position_convolve(mu, nu, bits=128):
-    """Reference: merge masses on Position products, pair by pair."""
+    """Reference: merge masses on Position products, pair by pair; a real
+    mass is the exact sum of the products of the converted masses, rounded
+    once to nearest at ``bits``."""
     base = _common_base(mu, nu)
     mode = REAL if REAL in (mu.mode, nu.mode) else RATIONAL
     def atoms(measure):
         if mode == RATIONAL:
             return measure.atoms
-        return [(pos, to_mpf(w, bits)) for pos, w in measure.atoms]
+        return [(pos, mpf_to_fraction(to_mpf(w, bits)))
+                for pos, w in measure.atoms]
 
     merged = {}
-    with workprec(bits):
-        for px, wx in atoms(mu):
-            for py, wy in atoms(nu):
-                key = px.rebase(base) * py.rebase(base)
-                merged[key] = merged[key] + wx * wy if key in merged else wx * wy
+    for px, wx in atoms(mu):
+        for py, wy in atoms(nu):
+            key = px.rebase(base) * py.rebase(base)
+            merged[key] = merged[key] + wx * wy if key in merged else wx * wy
+    if mode == REAL:
+        # make_mpf keeps the raw value; mpf(...) would round it at 53 bits
+        merged = {key: mpmath.mp.make_mpf(from_rational(
+            w.numerator, w.denominator, bits, round_nearest))
+            for key, w in merged.items()}
     return sorted(merged.items(), key=lambda item: item[0].squared())
 
 
@@ -249,7 +258,7 @@ def test_int_keyed_convolve_matches_position_products(pair):
     assert all(pos.base == out.base for pos in out.support)
     assert [type(w) for _, w in out.atoms] == [type(w) for _, w in expected]
     if out.mode == REAL:
-        # bit for bit what mpf arithmetic under workprec(128) gives
+        # bit for bit the exact sum rounded once at 128 bits
         assert [w._mpf_ for _, w in out.atoms] == [w._mpf_ for _, w in expected]
     else:
         assert [w for _, w in out.atoms] == [w for _, w in expected]
@@ -313,6 +322,26 @@ def test_convolve_commutative_and_mass_multiplicative(mu, nu):
     right = convolve(nu, mu)
     assert left.atoms == right.atoms
     assert left.total_mass() == mu.total_mass() * nu.total_mass()
+
+
+def test_real_convolve_commutative_bit_for_bit():
+    # each mass is an exact sum rounded once, so the order of the pairs
+    # cannot change it
+    rng = random.Random(15)
+    for _ in range(60):
+        mu, nu = (make_measure(
+            [(2 ** k, F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)))
+             for k in rng.sample(range(12), rng.randint(3, 7))]).to_real(64)
+            for _ in range(2))
+        left, right = convolve(mu, nu, 64), convolve(nu, mu, 64)
+        assert left.support == right.support
+        assert [w._mpf_ for w in left.weights] == \
+            [w._mpf_ for w in right.weights]
+
+
+def test_real_total_mass_is_exact():
+    mu = make_measure([(1, 1), (2, F(1, 2 ** 600))], mode=REAL)
+    assert mpf_to_fraction(mu.total_mass()) == 1 + F(1, 2 ** 600)
 
 
 @settings(max_examples=25)

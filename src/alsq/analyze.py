@@ -23,7 +23,7 @@ from .measures import (
     dumps_measure,
     strip_zero_atom,
 )
-from .scalars import real_arithmetic, scalar_str
+from .scalars import float_str, scalar_str
 from .shifts import shift_rows
 from .solver import (DEFAULT_CONFIG, UNDETERMINED, WITNESS, SolverConfig,
                      Verdict, aluthge_subnormal, sqrt_of)
@@ -185,9 +185,8 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
 
 
 def shift_table(mu: AtomicMeasure, terms: int, bits: int) -> dict:
-    """:func:`shift_rows` with each value printed to 15 digits."""
-    to_str = real_arithmetic().to_str
-    rows = [(n,) + tuple(to_str(x, 15) for x in row)
+    """:func:`shift_rows` with each value printed to 15 digits (float_str)."""
+    rows = [(n,) + tuple([float_str(man, exp) for _, man, exp, _ in row])
             for n, row in enumerate(shift_rows(mu, terms, bits))]
     return {"terms": terms, "rows": rows}
 

@@ -67,8 +67,8 @@ MAX_PRECISION_BITS = 65536
 
 # the most rows of shift tables (--terms, --shift-terms): exact moments of
 # the geometric 400-atom `gen --p 400 --seed 1` (ratio 4) reach 80000 bits
-# at row 100, where `alsq shift` takes 2.4 s; the cost grows faster than
-# linearly in the rows (6.7 s at 200, 14 s at 300)
+# at row 100, where `alsq shift` takes 1.0 to 1.3 s on a 2-core host; the
+# cost grows faster than linearly in the rows (4.4 s at 200, 10 s at 300)
 MAX_SHIFT_TERMS = 100
 
 
@@ -167,11 +167,10 @@ def cmd_shift(args) -> int:
 
 
 def cmd_recurrence(args) -> int:
-    # real and radical input is refused, so the load precision never matters
+    # only the support is read; radical positions are refused
     _, mu = strip_zero_atom(load_measure(args.measure))
-    if mu.mode != "rational" or any(pos.k == 1 for pos in mu.support):
-        print("error: exact moments require a rational-mode measure with "
-              "rational positions", file=sys.stderr)
+    if any(pos.k == 1 for pos in mu.support):
+        print("error: the recurrence needs rational positions", file=sys.stderr)
         return EXIT_ERROR
     # the moments g_n = sum w_i x_i^n, with p distinct atoms x_i of positive
     # mass w_i, obey the recurrence with characteristic polynomial P exactly

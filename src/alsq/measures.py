@@ -40,6 +40,7 @@ from .scalars import (
     format_rational,
     parse_rational,
     real_arithmetic,
+    round_root,
     sqrt_fraction,
 )
 
@@ -593,24 +594,44 @@ def t_weight(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMea
     return AtomicMeasure(mu.base, mu.mode, tuple(atoms))
 
 
+def power_sums(mu: AtomicMeasure, count: int,
+               bits: int = DEFAULT_PRECISION_BITS) -> Tuple[list, int, int]:
+    """g_0 .. g_{count-1} exactly on ints over one denominator: pairs
+    (a_n, b_n), den and s with g_n = (a_n + b_n sqrt(s)) / den.  A position
+    is c or c*sqrt(s) for a rational c, s = u*v for the base u/v."""
+    mu.require_no_zero_atom("moment")
+    masses, den = numerators(mu.weights, mu.mode, bits)
+    base, ks = mu.base, [pos.k for pos in mu.support]
+    s = base.numerator * base.denominator
+    cs = [pos.q / base.denominator if pos.k else pos.q for pos in mu.support]
+    top = lcm(*[c.denominator for c in cs]) ** max(count - 1, 0)
+    # x_i^n over the lcm^n, and from an odd to an even order a radical term
+    # gains sqrt(s)^2 = s: each step divides exactly while n < count - 1
+    steps = [[(c.numerator * s ** (k & odd), c.denominator)
+              for c, k in zip(cs, ks)] for odd in (0, 1)]
+    terms, sums = [m * top for m in masses], []
+    for n in range(count):
+        b = sum([t for t, k in zip(terms, ks) if k]) if n & 1 else 0
+        sums.append((sum(terms) - b, b))
+        terms = [t * a // d for t, (a, d) in zip(terms, steps[n & 1])]
+    return sums, den * top, s
+
+
+def moments(mu: AtomicMeasure, count: int,
+            bits: int = DEFAULT_PRECISION_BITS) -> list:
+    """g_0 .. g_{count-1} (:func:`power_sums`): exact Fractions where the
+    value is rational in rational mode, else mpfs, each rounded once."""
+    sums, den, s = power_sums(mu, count, bits)
+    return [Fraction(a, den) if mu.mode == RATIONAL and not b else
+            real_arithmetic().from_raw(round_root((a, b), (den, 0), 1, bits, s))
+            for a, b in sums]
+
+
 def moment(mu: AtomicMeasure, n: int, bits: int = DEFAULT_PRECISION_BITS):
-    """n-th power moment.  Exact (Fraction) whenever every contribution is
-    rational, otherwise an mpf at the given precision."""
+    """n-th power moment, as :func:`moments` gives it."""
     if n < 0:
         raise MeasureError("moment order must be nonnegative")
-    mu.require_no_zero_atom("moment")
-    exact = mu.mode == RATIONAL and all(
-        pos.k == 0 or n % 2 == 0 for pos, _ in mu.atoms)
-    if exact:
-        total = Fraction(0)
-        for pos, w in mu.atoms:
-            value = pos.q ** n * pos.base ** ((pos.k * n) // 2)
-            total += w * value
-        return total
-    reals = real_arithmetic()
-    ws = [reals.to_raw(w, bits) for w in mu.weights]
-    xs = [reals.position_raw(pos, bits) for pos in mu.support]
-    return reals.from_raw(reals.power_sum(ws, xs, n, bits))
+    return moments(mu, n + 1, bits)[n]
 
 
 def scale_positions(mu: AtomicMeasure, x: Union[Fraction, int, str]) -> AtomicMeasure:

@@ -19,7 +19,6 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import (
-    fone,
     from_float,
     from_int,
     from_man_exp,
@@ -29,9 +28,7 @@ from mpmath.libmp import (
     mpf_add,
     mpf_div,
     mpf_mul,
-    mpf_mul_int,
     mpf_pos,
-    mpf_pow_int,
     mpf_sqrt,
     round_down,
     round_nearest,
@@ -117,14 +114,3 @@ def round_dyadic(nums, den: int, bits: int) -> tuple:
 def from_dyadic(n: int, den: int) -> mpf:
     """The mpf equal to n / den for a power of two ``den``, unrounded."""
     return from_raw(from_man_exp(n, 1 - den.bit_length()))
-
-
-def power_sum(ws, xs, n: int, bits: int) -> tuple:
-    """The sum of w * x^n over raw libmp values, each power, product and
-    partial sum rounded to nearest at ``bits`` in the order of the atoms."""
-    total = fzero
-    for w, x in zip(ws, xs):
-        term = mpf_mul(w, mpf_pow_int(x, n, bits, round_nearest), bits,
-                       round_nearest)
-        total = mpf_add(total, term, bits, round_nearest)
-    return total

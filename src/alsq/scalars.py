@@ -18,7 +18,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 # a mass: an exact Fraction, or in real mode an mpmath mpf (named here
 # without importing mpmath)
@@ -95,6 +95,71 @@ def sqrt_fraction(q: Fraction) -> Optional[Fraction]:
     if den is None:
         return None
     return Fraction(num, den)
+
+
+def round_root(x: tuple, y: tuple, r: int, bits: int,
+               s: int = 1) -> Tuple[int, int, int, int]:
+    """(x / y)^(1/r), r in (1, 2, 4), rounded once to nearest even at
+    ``bits``: the raw mpf value (0, man, exp, bc), built without mpmath.
+    x and y are pairs (a, b) of ints for the positive a + b*sqrt(s), with s
+    no square where a b is nonzero.  ``math.isqrt`` takes the root to bits + 2 bits or more, with a
+    sticky last bit, so rounding it is rounding the exact value.  With
+    sqrt(s) to bits + 8 bits the root is off by under 1/4, and one exact
+    comparison corrects it."""
+    (x0, x1), (y0, y1) = x, y
+    num, den = x0, y0
+    if x1 or y1:
+        root = math.isqrt(s << 2 * bits + 16)
+        num, den = (x0 << bits + 8) + x1 * root, (y0 << bits + 8) + y1 * root
+    k = bits + 2 - (num.bit_length() - den.bit_length() - 1) // r
+    up = r * k  # the root is of x 2^up / y
+    q, rem = divmod(num << up, den) if up >= 0 else divmod(num, den << -up)
+    t = q if r == 1 else math.isqrt(q) if r == 2 else math.isqrt(math.isqrt(q))
+    inexact = rem or t ** r != q
+    if x1 or y1:
+        up, down = max(up, 0), max(-up, 0)
+
+        def excess(t):  # the sign of x 2^(rk) - t^r y = a + b sqrt(s)
+            c = t ** r
+            a, b = (x0 << up) - (c * y0 << down), (x1 << up) - (c * y1 << down)
+            if a * b < 0:
+                return (1 if a > 0 else -1) * (1 if a * a > b * b * s else -1)
+            return (a > 0 or b > 0) - (a < 0 or b < 0)
+        t = t - 1 if excess(t) < 0 else t + (excess(t + 1) >= 0)
+        inexact = excess(t) != 0
+    t |= bool(inexact)
+    drop = t.bit_length() - bits
+    half = 1 << (drop - 1)
+    man, low = t >> drop, t & (2 * half - 1)
+    man += low > half or low == half and man & 1
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return 0, man, drop - k + zeros, man.bit_length()
+
+
+def float_str(man: int, exp: int, digits: int = 15) -> str:
+    """The positive man * 2^exp to ``digits`` significant digits, ties
+    away from zero, as mpmath's ``to_str(x, digits)`` means to round, in its
+    layout: fixed point for decimal exponents e with -max(digits // 3, 5) <
+    e < digits, else one digit before the point and the exponent."""
+    low = 10 ** (digits - 1)
+    e = math.floor(math.log10(man) + exp * 0.30102999566398120)  # about log10
+    while True:  # n + rem / den = man 2^exp 10^(digits - 1 - e)
+        f = digits - 1 - e
+        num, den = (man * 10 ** f, 1) if f >= 0 else (man, 10 ** -f)
+        num, den = (num << exp, den) if exp >= 0 else (num, den << -exp)
+        n, rem = divmod(num, den)
+        if low <= n < 10 * low:
+            break
+        e += 1 if n >= low else -1
+    n += 2 * rem >= den
+    if n == 10 * low:
+        n, e = low, e + 1
+    text, split = str(n), 1
+    if -max(digits // 3, 5) < e < digits:
+        text, split, e = "0" * -e + text, max(e, 0) + 1, 0
+    text = text[:split] + "." + (text[split:].rstrip("0") or "0")
+    return text + (f"e{e:+d}" if e else "")
 
 
 def scalar_str(value) -> str:

@@ -32,10 +32,9 @@ from .measures import (
     Position,
     convolve,
     make_measure,
-    normalize,
     t_weight,
 )
-from .reals import to_mpf
+from .reals import mpf_to_fraction, to_mpf
 from .shifts import (
     aluthge_moment_sequence,
     hankel_psd,
@@ -397,8 +396,10 @@ def criterion_8() -> CriterionResult:
 
 
 def criterion_9() -> CriterionResult:
-    """Transformed-moment identity to 2^-100 for twenty orders on a hundred
-    random measures."""
+    """Transformed moments to 2^-100 for twenty orders on a hundred random
+    measures, against their definition, not the closed form they are
+    rounded from: Fraction moments summed here, then by mpf operators at
+    256 bits alpha_k and the product of the sqrt(alpha_k alpha_{k+1})^2."""
     start = time.time()
     rng = random.Random(91)
     bound = mpf(2) ** -100
@@ -411,19 +412,21 @@ def criterion_9() -> CriterionResult:
                                     position_style=style)).measure
         if i % 3 == 2:
             mu = mu.to_real()
-        with workprec(128):
-            tilde = aluthge_moment_sequence(mu, 21)
-            gammas = [to_mpf(g, 128) for g in
-                      moment_sequence(normalize(mu), 22)]
+        tilde = aluthge_moment_sequence(mu, 21)
+        exact = [(pos.q, w if mu.mode == RATIONAL else mpf_to_fraction(w))
+                 for pos, w in mu.atoms]
+        with workprec(256):
+            gammas = [to_mpf(sum(w * x ** n for x, w in exact), 256)
+                      for n in range(23)]
+            alpha = [mpmath.sqrt(b / a) for a, b in zip(gammas, gammas[1:])]
+            reference = mpf(1)
             for n in range(21):
-                lhs = tilde[n] * tilde[n] * gammas[1]
-                rhs = gammas[n] * gammas[n + 1]
-                err = abs(lhs - rhs) / rhs
+                err = abs(tilde[n] - reference) / reference
                 worst = max(worst, err)
-                if err >= bound:
-                    failures += 1
+                failures += err >= bound
+                reference *= mpmath.sqrt(alpha[n] * alpha[n + 1]) ** 2
     return CriterionResult(
-        9, "transformed-moment identity", failures == 0,
+        9, "transformed moments from weights", failures == 0,
         f"worst relative error {mpmath.nstr(worst, 5)} over 100 measures",
         time.time() - start)
 

@@ -2,15 +2,15 @@
 
 A probability measure on [0, inf) with power moments g_0 = 1, g_1, g_2, ...
 corresponds to the shift with weights alpha_n = sqrt(g_{n+1} / g_n); its
-Aluthge transform is again a shift with weights sqrt(alpha_n alpha_{n+1}).
-The derived moment identity
-
-    (aluthge moment_n)^2 * g_1 = g_n * g_{n+1}
-
-holds for all n and is used as a cross-check, together with positive
-semidefiniteness of the two Hankel matrices built from any claimed moment
-sequence.  Minimal linear recurrences of exact moment sequences recover the
-atom count and the characteristic polynomial of the support.
+Aluthge transform is again a shift with weights sqrt(alpha_n alpha_{n+1}),
+(g_{n+2} / g_n)^(1/4), and moments sqrt(g_n g_{n+1} / (g_0 g_1)).  Every
+shift-table entry is such a closed form in the moments, summed exactly on
+ints (a real mass is dyadic; an odd moment at radical positions lies in
+sqrt(s)*Q), and is the exact value rounded once to nearest at the working
+precision; a rational measure's tables load no mpmath.  Positive
+semidefiniteness of Hankel matrices of moments is decided exactly, and
+minimal linear recurrences of exact moments recover the atom count and
+the characteristic polynomial of the support.
 """
 
 from __future__ import annotations
@@ -22,141 +22,95 @@ from itertools import zip_longest
 from typing import List, Optional, Sequence, Tuple
 
 from .measures import (
-    RATIONAL,
+    REAL,
     AtomicMeasure,
     MeasureError,
-    normalize,
+    moments as moment_sequence,  # g_0 .. g_{count-1}, exact where possible
+    numerators,
+    power_sums,
 )
-from .scalars import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, real_arithmetic
+from .scalars import DEFAULT_PRECISION_BITS, real_arithmetic, round_root
 
-# The weights and moments below are computed on raw libmp values with the
-# precision and rounding of every operation given explicitly.  Each call is
-# the one an mpf operator makes under workprec(bits), in the same order, so
-# the values are those of mpf arithmetic bit for bit, and no result depends
-# on mpmath's global precision.  Each atom is converted once per measure.
-# The raw arithmetic comes from alsq.reals (``real_arithmetic``); exact
-# moments and the Hankel test of exact values never load mpmath.
+# how far below 0 :func:`hankel_psd` lets the least eigenvalue go, per trace
+HANKEL_TOLERANCE = Fraction(1, 2 ** 64)
 
 
-def _moments(mu: AtomicMeasure, weights: Sequence, count: int,
-             bits: int) -> list:
-    """g_0 .. g_{count-1} of the atoms of ``mu`` carrying ``weights``.
-
-    A moment is an exact Fraction when every term is rational (rational mode;
-    only the even orders when a position is radical), else a raw value at
-    ``bits``, summed as :func:`alsq.measures.moment` sums it."""
-    mu.require_no_zero_atom("moment")
-    radical = any(pos.k for pos in mu.support)
-    gammas: list = [None] * count
-    if mu.mode == RATIONAL:
-        # w * x^n, stepping n by 1, or by 2 through the rational x^2
-        factors = [pos.squared() if radical else pos.q for pos in mu.support]
-        terms = list(weights)
-        for n in range(0, count, 2 if radical else 1):
-            gammas[n] = sum(terms, Fraction(0))
-            terms = [t * f for t, f in zip(terms, factors)]
-    inexact = [n for n, g in enumerate(gammas) if g is None]
-    if inexact:
-        reals = real_arithmetic()
-        ws = [reals.to_raw(w, bits) for w in weights]
-        xs = [reals.position_raw(pos, bits) for pos in mu.support]
-        for n in inexact:
-            gammas[n] = reals.power_sum(ws, xs, n, bits)
-    return gammas
+def _times(x: tuple, y: tuple, s: int) -> tuple:
+    """(a + b sqrt(s)) (c + d sqrt(s)) for x = (a, b) and y = (c, d)."""
+    return x[0] * y[0] + x[1] * y[1] * s, x[0] * y[1] + x[1] * y[0]
 
 
-def _alpha(mu: AtomicMeasure, count: int, bits: int) -> list:
-    """Raw shift weights alpha_0 .. alpha_{count-1} of the normalized
-    measure: sqrt(g_{n+1} / g_n)."""
+# entry n of the columns alpha, transformed alpha, g_n / g_0 and transformed
+# g_n as (x, y, r), the r-th root of x / y, for the moment numerators G
+_COLUMNS = (
+    lambda G, s, n: (G[n + 1], G[n], 2),
+    lambda G, s, n: (G[n + 2], G[n], 4),
+    lambda G, s, n: (G[n], G[0], 1),
+    lambda G, s, n: (_times(G[n], G[n + 1], s), _times(G[0], G[1], s), 2),
+)
+
+
+def _column(sums: tuple, column: int, count: int, bits: int) -> List[tuple]:
+    """Entries 0 .. count-1 of a column, each exact value rounded once."""
     if count < 1:
         raise MeasureError("at least one weight must be requested")
-    reals = real_arithmetic()
-    mpf_div, mpf_sqrt = reals.mpf_div, reals.mpf_sqrt
-    nearest = reals.round_nearest
-    prob = normalize(mu, bits).weights
-    gammas = [g if type(g) is tuple else reals.to_raw(g, bits)
-              for g in _moments(mu, prob, count + 1, bits)]
-    return [mpf_sqrt(mpf_div(gammas[n + 1], gammas[n], bits, nearest), bits,
-                     nearest)
+    gammas, _, s = sums
+    return [round_root(*_COLUMNS[column](gammas, s, n), bits, s)
             for n in range(count)]
-
-
-def _geometric_means(alpha: Sequence[tuple], bits: int) -> List[tuple]:
-    if len(alpha) < 2:
-        raise MeasureError("need at least two weights")
-    reals = real_arithmetic()
-    mpf_mul, mpf_sqrt = reals.mpf_mul, reals.mpf_sqrt
-    nearest = reals.round_nearest
-    return [mpf_sqrt(mpf_mul(a, b, bits, nearest), bits, nearest)
-            for a, b in zip(alpha, alpha[1:])]
-
-
-def _products(alpha: Sequence[tuple], bits: int) -> List[tuple]:
-    reals = real_arithmetic()
-    mpf_mul, nearest = reals.mpf_mul, reals.round_nearest
-    gammas = [reals.fone]
-    for a in alpha:
-        gammas.append(mpf_mul(mpf_mul(gammas[-1], a, bits, nearest), a, bits,
-                              nearest))
-    return gammas
 
 
 def shift_rows(mu: AtomicMeasure, terms: int,
                bits: int = DEFAULT_PRECISION_BITS) -> List[Tuple[tuple, ...]]:
-    """Rows n = 0 .. terms-1 of (alpha_n, transformed alpha_n, g_n,
-    transformed g_n) as raw libmp values at ``bits``; the moment columns
-    are :func:`moments_from_weights` of the two weight sequences."""
-    alpha = _alpha(mu, terms + 1, bits)
-    tilde = _geometric_means(alpha, bits)
-    return list(zip(alpha, tilde, _products(alpha, bits),
-                    _products(tilde, bits)))
-
-
-def moment_sequence(mu: AtomicMeasure, count: int,
-                    bits: int = DEFAULT_PRECISION_BITS) -> List:
-    """g_0 .. g_{count-1}; exact Fractions whenever the measure allows it."""
-    gammas = _moments(mu, mu.weights, count, bits)
-    if all(type(g) is Fraction for g in gammas):
-        return gammas
-    from_raw = real_arithmetic().from_raw
-    return [g if type(g) is Fraction else from_raw(g) for g in gammas]
+    """Rows n < terms of (alpha_n, transformed alpha_n, g_n / g_0,
+    transformed g_n): raw mpf values built on ints, each rounded once."""
+    sums = power_sums(mu, terms + 2, bits)
+    return list(zip(*[_column(sums, column, terms, bits)
+                      for column in range(4)]))
 
 
 def weights_from_measure(mu: AtomicMeasure, count: int,
                          bits: int = DEFAULT_PRECISION_BITS) -> List["mpf"]:
     """Shift weights alpha_0 .. alpha_{count-1} of the normalized measure."""
-    from_raw = real_arithmetic().from_raw
-    return [from_raw(a) for a in _alpha(mu, count, bits)]
+    return list(map(real_arithmetic().from_raw, _column(
+        power_sums(mu, count + 1, bits), 0, count, bits)))
 
 
 def aluthge_weights(alpha: Sequence["mpf"],
                     bits: int = DEFAULT_PRECISION_BITS) -> List["mpf"]:
-    """Geometric means of consecutive weights; one entry shorter."""
-    reals = real_arithmetic()
-    raw = [reals.operand(a, bits) for a in alpha]
-    return [reals.from_raw(a) for a in _geometric_means(raw, bits)]
+    """Geometric means sqrt(alpha_n alpha_{n+1}) of consecutive weights,
+    each the exact value rounded once; one entry shorter."""
+    if len(alpha) < 2:
+        raise MeasureError("need at least two weights")
+    nums, den = numerators(alpha, REAL, bits)
+    from_raw = real_arithmetic().from_raw
+    return [from_raw(round_root((a * b, 0), (den * den, 0), 2, bits))
+            for a, b in zip(nums, nums[1:])]
 
 
 def moments_from_weights(alpha: Sequence["mpf"],
                          bits: int = DEFAULT_PRECISION_BITS) -> List["mpf"]:
-    """g_0 = 1 and g_k = alpha_0^2 ... alpha_{k-1}^2."""
-    reals = real_arithmetic()
-    raw = [reals.operand(a, bits) for a in alpha]
-    return [reals.from_raw(g) for g in _products(raw, bits)]
+    """g_0 = 1 and g_k = alpha_0^2 ... alpha_{k-1}^2, each the exact value
+    rounded once."""
+    nums, den = numerators(alpha, REAL, bits) if alpha else ([], 1)
+    from_raw = real_arithmetic().from_raw
+    out, product, power = [from_raw((0, 1, 0, 1))], 1, 1
+    for a in nums:
+        product, power = product * a * a, power * den * den
+        out.append(from_raw(round_root((product, 0), (power, 0), 1, bits)))
+    return out
 
 
 def aluthge_moment_sequence(mu: AtomicMeasure, count: int,
                             bits: int = DEFAULT_PRECISION_BITS) -> List["mpf"]:
     """Moments of the Aluthge-transformed shift, g~_0 .. g~_{count-1}."""
-    from_raw = real_arithmetic().from_raw
-    tilde = _geometric_means(_alpha(mu, count, bits), bits)
-    return [from_raw(g) for g in _products(tilde, bits)]
+    return list(map(real_arithmetic().from_raw, _column(
+        power_sums(mu, count + 1, bits), 3, count, bits)))
 
 
 def hankel_psd(
     gammas: Sequence,
     n: int,
-    tol: Fraction = DEFAULT_TOLERANCE,
+    tol: Fraction = HANKEL_TOLERANCE,
 ) -> Tuple[bool, bool]:
     """Positive semidefiniteness of (g_{i+j}) and (g_{i+j+1}) for i,j <= n
     up to ``tol``: whether each one's least eigenvalue exceeds -tol times its

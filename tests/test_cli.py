@@ -11,7 +11,8 @@ import pytest
 import alsq
 from alsq.cli import MAX_SHIFT_TERMS, main
 from alsq.generate import GeneratorSpec, generate
-from alsq.measures import MAX_ATOMS, dumps_measure, load_measure, make_measure
+from alsq.measures import (MAX_ATOMS, Position, dumps_measure, load_measure,
+                           make_measure)
 from alsq.selftest import example_one, example_two
 from alsq.solver import IMPOSSIBLE, Verdict
 
@@ -353,6 +354,27 @@ def test_recurrence_of_a_hundred_atoms_is_read_off_the_support(tmp_path):
     result = _cli("recurrence", "--max-order", "100", path)
     assert result.returncode == 0 and not result.stderr
     assert result.stdout.startswith("order 100: g[n+100] = ")
+
+
+def test_recurrence_of_a_real_file_is_that_of_its_rational_twin(tmp_path):
+    # only the support is read: real masses are accepted, radical
+    # positions are not
+    atoms = [(1, F(1, 4)), (2, F(1, 2)), (4, F(1, 4))]
+    outputs = []
+    for mode in ("rational", "real"):
+        path = tmp_path / f"{mode}.json"
+        path.write_text(dumps_measure(make_measure(atoms, mode=mode)))
+        result = _cli("recurrence", str(path))
+        assert result.returncode == 0 and not result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("order 3: g[n+3] = ")
+    path = tmp_path / "radical.json"
+    path.write_text(dumps_measure(make_measure(
+        [(Position(F(1), 1, F(2)), F(1, 2)), (2, F(1, 2))], base=F(2))))
+    result = _cli("recurrence", str(path))
+    assert result.returncode == 1 and not result.stdout
+    assert "rational positions" in result.stderr
 
 
 def test_gen_beyond_the_random_positions_is_usage_error():

@@ -1,3 +1,4 @@
+import random
 import sys
 import time
 from fractions import Fraction
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mpf, workprec
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, to_str
 
 from alsq.reals import (from_dyadic, from_raw, mpf_to_fraction, to_dyadic,
                         to_mpf)
-from alsq.scalars import ScalarError, parse_rational, sqrt_fraction
+from alsq.scalars import ScalarError, float_str, parse_rational, sqrt_fraction
 
 F = Fraction
 
@@ -79,3 +80,28 @@ def test_dyadic_masses_are_exact(values):
     for value, n in zip(values, nums):
         assert F(n, den) == mpf_to_fraction(value)
         assert from_dyadic(n, den)._mpf_ == value._mpf_
+
+
+
+def test_float_str_rounds_the_binary_value_in_to_str_layout():
+    # the layout of mpmath's to_str, on seeded values of 1 to 200 bits
+    rng = random.Random(16)
+    for _ in range(3000):
+        bits = rng.choice([1, 2, 53, 64, 128, 200])
+        man, exp = rng.getrandbits(bits) | 1, rng.randint(-400, 400)
+        assert float_str(man, exp) == to_str((0, man, exp, man.bit_length()),
+                                             15), (man, exp)
+    # at the decimal rounding boundaries: exact ties round away from zero,
+    # and the binary neighbours of the decimal tie 33.59154052734375 round
+    # to either side of it
+    below = int(F("33.59154052734375") * 2 ** 122)
+    cases = {(250199996075577, -1): "125099998037789.0",
+             (6253943201945045, 0): "6.25394320194505e+15",
+             (below + 1, -122): "33.5915405273438",
+             (below, -122): "33.5915405273437",
+             (265845599156982927946660514679933784543, -121):
+                 "99.9999999999999",
+             (1, 0): "1.0", (5, -1): "2.5", (10 ** 20, 0): "1.0e+20",
+             (3, -20): "2.86102294921875e-6", (1, -14): "6.103515625e-5"}
+    for (man, exp), text in cases.items():
+        assert float_str(man, exp) == text, (man, exp)

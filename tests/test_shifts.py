@@ -15,9 +15,10 @@ from alsq.measures import (
     moment,
     normalize,
 )
-from alsq.reals import from_raw, mpf_to_fraction, to_mpf
-from alsq.scalars import DEFAULT_TOLERANCE
+from alsq.reals import (from_raw, mpf_pos, mpf_to_fraction, round_nearest,
+                        to_mpf)
 from alsq.shifts import (
+    HANKEL_TOLERANCE,
     RecurrenceCoefficients,
     aluthge_moment_sequence,
     aluthge_weights,
@@ -135,22 +136,44 @@ def _pin_mix():
     return out
 
 
-def _per_moment_reference(mu, count, bits):
-    """The shift columns by mpf operators, one moment at a time."""
-    with workprec(bits):
-        prob = normalize(mu, bits)
-        gammas = [to_mpf(moment(prob, n, bits), bits) for n in range(count + 1)]
-        alpha = [mpmath.sqrt(gammas[n + 1] / gammas[n]) for n in range(count)]
-        tilde = [mpmath.sqrt(alpha[n] * alpha[n + 1])
-                 for n in range(count - 1)]
+def _reference_moments(mu, count):
+    """g_0 .. g_{count-1} at 600 bits: the exact rational and sqrt(base)
+    parts, each converted once."""
+    def fraction(w):
+        return mpf_to_fraction(w) if isinstance(w, mpf) else F(w)
 
-        def products(weights):
-            out = [mpf(1)]
-            for a in weights:
-                out.append(out[-1] * a * a)
-            return out
+    def value(q):
+        return mpf(q.numerator) / q.denominator
 
-        return alpha, tilde, products(alpha), products(tilde)
+    with workprec(600):
+        root = mpmath.sqrt(value(F(mu.base)))
+        gammas = []
+        for n in range(count):
+            parts = [F(0), F(0)]
+            for pos, w in mu.atoms:
+                parts[pos.k * n % 2] += (fraction(w) * pos.q ** n
+                                         * pos.base ** (pos.k * n // 2))
+            gammas.append(value(parts[0]) + value(parts[1]) * root)
+    return gammas
+
+
+def _rounded(x, bits):
+    return from_raw(mpf_pos(x._mpf_, bits, round_nearest))
+
+
+def _reference_rows(mu, terms, bits):
+    """The four shift columns by mpf operators at 600 bits from the
+    moments at 600 bits, each rounded once to ``bits``: the exact value
+    rounded once, unless it lies within about 2^-590 of a rounding
+    boundary (an exact tie is computed exactly)."""
+    g = _reference_moments(mu, terms + 2)
+    with workprec(600):
+        columns = [[mpmath.sqrt(g[n + 1] / g[n]),
+                    mpmath.sqrt(mpmath.sqrt(g[n + 2] / g[n])),
+                    g[n] / g[0],
+                    mpmath.sqrt(g[n] * g[n + 1] / (g[0] * g[1]))]
+                   for n in range(terms)]
+    return [tuple(_rounded(x, bits)._mpf_ for x in row) for row in columns]
 
 
 def test_moment_sequence_equals_per_moment_values():
@@ -162,20 +185,33 @@ def test_moment_sequence_equals_per_moment_values():
             assert [type(g) for g in got] == [type(g) for g in expected]
 
 
-def test_shift_weights_equal_per_moment_reference():
-    for mu in _pin_mix():
-        for bits in (64, 128):
-            alpha, tilde, gammas, tilde_gammas = _per_moment_reference(
-                mu, 9, bits)
-            got = weights_from_measure(mu, 9, bits=bits)
-            assert got == alpha
-            assert aluthge_weights(got, bits=bits) == tilde
-            assert moments_from_weights(got, bits=bits) == gammas
-            assert aluthge_moment_sequence(mu, 9, bits=bits) == tilde_gammas
-            rows = shift_rows(mu, 8, bits=bits)
-            assert rows == [tuple(column[n]._mpf_ for column in
-                                  (alpha, tilde, gammas, tilde_gammas))
-                            for n in range(8)]
+def test_shift_entries_are_the_exact_values_rounded_once():
+    """Every entry of ``shift_rows``, at rational and radical positions in
+    both modes, is the exact value rounded once to nearest; the column
+    functions give the same values, and ``aluthge_weights`` and
+    ``moments_from_weights`` round their exact values once as well."""
+    rng = random.Random(16)
+    measures = _pin_mix() + [
+        generate(GeneratorSpec(rng.randint(1, 6), "arbitrary",
+                               rng.randrange(10 ** 6),
+                               position_style="random")).measure.to_real(53)
+        for _ in range(8)]
+    for mu in measures:
+        for bits in (53, 64, 128):
+            rows = shift_rows(mu, 9, bits=bits)
+            assert rows == _reference_rows(mu, 9, bits), (mu, bits)
+            alpha = weights_from_measure(mu, 10, bits=bits)
+            assert [a._mpf_ for a in alpha[:9]] == [row[0] for row in rows]
+            assert [g._mpf_ for g in aluthge_moment_sequence(mu, 9, bits)] \
+                == [row[3] for row in rows]
+            with workprec(600):
+                means = [mpmath.sqrt(a * b) for a, b in zip(alpha, alpha[1:])]
+                products = [mpmath.fprod(a * a for a in alpha[:k])
+                            for k in range(11)]
+            assert aluthge_weights(alpha, bits=bits) == \
+                [_rounded(x, bits) for x in means]
+            assert moments_from_weights(alpha, bits=bits) == \
+                [_rounded(x, bits) for x in products]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +271,7 @@ def test_hankel_needs_enough_entries():
         hankel_psd([F(1), F(1), F(1)], 1)
 
 
-def _reference_hankel_psd(gammas, n, bits=128, tol=DEFAULT_TOLERANCE):
+def _reference_hankel_psd(gammas, n, bits=128, tol=HANKEL_TOLERANCE):
     """The symmetric-eigenvalue test under ``workprec``: the reference
     whose verdicts the exact test must give."""
     with workprec(bits):
@@ -293,7 +329,8 @@ def _criterion_10_sequences():
 
 def test_hankel_psd_exact_boundary():
     # [[1, b], [b, 1]] + tol * 2 * I has determinant (1 + 2 tol)^2 - b^2
-    tol = DEFAULT_TOLERANCE
+    tol = HANKEL_TOLERANCE
+    assert tol == F(1, 2 ** 64)  # the default, apart from the solver's
     edge = 1 + 2 * tol
     assert hankel_psd([F(1), edge, F(1), edge], 1) == (False, True)
     below = edge - F(1, 2 ** 200)

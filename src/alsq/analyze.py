@@ -5,7 +5,6 @@ and real-mode values use :mod:`alsq.reals`, which loads mpmath."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .closed_forms import classify_small
@@ -23,38 +22,49 @@ from .measures import (
     dumps_measure,
     strip_zero_atom,
 )
-from .scalars import float_str, scalar_str
+from .scalars import Record, float_str, scalar_str
 from .shifts import shift_rows
 from .solver import (DEFAULT_CONFIG, UNDETERMINED, WITNESS, SolverConfig,
                      Verdict, aluthge_subnormal, sqrt_of)
 
 
-@dataclass(frozen=True)
-class AnalyzeOptions:
-    config: SolverConfig = DEFAULT_CONFIG
-    shift_terms: int = 0  # 0 disables the tables
+class AnalyzeOptions(Record):
+    __slots__ = _fields = ("config", "shift_terms")
+
+    def __init__(self, config: SolverConfig = DEFAULT_CONFIG,
+                 shift_terms: int = 0):  # 0 disables the tables
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "shift_terms", shift_terms)
 
 
-@dataclass
-class AnalysisReport:
-    digest: str
-    mode: str
-    p: int
-    zero_mass: Optional[str]
-    card: int
-    bounds: tuple
-    geometric: Optional[tuple]
-    ur_summary: dict
-    structural: Optional[dict]
-    sqrt_verdict: Optional[Verdict]
-    aluthge_verdict: Verdict
-    small_verdict: Optional[Verdict]
-    agreement: Optional[bool]
-    shift_tables: Optional[dict]
-    notes: List[str] = field(default_factory=list)
-    # the product diagram every support statistic above was read from;
-    # kept for render_diagram, not serialized
-    diagram: Optional[ProductDiagram] = field(default=None, repr=False)
+class AnalysisReport(Record):
+    # the product diagram every support statistic was read from is kept for
+    # render_diagram, not serialized
+    __slots__ = _fields = (
+        "digest", "mode", "p", "zero_mass", "card", "bounds", "geometric",
+        "ur_summary", "structural", "sqrt_verdict", "aluthge_verdict",
+        "small_verdict", "agreement", "shift_tables", "notes", "diagram")
+    _hidden = ("diagram",)
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
+
+    def __init__(self, digest: str, mode: str, p: int,
+                 zero_mass: Optional[str], card: int, bounds: tuple,
+                 geometric: Optional[tuple], ur_summary: dict,
+                 structural: Optional[dict], sqrt_verdict: Optional[Verdict],
+                 aluthge_verdict: Verdict, small_verdict: Optional[Verdict],
+                 agreement: Optional[bool], shift_tables: Optional[dict],
+                 notes: Optional[List[str]] = None,
+                 diagram: Optional[ProductDiagram] = None):
+        self.digest, self.mode, self.p = digest, mode, p
+        self.zero_mass, self.card, self.bounds = zero_mass, card, bounds
+        self.geometric = geometric
+        self.ur_summary, self.structural = ur_summary, structural
+        self.sqrt_verdict, self.aluthge_verdict = sqrt_verdict, aluthge_verdict
+        self.small_verdict, self.agreement = small_verdict, agreement
+        self.shift_tables = shift_tables
+        self.notes = [] if notes is None else notes
+        self.diagram = diagram
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from fractions import Fraction
 from typing import Optional
 
 from .analyze import AnalyzeOptions, analyze, render_shift_rows, shift_table
 from .diagram import render_diagram
-from .generate import MODES, GeneratorSpec, generate
+from .generate import (MODES, PERTURBED, WITH_ALUTHGE_ROOT, GeneratorSpec,
+                       generate)
 from .measures import (
     MAX_ATOMS,
     AtomicMeasure,
@@ -200,6 +200,11 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.case is not None and (
+            args.p != 6 or args.mode not in (WITH_ALUTHGE_ROOT, PERTURBED)):
+        print("error: --case applies only to --mode with-aluthge-root or "
+              "perturbed at --p 6", file=sys.stderr)
+        return EXIT_ERROR
     spec = GeneratorSpec(p=args.p, mode=args.mode, seed=args.seed,
                          position_style=args.style, case=args.case)
     instance = generate(spec)
@@ -320,6 +325,8 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except InternalError as exc:
+        import traceback  # loaded only on a fault: it costs ~4 ms at start-up
+
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         if getattr(args, "json", False):  # gen and selftest take no --json

@@ -15,12 +15,12 @@ place of a measure or a position sequence, so one diagram can serve them all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .measures import AtomicMeasure, MeasureError, Position, int_keys
+from .scalars import Record
 
 Pair = Tuple[int, int]  # 0-based, i <= j
 
@@ -29,28 +29,38 @@ Pair = Tuple[int, int]  # 0-based, i <= j
 # diagram and classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class DiagramEntry:
-    position: Position
-    pairs: Tuple[Pair, ...]
+class DiagramEntry(Record):
+    __slots__ = _fields = ("position", "pairs")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, position: Position, pairs: Tuple[Pair, ...]):
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def is_ur(self) -> bool:
         return len(self.pairs) == 1
 
 
-@dataclass(frozen=True, eq=False)
-class ProductDiagram:
+class ProductDiagram(Record):
     """The distinct pairwise products of ``support``, ascending; ``keys``
     are the support's int keys.  ``index[i][j]`` is the entry holding
     x_i*x_j and ``ur[i][j]`` whether that product is uniquely represented,
     both p x p and symmetric."""
 
-    support: Tuple[Position, ...]
-    keys: Tuple[int, ...]
-    entries: Tuple[DiagramEntry, ...]
-    index: Tuple[Tuple[int, ...], ...] = field(repr=False)
-    ur: Tuple[Tuple[bool, ...], ...] = field(repr=False)
+    __slots__ = _fields = ("support", "keys", "entries", "index", "ur")
+    _hidden = ("index", "ur")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, support: Tuple[Position, ...], keys: Tuple[int, ...],
+                 entries: Tuple[DiagramEntry, ...],
+                 index: Tuple[Tuple[int, ...], ...],
+                 ur: Tuple[Tuple[bool, ...], ...]):
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "ur", ur)
 
     @property
     def p(self) -> int:
@@ -72,10 +82,13 @@ class ProductDiagram:
         return self.index[i][j] == self.index[k][l]
 
 
-@dataclass(frozen=True, eq=False)
-class URClassification:
-    ur: Tuple[Position, ...]
-    nur: Tuple[Position, ...]
+class URClassification(Record):
+    __slots__ = _fields = ("ur", "nur")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, ur: Tuple[Position, ...], nur: Tuple[Position, ...]):
+        object.__setattr__(self, "ur", ur)
+        object.__setattr__(self, "nur", nur)
 
     def summary(self) -> dict:
         return {
@@ -159,13 +172,16 @@ def geometric_profile(source: Source) -> Optional[Tuple[Position, Position]]:
 # cardinality bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CardinalityCheck:
-    p: int
-    card: int
-    lower: int
-    upper: Optional[int]
-    ok: bool
+class CardinalityCheck(Record):
+    __slots__ = _fields = ("p", "card", "lower", "upper", "ok")
+
+    def __init__(self, p: int, card: int, lower: int, upper: Optional[int],
+                 ok: bool):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "card", card)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "ok", ok)
 
     def bounds(self) -> Tuple[int, Optional[int]]:
         return (self.lower, self.upper)
@@ -188,16 +204,18 @@ def cardinality_check(source: Source) -> CardinalityCheck:
 # violations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """A failed necessary condition; a sound proof that no root exists.
 
     ``indices`` are 1-based atom indices witnessing the failed rule.
     """
 
-    rule: str
-    indices: Tuple[int, ...]
-    message: str
+    __slots__ = _fields = ("rule", "indices", "message")
+
+    def __init__(self, rule: str, indices: Tuple[int, ...], message: str):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "message", message)
 
     def render(self) -> str:
         return f"[{self.rule}] {self.message}"

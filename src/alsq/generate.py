@@ -10,12 +10,12 @@ atoms, ``perturbed`` breaks exactly one of those identities, and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .measures import (MAX_ATOMS, AtomicMeasure, MeasureError, convolve,
                        make_measure)
+from .scalars import Record
 
 WITH_ROOT = "with-root"
 WITH_ALUTHGE_ROOT = "with-aluthge-root"
@@ -25,21 +25,35 @@ PERTURBED = "perturbed"
 MODES = (WITH_ROOT, WITH_ALUTHGE_ROOT, ARBITRARY, PERTURBED)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    p: int
-    mode: str
-    seed: int
-    position_style: str = "geometric"  # or "random"
-    case: Optional[str] = None         # p=6 closed forms: "I" or "II"
-    perturb_index: Optional[int] = None  # 1-based atom to disturb (perturbed mode)
+class GeneratorSpec(Record):
+    """``position_style`` is "geometric" or "random", ``case`` the p = 6
+    closed form ("I" or "II") and ``perturb_index`` the 1-based atom that
+    perturbed mode disturbs."""
+
+    __slots__ = _fields = ("p", "mode", "seed", "position_style", "case",
+                           "perturb_index")
+
+    def __init__(self, p: int, mode: str, seed: int,
+                 position_style: str = "geometric",
+                 case: Optional[str] = None,
+                 perturb_index: Optional[int] = None):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "position_style", position_style)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "perturb_index", perturb_index)
 
 
-@dataclass(frozen=True)
-class GeneratedInstance:
-    measure: AtomicMeasure
-    witness: Optional[AtomicMeasure]
-    meta: dict = field(default_factory=dict)
+class GeneratedInstance(Record):
+    __slots__ = _fields = ("measure", "witness", "meta")
+
+    def __init__(self, measure: AtomicMeasure,
+                 witness: Optional[AtomicMeasure],
+                 meta: Optional[dict] = None):
+        object.__setattr__(self, "measure", measure)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "meta", {} if meta is None else meta)
 
 
 def _positive_weight(rng: random.Random) -> Fraction:
@@ -224,10 +238,14 @@ def _perturbed(spec: GeneratorSpec, rng: random.Random) -> GeneratedInstance:
         return GeneratedInstance(mu, None, {"mode": spec.mode})
     base = _with_aluthge_root(base_spec, rng)
     delta = Fraction(rng.randint(1, 50), 100)
-    if spec.perturb_index is not None:
-        index = spec.perturb_index - 1
-    else:
+    if spec.perturb_index is None:
         index = rng.randrange(base.measure.p)
+    elif 1 <= spec.perturb_index <= base.measure.p:
+        index = spec.perturb_index - 1
+    else:  # an index off the atoms would perturb nothing
+        raise MeasureError(
+            f"perturb_index names an atom 1 to {base.measure.p}, "
+            f"got {spec.perturb_index}")
     atoms = [(pos, w * (1 + delta) if n == index else w)
              for n, (pos, w) in enumerate(base.measure.atoms)]
     mu = make_measure(atoms)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
@@ -36,6 +35,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (
     DEFAULT_PRECISION_BITS,
+    Record,
     Scalar,
     format_rational,
     parse_rational,
@@ -68,29 +68,27 @@ class ZeroAtomError(MeasureError):
 # positions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Position:
+class Position(Record):
     """Exact atom position q * sqrt(base)^k, q > 0 rational, k in {0, 1}."""
 
-    q: Fraction
-    k: int
-    base: Fraction
+    __slots__ = _fields = ("q", "k", "base")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "base", Fraction(self.base))
-        if self.q <= 0:
-            raise MeasureError(f"position must be positive, got {self.q}")
-        if self.k not in (0, 1):
-            raise MeasureError(f"radical exponent must be 0 or 1, got {self.k}")
-        if self.base <= 0:
-            raise MeasureError(f"radical base must be positive, got {self.base}")
-        if self.k == 1:
-            root = sqrt_fraction(self.base)
+    def __init__(self, q: Fraction, k: int, base: Fraction):
+        q, base = Fraction(q), Fraction(base)
+        if q <= 0:
+            raise MeasureError(f"position must be positive, got {q}")
+        if k not in (0, 1):
+            raise MeasureError(f"radical exponent must be 0 or 1, got {k}")
+        if base <= 0:
+            raise MeasureError(f"radical base must be positive, got {base}")
+        if k == 1:
+            root = sqrt_fraction(base)
             if root is not None:
                 # collapse sqrt of a perfect square so equality stays syntactic
-                object.__setattr__(self, "q", self.q * root)
-                object.__setattr__(self, "k", 0)
+                q, k = q * root, 0
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "base", base)
 
     @staticmethod
     def of(value: Union["Position", Fraction, int, str], base: Fraction = Fraction(1)) -> "Position":
@@ -186,12 +184,14 @@ class Position:
 
 
 def _position(q: Fraction, k: int, base: Fraction) -> Position:
-    """A product or quotient of validated positions, built without
-    ``__post_init__``: q is a positive Fraction and k is 0 or 1, and a
+    """A product or quotient of validated positions, built without the
+    checks of ``Position``: q is a positive Fraction and k is 0 or 1, and a
     result with k = 1 keeps the base of its k = 1 factor, which was found
     non-square when that factor was built."""
     pos = object.__new__(Position)
-    pos.__dict__.update(q=q, k=k, base=base)
+    object.__setattr__(pos, "q", q)
+    object.__setattr__(pos, "k", k)
+    object.__setattr__(pos, "base", base)
     return pos
 
 
@@ -203,14 +203,18 @@ Weight = Scalar
 AtomLike = Tuple[Union[Position, Fraction, int, str], Union[Weight, int, str]]
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(Record):
     """Immutable finitely atomic measure; atoms sorted by position."""
 
-    base: Fraction
-    mode: str
-    atoms: Tuple[Tuple[Position, Weight], ...]
-    zero_mass: Weight = Fraction(0)
+    __slots__ = _fields = ("base", "mode", "atoms", "zero_mass")
+
+    def __init__(self, base: Fraction, mode: str,
+                 atoms: Tuple[Tuple[Position, Weight], ...],
+                 zero_mass: Weight = Fraction(0)):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "zero_mass", zero_mass)
 
     @property
     def p(self) -> int:
@@ -424,8 +428,6 @@ class Table:
     pairs taken left factor outermost.
     """
 
-    # a plain class: making a frozen dataclass of these fields takes about
-    # 1.7 ms at import, which every CLI process pays
     __slots__ = ("base", "mode", "keys", "masses", "den", "radius", "factors")
 
     def __init__(self, base: Fraction, mode: str, keys: List[int],

@@ -32,6 +32,58 @@ class ScalarError(ValueError):
     pass
 
 
+class Record:
+    """Base of the package's small records: immutable, equal and hashed by
+    their fields in order, and shown as ``Name(field=value, ...)``.
+
+    A record names its fields in ``_fields`` and keeps them in
+    ``__slots__``; its own ``__init__`` stores each with
+    ``object.__setattr__``.  ``_hidden`` names the fields ``repr`` leaves
+    out.  A record compared by identity sets ``__eq__ = object.__eq__`` and
+    ``__hash__ = object.__hash__``; a mutable one sets ``__setattr__ =
+    object.__setattr__`` and ``__hash__ = None``.
+
+    Records are plain classes, not dataclasses: importing ``dataclasses``
+    loads ``inspect``, ``ast``, ``dis`` and ``tokenize``, and making each
+    dataclass executes generated code, which together cost every CLI
+    process about 30 ms, several times the time it takes to decide a small
+    measure.  Slots keep an instance at the size of its fields, with no
+    ``__dict__``.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+    _hidden: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its constructor, which
+        # takes its fields in order
+        return self.__class__, self._values()
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={getattr(self, name)!r}"
+                           for name in self._fields
+                           if name not in self._hidden])
+        return f"{self.__class__.__qualname__}({shown})"
+
+
 @functools.cache
 def real_arithmetic():
     """The module :mod:`alsq.reals`, imported on the first call.

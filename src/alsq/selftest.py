@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, Sequence, Tuple
@@ -35,6 +34,7 @@ from .measures import (
     t_weight,
 )
 from .reals import mpf_to_fraction, to_mpf
+from .scalars import Record
 from .shifts import (
     aluthge_moment_sequence,
     hankel_psd,
@@ -53,13 +53,15 @@ from .solver import (
 from .analyze import analyze
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CriterionResult(Record):
+    __slots__ = _fields = ("number", "name", "passed", "detail", "seconds")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
+
+    def __init__(self, number: int, name: str, passed: bool, detail: str,
+                 seconds: float):
+        self.number, self.name, self.passed = number, name, passed
+        self.detail, self.seconds = detail, seconds
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

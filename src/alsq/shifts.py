@@ -16,7 +16,6 @@ the characteristic polynomial of the support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import List, Optional, Sequence, Tuple
@@ -29,7 +28,8 @@ from .measures import (
     numerators,
     power_sums,
 )
-from .scalars import DEFAULT_PRECISION_BITS, real_arithmetic, round_root
+from .scalars import (DEFAULT_PRECISION_BITS, Record, real_arithmetic,
+                      round_root)
 
 # how far below 0 :func:`hankel_psd` lets the least eigenvalue go, per trace
 HANKEL_TOLERANCE = Fraction(1, 2 ** 64)
@@ -152,12 +152,14 @@ def _shifted_positive_definite(h: Sequence[int], n: int, tol: Fraction) -> bool:
 # exact linear recurrences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecurrenceCoefficients:
+class RecurrenceCoefficients(Record):
     """g_{n+order} = c_{order-1} g_{n+order-1} + ... + c_0 g_n."""
 
-    order: int
-    coefficients: Tuple[Fraction, ...]
+    __slots__ = _fields = ("order", "coefficients")
+
+    def __init__(self, order: int, coefficients: Tuple[Fraction, ...]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def holds_for(self, gammas: Sequence[Fraction]) -> bool:
         r = self.order

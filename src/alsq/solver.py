@@ -55,9 +55,8 @@ get from ``scalars.real_arithmetic``; a rational decision never loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
@@ -78,6 +77,7 @@ from .measures import (
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
+    Record,
     Scalar,
     real_arithmetic,
     scalar_str,
@@ -98,30 +98,39 @@ class InternalError(RuntimeError):
     bad input."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    tolerance: Fraction = DEFAULT_TOLERANCE
+class SolverConfig(Record):
+    """``radius`` is eps = max(tolerance, 2^(1 - precision_bits)): every
+    real mass stands for the values within relative eps of it."""
 
-    @cached_property
-    def radius(self) -> Fraction:
-        """eps = max(tolerance, 2^(1 - precision_bits)): every real mass
-        stands for the values within relative eps of it."""
-        return max(Fraction(self.tolerance),
-                   Fraction(2, 1 << self.precision_bits))
+    _fields = ("precision_bits", "tolerance")
+    __slots__ = _fields + ("radius",)
+
+    def __init__(self, precision_bits: int = DEFAULT_PRECISION_BITS,
+                 tolerance: Fraction = DEFAULT_TOLERANCE):
+        object.__setattr__(self, "precision_bits", precision_bits)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "radius", max(
+            Fraction(tolerance), Fraction(2, 1 << precision_bits)))
 
 
 DEFAULT_CONFIG = SolverConfig()
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str
-    witness: Optional[AtomicMeasure] = None
-    certificate: Optional[Violation] = None
-    residual: Optional[str] = None
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    notes: Tuple[str, ...] = ()
+class Verdict(Record):
+    __slots__ = _fields = ("outcome", "witness", "certificate", "residual",
+                           "precision_bits", "notes")
+
+    def __init__(self, outcome: str, witness: Optional[AtomicMeasure] = None,
+                 certificate: Optional[Violation] = None,
+                 residual: Optional[str] = None,
+                 precision_bits: int = DEFAULT_PRECISION_BITS,
+                 notes: Tuple[str, ...] = ()):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "precision_bits", precision_bits)
+        object.__setattr__(self, "notes", notes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,8 +159,7 @@ class Verdict:
 # the peel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Peel:
+class Peel(Record):
     """Result of :func:`peel_root`.
 
     When ``outcome`` is a witness, ``root`` lists one ``(j, c)`` per root
@@ -167,13 +175,21 @@ class Peel:
     working precision in real mode.
     """
 
-    outcome: str
-    root: Tuple[Tuple[int, Scalar], ...] = ()
-    certificate: Optional[Violation] = None
-    residual: Scalar = Fraction(0)
-    note: Optional[str] = None
-    radii: Tuple[Tuple[int, int], ...] = ()
-    maybe: Tuple[int, ...] = ()
+    __slots__ = _fields = ("outcome", "root", "certificate", "residual",
+                           "note", "radii", "maybe")
+
+    def __init__(self, outcome: str, root: Tuple[Tuple[int, Scalar], ...] = (),
+                 certificate: Optional[Violation] = None,
+                 residual: Scalar = Fraction(0), note: Optional[str] = None,
+                 radii: Tuple[Tuple[int, int], ...] = (),
+                 maybe: Tuple[int, ...] = ()):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "maybe", maybe)
 
 
 class _Powers(dict):

@@ -211,6 +211,7 @@ def test_internal_fault_exits_four(capsys, monkeypatch, six_atom_file):
                         no_root)
     assert main(["analyze", six_atom_file]) == 4
     captured = capsys.readouterr()
+    assert "Traceback (most recent call last)" in captured.err
     assert "internal error: closed-form witness failed" in captured.err
     assert main(["analyze", six_atom_file, "--json"]) == 4
     data = json.loads(capsys.readouterr().out)
@@ -414,6 +415,24 @@ def test_counts_at_their_bounds_are_accepted(capsys, four_atom_file):
     assert "shift tables" in capsys.readouterr().out
     assert main(["analyze", "--shift-terms", "0", four_atom_file]) == 2
     assert "shift tables" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "6", "--mode", "arbitrary"], ["--p", "6", "--mode", "with-root"],
+    ["--p", "5", "--mode", "with-aluthge-root"],
+    ["--p", "4", "--mode", "perturbed"]], ids=" ".join)
+def test_gen_case_it_does_not_read_is_usage_error(argv):
+    # only the six-atom closed forms read --case; it was silently dropped
+    result = _cli("gen", *argv, "--case", "I")
+    _assert_usage_error(result)
+    assert not result.stdout
+    assert "--case applies only to" in result.stderr
+
+
+@pytest.mark.parametrize("mode", ["with-aluthge-root", "perturbed"])
+def test_gen_six_atom_closed_forms_take_case(capsys, mode):
+    assert main(["gen", "--p", "6", "--mode", mode, "--case", "II"]) == 0
+    assert json.loads(capsys.readouterr().out)["measure"]["atoms"]
 
 
 @pytest.mark.parametrize("p", ["401", "3000", "0", "-1"])

@@ -75,3 +75,17 @@ def test_random_support_is_bounded_by_its_pool():
     with pytest.raises(MeasureError, match="310 distinct fractions"):
         generate(GeneratorSpec(RANDOM_POSITIONS + 1, "arbitrary", 1,
                                position_style="random"))
+
+
+@pytest.mark.parametrize("index", [0, -1, 7])
+def test_perturb_index_off_the_atoms_is_refused(index):
+    # such an index used to perturb nothing: the instance kept its root
+    # while its meta named the atom
+    with pytest.raises(MeasureError, match="perturb_index names an atom 1 to 6"):
+        generate(GeneratorSpec(6, "perturbed", 5, perturb_index=index))
+
+
+def test_perturb_index_names_the_perturbed_atom():
+    inst = generate(GeneratorSpec(6, "perturbed", 5, perturb_index=3))
+    assert inst.meta["perturbed_atom"] == 3
+    assert aluthge_subnormal(inst.measure).outcome == "impossible"

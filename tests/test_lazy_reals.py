@@ -1,8 +1,9 @@
 """mpmath is loaded by ``alsq.reals`` alone, and only for real-mode values.
 
 A rational run of the CLI never imports mpmath, which saves every such
-process the import.  Each case runs in a fresh interpreter: this process
-has mpmath loaded already."""
+process the import, and no run imports ``dataclasses``, ``inspect`` or
+``traceback``.  Each case runs in a fresh interpreter: this process has
+mpmath loaded already."""
 
 import ast
 import contextlib
@@ -25,17 +26,27 @@ from alsq.selftest import example_one, example_two
 F = Fraction
 PACKAGE = Path(alsq.__file__).resolve().parent
 
+# modules that cost a CLI process milliseconds at start-up and that no
+# command needs: dataclasses loads inspect, ast, dis and tokenize, and
+# traceback loads linecache and textwrap
+_UNUSED = ("dataclasses", "inspect", "traceback")
+
 # runs ``alsq`` commands in one fresh interpreter and prints, per command,
-# its exit code, whether mpmath is loaded after it, and its stdout
+# its exit code, whether mpmath is loaded after it, its stdout and which of
+# ``_UNUSED`` are loaded
 _PROBE = """
 import contextlib, io, json, sys
 import alsq
 from alsq import cli
-print(json.dumps(["import", 0, "mpmath" in sys.modules, ""]))
+unused = json.loads(sys.argv[2])
+def loaded():
+    return [name for name in unused if name in sys.modules]
+print(json.dumps(["import", 0, "mpmath" in sys.modules, "", loaded()]))
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(argv)
-    print(json.dumps([argv[0], code, "mpmath" in sys.modules, out.getvalue()]))
+    print(json.dumps([argv[0], code, "mpmath" in sys.modules, out.getvalue(),
+                      loaded()]))
 """
 
 
@@ -43,7 +54,8 @@ def _probe(runs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(runs)],
+    done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(runs),
+                           json.dumps(_UNUSED)],
                           capture_output=True, text=True, timeout=60, env=env,
                           check=True)
     return [json.loads(line) for line in done.stdout.splitlines()]
@@ -82,12 +94,12 @@ def test_rational_runs_never_load_mpmath(rational_files):
     records = _probe(runs)
     assert [command for command, *_ in records] == \
         ["import"] + [argv[0] for argv in runs]
-    for argv, (_, code, loaded, out) in zip([["import"]] + runs, records):
+    for argv, (_, code, loaded, out, _) in zip([["import"]] + runs, records):
         assert not loaded, argv
         if argv[0] != "import":
             assert (code, out) == _in_process(argv), argv
     # both outcomes occurred, so both paths were taken
-    assert {code for _, code, _, _ in records[1:]} >= {0, 2}
+    assert {code for _, code, *_ in records[1:]} >= {0, 2}
 
 
 def test_a_real_value_loads_mpmath_with_identical_output(tmp_path,
@@ -96,14 +108,30 @@ def test_a_real_value_loads_mpmath_with_identical_output(tmp_path,
     runs = [["sqrt", rational_files[0]], ["analyze", "--json", real],
             ["aluthge", real]]
     records = _probe(runs)
-    assert [loaded for _, _, loaded, _ in records] == [False, False, True,
-                                                       True]
-    for argv, (_, code, _, out) in zip(runs, records[1:]):
+    assert [loaded for _, _, loaded, *_ in records] == [False, False, True,
+                                                        True]
+    for argv, (_, code, _, out, _) in zip(runs, records[1:]):
         assert (code, out) == _in_process(argv), argv
     # shift tables of rational input are rounded and printed on ints
     argv = ["analyze", "--shift-terms", "3", rational_files[0]]
-    (_, code, loaded, out), = _probe([argv])[1:]
+    (_, code, loaded, out, _), = _probe([argv])[1:]
     assert not loaded and (code, out) == _in_process(argv)
+
+
+def test_no_run_loads_dataclasses_inspect_or_traceback(tmp_path,
+                                                       rational_files):
+    real = _write(tmp_path / "real.json", example_one())
+    runs = []
+    for path in (rational_files[0], rational_files[1], real):
+        runs += [["analyze", "--json", path], ["sqrt", path],
+                 ["aluthge", path], ["convolve", path, path]]
+    records = _probe(runs)
+    assert [command for command, *_ in records] == \
+        ["import"] + [argv[0] for argv in runs]
+    assert records[-1][2]  # the real file took the real-mode paths
+    for argv, (_, code, _, _, unused) in zip([["import"]] + runs, records):
+        assert unused == [], argv
+        assert code in (0, 2), argv
 
 
 def _module_level_imports(tree):
@@ -131,6 +159,20 @@ def _module_level_imports(tree):
 def _loads_mpmath(module: str) -> bool:
     return (module.split(".")[0] == "mpmath"
             or module in (".reals", "alsq.reals"))
+
+
+def test_no_module_imports_dataclasses():
+    # an import inside a function would still load it on the path that
+    # calls the function, so every import statement counts
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        imports = [alias.name if isinstance(node, ast.Import) else node.module
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names]
+        if "dataclasses" in imports:
+            found[path.name] = imports
+    assert found == {}
 
 
 def test_only_reals_and_selftest_import_mpmath_at_module_level():

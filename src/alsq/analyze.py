@@ -11,10 +11,10 @@ from .closed_forms import classify_small
 from .diagram import (
     ProductDiagram,
     cardinality_check,
-    classify_ur,
     geometric_profile,
     pair_diagram,
     structural_certificate,
+    ur_summary,
 )
 from .measures import (
     AtomicMeasure,
@@ -142,7 +142,6 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
     notes: List[str] = []
 
     diagram = pair_diagram(body)
-    classification = classify_ur(diagram)
     card = cardinality_check(diagram)
     profile = geometric_profile(diagram)
     geometric = (str(profile[0]), str(profile[1])) if profile else None
@@ -182,7 +181,7 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
         card=card.card,
         bounds=card.bounds(),
         geometric=geometric,
-        ur_summary=classification.summary(),
+        ur_summary=ur_summary(diagram),
         structural=violation.to_json_dict() if violation else None,
         sqrt_verdict=sqrt_verdict,
         aluthge_verdict=aluthge_verdict,

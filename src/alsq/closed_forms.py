@@ -151,7 +151,7 @@ def _three_atoms(mu: AtomicMeasure, checker: _Checker,
 
 def _five_atoms(mu: AtomicMeasure, checker: _Checker,
                 config: SolverConfig) -> Optional[Verdict]:
-    if geometric_profile(mu.support) is None:
+    if geometric_profile(mu) is None:
         return _impossible(
             "five-atom-support", (),
             "a five-atom measure admits a root only on a geometric support",

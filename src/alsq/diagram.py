@@ -8,9 +8,14 @@ combinatorial conditions on the UR/non-UR pattern must hold; any failure is
 returned as a :class:`Violation`, which constitutes a sound impossibility
 certificate independent of the weights.
 
-Products are compared on the int keys of :func:`alsq.measures.int_keys`.
-Every function that reads a support accepts a :class:`ProductDiagram` in
-place of a measure or a position sequence, so one diagram can serve them all.
+Products are compared on the int keys of :func:`alsq.measures.int_keys`; a
+measure's keys are the ones kept on it (:func:`alsq.measures.support_keys`),
+so no support is keyed twice.  :func:`pair_diagram` groups the key products
+and builds no position: an entry builds its product the first time its
+``position`` is read, which the decision path does only for what it prints
+(the shared products of ``analyze``'s report, a rule's message).  Every
+function that reads a support accepts a :class:`ProductDiagram` in place of
+a measure or a position sequence, so one diagram can serve them all.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .measures import AtomicMeasure, MeasureError, Position, int_keys
+from .measures import (AtomicMeasure, MeasureError, Position, int_keys,
+                       support_keys)
 from .scalars import Record
 
 Pair = Tuple[int, int]  # 0-based, i <= j
@@ -30,12 +36,27 @@ Pair = Tuple[int, int]  # 0-based, i <= j
 # ---------------------------------------------------------------------------
 
 class DiagramEntry(Record):
-    __slots__ = _fields = ("position", "pairs")
+    """The product ``position`` of each index pair in ``pairs``.  An entry
+    of :func:`pair_diagram` holds the support instead and builds the
+    product of its first pair when ``position`` is first read."""
+
+    _fields = ("position", "pairs")
+    __slots__ = ("_position", "pairs", "_support")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, position: Position, pairs: Tuple[Pair, ...]):
-        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "_position", position)
         object.__setattr__(self, "pairs", pairs)
+
+    @property
+    def position(self) -> Position:
+        try:
+            return self._position
+        except AttributeError:
+            i, j = self.pairs[0]
+            position = self._support[i] * self._support[j]
+            object.__setattr__(self, "_position", position)
+            return position
 
     @property
     def is_ur(self) -> bool:
@@ -91,11 +112,15 @@ class URClassification(Record):
         object.__setattr__(self, "nur", nur)
 
     def summary(self) -> dict:
-        return {
-            "ur_count": len(self.ur),
-            "nur_count": len(self.nur),
-            "nur_products": [str(pos) for pos in self.nur],
-        }
+        return _summary(len(self.ur), self.nur)
+
+
+def _summary(ur_count: int, nur: Sequence[Position]) -> dict:
+    return {
+        "ur_count": ur_count,
+        "nur_count": len(nur),
+        "nur_products": [str(pos) for pos in nur],
+    }
 
 
 Source = Union[ProductDiagram, AtomicMeasure, Sequence[Position]]
@@ -108,11 +133,12 @@ def _support_of(source: Source) -> Tuple[Tuple[Position, ...], Tuple[int, ...]]:
     if isinstance(source, AtomicMeasure):
         source.require_no_zero_atom("support analysis")
         points = source.support
+        keys = tuple(support_keys(source)[0])
     else:
         points = tuple(source)
+        keys = tuple(int_keys(points))
     if not points:
         raise MeasureError("empty support")
-    keys = tuple(int_keys(points))
     for a, b in zip(keys, keys[1:]):
         if a >= b:
             raise MeasureError("support must be strictly increasing without duplicates")
@@ -136,8 +162,10 @@ def pair_diagram(support: Union[AtomicMeasure, Sequence[Position]]) -> ProductDi
     ur = [[False] * p for _ in range(p)]
     for n, key in enumerate(sorted(grouped)):
         pairs = tuple(grouped[key])  # ascending, as generated
-        i, j = pairs[0]
-        entries.append(DiagramEntry(points[i] * points[j], pairs))
+        entry = object.__new__(DiagramEntry)  # its position built when read
+        object.__setattr__(entry, "pairs", pairs)
+        object.__setattr__(entry, "_support", points)
+        entries.append(entry)
         for a, b in pairs:
             index[a][b] = index[b][a] = n
             ur[a][b] = ur[b][a] = len(pairs) == 1
@@ -149,6 +177,13 @@ def classify_ur(diagram: ProductDiagram) -> URClassification:
     ur = tuple(e.position for e in diagram.entries if e.is_ur)
     nur = tuple(e.position for e in diagram.entries if not e.is_ur)
     return URClassification(ur, nur)
+
+
+def ur_summary(diagram: ProductDiagram) -> dict:
+    """``classify_ur(diagram).summary()``, with a position built only for
+    the shared products, the ones it prints."""
+    nur = [e.position for e in diagram.entries if not e.is_ur]
+    return _summary(diagram.card - len(nur), nur)
 
 
 # ---------------------------------------------------------------------------

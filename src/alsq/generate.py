@@ -100,6 +100,17 @@ def generate(spec: GeneratorSpec) -> GeneratedInstance:
             f"a generated measure has 1 to {MAX_ATOMS} atoms, got {spec.p}")
     if spec.mode not in MODES:
         raise MeasureError(f"unknown generator mode {spec.mode!r}")
+    # refused before any draw, so valid specs draw as they always have
+    if spec.case is not None and (
+            spec.p != 6 or spec.mode not in (WITH_ALUTHGE_ROOT, PERTURBED)):
+        raise MeasureError(
+            "case applies only to six-atom with-aluthge-root or perturbed "
+            f"instances, not p={spec.p} {spec.mode}")
+    if spec.perturb_index is not None and (spec.mode != PERTURBED
+                                           or spec.p == 4):
+        raise MeasureError(
+            "perturb_index applies only to perturbed instances of 3, 5 or 6 "
+            f"atoms, not p={spec.p} {spec.mode}")
     rng = random.Random(spec.seed)
     if spec.mode == WITH_ROOT:
         return _with_root(spec, rng)
@@ -150,6 +161,7 @@ def _with_root(spec: GeneratorSpec, rng: random.Random) -> GeneratedInstance:
 
 def _with_aluthge_root(spec: GeneratorSpec, rng: random.Random) -> GeneratedInstance:
     p = spec.p
+    case = None
     if p == 3:
         measure, witness = _closed_form_three(rng)
     elif p == 5:
@@ -164,8 +176,9 @@ def _with_aluthge_root(spec: GeneratorSpec, rng: random.Random) -> GeneratedInst
     else:
         raise MeasureError(
             f"closed-form construction covers p in {{3, 5, 6}}, not {p}")
+    # the case drawn, when the spec left it open
     return GeneratedInstance(measure, witness,
-                             {"mode": spec.mode, "case": spec.case})
+                             {"mode": spec.mode, "case": case})
 
 
 def _closed_form_three(rng: random.Random) -> Tuple[AtomicMeasure, AtomicMeasure]:

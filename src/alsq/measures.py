@@ -14,7 +14,11 @@ operation requires it to be absent.
 The decision procedures read a measure as a :class:`Table`: the int keys of
 its support, its masses as int numerators over one denominator (a power of
 two in real mode, where each mass is a dyadic rational) and the relative
-radius of the masses.  :func:`products` tables a convolution without
+radius of the masses.  The keys of a support are computed once: a measure
+keeps them in a hidden slot (:func:`support_keys`), :func:`make_measure`
+fills it while it sorts the atoms, and the operations that keep the
+support (:func:`with_weights`, :func:`t_weight`, :func:`strip_zero_atom`)
+pass it on.  :func:`products` tables a convolution without
 building its positions or masses, so ``solver`` decides the transform
 question on the table of mu * t(mu) and never materializes that measure;
 :func:`convolve` is ``products(...).measure()``.
@@ -87,7 +91,7 @@ class Position(Record):
                 # collapse sqrt of a perfect square so equality stays syntactic
                 q, k = q * root, 0
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", int(k))  # a bool or float 1 as an int
         object.__setattr__(self, "base", base)
 
     @staticmethod
@@ -204,9 +208,14 @@ AtomLike = Tuple[Union[Position, Fraction, int, str], Union[Weight, int, str]]
 
 
 class AtomicMeasure(Record):
-    """Immutable finitely atomic measure; atoms sorted by position."""
+    """Immutable finitely atomic measure; atoms sorted by position.
 
-    __slots__ = _fields = ("base", "mode", "atoms", "zero_mass")
+    The int keys of the support and their scale (:func:`support_keys`) sit
+    in the slot ``_keys``, which is not a field: equality, hash, ``repr``,
+    copy and pickle see the four fields only."""
+
+    _fields = ("base", "mode", "atoms", "zero_mass")
+    __slots__ = _fields + ("_keys",)
 
     def __init__(self, base: Fraction, mode: str,
                  atoms: Tuple[Tuple[Position, Weight], ...],
@@ -215,6 +224,7 @@ class AtomicMeasure(Record):
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "zero_mass", zero_mass)
+        object.__setattr__(self, "_keys", None)
 
     @property
     def p(self) -> int:
@@ -253,12 +263,10 @@ class AtomicMeasure(Record):
         if self.mode == REAL:
             return self
         to_mpf = real_arithmetic().to_mpf
-        return AtomicMeasure(
-            self.base,
-            REAL,
-            tuple((pos, to_mpf(w, bits)) for pos, w in self.atoms),
-            to_mpf(self.zero_mass, bits) if _weight_nonzero(self.zero_mass) else Fraction(0),
-        )
+        zero = (to_mpf(self.zero_mass, bits) if _weight_nonzero(self.zero_mass)
+                else Fraction(0))
+        return with_weights(self, [to_mpf(w, bits) for w in self.weights],
+                            REAL, zero)
 
     def __str__(self):
         show = format_rational
@@ -280,6 +288,27 @@ def _weight_nonzero(w: Weight) -> bool:
     return w != 0
 
 
+def with_weights(mu: AtomicMeasure, weights: Sequence[Weight], mode: str,
+                 zero_mass: Weight = Fraction(0)) -> AtomicMeasure:
+    """The support of ``mu`` carrying the positive ``weights``, one per
+    atom, with the keys of ``mu`` passed on."""
+    out = AtomicMeasure(mu.base, mode, tuple(list(zip(mu.support, weights))),
+                        zero_mass)
+    object.__setattr__(out, "_keys", mu._keys)
+    return out
+
+
+def support_keys(mu: AtomicMeasure) -> Tuple[List[int], int]:
+    """The int keys of the support of ``mu`` (:func:`int_keys`) and their
+    scale, computed once per support: kept on the measure, and passed on to
+    the measures on the same support."""
+    keyed = mu._keys
+    if keyed is None:
+        keyed = _scaled_keys(mu.support)
+        object.__setattr__(mu, "_keys", keyed)
+    return keyed
+
+
 def make_measure(
     atoms: Iterable[AtomLike],
     mode: str = RATIONAL,
@@ -291,7 +320,8 @@ def make_measure(
     if mode not in (RATIONAL, REAL):
         raise MeasureError(f"unknown scalar mode {mode!r}")
     pairs = list(atoms)
-    inferred = Fraction(base) if base is not None else None
+    inferred = (base if base is None or type(base) is Fraction
+                else Fraction(base))
     if inferred is None:
         for pos_like, _ in pairs:
             if isinstance(pos_like, Position):
@@ -306,7 +336,8 @@ def make_measure(
     for pos_like, w in pairs:
         weight = convert(w)
         if isinstance(pos_like, Position):
-            pos = pos_like if pos_like.base == inferred else pos_like.rebase(inferred)
+            pos = (pos_like if pos_like.base is inferred
+                   or pos_like.base == inferred else pos_like.rebase(inferred))
         else:
             raw = parse_rational(pos_like) if isinstance(pos_like, str) else Fraction(pos_like)
             if raw == 0:
@@ -326,15 +357,17 @@ def make_measure(
 
     # int keys order like the positions and are equal exactly when the
     # positions are; the stable sort names the first of two duplicates
-    keyed = sorted(zip(int_keys([pos for pos, _ in built]), built),
-                   key=lambda item: item[0])
+    keys, scale = _scaled_keys([pos for pos, _ in built])
+    keyed = sorted(zip(keys, built), key=lambda item: item[0])
     for (left_key, (left, _)), (right_key, _) in zip(keyed, keyed[1:]):
         if left_key == right_key:
             raise MeasureError(f"duplicate position {left}")
     if not built:
         raise MeasureError("a measure needs at least one atom on (0, inf)")
-    return AtomicMeasure(inferred, mode, tuple([atom for _, atom in keyed]),
-                         zero)
+    mu = AtomicMeasure(inferred, mode, tuple([atom for _, atom in keyed]),
+                       zero)
+    object.__setattr__(mu, "_keys", ([key for key, _ in keyed], scale))
+    return mu
 
 
 def _weight_converter(mode: str, bits: int):
@@ -357,6 +390,8 @@ def _weight_converter(mode: str, bits: int):
 
 
 def _rational_weight(w) -> Fraction:
+    if type(w) is Fraction:
+        return w
     if isinstance(w, str):
         return parse_rational(w)
     if hasattr(w, "_mpf_"):  # an mpf
@@ -419,7 +454,9 @@ class Table:
     its support in ascending order and its masses, with no scalar object
     per atom.
 
-    ``keys`` are the int keys of the support (:func:`int_keys`).  The masses
+    ``keys`` are the int keys of the support (:func:`int_keys`) and
+    ``scale`` the lcm that scales them, so equal keys at an equal scale are
+    equal positions.  The masses
     are the int numerators ``masses`` over the one denominator ``den``, a
     power of two in real mode.  Every mass stands for the values within
     ``radius`` times it, a Fraction that is 0 in rational mode.  Atom j sits
@@ -428,12 +465,13 @@ class Table:
     pairs taken left factor outermost.
     """
 
-    __slots__ = ("base", "mode", "keys", "masses", "den", "radius", "factors")
+    __slots__ = ("base", "mode", "keys", "scale", "masses", "den", "radius",
+                 "factors")
 
     def __init__(self, base: Fraction, mode: str, keys: List[int],
-                 masses: List[int], den: int, radius: Fraction,
+                 scale: int, masses: List[int], den: int, radius: Fraction,
                  factors: Sequence[Tuple[Position, ...]]):
-        self.base, self.mode, self.keys = base, mode, keys
+        self.base, self.mode, self.keys, self.scale = base, mode, keys, scale
         self.masses, self.den, self.radius = masses, den, radius
         self.factors = factors
 
@@ -464,8 +502,10 @@ class Table:
             weights = [from_dyadic(n, den) for n in self.masses]
         else:
             weights = [Fraction(n, den) for n in self.masses]
-        return AtomicMeasure(self.base, self.mode,
-                             tuple(list(zip(positions, weights))))
+        mu = AtomicMeasure(self.base, self.mode,
+                           tuple(list(zip(positions, weights))))
+        object.__setattr__(mu, "_keys", (self.keys, self.scale))
+        return mu
 
 
 def numerators(weights: Sequence[Weight], mode: str,
@@ -487,7 +527,8 @@ def table(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,
     """The table of ``mu`` itself (:func:`numerators`).  Each real mass
     stands for the values within relative ``eps`` of it."""
     masses, den = numerators(mu.weights, mu.mode, bits)
-    return Table(mu.base, mu.mode, int_keys(mu.support), masses, den,
+    keys, scale = support_keys(mu)
+    return Table(mu.base, mu.mode, keys, scale, masses, den,
                  eps if mu.mode == REAL else Fraction(0),
                  [(pos,) for pos in mu.support])
 
@@ -537,13 +578,14 @@ def products(mu: AtomicMeasure, nu: AtomicMeasure,
         else [pos.rebase(base) for pos in m.support] for m in (mu, nu))
     (mu_masses, mu_den), (nu_masses, nu_den) = (
         numerators(m.weights, mode, bits) for m in (mu, nu))
-    # mu * mu, mu * t(mu) and a witness's square key one support once
-    if mu.p == nu.p and all([x is y for x, y in zip(mu_points, nu_points)]):
-        mu_keys, scale = _scaled_keys(mu_points)
-        nu_keys = mu_keys
-    else:
-        keys, scale = _scaled_keys(mu_points + nu_points)
-        mu_keys, nu_keys = keys[:mu.p], keys[mu.p:]
+    # the keys of each support, brought to their common scale
+    (mu_keys, mu_scale), (nu_keys, nu_scale) = (support_keys(m)
+                                                for m in (mu, nu))
+    scale = mu_scale
+    if nu_scale != mu_scale:
+        scale = lcm(mu_scale, nu_scale)
+        mu_keys = [key * (scale // mu_scale) for key in mu_keys]
+        nu_keys = [key * (scale // nu_scale) for key in nu_keys]
     merged = {}
     first = {}  # product key -> the first pair of positions that reaches it
     for px, kx, wx in zip(mu_points, mu_keys, mu_masses):
@@ -564,7 +606,8 @@ def products(mu: AtomicMeasure, nu: AtomicMeasure,
         masses, den = real_arithmetic().round_dyadic(masses, den, bits)
         radius = _product_radius(eps, 2 * _FACTOR_ROUNDINGS + 1, bits)
     return Table(base, mode, order if g == 1 else [key // g for key in order],
-                 masses, den, radius, [first[key] for key in order])
+                 scale * scale // g, masses, den, radius,
+                 [first[key] for key in order])
 
 
 def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
@@ -579,21 +622,21 @@ def t_weight(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMea
     In real mode each product is rounded to nearest at ``bits``, as an mpf
     product under ``workprec(bits)`` rounds it."""
     mu.require_no_zero_atom("t_weight")
-    atoms = []
+    weights = []
     if mu.mode == RATIONAL:
         for pos, w in mu.atoms:
             if pos.k != 0:
                 raise MeasureError(
                     f"t_weight at irrational position {pos} leaves the rational "
                     "field; use real mode")
-            atoms.append((pos, w * pos.q))
+            weights.append(w * pos.q)
     else:
         reals = real_arithmetic()
         for pos, w in mu.atoms:
             x = reals.position_raw(pos, bits)
-            atoms.append((pos, reals.from_raw(reals.mpf_mul(
-                reals.operand(w, bits), x, bits, reals.round_nearest))))
-    return AtomicMeasure(mu.base, mu.mode, tuple(atoms))
+            weights.append(reals.from_raw(reals.mpf_mul(
+                reals.operand(w, bits), x, bits, reals.round_nearest)))
+    return with_weights(mu, weights, mu.mode)
 
 
 def power_sums(mu: AtomicMeasure, count: int,
@@ -663,7 +706,9 @@ def strip_zero_atom(mu: AtomicMeasure) -> Tuple[Weight, AtomicMeasure]:
             return Fraction(0), mu
         reals = real_arithmetic()
         return reals.from_raw(reals.fzero), mu
-    return mu.zero_mass, AtomicMeasure(mu.base, mu.mode, mu.atoms)
+    body = AtomicMeasure(mu.base, mu.mode, mu.atoms)
+    object.__setattr__(body, "_keys", mu._keys)
+    return mu.zero_mass, body
 
 
 def normalize(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
@@ -681,16 +726,17 @@ def normalize(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMe
             return reals.from_raw(reals.mpf_div(
                 reals.operand(w, bits), total._mpf_, bits, reals.round_nearest))
 
-    atoms = tuple((pos, share(w)) for pos, w in mu.atoms)
     zero = share(mu.zero_mass) if _weight_nonzero(mu.zero_mass) else mu.zero_mass
-    return AtomicMeasure(mu.base, mu.mode, atoms, zero)
+    return with_weights(mu, [share(w) for w in mu.weights], mu.mode, zero)
 
 
 # ---------------------------------------------------------------------------
 # JSON interface
 # ---------------------------------------------------------------------------
 
-def measure_to_json_dict(mu: AtomicMeasure) -> dict:
+def _atom_fields(mu: AtomicMeasure) -> List[Tuple[str, int, str]]:
+    """pos_q, pos_k and weight of each atom of the measure document, the
+    origin first."""
     weight = format_rational
     if mu.mode == REAL:
         mpf_to_fraction = real_arithmetic().mpf_to_fraction
@@ -701,19 +747,18 @@ def measure_to_json_dict(mu: AtomicMeasure) -> dict:
             return format_rational(w if type(w) is Fraction
                                    else mpf_to_fraction(w))
 
-    atoms = []
-    if mu.has_zero_atom():
-        atoms.append({"pos_q": "0", "pos_k": 0, "weight": weight(mu.zero_mass)})
-    for pos, w in mu.atoms:
-        atoms.append({
-            "pos_q": format_rational(pos.q),
-            "pos_k": pos.k,
-            "weight": weight(w),
-        })
+    atoms = [("0", 0, weight(mu.zero_mass))] if mu.has_zero_atom() else []
+    atoms += [(format_rational(pos.q), pos.k, weight(w))
+              for pos, w in mu.atoms]
+    return atoms
+
+
+def measure_to_json_dict(mu: AtomicMeasure) -> dict:
     return {
         "radical_base": format_rational(mu.base),
         "mode": mu.mode,
-        "atoms": atoms,
+        "atoms": [{"pos_q": q, "pos_k": k, "weight": w}
+                  for q, k, w in _atom_fields(mu)],
     }
 
 
@@ -733,6 +778,9 @@ def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> At
                            f"atoms, this one {len(raw_atoms)}")
     atoms: List[AtomLike] = []
     convert = _weight_converter(mode, bits)
+    # the base is checked once: Position names the fault of an atom
+    valid_base = base > 0
+    root = sqrt_fraction(base) if valid_base else None
     for index, atom in enumerate(raw_atoms):
         try:
             q = parse_rational(str(atom["pos_q"]))
@@ -750,10 +798,15 @@ def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> At
         if q == 0:  # make_measure sums the masses at the origin
             atoms.append((q, weight))
             continue
-        try:
-            pos = Position(q, k, base)
-        except MeasureError as exc:
-            raise MeasureError(f"atom {index}: {exc}") from exc
+        if valid_base and q > 0 and k in (0, 1):
+            # a radical over a square base collapses, as Position does it
+            pos = (_position(q * root, 0, base) if k and root is not None
+                   else _position(q, k, base))
+        else:
+            try:
+                pos = Position(q, k, base)
+            except MeasureError as exc:
+                raise MeasureError(f"atom {index}: {exc}") from exc
         if not _square_prints(pos):
             raise MeasureError(
                 f"atom {index}: the square of the position has more than "
@@ -779,7 +832,17 @@ def _square_prints(pos: Position) -> bool:
 
 
 def dumps_measure(mu: AtomicMeasure) -> str:
-    return json.dumps(measure_to_json_dict(mu), indent=2) + "\n"
+    """``json.dumps(measure_to_json_dict(mu), indent=2)`` and a newline,
+    written directly: CPython encodes JSON in C only without an indent.  The
+    numbers print as digits and "/" (pos_k as 0 or 1), which JSON strings
+    hold unescaped."""
+    atoms = ",\n".join([
+        f'    {{\n      "pos_q": "{q}",\n      "pos_k": {k},\n'
+        f'      "weight": "{w}"\n    }}' for q, k, w in _atom_fields(mu)])
+    return (f'{{\n  "radical_base": "{format_rational(mu.base)}",\n'
+            f'  "mode": {json.dumps(mu.mode)},\n'
+            + (f'  "atoms": [\n{atoms}\n  ]\n}}\n' if atoms
+               else '  "atoms": []\n}\n'))
 
 
 def loads_measure(text: str, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:

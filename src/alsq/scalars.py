@@ -107,6 +107,17 @@ def parse_rational(text: str) -> Fraction:
     build no numerator or denominator over ``sys.get_int_max_str_digits()``."""
     text = text.strip()
     limit = sys.get_int_max_str_digits()
+    if not limit or len(text) <= limit:
+        # the forms a measure document holds, d+ and d+/d+, read without
+        # Fraction's regular expression (its \d is str.isdecimal too)
+        if text.isdecimal():
+            return Fraction(int(text))
+        num, slash, den = text.partition("/")
+        if slash and num.isdecimal() and den.isdecimal():
+            den = int(den)
+            if den:  # one gcd, in Fraction
+                return Fraction(int(num), den)
+            raise ScalarError(f"malformed rational {text[:40]!r}")
     mantissa, _, exponent = text.lstrip("+-").upper().partition("E")
     try:
         # digits of the unreduced numerator and denominator, or more
@@ -126,7 +137,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def isqrt_exact(n: int) -> Optional[int]:

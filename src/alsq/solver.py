@@ -58,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .diagram import Violation
 from .measures import (
@@ -66,13 +66,14 @@ from .measures import (
     REAL,
     AtomicMeasure,
     MeasureError,
-    Position,
     Table,
+    _position,
     make_measure,
     measure_to_json_dict,
     products,
     t_weight,
     table,
+    with_weights,
 )
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -417,10 +418,12 @@ def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
     return REAL, weights, notes
 
 
-def _decide(target: Table, peel: Peel, positions: Sequence[Position],
-            base: Fraction, config: SolverConfig, notes: List[str]) -> Verdict:
-    """Turn a peel into a verdict; every witness is re-checked by
-    convolving it with itself."""
+def _decide(target: Table, peel: Peel,
+            place: Callable[[list, str], AtomicMeasure],
+            config: SolverConfig, notes: List[str]) -> Verdict:
+    """Turn a peel into a verdict; ``place(weights, mode)`` puts the root's
+    masses on its support.  Every witness is re-checked by convolving it
+    with itself."""
     bits = config.precision_bits
     if peel.outcome != WITNESS:
         extra = [peel.note] if peel.note else []
@@ -428,8 +431,7 @@ def _decide(target: Table, peel: Peel, positions: Sequence[Position],
                        precision_bits=bits, notes=tuple(notes + extra))
     mode, weights, extra = _root_masses([c for _, c in peel.root],
                                         target.weight(0), target.mode, config)
-    witness = make_measure(list(zip(positions, weights)), mode=mode,
-                           base=base, bits=bits)
+    witness = place(weights, mode)
     if not _verify(witness, target, peel.radii, config):
         return Verdict(UNDETERMINED, precision_bits=bits,
                        notes=tuple(notes + [UNVERIFIED]))
@@ -460,13 +462,13 @@ def verify_witness(
 def _verify(witness: AtomicMeasure, target: Table,
             radii: Sequence[Tuple[int, int]], config: SolverConfig) -> bool:
     """Compare the table of the witness's square with ``target``.  Equal
-    int keys and equal first squares give equal positions.  Exact masses
+    int keys at an equal scale give equal positions.  Exact masses
     must be equal; otherwise |S_j - T_j| <= r / q * a_1 + rho * S_j, as a
     re-squared mass S_j lies within the square's radius rho of the square
     of the peel's root, and that within r / q * a_1 of the target mass T_j,
     (r, q) = radii[j] (0 for a rational target)."""
     square = products(witness, witness, config.precision_bits)
-    if square.keys != target.keys or square.square(0) != target.square(0):
+    if square.keys != target.keys or square.scale != target.scale:
         return False
     sden, tden, rho = square.den, target.den, square.radius
     if not rho and not radii:
@@ -505,8 +507,10 @@ def aluthge_subnormal(
     peel = _peel(target, config)
     if peel.outcome == WITNESS:
         peel = _support_check(target, peel)
-    # a witness that passed the support check sits on supp(mu)
-    return _decide(target, peel, work.support, work.base, config, notes)
+    # a witness that passed the support check sits on supp(mu), keyed once
+    return _decide(target, peel,
+                   lambda weights, mode: with_weights(work, weights, mode),
+                   config, notes)
 
 
 def _support_check(target: Table, peel: Peel) -> Peel:
@@ -549,6 +553,15 @@ def sqrt_of(
             "power_positions(mu, 2) first")
     target = table(mu, config.precision_bits, config.radius)
     peel = _peel(target, config)
-    base = mu.support[0].q
-    positions = [Position(mu.support[j].q / base, 1, base) for j, _ in peel.root]
-    return _decide(target, peel, positions, base, config, [])
+    support = mu.support
+    base = support[0].q
+
+    def place(weights, mode):
+        root = sqrt_fraction(base)  # checked once, as Position checks it
+        positions = [_position(support[j].q / base * root, 0, base)
+                     if root is not None else
+                     _position(support[j].q / base, 1, base)
+                     for j, _ in peel.root]
+        return make_measure(list(zip(positions, weights)), mode=mode,
+                            base=base, bits=config.precision_bits)
+    return _decide(target, peel, place, config, [])

@@ -167,6 +167,52 @@ def test_analyze_builds_one_diagram(monkeypatch, capsys, tmp_path):
     assert "coincidence classes:" in capsys.readouterr().out
 
 
+def test_analyze_keys_each_support_once(monkeypatch, six_atom_exact):
+    # the input's support is keyed by the loader and read from the measure
+    # by the diagram, both tables and both witness checks; t(mu) and the
+    # transform's witness keep it, so only the square root's support is new
+    from alsq import measures
+    from alsq.measures import dumps_measure, loads_measure
+
+    keyed = []
+    original = measures._scaled_keys
+
+    def counting(positions):
+        keyed.append(tuple(positions))
+        return original(positions)
+
+    monkeypatch.setattr(measures, "_scaled_keys", counting)
+    report = analyze(loads_measure(dumps_measure(six_atom_exact)))
+    assert report.sqrt_verdict.outcome == report.aluthge_verdict.outcome \
+        == WITNESS
+    assert keyed == [six_atom_exact.support,
+                     report.sqrt_verdict.witness.support]
+
+
+def test_analyze_builds_positions_only_for_what_it_prints(monkeypatch,
+                                                          six_atom_exact):
+    # 15 distinct products, 6 of them shared: the report prints those 6
+    built = []
+    original = Position.__mul__
+
+    def counting(self, other):
+        built.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(Position, "__mul__", counting)
+    report = analyze(six_atom_exact)
+    assert report.card == 15 and report.ur_summary["nur_count"] == 6
+    assert len(built) == 6
+    shared = [entry for entry in report.diagram.entries if not entry.is_ur]
+    assert report.ur_summary["nur_products"] == \
+        [str(entry.position) for entry in shared]
+    assert len(built) == 6  # each position is built once and kept
+    # reading every entry builds the rest, as classify_ur does
+    positions = [entry.position for entry in report.diagram.entries]
+    assert len(built) == 15
+    assert positions == sorted(positions)
+
+
 def test_analysis_ignores_global_precision():
     # a rational, a radical-position and a real-mode instance, each with
     # witnesses, certificates and shift tables in its report

@@ -89,3 +89,46 @@ def test_perturb_index_names_the_perturbed_atom():
     inst = generate(GeneratorSpec(6, "perturbed", 5, perturb_index=3))
     assert inst.meta["perturbed_atom"] == 3
     assert aluthge_subnormal(inst.measure).outcome == "impossible"
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(4, "perturbed", 1, perturb_index=9),
+    GeneratorSpec(4, "perturbed", 1, perturb_index=1),
+    GeneratorSpec(6, "arbitrary", 1, perturb_index=2),
+    GeneratorSpec(5, "with-root", 1, perturb_index=1),
+])
+def test_perturb_index_outside_a_perturbed_closed_form_is_refused(spec):
+    # the four-atom perturbed path draws a random measure and perturbs
+    # nothing, so an index there used to be dropped silently
+    with pytest.raises(MeasureError, match="perturb_index applies only"):
+        generate(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(6, "arbitrary", 1, case="I"),
+    GeneratorSpec(5, "with-aluthge-root", 1, case="II"),
+    GeneratorSpec(3, "perturbed", 1, case="I"),
+    GeneratorSpec(4, "perturbed", 1, case="I"),
+    GeneratorSpec(6, "with-root", 1, case="II"),
+])
+def test_case_outside_the_six_atom_closed_forms_is_refused(spec):
+    with pytest.raises(MeasureError, match="case applies only"):
+        generate(spec)
+
+
+def test_closed_form_meta_names_the_case_it_drew():
+    drawn = set()
+    for seed in range(12):
+        inst = generate(GeneratorSpec(6, "with-aluthge-root", seed))
+        case = inst.meta["case"]
+        drawn.add(case)
+        lam = [pos.q for pos in inst.measure.support]
+        if case == "I":
+            assert lam[1] ** 2 == lam[0] * lam[3]
+        else:
+            assert lam[1] ** 2 == lam[0] * lam[2]
+    assert drawn == {"I", "II"}
+    assert generate(GeneratorSpec(6, "with-aluthge-root", 1,
+                                  case="II")).meta["case"] == "II"
+    assert generate(GeneratorSpec(5, "with-aluthge-root", 1)).meta["case"] \
+        is None

@@ -16,6 +16,7 @@ from alsq.diagram import pair_diagram
 from alsq.measures import (
     RATIONAL,
     REAL,
+    AtomicMeasure,
     IncompatibleBasesError,
     MeasureError,
     Position,
@@ -27,6 +28,7 @@ from alsq.measures import (
     int_keys,
     loads_measure,
     make_measure,
+    measure_to_json_dict,
     moment,
     normalize,
     power_positions,
@@ -36,7 +38,7 @@ from alsq.measures import (
     t_weight,
 )
 from alsq.reals import mpf_to_fraction, to_mpf
-from alsq.scalars import ScalarError
+from alsq.scalars import ScalarError, parse_rational
 
 F = Fraction
 
@@ -533,6 +535,71 @@ def test_json_round_trip_real_mode(five_atom_real):
     again = loads_measure(text)
     assert dumps_measure(again) == text
     assert again.mode == "real"
+
+
+def _dumps_cases():
+    from alsq.generate import MODES, GeneratorSpec, generate
+
+    cases = []
+    for seed in range(60):  # seeded corpora, every mode and style
+        spec = GeneratorSpec((3, 5, 6)[seed % 3], MODES[seed % 4],
+                             90_000 + seed,
+                             position_style=("geometric", "random")[seed % 2])
+        cases.append(generate(spec).measure)
+    zero = make_measure([(0, F(1, 5)), (2, F(2, 5)), (3, F(2, 5))])
+    radical = make_measure([(F(3, 2), F(1, 3)), (2, F(2, 3)),
+                            (Position(F(1), 1, F(2)), F(1, 7)),
+                            (Position(F(5, 3), 1, F(2)), F(4))], base=F(2))
+    cases += [
+        zero, radical,
+        zero.to_real(), radical.to_real(53), cases[0].to_real(128),
+        make_measure([(1, "1/3"), (2, "2/3")], mode=REAL, bits=64),
+        generate(GeneratorSpec(400, "arbitrary", 1)).measure,
+        make_measure([(F(1, 7), 1)], base=F(3, 5)),
+        # no atom on (0, inf): an empty list
+        AtomicMeasure(F(1), RATIONAL, ()),
+        AtomicMeasure(F(1), RATIONAL, (), F(1, 2)),
+    ]
+    return cases
+
+
+def test_dumps_measure_is_the_indented_json_document():
+    for mu in _dumps_cases():
+        assert dumps_measure(mu) == \
+            json.dumps(measure_to_json_dict(mu), indent=2) + "\n"
+
+
+def test_positions_store_pos_k_as_an_int():
+    # a bool or float exponent is accepted, and JSON prints it as 0 or 1
+    for k in (True, 1.0):
+        pos = Position(F(3), k, F(2))
+        assert type(pos.k) is int and pos == Position(F(3), 1, F(2))
+    mu = make_measure([(Position(F(3), True, F(2)), 1)], base=F(2))
+    assert '"pos_k": 1,' in dumps_measure(mu)
+    assert loads_measure(dumps_measure(mu)) == mu
+
+
+def test_loader_checks_positions_as_position_does():
+    def document(base, q, k):
+        return json.dumps({"radical_base": base, "mode": "rational",
+                           "atoms": [{"pos_q": q, "pos_k": k, "weight": "1"},
+                                     {"pos_q": "1", "pos_k": 0,
+                                      "weight": "1"}]})
+
+    for base, q, k in (("0", "2", 0), ("-2", "2", 1), ("2", "-3", 1),
+                       ("2", "3", 2), ("2", "3", -1)):
+        with pytest.raises(MeasureError) as caught:
+            Position(parse_rational(q), k, parse_rational(base))
+        with pytest.raises(MeasureError) as loaded:
+            loads_measure(document(base, q, k))
+        assert str(loaded.value) == f"atom 0: {caught.value}"
+    # a radical over a square base is rational, as Position makes it
+    mu = loads_measure(document("9/4", "2", 1))
+    assert mu.support == (Position(F(1), 0, F(9, 4)),
+                          Position(F(2), 1, F(9, 4)))
+    assert mu.support[1].k == 0 and mu.support[1].q == 3
+    assert loads_measure(document("2", "3", 1)).support[1] == \
+        Position(F(3), 1, F(2))
 
 
 def test_json_unsorted_atoms_are_sorted():

@@ -12,7 +12,7 @@ from alsq.analyze import AnalysisReport, AnalyzeOptions, analyze
 from alsq.diagram import (CardinalityCheck, DiagramEntry, Violation,
                           cardinality_check, classify_ur, pair_diagram)
 from alsq.generate import GeneratedInstance, GeneratorSpec
-from alsq.measures import AtomicMeasure, Position, make_measure
+from alsq.measures import AtomicMeasure, Position, make_measure, support_keys
 from alsq.scalars import DEFAULT_TOLERANCE
 from alsq.selftest import CriterionResult
 from alsq.shifts import RecurrenceCoefficients
@@ -147,6 +147,37 @@ def test_diagram_records_compare_by_identity(build):
     assert len({first, second}) == 2
     with pytest.raises(AttributeError, match="cannot assign"):
         setattr(first, first._fields[0], None)
+
+
+def test_cached_support_keys_are_not_a_field():
+    # make_measure keeps the keys it sorted by; a measure built directly
+    # keys its support on first use.  Neither shows in equality, hash,
+    # repr, copy or pickle.
+    keyed = _square()
+    bare = AtomicMeasure(keyed.base, keyed.mode, keyed.atoms, keyed.zero_mass)
+    assert keyed._keys == ([1, 4, 16], 1) and bare._keys is None
+    assert "_keys" not in AtomicMeasure._fields
+    assert keyed == bare and hash(keyed) == hash(bare)
+    assert repr(keyed) == repr(bare)
+    for other in (copy.copy(keyed), copy.deepcopy(keyed),
+                  pickle.loads(pickle.dumps(keyed))):
+        assert other == keyed and repr(other) == repr(keyed)
+        assert support_keys(other) == keyed._keys
+    assert pickle.dumps(keyed) == pickle.dumps(bare)
+    assert support_keys(bare) == keyed._keys and bare._keys == keyed._keys
+    with pytest.raises(AttributeError, match="cannot assign"):
+        keyed._keys = None
+
+
+def test_diagram_entries_build_their_position_when_read():
+    diagram = _diagram()
+    entry = diagram.entries[1]
+    assert entry.pairs == ((0, 1),)
+    assert entry.position == Position(F(2), 0, F(1))
+    assert entry.position is entry.position
+    built = DiagramEntry(Position(F(2), 0, F(1)), ((0, 1),))
+    assert repr(built) == repr(entry) == \
+        "DiagramEntry(position=Position(2), pairs=((0, 1),))"
 
 
 def test_mutable_records_take_assignment_and_are_unhashable():

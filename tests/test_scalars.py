@@ -105,3 +105,59 @@ def test_float_str_rounds_the_binary_value_in_to_str_layout():
              (3, -20): "2.86102294921875e-6", (1, -14): "6.103515625e-5"}
     for (man, exp), text in cases.items():
         assert float_str(man, exp) == text, (man, exp)
+
+
+def _reference_parse_rational(text: str) -> Fraction:
+    """parse_rational before its fast path for d+ and d+/d+: every string
+    through Fraction's regular expression."""
+    text = text.strip()
+    limit = sys.get_int_max_str_digits()
+    mantissa, _, exponent = text.lstrip("+-").upper().partition("E")
+    try:
+        size = len(mantissa)
+        if size > limit:
+            size = max(map(len, mantissa.split("/")))
+        if exponent:
+            whole, _, decimals = mantissa.partition(".")
+            shift = int(exponent)
+            size = max(len(whole) + len(decimals) + max(shift, 0),
+                       len(decimals) + max(-shift, 0) + 1)
+        if not limit or size <= limit:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScalarError(f"malformed rational {text[:40]!r}") from exc
+    raise ScalarError(f"rational {text[:40]!r} has more than {limit} digits")
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ScalarError as exc:
+        return "error", str(exc)
+    return "value", type(value), value
+
+
+def test_parse_rational_matches_the_regular_expression_path():
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(18)
+    alphabet = "0123456789/-+.eE _ \t٣٠²"
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+             for _ in range(20000)]
+    texts += [f"{rng.randint(0, 10 ** 6)}/{rng.randint(0, 50)}"
+              for _ in range(2000)]
+    texts += ["²", "٣/4", "1_0", " 3/4 ", "0/5", "1/0", "-3/4", "2e3",
+              "٣/٠", "00/007", "/5", "5/", "", "+3/4", "3//4", "١٢٣"]
+    # at the digit limit and one past it, whole and per part of p/q
+    texts += ["9" * limit, "9" * (limit + 1), "1" + "0" * (limit - 1),
+              "7" * limit + "/" + "3" * limit, "7" * (limit + 1) + "/3",
+              "7/" + "3" * (limit + 1), "1/" + "0" * limit,
+              "7" * (limit - 2) + "/3", "7" * (limit - 1) + "/3"]
+    for text in texts:
+        assert _outcome(parse_rational, text) == \
+            _outcome(_reference_parse_rational, text), repr(text[:40])
+    # the decimal digits are those of Fraction's \d: every one of them
+    digits = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isdecimal()]
+    for digit in digits:
+        for text in (digit, f"{digit}/7", f"7/{digit}"):
+            assert _outcome(parse_rational, text) == \
+                _outcome(_reference_parse_rational, text), repr(text)

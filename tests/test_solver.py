@@ -670,6 +670,11 @@ def test_verify_witness_compares_positions():
     assert verify_witness(witness, square)
     moved = make_measure([(1, F(1, 4)), (2, F(1, 2)), (5, F(1, 4))])
     assert not verify_witness(witness, moved)
+    # halved, the root squares onto 1/4, 1/2 and 1: the same int keys as
+    # 1, 2 and 4, at the scale 16 instead of 1
+    halved = scale_positions(witness, F(1, 2))
+    assert table(square).keys == products(halved, halved).keys
+    assert not verify_witness(halved, square)
     # a root over the radical base 2 squares onto rational positions
     radical = make_measure([(Position(F(1), 1, F(2)), F(1, 2)),
                             (Position(F(2), 1, F(2)), F(1, 2))])

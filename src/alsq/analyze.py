@@ -22,8 +22,8 @@ from .measures import (
     dumps_measure,
     strip_zero_atom,
 )
-from .scalars import Record, float_str, scalar_str
-from .shifts import shift_rows
+from .scalars import Record, scalar_str
+from .shifts import shift_text_rows
 from .solver import (DEFAULT_CONFIG, UNDETERMINED, WITNESS, SolverConfig,
                      Verdict, aluthge_subnormal, sqrt_of)
 
@@ -194,9 +194,14 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
 
 
 def shift_table(mu: AtomicMeasure, terms: int, bits: int) -> dict:
-    """:func:`shift_rows` with each value printed to 15 digits (float_str)."""
-    rows = [(n,) + tuple([float_str(man, exp) for _, man, exp, _ in row])
-            for n, row in enumerate(shift_rows(mu, terms, bits))]
+    """Rows n < terms of the shift tables, numbered: each entry is the
+    exact value rounded once at ``bits`` and printed to 15 digits as
+    ``float_str`` prints it (:func:`shift_text_rows`).  The text comes from
+    one integer root of the exact value; the value is rounded at ``bits``
+    only where that could change the text (``scalars.root_str``): near a
+    decimal tie of the 15th digit, and at radical or very large entries."""
+    rows = [(n,) + row
+            for n, row in enumerate(shift_text_rows(mu, terms, bits))]
     return {"terms": terms, "rows": rows}
 
 

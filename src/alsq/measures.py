@@ -20,7 +20,8 @@ fills it while it sorts the atoms, and the operations that keep the
 support (:func:`with_weights`, :func:`t_weight`, :func:`strip_zero_atom`)
 pass it on.  :func:`products` tables a convolution without
 building its positions or masses, so ``solver`` decides the transform
-question on the table of mu * t(mu) and never materializes that measure;
+question on the table of mu * t(mu) (:func:`t_products`, which in rational
+mode builds no t(mu) either) and never materializes that measure;
 :func:`convolve` is ``products(...).measure()``.
 
 Real-mode branches get :mod:`alsq.reals` from ``real_arithmetic`` once per
@@ -573,14 +574,42 @@ def products(mu: AtomicMeasure, nu: AtomicMeasure,
     base = _common_base(mu, nu)
     mode = _mode_join(mu, nu)
     # every position of a measure is over the measure's base
-    mu_points, nu_points = (
-        list(m.support) if m.base == base
-        else [pos.rebase(base) for pos in m.support] for m in (mu, nu))
-    (mu_masses, mu_den), (nu_masses, nu_den) = (
-        numerators(m.weights, mode, bits) for m in (mu, nu))
+    factors = [(list(m.support) if m.base == base
+                else [pos.rebase(base) for pos in m.support],
+                *support_keys(m), *numerators(m.weights, mode, bits))
+               for m in (mu, nu)]
+    return _products(base, mode, *factors, bits, eps)
+
+
+def t_products(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,
+               eps: Fraction = Fraction(0)) -> Table:
+    """``products(mu, t_weight(mu, bits), bits, eps)``, the table of
+    mu * t(mu).  In rational mode no t(mu) is built: over mu's denominator
+    times L, the lcm of the positions' denominators, its numerators are
+    mu's times a L / b for each position a / b."""
+    if mu.mode == REAL or any(pos.k for pos in mu.support):
+        # t_weight refuses a radical position in rational mode
+        return products(mu, t_weight(mu, bits), bits, eps)
+    mu.require_no_zero_atom("t_weight")
+    points = list(mu.support)
+    keys, scale = support_keys(mu)
+    masses, den = numerators(mu.weights, RATIONAL, bits)
+    qs = [pos.q for pos in points]
+    common = lcm(*[q.denominator for q in qs])
+    weighted = [m * q.numerator * (common // q.denominator)
+                for m, q in zip(masses, qs)]
+    return _products(mu.base, RATIONAL, (points, keys, scale, masses, den),
+                     (points, keys, scale, weighted, den * common), bits, eps)
+
+
+def _products(base: Fraction, mode: str, left: tuple, right: tuple,
+              bits: int, eps: Fraction) -> Table:
+    """The table of the convolution of two factors, each given as its
+    positions over ``base``, its keys and their scale, and its masses as
+    int numerators over one denominator."""
+    mu_points, mu_keys, mu_scale, mu_masses, mu_den = left
+    nu_points, nu_keys, nu_scale, nu_masses, nu_den = right
     # the keys of each support, brought to their common scale
-    (mu_keys, mu_scale), (nu_keys, nu_scale) = (support_keys(m)
-                                                for m in (mu, nu))
     scale = mu_scale
     if nu_scale != mu_scale:
         scale = lcm(mu_scale, nu_scale)

@@ -7,7 +7,9 @@ Aluthge transform is again a shift with weights sqrt(alpha_n alpha_{n+1}),
 shift-table entry is such a closed form in the moments, summed exactly on
 ints (a real mass is dyadic; an odd moment at radical positions lies in
 sqrt(s)*Q), and is the exact value rounded once to nearest at the working
-precision; a rational measure's tables load no mpmath.  Positive
+precision; a rational measure's tables load no mpmath.  The printed tables
+(:func:`shift_text_rows`) hold 15 digits of those rounded values, read off
+the exact value where the rounding cannot change them.  Positive
 semidefiniteness of Hankel matrices of moments is decided exactly, and
 minimal linear recurrences of exact moments recover the atom count and
 the characteristic polynomial of the support.
@@ -29,7 +31,7 @@ from .measures import (
     power_sums,
 )
 from .scalars import (DEFAULT_PRECISION_BITS, Record, real_arithmetic,
-                      round_root)
+                      root_str, round_root)
 
 # how far below 0 :func:`hankel_psd` lets the least eigenvalue go, per trace
 HANKEL_TOLERANCE = Fraction(1, 2 ** 64)
@@ -50,12 +52,14 @@ _COLUMNS = (
 )
 
 
-def _column(sums: tuple, column: int, count: int, bits: int) -> List[tuple]:
-    """Entries 0 .. count-1 of a column, each exact value rounded once."""
+def _column(sums: tuple, column: int, count: int, bits: int,
+            entry=round_root) -> list:
+    """Entries 0 .. count-1 of a column, each ``entry(x, y, r, bits, s)``
+    of its closed form: by default the exact value rounded once."""
     if count < 1:
         raise MeasureError("at least one weight must be requested")
     gammas, _, s = sums
-    return [round_root(*_COLUMNS[column](gammas, s, n), bits, s)
+    return [entry(*_COLUMNS[column](gammas, s, n), bits, s)
             for n in range(count)]
 
 
@@ -63,8 +67,19 @@ def shift_rows(mu: AtomicMeasure, terms: int,
                bits: int = DEFAULT_PRECISION_BITS) -> List[Tuple[tuple, ...]]:
     """Rows n < terms of (alpha_n, transformed alpha_n, g_n / g_0,
     transformed g_n): raw mpf values built on ints, each rounded once."""
+    return _rows(mu, terms, bits, round_root)
+
+
+def shift_text_rows(mu: AtomicMeasure, terms: int,
+                    bits: int = DEFAULT_PRECISION_BITS) -> List[Tuple[str, ...]]:
+    """:func:`shift_rows` with each entry as ``float_str`` prints it to 15
+    digits, made by ``root_str`` mostly without rounding at ``bits``."""
+    return _rows(mu, terms, bits, root_str)
+
+
+def _rows(mu: AtomicMeasure, terms: int, bits: int, entry) -> list:
     sums = power_sums(mu, terms + 2, bits)
-    return list(zip(*[_column(sums, column, terms, bits)
+    return list(zip(*[_column(sums, column, terms, bits, entry)
                       for column in range(4)]))
 
 

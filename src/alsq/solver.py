@@ -36,7 +36,7 @@ mass 0, or a witness fails its independent re-check by convolution.
 
 The peel and the witness check read tables (:class:`alsq.measures.Table`):
 ``aluthge_subnormal`` peels the product table of mu * t(mu) that
-:func:`alsq.measures.products` returns and never materializes that measure,
+:func:`alsq.measures.t_products` returns and never materializes that measure,
 ``sqrt_of`` peels the table of mu, and the witness check compares the table
 of the witness's square with the target's.  A position or a Fraction is
 built only for what a verdict prints: the root's atoms, a certificate's
@@ -71,7 +71,7 @@ from .measures import (
     make_measure,
     measure_to_json_dict,
     products,
-    t_weight,
+    t_products,
     table,
     with_weights,
 )
@@ -503,7 +503,7 @@ def aluthge_subnormal(
     if work.mode == RATIONAL and any(pos.k == 1 for pos in work.support):
         work = work.to_real(bits)
         notes.append("irrational positions: masses analysed numerically")
-    target = products(work, t_weight(work, bits), bits, config.radius)
+    target = t_products(work, bits, config.radius)
     peel = _peel(target, config)
     if peel.outcome == WITNESS:
         peel = _support_check(target, peel)

@@ -35,6 +35,7 @@ from alsq.measures import (
     products,
     scale_positions,
     strip_zero_atom,
+    t_products,
     t_weight,
 )
 from alsq.reals import mpf_to_fraction, to_mpf
@@ -296,6 +297,32 @@ def test_product_table_matches_its_measure(pair):
     edge = {x1 * y.rebase(out.base) for y in nu.support}
     assert [pair[0] is x1 for pair in table.factors] == \
         [pos in edge for pos in out.support]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from((F(1), F(7), F(5, 2))).flatmap(
+    lambda base: keyed_measures(base, False, 12, _wide_weights)))
+def test_t_products_is_the_table_of_mu_times_t_mu(mu):
+    # in rational mode t(mu)'s numerators come from mu's and the positions'
+    # without building t(mu); the table holds the same products, masses,
+    # radius and first pairs as that of mu * t_weight(mu)
+    got, expected = t_products(mu, 128, F(1, 2 ** 70)), \
+        products(mu, t_weight(mu, 128), 128, F(1, 2 ** 70))
+    assert (got.base, got.mode, got.keys, got.scale, got.radius) == \
+        (expected.base, expected.mode, expected.keys, expected.scale,
+         expected.radius)
+    assert [F(n, got.den) for n in got.masses] == \
+        [F(n, expected.den) for n in expected.masses]
+    if mu.mode == REAL:
+        assert (got.masses, got.den) == (expected.masses, expected.den)
+    assert got.factors == expected.factors
+
+
+def test_t_products_refuses_a_radical_rational_position():
+    mu = make_measure([(Position(F(1), 1, F(2)), F(1, 2)), (2, F(1, 2))],
+                      base=F(2))
+    with pytest.raises(MeasureError, match="t_weight at irrational position"):
+        t_products(mu)
 
 
 @settings(max_examples=150)

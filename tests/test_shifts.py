@@ -5,7 +5,8 @@ import mpmath
 import pytest
 from mpmath import mpf, workprec
 
-from alsq import selftest
+from alsq import scalars, selftest
+from alsq.analyze import shift_table
 from alsq.generate import GeneratorSpec, generate
 from alsq.measures import (
     MeasureError,
@@ -17,6 +18,7 @@ from alsq.measures import (
 )
 from alsq.reals import (from_raw, mpf_pos, mpf_to_fraction, round_nearest,
                         to_mpf)
+from alsq.scalars import float_str, root_str, round_root
 from alsq.shifts import (
     HANKEL_TOLERANCE,
     RecurrenceCoefficients,
@@ -212,6 +214,48 @@ def test_shift_entries_are_the_exact_values_rounded_once():
                 [_rounded(x, bits) for x in means]
             assert moments_from_weights(alpha, bits=bits) == \
                 [_rounded(x, bits) for x in products]
+
+
+def _planted_entries():
+    """Closed forms (x, y, r) at and next to decimal ties of the 15th digit
+    and at powers of ten: 125099998037788.5 and 33.59154052734375 are exact
+    ties, 6253943201945045 rounds up to 15 digits, 10^23 is no 53-bit
+    value, so its rounding at 53 bits lies below it, those of 10^-29 and
+    10^21 at 48 bits print as 9.99999999999999e-30 and 9.99999999999998e+20,
+    10^20 is a 48-bit value, and 1 + 3^-1400 has terms of over 2048 bits."""
+    tie = F("33.59154052734375")
+    below = int(tie * 2 ** 122)
+    values = [F(250199996075577, 2), F(6253943201945045), tie,
+              F(below, 2 ** 122), F(below + 1, 2 ** 122), F(10 ** 23),
+              F(10 ** 23 + 1), F(10 ** 23 - 1), F(10 ** 22 + 1),
+              F(10 ** 16 + 3, 10 ** 21), F(1, 10 ** 29), F(10 ** 21),
+              F(10 ** 20), F(3 ** 1400 + 1, 3 ** 1400)]
+    return [((v.numerator ** r, 0), (v.denominator ** r, 0), r)
+            for v in values for r in (1, 2, 4)]
+
+
+def test_shift_table_text_is_float_str_of_the_rounded_entry(monkeypatch):
+    """``analyze.shift_table`` prints each entry as ``float_str`` prints the
+    value ``shift_rows`` rounds at ``bits``, byte for byte, though
+    ``root_str`` rounds at ``bits`` only near a decimal tie: on rational,
+    radical and real-mode measures and on planted ties, with both of its
+    paths taken at 53 bits and up."""
+    exact = []
+    monkeypatch.setattr(scalars, "round_root",
+                        lambda *args: exact.append(args) or round_root(*args))
+    planted = _planted_entries()
+    for bits in (1, 48, 53, 64, 128, 200):
+        for mu in _pin_mix():
+            texts = [row[1:] for row in shift_table(mu, 12, bits)["rows"]]
+            assert texts == [tuple(float_str(man, exp) for _, man, exp, _ in row)
+                             for row in shift_rows(mu, 12, bits)], (mu, bits)
+        del exact[:]
+        for x, y, r in planted:
+            assert root_str(x, y, r, bits) == \
+                float_str(*round_root(x, y, r, bits)[1:3]), (x, y, r, bits)
+        assert 0 < len(exact) <= len(planted)
+        assert len(exact) == len(planted) if bits == 1 else bits < 53 \
+            or len(exact) < len(planted), bits
 
 
 # ---------------------------------------------------------------------------

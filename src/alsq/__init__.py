@@ -50,11 +50,9 @@ from .solver import (
 )
 from .closed_forms import classify_small
 from .shifts import (
-    RecurrenceCoefficients,
     aluthge_moment_sequence,
     aluthge_weights,
     hankel_psd,
-    minimal_recurrence,
     moment_sequence,
     moments_from_weights,
     shift_rows,

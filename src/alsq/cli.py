@@ -37,7 +37,7 @@ from .scalars import (
     parse_rational,
     scalar_str,
 )
-from .shifts import RecurrenceCoefficients, support_characteristic
+from .shifts import support_characteristic
 from .solver import (
     IMPOSSIBLE,
     UNDETERMINED,
@@ -176,28 +176,24 @@ def cmd_recurrence(args) -> int:
     # the moments g_n = sum w_i x_i^n, with p distinct atoms x_i of positive
     # mass w_i, obey the recurrence with characteristic polynomial P exactly
     # when P(x_i) = 0 at every atom, so the minimal one is prod(t - x_i), of
-    # order p; selftest criterion 11 checks minimal_recurrence against it
-    recurrence = None
-    if mu.p <= args.max_order:
-        characteristic = support_characteristic(mu)
-        recurrence = RecurrenceCoefficients(
-            mu.p, tuple([-c for c in characteristic[:-1]]))
+    # order p; selftest criterion 11 checks that it annihilates the moments
+    # and that the p x p Hankel matrix of the moments is positive definite
+    found = mu.p <= args.max_order
+    coefficients = ([scalar_str(-c) for c in support_characteristic(mu)[:-1]]
+                    if found else None)
     if args.json:
         payload = {
             "schema": SCHEMA,
-            "order": recurrence.order if recurrence else None,
-            "coefficients": [scalar_str(c) for c in recurrence.coefficients]
-            if recurrence else None,
+            "order": mu.p if found else None,
+            "coefficients": coefficients,
         }
         print(json.dumps(payload, indent=2))
-    elif recurrence is None:
+    elif not found:
         print(f"no linear recurrence of order <= {args.max_order}")
     else:
-        terms = " + ".join(
-            f"({scalar_str(c)})*g[n+{j}]"
-            for j, c in enumerate(recurrence.coefficients))
-        print(f"order {recurrence.order}: g[n+{recurrence.order}] = {terms}")
-    return EXIT_OK if recurrence is not None else EXIT_UNDETERMINED
+        terms = " + ".join(f"({c})*g[n+{j}]" for j, c in enumerate(coefficients))
+        print(f"order {mu.p}: g[n+{mu.p}] = {terms}")
+    return EXIT_OK if found else EXIT_UNDETERMINED
 
 
 def cmd_gen(args) -> int:

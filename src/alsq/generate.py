@@ -151,8 +151,7 @@ def _with_root(spec: GeneratorSpec, rng: random.Random) -> GeneratedInstance:
                             (big, _positive_weight(rng))])
     else:
         raise MeasureError(
-            f"no square of a positive measure has exactly {p} atoms; "
-            "choose p in {3, 5, 6}")
+            f"with-root builds squares of 3, 5 or 6 atoms, not {p}")
     mu = convolve(rho, rho)
     if mu.p != p:  # accidental coincidence collapsed products; redraw
         return _with_root(spec, rng)

@@ -11,16 +11,16 @@ precision; a rational measure's tables load no mpmath.  The printed tables
 (:func:`shift_text_rows`) hold 15 digits of those rounded values, read off
 the exact value where the rounding cannot change them.  Positive
 semidefiniteness of Hankel matrices of moments is decided exactly, and
-minimal linear recurrences of exact moments recover the atom count and
-the characteristic polynomial of the support.
+the minimal recurrence of the moments is read off the support: p atoms of
+positive mass make the p x p Hankel matrix positive definite, so no
+recurrence shorter than prod(t - x_i) holds.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .measures import (
     REAL,
@@ -30,8 +30,8 @@ from .measures import (
     numerators,
     power_sums,
 )
-from .scalars import (DEFAULT_PRECISION_BITS, Record, real_arithmetic,
-                      root_str, round_root)
+from .scalars import (DEFAULT_PRECISION_BITS, real_arithmetic, root_str,
+                      round_root)
 
 # how far below 0 :func:`hankel_psd` lets the least eigenvalue go, per trace
 HANKEL_TOLERANCE = Fraction(1, 2 ** 64)
@@ -161,79 +161,6 @@ def _shifted_positive_definite(h: Sequence[int], n: int, tol: Fraction) -> bool:
                            for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
         previous = pivot
     return True
-
-
-# ---------------------------------------------------------------------------
-# exact linear recurrences
-# ---------------------------------------------------------------------------
-
-class RecurrenceCoefficients(Record):
-    """g_{n+order} = c_{order-1} g_{n+order-1} + ... + c_0 g_n."""
-
-    __slots__ = _fields = ("order", "coefficients")
-
-    def __init__(self, order: int, coefficients: Tuple[Fraction, ...]):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coefficients", coefficients)
-
-    def holds_for(self, gammas: Sequence[Fraction]) -> bool:
-        r = self.order
-        for n in range(len(gammas) - r):
-            predicted = sum(self.coefficients[j] * gammas[n + j] for j in range(r))
-            if predicted != gammas[n + r]:
-                return False
-        return True
-
-    def characteristic_polynomial(self) -> Tuple[Fraction, ...]:
-        """Coefficients of t^order - c_{order-1} t^{order-1} - ... - c_0,
-        from the constant term upward."""
-        return tuple(-c for c in self.coefficients) + (Fraction(1),)
-
-
-def minimal_recurrence(
-    gammas: Sequence[Fraction],
-    max_order: int,
-) -> Optional[RecurrenceCoefficients]:
-    """Smallest-order exact linear recurrence satisfied by all entries.
-
-    Berlekamp-Massey over the rationals (rank decisions are ill-posed in
-    floating point): one pass of O(n L) Fraction operations on n entries
-    for a recurrence of order L, which is unique when n >= 2 L.  Needs
-    len(gammas) >= 2 * max_order.  The all-zero sequence gets order 1 with
-    coefficient 0.
-    """
-    seq = [Fraction(g) for g in gammas]
-    if len(seq) < 2 * max_order:
-        raise MeasureError(
-            f"need at least {2 * max_order} exact moments for order "
-            f"{max_order}, got {len(seq)}")
-    if max_order < 1:
-        return None
-    # connection polynomial C (C[0] = 1) of length L: sum_i C[i] g[n-i] = 0
-    # for n >= L; ``backup`` is C before the last change of L, ``last`` the
-    # discrepancy then and ``gap`` the steps since
-    connection, backup = [Fraction(1)], [Fraction(1)]
-    length, gap, last = 0, 1, Fraction(1)
-    for n, value in enumerate(seq):
-        discrepancy = sum((c * seq[n - i]
-                           for i, c in enumerate(connection[1:], 1)), value)
-        if discrepancy == 0:
-            gap += 1
-            continue
-        scale = discrepancy / last
-        update = [Fraction(0)] * gap + [scale * c for c in backup]
-        corrected = [a - b for a, b in zip_longest(connection, update,
-                                                   fillvalue=Fraction(0))]
-        if 2 * length <= n:
-            backup, last, length, gap = connection, discrepancy, n + 1 - length, 1
-            if length > max_order:
-                return None
-        else:
-            gap += 1
-        connection = corrected
-    order = max(length, 1)
-    padded = (connection + [Fraction(0)] * order)[1:order + 1]
-    return RecurrenceCoefficients(order, tuple(-c for c in reversed(padded)))
 
 
 def support_characteristic(mu: AtomicMeasure) -> Tuple[Fraction, ...]:

@@ -14,6 +14,7 @@ from alsq.generate import GeneratorSpec, generate
 from alsq.measures import (MAX_ATOMS, Position, dumps_measure, load_measure,
                            make_measure)
 from alsq.selftest import example_one, example_two
+from alsq.shifts import moment_sequence
 from alsq.solver import IMPOSSIBLE, Verdict
 
 F = Fraction
@@ -124,6 +125,14 @@ def test_recurrence_output(capsys, six_atom_file):
     out = capsys.readouterr().out
     assert code == 0
     assert "order 6" in out
+    # g[n+6] = sum_j c_j g[n+j] on the exact moments of the six atoms
+    head, terms = out.split(" = ")
+    assert head == "order 6: g[n+6]"
+    c = [F(term.split(")*g[n+")[0].lstrip("(")) for term in terms.split(" + ")]
+    assert len(c) == 6
+    g = moment_sequence(example_two(), 20)
+    assert all(g[n + 6] == sum(c[j] * g[n + j] for j in range(6))
+               for n in range(14))
 
 
 def test_recurrence_below_the_atom_count_is_not_found(capsys, six_atom_file):
@@ -349,7 +358,7 @@ def test_recurrence_quotes_oversized_coefficients_by_size(tmp_path):
 
 
 def test_recurrence_of_a_hundred_atoms_is_read_off_the_support(tmp_path):
-    # Berlekamp-Massey over the 201 exact moments was still running at 60 s
+    # a recurrence search over the 201 exact moments ran past 60 s
     path = str(tmp_path / "g100.json")
     assert _cli("gen", "--p", "100", "--seed", "1", "--out", path).returncode == 0
     result = _cli("recurrence", "--max-order", "100", path)

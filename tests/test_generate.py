@@ -32,6 +32,15 @@ def test_with_root_rejects_four_atoms():
         generate(GeneratorSpec(4, "with-root", 0))
 
 
+@pytest.mark.parametrize("p", [1, 2, 4, 7])
+def test_with_root_names_the_atom_counts_it_builds(p):
+    # one root atom squares to one atom, four in progression to seven: the
+    # refusal is about what the mode builds, not what squares can have
+    with pytest.raises(MeasureError, match=f"with-root builds squares of "
+                                           f"3, 5 or 6 atoms, not {p}$"):
+        generate(GeneratorSpec(p, "with-root", 0))
+
+
 def test_closed_form_mode_rejects_four_atoms():
     with pytest.raises(MeasureError, match="never admit"):
         generate(GeneratorSpec(4, "with-aluthge-root", 0))

@@ -15,7 +15,6 @@ from alsq.generate import GeneratedInstance, GeneratorSpec
 from alsq.measures import AtomicMeasure, Position, make_measure, support_keys
 from alsq.scalars import DEFAULT_TOLERANCE
 from alsq.selftest import CriterionResult
-from alsq.shifts import RecurrenceCoefficients
 from alsq.solver import DEFAULT_CONFIG, Peel, SolverConfig, Verdict
 
 F = Fraction
@@ -41,8 +40,6 @@ VALUE_RECORDS = {
     "Violation": lambda: Violation("r", (1, 2), "m"),
     "AnalyzeOptions": lambda: AnalyzeOptions(SolverConfig(64), 3),
     "GeneratorSpec": lambda: GeneratorSpec(6, "perturbed", 5, case="I"),
-    "RecurrenceCoefficients": lambda: RecurrenceCoefficients(
-        2, (F(1), F(-2))),
 }
 
 
@@ -113,9 +110,6 @@ def test_reprs_are_the_dataclass_reprs():
     assert repr(AnalyzeOptions()) == (
         "AnalyzeOptions(config=SolverConfig(precision_bits=128, "
         "tolerance=Fraction(1, 18446744073709551616)), shift_terms=0)")
-    assert repr(RecurrenceCoefficients(2, (F(1), F(-2)))) == (
-        "RecurrenceCoefficients(order=2, "
-        "coefficients=(Fraction(1, 1), Fraction(-2, 1)))")
     assert repr(Peel("witness")) == (
         "Peel(outcome='witness', root=(), certificate=None, "
         "residual=Fraction(0, 1), note=None, radii=(), maybe=())")

@@ -21,11 +21,9 @@ from alsq.reals import (from_raw, mpf_pos, mpf_to_fraction, round_nearest,
 from alsq.scalars import float_str, root_str, round_root
 from alsq.shifts import (
     HANKEL_TOLERANCE,
-    RecurrenceCoefficients,
     aluthge_moment_sequence,
     aluthge_weights,
     hankel_psd,
-    minimal_recurrence,
     moment_sequence,
     moments_from_weights,
     shift_rows,
@@ -440,146 +438,40 @@ def test_hankel_psd_matches_eigenvalue_reference_on_real_and_radical_moments():
 # recurrences
 # ---------------------------------------------------------------------------
 
-def test_recurrence_two_atoms():
-    mu = make_measure([(1, F(1, 2)), (2, F(1, 2))])
-    recurrence = minimal_recurrence(moment_sequence(mu, 8), 4)
-    assert recurrence == RecurrenceCoefficients(2, (F(-2), F(3)))
-    # 5/2 = 3*(3/2) - 2*1
-    assert F(5, 2) == 3 * F(3, 2) - 2
-
-
-def test_recurrence_point_mass():
-    gammas = [F(5) ** n for n in range(8)]
-    recurrence = minimal_recurrence(gammas, 4)
-    assert recurrence == RecurrenceCoefficients(1, (F(5),))
+def _assert_support_polynomial_is_the_minimal_recurrence(mu):
+    """prod(t - x_i) annihilates the exact moments, and the p x p Hankel
+    matrix is positive definite (no shorter recurrence) while the
+    (p + 1) x (p + 1) one is singular."""
+    p = mu.p
+    c = support_characteristic(mu)
+    gammas = moment_sequence(mu, 3 * p + 2)
+    assert len(c) == p + 1 and c[p] == 1
+    assert all(sum(c[j] * gammas[n + j] for j in range(p + 1)) == 0
+               for n in range(2 * p + 2))
+    assert hankel_psd(gammas, p - 1, F(0))[0]
+    assert not hankel_psd(gammas, p, F(0))[0]
 
 
 def test_recurrence_six_atom_example(six_atom_exact):
-    gammas = moment_sequence(six_atom_exact, 14)
-    recurrence = minimal_recurrence(gammas, 7)
-    assert recurrence.order == 6
-    assert recurrence.characteristic_polynomial() == \
-        support_characteristic(six_atom_exact)
+    assert six_atom_exact.p == 6
+    _assert_support_polynomial_is_the_minimal_recurrence(six_atom_exact)
 
 
 def test_recurrence_order_matches_atom_count():
     for seed in range(25):
         mu = generate(GeneratorSpec(1 + seed % 6, "arbitrary", 900 + seed,
                                     position_style="random")).measure
-        gammas = moment_sequence(mu, 2 * mu.p + 2)
-        recurrence = minimal_recurrence(gammas, mu.p + 1)
-        assert recurrence.order == mu.p
-        assert recurrence.characteristic_polynomial() == \
-            support_characteristic(mu)
-        assert recurrence.holds_for(moment_sequence(mu, 3 * mu.p))
+        _assert_support_polynomial_is_the_minimal_recurrence(mu)
 
 
-def test_recurrence_absent_when_order_too_small(six_atom_exact):
-    # twelve entries make every order <= 5 overdetermined, so none can fit
-    # a six-atom moment sequence
-    gammas = moment_sequence(six_atom_exact, 12)
-    assert minimal_recurrence(gammas, 5) is None
+def test_criterion_11_fails_without_raising_on_a_wrong_polynomial(monkeypatch):
+    def without_top_atom(mu):
+        coeffs = [F(1)]
+        for pos in mu.support[:-1]:
+            x = pos.as_fraction()
+            coeffs = [high - x * low
+                      for high, low in zip([F(0)] + coeffs, coeffs + [F(0)])]
+        return tuple(coeffs)
 
-
-def test_recurrence_requires_enough_data():
-    with pytest.raises(MeasureError, match="need at least 6 exact moments "
-                                           "for order 3, got 2"):
-        minimal_recurrence([F(1), F(2)], 3)
-
-
-def test_recurrence_edge_cases():
-    # every order-1 recurrence fits zeros; the one with coefficient 0 is kept
-    assert minimal_recurrence([F(0)] * 6, 3) == RecurrenceCoefficients(1, (F(0),))
-    assert minimal_recurrence([F(1), F(2), F(3)], 0) is None
-    assert minimal_recurrence([], 0) is None
-    assert minimal_recurrence([F(1), F(2)], -2) is None
-    # a leading zero followed by a geometric tail needs order 2 with c_0 = 0
-    assert minimal_recurrence([F(0), F(1), F(3), F(9)], 2) == \
-        RecurrenceCoefficients(2, (F(0), F(3)))
-
-
-def _gaussian_recurrence(gammas, max_order):
-    """Reference: for each order in turn, Gaussian elimination over Q on the
-    overdetermined system of all its equations; the first consistent order
-    wins."""
-    seq = [Fraction(g) for g in gammas]
-    if len(seq) < 2 * max_order:
-        raise MeasureError(
-            f"need at least {2 * max_order} exact moments for order "
-            f"{max_order}, got {len(seq)}")
-    for order in range(1, max_order + 1):
-        rows = [[seq[n + j] for j in range(order)] + [seq[n + order]]
-                for n in range(len(seq) - order)]
-        solution = _solve_exact(rows, order)
-        if solution is None:
-            continue
-        candidate = RecurrenceCoefficients(order, tuple(solution))
-        if candidate.holds_for(seq):
-            return candidate
-    return None
-
-
-def _solve_exact(rows, width):
-    """Gaussian elimination over Q on an overdetermined augmented system;
-    None when inconsistent, free variables pinned to zero."""
-    matrix = [row[:] for row in rows]
-    pivots = []
-    row = 0
-    for col in range(width):
-        pivot = next((r for r in range(row, len(matrix)) if matrix[r][col] != 0),
-                     None)
-        if pivot is None:
-            continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        lead = matrix[row][col]
-        matrix[row] = [value / lead for value in matrix[row]]
-        for r in range(len(matrix)):
-            if r != row and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [value - factor * keep
-                             for value, keep in zip(matrix[r], matrix[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == len(matrix):
-            break
-    for r in range(row, len(matrix)):
-        if matrix[r][width] != 0 and all(v == 0 for v in matrix[r][:width]):
-            return None
-    solution = [Fraction(0)] * width
-    for r, col in pivots:
-        solution[col] = matrix[r][width]
-    return solution
-
-
-def _random_sequences(rng, count):
-    """Rational sequences of length 0..12, about 30% zeros."""
-    for _ in range(count):
-        length = rng.randint(0, 12)
-        seq = [F(0) if rng.random() < 0.3
-               else F(rng.randint(-9, 9), rng.randint(1, 4))
-               for _ in range(length)]
-        yield seq, length // 2
-
-
-def _moment_sequences(count):
-    """Exact moments of generated p = 1..6 measures, with the order bound
-    below, above and well above p."""
-    for index in range(count):
-        p = 1 + index % 6
-        mu = generate(GeneratorSpec(p, "arbitrary", 5000 + index,
-                                    position_style=("geometric", "random")[index % 2])).measure
-        for max_order in (p - 1, p + 1, 8):
-            yield moment_sequence(mu, 2 * max_order), max_order
-
-
-def test_berlekamp_massey_matches_gaussian_search():
-    cases = list(_random_sequences(random.Random(2105), 3000))
-    cases += list(_moment_sequences(300))
-    assert len(cases) == 3900
-    orders = set()
-    for seq, max_order in cases:
-        expected = _gaussian_recurrence(seq, max_order)
-        assert minimal_recurrence(seq, max_order) == expected, (seq, max_order)
-        orders.add(expected.order if expected else None)
-    # absent, trivial and every order up to six occurred
-    assert orders >= {None, 1, 2, 3, 4, 5, 6}
+    monkeypatch.setattr(selftest, "support_characteristic", without_top_atom)
+    assert selftest.criterion_11().passed is False

@@ -21,7 +21,8 @@ support (:func:`with_weights`, :func:`t_weight`, :func:`strip_zero_atom`)
 pass it on.  :func:`products` tables a convolution without
 building its positions or masses, so ``solver`` decides the transform
 question on the table of mu * t(mu) (:func:`t_products`, which in rational
-mode builds no t(mu) either) and never materializes that measure;
+mode builds no t(mu) either and forms the products in stages) and never
+materializes that measure;
 :func:`convolve` is ``products(...).measure()``.
 
 Real-mode branches get :mod:`alsq.reals` from ``real_arithmetic`` once per
@@ -36,7 +37,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -52,8 +53,8 @@ from .scalars import (
 RATIONAL = "rational"
 REAL = "real"
 
-# the most atoms a measure document may hold: at p = 321 a transform decision
-# takes 0.9 to 2.3 s and its cost grows about as p^3.3 (9.3 s at p = 641)
+# the most atoms a measure document may hold: a transform witness pairs every
+# atom, which takes 1.5 s on a 399-atom geometric square
 MAX_ATOMS = 400
 
 
@@ -462,19 +463,39 @@ class Table:
     power of two in real mode.  Every mass stands for the values within
     ``radius`` times it, a Fraction that is 0 in rational mode.  Atom j sits
     at the product of the positions ``factors[j]``: one position for an atom
-    of a measure, the first pair that reaches it for a product, with the
-    pairs taken left factor outermost.
+    of a measure, and for a product a pair of factor positions that reaches
+    it (:func:`products` records the first pair, taken left factor
+    outermost).  ``top`` is the key of the top atom and
+    :meth:`top_position` its position, both known to a staged table before
+    it holds that atom.
+
+    A staged table (:func:`t_products`) holds only the atoms below ``edge``,
+    each of them complete.  :meth:`pull` appends the atoms of the next
+    stage in ascending key order and raises ``edge``, which is None once
+    the table is complete; every other table is complete from the start.
     """
 
     __slots__ = ("base", "mode", "keys", "scale", "masses", "den", "radius",
-                 "factors")
+                 "factors", "edge", "_top", "_stages")
 
     def __init__(self, base: Fraction, mode: str, keys: List[int],
                  scale: int, masses: List[int], den: int, radius: Fraction,
-                 factors: Sequence[Tuple[Position, ...]]):
+                 factors: List[Tuple[Position, ...]],
+                 top: Optional[Tuple[int, Tuple[Position, ...]]] = None,
+                 stages: Optional[Iterator] = None):
         self.base, self.mode, self.keys, self.scale = base, mode, keys, scale
         self.masses, self.den, self.radius = masses, den, radius
         self.factors = factors
+        self.edge, self._top, self._stages = None, top, stages
+        if stages is not None:
+            self.pull()
+
+    def pull(self) -> None:
+        """Append the atoms of the next stage of a staged table."""
+        keys, masses, factors, self.edge = next(self._stages)
+        self.keys += keys
+        self.masses += masses
+        self.factors += factors
 
     @property
     def p(self) -> int:
@@ -482,6 +503,14 @@ class Table:
 
     def position(self, j: int) -> Position:
         return reduce(operator.mul, self.factors[j])
+
+    @property
+    def top(self) -> int:
+        return self.keys[-1] if self._top is None else self._top[0]
+
+    def top_position(self) -> Position:
+        return reduce(operator.mul, self.factors[-1] if self._top is None
+                      else self._top[1])
 
     def square(self, j: int) -> Fraction:
         """The square of the position of atom j, with no position built."""
@@ -496,6 +525,7 @@ class Table:
         return Fraction(self.masses[j], self.den)
 
     def measure(self) -> AtomicMeasure:
+        """The measure of a complete table."""
         den = self.den
         positions = [reduce(operator.mul, factors) for factors in self.factors]
         if self.mode == REAL:
@@ -574,41 +604,12 @@ def products(mu: AtomicMeasure, nu: AtomicMeasure,
     base = _common_base(mu, nu)
     mode = _mode_join(mu, nu)
     # every position of a measure is over the measure's base
-    factors = [(list(m.support) if m.base == base
-                else [pos.rebase(base) for pos in m.support],
-                *support_keys(m), *numerators(m.weights, mode, bits))
-               for m in (mu, nu)]
-    return _products(base, mode, *factors, bits, eps)
-
-
-def t_products(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,
-               eps: Fraction = Fraction(0)) -> Table:
-    """``products(mu, t_weight(mu, bits), bits, eps)``, the table of
-    mu * t(mu).  In rational mode no t(mu) is built: over mu's denominator
-    times L, the lcm of the positions' denominators, its numerators are
-    mu's times a L / b for each position a / b."""
-    if mu.mode == REAL or any(pos.k for pos in mu.support):
-        # t_weight refuses a radical position in rational mode
-        return products(mu, t_weight(mu, bits), bits, eps)
-    mu.require_no_zero_atom("t_weight")
-    points = list(mu.support)
-    keys, scale = support_keys(mu)
-    masses, den = numerators(mu.weights, RATIONAL, bits)
-    qs = [pos.q for pos in points]
-    common = lcm(*[q.denominator for q in qs])
-    weighted = [m * q.numerator * (common // q.denominator)
-                for m, q in zip(masses, qs)]
-    return _products(mu.base, RATIONAL, (points, keys, scale, masses, den),
-                     (points, keys, scale, weighted, den * common), bits, eps)
-
-
-def _products(base: Fraction, mode: str, left: tuple, right: tuple,
-              bits: int, eps: Fraction) -> Table:
-    """The table of the convolution of two factors, each given as its
-    positions over ``base``, its keys and their scale, and its masses as
-    int numerators over one denominator."""
-    mu_points, mu_keys, mu_scale, mu_masses, mu_den = left
-    nu_points, nu_keys, nu_scale, nu_masses, nu_den = right
+    (mu_points, mu_keys, mu_scale, mu_masses, mu_den), \
+        (nu_points, nu_keys, nu_scale, nu_masses, nu_den) = [
+            (list(m.support) if m.base == base
+             else [pos.rebase(base) for pos in m.support],
+             *support_keys(m), *numerators(m.weights, mode, bits))
+            for m in (mu, nu)]
     # the keys of each support, brought to their common scale
     scale = mu_scale
     if nu_scale != mu_scale:
@@ -637,6 +638,83 @@ def _products(base: Fraction, mode: str, left: tuple, right: tuple,
     return Table(base, mode, order if g == 1 else [key // g for key in order],
                  scale * scale // g, masses, den, radius,
                  [first[key] for key in order])
+
+
+def t_products(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,
+               eps: Fraction = Fraction(0)) -> Table:
+    """``products(mu, t_weight(mu, bits), bits, eps)``, the table of
+    mu * t(mu).
+
+    In rational mode no t(mu) is built: over mu's denominator times L, the
+    lcm of the positions' denominators, its numerators are mu's times
+    a L / b for each position a / b.  The table is then staged
+    (:class:`Table`), so a peel that refutes early forms only the products
+    it reads: on `gen --p 400 --seed 1` the transform refutes after pairing
+    the lowest 8 atoms, 36 of the 80,200 distinct pairs.  Real and radical
+    tables are complete, because the real peel takes its radius unit from
+    the smallest target mass."""
+    if mu.mode == REAL or any(pos.k for pos in mu.support):
+        # t_weight refuses a radical position in rational mode
+        return products(mu, t_weight(mu, bits), bits, eps)
+    mu.require_no_zero_atom("t_weight")
+    points = list(mu.support)
+    keys, scale = support_keys(mu)
+    masses, den = numerators(mu.weights, RATIONAL, bits)
+    qs = [pos.q for pos in points]
+    common = lcm(*[q.denominator for q in qs])
+    weighted = [m * q.numerator * (common // q.denominator)
+                for m, q in zip(masses, qs)]
+    return Table(mu.base, RATIONAL, [], scale * scale, [], den * den * common,
+                 Fraction(0), [], (keys[-1] * keys[-1], (points[-1],) * 2),
+                 _t_stages(points, keys, masses, weighted))
+
+
+# the atoms the first stage of a staged table pairs; each later stage pairs
+# twice as many
+_FIRST_STAGE = 8
+
+
+def _t_stages(points: list, keys: List[int], left: List[int],
+              right: List[int]) -> Iterator:
+    """The stages of the table of mu * t(mu), for :meth:`Table.pull`.
+
+    Stage m pairs the atoms i, j < m, for m = 8, 16, 32, ... up to p.  A
+    pair not yet formed has an atom m or beyond, so its product is at least
+    K_0*K_m: the stage releases the products below that edge, all of them
+    complete, and keeps the others merging.  K_i*K_j needs no gcd to reach
+    the scale scale^2: for each prime, an atom whose squared denominator
+    carries the scale's full power of it has a key prime to it.  Each
+    unordered pair is formed once, with mass a_i b_j + a_j b_i."""
+    p, done = len(keys), 0
+    pending, pairs = {}, {}
+    rows = list(zip(keys, left, right, points))
+    while done < p:
+        m = min(p, max(_FIRST_STAGE, 2 * done))
+        for j in range(done, m):
+            kj, aj, bj, pj = rows[j]
+            for ki, ai, bi, pi in rows[:j]:
+                key = ki * kj
+                if key in pending:
+                    pending[key] += ai * bj + aj * bi
+                else:
+                    pending[key] = ai * bj + aj * bi
+                    pairs[key] = (pi, pj)
+            key = kj * kj
+            if key in pending:
+                pending[key] += aj * bj
+            else:
+                pending[key] = aj * bj
+                pairs[key] = (pj, pj)
+        done = m
+        if m == p:
+            ready = sorted(pending)
+            yield (ready, [pending[key] for key in ready],
+                   [pairs[key] for key in ready], None)
+        else:
+            edge = keys[0] * keys[m]
+            ready = sorted([key for key in pending if key < edge])
+            yield (ready, [pending.pop(key) for key in ready],
+                   [pairs.pop(key) for key in ready], edge)
 
 
 def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
@@ -678,17 +756,25 @@ def power_sums(mu: AtomicMeasure, count: int,
     base, ks = mu.base, [pos.k for pos in mu.support]
     s = base.numerator * base.denominator
     cs = [pos.q / base.denominator if pos.k else pos.q for pos in mu.support]
-    top = lcm(*[c.denominator for c in cs]) ** max(count - 1, 0)
-    # x_i^n over the lcm^n, and from an odd to an even order a radical term
-    # gains sqrt(s)^2 = s: each step divides exactly while n < count - 1
-    steps = [[(c.numerator * s ** (k & odd), c.denominator)
+    scale = lcm(*[c.denominator for c in cs])
+    # x_i^n times scale^n by an int multiply alone; from an odd to an even
+    # order a radical term gains sqrt(s)^2 = s
+    steps = [[c.numerator * (scale // c.denominator) * s ** (k & odd)
               for c, k in zip(cs, ks)] for odd in (0, 1)]
-    terms, sums = [m * top for m in masses], []
+    terms, sums = masses, []
     for n in range(count):
         b = sum([t for t, k in zip(terms, ks) if k]) if n & 1 else 0
         sums.append((sum(terms) - b, b))
-        terms = [t * a // d for t, (a, d) in zip(terms, steps[n & 1])]
-    return sums, den * top, s
+        if n < count - 1:
+            terms = [t * a for t, a in zip(terms, steps[n & 1])]
+    if scale > 1:
+        # the n-th sum over scale^n, brought to the common scale^(count - 1)
+        lift = 1
+        for n in range(count - 1, -1, -1):
+            a, b = sums[n]
+            sums[n] = a * lift, b * lift
+            lift *= scale
+    return sums, den * scale ** max(count - 1, 0), s
 
 
 def moments(mu: AtomicMeasure, count: int,

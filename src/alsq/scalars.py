@@ -201,10 +201,14 @@ def round_root(x: tuple, y: tuple, r: int, bits: int,
 
 
 def float_str(man: int, exp: int, digits: int = 15) -> str:
-    """The positive man * 2^exp to ``digits`` significant digits, ties
-    away from zero, as mpmath's ``to_str(x, digits)`` means to round, in its
-    layout: fixed point for decimal exponents e with -max(digits // 3, 5) <
-    e < digits, else one digit before the point and the exponent."""
+    """The positive man * 2^exp rounded once to ``digits`` significant
+    digits, ties away from zero, in the layout of mpmath's
+    ``to_str(x, digits)``: fixed point for decimal exponents e with
+    -max(digits // 3, 5) < e < digits, else one digit before the point and
+    the exponent.  It is not ``to_str``, which first cuts the value toward
+    zero to int(3.32 * (digits + 3)) + 10 bits and digits + 3 digits, so
+    the two can differ in the last digit near a decimal tie: at 12 digits
+    ``to_str`` prints 787.256642812 where this gives 787.256642813."""
     low = 10 ** (digits - 1)
     e = math.floor(math.log10(man) + exp * 0.30102999566398120)  # about log10
     while True:  # n + rem / den = man 2^exp 10^(digits - 1 - e)

@@ -2,11 +2,13 @@
 
 For a support x_1 < ... < x_p the pairwise products x_i*x_j (i <= j) form a
 triangular array.  A product value is *uniquely represented* (UR) when only
-one unordered index pair realizes it.  If the reweighted self-convolution of
-a measure on this support is to admit a square root, a family of purely
-combinatorial conditions on the UR/non-UR pattern must hold; any failure is
-returned as a :class:`Violation`, which constitutes a sound impossibility
-certificate independent of the weights.
+one unordered index pair realizes it.  If mu * t(mu), for a measure mu on
+this support, is to have a nonnegative square root on any support, a
+family of purely combinatorial conditions on the UR/non-UR pattern must
+hold; any failure is returned as a :class:`Violation`, which constitutes a
+sound impossibility certificate independent of the weights.  No rule
+assumes that the root sits on supp(mu); the tests run the rules on
+transform witnesses whose Berger measure leaves supp(mu).
 
 Products are compared on the int keys of :func:`alsq.measures.int_keys`; a
 measure's keys are the ones kept on it (:func:`alsq.measures.support_keys`),

@@ -18,12 +18,12 @@ radius of the masses.  The keys of a support are computed once: a measure
 keeps them in a hidden slot (:func:`support_keys`), :func:`make_measure`
 fills it while it sorts the atoms, and the operations that keep the
 support (:func:`with_weights`, :func:`t_weight`, :func:`strip_zero_atom`)
-pass it on.  :func:`products` tables a convolution without
-building its positions or masses, so ``solver`` decides the transform
-question on the table of mu * t(mu) (:func:`t_products`, which in rational
-mode builds no t(mu) either and forms the products in stages) and never
-materializes that measure;
-:func:`convolve` is ``products(...).measure()``.
+pass it on.  Positions are read off keys (:func:`_key_position`).  One pair
+loop, which forms each unordered pair of atoms once, builds the product
+tables ``solver`` reads: :func:`t_products`, mu * t(mu) (staged in rational
+mode, with no t(mu) built), and :func:`square_products`, a witness's square;
+mu * t(mu) is never materialized.  :func:`convolve` multiplies measures on
+any two supports with its own loop over the ordered pairs.
 
 Real-mode branches get :mod:`alsq.reals` from ``real_arithmetic`` once per
 call; rational ones never load mpmath.
@@ -32,11 +32,10 @@ call; rational ones never load mpmath.
 from __future__ import annotations
 
 import json
-import operator
 import sys
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (
@@ -451,6 +450,18 @@ def _scaled_keys(positions: Sequence[Position]) -> Tuple[List[int], int]:
     return [num * (scale // den) for num, den in squares], scale
 
 
+def _key_position(key: int, scale: int, base: Fraction) -> Position:
+    """The position over ``base`` whose int key at ``scale`` is ``key``,
+    the inverse of :func:`_scaled_keys`: key / scale is q^2, or q^2 * base
+    for a radical, whose base is no square."""
+    common = gcd(key, scale)
+    num, den = key // common, scale // common
+    n, d = isqrt(num), isqrt(den)
+    if n * n == num and d * d == den:
+        return _position(Fraction(n, d), 0, base)
+    return _position(sqrt_fraction(Fraction(num, den) / base), 1, base)
+
+
 class Table:
     """A measure as the peel and the witness check read it: the int keys of
     its support in ascending order and its masses, with no scalar object
@@ -458,16 +469,12 @@ class Table:
 
     ``keys`` are the int keys of the support (:func:`int_keys`) and
     ``scale`` the lcm that scales them, so equal keys at an equal scale are
-    equal positions.  The masses
-    are the int numerators ``masses`` over the one denominator ``den``, a
-    power of two in real mode.  Every mass stands for the values within
-    ``radius`` times it, a Fraction that is 0 in rational mode.  Atom j sits
-    at the product of the positions ``factors[j]``: one position for an atom
-    of a measure, and for a product a pair of factor positions that reaches
-    it (:func:`products` records the first pair, taken left factor
-    outermost).  ``top`` is the key of the top atom and
-    :meth:`top_position` its position, both known to a staged table before
-    it holds that atom.
+    equal positions, and :meth:`position` reads a position off its key.
+    The masses are the int numerators ``masses`` over the one denominator
+    ``den``, a power of two in real mode.  Every mass stands for the values
+    within ``radius`` times it, a Fraction that is 0 in rational mode.
+    ``top`` is the key of the top atom, known to a staged table before it
+    holds that atom.
 
     A staged table (:func:`t_products`) holds only the atoms below ``edge``,
     each of them complete.  :meth:`pull` appends the atoms of the next
@@ -476,67 +483,38 @@ class Table:
     """
 
     __slots__ = ("base", "mode", "keys", "scale", "masses", "den", "radius",
-                 "factors", "edge", "_top", "_stages")
+                 "top", "edge", "_stages")
 
     def __init__(self, base: Fraction, mode: str, keys: List[int],
                  scale: int, masses: List[int], den: int, radius: Fraction,
-                 factors: List[Tuple[Position, ...]],
-                 top: Optional[Tuple[int, Tuple[Position, ...]]] = None,
-                 stages: Optional[Iterator] = None):
+                 top: Optional[int] = None, stages: Optional[Iterator] = None):
         self.base, self.mode, self.keys, self.scale = base, mode, keys, scale
         self.masses, self.den, self.radius = masses, den, radius
-        self.factors = factors
-        self.edge, self._top, self._stages = None, top, stages
+        self.top = keys[-1] if top is None else top
+        self.edge, self._stages = None, stages
         if stages is not None:
             self.pull()
 
     def pull(self) -> None:
         """Append the atoms of the next stage of a staged table."""
-        keys, masses, factors, self.edge = next(self._stages)
+        keys, masses, self.edge = next(self._stages)
         self.keys += keys
         self.masses += masses
-        self.factors += factors
 
     @property
     def p(self) -> int:
         return len(self.keys)
 
     def position(self, j: int) -> Position:
-        return reduce(operator.mul, self.factors[j])
-
-    @property
-    def top(self) -> int:
-        return self.keys[-1] if self._top is None else self._top[0]
+        return _key_position(self.keys[j], self.scale, self.base)
 
     def top_position(self) -> Position:
-        return reduce(operator.mul, self.factors[-1] if self._top is None
-                      else self._top[1])
-
-    def square(self, j: int) -> Fraction:
-        """The square of the position of atom j, with no position built."""
-        value = Fraction(1)
-        for pos in self.factors[j]:
-            value *= pos.squared()
-        return value
+        return _key_position(self.top, self.scale, self.base)
 
     def weight(self, j: int) -> Weight:
         if self.mode == REAL:
             return real_arithmetic().from_dyadic(self.masses[j], self.den)
         return Fraction(self.masses[j], self.den)
-
-    def measure(self) -> AtomicMeasure:
-        """The measure of a complete table."""
-        den = self.den
-        positions = [reduce(operator.mul, factors) for factors in self.factors]
-        if self.mode == REAL:
-            from_dyadic = real_arithmetic().from_dyadic
-            weights = [from_dyadic(n, den) for n in self.masses]
-        else:
-            weights = [Fraction(n, den) for n in self.masses]
-        mu = AtomicMeasure(self.base, self.mode,
-                           tuple(list(zip(positions, weights))))
-        object.__setattr__(mu, "_keys", (self.keys, self.scale))
-        return mu
 
 
 def numerators(weights: Sequence[Weight], mode: str,
@@ -560,11 +538,10 @@ def table(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,
     masses, den = numerators(mu.weights, mu.mode, bits)
     keys, scale = support_keys(mu)
     return Table(mu.base, mu.mode, keys, scale, masses, den,
-                 eps if mu.mode == REAL else Fraction(0),
-                 [(pos,) for pos in mu.support])
+                 eps if mu.mode == REAL else Fraction(0))
 
 
-# the roundings at bits a real factor mass may carry into ``products``,
+# the roundings at bits a real factor mass may carry into a product table,
 # counting a conversion toward zero as three: a ``t_weight`` mass at a
 # radical position carries nine, a witness mass six and a rational mass
 # that ``numerators`` converts three; a product's mass adds one rounding
@@ -584,31 +561,123 @@ def _product_radius(eps: Fraction, k: int, bits: int) -> Fraction:
     return (1 + eps) ** 2 * (1 + g) - 1
 
 
-def products(mu: AtomicMeasure, nu: AtomicMeasure,
-             bits: int = DEFAULT_PRECISION_BITS,
-             eps: Fraction = Fraction(0)) -> Table:
-    """The table of the multiplicative convolution mu * nu: atoms at all
-    pairwise products x*y with mass summed over coinciding products.
+def t_products(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,
+               eps: Fraction = Fraction(0)) -> Table:
+    """The table of mu * t(mu), t(mu) = ``t_weight(mu, bits)``, from the
+    pair loop (:func:`_pair_stages`).
 
-    No scalar object is built per pair, and no position or mass per
+    In rational mode no t(mu) is built: over mu's denominator times L, the
+    lcm of the positions' denominators, its numerators are mu's times
+    a L / b for each position a / b.  The table is then staged
+    (:class:`Table`), so a peel that refutes early forms only the products
+    it reads: on `gen --p 400 --seed 1` the transform refutes after pairing
+    the lowest 8 atoms, 36 of the 80,200 distinct pairs.  Real and radical
+    tables are complete (:func:`_pair_table`), because the real peel takes
+    its radius unit from the smallest target mass."""
+    mu.require_no_zero_atom("t_weight")
+    masses, den = numerators(mu.weights, mu.mode, bits)
+    if mu.mode == REAL or any(pos.k for pos in mu.support):
+        # t_weight refuses a radical position in rational mode
+        weighted, t_den = numerators(t_weight(mu, bits).weights, REAL, bits)
+        return _pair_table(mu, masses, weighted, den * t_den, bits, eps)
+    keys, scale = support_keys(mu)
+    qs = [pos.q for pos in mu.support]
+    common = lcm(*[q.denominator for q in qs])
+    weighted = [m * q.numerator * (common // q.denominator)
+                for m, q in zip(masses, qs)]
+    return Table(mu.base, RATIONAL, [], scale * scale, [], den * den * common,
+                 Fraction(0), keys[-1] * keys[-1],
+                 _pair_stages(keys, masses, weighted, True))
+
+
+def square_products(mu: AtomicMeasure,
+                    bits: int = DEFAULT_PRECISION_BITS) -> Table:
+    """The table of mu * mu (:func:`_pair_table`), which the witness check
+    compares with the target the witness was peeled from."""
+    mu.require_no_zero_atom("convolve")
+    masses, den = numerators(mu.weights, mu.mode, bits)
+    return _pair_table(mu, masses, masses, den * den, bits, Fraction(0))
+
+
+def _pair_table(mu: AtomicMeasure, left: List[int], right: List[int],
+                den: int, bits: int, eps: Fraction) -> Table:
+    """The table of the masses ``left`` times ``right``, int numerators
+    over ``den`` on the support of ``mu``, in one stage.  A real sum is
+    rounded once at ``bits``; the radius covers the relative ``eps`` of each
+    factor mass, the roundings the factor masses carry and that of the sum."""
+    keys, scale = support_keys(mu)
+    order, masses, _ = next(_pair_stages(keys, left, right, False))
+    radius = Fraction(0)
+    if mu.mode == REAL:
+        masses, den = real_arithmetic().round_dyadic(masses, den, bits)
+        radius = _product_radius(eps, 2 * _FACTOR_ROUNDINGS + 1, bits)
+    return Table(mu.base, mu.mode, order, scale * scale, masses, den, radius)
+
+
+# the atoms the first stage of a staged table pairs; each later stage pairs
+# twice as many
+_FIRST_STAGE = 8
+
+
+def _pair_stages(keys: List[int], left: List[int], right: List[int],
+                 staged: bool) -> Iterator:
+    """The product table of the masses a = ``left`` and b = ``right`` on
+    one support of int ``keys``, in stages for :meth:`Table.pull`: each
+    unordered pair i < j is formed once, with mass a_i b_j + a_j b_i, each
+    atom with itself with mass a_j b_j, and products on one key merge.
+
+    Staged, stage m pairs the atoms i, j < m, for m = 8, 16, 32, ... up to
+    p; otherwise the one stage is m = p.  A pair not yet formed has an atom
+    m or beyond, so its product is at least K_0*K_m: a stage releases the
+    products below that edge in ascending key order, all of them complete,
+    and keeps the others merging; the last stage releases the rest with
+    the edge None.  K_i*K_j needs no gcd to reach the scale scale^2: for
+    each prime, an atom whose squared denominator carries the scale's full
+    power of it has a key prime to it."""
+    p, done = len(keys), 0
+    pending = {}
+    rows = list(zip(keys, left, right))
+    while done < p:
+        m = min(p, max(_FIRST_STAGE, 2 * done)) if staged else p
+        for j in range(done, m):
+            kj, aj, bj = rows[j]
+            for ki, ai, bi in rows[:j]:
+                key = ki * kj
+                if key in pending:
+                    pending[key] += ai * bj + aj * bi
+                else:
+                    pending[key] = ai * bj + aj * bi
+            key = kj * kj
+            if key in pending:
+                pending[key] += aj * bj
+            else:
+                pending[key] = aj * bj
+        done = m
+        edge = keys[0] * keys[m] if m < p else None
+        ready = sorted(pending if edge is None
+                       else [key for key in pending if key < edge])
+        yield ready, [pending.pop(key) for key in ready], edge
+
+
+def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
+    """Multiplicative convolution: atoms at all pairwise products x*y with
+    mass summed over coinciding products.
+
+    No scalar object is built per pair, and one position and one mass per
     product.  The masses of each factor are int numerators over one
     denominator (:func:`numerators`), so every sum of pair products is
-    exact.  In real mode each sum is then rounded once to nearest at
-    ``bits``, and the table's radius covers the relative ``eps`` of each
-    factor mass (2*eps + eps^2 for a product of two), the roundings the
-    factor masses carry and that of the sum.  A product's key is the
-    product of its factors' keys, divided by the gcd that brings the keys
-    to the scale :func:`int_keys` gives them."""
+    exact; in real mode each sum is then rounded once to nearest at
+    ``bits``.  A product's key is the product of its factors' keys, divided
+    by the gcd that brings the keys to the scale :func:`int_keys` gives
+    them, and its position is read off that key (:func:`_key_position`)."""
     mu.require_no_zero_atom("convolve")
     nu.require_no_zero_atom("convolve")
     base = _common_base(mu, nu)
     mode = _mode_join(mu, nu)
-    # every position of a measure is over the measure's base
-    (mu_points, mu_keys, mu_scale, mu_masses, mu_den), \
-        (nu_points, nu_keys, nu_scale, nu_masses, nu_den) = [
-            (list(m.support) if m.base == base
-             else [pos.rebase(base) for pos in m.support],
-             *support_keys(m), *numerators(m.weights, mode, bits))
+    # a key does not depend on the base: a radical's is over the common one
+    (mu_keys, mu_scale, mu_masses, mu_den), \
+        (nu_keys, nu_scale, nu_masses, nu_den) = [
+            (*support_keys(m), *numerators(m.weights, mode, bits))
             for m in (mu, nu)]
     # the keys of each support, brought to their common scale
     scale = mu_scale
@@ -617,110 +686,30 @@ def products(mu: AtomicMeasure, nu: AtomicMeasure,
         mu_keys = [key * (scale // mu_scale) for key in mu_keys]
         nu_keys = [key * (scale // nu_scale) for key in nu_keys]
     merged = {}
-    first = {}  # product key -> the first pair of positions that reaches it
-    for px, kx, wx in zip(mu_points, mu_keys, mu_masses):
-        for py, ky, wy in zip(nu_points, nu_keys, nu_masses):
+    for kx, wx in zip(mu_keys, mu_masses):
+        for ky, wy in zip(nu_keys, nu_masses):
             key = kx * ky
             if key in merged:
                 merged[key] += wx * wy
             else:
                 merged[key] = wx * wy
-                first[key] = (px, py)
     order = sorted(merged)
+    masses, den = [merged[key] for key in order], mu_den * nu_den
     # the squares of the products are the keys over scale^2, so the lcm of
     # their denominators is scale^2 / g (g = 1 when nu has the support of mu)
     g = gcd(scale * scale, *order) if scale > 1 else 1
-    masses, den = [merged[key] for key in order], mu_den * nu_den
-    radius = Fraction(0)
+    keys = order if g == 1 else [key // g for key in order]
+    scale = scale * scale // g
     if mode == REAL:
-        masses, den = real_arithmetic().round_dyadic(masses, den, bits)
-        radius = _product_radius(eps, 2 * _FACTOR_ROUNDINGS + 1, bits)
-    return Table(base, mode, order if g == 1 else [key // g for key in order],
-                 scale * scale // g, masses, den, radius,
-                 [first[key] for key in order])
-
-
-def t_products(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,
-               eps: Fraction = Fraction(0)) -> Table:
-    """``products(mu, t_weight(mu, bits), bits, eps)``, the table of
-    mu * t(mu).
-
-    In rational mode no t(mu) is built: over mu's denominator times L, the
-    lcm of the positions' denominators, its numerators are mu's times
-    a L / b for each position a / b.  The table is then staged
-    (:class:`Table`), so a peel that refutes early forms only the products
-    it reads: on `gen --p 400 --seed 1` the transform refutes after pairing
-    the lowest 8 atoms, 36 of the 80,200 distinct pairs.  Real and radical
-    tables are complete, because the real peel takes its radius unit from
-    the smallest target mass."""
-    if mu.mode == REAL or any(pos.k for pos in mu.support):
-        # t_weight refuses a radical position in rational mode
-        return products(mu, t_weight(mu, bits), bits, eps)
-    mu.require_no_zero_atom("t_weight")
-    points = list(mu.support)
-    keys, scale = support_keys(mu)
-    masses, den = numerators(mu.weights, RATIONAL, bits)
-    qs = [pos.q for pos in points]
-    common = lcm(*[q.denominator for q in qs])
-    weighted = [m * q.numerator * (common // q.denominator)
-                for m, q in zip(masses, qs)]
-    return Table(mu.base, RATIONAL, [], scale * scale, [], den * den * common,
-                 Fraction(0), [], (keys[-1] * keys[-1], (points[-1],) * 2),
-                 _t_stages(points, keys, masses, weighted))
-
-
-# the atoms the first stage of a staged table pairs; each later stage pairs
-# twice as many
-_FIRST_STAGE = 8
-
-
-def _t_stages(points: list, keys: List[int], left: List[int],
-              right: List[int]) -> Iterator:
-    """The stages of the table of mu * t(mu), for :meth:`Table.pull`.
-
-    Stage m pairs the atoms i, j < m, for m = 8, 16, 32, ... up to p.  A
-    pair not yet formed has an atom m or beyond, so its product is at least
-    K_0*K_m: the stage releases the products below that edge, all of them
-    complete, and keeps the others merging.  K_i*K_j needs no gcd to reach
-    the scale scale^2: for each prime, an atom whose squared denominator
-    carries the scale's full power of it has a key prime to it.  Each
-    unordered pair is formed once, with mass a_i b_j + a_j b_i."""
-    p, done = len(keys), 0
-    pending, pairs = {}, {}
-    rows = list(zip(keys, left, right, points))
-    while done < p:
-        m = min(p, max(_FIRST_STAGE, 2 * done))
-        for j in range(done, m):
-            kj, aj, bj, pj = rows[j]
-            for ki, ai, bi, pi in rows[:j]:
-                key = ki * kj
-                if key in pending:
-                    pending[key] += ai * bj + aj * bi
-                else:
-                    pending[key] = ai * bj + aj * bi
-                    pairs[key] = (pi, pj)
-            key = kj * kj
-            if key in pending:
-                pending[key] += aj * bj
-            else:
-                pending[key] = aj * bj
-                pairs[key] = (pj, pj)
-        done = m
-        if m == p:
-            ready = sorted(pending)
-            yield (ready, [pending[key] for key in ready],
-                   [pairs[key] for key in ready], None)
-        else:
-            edge = keys[0] * keys[m]
-            ready = sorted([key for key in pending if key < edge])
-            yield (ready, [pending.pop(key) for key in ready],
-                   [pairs.pop(key) for key in ready], edge)
-
-
-def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
-    """Multiplicative convolution: :func:`products` with one position and
-    one mass built per distinct product."""
-    return products(mu, nu, bits).measure()
+        reals = real_arithmetic()
+        masses, den = reals.round_dyadic(masses, den, bits)
+        weights = [reals.from_dyadic(n, den) for n in masses]
+    else:
+        weights = [Fraction(n, den) for n in masses]
+    out = AtomicMeasure(base, mode, tuple(list(zip(
+        [_key_position(key, scale, base) for key in keys], weights))))
+    object.__setattr__(out, "_keys", (keys, scale))
+    return out
 
 
 def t_weight(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:

@@ -43,9 +43,11 @@ in rational mode the table is staged, and the peel pulls a stage only when
 its smallest residual atom reaches the stage's edge, so a refutation forms
 only the products below the atoms it reads.
 ``sqrt_of`` peels the table of mu, and the witness check compares the table
-of the witness's square with the target's.  A position or a Fraction is
-built only for what a verdict prints: the root's atoms, a certificate's
-atoms and a_1 in a message.
+of the witness's square (:func:`alsq.measures.square_products`) with the
+target's.  Both product tables come from one pair loop, which forms each
+unordered pair of atoms once.  A position or a Fraction is built only for
+what a verdict prints: the root's atoms, a certificate's atoms and a_1 in
+a message, each position read off its int key.
 
 The decision path takes its precision explicitly from ``SolverConfig``:
 ``t_weight`` and the witness masses round raw libmp values at
@@ -75,7 +77,7 @@ from .measures import (
     _position,
     make_measure,
     measure_to_json_dict,
-    products,
+    square_products,
     support_keys,
     t_products,
     table,
@@ -421,7 +423,7 @@ def _at(target: Table, z: int, j: Optional[int], k1: int) -> str:
     square (z / K_1^2) * x_1^2."""
     if j is not None:
         return scalar_str(target.position(j))
-    square = Fraction(z, k1 * k1) * target.square(0)
+    square = Fraction(z, k1 * target.scale)  # x_1^2 = K_1 / scale
     return f"the position with square {scalar_str(square)}"
 
 
@@ -504,13 +506,15 @@ def verify_witness(
 
 def _verify(witness: AtomicMeasure, target: Table,
             radii: Sequence[Tuple[int, int]], config: SolverConfig) -> bool:
-    """Compare the table of the witness's square with ``target``.  Equal
-    int keys at an equal scale give equal positions.  Exact masses
+    """Compare the table of the witness's square
+    (:func:`alsq.measures.square_products`, p(p + 1) / 2 pairs for p root
+    atoms) with ``target``.  Equal int keys at an equal scale give equal
+    positions.  Exact masses
     must be equal; otherwise |S_j - T_j| <= r / q * a_1 + rho * S_j, as a
     re-squared mass S_j lies within the square's radius rho of the square
     of the peel's root, and that within r / q * a_1 of the target mass T_j,
     (r, q) = radii[j] (0 for a rational target)."""
-    square = products(witness, witness, config.precision_bits)
+    square = square_products(witness, config.precision_bits)
     if square.keys != target.keys or square.scale != target.scale:
         return False
     sden, tden, rho = square.den, target.den, square.radius

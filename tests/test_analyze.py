@@ -30,11 +30,11 @@ def test_report_fields_for_six_atom_example(six_atom_exact):
 def test_analyze_decides_the_root_once(monkeypatch, bits):
     # the closed form's witness is sqrt_of's root, reused: one peel each for
     # the square root and the transform, one product table for the
-    # transform target (t_products) and one each for the two witness
-    # re-checks
+    # transform target (t_products) and one square table each for the two
+    # witness re-checks
     from alsq import solver
 
-    calls = {"_peel": 0, "products": 0, "t_products": 0}
+    calls = {"_peel": 0, "square_products": 0, "t_products": 0}
 
     def spy(name):
         original = getattr(solver, name)
@@ -45,14 +45,14 @@ def test_analyze_decides_the_root_once(monkeypatch, bits):
         monkeypatch.setattr(solver, name, counting)
 
     spy("_peel")
-    spy("products")
+    spy("square_products")
     spy("t_products")
     mu = generate(GeneratorSpec(5, "with-aluthge-root", 4000)).measure
     options = AnalyzeOptions()
     if bits:
         mu, options = mu.to_real(bits), AnalyzeOptions(SolverConfig(bits))
     report = analyze(mu, options)
-    assert calls == {"_peel": 2, "products": 2, "t_products": 1}
+    assert calls == {"_peel": 2, "square_products": 2, "t_products": 1}
     assert report.small_verdict.outcome == WITNESS
     assert report.small_verdict.witness == report.sqrt_verdict.witness
 

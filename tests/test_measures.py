@@ -21,7 +21,9 @@ from alsq.measures import (
     MeasureError,
     Position,
     ZeroAtomError,
+    _FACTOR_ROUNDINGS,
     _common_base,
+    _product_radius,
     convolve,
     dirac,
     dumps_measure,
@@ -32,11 +34,12 @@ from alsq.measures import (
     moment,
     normalize,
     power_positions,
-    products,
     scale_positions,
+    square_products,
     strip_zero_atom,
     t_products,
     t_weight,
+    table,
 )
 from alsq.reals import mpf_to_fraction, to_mpf
 from alsq.scalars import ScalarError, parse_rational
@@ -270,33 +273,26 @@ def test_int_keyed_convolve_matches_position_products(pair):
 @settings(max_examples=150)
 @given(keyed_pairs())
 def test_product_table_matches_its_measure(pair):
-    # the table the peel reads holds the int keys, positions, squares and
-    # masses of the measure convolve materializes from it
-    mu, nu = pair
-    table = products(mu, nu)
-    out = table.measure()
-    assert table.keys == int_keys(out.support)
-    assert [table.position(j) for j in range(table.p)] == list(out.support)
-    assert [table.square(j) for j in range(table.p)] == \
-        [pos.squared() for pos in out.support]
-    assert [table.weight(j) for j in range(table.p)] == list(out.weights)
-    if out.mode == RATIONAL:
-        assert [F(n, table.den) for n in table.masses] == list(out.weights)
-        assert table.radius == 0
-    else:
-        # the rounded sums, held exactly as ints over one power of two, with
-        # a radius that covers the roundings
-        assert table.den & (table.den - 1) == 0
-        assert [F(n, table.den) for n in table.masses] == \
-            [mpf_to_fraction(w) for w in out.weights]
-        assert 0 < table.radius < F(1, 2 ** 50)
-    # the first pair per product, left factor outermost: an atom is x_1*y
-    # with y in supp(nu) exactly when its first pair starts at x_1
-    x1 = table.factors[0][0]
-    assert x1 == mu.support[0].rebase(out.base)
-    edge = {x1 * y.rebase(out.base) for y in nu.support}
-    assert [pair[0] is x1 for pair in table.factors] == \
-        [pos in edge for pos in out.support]
+    # the table of a square that the witness check reads holds the int
+    # keys, positions and masses of the measure convolve builds
+    for mu in pair:
+        table = square_products(mu)
+        out = convolve(mu, mu)
+        assert table.keys == int_keys(out.support)
+        assert [table.position(j) for j in range(table.p)] == \
+            list(out.support)
+        assert [table.weight(j) for j in range(table.p)] == list(out.weights)
+        if out.mode == RATIONAL:
+            assert [F(n, table.den) for n in table.masses] == \
+                list(out.weights)
+            assert table.radius == 0
+        else:
+            # the rounded sums, held exactly as ints over one power of two,
+            # with a radius that covers the roundings
+            assert table.den & (table.den - 1) == 0
+            assert [F(n, table.den) for n in table.masses] == \
+                [mpf_to_fraction(w) for w in out.weights]
+            assert 0 < table.radius < F(1, 2 ** 50)
 
 
 @settings(max_examples=150)
@@ -305,13 +301,16 @@ def test_product_table_matches_its_measure(pair):
 def test_t_products_is_the_table_of_mu_times_t_mu(mu):
     # in rational mode t(mu)'s numerators come from mu's and the positions'
     # without building t(mu); once its stages are all pulled, the table
-    # holds the same products, masses and radius as that of
-    # mu * t_weight(mu), and each atom's pair reaches its product
-    got, expected = _complete(t_products(mu, 128, F(1, 2 ** 70))), \
-        products(mu, t_weight(mu, 128), 128, F(1, 2 ** 70))
-    assert (got.base, got.mode, got.keys, got.scale, got.radius) == \
+    # holds the products, masses and positions of convolve(mu, t_weight(mu)),
+    # and a real one the radius of a product of masses within 2^-70
+    eps = F(1, 2 ** 70)
+    got = _complete(t_products(mu, 128, eps))
+    expected = table(convolve(mu, t_weight(mu, 128), 128), 128)
+    assert (got.base, got.mode, got.keys, got.scale, got.top) == \
         (expected.base, expected.mode, expected.keys, expected.scale,
-         expected.radius)
+         expected.top)
+    assert got.radius == (0 if mu.mode == RATIONAL else _product_radius(
+        eps, 2 * _FACTOR_ROUNDINGS + 1, 128))
     assert [F(n, got.den) for n in got.masses] == \
         [F(n, expected.den) for n in expected.masses]
     if mu.mode == REAL:
@@ -330,7 +329,7 @@ def _complete(table):
 def test_t_products_stages_release_complete_products(style):
     # after every stage the keys appended so far ascend and are exactly the
     # products below the edge, with their full masses; the complete table
-    # equals that of mu * t_weight(mu)
+    # equals that of convolve(mu, t_weight(mu))
     rng = random.Random(7)
     for p in range(1, 41):
         if style == "geometric":
@@ -341,7 +340,7 @@ def test_t_products_stages_release_complete_products(style):
                        for _ in range(p)}
         mu = make_measure([(x, F(rng.randint(1, 9), rng.randint(1, 9)))
                            for x in support])
-        full = products(mu, t_weight(mu))
+        full = table(convolve(mu, t_weight(mu)))
         got = t_products(mu)
         stages = 1
         while True:
@@ -366,6 +365,16 @@ def test_t_products_refuses_a_radical_rational_position():
     mu = make_measure([(Position(F(1), 1, F(2)), F(1, 2)), (2, F(1, 2))],
                       base=F(2))
     with pytest.raises(MeasureError, match="t_weight at irrational position"):
+        t_products(mu)
+
+
+@pytest.mark.parametrize("bits", [None, 128])
+def test_t_products_refuses_mass_at_the_origin(bits):
+    mu = make_measure([(0, F(1, 4)), (1, F(1, 4)), (2, F(1, 2))])
+    if bits:
+        mu = mu.to_real(bits)
+    with pytest.raises(ZeroAtomError, match="t_weight requires a measure "
+                       "without mass at the origin"):
         t_products(mu)
 
 

@@ -12,12 +12,14 @@ from mpmath import mpf, workprec
 from alsq import solver
 from alsq.analyze import AnalyzeOptions, analyze
 from alsq.closed_forms import classify_small
-from alsq.diagram import Violation
+from alsq.diagram import Violation, cardinality_check, structural_certificate
 from alsq.generate import GeneratorSpec, generate
 from alsq.measures import (
     MeasureError,
     Position,
     ZeroAtomError,
+    _FACTOR_ROUNDINGS,
+    _product_radius,
     convolve,
     dirac,
     int_keys,
@@ -26,8 +28,9 @@ from alsq.measures import (
     moment,
     normalize,
     power_positions,
-    products,
     scale_positions,
+    square_products,
+    t_products,
     t_weight,
     table,
 )
@@ -463,16 +466,21 @@ def _product_targets(draw):
 @settings(max_examples=120, deadline=None)
 @given(_product_targets())
 def test_peel_of_product_table_matches_peel_of_measure(case):
-    # the peel that reads the product table gives, field for field, the peel
-    # of the measure convolve materializes from that table, tabled with the
+    # the peel that reads the product table of the pair loop gives, field
+    # for field, the peel of the measure convolve builds, tabled with the
     # product table's radius (0 in rational mode)
     mu, nu, config = case
-    tabled = products(mu, nu, config.precision_bits)
-    again = table(tabled.measure(), config.precision_bits, tabled.radius)
-    assert [F(n, again.den) for n in again.masses] == \
-        [F(n, tabled.den) for n in tabled.masses]
+    bits = config.precision_bits
+    tabled = (square_products(mu, bits) if nu is mu
+              else t_products(mu, bits))
+    again = table(convolve(mu, nu, bits), bits, tabled.radius)
     assert _peel_fields(solver._peel(tabled, config)) == \
         _peel_fields(solver._peel(again, config))
+    while tabled.edge is not None:
+        tabled.pull()
+    assert (tabled.keys, tabled.scale) == (again.keys, again.scale)
+    assert [F(n, again.den) for n in again.masses] == \
+        [F(n, tabled.den) for n in tabled.masses]
 
 
 def _ladder_cases(p=23):
@@ -554,8 +562,9 @@ def test_staged_transform_verdicts_equal_complete_table_peel(monkeypatch):
     for q in range(2, 21):
         cases += _ladder_cases(2 * q - 1)[:2]
     staged = [aluthge_subnormal(mu).to_json_dict() for mu in cases]
-    monkeypatch.setattr(solver, "t_products", lambda mu, bits, eps: products(
-        mu, t_weight(mu, bits), bits, eps))
+    monkeypatch.setattr(solver, "t_products", lambda mu, bits, eps: table(
+        convolve(mu, t_weight(mu, bits), bits), bits,
+        _product_radius(eps, 2 * _FACTOR_ROUNDINGS + 1, bits)))
     complete = [aluthge_subnormal(mu).to_json_dict() for mu in cases]
     assert staged == complete
     outcomes = {verdict["outcome"] for verdict in staged}
@@ -689,7 +698,8 @@ def test_verify_witness_compares_positions():
     # halved, the root squares onto 1/4, 1/2 and 1: the same int keys as
     # 1, 2 and 4, at the scale 16 instead of 1
     halved = scale_positions(witness, F(1, 2))
-    assert table(square).keys == products(halved, halved).keys
+    assert table(square).keys == square_products(halved).keys
+    assert (table(square).scale, square_products(halved).scale) == (1, 16)
     assert not verify_witness(halved, square)
     # a root over the radical base 2 squares onto rational positions
     radical = make_measure([(Position(F(1), 1, F(2)), F(1, 2)),
@@ -890,6 +900,34 @@ def test_transform_witness_off_the_support(p, q, n):
         assert [pos for pos, _ in verdict.witness.atoms] == \
             [Position.of(x) for x in berger]
         assert [float(w) for _, w in verdict.witness.atoms] == list(n)
+
+
+@pytest.mark.parametrize("p, q, n", _OFF_SUPPORT)
+def test_off_support_witnesses_pass_the_structural_rules(p, q, n):
+    # the rules and the cardinality bounds are necessary for mu * t(mu) to
+    # have a root on any support: a witness off supp(mu) passes them all
+    mu = make_measure(list(_dict_square(q).items()))
+    assert structural_certificate(mu) is None
+    assert structural_certificate(mu, exhaustive=True) == []
+    assert cardinality_check(mu).ok
+
+
+def test_no_structural_rule_fires_on_a_transform_witness():
+    # every generate mode and style at p = 1..23, seeds 1..8: wherever the
+    # transform has a witness no rule fires, no cardinality bound fails
+    # and, at p = 3..6, the closed form finds the witness too
+    witnesses = 0
+    for seed in range(1, 9):
+        for p in range(1, 24):
+            for mu in _generated(p, seed):
+                if aluthge_subnormal(mu).outcome != WITNESS:
+                    continue
+                witnesses += 1
+                assert structural_certificate(mu) is None, mu
+                assert cardinality_check(mu).ok, mu
+                if 3 <= mu.p <= 6:
+                    assert classify_small(mu).outcome == WITNESS, mu
+    assert witnesses >= 100
 
 
 def test_verdict_json_shape(three_atom_square):

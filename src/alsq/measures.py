@@ -19,11 +19,13 @@ keeps them in a hidden slot (:func:`support_keys`), :func:`make_measure`
 fills it while it sorts the atoms, and the operations that keep the
 support (:func:`with_weights`, :func:`t_weight`, :func:`strip_zero_atom`)
 pass it on.  Positions are read off keys (:func:`_key_position`).  One pair
-loop, which forms each unordered pair of atoms once, builds the product
-tables ``solver`` reads: :func:`t_products`, mu * t(mu) (staged in rational
-mode, with no t(mu) built), and :func:`square_products`, a witness's square;
-mu * t(mu) is never materialized.  :func:`convolve` multiplies measures on
-any two supports with its own loop over the ordered pairs.
+loop (:func:`_pair_products`), which forms each unordered pair of atoms
+once, builds the product tables ``solver`` reads: :func:`t_products`,
+mu * t(mu) for real masses and radical positions, and
+:func:`square_products`, a witness's square; the solver also runs it on the
+masses of a signed root.  mu * t(mu) is never materialized.
+:func:`convolve` multiplies measures on any two supports with its own loop
+over the ordered pairs.
 
 Real-mode branches get :mod:`alsq.reals` from ``real_arithmetic`` once per
 call; rational ones never load mpmath.
@@ -36,7 +38,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -52,8 +54,8 @@ from .scalars import (
 RATIONAL = "rational"
 REAL = "real"
 
-# the most atoms a measure document may hold: a transform witness pairs every
-# atom, which takes 1.5 s on a 399-atom geometric square
+# the most atoms a measure document may hold: each witness is re-squared pair
+# by pair, which takes up to 0.1 s per question on a 399-atom geometric square
 MAX_ATOMS = 400
 
 
@@ -473,33 +475,14 @@ class Table:
     The masses are the int numerators ``masses`` over the one denominator
     ``den``, a power of two in real mode.  Every mass stands for the values
     within ``radius`` times it, a Fraction that is 0 in rational mode.
-    ``top`` is the key of the top atom, known to a staged table before it
-    holds that atom.
-
-    A staged table (:func:`t_products`) holds only the atoms below ``edge``,
-    each of them complete.  :meth:`pull` appends the atoms of the next
-    stage in ascending key order and raises ``edge``, which is None once
-    the table is complete; every other table is complete from the start.
     """
 
-    __slots__ = ("base", "mode", "keys", "scale", "masses", "den", "radius",
-                 "top", "edge", "_stages")
+    __slots__ = ("base", "mode", "keys", "scale", "masses", "den", "radius")
 
     def __init__(self, base: Fraction, mode: str, keys: List[int],
-                 scale: int, masses: List[int], den: int, radius: Fraction,
-                 top: Optional[int] = None, stages: Optional[Iterator] = None):
+                 scale: int, masses: List[int], den: int, radius: Fraction):
         self.base, self.mode, self.keys, self.scale = base, mode, keys, scale
         self.masses, self.den, self.radius = masses, den, radius
-        self.top = keys[-1] if top is None else top
-        self.edge, self._stages = None, stages
-        if stages is not None:
-            self.pull()
-
-    def pull(self) -> None:
-        """Append the atoms of the next stage of a staged table."""
-        keys, masses, self.edge = next(self._stages)
-        self.keys += keys
-        self.masses += masses
 
     @property
     def p(self) -> int:
@@ -507,9 +490,6 @@ class Table:
 
     def position(self, j: int) -> Position:
         return _key_position(self.keys[j], self.scale, self.base)
-
-    def top_position(self) -> Position:
-        return _key_position(self.top, self.scale, self.base)
 
     def weight(self, j: int) -> Weight:
         if self.mode == REAL:
@@ -564,30 +544,15 @@ def _product_radius(eps: Fraction, k: int, bits: int) -> Fraction:
 def t_products(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,
                eps: Fraction = Fraction(0)) -> Table:
     """The table of mu * t(mu), t(mu) = ``t_weight(mu, bits)``, from the
-    pair loop (:func:`_pair_stages`).
-
-    In rational mode no t(mu) is built: over mu's denominator times L, the
-    lcm of the positions' denominators, its numerators are mu's times
-    a L / b for each position a / b.  The table is then staged
-    (:class:`Table`), so a peel that refutes early forms only the products
-    it reads: on `gen --p 400 --seed 1` the transform refutes after pairing
-    the lowest 8 atoms, 36 of the 80,200 distinct pairs.  Real and radical
-    tables are complete (:func:`_pair_table`), because the real peel takes
-    its radius unit from the smallest target mass."""
+    pair loop (:func:`_pair_table`).  ``aluthge_subnormal`` peels it for
+    real masses and radical positions; a rational measure on rational
+    positions is decided from its signed square root instead, and this
+    table is the reference that decision is tested against."""
     mu.require_no_zero_atom("t_weight")
     masses, den = numerators(mu.weights, mu.mode, bits)
-    if mu.mode == REAL or any(pos.k for pos in mu.support):
-        # t_weight refuses a radical position in rational mode
-        weighted, t_den = numerators(t_weight(mu, bits).weights, REAL, bits)
-        return _pair_table(mu, masses, weighted, den * t_den, bits, eps)
-    keys, scale = support_keys(mu)
-    qs = [pos.q for pos in mu.support]
-    common = lcm(*[q.denominator for q in qs])
-    weighted = [m * q.numerator * (common // q.denominator)
-                for m, q in zip(masses, qs)]
-    return Table(mu.base, RATIONAL, [], scale * scale, [], den * den * common,
-                 Fraction(0), keys[-1] * keys[-1],
-                 _pair_stages(keys, masses, weighted, True))
+    # t_weight refuses a radical position in rational mode
+    weighted, t_den = numerators(t_weight(mu, bits).weights, mu.mode, bits)
+    return _pair_table(mu, masses, weighted, den * t_den, bits, eps)
 
 
 def square_products(mu: AtomicMeasure,
@@ -602,11 +567,11 @@ def square_products(mu: AtomicMeasure,
 def _pair_table(mu: AtomicMeasure, left: List[int], right: List[int],
                 den: int, bits: int, eps: Fraction) -> Table:
     """The table of the masses ``left`` times ``right``, int numerators
-    over ``den`` on the support of ``mu``, in one stage.  A real sum is
-    rounded once at ``bits``; the radius covers the relative ``eps`` of each
-    factor mass, the roundings the factor masses carry and that of the sum."""
+    over ``den`` on the support of ``mu``.  A real sum is rounded once at
+    ``bits``; the radius covers the relative ``eps`` of each factor mass,
+    the roundings the factor masses carry and that of the sum."""
     keys, scale = support_keys(mu)
-    order, masses, _ = next(_pair_stages(keys, left, right, False))
+    order, masses = _pair_products(keys, left, right)
     radius = Fraction(0)
     if mu.mode == REAL:
         masses, den = real_arithmetic().round_dyadic(masses, den, bits)
@@ -614,49 +579,32 @@ def _pair_table(mu: AtomicMeasure, left: List[int], right: List[int],
     return Table(mu.base, mu.mode, order, scale * scale, masses, den, radius)
 
 
-# the atoms the first stage of a staged table pairs; each later stage pairs
-# twice as many
-_FIRST_STAGE = 8
-
-
-def _pair_stages(keys: List[int], left: List[int], right: List[int],
-                 staged: bool) -> Iterator:
+def _pair_products(keys: List[int], left: List[int],
+                  right: List[int]) -> Tuple[List[int], List[int]]:
     """The product table of the masses a = ``left`` and b = ``right`` on
-    one support of int ``keys``, in stages for :meth:`Table.pull`: each
-    unordered pair i < j is formed once, with mass a_i b_j + a_j b_i, each
-    atom with itself with mass a_j b_j, and products on one key merge.
-
-    Staged, stage m pairs the atoms i, j < m, for m = 8, 16, 32, ... up to
-    p; otherwise the one stage is m = p.  A pair not yet formed has an atom
-    m or beyond, so its product is at least K_0*K_m: a stage releases the
-    products below that edge in ascending key order, all of them complete,
-    and keeps the others merging; the last stage releases the rest with
-    the edge None.  K_i*K_j needs no gcd to reach the scale scale^2: for
-    each prime, an atom whose squared denominator carries the scale's full
-    power of it has a key prime to it."""
-    p, done = len(keys), 0
-    pending = {}
+    one support of int ``keys``: the product keys in ascending order and
+    their masses.  Each unordered pair i < j is formed once, with mass
+    a_i b_j + a_j b_i, each atom with itself with mass a_j b_j, and
+    products on one key merge; a merged mass may be 0.  K_i*K_j needs no
+    gcd to reach the scale scale^2: for each prime, an atom whose squared
+    denominator carries the scale's full power of it has a key prime to
+    it."""
+    merged = {}
     rows = list(zip(keys, left, right))
-    while done < p:
-        m = min(p, max(_FIRST_STAGE, 2 * done)) if staged else p
-        for j in range(done, m):
-            kj, aj, bj = rows[j]
-            for ki, ai, bi in rows[:j]:
-                key = ki * kj
-                if key in pending:
-                    pending[key] += ai * bj + aj * bi
-                else:
-                    pending[key] = ai * bj + aj * bi
-            key = kj * kj
-            if key in pending:
-                pending[key] += aj * bj
+    for j, (kj, aj, bj) in enumerate(rows):
+        for ki, ai, bi in rows[:j]:
+            key = ki * kj
+            if key in merged:
+                merged[key] += ai * bj + aj * bi
             else:
-                pending[key] = aj * bj
-        done = m
-        edge = keys[0] * keys[m] if m < p else None
-        ready = sorted(pending if edge is None
-                       else [key for key in pending if key < edge])
-        yield ready, [pending.pop(key) for key in ready], edge
+                merged[key] = ai * bj + aj * bi
+        key = kj * kj
+        if key in merged:
+            merged[key] += aj * bj
+        else:
+            merged[key] = aj * bj
+    order = sorted(merged)
+    return order, [merged[key] for key in order]
 
 
 def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:

@@ -25,6 +25,12 @@ that re-running the peel re-checks:
 * ``peel-nonpositive-mass``: the forced mass of the next root atom is <= 0;
 * ``peel-overflow``: the next root atom would square beyond the top atom.
 
+For rational masses on rational positions the transform is decided from
+the signed square root Q of mu instead (:func:`_signed_peel`): that ring
+is a UFD and t an automorphism of it, so mu * t(mu) has a square root N
+only if mu = Q * Q, and then N = +-Q * t(Q).  There ``peel-overflow`` also
+says that mu is no signed square.
+
 Relative to the first root atom every forced mass is rational for rational
 input, and the root masses are those values times sqrt(a_1); so rational
 input is always decided exactly.  A real mass is a dyadic rational standing
@@ -37,17 +43,16 @@ root atoms whose mass bound includes 0, fails its independent re-check by
 convolution, or the radius reaches the masses themselves.
 
 The peel and the witness check read tables (:class:`alsq.measures.Table`):
-``aluthge_subnormal`` peels the product table of mu * t(mu) that
-:func:`alsq.measures.t_products` returns and never materializes that measure;
-in rational mode the table is staged, and the peel pulls a stage only when
-its smallest residual atom reaches the stage's edge, so a refutation forms
-only the products below the atoms it reads.
-``sqrt_of`` peels the table of mu, and the witness check compares the table
-of the witness's square (:func:`alsq.measures.square_products`) with the
-target's.  Both product tables come from one pair loop, which forms each
-unordered pair of atoms once.  A position or a Fraction is built only for
-what a verdict prints: the root's atoms, a certificate's atoms and a_1 in
-a message, each position read off its int key.
+``sqrt_of`` and the signed peel read the table of mu; ``aluthge_subnormal``
+on real masses or radical positions peels the product table of
+mu * t(mu) that :func:`alsq.measures.t_products` returns and never
+materializes that measure.  The witness check compares the table of the
+witness's square (:func:`alsq.measures.square_products`) with the
+target's; the signed peel re-squares Q against mu instead.  Every product
+table comes from one pair loop, which forms each unordered pair of atoms
+once.  A position or a Fraction is built only for what a verdict prints:
+the root's atoms, a certificate's atoms and a_1 in a message, each
+position read off its int key.
 
 The decision path takes its precision explicitly from ``SolverConfig``:
 ``t_weight`` and the witness masses round raw libmp values at
@@ -65,6 +70,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
+from math import isqrt
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .diagram import Violation
@@ -74,6 +80,8 @@ from .measures import (
     AtomicMeasure,
     MeasureError,
     Table,
+    _key_position,
+    _pair_products,
     _position,
     make_measure,
     measure_to_json_dict,
@@ -181,7 +189,8 @@ class Peel(Record):
     mode), and ``maybe`` lists the j of the root atoms whose mass bound
     includes 0: they are left out of ``root``.  The c and the residual are
     exact Fractions in rational mode and mpfs rounded toward zero at the
-    working precision in real mode.
+    working precision in real mode.  The witness of :func:`_signed_peel`
+    lists ``(key, c)`` per atom of N instead (see there).
     """
 
     __slots__ = _fields = ("outcome", "root", "certificate", "residual",
@@ -246,11 +255,6 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
     [0, hi], carried as 0 +- hi: it stays in the cross terms, so a later
     refutation holds for every mass in the box, and it moves no midpoint,
     so the witness leaves it out.
-
-    A staged table (:meth:`Table.pull`) is pulled when the smallest
-    residual atom reaches K_1 times its edge: every target atom below that
-    is in, so the peel reads atoms in the order of the complete table and
-    ends with a witness only once every stage is in.
     """
     rho = target.radius
     if rho >= 1:
@@ -306,28 +310,22 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
 
     keys = target.keys
     k1 = keys[0]
-    index, residual, heap = {}, {}, []
-    spread = (top, bottom) if rho else None
-    _join(residual, heap, index, keys, nums, 1, k1, spread, sub, neg)
-    # the target atoms below K_1*edge are all in: the smallest residual
-    # atom at or beyond that waits for the next stage
-    staged = target.edge is not None
-    reach = target.edge * k1 if staged else None
+    # target atom j sits at K_j*K_1 with mass 2*N_j / D relative to a_1, and
+    # in real mode a radius of 2*rho / (1 - rho) times that, rounded up;
+    # atom 0 is the square of the first root atom.  The keys ascend, so
+    # they are a heap.
+    heap = [key * k1 for key in keys[1:]]
+    index = dict(zip(heap, range(1, len(keys))))
+    residual = dict(zip(heap, [
+        (2 * n, 1, -(-2 * n * top // bottom) if rho else 0)
+        for n in nums[1:]]))
     # the root atom y with y*y1 at z squares to (z/K_1)^2; it overflows
     # beyond the top target atom K_top*K_1 when z^2 > K_top*K_1^3
-    limit = target.top * k1 ** 3
+    limit = keys[-1] * k1 ** 3
     root = [(k1, (1, 0, 0), 0)]
     maybe = []
     radii = [(0, 0)] * target.p if rho else None
-    while heap or staged:
-        if staged and (not heap or heap[0] >= reach):
-            start = target.p
-            target.pull()
-            _join(residual, heap, index, keys, nums, start, k1, spread, sub,
-                  neg)
-            staged = target.edge is not None
-            reach = target.edge * k1 if staged else None
-            continue
+    while heap:
         z = heappop(heap)
         ball = residual.pop(z)
         n, e, r = ball
@@ -337,8 +335,10 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
         if n + r < 0:
             c, e, r = half(ball)
             return Peel(IMPOSSIBLE, certificate=_nonpositive(
-                target, len(root), z, j, k1, value(c, powers[e]),
-                value(r, powers[e]) if r else None))
+                j, len(root), _at(z, k1 * target.scale, target.base,
+                                  j is not None),
+                scalar_str(target.position(0)), scalar_str(target.weight(0)),
+                value(c, powers[e]), value(r, powers[e]) if r else None))
         if n <= r:  # the ball holds 0; off the target's atoms it always does,
             # the residual there being minus products of positive midpoints
             if j is None or n + r == 0 or z * z > limit:
@@ -355,7 +355,7 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
                 f"the root atom y with y*y1 = {scalar_str(y)} (y1^2 = "
                 f"{scalar_str(first)}) would square to "
                 f"{scalar_str(y * y / first)}, beyond the top atom "
-                f"{scalar_str(target.top_position())}"))
+                f"{scalar_str(target.position(target.p - 1))}"))
         else:
             c = half(ball)
         key = keys[j]
@@ -386,30 +386,6 @@ def _spread(top: int, bottom: int) -> Tuple[int, int]:
     return spread.numerator, spread.denominator
 
 
-def _join(residual: dict, heap: list, index: dict, keys: List[int],
-          nums: List[int], start: int, k1: int,
-          spread: Optional[Tuple[int, int]], sub, neg) -> None:
-    """Add target atoms ``start``.. to the residual, on top of the cross
-    terms already subtracted there: atom j sits at K_j*K_1 with mass
-    2*N_j / D relative to a_1, and in real mode a radius of ``spread``
-    (a ratio top / bottom) times that mass, rounded up.  A staged table is rational, so ``nums`` is its own
-    growing list of masses.  (A function nested in the peel would make the
-    locals it reads cells, and the peel's loop slower.)"""
-    at = [key * k1 for key in keys[start:]]
-    index.update(zip(at, range(start, len(keys))))
-    if spread:
-        top, bottom = spread
-        balls = [(2 * n, 1, -(-2 * n * top // bottom)) for n in nums[start:]]
-    else:
-        balls = [(2 * n, 1, 0) for n in nums[start:]]
-    if not heap:  # nor residual; at ascends, so it is a heap
-        residual.update(zip(at, balls))
-        heap += at
-        return
-    for z, ball in zip(at, balls):
-        _subtract(residual, heap, z, neg(ball), sub, neg)
-
-
 def _subtract(residual: dict, heap: list, key: int, value, sub, neg) -> None:
     if key in residual:
         residual[key] = sub(residual[key], value)
@@ -418,27 +394,214 @@ def _subtract(residual: dict, heap: list, key: int, value, sub, neg) -> None:
         heappush(heap, key)
 
 
-def _at(target: Table, z: int, j: Optional[int], k1: int) -> str:
-    """The position y*y1 at key z: a target atom, or else named by its
-    square (z / K_1^2) * x_1^2."""
-    if j is not None:
-        return scalar_str(target.position(j))
-    square = Fraction(z, k1 * target.scale)  # x_1^2 = K_1 / scale
-    return f"the position with square {scalar_str(square)}"
+def _add(acc: dict, heap: list, key: int, n: int, e: int,
+         powers: _Powers) -> None:
+    """Add n / D^e to the mass at ``key`` in ``acc``, a dict of int pairs
+    (n, e) whose keys are also in ``heap``."""
+    if key in acc:
+        m, f = acc[key]
+        if f == e:
+            acc[key] = m + n, e
+        elif f > e:
+            acc[key] = m + n * powers[f - e], f
+        else:
+            acc[key] = m * powers[e - f] + n, e
+    else:
+        acc[key] = n, e
+        heappush(heap, key)
 
 
-def _nonpositive(target: Table, count: int, z: int, j: Optional[int],
-                 k1: int, c: Scalar, bound: Optional[Scalar]) -> Violation:
-    a1 = scalar_str(target.weight(0))
+def _signed_peel(target: Table) -> Peel:
+    """Decide whether mu * t(mu) has a nonnegative square root from the
+    signed square root Q of the rational measure mu tabled in ``target``,
+    whose positions are rational.
+
+    Measures on (0, inf) form a UFD and t is a ring automorphism of it, so
+    mu * t(mu) = N * N forces mu = Q * Q for a signed Q, and then
+    N = +-Q * t(Q) (README, "Square root vs. transform").  The peel is
+    :func:`_peel` in rational mode carried past negative forced masses: a
+    root atom sits at every nonzero residual atom z, on a target atom or
+    off them, with key z / K_1.  A mass is an int pair (n, e) standing for
+    n / D^e, a ball of radius 0.
+
+    Beside Q the peel accumulates N = Q * t(Q), relative to its first mass
+    and times R_1: for a root atom of key K, R = sqrt(K) is the int that
+    its y*y1 is times the lcm of the target's denominators, and the root
+    atoms a, b add c_a c_b (R_a + R_b) at K_a*K_b (c_a^2 R_a for a = b),
+    the key of y_a*y_b*x_1 in the table of mu * t(mu).  Once a root atom is
+    found at z, every later pair meets at z or beyond, so the atoms of N
+    below z are final, and they are the root atoms the peel of the table of
+    mu * t(mu) finds below that key.  The first final negative atom of N
+    refutes with the certificate that peel gives (:func:`_negative`).  A
+    nonzero residual atom beyond the top, or at a z that K_1 does not
+    divide, refutes with ``peel-overflow``: mu is then no signed square
+    (:func:`_no_signed_square`).  z / K_1 is (L*y*y1)^2, L the lcm of the
+    denominators of mu's positions, so K_1 divides z exactly when y*y1 is
+    a multiple of 1/L; keys thus stay ints.
+
+    A witness lists N as ``(key, c)`` pairs, each atom's key in the table
+    of mu * t(mu) and its mass relative to the first, once Q has been
+    re-squared against the target: Q * Q = mu gives N * N = mu * t(mu)
+    exactly.
+    """
+    nums, keys = target.masses, target.keys
+    n1 = nums[0]
+    d = 2 * n1
+    powers = _Powers(d)
+    k1 = keys[0]
+    r1 = isqrt(k1)
+    heap = [key * k1 for key in keys[1:]]
+    index = dict(zip(heap, range(1, len(keys))))
+    residual = dict(zip(heap, [(2 * n, 1) for n in nums[1:]]))
+    limit = keys[-1] * k1 ** 3
+    root = [(k1, 1, 0, r1)]
+    found, found_heap, final = {k1 * k1: (r1, 0)}, [k1 * k1], []
+    while heap:
+        z = heappop(heap)
+        n, e = residual.pop(z)
+        if not n:
+            continue
+        negative = _finalize(found, found_heap, z, final)
+        if negative:
+            return Peel(IMPOSSIBLE, certificate=_negative(
+                target, final, negative, powers))
+        if z * z > limit or z % k1:
+            return Peel(IMPOSSIBLE, certificate=_no_signed_square(
+                target, len(root), z, index.get(z), z * z > limit))
+        n, e = n * n1, e + 1  # half of n / D^e
+        while e and n % d == 0:
+            n, e = n // d, e - 1
+        key = z // k1
+        r = isqrt(key)
+        _add(found, found_heap, z, n * (r1 + r), e, powers)
+        for other, m, f, s in root[1:]:
+            at, m, f = other * key, n * m, e + f
+            _add(residual, heap, at, -2 * m, f, powers)
+            _add(found, found_heap, at, m * (s + r), f, powers)
+        m = n * n
+        _add(residual, heap, key * key, -m, 2 * e, powers)
+        _add(found, found_heap, key * key, m * r, 2 * e, powers)
+        root.append((key, n, e, r))
+    negative = _finalize(found, found_heap, None, final)
+    if negative:
+        return Peel(IMPOSSIBLE, certificate=_negative(target, final, negative,
+                                                      powers))
+    # Q * Q against the target, over D^(2*top): the masses relative to a_1
+    # are N_j / N_1
+    top = max([f for _, _, f, _ in root])
+    masses = [m * powers[top - f] for _, m, f, _ in root]
+    order, squares = _pair_products([key for key, _, _, _ in root], masses,
+                                    masses)
+    square = [(key, m) for key, m in zip(order, squares) if m]
+    scale = powers[2 * top]
+    if len(square) != len(keys) or any(
+            key != k * k1 or m * n1 != t * scale
+            for (key, m), k, t in zip(square, keys, nums)):
+        return Peel(UNDETERMINED, note=UNVERIFIED)
+    return Peel(WITNESS, root=tuple([(w, Fraction(m, powers[f] * r1))
+                                     for w, m, f in final]))
+
+
+def _finalize(found: dict, heap: list, bound: Optional[int],
+              final: list) -> Optional[Tuple[int, int, int]]:
+    """Move the atoms of N below ``bound`` (all of them for None) from
+    ``found`` to ``final`` as (key, n, e), smallest first, and return the
+    first negative one instead; an atom of mass 0 is dropped."""
+    while heap and (bound is None or heap[0] < bound):
+        w = heappop(heap)
+        m, f = found.pop(w)
+        if m < 0:
+            return w, m, f
+        if m:
+            final.append((w, m, f))
+    return None
+
+
+def _negative(target: Table, final: list, negative: Tuple[int, int, int],
+              powers: _Powers) -> Violation:
+    """The certificate of the peel of the table of mu * t(mu) at the first
+    negative atom of N, its key w: the positive atoms of N below it,
+    ``final``, are the root that peel found, and the atoms of that table
+    below w are their products, which no mass cancels.  At w the table
+    holds their products there and 2 N_1 N_w, and no atom when these
+    cancel."""
+    w, m, f = negative
+    keys, scale, base = target.keys, target.scale, target.base
+    k1 = keys[0]
+    r1 = isqrt(k1)
+    # atoms a, b of N multiply to the table's atom at w when w_a*w_b equals
+    bound = w * k1 * k1
+    below, at = set(), 2 * r1 * Fraction(m, powers[f])
+    for i, (wa, ma, fa) in enumerate(final):
+        if wa * wa > bound:
+            break
+        for wb, mb, fb in final[i:]:
+            key = wa * wb
+            if key > bound:
+                break
+            if key < bound:
+                below.add(key)
+            else:
+                at += Fraction((2 - (wa == wb)) * ma * mb, powers[fa + fb])
+    j = len(below) if at else None
+    a1 = _first_product_mass(target, target.position(0).q)
+    return _nonpositive(
+        j, len(final), _at(w, scale * scale, base, j is not None),
+        scalar_str(_key_position(k1 * k1, scale * scale, base)),
+        scalar_str(a1), Fraction(m, powers[f] * r1))
+
+
+def _first_product_mass(target: Table, x1: Fraction) -> Fraction:
+    """a_1^2 x_1, the first mass of mu * t(mu), for the rational measure mu
+    tabled in ``target`` with first position x_1."""
+    m, d = target.masses[0], target.den
+    return Fraction(m * m * x1.numerator, d * d * x1.denominator)
+
+
+def _no_signed_square(target: Table, count: int, z: int, j: Optional[int],
+                      beyond: bool) -> Violation:
+    """``peel-overflow`` of the signed peel: a nonzero residual atom at z,
+    where the atom y of Q has a rational y*y1, beyond the top or off the
+    multiples of 1/L, L the lcm of the denominators of mu's positions.
+    mu is then no signed square, for the atoms y, y' of a signed root have
+    y*y' on those multiples: for each prime, the lowest power of it in
+    Q * Q is twice that in Q."""
+    k1, scale = target.keys[0], target.scale
+    first = target.position(0)
+    if beyond:
+        why = (f"would square to "
+               f"{scalar_str(Fraction(z, k1 * scale) / first.q)}, beyond the "
+               f"top atom {scalar_str(target.position(target.p - 1))}")
+    else:
+        why = (f"makes y*y1 no multiple of 1/{isqrt(scale)}, the reciprocal "
+               "of the lcm of the denominators of mu's positions, as every "
+               "product of two atoms of a signed root of mu is")
+    return Violation(
+        "peel-overflow", (j + 1,) if j is not None else (),
+        f"mu is no signed square: after {count} atoms of its signed root Q "
+        f"the smallest atom of mu - Q^2 sits at "
+        f"{scalar_str(_key_position(z, k1 * scale, target.base))}; the atom "
+        f"y of Q with y*y1 there (y1^2 = {scalar_str(first)}) {why}")
+
+
+def _at(key: int, scale: int, base: Fraction, atom: bool) -> str:
+    """The position whose square is key / scale: printed when the target
+    has an atom there, else named by its square."""
+    if atom:
+        return scalar_str(_key_position(key, scale, base))
+    return f"the position with square {scalar_str(Fraction(key, scale))}"
+
+
+def _nonpositive(j: Optional[int], count: int, at: str, first: str, a1: str,
+                 c: Scalar, bound: Optional[Scalar] = None) -> Violation:
     mass = f"{scalar_str(c)}*sqrt({a1})"
     if bound is not None:
         mass += f" +- {scalar_str(bound)}*sqrt({a1})"
     return Violation(
         "peel-nonpositive-mass", (j + 1,) if j is not None else (),
         f"after {count} root atoms the smallest atom of target - root^2 "
-        f"sits at {_at(target, z, j, k1)}; the root atom y with y*y1 there "
-        f"(y1^2 = {scalar_str(target.position(0))}) is forced to carry mass "
-        f"{mass}, which is not positive")
+        f"sits at {at}; the root atom y with y*y1 there (y1^2 = {first}) is "
+        f"forced to carry mass {mass}, which is not positive")
 
 
 def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
@@ -463,21 +626,24 @@ def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
     return REAL, weights, notes
 
 
-def _decide(target: Table, peel: Peel,
+def _decide(peel: Peel, a1: Scalar, mode: str,
             place: Callable[[list, str], AtomicMeasure],
-            config: SolverConfig, notes: List[str]) -> Verdict:
-    """Turn a peel into a verdict; ``place(weights, mode)`` puts the root's
-    masses on its support.  Every witness is re-checked by convolving it
-    with itself."""
+            check: Optional[Table], config: SolverConfig,
+            notes: List[str]) -> Verdict:
+    """Turn a peel into a verdict: the root's masses are its c times
+    sqrt(a1), and ``place(weights, mode)`` puts them on its support.  A
+    witness is re-checked by convolving it with itself and comparing with
+    the table ``check``, unless that is None because the peel re-squared
+    its root itself."""
     bits = config.precision_bits
     if peel.outcome != WITNESS:
         extra = [peel.note] if peel.note else []
         return Verdict(peel.outcome, certificate=peel.certificate,
                        precision_bits=bits, notes=tuple(notes + extra))
-    mode, weights, extra = _root_masses([c for _, c in peel.root],
-                                        target.weight(0), target.mode, config)
+    mode, weights, extra = _root_masses([c for _, c in peel.root], a1, mode,
+                                        config)
     witness = place(weights, mode)
-    if not _verify(witness, target, peel.radii, config):
+    if check is not None and not _verify(witness, check, peel.radii, config):
         return Verdict(UNDETERMINED, precision_bits=bits,
                        notes=tuple(notes + [UNVERIFIED]))
     if peel.maybe:
@@ -542,16 +708,18 @@ def aluthge_subnormal(
 ) -> Verdict:
     """Decide whether the Aluthge transform of the weighted shift attached
     to ``mu`` is subnormal: whether mu * t(mu) has a nonnegative square
-    root, on any support, found by peeling its unique root off the table
-    of mu * t(mu) (:func:`t_products`).
+    root N, on any support.
 
-    The root atom y with y*x_1 at target atom j sits at
-    ``target.position(j) / x_1``.  In rational mode the table is staged, so
-    a refutation forms only the products it reads.  On a 2-core Xeon with
-    CPython 3.11: `gen --p 400 --seed 1` is refuted in under 1 ms and a
-    random 321-atom measure in 4 ms, where tabling all products first took
-    0.3-0.4 s and 1.3-1.4 s; a witness drains every stage, 1.5 s on the
-    399-atom square of a 200-atom geometric measure of ratio 3/2."""
+    Rational masses on rational positions are decided exactly from the
+    signed square root Q of mu (:func:`_signed_peel`): N = Q * t(Q) when
+    mu = Q * Q, and no N exists when mu is no signed square.  A refutation
+    forms no product table of mu * t(mu), and a witness pairs the atoms of
+    Q, about half as many as those of mu.  On a 2-core Xeon with CPython
+    3.11 the witness of the 399-atom square of a 200-atom geometric measure
+    takes 0.06-0.09 s, where peeling the table of mu * t(mu) took
+    0.79-0.81 s.  Real masses and radical positions peel the table of
+    mu * t(mu) (:func:`t_products`); the root atom y with y*x_1 at target
+    atom j sits at ``target.position(j) / x_1``."""
     mu.require_no_zero_atom("aluthge_subnormal")
     bits = config.precision_bits
     work = mu
@@ -559,22 +727,33 @@ def aluthge_subnormal(
     if work.mode == RATIONAL and any(pos.k == 1 for pos in work.support):
         work = work.to_real(bits)
         notes.append("irrational positions: masses analysed numerically")
-    target = t_products(work, bits, config.radius)
-    peel = _peel(target, config)
+    keys, scale = support_keys(work)
+    if work.mode == RATIONAL:
+        target = table(work, bits)
+        peel = _signed_peel(target)
+        a1 = _first_product_mass(target, work.support[0].q)
+        check = None
+        at = [w for w, _ in peel.root]
+    else:
+        target = check = t_products(work, bits, config.radius)
+        peel = _peel(target, config)
+        a1 = target.weight(0)
+        at = [target.keys[j] for j, _ in peel.root]
 
     def place(weights, mode):
-        # a root on supp(mu), target atom K_0*K_m for root atom m, keeps
-        # the keys of mu
-        keys = support_keys(work)[0]
-        k0, got = keys[0], target.keys
-        if len(peel.root) == work.p and all(
-                got[j] == k0 * key for (j, _), key in zip(peel.root, keys)):
+        # N's atom n sits at key at[i] = key of n*x_1 in the table of
+        # mu * t(mu); a root on supp(mu), atom m at K_0*K_m, keeps the keys
+        # of mu
+        k0 = keys[0]
+        if len(at) == work.p and all(
+                w == k0 * key for w, key in zip(at, keys)):
             return with_weights(work, weights, mode)
         x1 = work.support[0]
-        positions = [target.position(j) / x1 for j, _ in peel.root]
+        positions = [_key_position(w, scale * scale, work.base) / x1
+                     for w in at]
         return make_measure(list(zip(positions, weights)), mode=mode,
                             base=work.base, bits=bits)
-    return _decide(target, peel, place, config, notes)
+    return _decide(peel, a1, work.mode, place, check, config, notes)
 
 
 def sqrt_of(
@@ -602,4 +781,5 @@ def sqrt_of(
                      for j, _ in peel.root]
         return make_measure(list(zip(positions, weights)), mode=mode,
                             base=base, bits=config.precision_bits)
-    return _decide(target, peel, place, config, [])
+    return _decide(peel, target.weight(0), target.mode, place, target, config,
+                   [])

@@ -29,12 +29,14 @@ def test_report_fields_for_six_atom_example(six_atom_exact):
 @pytest.mark.parametrize("bits", [None, 128])
 def test_analyze_decides_the_root_once(monkeypatch, bits):
     # the closed form's witness is sqrt_of's root, reused: one peel each for
-    # the square root and the transform, one product table for the
-    # transform target (t_products) and one square table each for the two
-    # witness re-checks
+    # the square root and the transform, and one square table per witness
+    # re-checked by convolution.  A rational transform is the signed peel
+    # of mu, which re-squares its root itself; a real one peels the product
+    # table of mu * t(mu) (t_products)
     from alsq import solver
 
-    calls = {"_peel": 0, "square_products": 0, "t_products": 0}
+    calls = {"_peel": 0, "_signed_peel": 0, "square_products": 0,
+             "t_products": 0}
 
     def spy(name):
         original = getattr(solver, name)
@@ -44,15 +46,17 @@ def test_analyze_decides_the_root_once(monkeypatch, bits):
             return original(*args, **kwargs)
         monkeypatch.setattr(solver, name, counting)
 
-    spy("_peel")
-    spy("square_products")
-    spy("t_products")
+    for name in calls:
+        spy(name)
     mu = generate(GeneratorSpec(5, "with-aluthge-root", 4000)).measure
     options = AnalyzeOptions()
     if bits:
         mu, options = mu.to_real(bits), AnalyzeOptions(SolverConfig(bits))
     report = analyze(mu, options)
-    assert calls == {"_peel": 2, "square_products": 2, "t_products": 1}
+    assert calls == ({"_peel": 2, "_signed_peel": 0, "square_products": 2,
+                      "t_products": 1} if bits else
+                     {"_peel": 1, "_signed_peel": 1, "square_products": 1,
+                      "t_products": 0})
     assert report.small_verdict.outcome == WITNESS
     assert report.small_verdict.witness == report.sqrt_verdict.witness
 

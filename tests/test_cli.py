@@ -63,7 +63,7 @@ def test_aluthge_exit_codes(capsys, six_atom_file, four_atom_file):
     assert main(["aluthge", six_atom_file]) == 0
     assert main(["aluthge", four_atom_file]) == 2
     out = capsys.readouterr().out
-    assert "peel-nonpositive-mass" in out
+    assert "[peel-overflow] mu is no signed square" in out
 
 
 def test_sqrt_json_verdict(capsys, four_atom_file):

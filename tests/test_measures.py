@@ -299,16 +299,14 @@ def test_product_table_matches_its_measure(pair):
 @given(st.sampled_from((F(1), F(7), F(5, 2))).flatmap(
     lambda base: keyed_measures(base, False, 12, _wide_weights)))
 def test_t_products_is_the_table_of_mu_times_t_mu(mu):
-    # in rational mode t(mu)'s numerators come from mu's and the positions'
-    # without building t(mu); once its stages are all pulled, the table
-    # holds the products, masses and positions of convolve(mu, t_weight(mu)),
-    # and a real one the radius of a product of masses within 2^-70
+    # the table holds the products, masses and positions of
+    # convolve(mu, t_weight(mu)), and a real one the radius of a product of
+    # masses within 2^-70
     eps = F(1, 2 ** 70)
-    got = _complete(t_products(mu, 128, eps))
+    got = t_products(mu, 128, eps)
     expected = table(convolve(mu, t_weight(mu, 128), 128), 128)
-    assert (got.base, got.mode, got.keys, got.scale, got.top) == \
-        (expected.base, expected.mode, expected.keys, expected.scale,
-         expected.top)
+    assert (got.base, got.mode, got.keys, got.scale) == \
+        (expected.base, expected.mode, expected.keys, expected.scale)
     assert got.radius == (0 if mu.mode == RATIONAL else _product_radius(
         eps, 2 * _FACTOR_ROUNDINGS + 1, 128))
     assert [F(n, got.den) for n in got.masses] == \
@@ -317,48 +315,6 @@ def test_t_products_is_the_table_of_mu_times_t_mu(mu):
         assert (got.masses, got.den) == (expected.masses, expected.den)
     assert [got.position(j) for j in range(got.p)] == \
         [expected.position(j) for j in range(expected.p)]
-
-
-def _complete(table):
-    while table.edge is not None:
-        table.pull()
-    return table
-
-
-@pytest.mark.parametrize("style", ["geometric", "random"])
-def test_t_products_stages_release_complete_products(style):
-    # after every stage the keys appended so far ascend and are exactly the
-    # products below the edge, with their full masses; the complete table
-    # equals that of convolve(mu, t_weight(mu))
-    rng = random.Random(7)
-    for p in range(1, 41):
-        if style == "geometric":
-            ratio = F(rng.randint(3, 9), 2)
-            support = [ratio ** i for i in range(p)]
-        else:
-            support = {F(rng.randint(1, 10 ** 4), rng.randint(1, 50))
-                       for _ in range(p)}
-        mu = make_measure([(x, F(rng.randint(1, 9), rng.randint(1, 9)))
-                           for x in support])
-        full = table(convolve(mu, t_weight(mu)))
-        got = t_products(mu)
-        stages = 1
-        while True:
-            below = [key for key in full.keys
-                     if got.edge is None or key < got.edge]
-            assert got.keys == below
-            assert [F(n, got.den) for n in got.masses] == \
-                [F(n, full.den) for n in full.masses[:len(below)]]
-            if got.edge is None:
-                break
-            got.pull()
-            stages += 1
-        assert stages == (1 if mu.p <= 8 else (mu.p - 1).bit_length() - 2)
-        assert (got.base, got.mode, got.scale, got.radius, got.top) == \
-            (full.base, full.mode, full.scale, full.radius, full.top)
-        assert [got.position(j) for j in range(got.p)] == \
-            [full.position(j) for j in range(full.p)]
-        assert got.top_position() == full.position(full.p - 1)
 
 
 def test_t_products_refuses_a_radical_rational_position():

@@ -1,4 +1,6 @@
+import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import ceil, gcd
@@ -18,8 +20,6 @@ from alsq.measures import (
     MeasureError,
     Position,
     ZeroAtomError,
-    _FACTOR_ROUNDINGS,
-    _product_radius,
     convolve,
     dirac,
     int_keys,
@@ -181,8 +181,15 @@ def test_solve_uniform_three_atoms_impossible():
     mu = make_measure([(1, F(1, 3)), (2, F(1, 3)), (4, F(1, 3))])
     verdict = aluthge_subnormal(mu)
     assert verdict.outcome == IMPOSSIBLE
-    assert verdict.certificate.rule == "peel-nonpositive-mass"
-    assert "-9/16" in verdict.certificate.message
+    # mu is no signed square: its signed root has an atom at 4
+    assert verdict.certificate.rule == "peel-overflow"
+    assert "sits at 4;" in verdict.certificate.message
+    assert "would square to 16, beyond the top atom 4" in \
+        verdict.certificate.message
+    # the peel of mu * t(mu) refutes further up
+    peel = _transform_peel(mu)
+    assert peel.certificate.rule == "peel-nonpositive-mass"
+    assert "-9/16" in peel.certificate.message
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +483,6 @@ def test_peel_of_product_table_matches_peel_of_measure(case):
     again = table(convolve(mu, nu, bits), bits, tabled.radius)
     assert _peel_fields(solver._peel(tabled, config)) == \
         _peel_fields(solver._peel(again, config))
-    while tabled.edge is not None:
-        tabled.pull()
     assert (tabled.keys, tabled.scale) == (again.keys, again.scale)
     assert [F(n, again.den) for n in again.masses] == \
         [F(n, tabled.den) for n in tabled.masses]
@@ -522,23 +527,18 @@ def test_transform_builds_positions_only_for_the_verdict(monkeypatch):
     assert len(built) == target.p > 2 * mu.p + 2
 
 
-def test_transform_refutation_forms_only_the_products_it_reads(monkeypatch):
-    # gen --p 400 --seed 1 refutes after 5 root atoms: the table it peeled
-    # still has stages to pull and holds under 1% of the p^2 products
-    tables = []
-    real = solver.t_products
-
-    def spy(*args):
-        tables.append(real(*args))
-        return tables[-1]
-
-    monkeypatch.setattr(solver, "t_products", spy)
+def test_transform_refutation_forms_no_product_table(monkeypatch):
+    # gen --p 400 --seed 1 is refuted from the signed root of mu: neither
+    # the table of mu * t(mu) nor a witness's square is formed
+    calls = []
+    for name in ("t_products", "square_products"):
+        monkeypatch.setattr(solver, name,
+                            lambda *args, name=name: calls.append(name))
     mu = generate(GeneratorSpec(400, "arbitrary", 1)).measure
     verdict = aluthge_subnormal(mu)
     assert verdict.outcome == IMPOSSIBLE
-    [target] = tables
-    assert target.edge is not None
-    assert target.p < mu.p ** 2 // 100
+    assert verdict.certificate.rule == "peel-nonpositive-mass"
+    assert calls == []
 
 
 def _generated(p, seed):
@@ -554,21 +554,153 @@ def _generated(p, seed):
     return [inst.measure for inst in out]
 
 
-def test_staged_transform_verdicts_equal_complete_table_peel(monkeypatch):
-    # the staged table gives the verdict that peeling the complete table of
-    # mu * t(mu) gives, on every generate mode and on squares and twins
-    # whose witnesses drain every stage
+def _table_verdict(mu):
+    """The transform verdict from the positive peel of the complete table of
+    mu * t(mu), built by convolve, its witness re-squared against it."""
+    config = SolverConfig()
+    target = table(convolve(mu, t_weight(mu)))
+    peel = solver._peel(target, config)
+    x1 = mu.support[0]
+
+    def place(weights, mode):
+        return make_measure([(target.position(j) / x1, w) for (j, _), w
+                             in zip(peel.root, weights)], mode=mode,
+                            base=mu.base)
+    return solver._decide(peel, target.weight(0), target.mode, place, target,
+                          config, [])
+
+
+def _signed_squares(count, seed):
+    """Q * Q for signed Q with 2-6 atoms on one- and two-ratio lattices,
+    kept when every mass of Q * Q is positive."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b = rng.choice(_RATIOS), rng.choice((F(1), F(5), F(7, 3)))
+        q = {}
+        for _ in range(rng.randint(2, 6)):
+            x = a ** rng.randint(0, 4) * b ** rng.randint(0, 1)
+            q[x] = F(rng.choice((-3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 3))
+        mu = _dict_square(q)
+        if all(m > 0 for m in mu.values()):
+            out.append(make_measure(list(mu.items())))
+    return out
+
+
+# signed Q whose square is positive while Q * t(Q) has a negative mass
+_NOT_SUBNORMAL = [
+    {1: 3, 2: 2, 4: 2, 8: -1, 16: 2, 32: 1},
+    {1: 1, F(5, 3): F(3, 2), F(25, 9): -1, F(125, 27): 2, F(625, 81): F(3, 2),
+     F(3125, 243): F(4, 3)},
+    {1: F(1, 3), F(7, 4): F(3, 2), F(49, 16): 3, F(343, 64): -1,
+     F(2401, 256): 2, F(16807, 1024): 2},
+    {1: 1, F(7, 4): 1, F(49, 16): F(-1, 2), F(343, 64): 1, F(2401, 256): 1},
+    {1: 1, F(3, 2): 1, F(9, 4): F(-1, 2), F(27, 8): 2, F(81, 16): F(4, 3)},
+    {2: 1, 4: F(3, 2), 8: -1, 16: 2, 32: F(3, 2)},
+]
+
+
+def _transform_cases():
+    """Every generate mode and style at p = 1..40 and geometric squares and
+    their twins up to p = 39; and signed squares."""
     cases = [mu for p in range(1, 41) for mu in _generated(p, 1000 + p)]
     for q in range(2, 21):
         cases += _ladder_cases(2 * q - 1)[:2]
-    staged = [aluthge_subnormal(mu).to_json_dict() for mu in cases]
-    monkeypatch.setattr(solver, "t_products", lambda mu, bits, eps: table(
-        convolve(mu, t_weight(mu, bits), bits), bits,
-        _product_radius(eps, 2 * _FACTOR_ROUNDINGS + 1, bits)))
-    complete = [aluthge_subnormal(mu).to_json_dict() for mu in cases]
-    assert staged == complete
-    outcomes = {verdict["outcome"] for verdict in staged}
-    assert outcomes == {WITNESS, IMPOSSIBLE}
+    squares = _signed_squares(150, 23) + [
+        make_measure(list(_dict_square(q).items())) for q in _NOT_SUBNORMAL]
+    return cases, squares
+
+
+def test_transform_verdicts_equal_complete_table_peel():
+    # the signed root of mu gives the outcome and the witness of the peel
+    # of the complete table of mu * t(mu), and its certificate wherever mu
+    # is a signed square; where it is not, the signed peel may stop first,
+    # with peel-overflow, a rule no signed square gets
+    cases, squares = _transform_cases()
+    rules = Counter()
+    for mu in cases + squares:
+        got = aluthge_subnormal(mu).to_json_dict()
+        want = _table_verdict(mu).to_json_dict()
+        assert got["outcome"] == want["outcome"], mu
+        rule = got["certificate"] and got["certificate"]["rule"]
+        rules[rule, mu in squares] += 1
+        if rule != "peel-overflow":
+            assert got == want, mu
+    assert rules["peel-overflow", True] == 0
+    assert rules[None, True] and rules["peel-nonpositive-mass", True]
+    assert rules["peel-overflow", False] and rules[None, False]
+
+
+def _dict_product(left, right):
+    out = {}
+    for x, a in left.items():
+        for y, b in right.items():
+            out[x * y] = out.get(x * y, 0) + a * b
+    return {x: m for x, m in out.items() if m}
+
+
+def _has_nonnegative_root(target):
+    """Whether the measure {position: mass} has a nonnegative square root:
+    its unique root, peeled smallest atom first in plain Fractions, has no
+    negative mass and squares to no atom beyond the top."""
+    x1 = min(target)
+    top = max(target)
+    residual = {x: m / target[x1] for x, m in target.items() if x != x1}
+    root = {x1: F(1)}  # atom y as y * sqrt(x1), mass over sqrt(a_1)
+    while True:
+        live = [x for x, m in residual.items() if m]
+        if not live:
+            return True
+        x = min(live)
+        c = residual.pop(x) / 2
+        if c < 0 or x * x / x1 > top:
+            return False
+        for y, b in root.items():
+            residual[x * y / x1] = residual.get(x * y / x1, 0) - 2 * c * b
+        residual[x * x / x1] = residual.get(x * x / x1, 0) - c * c
+        root[x] = c
+
+
+def test_no_signed_square_has_no_transform_root():
+    # every transform peel-overflow ("no signed square") is right: mu * t(mu),
+    # formed from dict products, has no nonnegative square root
+    cases, _ = _transform_cases()
+    reasons = Counter()
+    for mu in cases:
+        verdict = aluthge_subnormal(mu)
+        if verdict.certificate and verdict.certificate.rule == "peel-overflow":
+            message = verdict.certificate.message
+            reasons["beyond the top atom" in message,
+                    "no multiple of 1/" in message] += 1
+            atoms = {pos.q: w for pos, w in mu.atoms}
+            weighted = {x: w * x for x, w in atoms.items()}
+            assert not _has_nonnegative_root(_dict_product(atoms, weighted))
+    # both ways the signed root of mu can end
+    assert reasons[True, False] >= 40 and reasons[False, True] >= 10
+
+
+def test_transform_separates_from_the_square_root_at_p9():
+    # mu = P(z)^2 at z = (3/2)^k for P = (1, 2, -1, 3, 2): no square root,
+    # but the transform is subnormal with Berger measure P(z) P(3z/2)
+    ratio, p = F(3, 2), [1, 2, -1, 3, 2]
+    square, berger = [0] * 9, [0] * 9
+    for k, a in enumerate(p):
+        for m, b in enumerate(p):
+            square[k + m] += a * b
+            berger[k + m] += a * b * ratio ** m
+    assert square == [1, 4, 2, 2, 17, 2, 5, 12, 4]
+    mu = make_measure([(ratio ** k, m) for k, m in enumerate(square)])
+    root = sqrt_of(mu)
+    assert root.outcome == IMPOSSIBLE
+    assert root.certificate.rule == "peel-nonpositive-mass"
+    assert "sits at 9/4" in root.certificate.message
+    assert "forced to carry mass -1*sqrt(1)" in root.certificate.message
+    verdict = aluthge_subnormal(mu)
+    assert verdict.outcome == WITNESS
+    assert list(verdict.witness.atoms) == [
+        (Position.of(ratio ** k), F(m)) for k, m in enumerate(berger)]
+    assert berger == [1, 5, F(11, 4), F(45, 8), F(349, 8), F(75, 8),
+                      F(63, 4), F(405, 8), F(81, 4)]
 
 
 @pytest.mark.parametrize("bits", [None, 128, 256])

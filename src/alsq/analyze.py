@@ -25,7 +25,7 @@ from .measures import (
 from .scalars import Record, scalar_str
 from .shifts import shift_text_rows
 from .solver import (DEFAULT_CONFIG, UNDETERMINED, WITNESS, SolverConfig,
-                     Verdict, aluthge_subnormal, sqrt_of)
+                     Verdict, aluthge_subnormal, verdicts)
 
 
 class AnalyzeOptions(Record):
@@ -147,12 +147,11 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
     geometric = (str(profile[0]), str(profile[1])) if profile else None
     violation = structural_certificate(diagram) if body.p >= 2 else None
 
-    sqrt_verdict = None
     try:
-        sqrt_verdict = sqrt_of(body, config)
+        sqrt_verdict, aluthge_verdict = verdicts(body, config)
     except MeasureError as exc:
         notes.append(f"square-root search skipped: {exc}")
-    aluthge_verdict = aluthge_subnormal(body, config)
+        sqrt_verdict, aluthge_verdict = None, aluthge_subnormal(body, config)
 
     small_verdict = None
     agreement = None

@@ -10,26 +10,25 @@ Two questions are answered for a finitely atomic measure mu on (0, inf):
   position: iff mu * t(mu) has a nonnegative square root, on any support.
   That root, over sqrt(g_0 g_1), is the Berger measure of W~.
 
-Both are decided by the peel of :func:`peel_root` for every atom count;
-the four-atom family that :mod:`alsq.closed_forms` states is not assumed
-here.  Measures on (0, inf) multiply like elements of the group ring of a
-torsion-free ordered group, which is an integral domain, so a root is
-unique when it exists.  Because the order is compatible with
-multiplication, the root can be peeled off smallest atom first: the
-smallest atom z of the residual target - root^2 can only come from the
-next root atom y times the first root atom y1, so y*y1 = z and the mass of
-y is half the residual mass at z (relative to the mass of y1).  The peel
-costs O(p^2) and ends with a witness, or with one of two certificates
-that re-running the peel re-checks:
+Both are decided by a peel for every atom count; the four-atom family that
+:mod:`alsq.closed_forms` states is not assumed here.  Measures on (0, inf)
+multiply like elements of the group ring of a torsion-free ordered group,
+which is an integral domain, so a root is unique when it exists.  Because
+the order is compatible with multiplication, the root can be peeled off
+smallest atom first: the smallest atom z of the residual target - root^2
+can only come from the next root atom y times the first root atom y1, so
+y*y1 = z and the mass of y is half the residual mass at z (relative to the
+mass of y1).  The peel costs O(p^2) and ends with a witness, or with one of
+two certificates that re-running the peel re-checks:
 
 * ``peel-nonpositive-mass``: the forced mass of the next root atom is <= 0;
 * ``peel-overflow``: the next root atom would square beyond the top atom.
 
-For rational masses on rational positions the transform is decided from
-the signed square root Q of mu instead (:func:`_signed_peel`): that ring
-is a UFD and t an automorphism of it, so mu * t(mu) has a square root N
-only if mu = Q * Q, and then N = +-Q * t(Q).  There ``peel-overflow`` also
-says that mu is no signed square.
+Rational masses on rational positions are decided by one peel of the
+signed square root Q of mu (:func:`_signed_peel`): mu has a root iff
+Q >= 0, and mu * t(mu) iff mu = Q * Q and Q * t(Q) >= 0, where
+``peel-overflow`` also says that mu is no signed square.  Real masses and
+radical positions peel mu and mu * t(mu) apart.
 
 Relative to the first root atom every forced mass is rational for rational
 input, and the root masses are those values times sqrt(a_1); so rational
@@ -42,17 +41,13 @@ a witness squares back within the error carried to each atom.
 root atoms whose mass bound includes 0, fails its independent re-check by
 convolution, or the radius reaches the masses themselves.
 
-The peel and the witness check read tables (:class:`alsq.measures.Table`):
-``sqrt_of`` and the signed peel read the table of mu; ``aluthge_subnormal``
-on real masses or radical positions peels the product table of
-mu * t(mu) that :func:`alsq.measures.t_products` returns and never
-materializes that measure.  The witness check compares the table of the
-witness's square (:func:`alsq.measures.square_products`) with the
+The peels read tables (:class:`alsq.measures.Table`): that of mu, or the
+product table of mu * t(mu) (:func:`alsq.measures.t_products`), which is
+never materialized as a measure.  The witness check compares the table of
+the witness's square (:func:`alsq.measures.square_products`) with the
 target's; the signed peel re-squares Q against mu instead.  Every product
 table comes from one pair loop, which forms each unordered pair of atoms
-once.  A position or a Fraction is built only for what a verdict prints:
-the root's atoms, a certificate's atoms and a_1 in a message, each
-position read off its int key.
+once.  A position or a Fraction is built only for what a verdict prints.
 
 The decision path takes its precision explicitly from ``SolverConfig``:
 ``t_weight`` and the witness masses round raw libmp values at
@@ -68,10 +63,10 @@ get from ``scalars.real_arithmetic``; a rational decision never loads it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heappop, heappush
 from math import isqrt
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import Violation
 from .measures import (
@@ -177,7 +172,7 @@ class Verdict(Record):
 # ---------------------------------------------------------------------------
 
 class Peel(Record):
-    """Result of :func:`peel_root`.
+    """Result of a peel: of :func:`peel_root` or :func:`_signed_peel`.
 
     When ``outcome`` is a witness, ``root`` lists one ``(j, c)`` per root
     atom, smallest first: the atom y satisfies y * y1 = (target atom j) and
@@ -189,8 +184,8 @@ class Peel(Record):
     mode), and ``maybe`` lists the j of the root atoms whose mass bound
     includes 0: they are left out of ``root``.  The c and the residual are
     exact Fractions in rational mode and mpfs rounded toward zero at the
-    working precision in real mode.  The witness of :func:`_signed_peel`
-    lists ``(key, c)`` per atom of N instead (see there).
+    working precision in real mode.  The transform witness of
+    :func:`_signed_peel` lists ``(key, c)`` per atom of N instead.
     """
 
     __slots__ = _fields = ("outcome", "root", "certificate", "residual",
@@ -334,11 +329,8 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
             radii[j] = r, e
         if n + r < 0:
             c, e, r = half(ball)
-            return Peel(IMPOSSIBLE, certificate=_nonpositive(
-                j, len(root), _at(z, k1 * target.scale, target.base,
-                                  j is not None),
-                scalar_str(target.position(0)), scalar_str(target.weight(0)),
-                value(c, powers[e]), value(r, powers[e]) if r else None))
+            return _forced(target, j, len(root), z, value(c, powers[e]),
+                           value(r, powers[e]) if r else None)
         if n <= r:  # the ball holds 0; off the target's atoms it always does,
             # the residual there being minus products of positive midpoints
             if j is None or n + r == 0 or z * z > limit:
@@ -348,14 +340,10 @@ def _peel(target: Table, config: SolverConfig) -> Peel:
             hi, e, _ = half((n + r, e, 0))
             c = (0, e, hi)
             maybe.append(j)
+        elif j is None:
+            raise InternalError("positive residual off the target's atoms")
         elif z * z > limit:
-            y, first = target.position(j), target.position(0)
-            return Peel(IMPOSSIBLE, certificate=Violation(
-                "peel-overflow", (j + 1,),
-                f"the root atom y with y*y1 = {scalar_str(y)} (y1^2 = "
-                f"{scalar_str(first)}) would square to "
-                f"{scalar_str(y * y / first)}, beyond the top atom "
-                f"{scalar_str(target.position(target.p - 1))}"))
+            return _overflow(target, j)
         else:
             c = half(ball)
         key = keys[j]
@@ -411,81 +399,91 @@ def _add(acc: dict, heap: list, key: int, n: int, e: int,
         heappush(heap, key)
 
 
-def _signed_peel(target: Table) -> Peel:
-    """Decide whether mu * t(mu) has a nonnegative square root from the
-    signed square root Q of the rational measure mu tabled in ``target``,
-    whose positions are rational.
+def _signed_peel(target: Table) -> Iterator:
+    """Peel the signed square root Q of the rational measure mu tabled in
+    ``target``, positions rational; yield a call that builds the square-root
+    peel of :func:`_peel` once that is final (the transform alone does not
+    build it), then the transform's peel.  As the ring of measures on
+    (0, inf) is a UFD and t an automorphism of it, mu * t(mu) = N * N forces
+    mu = Q * Q and N = +-Q * t(Q) (README, "Square root vs. transform").
+    The peel is :func:`_peel` in rational mode carried past negative forced
+    masses: a root atom of key z / K_1, its mass an int pair (n, e) for
+    n / D^e, sits at every nonzero residual atom z, on a target atom or off
+    them.  Up to Q's first negative mass it is :func:`_peel`, so the
+    square-root peel is final there, at an overflow, or at the end.
 
-    Measures on (0, inf) form a UFD and t is a ring automorphism of it, so
-    mu * t(mu) = N * N forces mu = Q * Q for a signed Q, and then
-    N = +-Q * t(Q) (README, "Square root vs. transform").  The peel is
-    :func:`_peel` in rational mode carried past negative forced masses: a
-    root atom sits at every nonzero residual atom z, on a target atom or
-    off them, with key z / K_1.  A mass is an int pair (n, e) standing for
-    n / D^e, a ball of radius 0.
+    N = Q * t(Q), relative to its first mass and times R_1, is accumulated
+    from Q's first negative mass on, the pairs of earlier root atoms
+    back-filled: before it N is a sum of products of positive masses, so no
+    refutation is lost.  For a root atom of key K, R = sqrt(K) is the int
+    that its y*y1 is times the lcm of the target's denominators; root atoms
+    a, b add c_a c_b (R_a + R_b) (c_a^2 R_a for a = b) at K_a*K_b, the key
+    of y_a*y_b*x_1 in the table of mu * t(mu).  Later pairs meet at the next
+    root atom's z or beyond, so the atoms of N below z are final: the root
+    that peel of that table finds there.  The first negative one refutes
+    with its certificate (:func:`_negative`).  A nonzero residual atom
+    beyond the top, or at a z that K_1 does not divide, refutes with
+    ``peel-overflow``: mu is no signed square (:func:`_no_signed_square`).
+    z / K_1 is (L*y*y1)^2, L the lcm of the denominators of mu's positions,
+    so K_1 divides z exactly when y*y1 is a multiple of 1/L.
 
-    Beside Q the peel accumulates N = Q * t(Q), relative to its first mass
-    and times R_1: for a root atom of key K, R = sqrt(K) is the int that
-    its y*y1 is times the lcm of the target's denominators, and the root
-    atoms a, b add c_a c_b (R_a + R_b) at K_a*K_b (c_a^2 R_a for a = b),
-    the key of y_a*y_b*x_1 in the table of mu * t(mu).  Once a root atom is
-    found at z, every later pair meets at z or beyond, so the atoms of N
-    below z are final, and they are the root atoms the peel of the table of
-    mu * t(mu) finds below that key.  The first final negative atom of N
-    refutes with the certificate that peel gives (:func:`_negative`).  A
-    nonzero residual atom beyond the top, or at a z that K_1 does not
-    divide, refutes with ``peel-overflow``: mu is then no signed square
-    (:func:`_no_signed_square`).  z / K_1 is (L*y*y1)^2, L the lcm of the
-    denominators of mu's positions, so K_1 divides z exactly when y*y1 is
-    a multiple of 1/L; keys thus stay ints.
-
-    A witness lists N as ``(key, c)`` pairs, each atom's key in the table
-    of mu * t(mu) and its mass relative to the first, once Q has been
-    re-squared against the target: Q * Q = mu gives N * N = mu * t(mu)
-    exactly.
+    A transform witness lists N as ``(key, c)`` pairs, each atom's key in
+    the table of mu * t(mu) and its mass relative to the first, once Q has
+    been re-squared against the target: Q * Q = mu gives N * N = mu * t(mu).
     """
     nums, keys = target.masses, target.keys
     n1 = nums[0]
     d = 2 * n1
     powers = _Powers(d)
     k1 = keys[0]
-    r1 = isqrt(k1)
     heap = [key * k1 for key in keys[1:]]
     index = dict(zip(heap, range(1, len(keys))))
     residual = dict(zip(heap, [(2 * n, 1) for n in nums[1:]]))
     limit = keys[-1] * k1 ** 3
-    root = [(k1, 1, 0, r1)]
-    found, found_heap, final = {k1 * k1: (r1, 0)}, [k1 * k1], []
+    root = [(k1, 1, 0, isqrt(k1))]
+    found, found_heap, final = None, [], []
     while heap:
         z = heappop(heap)
         n, e = residual.pop(z)
+        if n < 0 and found is None:
+            # Q's first negative mass: mu has no square root, and N starts
+            yield partial(_forced, target, index.get(z), len(root), z,
+                          Fraction(n * n1, powers[e + 1]))
+            found = _add_pairs({}, found_heap, root, 0, powers)
         if not n:
             continue
-        negative = _finalize(found, found_heap, z, final)
-        if negative:
-            return Peel(IMPOSSIBLE, certificate=_negative(
-                target, final, negative, powers))
+        if found is not None:
+            negative = _finalize(target, found, found_heap, z, final, powers)
+            if negative:
+                yield Peel(IMPOSSIBLE, certificate=negative)
+                return
+        elif z not in index:
+            raise InternalError("positive residual off the target's atoms")
         if z * z > limit or z % k1:
-            return Peel(IMPOSSIBLE, certificate=_no_signed_square(
+            if found is None:
+                yield partial(_overflow, target, index[z])
+            yield Peel(IMPOSSIBLE, certificate=_no_signed_square(
                 target, len(root), z, index.get(z), z * z > limit))
+            return
         n, e = n * n1, e + 1  # half of n / D^e
         while e and n % d == 0:
             n, e = n // d, e - 1
         key = z // k1
-        r = isqrt(key)
-        _add(found, found_heap, z, n * (r1 + r), e, powers)
-        for other, m, f, s in root[1:]:
-            at, m, f = other * key, n * m, e + f
-            _add(residual, heap, at, -2 * m, f, powers)
-            _add(found, found_heap, at, m * (s + r), f, powers)
-        m = n * n
-        _add(residual, heap, key * key, -m, 2 * e, powers)
-        _add(found, found_heap, key * key, m * r, 2 * e, powers)
-        root.append((key, n, e, r))
-    negative = _finalize(found, found_heap, None, final)
+        for other, m, f, _ in root[1:]:
+            _add(residual, heap, other * key, -2 * n * m, e + f, powers)
+        _add(residual, heap, key * key, -n * n, 2 * e, powers)
+        root.append((key, n, e, isqrt(key)))
+        if found is not None:
+            _add_pairs(found, found_heap, root, len(root) - 1, powers)
+    if found is None:
+        yield lambda: Peel(WITNESS, root=tuple([
+            (index.get(key * k1, 0), Fraction(n, powers[e]))
+            for key, n, e, _ in root]))
+        found = _add_pairs({}, found_heap, root, 0, powers)
+    negative = _finalize(target, found, found_heap, None, final, powers)
     if negative:
-        return Peel(IMPOSSIBLE, certificate=_negative(target, final, negative,
-                                                      powers))
+        yield Peel(IMPOSSIBLE, certificate=negative)
+        return
     # Q * Q against the target, over D^(2*top): the masses relative to a_1
     # are N_j / N_1
     top = max([f for _, _, f, _ in root])
@@ -497,21 +495,33 @@ def _signed_peel(target: Table) -> Peel:
     if len(square) != len(keys) or any(
             key != k * k1 or m * n1 != t * scale
             for (key, m), k, t in zip(square, keys, nums)):
-        return Peel(UNDETERMINED, note=UNVERIFIED)
-    return Peel(WITNESS, root=tuple([(w, Fraction(m, powers[f] * r1))
-                                     for w, m, f in final]))
+        yield Peel(UNDETERMINED, note=UNVERIFIED)
+        return
+    r1 = root[0][3]
+    yield Peel(WITNESS, root=tuple([(w, Fraction(m, powers[f] * r1))
+                                    for w, m, f in final]))
 
 
-def _finalize(found: dict, heap: list, bound: Optional[int],
-              final: list) -> Optional[Tuple[int, int, int]]:
-    """Move the atoms of N below ``bound`` (all of them for None) from
-    ``found`` to ``final`` as (key, n, e), smallest first, and return the
-    first negative one instead; an atom of mass 0 is dropped."""
+def _add_pairs(found: dict, heap: list, root: list, start: int,
+               powers: _Powers) -> dict:
+    """Add the pairs a <= b of root atoms with b >= start to N, ``found``."""
+    for i in range(start, len(root)):
+        key, n, e, r = root[i]
+        for other, m, f, s in root[:i]:
+            _add(found, heap, other * key, n * m * (s + r), e + f, powers)
+        _add(found, heap, key * key, n * n * r, 2 * e, powers)
+    return found
+
+
+def _finalize(target: Table, found: dict, heap: list, bound: Optional[int],
+              final: list, powers: _Powers) -> Optional[Violation]:
+    """Move the atoms of N below ``bound`` (all for None) to ``final`` as
+    (key, n, e), dropping 0s, and refute at the first negative one."""
     while heap and (bound is None or heap[0] < bound):
         w = heappop(heap)
         m, f = found.pop(w)
         if m < 0:
-            return w, m, f
+            return _negative(target, final, (w, m, f), powers)
         if m:
             final.append((w, m, f))
     return None
@@ -590,6 +600,26 @@ def _at(key: int, scale: int, base: Fraction, atom: bool) -> str:
     if atom:
         return scalar_str(_key_position(key, scale, base))
     return f"the position with square {scalar_str(Fraction(key, scale))}"
+
+
+def _overflow(target: Table, j: int) -> Peel:
+    y, first = target.position(j), target.position(0)
+    return Peel(IMPOSSIBLE, certificate=Violation(
+        "peel-overflow", (j + 1,),
+        f"the root atom y with y*y1 = {scalar_str(y)} (y1^2 = "
+        f"{scalar_str(first)}) would square to "
+        f"{scalar_str(y * y / first)}, beyond the top atom "
+        f"{scalar_str(target.position(target.p - 1))}"))
+
+
+def _forced(target: Table, j: Optional[int], count: int, z: int, c: Scalar,
+            bound: Optional[Scalar] = None) -> Peel:
+    """``peel-nonpositive-mass`` of a peel of the table of mu, at z."""
+    return Peel(IMPOSSIBLE, certificate=_nonpositive(
+        j, count, _at(z, target.keys[0] * target.scale, target.base,
+                      j is not None),
+        scalar_str(target.position(0)), scalar_str(target.weight(0)), c,
+        bound))
 
 
 def _nonpositive(j: Optional[int], count: int, at: str, first: str, a1: str,
@@ -710,34 +740,34 @@ def aluthge_subnormal(
     to ``mu`` is subnormal: whether mu * t(mu) has a nonnegative square
     root N, on any support.
 
-    Rational masses on rational positions are decided exactly from the
-    signed square root Q of mu (:func:`_signed_peel`): N = Q * t(Q) when
-    mu = Q * Q, and no N exists when mu is no signed square.  A refutation
-    forms no product table of mu * t(mu), and a witness pairs the atoms of
-    Q, about half as many as those of mu.  On a 2-core Xeon with CPython
-    3.11 the witness of the 399-atom square of a 200-atom geometric measure
-    takes 0.06-0.09 s, where peeling the table of mu * t(mu) took
-    0.79-0.81 s.  Real masses and radical positions peel the table of
-    mu * t(mu) (:func:`t_products`); the root atom y with y*x_1 at target
-    atom j sits at ``target.position(j) / x_1``."""
+    Rational masses on rational positions are decided exactly by the second
+    peel of :func:`_signed_peel`: N = Q * t(Q) when mu = Q * Q, Q signed,
+    and no N exists when mu is no signed square.  No product table of
+    mu * t(mu) is formed, and a witness pairs the atoms of Q.  Real masses
+    and radical positions peel the table of mu * t(mu) (:func:`t_products`).
+    """
     mu.require_no_zero_atom("aluthge_subnormal")
-    bits = config.precision_bits
-    work = mu
     notes: List[str] = []
-    if work.mode == RATIONAL and any(pos.k == 1 for pos in work.support):
-        work = work.to_real(bits)
+    if mu.mode == RATIONAL and any(pos.k == 1 for pos in mu.support):
+        mu = mu.to_real(config.precision_bits)
         notes.append("irrational positions: masses analysed numerically")
-    keys, scale = support_keys(work)
-    if work.mode == RATIONAL:
-        target = table(work, bits)
-        peel = _signed_peel(target)
-        a1 = _first_product_mass(target, work.support[0].q)
-        check = None
+    if mu.mode == RATIONAL:
+        target = table(mu, config.precision_bits)
+        _, peel = _signed_peel(target)
+        return _transform(mu, target, peel, config, notes)
+    target = t_products(mu, config.precision_bits, config.radius)
+    return _transform(mu, target, _peel(target, config), config, notes)
+
+
+def _transform(mu: AtomicMeasure, target: Table, peel: Peel,
+               config: SolverConfig, notes: List[str]) -> Verdict:
+    """The verdict of the signed peel of mu or the peel of mu * t(mu)."""
+    keys, scale = support_keys(mu)
+    if mu.mode == RATIONAL:
+        a1, check = _first_product_mass(target, mu.support[0].q), None
         at = [w for w, _ in peel.root]
     else:
-        target = check = t_products(work, bits, config.radius)
-        peel = _peel(target, config)
-        a1 = target.weight(0)
+        a1, check = target.weight(0), target
         at = [target.keys[j] for j, _ in peel.root]
 
     def place(weights, mode):
@@ -745,31 +775,40 @@ def aluthge_subnormal(
         # mu * t(mu); a root on supp(mu), atom m at K_0*K_m, keeps the keys
         # of mu
         k0 = keys[0]
-        if len(at) == work.p and all(
+        if len(at) == mu.p and all(
                 w == k0 * key for w, key in zip(at, keys)):
-            return with_weights(work, weights, mode)
-        x1 = work.support[0]
-        positions = [_key_position(w, scale * scale, work.base) / x1
+            return with_weights(mu, weights, mode)
+        x1 = mu.support[0]
+        positions = [_key_position(w, scale * scale, mu.base) / x1
                      for w in at]
         return make_measure(list(zip(positions, weights)), mode=mode,
-                            base=work.base, bits=bits)
-    return _decide(peel, a1, work.mode, place, check, config, notes)
+                            base=mu.base, bits=config.precision_bits)
+    return _decide(peel, a1, mu.mode, place, check, config, notes)
 
 
 def sqrt_of(
     mu: AtomicMeasure,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> Verdict:
-    """Decide the square root problem nu * nu = mu by peeling its unique
-    root; a witness sits at sqrt(x_1) * (x_j / x_1) over the radical base
-    x_1.  Positions must be rational."""
+    """Decide nu * nu = mu by peeling its unique root (rational masses: the
+    signed peel, stopped at its first verdict); a witness sits at sqrt(x_1)
+    * (x_j / x_1) over the radical base x_1.  Positions must be rational."""
+    return next(verdicts(mu, config))
+
+
+def verdicts(mu: AtomicMeasure,
+             config: SolverConfig = DEFAULT_CONFIG) -> Iterator[Verdict]:
+    """Yield ``sqrt_of(mu)``, then ``aluthge_subnormal(mu)``, each when
+    asked for; rational masses give both from one signed peel of mu."""
     mu.require_no_zero_atom("sqrt_of")
     if any(pos.k == 1 for pos in mu.support):
         raise MeasureError(
             "square-root search requires rational atom positions; apply "
             "power_positions(mu, 2) first")
     target = table(mu, config.precision_bits, config.radius)
-    peel = _peel(target, config)
+    peels = (_signed_peel(target) if target.mode == RATIONAL else
+             iter([partial(_peel, target, config)]))
+    peel = next(peels)()
     support = mu.support
     base = support[0].q
 
@@ -781,5 +820,7 @@ def sqrt_of(
                      for j, _ in peel.root]
         return make_measure(list(zip(positions, weights)), mode=mode,
                             base=base, bits=config.precision_bits)
-    return _decide(peel, target.weight(0), target.mode, place, target, config,
-                   [])
+    yield _decide(peel, target.weight(0), target.mode, place, target, config,
+                  [])
+    yield (aluthge_subnormal(mu, config) if target.mode == REAL else
+           _transform(mu, target, next(peels), config, []))

@@ -28,11 +28,12 @@ def test_report_fields_for_six_atom_example(six_atom_exact):
 
 @pytest.mark.parametrize("bits", [None, 128])
 def test_analyze_decides_the_root_once(monkeypatch, bits):
-    # the closed form's witness is sqrt_of's root, reused: one peel each for
-    # the square root and the transform, and one square table per witness
-    # re-checked by convolution.  A rational transform is the signed peel
-    # of mu, which re-squares its root itself; a real one peels the product
-    # table of mu * t(mu) (t_products)
+    # the closed form's witness is sqrt_of's root, reused, and each decision
+    # is made once.  Rational masses: one signed peel of mu gives both, and
+    # one square table re-checks the square root's witness by convolution
+    # (the transform re-squares its signed root itself).  Real masses: one
+    # peel each, of mu and of the product table of mu * t(mu) (t_products),
+    # and one square table per witness
     from alsq import solver
 
     calls = {"_peel": 0, "_signed_peel": 0, "square_products": 0,
@@ -55,7 +56,7 @@ def test_analyze_decides_the_root_once(monkeypatch, bits):
     report = analyze(mu, options)
     assert calls == ({"_peel": 2, "_signed_peel": 0, "square_products": 2,
                       "t_products": 1} if bits else
-                     {"_peel": 1, "_signed_peel": 1, "square_products": 1,
+                     {"_peel": 0, "_signed_peel": 1, "square_products": 1,
                       "t_products": 0})
     assert report.small_verdict.outcome == WITNESS
     assert report.small_verdict.witness == report.sqrt_verdict.witness

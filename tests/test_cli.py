@@ -15,7 +15,7 @@ from alsq.measures import (MAX_ATOMS, Position, dumps_measure, load_measure,
                            make_measure)
 from alsq.selftest import example_one, example_two
 from alsq.shifts import moment_sequence
-from alsq.solver import IMPOSSIBLE, Verdict
+from alsq.solver import IMPOSSIBLE, Verdict, aluthge_subnormal
 
 F = Fraction
 
@@ -213,10 +213,12 @@ def test_internal_fault_exits_four(capsys, monkeypatch, six_atom_file):
     # peeled root contradict the characterization: an internal fault, not a
     # usage error
     def no_root(mu, config):
-        return Verdict(IMPOSSIBLE, precision_bits=config.precision_bits)
+        return (Verdict(IMPOSSIBLE, precision_bits=config.precision_bits),
+                aluthge_subnormal(mu, config))
 
-    # the package exports the function analyze under the module's name
-    monkeypatch.setattr(importlib.import_module("alsq.analyze"), "sqrt_of",
+    # the package exports the function analyze under the module's name;
+    # analyze reads its square-root verdict off solver.verdicts
+    monkeypatch.setattr(importlib.import_module("alsq.analyze"), "verdicts",
                         no_root)
     assert main(["analyze", six_atom_file]) == 4
     captured = capsys.readouterr()

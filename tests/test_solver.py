@@ -13,6 +13,7 @@ from mpmath import mpf, workprec
 
 from alsq import solver
 from alsq.analyze import AnalyzeOptions, analyze
+from alsq.cli import main
 from alsq.closed_forms import classify_small
 from alsq.diagram import Violation, cardinality_check, structural_certificate
 from alsq.generate import GeneratorSpec, generate
@@ -28,6 +29,7 @@ from alsq.measures import (
     moment,
     normalize,
     power_positions,
+    save_measure,
     scale_positions,
     square_products,
     t_products,
@@ -701,6 +703,78 @@ def test_transform_separates_from_the_square_root_at_p9():
         (Position.of(ratio ** k), F(m)) for k, m in enumerate(berger)]
     assert berger == [1, 5, F(11, 4), F(45, 8), F(349, 8), F(75, 8),
                       F(63, 4), F(405, 8), F(81, 4)]
+
+
+def _decision_cases():
+    """Every generate mode and style at p = 1..40 for seeds 1-3, the
+    transform cases, the off-support instances at p = 7 and 8 and the
+    separating instance at p = 9."""
+    cases = [mu for seed in (1, 2, 3) for p in range(1, 41)
+             for mu in _generated(p, seed)]
+    transform, squares = _transform_cases()
+    cases += transform + squares
+    cases += [make_measure(list(_dict_square(q).items()))
+              for _, q, _ in _OFF_SUPPORT]
+    cases.append(make_measure([(F(3, 2) ** k, m) for k, m in
+                               enumerate([1, 4, 2, 2, 17, 2, 5, 12, 4])]))
+    return cases
+
+
+def _verdict_json(decide, mu):
+    try:
+        return decide(mu).to_json_dict()
+    except MeasureError as exc:
+        return str(exc)
+
+
+def test_square_root_verdict_equals_the_positive_peel(monkeypatch):
+    # the signed peel's first verdict is the one the positive peel of the
+    # table of mu gives (the path real masses keep), byte for byte
+    cases = _decision_cases()
+    got = [_verdict_json(sqrt_of, mu) for mu in cases]
+    config = SolverConfig()
+    # the signed peel yields a call that builds its square-root peel
+    monkeypatch.setattr(solver, "_signed_peel", lambda target: iter(
+        [lambda: solver._peel(target, config)]))
+    want = [_verdict_json(sqrt_of, mu) for mu in cases]
+    for mu, g, w in zip(cases, got, want):
+        assert g == w, mu
+    rules = Counter(w["certificate"]["rule"] if w["certificate"] else
+                    w["outcome"] for w in want if isinstance(w, dict))
+    assert rules[WITNESS] >= 100 and rules["peel-overflow"] >= 10
+    assert rules["peel-nonpositive-mass"] >= 100
+
+
+def test_analyze_reads_both_verdicts_off_one_peel():
+    for mu in _decision_cases():
+        report = analyze(mu).to_json_dict()
+        root = _verdict_json(sqrt_of, mu)
+        assert report["sqrt"] == (root if isinstance(root, dict) else None)
+        assert report["aluthge"] == aluthge_subnormal(mu).to_json_dict()
+
+
+@pytest.mark.parametrize("mode", ["rational", "real"])
+def test_positive_residual_off_the_atoms_is_an_internal_error(
+        monkeypatch, tmp_path, capsys, mode):
+    # with a nonnegative root the residual off the target's atoms is minus a
+    # sum of products of positive masses; adding those products instead
+    # puts positive mass at 2*2 = 4, which no atom of mu sits at
+    mu = make_measure([(x, F(1, 5)) for x in (1, 2, 3, 10, 20)], mode=mode)
+    if mode == "rational":
+        add = solver._add
+        monkeypatch.setattr(solver, "_add", lambda acc, heap, key, n, e,
+                            powers: add(acc, heap, key, -n, e, powers))
+    else:
+        subtract = solver._subtract
+        monkeypatch.setattr(solver, "_subtract", lambda residual, heap, key,
+                            value, sub, neg: subtract(residual, heap, key,
+                                                      neg(value), sub, neg))
+    with pytest.raises(solver.InternalError, match="off the target's atoms"):
+        sqrt_of(mu)
+    path = tmp_path / "five.json"
+    save_measure(mu, path)
+    assert main(["sqrt", str(path)]) == 4
+    assert "internal error: positive residual" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bits", [None, 128, 256])

@@ -17,8 +17,7 @@ from typing import Optional
 
 from .analyze import AnalyzeOptions, analyze, render_shift_rows, shift_table
 from .diagram import render_diagram
-from .generate import (MODES, PERTURBED, WITH_ALUTHGE_ROOT, GeneratorSpec,
-                       generate)
+from .generate import MODES, GeneratorSpec, generate
 from .measures import (
     MAX_ATOMS,
     AtomicMeasure,
@@ -197,11 +196,6 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.case is not None and (
-            args.p != 6 or args.mode not in (WITH_ALUTHGE_ROOT, PERTURBED)):
-        print("error: --case applies only to --mode with-aluthge-root or "
-              "perturbed at --p 6", file=sys.stderr)
-        return EXIT_ERROR
     spec = GeneratorSpec(p=args.p, mode=args.mode, seed=args.seed,
                          position_style=args.style, case=args.case)
     instance = generate(spec)

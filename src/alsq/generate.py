@@ -2,9 +2,11 @@
 
 Given a seed, every mode reproduces the same measure.  ``with-root`` builds
 mu as an explicit self-convolution square (the square root is retained),
-``with-aluthge-root`` uses the closed-form weight identities for 3, 5 or 6
-atoms, ``perturbed`` breaks exactly one of those identities, and
-``arbitrary`` draws unconstrained supports and masses.
+``with-aluthge-root`` draws a root of 2 or 3 atoms on the supports of the
+closed forms for 3, 5 or 6 atoms and squares it with ``convolve`` (the root
+is the witness), ``perturbed`` breaks exactly one of those closed forms'
+weight identities, and ``arbitrary`` draws unconstrained supports and
+masses.
 """
 
 from __future__ import annotations
@@ -183,24 +185,17 @@ def _with_aluthge_root(spec: GeneratorSpec, rng: random.Random) -> GeneratedInst
 def _closed_form_three(rng: random.Random) -> Tuple[AtomicMeasure, AtomicMeasure]:
     u = Fraction(rng.randint(1, 9), rng.randint(1, 6))
     w = Fraction(rng.randint(1, 9), rng.randint(1, 6))
-    total = (u + w) ** 2
-    a = [u * u / total, 2 * u * w / total, w * w / total]
     r = _ratio(rng)
-    mu = make_measure([(r ** i, a[i]) for i in range(3)])
     witness = make_measure([(Fraction(1), u / (u + w)), (r, w / (u + w))])
-    return mu, witness
+    return convolve(witness, witness), witness
 
 
 def _closed_form_five(rng: random.Random) -> Tuple[AtomicMeasure, AtomicMeasure]:
     c = [Fraction(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(3)]
     scale = c[0] + c[1] + c[2]
-    c = [x / scale for x in c]
-    a = [c[0] * c[0], 2 * c[0] * c[1], c[1] * c[1] + 2 * c[0] * c[2],
-         2 * c[1] * c[2], c[2] * c[2]]
     r = _ratio(rng)
-    mu = make_measure([(r ** i, a[i]) for i in range(5)])
-    witness = make_measure([(Fraction(1), c[0]), (r, c[1]), (r * r, c[2])])
-    return mu, witness
+    witness = make_measure([(r ** i, x / scale) for i, x in enumerate(c)])
+    return convolve(witness, witness), witness
 
 
 def _closed_form_six(rng: random.Random, case: str) -> Tuple[AtomicMeasure, AtomicMeasure]:
@@ -208,46 +203,35 @@ def _closed_form_six(rng: random.Random, case: str) -> Tuple[AtomicMeasure, Atom
     cm = Fraction(rng.randint(1, 9), rng.randint(1, 6))
     c6 = Fraction(rng.randint(1, 9), rng.randint(1, 6))
     scale = c1 + cm + c6
-    c1, cm, c6 = c1 / scale, cm / scale, c6 / scale
     if case == "I":
         # support 1, R, rR, R^2, rR^2, (rR)^2 with witness atoms 1, R, rR
         r = _ratio(rng)
         big = r * _ratio(rng)
-        support = [Fraction(1), big, r * big, big ** 2, r * big ** 2,
-                   (r * big) ** 2]
         witness_support = [Fraction(1), big, r * big]
-        weights = [c1 * c1, 2 * c1 * cm, 2 * c1 * c6, cm * cm, 2 * cm * c6,
-                   c6 * c6]
     elif case == "II":
         # support 1, R, R^2, x, Rx, x^2 with witness atoms 1, R, x
         big = _ratio(rng)
-        x = big * big * _ratio(rng)
-        support = [Fraction(1), big, big ** 2, x, big * x, x * x]
-        witness_support = [Fraction(1), big, x]
-        weights = [c1 * c1, 2 * c1 * cm, cm * cm, 2 * c1 * c6, 2 * cm * c6,
-                   c6 * c6]
+        witness_support = [Fraction(1), big, big * big * _ratio(rng)]
     else:
         raise MeasureError(f"unknown six-atom case {case!r}")
-    if len({v for v in support}) != 6 or sorted(support) != support:
+    witness = make_measure([(pos, c / scale) for pos, c in
+                            zip(witness_support, (c1, cm, c6))])
+    mu = convolve(witness, witness)
+    if mu.p != 6:
         # rare collision of the progression parameters; redraw
         return _closed_form_six(rng, case)
-    mu = make_measure(list(zip(support, weights)))
-    witness = make_measure([(pos, w) for pos, w in
-                            zip(witness_support, (c1, cm, c6))])
     return mu, witness
 
 
 def _perturbed(spec: GeneratorSpec, rng: random.Random) -> GeneratedInstance:
     """Start from a closed-form instance and break one weight identity by a
     factor 1 + delta, delta in [1/100, 1/2]."""
+    # the seed drawn here is never read, as _with_aluthge_root draws from
+    # ``rng`` itself; the draw stays because every corpus follows the stream
     base_spec = GeneratorSpec(spec.p, WITH_ALUTHGE_ROOT, rng.randrange(2 ** 62),
                               spec.position_style, spec.case)
     if spec.p == 4:
-        support = (_geometric_support(rng, 4) if spec.position_style == "geometric"
-                   else _random_support(rng, 4))
-        weights = [_positive_weight(rng) for _ in support]
-        mu = make_measure(list(zip(support, weights)))
-        return GeneratedInstance(mu, None, {"mode": spec.mode})
+        return _arbitrary(spec, rng)
     base = _with_aluthge_root(base_spec, rng)
     delta = Fraction(rng.randint(1, 50), 100)
     if spec.perturb_index is None:

@@ -521,44 +521,36 @@ def _finalize(target: Table, found: dict, heap: list, bound: Optional[int],
         w = heappop(heap)
         m, f = found.pop(w)
         if m < 0:
-            return _negative(target, final, (w, m, f), powers)
+            return _negative(target, len(final), w, Fraction(
+                m, powers[f] * isqrt(target.keys[0])))
         if m:
             final.append((w, m, f))
     return None
 
 
-def _negative(target: Table, final: list, negative: Tuple[int, int, int],
-              powers: _Powers) -> Violation:
+def _negative(target: Table, count: int, w: int, mass: Fraction) -> Violation:
     """The certificate of the peel of the table of mu * t(mu) at the first
-    negative atom of N, its key w: the positive atoms of N below it,
-    ``final``, are the root that peel found, and the atoms of that table
-    below w are their products, which no mass cancels.  At w the table
-    holds their products there and 2 N_1 N_w, and no atom when these
-    cancel."""
-    w, m, f = negative
+    negative atom of N, its key w in that table, after ``count`` positive
+    atoms of N; ``mass`` is its mass relative to the first root mass.  The
+    table's masses are positive, so it has an atom at each product K_a*K_b
+    of two keys of mu and nowhere else: the atom at w, if any, has as many
+    atoms below it as there are distinct such products below w."""
     keys, scale, base = target.keys, target.scale, target.base
-    k1 = keys[0]
-    r1 = isqrt(k1)
-    # atoms a, b of N multiply to the table's atom at w when w_a*w_b equals
-    bound = w * k1 * k1
-    below, at = set(), 2 * r1 * Fraction(m, powers[f])
-    for i, (wa, ma, fa) in enumerate(final):
-        if wa * wa > bound:
+    below, at = set(), False
+    for i, a in enumerate(keys):
+        if a * a > w:
             break
-        for wb, mb, fb in final[i:]:
-            key = wa * wb
-            if key > bound:
+        for b in keys[i:]:
+            key = a * b
+            if key >= w:
+                at = at or key == w
                 break
-            if key < bound:
-                below.add(key)
-            else:
-                at += Fraction((2 - (wa == wb)) * ma * mb, powers[fa + fb])
-    j = len(below) if at else None
+            below.add(key)
     a1 = _first_product_mass(target, target.position(0).q)
     return _nonpositive(
-        j, len(final), _at(w, scale * scale, base, j is not None),
-        scalar_str(_key_position(k1 * k1, scale * scale, base)),
-        scalar_str(a1), Fraction(m, powers[f] * r1))
+        len(below) if at else None, count, _at(w, scale * scale, base, at),
+        scalar_str(_key_position(keys[0] ** 2, scale * scale, base)),
+        scalar_str(a1), mass)
 
 
 def _first_product_mass(target: Table, x1: Fraction) -> Fraction:

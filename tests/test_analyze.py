@@ -26,6 +26,15 @@ def test_report_fields_for_six_atom_example(six_atom_exact):
     assert report.zero_mass is None
 
 
+def test_text_report_names_a_violated_rule():
+    # 2 squares to 4, which no other pair of 1, 2, 3, 9 multiplies to
+    report = analyze(make_measure([(x, 1) for x in (1, 2, 3, 9)]))
+    assert report.structural["rule"] == "boundary-products"
+    assert ("structure    : violated - the square of atom 2 (4) coincides "
+            "with no other pairwise product, but a square root requires it "
+            "to") in report.render().splitlines()
+
+
 @pytest.mark.parametrize("bits", [None, 128])
 def test_analyze_decides_the_root_once(monkeypatch, bits):
     # the closed form's witness is sqrt_of's root, reused, and each decision

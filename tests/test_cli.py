@@ -11,8 +11,8 @@ import pytest
 import alsq
 from alsq.cli import MAX_SHIFT_TERMS, main
 from alsq.generate import GeneratorSpec, generate
-from alsq.measures import (MAX_ATOMS, Position, dumps_measure, load_measure,
-                           make_measure)
+from alsq.measures import (MAX_ATOMS, MeasureError, Position, dumps_measure,
+                           load_measure, make_measure)
 from alsq.selftest import example_one, example_two
 from alsq.shifts import moment_sequence
 from alsq.solver import IMPOSSIBLE, Verdict, aluthge_subnormal
@@ -431,13 +431,17 @@ def test_counts_at_their_bounds_are_accepted(capsys, four_atom_file):
 @pytest.mark.parametrize("argv", [
     ["--p", "6", "--mode", "arbitrary"], ["--p", "6", "--mode", "with-root"],
     ["--p", "5", "--mode", "with-aluthge-root"],
-    ["--p", "4", "--mode", "perturbed"]], ids=" ".join)
+    ["--p", "4", "--mode", "perturbed"], ["--p", "5"]], ids=" ".join)
 def test_gen_case_it_does_not_read_is_usage_error(argv):
-    # only the six-atom closed forms read --case; it was silently dropped
+    # only the six-atom closed forms read --case; it was silently dropped.
+    # generate refuses it, and the CLI prints generate's message
     result = _cli("gen", *argv, "--case", "I")
     _assert_usage_error(result)
     assert not result.stdout
-    assert "--case applies only to" in result.stderr
+    mode = argv[3] if len(argv) > 2 else "arbitrary"
+    with pytest.raises(MeasureError, match="case applies only") as refused:
+        generate(GeneratorSpec(int(argv[1]), mode, 0, case="I"))
+    assert result.stderr == f"error: {refused.value}\n"
 
 
 @pytest.mark.parametrize("mode", ["with-aluthge-root", "perturbed"])

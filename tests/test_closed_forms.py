@@ -154,6 +154,27 @@ def test_six_atom_mixed_pattern_refuted():
     assert verdict.certificate.rule == "six-atom-middle-case"
 
 
+@pytest.mark.parametrize("support, rule, indices", [
+    ((9, 18, 24, 32, 36, 48), "boundary-products", (5,)),
+    ((1, 6, 16, 18, 24, 36), "extreme-square-match", (2, 1, 6)),
+    ((4, 6, 8, 9, 12, 36), "extreme-square-match", (5, 1, 6)),
+    ((1, 4, 8, 9, 16, 32), "six-atom-wide-square", (2, 1, 5)),
+    ((3, 6, 8, 12, 18, 54), "six-atom-wide-square", (5, 2, 6)),
+    ((1, 4, 6, 16, 18, 54), "six-atom-crossed-squares", (2, 4, 3, 5)),
+    ((1, 3, 4, 9, 18, 36), "six-atom-case-support", (3, 1, 6)),
+    ((1, 2, 4, 6, 8, 16), "six-atom-case-support", (4, 1, 6)),
+], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_six_atom_support_refutations(support, rule, indices):
+    # each of the paper's six-atom support patterns that carries no root,
+    # with all masses 1; the generic solver refutes both questions too
+    mu = make_measure([(x, 1) for x in support])
+    verdict = classify_small(mu)
+    assert verdict.outcome == IMPOSSIBLE
+    assert (verdict.certificate.rule, verdict.certificate.indices) == \
+        (rule, indices)
+    assert sqrt_of(mu).outcome == aluthge_subnormal(mu).outcome == IMPOSSIBLE
+
+
 def test_six_atom_case_weight_refutation(six_atom_exact):
     atoms = list(six_atom_exact.atoms)
     pos, w = atoms[1]

@@ -14,6 +14,7 @@ from alsq.diagram import (
     structural_certificate,
 )
 from alsq.measures import MeasureError, Position, make_measure, scale_positions
+from alsq.solver import IMPOSSIBLE, aluthge_subnormal, sqrt_of
 
 F = Fraction
 
@@ -218,6 +219,24 @@ def test_wide_square_rule_for_six_atoms():
     support = _support([1, 4, 6, 8, 16, 50])
     violation = structural_certificate(support)
     assert violation is not None
+
+
+@pytest.mark.parametrize("support, rule, indices", [
+    ((1, 2, 3, 4), "extreme-square-match", (2, 1, 4)),
+    ((1, 2, 3, 9), "extreme-square-match", (3, 1, 4)),
+    ((1, 2, 3, 4, 8), "double-extreme-match", (2, 4)),
+    ((6, 24, 27, 32, 36, 54), "six-atom-wide-square", (5, 2, 6)),
+], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_exhaustive_mode_lists_rules_the_first_rule_hides(support, rule,
+                                                          indices):
+    # an earlier rule refutes each of these first; the exhaustive list
+    # still names the later one, and the generic solver refutes both
+    # questions
+    mu = make_measure([(x, 1) for x in support])
+    assert structural_certificate(mu).rule != rule
+    assert (rule, indices) in [(v.rule, v.indices) for v in
+                               structural_certificate(mu, exhaustive=True)]
+    assert sqrt_of(mu).outcome == aluthge_subnormal(mu).outcome == IMPOSSIBLE
 
 
 def _brute_force_rectangles(diagram):

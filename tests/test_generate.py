@@ -1,9 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from alsq.generate import RANDOM_POSITIONS, GeneratorSpec, generate
-from alsq.measures import MeasureError, convolve
+from alsq.generate import MODES, RANDOM_POSITIONS, GeneratorSpec, generate
+from alsq.measures import MeasureError, convolve, dumps_measure
 from alsq.solver import WITNESS, aluthge_subnormal, sqrt_of
 
 F = Fraction
@@ -16,6 +17,35 @@ def test_determinism():
     assert a.witness.atoms == b.witness.atoms
     c = generate(GeneratorSpec(5, "with-root", 8))
     assert c.measure.atoms != a.measure.atoms
+
+
+# SHA-256 of the generator's output over the specs below, taken before the
+# closed forms squared their roots with ``convolve``: every bench corpus is
+# built by ``generate``, so its output must not move
+GENERATOR_DIGEST = (
+    "b20b4450dd8a40b33de9abb8f3b3905c54990568b536d319f68c49789ac52c9b")
+
+
+def test_generator_output_is_pinned():
+    digest = hashlib.sha256()
+    for seed in range(20):
+        for p in range(1, 9):
+            for mode in MODES:
+                for style in ("geometric", "random"):
+                    for case in (None, "I", "II"):
+                        try:
+                            inst = generate(GeneratorSpec(p, mode, seed,
+                                                          style, case))
+                        except MeasureError as exc:
+                            text = f"error: {exc}\n"
+                        else:
+                            text = (dumps_measure(inst.measure)
+                                    + (dumps_measure(inst.witness)
+                                       if inst.witness is not None
+                                       else "None\n")
+                                    + repr(sorted(inst.meta.items())) + "\n")
+                        digest.update(text.encode())
+    assert digest.hexdigest() == GENERATOR_DIGEST
 
 
 def test_with_root_retains_exact_square():

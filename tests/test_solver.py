@@ -633,6 +633,22 @@ def test_transform_verdicts_equal_complete_table_peel():
     assert rules["peel-overflow", False] and rules[None, False]
 
 
+def test_transform_certificate_indexes_by_key_products():
+    # the table of mu * t(mu) has an atom at each product K_a*K_b of two
+    # keys of mu (K = x^2 here) and nowhere else: at 1, 3, 4, 9, 12 and 16
+    # for mu on 1, 3 and 4.  The certificate at the key w numbers the atom
+    # there by the distinct products below it, and names none off them
+    target = table(make_measure([(1, F(1, 2)), (3, F(1, 4)), (4, F(1, 4))]))
+    assert target.keys == [1, 9, 16]
+    at = solver._negative(target, 4, 12 ** 2, F(-1, 3))
+    assert (at.rule, at.indices) == ("peel-nonpositive-mass", (5,))
+    assert "after 4 root atoms" in at.message
+    assert "sits at 12;" in at.message and "-1/3*sqrt(1/4)" in at.message
+    off = solver._negative(target, 4, 10 ** 2, F(-1, 3))
+    assert off.indices == ()
+    assert "sits at the position with square 100;" in off.message
+
+
 def _dict_product(left, right):
     out = {}
     for x, a in left.items():
@@ -912,6 +928,17 @@ def test_verify_witness_compares_positions():
                             (Position(F(2), 1, F(2)), F(1, 2))])
     assert verify_witness(radical, scale_positions(square, 2))
     assert not verify_witness(radical, square)
+
+
+def test_verify_witness_rejects_a_mass_beyond_the_real_error():
+    # at 128 bits a relative error of 2^-40 in one mass lies far outside
+    # the error the peel carries to each atom
+    rho = make_measure([(1, F(1, 2)), (3, F(1, 3)), (6, F(1, 6))])
+    real = convolve(rho, rho).to_real(128)
+    scaled = make_measure([(1, F(1, 2) * (1 + F(1, 2 ** 40))),
+                           (3, F(1, 3)), (6, F(1, 6))])
+    assert not verify_witness(scaled, real)
+    assert verify_witness(rho, real)
 
 
 # ---------------------------------------------------------------------------

@@ -203,24 +203,21 @@ def _closed_form_six(rng: random.Random, case: str) -> Tuple[AtomicMeasure, Atom
     cm = Fraction(rng.randint(1, 9), rng.randint(1, 6))
     c6 = Fraction(rng.randint(1, 9), rng.randint(1, 6))
     scale = c1 + cm + c6
+    # _ratio exceeds 1, so each case's six products are distinct
     if case == "I":
-        # support 1, R, rR, R^2, rR^2, (rR)^2 with witness atoms 1, R, rR
+        # support 1 < R < rR < R^2 < rR^2 < (rR)^2 with witness atoms 1, R, rR
         r = _ratio(rng)
         big = r * _ratio(rng)
         witness_support = [Fraction(1), big, r * big]
     elif case == "II":
-        # support 1, R, R^2, x, Rx, x^2 with witness atoms 1, R, x
+        # support 1 < R < R^2 < x < Rx < x^2 with witness atoms 1, R, x
         big = _ratio(rng)
         witness_support = [Fraction(1), big, big * big * _ratio(rng)]
     else:
         raise MeasureError(f"unknown six-atom case {case!r}")
     witness = make_measure([(pos, c / scale) for pos, c in
                             zip(witness_support, (c1, cm, c6))])
-    mu = convolve(witness, witness)
-    if mu.p != 6:
-        # rare collision of the progression parameters; redraw
-        return _closed_form_six(rng, case)
-    return mu, witness
+    return convolve(witness, witness), witness
 
 
 def _perturbed(spec: GeneratorSpec, rng: random.Random) -> GeneratedInstance:

@@ -24,11 +24,12 @@ two certificates that re-running the peel re-checks:
 * ``peel-nonpositive-mass``: the forced mass of the next root atom is <= 0;
 * ``peel-overflow``: the next root atom would square beyond the top atom.
 
-Rational masses on rational positions are decided by one peel of the
-signed square root Q of mu (:func:`_signed_peel`): mu has a root iff
+One peel (:func:`_peel`) answers both questions.  Rational masses on
+rational positions peel the signed square root Q of mu: mu has a root iff
 Q >= 0, and mu * t(mu) iff mu = Q * Q and Q * t(Q) >= 0, where
-``peel-overflow`` also says that mu is no signed square.  Real masses and
-radical positions peel mu and mu * t(mu) apart.
+``peel-overflow`` also says that mu is no signed square.  Real masses stop
+at the first verdict, the root of mu, and radical positions as well: the
+transform of those peels the product table of mu * t(mu) instead.
 
 Relative to the first root atom every forced mass is rational for rational
 input, and the root masses are those values times sqrt(a_1); so rational
@@ -41,13 +42,14 @@ a witness squares back within the error carried to each atom.
 root atoms whose mass bound includes 0, fails its independent re-check by
 convolution, or the radius reaches the masses themselves.
 
-The peels read tables (:class:`alsq.measures.Table`): that of mu, or the
+The peel reads tables (:class:`alsq.measures.Table`): that of mu, or the
 product table of mu * t(mu) (:func:`alsq.measures.t_products`), which is
 never materialized as a measure.  The witness check compares the table of
 the witness's square (:func:`alsq.measures.square_products`) with the
-target's; the signed peel re-squares Q against mu instead.  Every product
-table comes from one pair loop, which forms each unordered pair of atoms
-once.  A position or a Fraction is built only for what a verdict prints.
+target's; the transform of the signed peel re-squares Q against mu
+instead.  Every product table comes from one pair loop, which forms each
+unordered pair of atoms once.  A position or a Fraction is built only for
+what a verdict prints.
 
 The decision path takes its precision explicitly from ``SolverConfig``:
 ``t_weight`` and the witness masses round raw libmp values at
@@ -172,7 +174,7 @@ class Verdict(Record):
 # ---------------------------------------------------------------------------
 
 class Peel(Record):
-    """Result of a peel: of :func:`peel_root` or :func:`_signed_peel`.
+    """Result of a verdict of :func:`_peel`, such as :func:`peel_root`.
 
     When ``outcome`` is a witness, ``root`` lists one ``(j, c)`` per root
     atom, smallest first: the atom y satisfies y * y1 = (target atom j) and
@@ -184,8 +186,8 @@ class Peel(Record):
     mode), and ``maybe`` lists the j of the root atoms whose mass bound
     includes 0: they are left out of ``root``.  The c and the residual are
     exact Fractions in rational mode and mpfs rounded toward zero at the
-    working precision in real mode.  The transform witness of
-    :func:`_signed_peel` lists ``(key, c)`` per atom of N instead.
+    working precision in real mode.  The transform witness of a rational
+    peel lists ``(key, c)`` per atom of N instead.
     """
 
     __slots__ = _fields = ("outcome", "root", "certificate", "residual",
@@ -218,153 +220,10 @@ class _Powers(dict):
 
 
 def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> Peel:
-    """Peel the unique root of ``target`` off its smallest atoms: the peel
-    of its :func:`table`."""
-    return _peel(table(target, config.precision_bits, config.radius), config)
-
-
-def _peel(target: Table, config: SolverConfig) -> Peel:
-    """Peel the unique root of the measure tabled in ``target``.
-
-    Works on the int keys K_j of the target's support and on masses
-    divided by the first mass, starting from the root atom y1 with key K_1
-    and mass 1.  The root atom y with y*y1 = (target atom j) has key K_j:
-    the target atom sits at K_j*K_1 and the root atoms a, b meet at
-    K_a*K_b.
-
-    No scalar object is built in the loop, and a position only for a
-    certificate or a note.  A mass is an int triple (n, e, r) standing for
-    the ball of midpoint n / D^e and radius r / D^e: with N_j the int
-    numerators of the target masses and D = 2*N_1, the masses relative to
-    a_1 are 2*N_j / D and halving multiplies by N_1 / D, so every midpoint
-    lies in Z[1/D]; whole factors of D are divided out of a ball when they
-    divide both its ints, and one scalar is built per root atom.  The
-    result does not depend on the denominator the numerators are over.
-
-    The radius is 0 in rational mode.  A real target mass of relative
-    radius rho has 2*rho / (1 - rho) relative to a_1, rounded up once to a
-    whole r; after that radii are exact: |a|*s + |b|*r + r*s for a product,
-    r + s for a difference.  A residual ball wholly below 0 refutes, and so
-    does one wholly above 0 where the root atom would overflow.  A ball
-    holding 0 where a root atom could sit gives a maybe atom of mass in
-    [0, hi], carried as 0 +- hi: it stays in the cross terms, so a later
-    refutation holds for every mass in the box, and it moves no midpoint,
-    so the witness leaves it out.
-    """
-    rho = target.radius
-    if rho >= 1:
-        return Peel(UNDETERMINED, note=(
-            f"at relative error {float(rho):.3g} a mass may be 0"))
-    nums = target.masses
-    if rho:
-        top, bottom = _spread(rho.numerator, rho.denominator)
-        # over a denominator that makes the smallest radius about 2^32 units,
-        # rounding each radius up to a whole unit adds at most 2^-32 of it
-        shift = max(0, 32 + bottom.bit_length()
-                    - (top * 2 * min(nums)).bit_length())
-        nums = [n << shift for n in nums]
-    n1 = nums[0]
-    d = 2 * n1
-    powers = _Powers(d)
-
-    def half(x):
-        n, e, r = x[0] * n1, x[1] + 1, x[2] * n1
-        while e and n % d == 0 and r % d == 0:
-            n, e, r = n // d, e - 1, r // d
-        return n, e, r
-
-    def twice(x):
-        return 2 * x[0], x[1], 2 * x[2]
-
-    def mul(x, y):
-        (a, ea, r), (b, eb, s) = x, y
-        if r or s:
-            r = abs(a) * s + (abs(b) + s) * r
-        return a * b, ea + eb, r
-
-    def sub(x, y):
-        (a, ea, r), (b, eb, s) = x, y
-        if ea == eb:
-            return a - b, ea, r + s
-        if ea > eb:
-            scale = powers[ea - eb]
-            return a - b * scale, ea, r + s * scale
-        scale = powers[eb - ea]
-        return a * scale - b, eb, r * scale + s
-
-    def neg(x):
-        return -x[0], x[1], x[2]
-
-    value = Fraction
-    if target.mode == REAL:
-        reals, bits = real_arithmetic(), config.precision_bits
-
-        def value(n, q):  # as to_mpf rounds Fraction(n, q), with no gcd
-            return reals.from_raw(reals.from_rational(n, q, bits,
-                                                      reals.round_down))
-
-    keys = target.keys
-    k1 = keys[0]
-    # target atom j sits at K_j*K_1 with mass 2*N_j / D relative to a_1, and
-    # in real mode a radius of 2*rho / (1 - rho) times that, rounded up;
-    # atom 0 is the square of the first root atom.  The keys ascend, so
-    # they are a heap.
-    heap = [key * k1 for key in keys[1:]]
-    index = dict(zip(heap, range(1, len(keys))))
-    residual = dict(zip(heap, [
-        (2 * n, 1, -(-2 * n * top // bottom) if rho else 0)
-        for n in nums[1:]]))
-    # the root atom y with y*y1 at z squares to (z/K_1)^2; it overflows
-    # beyond the top target atom K_top*K_1 when z^2 > K_top*K_1^3
-    limit = keys[-1] * k1 ** 3
-    root = [(k1, (1, 0, 0), 0)]
-    maybe = []
-    radii = [(0, 0)] * target.p if rho else None
-    while heap:
-        z = heappop(heap)
-        ball = residual.pop(z)
-        n, e, r = ball
-        j = index.get(z)
-        if radii and j is not None:
-            radii[j] = r, e
-        if n + r < 0:
-            c, e, r = half(ball)
-            return _forced(target, j, len(root), z, value(c, powers[e]),
-                           value(r, powers[e]) if r else None)
-        if n <= r:  # the ball holds 0; off the target's atoms it always does,
-            # the residual there being minus products of positive midpoints
-            if j is None or n + r == 0 or z * z > limit:
-                continue
-            # its mass lies in [0, hi]: carried as 0 +- hi, it leaves the
-            # midpoints alone, so the witness can leave it out
-            hi, e, _ = half((n + r, e, 0))
-            c = (0, e, hi)
-            maybe.append(j)
-        elif j is None:
-            raise InternalError("positive residual off the target's atoms")
-        elif z * z > limit:
-            return _overflow(target, j)
-        else:
-            c = half(ball)
-        key = keys[j]
-        double = twice(c)
-        for other, mass, _ in root[1:]:
-            _subtract(residual, heap, other * key, mul(double, mass), sub, neg)
-        _subtract(residual, heap, key * key, mul(c, c), sub, neg)
-        root.append((key, c, j))
-    dropped = set(maybe)
-    root = tuple([(j, value(c[0], powers[c[1]])) for _, c, j in root
-                  if j not in dropped])
-    if not rho:
-        return Peel(WITNESS, root=root)
-    radii = tuple([(r, powers[e]) for r, e in radii])
-    # the largest r / q over the mass 2*N_j / D of its atom, relative to a_1
-    top, low = 0, 1
-    for (r, q), n in zip(radii, nums):
-        if r * n1 * low > top * q * n:
-            top, low = r * n1, q * n
-    return Peel(WITNESS, root=root, residual=value(top, low), radii=radii,
-                maybe=tuple(maybe))
+    """Peel the unique root of ``target`` off its smallest atoms: the first
+    verdict of :func:`_peel` on its :func:`table`."""
+    return next(_peel(table(target, config.precision_bits, config.radius),
+                      config))()
 
 
 @lru_cache(maxsize=64)
@@ -372,14 +231,6 @@ def _spread(top: int, bottom: int) -> Tuple[int, int]:
     """2*rho / (1 - rho) for rho = top / bottom (ints hash faster)."""
     spread = Fraction(2 * top, bottom - top)
     return spread.numerator, spread.denominator
-
-
-def _subtract(residual: dict, heap: list, key: int, value, sub, neg) -> None:
-    if key in residual:
-        residual[key] = sub(residual[key], value)
-    else:
-        residual[key] = neg(value)
-        heappush(heap, key)
 
 
 def _add(acc: dict, heap: list, key: int, n: int, e: int,
@@ -399,18 +250,52 @@ def _add(acc: dict, heap: list, key: int, n: int, e: int,
         heappush(heap, key)
 
 
-def _signed_peel(target: Table) -> Iterator:
-    """Peel the signed square root Q of the rational measure mu tabled in
-    ``target``, positions rational; yield a call that builds the square-root
-    peel of :func:`_peel` once that is final (the transform alone does not
-    build it), then the transform's peel.  As the ring of measures on
-    (0, inf) is a UFD and t an automorphism of it, mu * t(mu) = N * N forces
-    mu = Q * Q and N = +-Q * t(Q) (README, "Square root vs. transform").
-    The peel is :func:`_peel` in rational mode carried past negative forced
-    masses: a root atom of key z / K_1, its mass an int pair (n, e) for
-    n / D^e, sits at every nonzero residual atom z, on a target atom or off
-    them.  Up to Q's first negative mass it is :func:`_peel`, so the
-    square-root peel is final there, at an overflow, or at the end.
+def _half(n: int, e: int, r: int, n1: int, d: int) -> Tuple[int, int, int]:
+    """Half of the ball n / D^e +- r / D^e, D = d = 2*n1, with the whole
+    factors of D that divide both of its ints divided out."""
+    n, e, r = n * n1, e + 1, r * n1
+    while e and n % d == 0 and r % d == 0:
+        n, e, r = n // d, e - 1, r // d
+    return n, e, r
+
+
+def _peel(target: Table, config: SolverConfig) -> Iterator:
+    """Peel the root of the measure mu tabled in ``target``: yield a call
+    that builds the square-root peel once that is final (the transform
+    alone does not build it), then, for exact masses, the transform's peel.
+
+    Works on the int keys K_j of the target's support and on masses divided
+    by the first mass, starting from the root atom y1 with key K_1 and mass
+    1.  The root atom y with y*y1 at the residual atom z has key z / K_1:
+    the target atom j sits at K_j*K_1 and the root atoms a, b meet at
+    K_a*K_b.  No scalar object is built in the loop, and a position only
+    for a certificate or a note.  A mass is an int pair (n, e) for n / D^e:
+    with N_j the int numerators of the target masses and D = 2*N_1, the
+    masses relative to a_1 are 2*N_j / D and halving multiplies by N_1 / D,
+    so every mass lies in Z[1/D]; whole factors of D are divided out of a
+    root mass, and one scalar is built per root atom.  The result does not
+    depend on the denominator the numerators are over.
+
+    A real target mass of relative radius rho stands for a ball: its
+    midpoint n / D^e and radius r / D^e, r kept beside (n, e) at the same
+    e.  The radius is 2*rho / (1 - rho) relative to a_1, rounded up once to
+    a whole r over a denominator that makes the smallest radius about 2^32
+    units; after that radii are exact: |a|*s + |b|*r + r*s for a product,
+    r + s for a difference.  A residual ball wholly below 0 refutes, and so
+    does one wholly above 0 where the root atom would overflow.  A ball
+    holding 0 where a root atom could sit gives a maybe atom of mass in
+    [0, hi], carried as 0 +- hi: it stays in the cross terms, so a later
+    refutation holds for every mass in the box, and it moves no midpoint,
+    so the witness leaves it out.  Real masses stop at the square-root
+    peel.
+
+    Exact masses peel the signed square root Q of mu: past a negative
+    forced mass a root atom sits at every nonzero residual atom z, on a
+    target atom or off them.  As the ring of measures on (0, inf) is a UFD
+    and t an automorphism of it, mu * t(mu) = N * N forces mu = Q * Q and
+    N = +-Q * t(Q) (README, "Square root vs. transform"); up to Q's first
+    negative mass Q is the nonnegative root, so the square-root peel is
+    final there, at an overflow, or at the end.
 
     N = Q * t(Q), relative to its first mass and times R_1, is accumulated
     from Q's first negative mass on, the pairs of earlier root atoms
@@ -430,54 +315,141 @@ def _signed_peel(target: Table) -> Iterator:
     A transform witness lists N as ``(key, c)`` pairs, each atom's key in
     the table of mu * t(mu) and its mass relative to the first, once Q has
     been re-squared against the target: Q * Q = mu gives N * N = mu * t(mu).
+    The peel leaves mu - Q * Q at 0, so a re-square that misses the target
+    is a bug and raises :class:`InternalError`.
     """
+    rho = target.radius
+    ball = bool(rho)
+    if ball and rho >= 1:
+        yield partial(Peel, UNDETERMINED, note=(
+            f"at relative error {float(rho):.3g} a mass may be 0"))
+        return
     nums, keys = target.masses, target.keys
+    value = Fraction
+    if target.mode == REAL:
+        reals, bits = real_arithmetic(), config.precision_bits
+
+        def value(n, q):  # as to_mpf rounds Fraction(n, q), with no gcd
+            return reals.from_raw(reals.from_rational(n, q, bits,
+                                                      reals.round_down))
+    if ball:
+        top, bottom = _spread(rho.numerator, rho.denominator)
+        # over a denominator that makes the smallest radius about 2^32 units,
+        # rounding each radius up to a whole unit adds at most 2^-32 of it
+        shift = max(0, 32 + bottom.bit_length()
+                    - (top * 2 * min(nums)).bit_length())
+        nums = [n << shift for n in nums]
     n1 = nums[0]
     d = 2 * n1
     powers = _Powers(d)
     k1 = keys[0]
+    # target atom j sits at K_j*K_1 with mass 2*N_j / D relative to a_1;
+    # atom 0 is the square of the first root atom.  The keys ascend, so
+    # they are a heap
     heap = [key * k1 for key in keys[1:]]
     index = dict(zip(heap, range(1, len(keys))))
     residual = dict(zip(heap, [(2 * n, 1) for n in nums[1:]]))
+    # the root atom y with y*y1 at z squares to (z/K_1)^2; it overflows
+    # beyond the top target atom K_top*K_1 when z^2 > K_top*K_1^3
     limit = keys[-1] * k1 ** 3
     root = [(k1, 1, 0, isqrt(k1))]
+    if ball:
+        # the radius of each residual ball at the e of its midpoint: every
+        # term goes to both at one e, so the two dicts share their keys,
+        # which the midpoints put on the heap, and their exponents.  And the
+        # radius of each root atom, at the e of its mass
+        radius = dict(zip(heap, [(-(-2 * n * top // bottom), 1)
+                                 for n in nums[1:]]))
+        spare, root_radius, radii, maybe = [], [0], [(0, 0)] * target.p, []
     found, found_heap, final = None, [], []
     while heap:
         z = heappop(heap)
         n, e = residual.pop(z)
-        if n < 0 and found is None:
-            # Q's first negative mass: mu has no square root, and N starts
-            yield partial(_forced, target, index.get(z), len(root), z,
-                          Fraction(n * n1, powers[e + 1]))
-            found = _add_pairs({}, found_heap, root, 0, powers)
-        if not n:
-            continue
-        if found is not None:
-            negative = _finalize(target, found, found_heap, z, final, powers)
-            if negative:
-                yield Peel(IMPOSSIBLE, certificate=negative)
+        if ball:
+            r = radius.pop(z)[0]
+            j = index.get(z)
+            if j is not None:
+                radii[j] = r, e
+            if n + r < 0:
+                n, e, r = _half(n, e, r, n1, d)
+                yield partial(_forced, target, j, len(root), z,
+                              value(n, powers[e]),
+                              value(r, powers[e]) if r else None)
                 return
-        elif z not in index:
-            raise InternalError("positive residual off the target's atoms")
-        if z * z > limit or z % k1:
-            if found is None:
-                yield partial(_overflow, target, index[z])
-            yield Peel(IMPOSSIBLE, certificate=_no_signed_square(
-                target, len(root), z, index.get(z), z * z > limit))
-            return
-        n, e = n * n1, e + 1  # half of n / D^e
-        while e and n % d == 0:
-            n, e = n // d, e - 1
-        key = z // k1
+            if n <= r:  # the ball holds 0; off the target's atoms it always
+                # does, the residual there being minus products of positive
+                # midpoints
+                if j is None or n + r == 0 or z * z > limit:
+                    continue
+                # its mass lies in [0, hi]: carried as 0 +- hi, it leaves the
+                # midpoints alone, so the witness can leave it out
+                r, e, _ = _half(n + r, e, 0, n1, d)
+                n = 0
+                maybe.append(j)
+            elif j is None:
+                raise InternalError("positive residual off the target's atoms")
+            elif z * z > limit:
+                yield partial(_overflow, target, j)
+                return
+            else:
+                n, e, r = _half(n, e, r, n1, d)
+            # the radii of the new root atom's terms, whose midpoints are
+            # added below; a real root's midpoints are >= 0, so no abs()
+            key = keys[j]
+            for (other, m, f, _), s in zip(root[1:], root_radius[1:]):
+                _add(radius, spare, other * key, 2 * (n * s + (m + s) * r),
+                     e + f, powers)
+            _add(radius, spare, key * key, (2 * n + r) * r, 2 * e, powers)
+            root_radius.append(r)
+        else:
+            if n < 0 and found is None:
+                # Q's first negative mass: mu has no square root, and N starts
+                yield partial(_forced, target, index.get(z), len(root), z,
+                              value(n * n1, powers[e + 1]))
+                found = _add_pairs({}, found_heap, root, 0, powers)
+            if not n:
+                continue
+            if found is not None:
+                negative = _finalize(target, found, found_heap, z, final,
+                                     powers)
+                if negative:
+                    yield Peel(IMPOSSIBLE, certificate=negative)
+                    return
+            elif z not in index:
+                raise InternalError("positive residual off the target's atoms")
+            if z * z > limit or z % k1:
+                if found is None:
+                    yield partial(_overflow, target, index[z])
+                yield Peel(IMPOSSIBLE, certificate=_no_signed_square(
+                    target, len(root), z, index.get(z), z * z > limit))
+                return
+            n, e = n * n1, e + 1  # half of n / D^e
+            while e and n % d == 0:
+                n, e = n // d, e - 1
+            key = z // k1
         for other, m, f, _ in root[1:]:
             _add(residual, heap, other * key, -2 * n * m, e + f, powers)
         _add(residual, heap, key * key, -n * n, 2 * e, powers)
         root.append((key, n, e, isqrt(key)))
         if found is not None:
             _add_pairs(found, found_heap, root, len(root) - 1, powers)
+    if ball:
+        radii = tuple([(r, powers[e]) for r, e in radii])
+        # the largest r / q over the mass 2*N_j / D of its atom, relative to
+        # a_1
+        worst, low = 0, 1
+        for (r, q), n in zip(radii, nums):
+            if r * n1 * low > worst * q * n:
+                worst, low = r * n1, q * n
+        # a maybe atom, of midpoint 0, is left out
+        yield partial(Peel, WITNESS, root=tuple([
+            (index.get(key * k1, 0), value(n, powers[e]))
+            for key, n, e, _ in root if n]), residual=value(worst, low),
+            radii=radii, maybe=tuple(maybe))
+        return
     if found is None:
         yield lambda: Peel(WITNESS, root=tuple([
-            (index.get(key * k1, 0), Fraction(n, powers[e]))
+            (index.get(key * k1, 0), value(n, powers[e]))
             for key, n, e, _ in root]))
         found = _add_pairs({}, found_heap, root, 0, powers)
     negative = _finalize(target, found, found_heap, None, final, powers)
@@ -485,7 +457,7 @@ def _signed_peel(target: Table) -> Iterator:
         yield Peel(IMPOSSIBLE, certificate=negative)
         return
     # Q * Q against the target, over D^(2*top): the masses relative to a_1
-    # are N_j / N_1
+    # are N_j / N_1.  The peel left mu - Q * Q at 0, so a mismatch is a bug
     top = max([f for _, _, f, _ in root])
     masses = [m * powers[top - f] for _, m, f, _ in root]
     order, squares = _pair_products([key for key, _, _, _ in root], masses,
@@ -495,8 +467,7 @@ def _signed_peel(target: Table) -> Iterator:
     if len(square) != len(keys) or any(
             key != k * k1 or m * n1 != t * scale
             for (key, m), k, t in zip(square, keys, nums)):
-        yield Peel(UNDETERMINED, note=UNVERIFIED)
-        return
+        raise InternalError("the signed root does not square back to mu")
     r1 = root[0][3]
     yield Peel(WITNESS, root=tuple([(w, Fraction(m, powers[f] * r1))
                                     for w, m, f in final]))
@@ -687,7 +658,7 @@ def verify_witness(
     real mode within the error that the peel of ``target`` carries to each
     of its atoms."""
     tabled = table(target, config.precision_bits, config.radius)
-    peel = _peel(tabled, config) if tabled.radius else Peel(WITNESS)
+    peel = next(_peel(tabled, config))() if tabled.radius else Peel(WITNESS)
     return (peel.outcome == WITNESS
             and _verify(witness, tabled, peel.radii, config))
 
@@ -733,10 +704,11 @@ def aluthge_subnormal(
     root N, on any support.
 
     Rational masses on rational positions are decided exactly by the second
-    peel of :func:`_signed_peel`: N = Q * t(Q) when mu = Q * Q, Q signed,
+    verdict of :func:`_peel` on mu: N = Q * t(Q) when mu = Q * Q, Q signed,
     and no N exists when mu is no signed square.  No product table of
     mu * t(mu) is formed, and a witness pairs the atoms of Q.  Real masses
-    and radical positions peel the table of mu * t(mu) (:func:`t_products`).
+    and radical positions read the first verdict of the peel of the table
+    of mu * t(mu) (:func:`t_products`).
     """
     mu.require_no_zero_atom("aluthge_subnormal")
     notes: List[str] = []
@@ -745,15 +717,16 @@ def aluthge_subnormal(
         notes.append("irrational positions: masses analysed numerically")
     if mu.mode == RATIONAL:
         target = table(mu, config.precision_bits)
-        _, peel = _signed_peel(target)
+        _, peel = _peel(target, config)
         return _transform(mu, target, peel, config, notes)
     target = t_products(mu, config.precision_bits, config.radius)
-    return _transform(mu, target, _peel(target, config), config, notes)
+    return _transform(mu, target, next(_peel(target, config))(), config,
+                      notes)
 
 
 def _transform(mu: AtomicMeasure, target: Table, peel: Peel,
                config: SolverConfig, notes: List[str]) -> Verdict:
-    """The verdict of the signed peel of mu or the peel of mu * t(mu)."""
+    """The transform verdict of the peel of mu or of mu * t(mu)."""
     keys, scale = support_keys(mu)
     if mu.mode == RATIONAL:
         a1, check = _first_product_mass(target, mu.support[0].q), None
@@ -782,24 +755,23 @@ def sqrt_of(
     mu: AtomicMeasure,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> Verdict:
-    """Decide nu * nu = mu by peeling its unique root (rational masses: the
-    signed peel, stopped at its first verdict); a witness sits at sqrt(x_1)
-    * (x_j / x_1) over the radical base x_1.  Positions must be rational."""
+    """Decide nu * nu = mu by peeling its unique root, the first verdict of
+    :func:`_peel`; a witness sits at sqrt(x_1) * (x_j / x_1) over the
+    radical base x_1.  Positions must be rational."""
     return next(verdicts(mu, config))
 
 
 def verdicts(mu: AtomicMeasure,
              config: SolverConfig = DEFAULT_CONFIG) -> Iterator[Verdict]:
     """Yield ``sqrt_of(mu)``, then ``aluthge_subnormal(mu)``, each when
-    asked for; rational masses give both from one signed peel of mu."""
+    asked for; rational masses give both from one peel of mu."""
     mu.require_no_zero_atom("sqrt_of")
     if any(pos.k == 1 for pos in mu.support):
         raise MeasureError(
             "square-root search requires rational atom positions; apply "
             "power_positions(mu, 2) first")
     target = table(mu, config.precision_bits, config.radius)
-    peels = (_signed_peel(target) if target.mode == RATIONAL else
-             iter([partial(_peel, target, config)]))
+    peels = _peel(target, config)
     peel = next(peels)()
     support = mu.support
     base = support[0].q

@@ -45,8 +45,7 @@ def test_analyze_decides_the_root_once(monkeypatch, bits):
     # and one square table per witness
     from alsq import solver
 
-    calls = {"_peel": 0, "_signed_peel": 0, "square_products": 0,
-             "t_products": 0}
+    calls = {"_peel": 0, "square_products": 0, "t_products": 0}
 
     def spy(name):
         original = getattr(solver, name)
@@ -63,10 +62,9 @@ def test_analyze_decides_the_root_once(monkeypatch, bits):
     if bits:
         mu, options = mu.to_real(bits), AnalyzeOptions(SolverConfig(bits))
     report = analyze(mu, options)
-    assert calls == ({"_peel": 2, "_signed_peel": 0, "square_products": 2,
-                      "t_products": 1} if bits else
-                     {"_peel": 0, "_signed_peel": 1, "square_products": 1,
-                      "t_products": 0})
+    assert calls == ({"_peel": 2, "square_products": 2, "t_products": 1}
+                     if bits else
+                     {"_peel": 1, "square_products": 1, "t_products": 0})
     assert report.small_verdict.outcome == WITNESS
     assert report.small_verdict.witness == report.sqrt_verdict.witness
 

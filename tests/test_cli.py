@@ -74,6 +74,16 @@ def test_sqrt_json_verdict(capsys, four_atom_file):
     assert data["schema"] == "alsq/1"
 
 
+def test_sqrt_text_notes_a_radical_witness(capsys, tmp_path):
+    # 2*d(1) + 4*d(2) + 2*d(4) = 2*(d(1) + d(2))^2: the root's masses are
+    # sqrt(2), irrational over exact positions
+    path = tmp_path / "radical.json"
+    path.write_text(dumps_measure(make_measure([(1, 2), (2, 4), (4, 2)])))
+    assert main(["sqrt", str(path)]) == 0
+    assert "note: witness masses lie in Q(sqrt(2)); emitted as reals" in \
+        capsys.readouterr().out.splitlines()
+
+
 def test_convolve_writes_file(tmp_path, capsys, six_atom_file):
     out_path = tmp_path / "conv.json"
     code = main(["convolve", six_atom_file, six_atom_file,

@@ -2,6 +2,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from heapq import heappop, heappush
 from math import ceil, gcd
 
@@ -483,8 +484,8 @@ def test_peel_of_product_table_matches_peel_of_measure(case):
     tabled = (square_products(mu, bits) if nu is mu
               else t_products(mu, bits))
     again = table(convolve(mu, nu, bits), bits, tabled.radius)
-    assert _peel_fields(solver._peel(tabled, config)) == \
-        _peel_fields(solver._peel(again, config))
+    assert _peel_fields(next(solver._peel(tabled, config))()) == \
+        _peel_fields(next(solver._peel(again, config))())
     assert (tabled.keys, tabled.scale) == (again.keys, again.scale)
     assert [F(n, again.den) for n in again.masses] == \
         [F(n, tabled.den) for n in tabled.masses]
@@ -557,11 +558,13 @@ def _generated(p, seed):
 
 
 def _table_verdict(mu):
-    """The transform verdict from the positive peel of the complete table of
-    mu * t(mu), built by convolve, its witness re-squared against it."""
+    """The transform verdict from the Fraction reference peel of the
+    complete mu * t(mu), built by convolve, its witness re-squared against
+    the table of it."""
     config = SolverConfig()
-    target = table(convolve(mu, t_weight(mu)))
-    peel = solver._peel(target, config)
+    product = convolve(mu, t_weight(mu))
+    target = table(product)
+    peel = _reference_peel(product, config)
     x1 = mu.support[0]
 
     def place(weights, mode):
@@ -744,14 +747,22 @@ def _verdict_json(decide, mu):
 
 
 def test_square_root_verdict_equals_the_positive_peel(monkeypatch):
-    # the signed peel's first verdict is the one the positive peel of the
-    # table of mu gives (the path real masses keep), byte for byte
+    # the signed peel's first verdict is the one the Fraction reference
+    # peel of mu gives, byte for byte
     cases = _decision_cases()
     got = [_verdict_json(sqrt_of, mu) for mu in cases]
-    config = SolverConfig()
-    # the signed peel yields a call that builds its square-root peel
-    monkeypatch.setattr(solver, "_signed_peel", lambda target: iter(
-        [lambda: solver._peel(target, config)]))
+    # the peel yields a call that builds its square-root peel; the
+    # reference peels the measure that each table was made of
+    measures = {}
+    real_table = solver.table
+
+    def tabled(mu, *args):
+        target = real_table(mu, *args)
+        measures[id(target)] = mu
+        return target
+    monkeypatch.setattr(solver, "table", tabled)
+    monkeypatch.setattr(solver, "_peel", lambda target, config: iter(
+        [partial(_reference_peel, measures[id(target)], config)]))
     want = [_verdict_json(sqrt_of, mu) for mu in cases]
     for mu, g, w in zip(cases, got, want):
         assert g == w, mu
@@ -774,23 +785,38 @@ def test_positive_residual_off_the_atoms_is_an_internal_error(
         monkeypatch, tmp_path, capsys, mode):
     # with a nonnegative root the residual off the target's atoms is minus a
     # sum of products of positive masses; adding those products instead
-    # puts positive mass at 2*2 = 4, which no atom of mu sits at
+    # puts positive mass at 2*2 = 4, which no atom of mu sits at.  Only the
+    # negative terms are negated, so the radii of real masses stay >= 0
     mu = make_measure([(x, F(1, 5)) for x in (1, 2, 3, 10, 20)], mode=mode)
-    if mode == "rational":
-        add = solver._add
-        monkeypatch.setattr(solver, "_add", lambda acc, heap, key, n, e,
-                            powers: add(acc, heap, key, -n, e, powers))
-    else:
-        subtract = solver._subtract
-        monkeypatch.setattr(solver, "_subtract", lambda residual, heap, key,
-                            value, sub, neg: subtract(residual, heap, key,
-                                                      neg(value), sub, neg))
+    add = solver._add
+    monkeypatch.setattr(solver, "_add", lambda acc, heap, key, n, e, powers:
+                        add(acc, heap, key, abs(n), e, powers))
     with pytest.raises(solver.InternalError, match="off the target's atoms"):
         sqrt_of(mu)
     path = tmp_path / "five.json"
     save_measure(mu, path)
     assert main(["sqrt", str(path)]) == 4
     assert "internal error: positive residual" in capsys.readouterr().err
+
+
+def test_signed_root_that_does_not_square_back_is_an_internal_error(
+        monkeypatch, tmp_path, capsys, three_atom_square):
+    # a complete signed peel leaves mu - Q*Q at 0, so the re-square of Q can
+    # miss mu only through a bug: one planted in the pair loop it reads
+    pair_products = solver._pair_products
+
+    def perturbed(keys, left, right):
+        order, masses = pair_products(keys, left, right)
+        return order, masses[:-1] + [masses[-1] + 1]
+
+    monkeypatch.setattr(solver, "_pair_products", perturbed)
+    with pytest.raises(solver.InternalError, match="square back"):
+        aluthge_subnormal(three_atom_square)
+    path = tmp_path / "three.json"
+    save_measure(three_atom_square, path)
+    assert main(["aluthge", str(path)]) == 4
+    assert "internal error: the signed root does not square back to mu" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bits", [None, 128, 256])

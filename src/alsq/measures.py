@@ -21,7 +21,7 @@ support (:func:`with_weights`, :func:`t_weight`, :func:`strip_zero_atom`)
 pass it on.  Positions are read off keys (:func:`_key_position`).  One pair
 loop (:func:`_pair_products`), which forms each unordered pair of atoms
 once, builds the product tables ``solver`` reads: :func:`t_products`,
-mu * t(mu) for real masses and radical positions, and
+mu * t(mu) for radical positions, and
 :func:`square_products`, a witness's square; the solver also runs it on the
 masses of a signed root.  mu * t(mu) is never materialized.
 :func:`convolve` multiplies measures on any two supports with its own loop
@@ -545,9 +545,8 @@ def t_products(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,
                eps: Fraction = Fraction(0)) -> Table:
     """The table of mu * t(mu), t(mu) = ``t_weight(mu, bits)``, from the
     pair loop (:func:`_pair_table`).  ``aluthge_subnormal`` peels it for
-    real masses and radical positions; a rational measure on rational
-    positions is decided from its signed square root instead, and this
-    table is the reference that decision is tested against."""
+    radical positions only; on rational positions a measure, with rational
+    or real masses, is decided from its signed square root instead."""
     mu.require_no_zero_atom("t_weight")
     masses, den = numerators(mu.weights, mu.mode, bits)
     # t_weight refuses a radical position in rational mode

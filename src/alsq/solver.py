@@ -24,12 +24,13 @@ two certificates that re-running the peel re-checks:
 * ``peel-nonpositive-mass``: the forced mass of the next root atom is <= 0;
 * ``peel-overflow``: the next root atom would square beyond the top atom.
 
-One peel (:func:`_peel`) answers both questions.  Rational masses on
-rational positions peel the signed square root Q of mu: mu has a root iff
-Q >= 0, and mu * t(mu) iff mu = Q * Q and Q * t(Q) >= 0, where
-``peel-overflow`` also says that mu is no signed square.  Real masses stop
-at the first verdict, the root of mu, and radical positions as well: the
-transform of those peels the product table of mu * t(mu) instead.
+One peel (:func:`_peel`) answers both questions.  On rational positions
+it peels the signed square root Q of mu, for rational and real masses
+alike: mu has a root iff Q >= 0, and mu * t(mu) iff mu = Q * Q and
+Q * t(Q) >= 0, where ``peel-overflow`` also says that mu is no signed
+square; the argument holds over any field, so over R as well.  The
+transform of radical positions peels the product table of mu * t(mu)
+instead.
 
 Relative to the first root atom every forced mass is rational for rational
 input, and the root masses are those values times sqrt(a_1); so rational
@@ -39,17 +40,18 @@ of it (``SolverConfig.radius``).  The peel carries an exact error radius
 beside each mass, so ``impossible`` holds for every measure in that box and
 a witness squares back within the error carried to each atom.
 ``undetermined`` arises only in real mode: a witness, which leaves out the
-root atoms whose mass bound includes 0, fails its independent re-check by
-convolution, or the radius reaches the masses themselves.
+root atoms whose mass bound includes 0, fails its independent re-check,
+the radius reaches the masses themselves, the signed root passes its cap
+on atoms, or an atom of N has a negative midpoint inside its ball.
 
-The peel reads tables (:class:`alsq.measures.Table`): that of mu, or the
-product table of mu * t(mu) (:func:`alsq.measures.t_products`), which is
-never materialized as a measure.  The witness check compares the table of
-the witness's square (:func:`alsq.measures.square_products`) with the
-target's; the transform of the signed peel re-squares Q against mu
-instead.  Every product table comes from one pair loop, which forms each
-unordered pair of atoms once.  A position or a Fraction is built only for
-what a verdict prints.
+The peel reads tables (:class:`alsq.measures.Table`): that of mu, or, on
+radical positions, the product table of mu * t(mu)
+(:func:`alsq.measures.t_products`), which is never materialized as a
+measure.  The witness check compares the table of the witness's square
+(:func:`alsq.measures.square_products`) with the target's; the transform
+of the signed peel re-squares Q against mu instead.  Every product table
+comes from one pair loop, which forms each unordered pair of atoms once.
+A position or a Fraction is built only for what a verdict prints.
 
 The decision path takes its precision explicitly from ``SolverConfig``:
 ``t_weight`` and the witness masses round raw libmp values at
@@ -186,8 +188,9 @@ class Peel(Record):
     mode), and ``maybe`` lists the j of the root atoms whose mass bound
     includes 0: they are left out of ``root``.  The c and the residual are
     exact Fractions in rational mode and mpfs rounded toward zero at the
-    working precision in real mode.  The transform witness of a rational
-    peel lists ``(key, c)`` per atom of N instead.
+    working precision in real mode.  The transform witness of the peel of
+    mu lists ``(key, c)`` per atom of N instead, and its ``maybe`` has one
+    entry per maybe atom of Q (the j, or None off mu's atoms).
     """
 
     __slots__ = _fields = ("outcome", "root", "certificate", "residual",
@@ -219,11 +222,17 @@ class _Powers(dict):
         return value
 
 
+# the atoms the signed root of real masses may have per atom of mu; seeded
+# squares, their twins and perturbed squares, at 64 and 128 bits and boxes
+# up to 1/1000, needed at most 1.6
+_ROOT_CAP = 4
+
+
 def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> Peel:
     """Peel the unique root of ``target`` off its smallest atoms: the first
     verdict of :func:`_peel` on its :func:`table`."""
     return next(_peel(table(target, config.precision_bits, config.radius),
-                      config))()
+                      config, False))()
 
 
 @lru_cache(maxsize=64)
@@ -259,10 +268,12 @@ def _half(n: int, e: int, r: int, n1: int, d: int) -> Tuple[int, int, int]:
     return n, e, r
 
 
-def _peel(target: Table, config: SolverConfig) -> Iterator:
+def _peel(target: Table, config: SolverConfig,
+          signed: bool = True) -> Iterator:
     """Peel the root of the measure mu tabled in ``target``: yield a call
     that builds the square-root peel once that is final (the transform
-    alone does not build it), then, for exact masses, the transform's peel.
+    alone does not build it), then the transform's peel.  With ``signed``
+    false a real mu stops at the first verdict.
 
     Works on the int keys K_j of the target's support and on masses divided
     by the first mass, starting from the root atom y1 with key K_1 and mass
@@ -276,53 +287,71 @@ def _peel(target: Table, config: SolverConfig) -> Iterator:
     root mass, and one scalar is built per root atom.  The result does not
     depend on the denominator the numerators are over.
 
-    A real target mass of relative radius rho stands for a ball: its
-    midpoint n / D^e and radius r / D^e, r kept beside (n, e) at the same
-    e.  The radius is 2*rho / (1 - rho) relative to a_1, rounded up once to
-    a whole r over a denominator that makes the smallest radius about 2^32
-    units; after that radii are exact: |a|*s + |b|*r + r*s for a product,
-    r + s for a difference.  A residual ball wholly below 0 refutes, and so
-    does one wholly above 0 where the root atom would overflow.  A ball
-    holding 0 where a root atom could sit gives a maybe atom of mass in
-    [0, hi], carried as 0 +- hi: it stays in the cross terms, so a later
-    refutation holds for every mass in the box, and it moves no midpoint,
-    so the witness leaves it out.  Real masses stop at the square-root
-    peel.
-
-    Exact masses peel the signed square root Q of mu: past a negative
+    The peel takes off the signed square root Q of mu: past a negative
     forced mass a root atom sits at every nonzero residual atom z, on a
-    target atom or off them.  As the ring of measures on (0, inf) is a UFD
-    and t an automorphism of it, mu * t(mu) = N * N forces mu = Q * Q and
-    N = +-Q * t(Q) (README, "Square root vs. transform"); up to Q's first
-    negative mass Q is the nonnegative root, so the square-root peel is
-    final there, at an overflow, or at the end.
+    target atom or off them.  As the ring of measures on (0, inf) over a
+    field is a UFD and t an automorphism of it, mu * t(mu) = N * N forces
+    mu = Q * Q and N = +-Q * t(Q) (README, "Square root vs. transform");
+    up to Q's first negative mass Q is the nonnegative root, so the
+    square-root peel is final there, at an overflow, or at the end.
 
     N = Q * t(Q), relative to its first mass and times R_1, is accumulated
-    from Q's first negative mass on, the pairs of earlier root atoms
-    back-filled: before it N is a sum of products of positive masses, so no
-    refutation is lost.  For a root atom of key K, R = sqrt(K) is the int
-    that its y*y1 is times the lcm of the target's denominators; root atoms
-    a, b add c_a c_b (R_a + R_b) (c_a^2 R_a for a = b) at K_a*K_b, the key
-    of y_a*y_b*x_1 in the table of mu * t(mu).  Later pairs meet at the next
-    root atom's z or beyond, so the atoms of N below z are final: the root
-    that peel of that table finds there.  The first negative one refutes
-    with its certificate (:func:`_negative`).  A nonzero residual atom
-    beyond the top, or at a z that K_1 does not divide, refutes with
+    once the square-root verdict is final, the pairs of earlier root atoms
+    back-filled, so that every atom of N is checked.  For a
+    root atom of key K, R = sqrt(K) is the int that its y*y1 is times the
+    lcm of the target's denominators; root atoms a, b add c_a c_b (R_a +
+    R_b) (c_a^2 R_a for a = b) at K_a*K_b, the key of y_a*y_b*x_1 in the
+    table of mu * t(mu).  Later pairs meet at the next root atom's z or
+    beyond, so the atoms of N below z are final: the root that peel of
+    that table finds there.  The first negative one refutes with its
+    certificate (:func:`_negative`).  A nonzero residual atom beyond the
+    top, or at a z that K_1 does not divide, refutes with
     ``peel-overflow``: mu is no signed square (:func:`_no_signed_square`).
     z / K_1 is (L*y*y1)^2, L the lcm of the denominators of mu's positions,
     so K_1 divides z exactly when y*y1 is a multiple of 1/L.
 
-    A transform witness lists N as ``(key, c)`` pairs, each atom's key in
-    the table of mu * t(mu) and its mass relative to the first, once Q has
-    been re-squared against the target: Q * Q = mu gives N * N = mu * t(mu).
-    The peel leaves mu - Q * Q at 0, so a re-square that misses the target
-    is a bug and raises :class:`InternalError`.
+    A real target mass of relative radius rho stands for a ball: its
+    midpoint n / D^e and radius r / D^e, r kept beside (n, e) at the same
+    e, and so does each mass of Q and of N.  The radius is 2*rho / (1 -
+    rho) relative to a_1, rounded up once to a whole r over a denominator
+    that makes the smallest radius about 2^32 units; after that radii are
+    exact: |a|*s + |b|*r + r*s for a product, r + s for a sum.  Where Q
+    could have an atom, on the lattice and at or below the top, a residual
+    ball that holds 0 gives a maybe atom of either sign, carried as 0 +-
+    hi: it stays in the cross terms and in N, so a refutation holds for
+    every measure in the box, and it moves no midpoint, so a witness
+    leaves it out; elsewhere such a ball is passed over.  So a ball wholly
+    below 0 refutes the square root, and past it the transform is refuted
+    only by an atom of N whose final ball lies wholly below 0 or by a
+    residual ball that excludes 0 where Q cannot sit.  The square-root
+    peel, whose root is >= 0 and sits on mu's atoms only, carries a maybe
+    atom of mass in [0, hi] at an atom of mu; where the two peels part (a
+    ball that holds 0 off mu's atoms, or around a negative midpoint) its
+    verdict comes from a second peel with ``signed`` false.  Q is capped at
+    ``_ROOT_CAP`` atoms per atom of mu: beyond, the transform is
+    ``undetermined``.
+
+    The witness of the transform is N, listed as ``(key, c)`` pairs, each
+    atom's key in the table of mu * t(mu) and its mass relative to the
+    first, once Q has been re-squared against the target.  Exactly, the
+    peel leaves mu - Q * Q at 0, so a re-square that misses the target is
+    a bug and raises :class:`InternalError`; then N * N = mu * t(mu).  For
+    balls it checks |Q * Q - mu| <= delta atom by atom, delta_j the radius
+    carried to atom j of mu, on the support of mu, and a miss is
+    ``undetermined``.  As N * N = (Q * Q) * t(Q * Q), that bounds
+    |N * N - mu * t(mu)| by (mu + delta) * t(mu + delta) - mu * t(mu)
+    atom by atom, at most (2*e + e^2) * mu * t(mu) for e the largest
+    delta_j / a_j, the witness's ``residual``; the printed masses add
+    their rounding at the working precision.  A negative midpoint of N,
+    its ball holding 0, leaves the transform ``undetermined``.
     """
     rho = target.radius
     ball = bool(rho)
     if ball and rho >= 1:
-        yield partial(Peel, UNDETERMINED, note=(
+        peel = Peel(UNDETERMINED, note=(
             f"at relative error {float(rho):.3g} a mass may be 0"))
+        yield lambda: peel
+        yield peel
         return
     nums, keys = target.masses, target.keys
     value = Fraction
@@ -353,15 +382,18 @@ def _peel(target: Table, config: SolverConfig) -> Iterator:
     # beyond the top target atom K_top*K_1 when z^2 > K_top*K_1^3
     limit = keys[-1] * k1 ** 3
     root = [(k1, 1, 0, isqrt(k1))]
+    found, found_heap, final = None, [], []
+    balls, maybe = None, []
     if ball:
         # the radius of each residual ball at the e of its midpoint: every
         # term goes to both at one e, so the two dicts share their keys,
-        # which the midpoints put on the heap, and their exponents.  And the
-        # radius of each root atom, at the e of its mass
+        # which the midpoints put on the heap, and their exponents.  Then
+        # the radius of each root atom, at the e of its mass, and N's radii
         radius = dict(zip(heap, [(-(-2 * n * top // bottom), 1)
                                  for n in nums[1:]]))
-        spare, root_radius, radii, maybe = [], [0], [(0, 0)] * target.p, []
-    found, found_heap, final = None, [], []
+        spare, root_radius, radii = [], [0], [(0, 0)] * target.p
+        balls = {}, spare, root_radius
+        cap = _ROOT_CAP * target.p
     while heap:
         z = heappop(heap)
         n, e = residual.pop(z)
@@ -370,36 +402,70 @@ def _peel(target: Table, config: SolverConfig) -> Iterator:
             j = index.get(z)
             if j is not None:
                 radii[j] = r, e
-            if n + r < 0:
-                n, e, r = _half(n, e, r, n1, d)
-                yield partial(_forced, target, j, len(root), z,
-                              value(n, powers[e]),
-                              value(r, powers[e]) if r else None)
-                return
-            if n <= r:  # the ball holds 0; off the target's atoms it always
-                # does, the residual there being minus products of positive
-                # midpoints
-                if j is None or n + r == 0 or z * z > limit:
+            # where Q could have an atom
+            free = z * z <= limit and not z % k1
+            if -r <= n <= r:  # the ball holds 0
+                if not free or not (n or r):
                     continue
-                # its mass lies in [0, hi]: carried as 0 +- hi, it leaves the
-                # midpoints alone, so the witness can leave it out
-                r, e, _ = _half(n + r, e, 0, n1, d)
+                if found is None and (j is None or n < 0):
+                    # the square-root peel and the signed one part here
+                    if not signed:
+                        if j is None or n + r == 0:
+                            continue
+                    else:
+                        yield lambda: next(_peel(target, config, False))()
+                        found = _add_pairs({}, found_heap, root, 0, powers,
+                                           balls)
+                # a mass in [(n - r)/2, (n + r)/2], or in [0, (n + r)/2] for
+                # the square root: carried as 0 +- hi, it leaves the
+                # midpoints alone
+                r, e, _ = _half(n + r if found is None else abs(n) + r, e,
+                                0, n1, d)
                 n = 0
                 maybe.append(j)
-            elif j is None:
-                raise InternalError("positive residual off the target's atoms")
-            elif z * z > limit:
-                yield partial(_overflow, target, j)
-                return
             else:
-                n, e, r = _half(n, e, r, n1, d)
+                half = _half(n, e, r, n1, d)
+                if found is None:
+                    if n < 0:
+                        yield partial(_forced, target, j, len(root), z,
+                                      value(half[0], powers[half[1]]),
+                                      value(half[2], powers[half[1]])
+                                      if half[2] else None)
+                    elif j is None:
+                        raise InternalError(
+                            "positive residual off the target's atoms")
+                    elif not free:
+                        yield partial(_overflow, target, j)
+                    if n < 0 or not free:
+                        if not signed:
+                            return
+                        found = _add_pairs({}, found_heap, root, 0, powers,
+                                           balls)
+                n, e, r = half
+            if found is not None:
+                negative = _finalize(target, found, found_heap, z, final,
+                                     powers, balls, value)
+                if negative:
+                    yield Peel(IMPOSSIBLE, certificate=negative)
+                    return
+                if not free:
+                    yield Peel(IMPOSSIBLE, certificate=_no_signed_square(
+                        target, len(root), z, j, z * z > limit))
+                    return
+                if len(root) >= cap:
+                    yield Peel(UNDETERMINED, note=(
+                        f"the signed square root of mu reached {cap} atoms, "
+                        f"{_ROOT_CAP} per atom of mu, before mu - Q^2 "
+                        "vanished"))
+                    return
             # the radii of the new root atom's terms, whose midpoints are
-            # added below; a real root's midpoints are >= 0, so no abs()
-            key = keys[j]
+            # added below
+            key = z // k1
+            a = abs(n)
             for (other, m, f, _), s in zip(root[1:], root_radius[1:]):
-                _add(radius, spare, other * key, 2 * (n * s + (m + s) * r),
-                     e + f, powers)
-            _add(radius, spare, key * key, (2 * n + r) * r, 2 * e, powers)
+                _add(radius, spare, other * key,
+                     2 * (a * s + (abs(m) + s) * r), e + f, powers)
+            _add(radius, spare, key * key, (2 * a + r) * r, 2 * e, powers)
             root_radius.append(r)
         else:
             if n < 0 and found is None:
@@ -432,7 +498,7 @@ def _peel(target: Table, config: SolverConfig) -> Iterator:
         _add(residual, heap, key * key, -n * n, 2 * e, powers)
         root.append((key, n, e, isqrt(key)))
         if found is not None:
-            _add_pairs(found, found_heap, root, len(root) - 1, powers)
+            _add_pairs(found, found_heap, root, len(root) - 1, powers, balls)
     if ball:
         radii = tuple([(r, powers[e]) for r, e in radii])
         # the largest r / q over the mass 2*N_j / D of its atom, relative to
@@ -441,71 +507,114 @@ def _peel(target: Table, config: SolverConfig) -> Iterator:
         for (r, q), n in zip(radii, nums):
             if r * n1 * low > worst * q * n:
                 worst, low = r * n1, q * n
-        # a maybe atom, of midpoint 0, is left out
-        yield partial(Peel, WITNESS, root=tuple([
-            (index.get(key * k1, 0), value(n, powers[e]))
-            for key, n, e, _ in root if n]), residual=value(worst, low),
-            radii=radii, maybe=tuple(maybe))
-        return
+        worst = value(worst, low)
     if found is None:
-        yield lambda: Peel(WITNESS, root=tuple([
-            (index.get(key * k1, 0), value(n, powers[e]))
-            for key, n, e, _ in root]))
-        found = _add_pairs({}, found_heap, root, 0, powers)
-    negative = _finalize(target, found, found_heap, None, final, powers)
+        if ball:  # a maybe atom, of midpoint 0, is left out
+            yield partial(Peel, WITNESS, root=tuple([
+                (index.get(key * k1, 0), value(n, powers[e]))
+                for key, n, e, _ in root if n]), residual=worst,
+                radii=radii, maybe=tuple(maybe))
+        else:
+            yield lambda: Peel(WITNESS, root=tuple([
+                (index.get(key * k1, 0), value(n, powers[e]))
+                for key, n, e, _ in root]))
+        if not signed:
+            return
+        found = _add_pairs({}, found_heap, root, 0, powers, balls)
+    negative = _finalize(target, found, found_heap, None, final, powers,
+                         balls, value)
     if negative:
         yield Peel(IMPOSSIBLE, certificate=negative)
         return
-    # Q * Q against the target, over D^(2*top): the masses relative to a_1
-    # are N_j / N_1.  The peel left mu - Q * Q at 0, so a mismatch is a bug
-    top = max([f for _, _, f, _ in root])
-    masses = [m * powers[top - f] for _, m, f, _ in root]
-    order, squares = _pair_products([key for key, _, _, _ in root], masses,
+    if not _squares_back(root, keys, nums, powers, radii if ball else None):
+        if not ball:  # the peel left mu - Q * Q at 0
+            raise InternalError("the signed root does not square back to mu")
+        yield Peel(UNDETERMINED, note=UNVERIFIED)
+        return
+    r1 = root[0][3]
+    witness = tuple([(w, value(m, powers[f] * r1)) for w, m, f in final])
+    if not ball:
+        yield Peel(WITNESS, root=witness)
+    elif any(m < 0 for _, m, _ in final):
+        yield Peel(UNDETERMINED, note=(
+            "an atom of N = Q*t(Q) has a negative midpoint and a mass bound "
+            "that includes 0"))
+    else:
+        yield Peel(WITNESS, root=witness, residual=worst, maybe=tuple(maybe))
+
+
+def _squares_back(root: list, keys: List[int], nums: List[int],
+                  powers: _Powers, radii: Optional[tuple]) -> bool:
+    """Whether the root atoms (key, n, e, R) of nonzero mass n / D^e square
+    back to the target of int keys ``keys`` and numerators ``nums``, whose
+    masses relative to a_1 are N_j / N_1: exactly, or within r_j / q_j for
+    (r_j, q_j) = radii[j].  The square is over D^(2*top)."""
+    live = [(key, n, e) for key, n, e, _ in root if n]
+    top = max([e for _, _, e in live])
+    masses = [n * powers[top - e] for _, n, e in live]
+    order, squares = _pair_products([key for key, _, _ in live], masses,
                                     masses)
     square = [(key, m) for key, m in zip(order, squares) if m]
-    scale = powers[2 * top]
+    k1, n1, scale = keys[0], nums[0], powers[2 * top]
     if len(square) != len(keys) or any(
-            key != k * k1 or m * n1 != t * scale
-            for (key, m), k, t in zip(square, keys, nums)):
-        raise InternalError("the signed root does not square back to mu")
-    r1 = root[0][3]
-    yield Peel(WITNESS, root=tuple([(w, Fraction(m, powers[f] * r1))
-                                    for w, m, f in final]))
+            key != k * k1 for (key, _), k in zip(square, keys)):
+        return False
+    if radii is None:
+        return all(m * n1 == t * scale for (_, m), t in zip(square, nums))
+    return all(abs(m * n1 - t * scale) * q <= r * n1 * scale
+               for (_, m), t, (r, q) in zip(square, nums, radii))
 
 
 def _add_pairs(found: dict, heap: list, root: list, start: int,
-               powers: _Powers) -> dict:
-    """Add the pairs a <= b of root atoms with b >= start to N, ``found``."""
+               powers: _Powers, balls: Optional[tuple] = None) -> dict:
+    """Add the pairs a <= b of root atoms with b >= start to N, ``found``;
+    for balls, ``balls`` holds N's radii, a spare heap and the radii of
+    the root atoms, and the radii of the terms go to N's."""
     for i in range(start, len(root)):
         key, n, e, r = root[i]
         for other, m, f, s in root[:i]:
             _add(found, heap, other * key, n * m * (s + r), e + f, powers)
         _add(found, heap, key * key, n * n * r, 2 * e, powers)
+        if balls:
+            radius, spare, radii = balls
+            a, b = abs(n), radii[i]
+            for (other, m, f, s), c in zip(root[:i], radii):
+                _add(radius, spare, other * key,
+                     (a * c + (abs(m) + c) * b) * (s + r), e + f, powers)
+            _add(radius, spare, key * key, (2 * a + b) * b * r, 2 * e, powers)
     return found
 
 
 def _finalize(target: Table, found: dict, heap: list, bound: Optional[int],
-              final: list, powers: _Powers) -> Optional[Violation]:
+              final: list, powers: _Powers, balls: Optional[tuple] = None,
+              value: Callable = Fraction) -> Optional[Violation]:
     """Move the atoms of N below ``bound`` (all for None) to ``final`` as
-    (key, n, e), dropping 0s, and refute at the first negative one."""
+    (key, n, e), dropping 0s, and refute at the first negative one (for
+    balls, at the first wholly below 0)."""
     while heap and (bound is None or heap[0] < bound):
         w = heappop(heap)
         m, f = found.pop(w)
-        if m < 0:
-            return _negative(target, len(final), w, Fraction(
-                m, powers[f] * isqrt(target.keys[0])))
+        r = balls[0].pop(w)[0] if balls else 0
+        if m + r < 0:
+            q = powers[f] * isqrt(target.keys[0])
+            return _negative(target, len(final), w, value(m, q),
+                             value(r, q) if r else None, value)
         if m:
             final.append((w, m, f))
     return None
 
 
-def _negative(target: Table, count: int, w: int, mass: Fraction) -> Violation:
+def _negative(target: Table, count: int, w: int, mass: Scalar,
+              bound: Optional[Scalar] = None,
+              value: Callable = Fraction) -> Violation:
     """The certificate of the peel of the table of mu * t(mu) at the first
     negative atom of N, its key w in that table, after ``count`` positive
-    atoms of N; ``mass`` is its mass relative to the first root mass.  The
-    table's masses are positive, so it has an atom at each product K_a*K_b
-    of two keys of mu and nowhere else: the atom at w, if any, has as many
-    atoms below it as there are distinct such products below w."""
+    atoms of N; ``mass`` (+- ``bound`` for a ball) is its mass relative to
+    the first root mass, and a real a_1 is printed as ``value(n, q)``
+    rounds n / q.  The table's masses are positive, so it has an atom at
+    each product K_a*K_b of two keys of mu and nowhere else: the atom at w,
+    if any, has as many atoms below it as there are distinct such products
+    below w."""
     keys, scale, base = target.keys, target.scale, target.base
     below, at = set(), False
     for i, a in enumerate(keys):
@@ -518,15 +627,17 @@ def _negative(target: Table, count: int, w: int, mass: Fraction) -> Violation:
                 break
             below.add(key)
     a1 = _first_product_mass(target, target.position(0).q)
+    if target.mode == REAL:
+        a1 = value(a1.numerator, a1.denominator)
     return _nonpositive(
         len(below) if at else None, count, _at(w, scale * scale, base, at),
         scalar_str(_key_position(keys[0] ** 2, scale * scale, base)),
-        scalar_str(a1), mass)
+        scalar_str(a1), mass, bound)
 
 
 def _first_product_mass(target: Table, x1: Fraction) -> Fraction:
-    """a_1^2 x_1, the first mass of mu * t(mu), for the rational measure mu
-    tabled in ``target`` with first position x_1."""
+    """a_1^2 x_1, the first mass of mu * t(mu), exactly, for the measure mu
+    on rational positions tabled in ``target`` with first position x_1."""
     m, d = target.masses[0], target.den
     return Fraction(m * m * x1.numerator, d * d * x1.denominator)
 
@@ -658,7 +769,8 @@ def verify_witness(
     real mode within the error that the peel of ``target`` carries to each
     of its atoms."""
     tabled = table(target, config.precision_bits, config.radius)
-    peel = next(_peel(tabled, config))() if tabled.radius else Peel(WITNESS)
+    peel = (next(_peel(tabled, config, False))() if tabled.radius
+            else Peel(WITNESS))
     return (peel.outcome == WITNESS
             and _verify(witness, tabled, peel.radii, config))
 
@@ -703,37 +815,40 @@ def aluthge_subnormal(
     to ``mu`` is subnormal: whether mu * t(mu) has a nonnegative square
     root N, on any support.
 
-    Rational masses on rational positions are decided exactly by the second
-    verdict of :func:`_peel` on mu: N = Q * t(Q) when mu = Q * Q, Q signed,
-    and no N exists when mu is no signed square.  No product table of
-    mu * t(mu) is formed, and a witness pairs the atoms of Q.  Real masses
-    and radical positions read the first verdict of the peel of the table
-    of mu * t(mu) (:func:`t_products`).
+    On rational positions the second verdict of :func:`_peel` on mu
+    decides it, for rational and real masses alike: N = Q * t(Q) when
+    mu = Q * Q, Q signed, and no N exists when mu is no signed square.  No
+    product table of mu * t(mu) is formed, and a witness pairs the atoms
+    of Q.  Radical positions read the first verdict of the peel of the
+    table of mu * t(mu) (:func:`t_products`), in real mode.
     """
     mu.require_no_zero_atom("aluthge_subnormal")
-    notes: List[str] = []
-    if mu.mode == RATIONAL and any(pos.k == 1 for pos in mu.support):
+    if not any(pos.k == 1 for pos in mu.support):
+        target = table(mu, config.precision_bits, config.radius)
+        peels = _peel(target, config)
+        next(peels)
+        return _transform(mu, target, next(peels), config)
+    notes = []
+    if mu.mode == RATIONAL:
         mu = mu.to_real(config.precision_bits)
         notes.append("irrational positions: masses analysed numerically")
-    if mu.mode == RATIONAL:
-        target = table(mu, config.precision_bits)
-        _, peel = _peel(target, config)
-        return _transform(mu, target, peel, config, notes)
     target = t_products(mu, config.precision_bits, config.radius)
     return _transform(mu, target, next(_peel(target, config))(), config,
-                      notes)
+                      notes, target)
 
 
 def _transform(mu: AtomicMeasure, target: Table, peel: Peel,
-               config: SolverConfig, notes: List[str]) -> Verdict:
-    """The transform verdict of the peel of mu or of mu * t(mu)."""
+               config: SolverConfig, notes: Sequence[str] = (),
+               check: Optional[Table] = None) -> Verdict:
+    """The transform verdict of the peel of mu, which re-squared its root
+    itself, or, with ``check`` the table of mu * t(mu) on radical
+    positions, of the first verdict of its peel."""
     keys, scale = support_keys(mu)
-    if mu.mode == RATIONAL:
-        a1, check = _first_product_mass(target, mu.support[0].q), None
-        at = [w for w, _ in peel.root]
+    if check is not None:
+        a1, at = target.weight(0), [target.keys[j] for j, _ in peel.root]
     else:
-        a1, check = target.weight(0), target
-        at = [target.keys[j] for j, _ in peel.root]
+        a1 = _first_product_mass(target, mu.support[0].q)
+        at = [w for w, _ in peel.root]
 
     def place(weights, mode):
         # N's atom n sits at key at[i] = key of n*x_1 in the table of
@@ -748,7 +863,7 @@ def _transform(mu: AtomicMeasure, target: Table, peel: Peel,
                      for w in at]
         return make_measure(list(zip(positions, weights)), mode=mode,
                             base=mu.base, bits=config.precision_bits)
-    return _decide(peel, a1, mu.mode, place, check, config, notes)
+    return _decide(peel, a1, mu.mode, place, check, config, list(notes))
 
 
 def sqrt_of(
@@ -764,7 +879,7 @@ def sqrt_of(
 def verdicts(mu: AtomicMeasure,
              config: SolverConfig = DEFAULT_CONFIG) -> Iterator[Verdict]:
     """Yield ``sqrt_of(mu)``, then ``aluthge_subnormal(mu)``, each when
-    asked for; rational masses give both from one peel of mu."""
+    asked for, both from one peel of mu."""
     mu.require_no_zero_atom("sqrt_of")
     if any(pos.k == 1 for pos in mu.support):
         raise MeasureError(
@@ -786,5 +901,4 @@ def verdicts(mu: AtomicMeasure,
                             base=base, bits=config.precision_bits)
     yield _decide(peel, target.weight(0), target.mode, place, target, config,
                   [])
-    yield (aluthge_subnormal(mu, config) if target.mode == REAL else
-           _transform(mu, target, next(peels), config, []))
+    yield _transform(mu, target, next(peels), config)

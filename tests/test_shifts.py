@@ -464,6 +464,23 @@ def test_recurrence_order_matches_atom_count():
         _assert_support_polynomial_is_the_minimal_recurrence(mu)
 
 
+def test_support_characteristic_matches_fraction_product():
+    # prod(t - x) multiplied out one factor at a time on Fractions; seeded
+    # supports of 1 to 40 atoms, integer, geometric and random rational
+    rng = random.Random(11)
+    for _ in range(60):
+        style = rng.choice(["random", "geometric"])
+        mu = generate(GeneratorSpec(rng.randint(1, 40), "arbitrary",
+                                    rng.randrange(10 ** 6),
+                                    position_style=style)).measure
+        coeffs = [F(1)]
+        for pos in mu.support:
+            x = pos.as_fraction()
+            coeffs = [high - x * low
+                      for high, low in zip([F(0)] + coeffs, coeffs + [F(0)])]
+        assert support_characteristic(mu) == tuple(coeffs)
+
+
 def test_criterion_11_fails_without_raising_on_a_wrong_polynomial(monkeypatch):
     def without_top_atom(mu):
         coeffs = [F(1)]

@@ -4,11 +4,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
-from math import ceil, gcd
+from math import ceil, gcd, isqrt
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
@@ -1201,3 +1201,314 @@ def test_verdict_json_shape(three_atom_square):
     data = aluthge_subnormal(bad).to_json_dict()
     assert data["outcome"] == "impossible"
     assert set(data["certificate"]) == {"rule", "indices", "message"}
+
+
+# ---------------------------------------------------------------------------
+# real masses past the first verdict: the signed peel on balls
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q, seed", [(10, 1), (10, 2), (20, 1), (20, 2)])
+def test_real_square_has_a_transform_witness(q, seed):
+    # the peel of the product table of mu * t(mu) lost these to its error;
+    # the signed root of mu is the root itself, and N = Q * t(Q)
+    rho = generate(GeneratorSpec(q, "arbitrary", seed)).measure
+    square = convolve(rho, rho)
+    root, transform = solver.verdicts(square.to_real(128))
+    assert root.outcome == transform.outcome == WITNESS
+    exact = aluthge_subnormal(square).witness
+    assert [pos for pos, _ in transform.witness.atoms] == list(exact.support)
+    for (_, got), want in zip(transform.witness.atoms, exact.weights):
+        assert abs(mpf_to_fraction(got) / want - 1) < F(1, 2 ** 60)
+
+
+def _ladder_seed_two(q, copy):
+    """The geometric square of q root atoms and its twin, as the geo-ladder
+    benchmark draws them for seed 2 and the given copy: ratios by q, masses
+    from one random stream per copy."""
+    ratios = (F(2), F(3), F(3, 2), F(5, 2), F(4, 3), F(5, 3))
+    rng = random.Random(40_000_000 + 4 * 2 + copy)
+    for size in range(3, q + 1):
+        ratio = ratios[size % len(ratios)]
+        rho = make_measure([(ratio ** i, F(rng.randint(1, 9),
+                                           rng.randint(1, 6)))
+                            for i in range(size)])
+    square = convolve(rho, rho)
+    atoms = list(square.atoms)
+    atoms[-1] = (atoms[-1][0], 2 * atoms[-1][1])
+    return square, make_measure(atoms)
+
+
+def test_real_geometric_ladder_is_decided():
+    # q = 11, ratio 5/3: the peel of mu * t(mu) left these three undetermined
+    # at 128 bits; the signed root of mu decides them as the exact input is
+    # decided
+    square, twin = _ladder_seed_two(11, 0)
+    other, _ = _ladder_seed_two(11, 1)
+    for mu, want in ((square, WITNESS), (twin, IMPOSSIBLE), (other, WITNESS)):
+        assert aluthge_subnormal(mu).outcome == want
+        assert aluthge_subnormal(mu.to_real(128)).outcome == want
+
+
+def _corner(mu, eps, rng):
+    """A rational measure at a corner of the box of the real ``mu``: each
+    mass times 1 + eps or 1 - eps."""
+    return make_measure([(pos, mpf_to_fraction(w) * (1 + rng.choice((-1, 1))
+                                                     * eps))
+                         for pos, w in mu.atoms])
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_real_impossible_holds_for_the_whole_box(bits):
+    # a real impossible holds for every measure within relative eps of the
+    # masses: for the rational original, and at seeded corners of the box
+    rng = random.Random(bits)
+    config = SolverConfig(bits)
+    refuted = Counter()
+    for p in range(3, 13):
+        for seed in (1, 2, 3, 4):
+            for exact in _generated(p, 6000 + seed):
+                mu = exact.to_real(bits)
+                root, transform = solver.verdicts(mu, config)
+                for name, verdict in (("sqrt", root), ("aluthge", transform)):
+                    if verdict.outcome != IMPOSSIBLE:
+                        continue
+                    refuted[name, verdict.certificate.rule] += 1
+                    decide = sqrt_of if name == "sqrt" else aluthge_subnormal
+                    for other in [exact] + [_corner(mu, config.radius, rng)
+                                            for _ in range(2)]:
+                        assert decide(other).outcome == IMPOSSIBLE, (other,
+                                                                     name)
+    assert refuted["aluthge", "peel-overflow"] >= 80
+    assert refuted["aluthge", "peel-nonpositive-mass"] >= 15
+    assert refuted["sqrt", "peel-nonpositive-mass"] >= 60
+
+
+def test_real_transform_refutes_by_a_negative_atom_of_n():
+    # signed squares whose N = Q * t(Q) has a negative mass: the real peel
+    # refutes at the same atom of N, its ball wholly below 0
+    for q in _NOT_SUBNORMAL:
+        mu = make_measure(list(_dict_square(q).items()))
+        exact = aluthge_subnormal(mu).certificate
+        real = aluthge_subnormal(mu.to_real(128)).certificate
+        assert real.rule == exact.rule == "peel-nonpositive-mass"
+        assert real.indices == exact.indices
+        assert " +- " in real.message
+        where = exact.message.split("; ")[0]
+        assert real.message.startswith(where)
+
+
+def test_real_transform_certificate_names_no_signed_square():
+    # a residual ball that excludes 0 beyond the top: mu is no signed square
+    mu = make_measure([(1, F(1, 3)), (2, F(1, 3)), (4, F(1, 3))])
+    verdict = aluthge_subnormal(mu.to_real(128))
+    assert verdict.outcome == IMPOSSIBLE
+    assert verdict.certificate.rule == "peel-overflow"
+    assert verdict.certificate.message == \
+        aluthge_subnormal(mu).certificate.message
+
+
+def test_real_square_root_verdict_is_the_first_verdict_peel(monkeypatch):
+    # where a residual ball holds 0 off mu's atoms or around a negative
+    # midpoint, the signed peel parts from the square-root peel; the square
+    # root is then peeled again, stopped at its first verdict, and equals
+    # the verdict of a peel that never goes past it
+    forks = []
+    peel = solver._peel
+
+    def spy(target, config, signed=True):
+        forks.append(signed)
+        return peel(target, config, signed)
+
+    cases = [mu.to_real(128) for p in (5, 6) for seed in range(1, 9)
+             for mu in _generated(p, 7000 + seed)]
+    monkeypatch.setattr(solver, "_peel", spy)
+    got = [sqrt_of(mu).to_json_dict() for mu in cases]
+    assert forks.count(False) >= 5
+    monkeypatch.setattr(solver, "_peel", lambda target, config, signed=True:
+                        peel(target, config, False))
+    assert got == [sqrt_of(mu).to_json_dict() for mu in cases]
+
+
+def test_real_signed_root_is_capped(monkeypatch):
+    # past the cap on Q's atom count the transform is undetermined
+    q, _ = _OFF_SUPPORT[0][1:]
+    mu = make_measure(list(_dict_square(q).items())).to_real(128)
+    assert aluthge_subnormal(mu).outcome == WITNESS
+    monkeypatch.setattr(solver, "_ROOT_CAP", F(1, 2))
+    verdict = aluthge_subnormal(mu)
+    assert verdict.outcome == UNDETERMINED
+    assert verdict.notes == ("the signed square root of mu reached 7/2 "
+                             "atoms, 1/2 per atom of mu, before mu - Q^2 "
+                             "vanished",)
+
+
+def _reference_transform_peel(target, config=SolverConfig()):
+    """The transform verdict of the peel of ``target`` on Fraction
+    midpoints and radii: the signed root Q and N = Q * t(Q), computed from
+    Q once Q is known, against which the int peel's second verdict is
+    compared field by field.
+
+    Balls start as in :func:`_reference_peel`.  Up to the point where the
+    square-root verdict is final, a residual ball that holds 0 is a maybe
+    atom of mass in [0, hi] at an atom of mu below the top, as for the
+    square root; that verdict is final at a ball wholly below 0, at a
+    positive ball beyond the top, and at a ball that holds 0 off mu's atoms
+    or around a negative midpoint where Q could sit.  From then on a ball
+    that holds 0 where Q could sit (on the lattice, at or below the top) is
+    a maybe atom of either sign.  The peel of Q stops at a ball that
+    excludes 0 where Q cannot sit (no signed square) and past the cap on
+    its atoms; an atom of N below that point whose ball lies wholly below 0
+    refutes first."""
+    exact = target.mode == "rational"
+    bits = config.precision_bits
+    eps = F(0) if exact else config.radius
+    tabled = table(target, bits, eps)
+    if eps >= 1:
+        return Peel(UNDETERMINED,
+                    note=f"at relative error {float(eps):.3g} a mass may be 0")
+    weights = [w if exact else mpf_to_fraction(w) for _, w in target.atoms]
+    den = 1
+    for w in weights:
+        den = den * w.denominator // gcd(den, w.denominator)
+    spread = 2 * eps / (1 - eps)
+    if eps:
+        smallest = spread.numerator * 2 * min(weights) * den
+        den <<= max(0, 32 + spread.denominator.bit_length()
+                    - int(smallest).bit_length())
+    d = 2 * weights[0] * den
+    masses = [(w / weights[0], ceil(spread * w / weights[0] * d) / d)
+              for w in weights]
+
+    def shown(x):
+        return x if exact else to_mpf(x, bits)
+
+    keys = int_keys(target.support)
+    k1 = keys[0]
+    index = {key * k1: j for j, key in enumerate(keys)}
+    residual = {key * k1: mass for key, mass in zip(keys[1:], masses[1:])}
+    heap = sorted(residual)
+    limit = keys[-1] * k1 ** 3
+    root = [(k1, (F(1), F(0)))]
+    radii, maybe = [F(0)] * target.p, []
+    stop, signed = None, False
+    cap = solver._ROOT_CAP * target.p
+    while heap:
+        z = heappop(heap)
+        mid, rad = residual.pop(z)
+        j = index.get(z)
+        if j is not None:
+            radii[j] = rad
+        free = z * z <= limit and z % k1 == 0
+        if abs(mid) <= rad:
+            if not free or mid == rad == 0:
+                continue
+            if not signed and (j is None or mid < 0):
+                signed = True
+            c = (F(0), ((abs(mid) if signed else mid) + rad) / 2)
+            maybe.append(j)
+        else:
+            if not signed and (mid < 0 or not free):
+                signed = True
+            if signed and not free:
+                stop = z, Peel(IMPOSSIBLE, certificate=solver._no_signed_square(
+                    tabled, len(root), z, j, z * z > limit))
+                break
+            c = (mid / 2, rad / 2)
+        if signed and len(root) >= cap:
+            stop = z, Peel(UNDETERMINED, note=(
+                f"the signed square root of mu reached {cap} atoms, "
+                f"{solver._ROOT_CAP} per atom of mu, before mu - Q^2 "
+                "vanished"))
+            break
+        key = z // k1
+        for other, mass in root[1:]:
+            _reference_subtract(residual, heap, other * key,
+                                _ball_product((2 * c[0], 2 * c[1]), mass))
+        _reference_subtract(residual, heap, key * key, _ball_product(c, c))
+        root.append((key, c))
+    # N = Q * t(Q) at K_a*K_b, relative to its first mass and times R_1
+    n_balls = {}
+    for i, (ka, ca) in enumerate(root):
+        for kb, cb in root[:i + 1]:
+            factor = isqrt(ka) + isqrt(kb) if kb != ka else isqrt(ka)
+            mid, rad = _ball_product(ca, cb)
+            old = n_balls.get(ka * kb, (F(0), F(0)))
+            n_balls[ka * kb] = (old[0] + mid * factor, old[1] + rad * factor)
+    r1 = isqrt(k1)
+    final = []
+    for w in sorted(n_balls):
+        if stop and w >= stop[0]:
+            break
+        mid, rad = n_balls[w]
+        if mid + rad < 0:
+            return Peel(IMPOSSIBLE, certificate=solver._negative(
+                tabled, len(final), w, shown(mid / r1),
+                shown(rad / r1) if rad else None,
+                lambda n, q: shown(F(n, q))))
+        if mid:
+            final.append((w, mid))
+    if stop:
+        return stop[1]
+    square = {}
+    for i, (ka, ca) in enumerate(root):
+        for kb, cb in root[:i + 1]:
+            term = ca[0] * cb[0] * (2 if kb != ka else 1)
+            square[ka * kb] = square.get(ka * kb, 0) + term
+    square = {key: m for key, m in square.items() if m}
+    ok = sorted(square) == [key * k1 for key in keys] and all(
+        abs(square[key * k1] - mass) <= radius
+        for key, (mass, _), radius in zip(keys, masses, radii))
+    if not ok:
+        assert not exact
+        return Peel(UNDETERMINED, note=solver.UNVERIFIED)
+    if any(mid < 0 for _, mid in final):
+        return Peel(UNDETERMINED, note=(
+            "an atom of N = Q*t(Q) has a negative midpoint and a mass bound "
+            "that includes 0"))
+    worst = max(r / (w / weights[0]) for r, w in zip(radii, weights))
+    return Peel(WITNESS, root=tuple((w, shown(mid / r1)) for w, mid in final),
+                residual=worst if exact else to_mpf(worst, bits),
+                maybe=tuple(maybe))
+
+
+@st.composite
+def _transform_targets(draw):
+    """Targets on rational positions for the signed peel: those of the
+    first-verdict reference, and signed squares, with one mass moved by a
+    small relative amount or not, exact and at 64 and 128 bits."""
+    if draw(st.booleans()):
+        target, config = draw(_peel_targets())
+        assume(all(pos.k == 0 for pos in target.support))
+        return target, config
+    q = draw(st.sampled_from(_NOT_SUBNORMAL + [q for _, q, _ in _OFF_SUPPORT]
+                             + [None]))
+    if q is None:
+        target = _signed_squares(1, draw(st.integers(0, 10_000)))[0]
+    else:
+        target = make_measure(list(_dict_square(q).items()))
+    atoms = list(target.atoms)
+    k = draw(st.integers(0, len(atoms) - 1))
+    shift = draw(st.sampled_from([F(0), F(1, 2 ** 70), F(1, 2 ** 40),
+                                  F(-1, 10 ** 6), F(1, 1000)]))
+    atoms[k] = (atoms[k][0], atoms[k][1] * (1 + shift))
+    target = make_measure(atoms)
+    bits = draw(st.sampled_from([None, 64, 128]))
+    if bits is None:
+        return target, SolverConfig()
+    tolerance = draw(st.sampled_from([DEFAULT_TOLERANCE, F(1, 2 ** 40),
+                                      F(1, 1000)]))
+    return target.to_real(bits), SolverConfig(bits, tolerance)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_transform_targets())
+def test_transform_peel_matches_fraction_reference(case):
+    # the second verdict of the int peel, field by field: Q's and N's balls
+    # decide the same refutation at the same atom with the same bound, and
+    # a witness has the same masses, residual and maybe atoms
+    target, config = case
+    peels = solver._peel(table(target, config.precision_bits, config.radius),
+                         config)
+    next(peels)
+    assert _peel_fields(next(peels)) == \
+        _peel_fields(_reference_transform_peel(target, config))

@@ -24,13 +24,13 @@ two certificates that re-running the peel re-checks:
 * ``peel-nonpositive-mass``: the forced mass of the next root atom is <= 0;
 * ``peel-overflow``: the next root atom would square beyond the top atom.
 
-One peel (:func:`_peel`) answers both questions.  On rational positions
-it peels the signed square root Q of mu, for rational and real masses
-alike: mu has a root iff Q >= 0, and mu * t(mu) iff mu = Q * Q and
-Q * t(Q) >= 0, where ``peel-overflow`` also says that mu is no signed
-square; the argument holds over any field, so over R as well.  The
-transform of radical positions peels the product table of mu * t(mu)
-instead.
+One peel (:func:`_peel`) answers both questions, a verdict each; a caller
+that needs the first alone does not resume it.  On rational positions it
+peels the signed square root Q of mu, for rational and real masses alike:
+mu has a root iff Q >= 0, and mu * t(mu) iff mu = Q * Q and Q * t(Q) >= 0,
+where ``peel-overflow`` also says that mu is no signed square; the argument
+holds over any field, so over R as well.  The transform of radical
+positions peels the product table of mu * t(mu) instead.
 
 Relative to the first root atom every forced mass is rational for rational
 input, and the root masses are those values times sqrt(a_1); so rational
@@ -38,7 +38,8 @@ input is always decided exactly.  A real mass is a dyadic rational standing
 for every value within relative eps = max(tolerance, 2^(1 - precision_bits))
 of it (``SolverConfig.radius``).  The peel carries an exact error radius
 beside each mass, so ``impossible`` holds for every measure in that box and
-a witness squares back within the error carried to each atom.
+a witness squares back within the error carried to each atom; an exact
+mass is a ball of radius 0 in the same loop.
 ``undetermined`` arises only in real mode: a witness, which leaves out the
 root atoms whose mass bound includes 0, fails its independent re-check,
 the radius reaches the masses themselves, the signed root passes its cap
@@ -175,6 +176,10 @@ class Verdict(Record):
 # the peel
 # ---------------------------------------------------------------------------
 
+# the residual of an exact peel, built once
+_EXACT = Fraction(0)
+
+
 class Peel(Record):
     """Result of a verdict of :func:`_peel`, such as :func:`peel_root`.
 
@@ -198,7 +203,7 @@ class Peel(Record):
 
     def __init__(self, outcome: str, root: Tuple[Tuple[int, Scalar], ...] = (),
                  certificate: Optional[Violation] = None,
-                 residual: Scalar = Fraction(0), note: Optional[str] = None,
+                 residual: Scalar = _EXACT, note: Optional[str] = None,
                  radii: Tuple[Tuple[int, int], ...] = (),
                  maybe: Tuple[int, ...] = ()):
         object.__setattr__(self, "outcome", outcome)
@@ -259,21 +264,12 @@ def _add(acc: dict, heap: list, key: int, n: int, e: int,
         heappush(heap, key)
 
 
-def _half(n: int, e: int, r: int, n1: int, d: int) -> Tuple[int, int, int]:
-    """Half of the ball n / D^e +- r / D^e, D = d = 2*n1, with the whole
-    factors of D that divide both of its ints divided out."""
-    n, e, r = n * n1, e + 1, r * n1
-    while e and n % d == 0 and r % d == 0:
-        n, e, r = n // d, e - 1, r // d
-    return n, e, r
-
-
 def _peel(target: Table, config: SolverConfig,
           signed: bool = True) -> Iterator:
     """Peel the root of the measure mu tabled in ``target``: yield a call
     that builds the square-root peel once that is final (the transform
-    alone does not build it), then the transform's peel.  With ``signed``
-    false a real mu stops at the first verdict.
+    alone does not build it), then the transform's peel.  A caller reads
+    the first verdict alone by not resuming the generator.
 
     Works on the int keys K_j of the target's support and on masses divided
     by the first mass, starting from the root atom y1 with key K_1 and mass
@@ -297,15 +293,16 @@ def _peel(target: Table, config: SolverConfig,
 
     N = Q * t(Q), relative to its first mass and times R_1, is accumulated
     once the square-root verdict is final, the pairs of earlier root atoms
-    back-filled, so that every atom of N is checked.  For a
-    root atom of key K, R = sqrt(K) is the int that its y*y1 is times the
-    lcm of the target's denominators; root atoms a, b add c_a c_b (R_a +
-    R_b) (c_a^2 R_a for a = b) at K_a*K_b, the key of y_a*y_b*x_1 in the
-    table of mu * t(mu).  Later pairs meet at the next root atom's z or
-    beyond, so the atoms of N below z are final: the root that peel of
-    that table finds there.  The first negative one refutes with its
-    certificate (:func:`_negative`).  A nonzero residual atom beyond the
-    top, or at a z that K_1 does not divide, refutes with
+    back-filled, so that every atom of N is checked; an overflow before
+    that verdict forms none, as Q >= 0 there.  For a root atom of key K,
+    R = sqrt(K) is the int that its y*y1 is times the lcm of the target's
+    denominators; root atoms a, b add c_a c_b (R_a + R_b) (c_a^2 R_a for
+    a = b) at K_a*K_b, the key of y_a*y_b*x_1 in the table of mu * t(mu).
+    Later pairs meet at the next root atom's z or beyond, so the atoms of
+    N below z are final: the root that peel of that table finds there.
+    The first negative one refutes with its certificate
+    (:func:`_negative`).  A nonzero residual atom beyond the top, or at a
+    z that K_1 does not divide, refutes with
     ``peel-overflow``: mu is no signed square (:func:`_no_signed_square`).
     z / K_1 is (L*y*y1)^2, L the lcm of the denominators of mu's positions,
     so K_1 divides z exactly when y*y1 is a multiple of 1/L.
@@ -315,7 +312,9 @@ def _peel(target: Table, config: SolverConfig,
     e, and so does each mass of Q and of N.  The radius is 2*rho / (1 -
     rho) relative to a_1, rounded up once to a whole r over a denominator
     that makes the smallest radius about 2^32 units; after that radii are
-    exact: |a|*s + |b|*r + r*s for a product, r + s for a sum.  Where Q
+    exact: |a|*s + |b|*r + r*s for a product, r + s for a sum.  An exact
+    mass is a ball of radius 0 in the same loop, with no radius kept: its
+    ball holds 0 only where the residual is 0, which is passed over.  Where Q
     could have an atom, on the lattice and at or below the top, a residual
     ball that holds 0 gives a maybe atom of either sign, carried as 0 +-
     hi: it stays in the cross terms and in N, so a refutation holds for
@@ -383,7 +382,7 @@ def _peel(target: Table, config: SolverConfig,
     limit = keys[-1] * k1 ** 3
     root = [(k1, 1, 0, isqrt(k1))]
     found, found_heap, final = None, [], []
-    balls, maybe = None, []
+    balls, maybe, radii = None, [], ()
     if ball:
         # the radius of each residual ball at the e of its midpoint: every
         # term goes to both at one e, so the two dicts share their keys,
@@ -397,108 +396,83 @@ def _peel(target: Table, config: SolverConfig,
     while heap:
         z = heappop(heap)
         n, e = residual.pop(z)
-        if ball:
-            r = radius.pop(z)[0]
-            j = index.get(z)
-            if j is not None:
-                radii[j] = r, e
-            # where Q could have an atom
-            free = z * z <= limit and not z % k1
-            if -r <= n <= r:  # the ball holds 0
-                if not free or not (n or r):
+        r = radius.pop(z)[0] if ball else 0
+        if not (n or r):
+            continue
+        j = index.get(z)
+        if ball and j is not None:
+            radii[j] = r, e
+        # where Q could have an atom
+        free = z * z <= limit and not z % k1
+        if ball and -r <= n <= r:  # the ball holds 0
+            if not free:
+                continue
+            if found is None and (j is None or n < 0):
+                # the square-root peel and the signed one part here
+                if signed:
+                    yield lambda: next(_peel(target, config, False))()
+                    found = _add_pairs({}, found_heap, root, 0, powers,
+                                       balls)
+                elif j is None or n + r == 0:
                     continue
-                if found is None and (j is None or n < 0):
-                    # the square-root peel and the signed one part here
-                    if not signed:
-                        if j is None or n + r == 0:
-                            continue
-                    else:
-                        yield lambda: next(_peel(target, config, False))()
-                        found = _add_pairs({}, found_heap, root, 0, powers,
-                                           balls)
-                # a mass in [(n - r)/2, (n + r)/2], or in [0, (n + r)/2] for
-                # the square root: carried as 0 +- hi, it leaves the
-                # midpoints alone
-                r, e, _ = _half(n + r if found is None else abs(n) + r, e,
-                                0, n1, d)
-                n = 0
-                maybe.append(j)
-            else:
-                half = _half(n, e, r, n1, d)
-                if found is None:
-                    if n < 0:
-                        yield partial(_forced, target, j, len(root), z,
-                                      value(half[0], powers[half[1]]),
-                                      value(half[2], powers[half[1]])
-                                      if half[2] else None)
-                    elif j is None:
-                        raise InternalError(
-                            "positive residual off the target's atoms")
-                    elif not free:
-                        yield partial(_overflow, target, j)
-                    if n < 0 or not free:
-                        if not signed:
-                            return
-                        found = _add_pairs({}, found_heap, root, 0, powers,
-                                           balls)
-                n, e, r = half
-            if found is not None:
-                negative = _finalize(target, found, found_heap, z, final,
-                                     powers, balls, value)
-                if negative:
-                    yield Peel(IMPOSSIBLE, certificate=negative)
-                    return
-                if not free:
-                    yield Peel(IMPOSSIBLE, certificate=_no_signed_square(
-                        target, len(root), z, j, z * z > limit))
-                    return
-                if len(root) >= cap:
-                    yield Peel(UNDETERMINED, note=(
-                        f"the signed square root of mu reached {cap} atoms, "
-                        f"{_ROOT_CAP} per atom of mu, before mu - Q^2 "
-                        "vanished"))
-                    return
+            # a mass in [(n - r)/2, (n + r)/2], or in [0, (n + r)/2] for the
+            # square root: carried as 0 +- hi, it leaves the midpoints alone
+            n, r = 0, (n if found is None else abs(n)) + r
+            maybe.append(j)
+        elif found is None:
+            if n < 0:
+                # Q's first negative mass: mu has no square root, and N starts
+                yield partial(_forced, target, j, len(root), z,
+                              value(n * n1, powers[e + 1]),
+                              value(r * n1, powers[e + 1]) if r else None)
+                found = _add_pairs({}, found_heap, root, 0, powers, balls)
+            elif j is None:
+                raise InternalError("positive residual off the target's atoms")
+        if found is not None:
+            negative = _finalize(target, found, found_heap, z, final, powers,
+                                 balls, value)
+            if negative:
+                yield Peel(IMPOSSIBLE, certificate=negative)
+                return
+        if not free:
+            if found is None:
+                # the square root overflows; Q >= 0 so far, so no atom of N
+                # could refute and none is formed
+                yield partial(_overflow, target, j)
+            yield Peel(IMPOSSIBLE, certificate=_no_signed_square(
+                target, len(root), z, j, z * z > limit))
+            return
+        if ball and found is not None and len(root) >= cap:
+            yield Peel(UNDETERMINED, note=(
+                f"the signed square root of mu reached {cap} atoms, "
+                f"{_ROOT_CAP} per atom of mu, before mu - Q^2 vanished"))
+            return
+        # half the ball: n/2 +- r/2 over D^e when both ints are even, else
+        # n*N_1 +- r*N_1 over D^(e + 1), which no factor of D divides; whole
+        # factors of D that divide both ints are divided out
+        if (n | r) & 1:
+            n, e, r = n * n1, e + 1, r * n1
+        else:
+            n, r = n >> 1, r >> 1
+            while e and not (n % d or r % d):
+                n, e, r = n // d, e - 1, r // d
+        key = z // k1
+        if ball:
             # the radii of the new root atom's terms, whose midpoints are
             # added below
-            key = z // k1
             a = abs(n)
             for (other, m, f, _), s in zip(root[1:], root_radius[1:]):
                 _add(radius, spare, other * key,
                      2 * (a * s + (abs(m) + s) * r), e + f, powers)
             _add(radius, spare, key * key, (2 * a + r) * r, 2 * e, powers)
             root_radius.append(r)
-        else:
-            if n < 0 and found is None:
-                # Q's first negative mass: mu has no square root, and N starts
-                yield partial(_forced, target, index.get(z), len(root), z,
-                              value(n * n1, powers[e + 1]))
-                found = _add_pairs({}, found_heap, root, 0, powers)
-            if not n:
-                continue
-            if found is not None:
-                negative = _finalize(target, found, found_heap, z, final,
-                                     powers)
-                if negative:
-                    yield Peel(IMPOSSIBLE, certificate=negative)
-                    return
-            elif z not in index:
-                raise InternalError("positive residual off the target's atoms")
-            if z * z > limit or z % k1:
-                if found is None:
-                    yield partial(_overflow, target, index[z])
-                yield Peel(IMPOSSIBLE, certificate=_no_signed_square(
-                    target, len(root), z, index.get(z), z * z > limit))
-                return
-            n, e = n * n1, e + 1  # half of n / D^e
-            while e and n % d == 0:
-                n, e = n // d, e - 1
-            key = z // k1
         for other, m, f, _ in root[1:]:
             _add(residual, heap, other * key, -2 * n * m, e + f, powers)
         _add(residual, heap, key * key, -n * n, 2 * e, powers)
         root.append((key, n, e, isqrt(key)))
         if found is not None:
             _add_pairs(found, found_heap, root, len(root) - 1, powers, balls)
+    worst = _EXACT
     if ball:
         radii = tuple([(r, powers[e]) for r, e in radii])
         # the largest r / q over the mass 2*N_j / D of its atom, relative to
@@ -509,33 +483,25 @@ def _peel(target: Table, config: SolverConfig,
                 worst, low = r * n1, q * n
         worst = value(worst, low)
     if found is None:
-        if ball:  # a maybe atom, of midpoint 0, is left out
-            yield partial(Peel, WITNESS, root=tuple([
-                (index.get(key * k1, 0), value(n, powers[e]))
-                for key, n, e, _ in root if n]), residual=worst,
-                radii=radii, maybe=tuple(maybe))
-        else:
-            yield lambda: Peel(WITNESS, root=tuple([
-                (index.get(key * k1, 0), value(n, powers[e]))
-                for key, n, e, _ in root]))
-        if not signed:
-            return
+        # a maybe atom, of midpoint 0, is left out
+        yield lambda: Peel(WITNESS, root=tuple([
+            (index.get(key * k1, 0), value(n, powers[e]))
+            for key, n, e, _ in root if n]), residual=worst, radii=radii,
+            maybe=tuple(maybe))
         found = _add_pairs({}, found_heap, root, 0, powers, balls)
     negative = _finalize(target, found, found_heap, None, final, powers,
                          balls, value)
     if negative:
         yield Peel(IMPOSSIBLE, certificate=negative)
         return
-    if not _squares_back(root, keys, nums, powers, radii if ball else None):
+    if not _squares_back(root, keys, nums, powers, radii):
         if not ball:  # the peel left mu - Q * Q at 0
             raise InternalError("the signed root does not square back to mu")
         yield Peel(UNDETERMINED, note=UNVERIFIED)
         return
     r1 = root[0][3]
     witness = tuple([(w, value(m, powers[f] * r1)) for w, m, f in final])
-    if not ball:
-        yield Peel(WITNESS, root=witness)
-    elif any(m < 0 for _, m, _ in final):
+    if ball and any(m < 0 for _, m, _ in final):
         yield Peel(UNDETERMINED, note=(
             "an atom of N = Q*t(Q) has a negative midpoint and a mass bound "
             "that includes 0"))
@@ -544,11 +510,12 @@ def _peel(target: Table, config: SolverConfig,
 
 
 def _squares_back(root: list, keys: List[int], nums: List[int],
-                  powers: _Powers, radii: Optional[tuple]) -> bool:
+                  powers: _Powers, radii: tuple) -> bool:
     """Whether the root atoms (key, n, e, R) of nonzero mass n / D^e square
     back to the target of int keys ``keys`` and numerators ``nums``, whose
-    masses relative to a_1 are N_j / N_1: exactly, or within r_j / q_j for
-    (r_j, q_j) = radii[j].  The square is over D^(2*top)."""
+    masses relative to a_1 are N_j / N_1: exactly for no ``radii``, or
+    within r_j / q_j for (r_j, q_j) = radii[j].  The square is over
+    D^(2*top)."""
     live = [(key, n, e) for key, n, e, _ in root if n]
     top = max([e for _, _, e in live])
     masses = [n * powers[top - e] for _, n, e in live]
@@ -559,7 +526,7 @@ def _squares_back(root: list, keys: List[int], nums: List[int],
     if len(square) != len(keys) or any(
             key != k * k1 for (key, _), k in zip(square, keys)):
         return False
-    if radii is None:
+    if not radii:
         return all(m * n1 == t * scale for (_, m), t in zip(square, nums))
     return all(abs(m * n1 - t * scale) * q <= r * n1 * scale
                for (_, m), t, (r, q) in zip(square, nums, radii))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import sys
 from collections import Counter
@@ -17,7 +19,7 @@ from alsq.analyze import AnalyzeOptions, analyze
 from alsq.cli import main
 from alsq.closed_forms import classify_small
 from alsq.diagram import Violation, cardinality_check, structural_certificate
-from alsq.generate import GeneratorSpec, generate
+from alsq.generate import MODES, GeneratorSpec, generate
 from alsq.measures import (
     MeasureError,
     Position,
@@ -49,6 +51,7 @@ from alsq.solver import (
     aluthge_subnormal,
     peel_root,
     sqrt_of,
+    verdicts,
     verify_witness,
 )
 
@@ -1307,6 +1310,74 @@ def test_real_transform_certificate_names_no_signed_square():
         aluthge_subnormal(mu).certificate.message
 
 
+def test_overflow_before_the_first_verdict_forms_no_atom_of_n(monkeypatch):
+    # Q >= 0 up to an overflow before the square-root verdict, so no atom
+    # of N = Q * t(Q) could refute the transform: the peel goes straight to
+    # peel-overflow, for exact masses and for balls alike
+    calls = []
+    add_pairs = solver._add_pairs
+
+    def spy(*args):
+        calls.append(args)
+        return add_pairs(*args)
+    monkeypatch.setattr(solver, "_add_pairs", spy)
+    mu = make_measure([(1, F(1, 3)), (2, F(1, 3)), (4, F(1, 3))])
+    for case in (mu, mu.to_real(128)):
+        rules = [verdict.certificate.rule for verdict in verdicts(case)]
+        assert rules == ["peel-overflow", "peel-overflow"]
+    assert calls == []
+
+
+# SHA-256 of both verdicts of each measure below and of its ``peel_root``,
+# taken before exact masses ran the ball loop of the peel at radius 0:
+# that merge must not move a verdict, a certificate or a radius
+VERDICT_DIGEST = (
+    "322ba6dffb80905445d620d18f13a12eda1b83d24ff9117257770931f5630226")
+
+
+def _exact(c):
+    return type(c).__name__, c if isinstance(c, F) else mpf_to_fraction(c)
+
+
+def _verdict_record(mu, config):
+    try:
+        both = [verdict.to_json_dict() for verdict in verdicts(mu, config)]
+    except MeasureError as exc:
+        return f"error: {exc}\n"
+    peel = peel_root(mu, config)
+    cert = peel.certificate
+    return json.dumps(both, sort_keys=True) + repr((
+        peel.outcome, [(j, _exact(c)) for j, c in peel.root],
+        _exact(peel.residual), peel.radii, peel.maybe, peel.note,
+        cert.to_json_dict() if cert else None)) + "\n"
+
+
+def test_verdict_output_is_pinned():
+    # seeded instances of every mode and style for p = 1..12 and signed
+    # squares, with exact masses and at 3, 24 and 128 bits, where radius
+    # 1/4 leaves many balls holding 0 and the signed peel parts from the
+    # square-root peel
+    cases = []
+    for seed in range(8):
+        for p in range(1, 13):
+            for mode in MODES:
+                for style in ("geometric", "random"):
+                    try:
+                        cases.append(generate(GeneratorSpec(
+                            p, mode, seed, position_style=style)).measure)
+                    except MeasureError:
+                        pass
+    cases += _signed_squares(80, 28) + [make_measure(list(
+        _dict_square(q).items())) for _, q, _ in _OFF_SUPPORT]
+    digest = hashlib.sha256()
+    for mu in cases:
+        digest.update(_verdict_record(mu, SolverConfig()).encode())
+        for bits in (3, 24, 128):
+            digest.update(_verdict_record(mu.to_real(bits),
+                                          SolverConfig(bits)).encode())
+    assert digest.hexdigest() == VERDICT_DIGEST
+
+
 def test_real_square_root_verdict_is_the_first_verdict_peel(monkeypatch):
     # where a residual ball holds 0 off mu's atoms or around a negative
     # midpoint, the signed peel parts from the square-root peel; the square
@@ -1319,14 +1390,20 @@ def test_real_square_root_verdict_is_the_first_verdict_peel(monkeypatch):
         forks.append(signed)
         return peel(target, config, signed)
 
-    cases = [mu.to_real(128) for p in (5, 6) for seed in range(1, 9)
-             for mu in _generated(p, 7000 + seed)]
+    cases = [(mu.to_real(128), SolverConfig()) for p in (5, 6)
+             for seed in range(1, 9) for mu in _generated(p, 7000 + seed)]
+    # at 3 bits a ball holds 0 around a negative midpoint of Q: the signed
+    # reading has no square-root witness there, the second peel has one
+    low = generate(GeneratorSpec(6, "perturbed", 29)).measure.to_real(3)
+    cases.append((low, SolverConfig(3)))
     monkeypatch.setattr(solver, "_peel", spy)
-    got = [sqrt_of(mu).to_json_dict() for mu in cases]
+    got = [sqrt_of(mu, config).to_json_dict() for mu, config in cases]
     assert forks.count(False) >= 5
+    assert got[-1]["outcome"] == WITNESS and forks[-2:] == [True, False]
     monkeypatch.setattr(solver, "_peel", lambda target, config, signed=True:
                         peel(target, config, False))
-    assert got == [sqrt_of(mu).to_json_dict() for mu in cases]
+    assert got == [sqrt_of(mu, config).to_json_dict()
+                   for mu, config in cases]
 
 
 def test_real_signed_root_is_capped(monkeypatch):

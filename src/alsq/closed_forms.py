@@ -34,8 +34,7 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from .diagram import Violation, geometric_profile
-from .measures import RATIONAL, REAL, AtomicMeasure, MeasureError
-from .scalars import real_arithmetic
+from .measures import RATIONAL, REAL, AtomicMeasure, MeasureError, numerators
 from .solver import (
     IMPOSSIBLE,
     UNDETERMINED,
@@ -50,7 +49,9 @@ from .solver import (
 
 
 class _Checker:
-    """The masses as exact rationals, and the tests of the weight identities.
+    """The masses as int numerators over one denominator, and the tests of
+    the weight identities.  Both sides of each identity have the same
+    degree in the masses, so the common denominator cancels.
 
     In real mode each mass a stands for the values within a*(1 +- eps), so
     a positive x made of k masses stands for the values between
@@ -59,19 +60,16 @@ class _Checker:
     exact."""
 
     def __init__(self, mu: AtomicMeasure, config: SolverConfig):
-        self.a, self.eps = list(mu.weights), Fraction(0)
-        if mu.mode == REAL:
-            mpf_to_fraction = real_arithmetic().mpf_to_fraction
-            self.a = [mpf_to_fraction(w) for w in self.a]
-            self.eps = config.radius
+        self.a = numerators(mu.weights, mu.mode, config.precision_bits)[0]
+        self.eps = config.radius if mu.mode == REAL else Fraction(0)
 
-    def span(self, x: Fraction, k: int) -> Tuple[Fraction, Fraction]:
+    def span(self, x: int, k: int) -> Tuple[Fraction, Fraction]:
         if not self.eps:
             return x, x
         low, high = _span_factors(self.eps.numerator, self.eps.denominator, k)
         return x * low, x * high
 
-    def eq(self, x: Fraction, y: Fraction, k: int) -> bool:
+    def eq(self, x: int, y: int, k: int) -> bool:
         """Whether x = y can hold, each side k masses times a constant."""
         if not self.eps:
             return x == y

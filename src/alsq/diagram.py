@@ -18,13 +18,19 @@ and builds no position: an entry builds its product the first time its
 (the shared products of ``analyze``'s report, a rule's message).  Every
 function that reads a support accepts a :class:`ProductDiagram` in place of
 a measure or a position sequence, so one diagram can serve them all.
+
+The rules read which products x_i*x_j are uniquely represented (the sets
+``ur[i]``) and whether two pairs have the same key product (``coincide``),
+and each yields its violations as it finds them, so the first-rule mode of
+:func:`structural_certificate` stops at the first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .measures import (AtomicMeasure, MeasureError, Position, int_keys,
                        support_keys)
@@ -67,23 +73,24 @@ class DiagramEntry(Record):
 
 class ProductDiagram(Record):
     """The distinct pairwise products of ``support``, ascending; ``keys``
-    are the support's int keys.  ``index[i][j]`` is the entry holding
-    x_i*x_j and ``ur[i][j]`` whether that product is uniquely represented,
-    both p x p and symmetric."""
+    are the support's int keys.  ``ur[i]`` is the frozenset of the j for
+    which x_i*x_j is uniquely represented, so j is in ``ur[i]`` exactly
+    when i is in ``ur[j]``; ``by_key`` maps each product key to its
+    entry."""
 
-    __slots__ = _fields = ("support", "keys", "entries", "index", "ur")
-    _hidden = ("index", "ur")
+    __slots__ = _fields = ("support", "keys", "entries", "ur", "by_key")
+    _hidden = ("ur", "by_key")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, support: Tuple[Position, ...], keys: Tuple[int, ...],
                  entries: Tuple[DiagramEntry, ...],
-                 index: Tuple[Tuple[int, ...], ...],
-                 ur: Tuple[Tuple[bool, ...], ...]):
+                 ur: Tuple[FrozenSet[int], ...],
+                 by_key: Dict[int, DiagramEntry]):
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "index", index)
         object.__setattr__(self, "ur", ur)
+        object.__setattr__(self, "by_key", by_key)
 
     @property
     def p(self) -> int:
@@ -94,15 +101,16 @@ class ProductDiagram(Record):
         return len(self.entries)
 
     def entry_of_pair(self, i: int, j: int) -> DiagramEntry:
-        return self.entries[self.index[i][j]]
+        return self.by_key[self.keys[i] * self.keys[j]]
 
     def product(self, i: int, j: int) -> Position:
-        return self.entry_of_pair(i, j).position
+        return self.support[i] * self.support[j]
 
     def coincide(self, first: Pair, second: Pair) -> bool:
         """Whether two index pairs have the same product."""
         (i, j), (k, l) = first, second
-        return self.index[i][j] == self.index[k][l]
+        keys = self.keys
+        return keys[i] * keys[j] == keys[k] * keys[l]
 
 
 class URClassification(Record):
@@ -158,21 +166,20 @@ def pair_diagram(support: Union[AtomicMeasure, Sequence[Position]]) -> ProductDi
     for i, ki in enumerate(keys):
         for j in range(i, len(keys)):
             grouped.setdefault(ki * keys[j], []).append((i, j))
-    p = len(keys)
-    entries = []
-    index = [[0] * p for _ in range(p)]
-    ur = [[False] * p for _ in range(p)]
-    for n, key in enumerate(sorted(grouped)):
+    by_key: Dict[int, DiagramEntry] = {}  # ascending keys, so in entry order
+    ur: List[set] = [set() for _ in keys]
+    for key in sorted(grouped):
         pairs = tuple(grouped[key])  # ascending, as generated
         entry = object.__new__(DiagramEntry)  # its position built when read
         object.__setattr__(entry, "pairs", pairs)
         object.__setattr__(entry, "_support", points)
-        entries.append(entry)
-        for a, b in pairs:
-            index[a][b] = index[b][a] = n
-            ur[a][b] = ur[b][a] = len(pairs) == 1
-    return ProductDiagram(points, keys, tuple(entries),
-                          tuple(map(tuple, index)), tuple(map(tuple, ur)))
+        by_key[key] = entry
+        if len(pairs) == 1:
+            (a, b), = pairs
+            ur[a].add(b)
+            ur[b].add(a)
+    return ProductDiagram(points, keys, tuple(by_key.values()),
+                          tuple(map(frozenset, ur)), by_key)
 
 
 def classify_ur(diagram: ProductDiagram) -> URClassification:
@@ -269,207 +276,175 @@ def _v(rule: str, indices: Sequence[int], message: str) -> Violation:
     return Violation(rule, tuple(int(i) + 1 for i in indices), message)
 
 
-def _check_boundary_products(diagram: ProductDiagram) -> List[Violation]:
+def _check_boundary_products(diagram: ProductDiagram) -> Iterator[Violation]:
     """The squares of the second and next-to-last atoms, and the extreme
     cross products, are forced to coincide with some other product."""
     p = diagram.p
-    out: List[Violation] = []
     if p < 3:
-        return out
-    members: List[Tuple[Pair, str]] = [
-        ((1, 1), "the square of atom 2"),
-        ((p - 2, p - 2), f"the square of atom {p - 1}"),
-        ((0, p - 1), f"the product of atoms 1 and {p}"),
-    ]
+        return
+    # a dict keeps each pair once: at p = 3 both squares are atom 2's
+    members: Dict[Pair, str] = {
+        (1, 1): "the square of atom 2",
+        (p - 2, p - 2): f"the square of atom {p - 1}",
+        (0, p - 1): f"the product of atoms 1 and {p}",
+    }
     if p >= 4:
-        members.append(((0, p - 2), f"the product of atoms 1 and {p - 1}"))
-        members.append(((1, p - 1), f"the product of atoms 2 and {p}"))
-    seen = set()
-    for pair, label in members:
-        if pair in seen:
-            continue
-        seen.add(pair)
-        if diagram.ur[pair[0]][pair[1]]:
-            out.append(_v(
+        members[0, p - 2] = f"the product of atoms 1 and {p - 1}"
+        members[1, p - 1] = f"the product of atoms 2 and {p}"
+    for pair, label in members.items():
+        if pair[1] in diagram.ur[pair[0]]:
+            yield _v(
                 "boundary-products", pair,
                 f"{label} ({diagram.product(*pair)}) coincides with no other "
-                "pairwise product, but a square root requires it to"))
-    return out
+                "pairwise product, but a square root requires it to")
 
 
-def _check_cardinality(diagram: ProductDiagram) -> List[Violation]:
+def _check_cardinality(diagram: ProductDiagram) -> Iterator[Violation]:
     p = diagram.p
     if p < 4:
-        return []
+        return
     upper = ((p - 1) ** 2 + 6) // 2
     if diagram.card > upper:
-        return [_v(
+        yield _v(
             "support-cardinality", (),
             f"{diagram.card} distinct pairwise products exceed the admissible "
-            f"maximum {upper} for {p} atoms")]
-    return []
+            f"maximum {upper} for {p} atoms")
 
 
-def _check_extreme_square(diagram: ProductDiagram) -> List[Violation]:
+def _check_extreme_square(diagram: ProductDiagram) -> Iterator[Violation]:
     p = diagram.p
-    out: List[Violation] = []
     if p < 4:
-        return out
+        return
     extreme = (0, p - 1)
     if diagram.coincide((1, 1), extreme):
-        out.append(_v(
+        yield _v(
             "extreme-square-match", (1, 0, p - 1),
             "the square of atom 2 equals the product of the extreme atoms, "
-            f"which forces p = 3 but p = {p}"))
+            f"which forces p = 3 but p = {p}")
     if diagram.coincide((p - 2, p - 2), extreme):
-        out.append(_v(
+        yield _v(
             "extreme-square-match", (p - 2, 0, p - 1),
             f"the square of atom {p - 1} equals the product of the extreme "
-            f"atoms, which forces p = 3 but p = {p}"))
-    return out
+            f"atoms, which forces p = 3 but p = {p}")
 
 
-def _check_double_extreme(diagram: ProductDiagram) -> List[Violation]:
+def _check_double_extreme(diagram: ProductDiagram) -> Iterator[Violation]:
     p = diagram.p
     if p < 5:
-        return []
+        return
     if (diagram.coincide((1, 1), (0, p - 2))
             and diagram.coincide((p - 2, p - 2), (1, p - 1))):
-        return [_v(
+        yield _v(
             "double-extreme-match", (1, p - 2),
             f"the squares of atoms 2 and {p - 1} match the opposite near-extreme "
-            f"products simultaneously, which forces p = 4 but p = {p}")]
-    return []
+            f"products simultaneously, which forces p = 4 but p = {p}")
 
 
-def _check_doubly_ur_column(diagram: ProductDiagram) -> List[Violation]:
+def _check_doubly_ur_column(diagram: ProductDiagram) -> Iterator[Violation]:
     p = diagram.p
     ur = diagram.ur
-    out: List[Violation] = []
     if p < 3:
-        return out
+        return
     for k in range(1, p - 1):
-        if ur[0][k] and ur[1][k]:
-            out.append(_v(
+        if k in ur[0] and k in ur[1]:
+            yield _v(
                 "doubly-ur-column", (0, 1, k),
                 f"the products of atom {k + 1} with both atoms 1 and 2 are "
-                "uniquely represented, but at least one must coincide"))
-        if ur[p - 2][k] and ur[p - 1][k]:
-            out.append(_v(
+                "uniquely represented, but at least one must coincide")
+        if k in ur[p - 2] and k in ur[p - 1]:
+            yield _v(
                 "doubly-ur-column", (p - 2, p - 1, k),
                 f"the products of atom {k + 1} with both atoms {p - 1} and {p} "
-                "are uniquely represented, but at least one must coincide"))
-    full = [k for k in range(1, p - 1) if ur[0][k] and ur[p - 1][k]]
+                "are uniquely represented, but at least one must coincide")
+    full = sorted(ur[0] & ur[p - 1] - {0, p - 1})
     if len(full) >= 2:
-        out.append(_v(
+        yield _v(
             "doubly-ur-column", (full[0], full[1]),
             f"atoms {full[0] + 1} and {full[1] + 1} both form uniquely "
-            f"represented products with the two extreme atoms; only one may"))
+            f"represented products with the two extreme atoms; only one may")
     elif len(full) == 1:
         k = full[0]
         if not diagram.coincide((k, k), (0, p - 1)):
-            out.append(_v(
+            yield _v(
                 "doubly-ur-column", (k,),
                 f"atom {k + 1} forms uniquely represented products with both "
                 "extreme atoms, so its square must equal their product; it "
-                "does not"))
-    return out
+                "does not")
 
 
-def _check_ur_diagonals_edge(diagram: ProductDiagram) -> List[Violation]:
-    p = diagram.p
+def _check_ur_diagonals_edge(diagram: ProductDiagram) -> Iterator[Violation]:
     ur = diagram.ur
-    out: List[Violation] = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            if ur[i][i] and ur[j][j] and ur[i][j]:
-                out.append(_v(
-                    "ur-diagonals-edge", (i, j),
-                    f"the squares of atoms {i + 1} and {j + 1} and their mutual "
-                    "product are all uniquely represented, which is impossible"))
-    return out
+    squares = [i for i, partners in enumerate(ur) if i in partners]
+    for i, j in combinations(squares, 2):
+        if j in ur[i]:
+            yield _v(
+                "ur-diagonals-edge", (i, j),
+                f"the squares of atoms {i + 1} and {j + 1} and their mutual "
+                "product are all uniquely represented, which is impossible")
 
 
-def _check_ur_corner_triangle(diagram: ProductDiagram) -> List[Violation]:
-    p = diagram.p
+def _check_ur_corner_triangle(diagram: ProductDiagram) -> Iterator[Violation]:
     ur = diagram.ur
-    out: List[Violation] = []
-    for i in range(p):
-        if not ur[i][i]:
+    for i, partners in enumerate(ur):
+        if i not in partners:
             continue
-        others = [j for j in range(p) if j != i]
-        for j, k in combinations(others, 2):
-            if ur[i][j] and ur[i][k] and ur[j][k]:
-                out.append(_v(
+        for j, k in combinations(sorted(partners - {i}), 2):
+            if k in ur[j]:
+                yield _v(
                     "ur-corner-triangle", (i, j, k),
                     f"the square of atom {i + 1} and the three products among "
                     f"atoms {i + 1}, {j + 1}, {k + 1} are all uniquely "
-                    "represented, which is impossible"))
-    return out
+                    "represented, which is impossible")
 
 
-def _check_ur_chain_midpoint(diagram: ProductDiagram) -> List[Violation]:
-    p = diagram.p
+def _check_ur_chain_midpoint(diagram: ProductDiagram) -> Iterator[Violation]:
     ur = diagram.ur
-    out: List[Violation] = []
-    for i in range(p):
-        for k in range(i + 1, p):
-            if not (ur[i][i] and ur[k][k]):
-                continue
-            for j in range(p):
-                if j in (i, k):
-                    continue
-                if ur[i][j] and ur[j][k]:
-                    if not diagram.coincide((j, j), (i, k)):
-                        out.append(_v(
-                            "ur-chain-midpoint", (i, j, k),
-                            f"the chain of uniquely represented products through "
-                            f"atoms {i + 1}, {j + 1}, {k + 1} forces the square of "
-                            f"atom {j + 1} to equal the product of atoms {i + 1} "
-                            f"and {k + 1}; it does not"))
-    return out
+    squares = [i for i, partners in enumerate(ur) if i in partners]
+    for i, k in combinations(squares, 2):
+        for j in sorted(ur[i] & ur[k] - {i, k}):
+            if not diagram.coincide((j, j), (i, k)):
+                yield _v(
+                    "ur-chain-midpoint", (i, j, k),
+                    f"the chain of uniquely represented products through "
+                    f"atoms {i + 1}, {j + 1}, {k + 1} forces the square of "
+                    f"atom {j + 1} to equal the product of atoms {i + 1} "
+                    f"and {k + 1}; it does not")
 
 
-def _check_ur_rectangle(diagram: ProductDiagram) -> List[Violation]:
+def _check_ur_rectangle(diagram: ProductDiagram) -> Iterator[Violation]:
     """Four atoms carrying a four-cycle a-b-c-d of UR products: b and d are
     two common UR neighbours of a and c.  One violation per set of four."""
-    p = diagram.p
-    neighbours = [{j for j in range(p) if j != i and diagram.ur[i][j]}
-                  for i in range(p)]
+    neighbours = [partners - {i} for i, partners in enumerate(diagram.ur)]
     quads = set()
-    for a, c in combinations(range(p), 2):
+    for a, c in combinations(range(diagram.p), 2):
         for b, d in combinations(neighbours[a] & neighbours[c], 2):
             quads.add(tuple(sorted((a, b, c, d))))
-    return [
-        _v("ur-rectangle", quad,
-           f"atoms {quad[0] + 1}, {quad[1] + 1}, {quad[2] + 1}, {quad[3] + 1} "
-           "carry a four-cycle of uniquely represented products, which is "
-           "impossible")
-        for quad in sorted(quads)
-    ]
+    for quad in sorted(quads):
+        yield _v("ur-rectangle", quad,
+                 f"atoms {quad[0] + 1}, {quad[1] + 1}, {quad[2] + 1}, "
+                 f"{quad[3] + 1} carry a four-cycle of uniquely represented "
+                 "products, which is impossible")
 
 
-def _check_six_atom_rules(diagram: ProductDiagram) -> List[Violation]:
+def _check_six_atom_rules(diagram: ProductDiagram) -> Iterator[Violation]:
     if diagram.p != 6:
-        return []
-    out: List[Violation] = []
+        return
     if diagram.coincide((1, 1), (0, 4)):
-        out.append(_v(
+        yield _v(
             "six-atom-wide-square", (1, 0, 4),
             "the square of atom 2 equals the product of atoms 1 and 5, which "
-            "six-atom supports with a root never satisfy"))
+            "six-atom supports with a root never satisfy")
     if diagram.coincide((4, 4), (1, 5)):
-        out.append(_v(
+        yield _v(
             "six-atom-wide-square", (4, 1, 5),
             "the square of atom 5 equals the product of atoms 2 and 6, which "
-            "six-atom supports with a root never satisfy"))
+            "six-atom supports with a root never satisfy")
     if diagram.coincide((1, 1), (0, 3)) and diagram.coincide((4, 4), (2, 5)):
-        out.append(_v(
+        yield _v(
             "six-atom-crossed-squares", (1, 3, 2, 4),
             "the squares of atoms 2 and 5 match the crossed products of atoms "
             "1,4 and 3,6 simultaneously, which six-atom supports with a root "
-            "never satisfy"))
-    return out
+            "never satisfy")
 
 
 _RULE_SEQUENCE = (
@@ -493,17 +468,13 @@ def structural_certificate(
     """Run the necessary-condition rules in fixed cheapest-first order.
 
     Returns the first Violation (or None), or every violation when
-    ``exhaustive`` is set.  All rules are weight-independent.
+    ``exhaustive`` is set; each rule yields its violations as it finds
+    them, so the first-rule mode stops at the first.  All rules are
+    weight-independent.
     """
     diagram = _diagram_of(source)
-    found: List[Violation] = []
-    for rule in _RULE_SEQUENCE:
-        violations = rule(diagram)
-        if violations:
-            if not exhaustive:
-                return violations[0]
-            found.extend(violations)
-    return found if exhaustive else None
+    found = (v for rule in _RULE_SEQUENCE for v in rule(diagram))
+    return list(found) if exhaustive else next(found, None)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +497,8 @@ def render_diagram(source: Source) -> str:
     width = 4
     for i in range(p):
         for j in range(i, p):
-            entry = diagram.entry_of_pair(i, j)
-            text = str(entry.position) + ("*" if not entry.is_ur else "")
+            text = str(diagram.product(i, j))
+            text += "" if j in diagram.ur[i] else "*"
             cells[(i, j)] = text
             width = max(width, len(text) + 2)
     header = "i\\j".rjust(5) + "".join(str(j + 1).rjust(width) for j in range(p))

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alsq import diagram as diagram_module
 from alsq.diagram import (
     cardinality_check,
     classify_ur,
@@ -12,6 +16,7 @@ from alsq.diagram import (
     pair_diagram,
     render_diagram,
     structural_certificate,
+    ur_summary,
 )
 from alsq.measures import MeasureError, Position, make_measure, scale_positions
 from alsq.solver import IMPOSSIBLE, aluthge_subnormal, sqrt_of
@@ -90,18 +95,22 @@ def test_corner_products_always_unique(values):
 @settings(max_examples=100)
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=9, unique=True))
 def test_pair_tables_match_entries(values):
-    # index and ur are read in both orders by the rules; each must agree
-    # with the entry lists they are built from
+    # the UR partner sets, coincide and entry_of_pair are read in both
+    # orders by the rules; each must agree with the entry lists
     diagram = pair_diagram(_support(sorted(values)))
     p = diagram.p
-    for n, entry in enumerate(diagram.entries):
-        for i, j in entry.pairs:
-            assert diagram.index[i][j] == diagram.index[j][i] == n
+    holder = {pair: entry for entry in diagram.entries
+              for pair in entry.pairs}
     for i in range(p):
         for j in range(p):
-            entry = diagram.entries[diagram.index[i][j]]
-            assert (min(i, j), max(i, j)) in entry.pairs
-            assert diagram.ur[i][j] == (len(entry.pairs) == 1)
+            entry = holder[min(i, j), max(i, j)]
+            assert (j in diagram.ur[i]) == (i in diagram.ur[j]) == \
+                (len(entry.pairs) == 1)
+            assert diagram.entry_of_pair(i, j) is entry
+            for k in range(p):
+                for l in range(p):
+                    assert diagram.coincide((i, j), (k, l)) == \
+                        (holder[min(k, l), max(k, l)] is entry)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +280,25 @@ def test_ur_rectangle_matches_brute_force(values, denom):
     assert found == structural_certificate(support, exhaustive=True)
 
 
+def test_first_rule_mode_stops_at_the_first_violation(monkeypatch):
+    # boundary-products fires 5 times here, among 88 violations in all; the
+    # first-rule mode builds the first of them and no other
+    support = _support([1, 2, 3, 5, 7])
+    everything = structural_certificate(support, exhaustive=True)
+    assert len(everything) == 88
+    assert [v.rule for v in everything].count("boundary-products") == 5
+    built = []
+    make = diagram_module._v
+
+    def spy(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    monkeypatch.setattr(diagram_module, "_v", spy)
+    assert structural_certificate(support) == everything[0]
+    assert built == everything[:1]
+
+
 def test_violation_json_shape():
     violation = structural_certificate(_support([1, 2, 5]))
     data = violation.to_json_dict()
@@ -306,3 +334,51 @@ def test_render_alignment_is_stable(six_atom_exact):
     lines = render_diagram(six_atom_exact).splitlines()
     rows = [l for l in lines if l.strip() and l.lstrip()[0].isdigit()]
     assert len({len(r) for r in rows if r.endswith("1296")}) <= 1
+
+
+# ---------------------------------------------------------------------------
+# pinned output
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the diagram output over the supports below, taken while the
+# diagram kept p x p tables of entry indices and UR flags: reading UR
+# partner sets and key products instead must not move a certificate, a
+# summary, a rendered table or a pair lookup
+DIAGRAM_DIGEST = (
+    "2006056c2dbc9ffea93a706105078d7fe4b264a012c0ba65c2aa2e2922c0d278")
+
+
+def _pinned_supports():
+    rng = random.Random(2929)
+    supports = []
+    for p in range(1, 13):
+        for denom in (1, 2, 3):
+            # small integers over a few denominators: dense coincidences
+            for _ in range(6):
+                values = rng.sample(range(1, 30), p)
+                supports.append(_support(sorted(F(v, denom) for v in values)))
+    supports.append(_support([F(3, 2) ** k for k in range(12)]))
+    step = Position(F(3, 2), 1, F(2))
+    radical = [Position(F(1), 0, F(2))] + [step.power(k) for k in range(1, 10)]
+    supports.append(radical)
+    supports.append(radical[:-1] + [radical[-1].scale(F(7, 6))])
+    return supports
+
+
+def _diagram_record(support):
+    diagram = pair_diagram(support)
+    first = structural_certificate(diagram)
+    every = structural_certificate(diagram, exhaustive=True)
+    cells = [(diagram.entry_of_pair(i, j).pairs, str(diagram.product(i, j)))
+             for i in range(diagram.p) for j in range(diagram.p)]
+    return json.dumps([None if first is None else first.to_json_dict(),
+                       [v.to_json_dict() for v in every],
+                       ur_summary(diagram)]) + render_diagram(diagram) \
+        + repr(cells) + "\n"
+
+
+def test_diagram_output_is_pinned():
+    digest = hashlib.sha256()
+    for support in _pinned_supports():
+        digest.update(_diagram_record(support).encode())
+    assert digest.hexdigest() == DIAGRAM_DIGEST

@@ -90,7 +90,7 @@ def test_reprs_are_the_dataclass_reprs():
         "Verdict(outcome='impossible', witness=None, "
         "certificate=Violation(rule='r', indices=(1, 2), message='m'), "
         "residual=None, precision_bits=128, notes=('a',))")
-    # index and ur stay out of the diagram's repr
+    # the UR partner sets and the key map stay out of the diagram's repr
     assert repr(_diagram()) == (
         "ProductDiagram(support=(Position(1), Position(2)), keys=(1, 4), "
         "entries=(DiagramEntry(position=Position(1), pairs=((0, 0),)), "

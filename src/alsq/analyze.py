@@ -23,7 +23,6 @@ from .measures import (
     strip_zero_atom,
 )
 from .scalars import Record, scalar_str
-from .shifts import shift_text_rows
 from .solver import (DEFAULT_CONFIG, UNDETERMINED, WITNESS, SolverConfig,
                      Verdict, aluthge_subnormal, verdicts)
 
@@ -199,6 +198,8 @@ def shift_table(mu: AtomicMeasure, terms: int, bits: int) -> dict:
     one integer root of the exact value; the value is rounded at ``bits``
     only where that could change the text (``scalars.root_str``): near a
     decimal tie of the 15th digit, and at radical or very large entries."""
+    from .shifts import shift_text_rows
+
     rows = [(n,) + row
             for n, row in enumerate(shift_text_rows(mu, terms, bits))]
     return {"terms": terms, "rows": rows}

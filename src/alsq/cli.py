@@ -17,7 +17,6 @@ from typing import Optional
 
 from .analyze import AnalyzeOptions, analyze, render_shift_rows, shift_table
 from .diagram import render_diagram
-from .generate import MODES, GeneratorSpec, generate
 from .measures import (
     MAX_ATOMS,
     AtomicMeasure,
@@ -36,7 +35,6 @@ from .scalars import (
     parse_rational,
     scalar_str,
 )
-from .shifts import support_characteristic
 from .solver import (
     IMPOSSIBLE,
     UNDETERMINED,
@@ -167,6 +165,8 @@ def cmd_shift(args) -> int:
 
 
 def cmd_recurrence(args) -> int:
+    from .shifts import support_characteristic
+
     # only the support is read; radical positions are refused
     _, mu = strip_zero_atom(load_measure(args.measure))
     if any(pos.k == 1 for pos in mu.support):
@@ -196,6 +196,8 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generator import GeneratorSpec, generate
+
     spec = GeneratorSpec(p=args.p, mode=args.mode, seed=args.seed,
                          position_style=args.style, case=args.case)
     instance = generate(spec)
@@ -289,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--p", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0,
                        help="seed of the generator")
-    p_gen.add_argument("--mode", choices=MODES, default="arbitrary")
+    p_gen.add_argument("--mode", choices=("with-root", "with-aluthge-root",
+                                          "arbitrary", "perturbed"),
+                       default="arbitrary")
     p_gen.add_argument("--style", choices=("geometric", "random"),
                        default="geometric")
     p_gen.add_argument("--case", choices=("I", "II"), default=None,

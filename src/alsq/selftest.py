@@ -23,7 +23,7 @@ from mpmath import mpf, workprec
 
 from .closed_forms import classify_small
 from .diagram import cardinality_check, geometric_profile, pair_diagram
-from .generate import GeneratorSpec, generate
+from .generator import GeneratorSpec, generate
 from .measures import (
     RATIONAL,
     REAL,

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from alsq.analyze import AnalyzeOptions, analyze
-from alsq.generate import GeneratorSpec, generate
+from alsq.generator import GeneratorSpec, generate
 from alsq.measures import Position, convolve, make_measure, t_weight
 from alsq.solver import WITNESS, SolverConfig, aluthge_subnormal
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import alsq
-from alsq.cli import MAX_SHIFT_TERMS, main
-from alsq.generate import GeneratorSpec, generate
+from alsq.cli import MAX_SHIFT_TERMS, build_parser, main
+from alsq.generator import GeneratorSpec, generate
 from alsq.measures import (MAX_ATOMS, MeasureError, Position, dumps_measure,
                            load_measure, make_measure)
 from alsq.selftest import example_one, example_two
@@ -467,3 +468,27 @@ def test_gen_outside_the_atom_bound_is_usage_error(tmp_path, p):
     result = _cli("gen", "--p", p, "--out", str(out))
     _assert_usage_error(result)
     assert not out.exists()
+
+
+def test_gen_mode_choices_are_the_generator_modes():
+    # the parser names them itself, so that building it imports no generator
+    from alsq.generator import MODES
+
+    commands, = [action.choices for action in build_parser()._actions
+                 if isinstance(action.choices, dict)]
+    mode, = [action for action in commands["gen"]._actions
+             if action.dest == "mode"]
+    assert mode.choices == MODES
+
+
+def test_help_text_is_pinned(capsys, monkeypatch):
+    # one digest over `alsq --help` and the --help of every subcommand, at
+    # argparse's default width
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for command in ([], ["analyze"], ["sqrt"], ["aluthge"], ["convolve"],
+                    ["shift"], ["recurrence"], ["gen"], ["selftest"]):
+        assert main(command + ["--help"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == \
+        "9928c029c192b6369389fa233fdabcb9f6594933adc6fb9dea6e5344564f5d37"

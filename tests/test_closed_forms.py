@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from alsq.closed_forms import classify_small
-from alsq.generate import GeneratorSpec, generate
+from alsq.generator import GeneratorSpec, generate
 from alsq.measures import (
     MeasureError,
     Position,

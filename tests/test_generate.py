@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from alsq.generate import MODES, RANDOM_POSITIONS, GeneratorSpec, generate
+from alsq.generator import MODES, RANDOM_POSITIONS, GeneratorSpec, generate
 from alsq.measures import MeasureError, convolve, dumps_measure
 from alsq.solver import WITNESS, aluthge_subnormal, sqrt_of
 

@@ -2,8 +2,9 @@
 
 A rational run of the CLI never imports mpmath, which saves every such
 process the import, and no run imports ``dataclasses``, ``inspect`` or
-``traceback``.  Each case runs in a fresh interpreter: this process has
-mpmath loaded already."""
+``traceback``.  Likewise the generator and the shift tables load only for
+the commands that read them, through the package's lazy names.  Each case
+runs in a fresh interpreter: this process has mpmath loaded already."""
 
 import ast
 import contextlib
@@ -19,7 +20,7 @@ import pytest
 
 import alsq
 from alsq.cli import main
-from alsq.generate import GeneratorSpec, generate
+from alsq.generator import GeneratorSpec, generate
 from alsq.measures import dumps_measure, make_measure
 from alsq.selftest import example_one, example_two
 
@@ -32,8 +33,8 @@ PACKAGE = Path(alsq.__file__).resolve().parent
 _UNUSED = ("dataclasses", "inspect", "traceback")
 
 # runs ``alsq`` commands in one fresh interpreter and prints, per command,
-# its exit code, whether mpmath is loaded after it, its stdout and which of
-# ``_UNUSED`` are loaded
+# its exit code, whether mpmath is loaded after it, its stdout, which of
+# ``_UNUSED`` are loaded and which ``alsq`` submodules are
 _PROBE = """
 import contextlib, io, json, sys
 import alsq
@@ -41,24 +42,38 @@ from alsq import cli
 unused = json.loads(sys.argv[2])
 def loaded():
     return [name for name in unused if name in sys.modules]
-print(json.dumps(["import", 0, "mpmath" in sys.modules, "", loaded()]))
+def submodules():
+    return sorted(name for name in sys.modules if name.startswith("alsq."))
+print(json.dumps(["import", 0, "mpmath" in sys.modules, "", loaded(),
+                  submodules()]))
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(argv)
     print(json.dumps([argv[0], code, "mpmath" in sys.modules, out.getvalue(),
-                      loaded()]))
+                      loaded(), submodules()]))
 """
 
 
-def _probe(runs):
+def _fresh(*args):
+    """The stdout lines of ``python -c *args`` in a fresh interpreter that
+    imports this ``alsq``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(runs),
-                           json.dumps(_UNUSED)],
-                          capture_output=True, text=True, timeout=60, env=env,
-                          check=True)
-    return [json.loads(line) for line in done.stdout.splitlines()]
+    done = subprocess.run([sys.executable, "-c", *args], capture_output=True,
+                          text=True, timeout=60, env=env, check=True)
+    return done.stdout.splitlines()
+
+
+def _records(runs):
+    return [json.loads(line)
+            for line in _fresh(_PROBE, json.dumps(runs), json.dumps(_UNUSED))]
+
+
+def _probe(runs):
+    """Per command: its name, exit code, whether mpmath is loaded, its
+    stdout and which of ``_UNUSED`` are loaded."""
+    return [record[:5] for record in _records(runs)]
 
 
 def _in_process(argv):
@@ -133,6 +148,72 @@ def test_no_run_loads_dataclasses_inspect_or_traceback(tmp_path,
         assert unused == [], argv
         assert code in (0, 2), argv
 
+
+
+def test_only_the_commands_that_read_them_load_generator_or_shift_tables(
+        rational_files):
+    lazy = {"alsq.generator", "alsq.shifts"}
+    runs = []
+    for path in rational_files:
+        runs += [["analyze", "--json", path], ["sqrt", path],
+                 ["aluthge", "--json", path], ["convolve", path, path]]
+    records = _records(runs)
+    assert [command for command, *_ in records] == \
+        ["import"] + [argv[0] for argv in runs]
+    for argv, (*_, submodules) in zip([["import"]] + runs, records):
+        assert not lazy & set(submodules), argv
+    # a module once loaded stays, so each of these runs on its own
+    six = rational_files[0]
+    for argv, needed in ((["analyze", "--shift-terms", "4", six], "alsq.shifts"),
+                         (["shift", six], "alsq.shifts"),
+                         (["recurrence", six], "alsq.shifts"),
+                         (["gen", "--p", "4", "--seed", "1"], "alsq.generator")):
+        (_, code, _, out, _, submodules), = _records([argv])[1:]
+        assert lazy & set(submodules) == {needed}, argv
+        assert (code, out) == _in_process(argv), argv
+
+
+# which public names a fresh ``import alsq`` leaves to its ``__getattr__``,
+# which of those are submodules, and which names of ``__all__`` a star
+# import fails to bind
+_STAR = """
+import json, types
+import alsq
+lazy = [name for name in alsq.__all__ if name not in vars(alsq)]
+names = {}
+exec("from alsq import *", names)
+print(json.dumps({
+    "lazy": lazy,
+    "modules": [name for name in lazy
+                if isinstance(getattr(alsq, name), types.ModuleType)],
+    "missing": [name for name in alsq.__all__ if name not in names]}))
+"""
+
+
+def test_star_import_binds_every_public_name():
+    report = json.loads(_fresh(_STAR)[0])
+    assert report["missing"] == []
+    assert len(set(alsq.__all__)) == len(alsq.__all__) == 62
+    assert {"GeneratedInstance", "GeneratorSpec", "generate", "shifts",
+            "support_characteristic"} <= set(report["lazy"])
+
+
+def test_no_name_served_lazily_is_shadowed_by_a_submodule():
+    # importing a submodule binds its file name on the package, over any
+    # function served under that name; only a submodule itself may share it
+    report = json.loads(_fresh(_STAR)[0])
+    files = {path.stem for path in PACKAGE.glob("*.py")}
+    assert set(report["lazy"]) & files == set(report["modules"]) == {"shifts"}
+
+
+@pytest.mark.parametrize("imports", [
+    "import alsq.generator; from alsq import generate",
+    "from alsq import generate; import alsq.generator"],
+    ids=["submodule first", "package name first"])
+def test_generate_is_the_function_whichever_is_imported_first(imports):
+    assert _fresh(imports + "; import alsq, types; print(isinstance("
+                  "generate, types.FunctionType) and generate is "
+                  "alsq.generate is alsq.generator.generate)") == ["True"]
 
 def _module_level_imports(tree):
     """The modules imported by statements that run when the module is

@@ -555,7 +555,7 @@ def test_json_round_trip_random(mu):
 
 
 def test_json_round_trip_hundred_generated():
-    from alsq.generate import GeneratorSpec, generate
+    from alsq.generator import GeneratorSpec, generate
 
     for seed in range(100):
         mu = generate(GeneratorSpec(1 + seed % 6, "arbitrary", 70_000 + seed,
@@ -574,7 +574,7 @@ def test_json_round_trip_real_mode(five_atom_real):
 
 
 def _dumps_cases():
-    from alsq.generate import MODES, GeneratorSpec, generate
+    from alsq.generator import MODES, GeneratorSpec, generate
 
     cases = []
     for seed in range(60):  # seeded corpora, every mode and style

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from alsq.closed_forms import classify_small
 from alsq.diagram import cardinality_check, structural_certificate
-from alsq.generate import GeneratorSpec, generate
+from alsq.generator import GeneratorSpec, generate
 from alsq.measures import convolve, t_weight
 from alsq.solver import (
     IMPOSSIBLE,

@@ -11,7 +11,7 @@ import pytest
 from alsq.analyze import AnalysisReport, AnalyzeOptions, analyze
 from alsq.diagram import (CardinalityCheck, DiagramEntry, Violation,
                           cardinality_check, classify_ur, pair_diagram)
-from alsq.generate import GeneratedInstance, GeneratorSpec
+from alsq.generator import GeneratedInstance, GeneratorSpec
 from alsq.measures import AtomicMeasure, Position, make_measure, support_keys
 from alsq.scalars import DEFAULT_TOLERANCE
 from alsq.selftest import CriterionResult

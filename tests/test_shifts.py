@@ -7,7 +7,7 @@ from mpmath import mpf, workprec
 
 from alsq import scalars, selftest
 from alsq.analyze import shift_table
-from alsq.generate import GeneratorSpec, generate
+from alsq.generator import GeneratorSpec, generate
 from alsq.measures import (
     MeasureError,
     Position,

@@ -19,7 +19,7 @@ from alsq.analyze import AnalyzeOptions, analyze
 from alsq.cli import main
 from alsq.closed_forms import classify_small
 from alsq.diagram import Violation, cardinality_check, structural_certificate
-from alsq.generate import MODES, GeneratorSpec, generate
+from alsq.generator import MODES, GeneratorSpec, generate
 from alsq.measures import (
     MeasureError,
     Position,

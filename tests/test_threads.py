@@ -20,7 +20,7 @@ import mpmath
 
 import alsq
 from alsq.analyze import AnalyzeOptions, analyze
-from alsq.generate import GeneratorSpec, generate
+from alsq.generator import GeneratorSpec, generate
 from alsq.measures import convolve, make_measure, t_weight
 from alsq.shifts import shift_rows
 from alsq.solver import SolverConfig, aluthge_subnormal, sqrt_of

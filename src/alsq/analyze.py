@@ -144,7 +144,7 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
     card = cardinality_check(diagram)
     profile = geometric_profile(diagram)
     geometric = (str(profile[0]), str(profile[1])) if profile else None
-    violation = structural_certificate(diagram) if body.p >= 2 else None
+    violation = structural_certificate(diagram)
 
     try:
         sqrt_verdict, aluthge_verdict = verdicts(body, config)

@@ -19,7 +19,6 @@ from .analyze import AnalyzeOptions, analyze, render_shift_rows, shift_table
 from .diagram import render_diagram
 from .measures import (
     MAX_ATOMS,
-    AtomicMeasure,
     MeasureError,
     convolve,
     dumps_measure,
@@ -99,10 +98,6 @@ def _flag(*args, **kwargs) -> argparse.ArgumentParser:
     return parent
 
 
-def _load(path: str, args) -> AtomicMeasure:
-    return load_measure(path, bits=args.precision)
-
-
 def _print_verdict(verdict: Verdict, args) -> int:
     if args.json:
         payload = verdict.to_json_dict()
@@ -114,7 +109,7 @@ def _print_verdict(verdict: Verdict, args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    mu = _load(args.measure, args)
+    mu = load_measure(args.measure, bits=args.precision)
     options = AnalyzeOptions(SolverConfig(args.precision, args.tol), args.shift_terms)
     report = analyze(mu, options)
     if args.json:
@@ -131,18 +126,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sqrt(args) -> int:
-    _, mu = strip_zero_atom(_load(args.measure, args))
+    _, mu = strip_zero_atom(load_measure(args.measure, bits=args.precision))
     return _print_verdict(sqrt_of(mu, SolverConfig(args.precision, args.tol)), args)
 
 
 def cmd_aluthge(args) -> int:
-    _, mu = strip_zero_atom(_load(args.measure, args))
+    _, mu = strip_zero_atom(load_measure(args.measure, bits=args.precision))
     return _print_verdict(aluthge_subnormal(mu, SolverConfig(args.precision, args.tol)), args)
 
 
 def cmd_convolve(args) -> int:
-    left = _load(args.left, args)
-    right = _load(args.right, args)
+    left = load_measure(args.left, bits=args.precision)
+    right = load_measure(args.right, bits=args.precision)
     result = convolve(left, right, bits=args.precision)
     if args.out:
         save_measure(result, args.out)
@@ -155,7 +150,7 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_shift(args) -> int:
-    _, mu = strip_zero_atom(_load(args.measure, args))
+    _, mu = strip_zero_atom(load_measure(args.measure, bits=args.precision))
     tables = shift_table(mu, args.terms, args.precision)
     if args.json:
         print(json.dumps({"schema": SCHEMA, "shift_tables": tables}, indent=2))

@@ -14,6 +14,10 @@ refutation:
   roots under three product-of-mass identities (a three-atom root), the
   mixed pattern never does.
 
+The support identities compare products of the support's int keys
+(:func:`alsq.measures.support_keys`), as :mod:`alsq.diagram` does, or read
+its ``geometric_profile``; no product of positions is formed.
+
 This module states the conditions and builds no root of its own.  A root
 is unique when it exists (see :mod:`alsq.solver`), so when the identities
 hold the witness is the root that :func:`alsq.solver.sqrt_of` peels off
@@ -34,7 +38,8 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from .diagram import Violation, geometric_profile
-from .measures import RATIONAL, REAL, AtomicMeasure, MeasureError, numerators
+from .measures import (RATIONAL, REAL, AtomicMeasure, MeasureError, numerators,
+                       support_keys)
 from .solver import (
     IMPOSSIBLE,
     UNDETERMINED,
@@ -133,13 +138,12 @@ def _four_atoms(config: SolverConfig) -> Verdict:
 
 def _three_atoms(mu: AtomicMeasure, checker: _Checker,
                  config: SolverConfig) -> Optional[Verdict]:
-    lam = [pos.q for pos in mu.support]
-    a = checker.a
-    if lam[1] * lam[1] != lam[0] * lam[2]:
+    if geometric_profile(mu) is None:
         return _impossible(
             "three-atom-support", (1, 2, 3),
             "a three-atom measure admits a root only when the square of the "
             "middle atom equals the product of the outer atoms", config)
+    a = checker.a
     if not checker.eq(a[1] * a[1], 4 * a[0] * a[2], 2):
         return _impossible(
             "three-atom-weights", (1, 2, 3),
@@ -178,12 +182,12 @@ def _five_atoms(mu: AtomicMeasure, checker: _Checker,
 
 def _six_atoms(mu: AtomicMeasure, checker: _Checker,
                config: SolverConfig) -> Optional[Verdict]:
-    lam = [pos.q for pos in mu.support]
+    keys = support_keys(mu)[0]
     a = checker.a
-    sq2 = lam[1] * lam[1]
-    sq5 = lam[4] * lam[4]
-    j = next((m for m in range(2, 6) if sq2 == lam[0] * lam[m]), None)
-    i = next((m for m in range(4) if sq5 == lam[m] * lam[5]), None)
+    sq2 = keys[1] * keys[1]
+    sq5 = keys[4] * keys[4]
+    j = next((m for m in range(2, 6) if sq2 == keys[0] * keys[m]), None)
+    i = next((m for m in range(4) if sq5 == keys[m] * keys[5]), None)
     if j is None:
         return _impossible(
             "boundary-products", (2,),
@@ -224,7 +228,7 @@ def _six_atoms(mu: AtomicMeasure, checker: _Checker,
             "5 matches atoms 4,6; this pattern never carries a root", config)
     if (j, i) == (3, 3):
         # squares of atoms 2 and 5 match (1,4) and (4,6)
-        if lam[2] * lam[2] != lam[0] * lam[5]:
+        if keys[2] * keys[2] != keys[0] * keys[5]:
             return _impossible(
                 "six-atom-case-support", (3, 1, 6),
                 "this pattern requires the square of atom 3 to equal the "
@@ -235,7 +239,7 @@ def _six_atoms(mu: AtomicMeasure, checker: _Checker,
             (a[4] * a[4], 4 * a[3] * a[5], "a5^2 = 4*a4*a6", (5, 4, 6)),
         ]
     else:  # (j, i) == (2, 2): squares match (1,3) and (3,6)
-        if lam[3] * lam[3] != lam[0] * lam[5]:
+        if keys[3] * keys[3] != keys[0] * keys[5]:
             return _impossible(
                 "six-atom-case-support", (4, 1, 6),
                 "this pattern requires the square of atom 4 to equal the "

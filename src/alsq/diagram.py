@@ -121,17 +121,6 @@ class URClassification(Record):
         object.__setattr__(self, "ur", ur)
         object.__setattr__(self, "nur", nur)
 
-    def summary(self) -> dict:
-        return _summary(len(self.ur), self.nur)
-
-
-def _summary(ur_count: int, nur: Sequence[Position]) -> dict:
-    return {
-        "ur_count": ur_count,
-        "nur_count": len(nur),
-        "nur_products": [str(pos) for pos in nur],
-    }
-
 
 Source = Union[ProductDiagram, AtomicMeasure, Sequence[Position]]
 
@@ -189,10 +178,11 @@ def classify_ur(diagram: ProductDiagram) -> URClassification:
 
 
 def ur_summary(diagram: ProductDiagram) -> dict:
-    """``classify_ur(diagram).summary()``, with a position built only for
-    the shared products, the ones it prints."""
-    nur = [e.position for e in diagram.entries if not e.is_ur]
-    return _summary(diagram.card - len(nur), nur)
+    """The numbers of uniquely represented and of shared products, and the
+    shared products as text, the only ones whose positions are built."""
+    nur = [str(e.position) for e in diagram.entries if not e.is_ur]
+    return {"ur_count": diagram.card - len(nur), "nur_count": len(nur),
+            "nur_products": nur}
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +290,12 @@ def _check_boundary_products(diagram: ProductDiagram) -> Iterator[Violation]:
 
 
 def _check_cardinality(diagram: ProductDiagram) -> Iterator[Violation]:
-    p = diagram.p
-    if p < 4:
-        return
-    upper = ((p - 1) ** 2 + 6) // 2
-    if diagram.card > upper:
+    check = cardinality_check(diagram)
+    if check.upper is not None and check.card > check.upper:
         yield _v(
             "support-cardinality", (),
-            f"{diagram.card} distinct pairwise products exceed the admissible "
-            f"maximum {upper} for {p} atoms")
+            f"{check.card} distinct pairwise products exceed the admissible "
+            f"maximum {check.upper} for {check.p} atoms")
 
 
 def _check_extreme_square(diagram: ProductDiagram) -> Iterator[Violation]:

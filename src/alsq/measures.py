@@ -254,7 +254,7 @@ class AtomicMeasure(Record):
         return real_arithmetic().from_dyadic(sum(masses), den)
 
     def has_zero_atom(self) -> bool:
-        return _weight_nonzero(self.zero_mass)
+        return self.zero_mass != 0
 
     def require_no_zero_atom(self, op: str) -> None:
         if self.has_zero_atom():
@@ -266,7 +266,7 @@ class AtomicMeasure(Record):
         if self.mode == REAL:
             return self
         to_mpf = real_arithmetic().to_mpf
-        zero = (to_mpf(self.zero_mass, bits) if _weight_nonzero(self.zero_mass)
+        zero = (to_mpf(self.zero_mass, bits) if self.zero_mass != 0
                 else Fraction(0))
         return with_weights(self, [to_mpf(w, bits) for w in self.weights],
                             REAL, zero)
@@ -285,10 +285,6 @@ class AtomicMeasure(Record):
             parts.append(f"{show(self.zero_mass)}*d(0)")
         parts.extend(f"{show(w)}*d({pos})" for pos, w in self.atoms)
         return " + ".join(parts) if parts else "0"
-
-
-def _weight_nonzero(w: Weight) -> bool:
-    return w != 0
 
 
 def with_weights(mu: AtomicMeasure, weights: Sequence[Weight], mode: str,
@@ -419,10 +415,6 @@ def _common_base(mu: AtomicMeasure, nu: AtomicMeasure) -> Fraction:
         return mu.base
     raise IncompatibleBasesError(
         f"radical bases {mu.base} and {nu.base} are incompatible")
-
-
-def _mode_join(mu: AtomicMeasure, nu: AtomicMeasure) -> str:
-    return REAL if REAL in (mu.mode, nu.mode) else RATIONAL
 
 
 def int_keys(positions: Sequence[Position]) -> List[int]:
@@ -597,11 +589,8 @@ def _pair_products(keys: List[int], left: List[int],
                 merged[key] += ai * bj + aj * bi
             else:
                 merged[key] = ai * bj + aj * bi
-        key = kj * kj
-        if key in merged:
-            merged[key] += aj * bj
-        else:
-            merged[key] = aj * bj
+        # the keys ascend strictly, so K_j^2 exceeds every key formed so far
+        merged[kj * kj] = aj * bj
     order = sorted(merged)
     return order, [merged[key] for key in order]
 
@@ -620,7 +609,7 @@ def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION
     mu.require_no_zero_atom("convolve")
     nu.require_no_zero_atom("convolve")
     base = _common_base(mu, nu)
-    mode = _mode_join(mu, nu)
+    mode = REAL if REAL in (mu.mode, nu.mode) else RATIONAL
     # a key does not depend on the base: a radical's is over the common one
     (mu_keys, mu_scale, mu_masses, mu_den), \
         (nu_keys, nu_scale, nu_masses, nu_den) = [
@@ -764,7 +753,7 @@ def strip_zero_atom(mu: AtomicMeasure) -> Tuple[Weight, AtomicMeasure]:
 
 def normalize(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
     total = mu.total_mass()
-    if not _weight_nonzero(total):
+    if total == 0:
         raise MeasureError("cannot normalize a measure with zero total mass")
 
     if mu.mode == RATIONAL:
@@ -777,7 +766,7 @@ def normalize(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMe
             return reals.from_raw(reals.mpf_div(
                 reals.operand(w, bits), total._mpf_, bits, reals.round_nearest))
 
-    zero = share(mu.zero_mass) if _weight_nonzero(mu.zero_mass) else mu.zero_mass
+    zero = share(mu.zero_mass) if mu.zero_mass != 0 else mu.zero_mass
     return with_weights(mu, [share(w) for w in mu.weights], mu.mode, zero)
 
 
@@ -899,14 +888,19 @@ def dumps_measure(mu: AtomicMeasure) -> str:
 def loads_measure(text: str, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
     try:
         data = json.loads(text)
-    except ValueError as exc:  # also an int literal beyond the digit limit
+    # also an int literal beyond the digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise MeasureError(f"invalid JSON: {exc}") from exc
     return measure_from_json_dict(data, bits=bits)
 
 
 def load_measure(path: str, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
     with open(path, "r", encoding="utf-8") as handle:
-        return loads_measure(handle.read(), bits=bits)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise MeasureError(f"{path} is not UTF-8 text: {exc}") from exc
+    return loads_measure(text, bits=bits)
 
 
 def save_measure(mu: AtomicMeasure, path: str) -> None:

@@ -50,7 +50,8 @@ radical positions, the product table of mu * t(mu)
 (:func:`alsq.measures.t_products`), which is never materialized as a
 measure.  The witness check compares the table of the witness's square
 (:func:`alsq.measures.square_products`) with the target's; the transform
-of the signed peel re-squares Q against mu instead.  Every product table
+of the signed peel re-squares Q against mu instead, and both end in one
+comparison of masses (:func:`_matches`).  Every product table
 comes from one pair loop, which forms each unordered pair of atoms once.
 A position or a Fraction is built only for what a verdict prints.
 
@@ -522,14 +523,29 @@ def _squares_back(root: list, keys: List[int], nums: List[int],
     order, squares = _pair_products([key for key, _, _ in live], masses,
                                     masses)
     square = [(key, m) for key, m in zip(order, squares) if m]
-    k1, n1, scale = keys[0], nums[0], powers[2 * top]
-    if len(square) != len(keys) or any(
-            key != k * k1 for (key, _), k in zip(square, keys)):
+    if [key for key, _ in square] != [k * keys[0] for k in keys]:
         return False
-    if not radii:
-        return all(m * n1 == t * scale for (_, m), t in zip(square, nums))
-    return all(abs(m * n1 - t * scale) * q <= r * n1 * scale
-               for (_, m), t, (r, q) in zip(square, nums, radii))
+    return _matches([m for _, m in square], powers[2 * top], nums, nums[0],
+                    radii, 0)
+
+
+def _matches(square: List[int], sden: int, target: List[int], tden: int,
+             radii: Sequence[Tuple[int, int]], rho: Fraction) -> bool:
+    """Whether the masses S_j = square[j] / sden of a re-squared root match
+    the target masses T_j = target[j] / tden on the same keys.  Exact
+    masses must be equal; otherwise |S_j - T_j| <= r / q * T_1 + rho * S_j,
+    as a re-squared mass S_j lies within the square's radius rho of the
+    square of the peel's root, and that within r / q * T_1 of the target
+    mass T_j, (r, q) = radii[j] (0 for a rational target)."""
+    if not rho and not radii:
+        return all(s * tden == t * sden for s, t in zip(square, target))
+    top, bottom, t1 = rho.numerator, rho.denominator, target[0]
+    for s, t, (r, q) in zip(square, target, radii or [(0, 1)] * len(target)):
+        # the inequality above times sden * tden * q * bottom
+        if (abs(s * tden - t * sden) * q * bottom
+                > r * t1 * sden * bottom + top * s * tden * q):
+            return False
+    return True
 
 
 def _add_pairs(found: dict, heap: list, root: list, start: int,
@@ -746,28 +762,13 @@ def _verify(witness: AtomicMeasure, target: Table,
             radii: Sequence[Tuple[int, int]], config: SolverConfig) -> bool:
     """Compare the table of the witness's square
     (:func:`alsq.measures.square_products`, p(p + 1) / 2 pairs for p root
-    atoms) with ``target``.  Equal int keys at an equal scale give equal
-    positions.  Exact masses
-    must be equal; otherwise |S_j - T_j| <= r / q * a_1 + rho * S_j, as a
-    re-squared mass S_j lies within the square's radius rho of the square
-    of the peel's root, and that within r / q * a_1 of the target mass T_j,
-    (r, q) = radii[j] (0 for a rational target)."""
+    atoms) with ``target``: equal int keys at an equal scale give equal
+    positions, and the masses must match (:func:`_matches`, within the
+    square's radius)."""
     square = square_products(witness, config.precision_bits)
-    if square.keys != target.keys or square.scale != target.scale:
-        return False
-    sden, tden, rho = square.den, target.den, square.radius
-    if not rho and not radii:
-        return all(s * tden == t * sden
-                   for s, t in zip(square.masses, target.masses))
-    top, bottom = rho.numerator, rho.denominator
-    t1 = target.masses[0]
-    for s, t, (r, q) in zip(square.masses, target.masses,
-                            radii or [(0, 1)] * target.p):
-        # the inequality above times sden * tden * q * bottom
-        if (abs(s * tden - t * sden) * q * bottom
-                > r * t1 * sden * bottom + top * s * tden * q):
-            return False
-    return True
+    return (square.keys == target.keys and square.scale == target.scale
+            and _matches(square.masses, square.den, target.masses,
+                         target.den, radii, square.radius))
 
 
 # ---------------------------------------------------------------------------

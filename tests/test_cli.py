@@ -14,7 +14,7 @@ from alsq.cli import MAX_SHIFT_TERMS, build_parser, main
 from alsq.generator import GeneratorSpec, generate
 from alsq.measures import (MAX_ATOMS, MeasureError, Position, dumps_measure,
                            load_measure, make_measure)
-from alsq.selftest import example_one, example_two
+from alsq.selftest import CriterionResult, example_one, example_two
 from alsq.shifts import moment_sequence
 from alsq.solver import IMPOSSIBLE, Verdict, aluthge_subnormal
 
@@ -241,6 +241,23 @@ def test_internal_fault_exits_four(capsys, monkeypatch, six_atom_file):
     assert "indicates a bug" in data["error"]
 
 
+@pytest.mark.parametrize("second, code, summary", [
+    (True, 0, "all 2 criteria passed"),
+    (False, 1, "FAILED criteria: [2]"),
+])
+def test_selftest_reports_its_criteria(capsys, monkeypatch, second, code,
+                                       summary):
+    # two stub criteria stand in for the acceptance suite, which CI runs
+    def stub(number, passed):
+        return lambda: CriterionResult(number, f"stub {number}", passed,
+                                       "detail", 0.0)
+    monkeypatch.setattr("alsq.selftest.ALL_CRITERIA",
+                        (stub(1, True), stub(2, second)))
+    assert main(["selftest"]) == code
+    out = capsys.readouterr().out
+    assert "criterion  1 PASS" in out and summary in out
+
+
 def _cli(*argv):
     """``python -m alsq.cli`` in a subprocess with a timeout, so that a hang
     fails the test instead of stalling the suite."""
@@ -351,6 +368,20 @@ def test_oversized_products_give_no_traceback(tmp_path):
     message = json.loads(result.stdout)["certificate"]["message"]
     assert "(a number of more than" in message
     assert _cli("analyze", path).returncode == 2
+
+
+@pytest.mark.parametrize("name, content", [
+    # nesting deeper than the JSON decoder recurses
+    ("deep.json", b"[" * 100000 + b"]" * 100000),
+    # a UTF-16 byte order mark: not UTF-8 text
+    ("bom.json", b"\xff\xfe{\x00}\x00"),
+], ids=["deep-nesting", "utf16-bom"])
+def test_unreadable_document_gives_no_traceback(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    _assert_usage_error(_cli("analyze", str(path)))
+    with pytest.raises(MeasureError):
+        load_measure(str(path))
 
 
 def test_recurrence_quotes_oversized_coefficients_by_size(tmp_path):

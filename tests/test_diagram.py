@@ -183,6 +183,18 @@ def test_bounds_for_four_atoms():
     assert loose.card == 10 and not loose.ok
 
 
+def test_cardinality_rule_fires_only_above_the_upper_bound():
+    # the geometric support reaches the maximum 7 for four atoms and passes
+    at_bound = structural_certificate(_support([1, 2, 4, 8]), exhaustive=True)
+    assert "support-cardinality" not in [v.rule for v in at_bound]
+    above = [v for v in structural_certificate(_support([1, 2, 3, 4]),
+                                               exhaustive=True)
+             if v.rule == "support-cardinality"]
+    assert [(v.indices, v.message) for v in above] == [
+        ((), "9 distinct pairwise products exceed the admissible maximum 7 "
+             "for 4 atoms")]
+
+
 # ---------------------------------------------------------------------------
 # structural certificates
 # ---------------------------------------------------------------------------
@@ -235,6 +247,8 @@ def test_wide_square_rule_for_six_atoms():
     ((1, 2, 3, 9), "extreme-square-match", (3, 1, 4)),
     ((1, 2, 3, 4, 8), "double-extreme-match", (2, 4)),
     ((6, 24, 27, 32, 36, 54), "six-atom-wide-square", (5, 2, 6)),
+    ((1, 4, 6, 8, 16, 50), "six-atom-wide-square", (2, 1, 5)),
+    ((1, 4, 6, 16, 18, 54), "six-atom-crossed-squares", (2, 4, 3, 5)),
 ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v)
 def test_exhaustive_mode_lists_rules_the_first_rule_hides(support, rule,
                                                           indices):

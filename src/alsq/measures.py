@@ -20,12 +20,11 @@ fills it while it sorts the atoms, and the operations that keep the
 support (:func:`with_weights`, :func:`t_weight`, :func:`strip_zero_atom`)
 pass it on.  Positions are read off keys (:func:`_key_position`).  One pair
 loop (:func:`_pair_products`), which forms each unordered pair of atoms
-once, builds the product tables ``solver`` reads: :func:`t_products`,
-mu * t(mu) for radical positions, and
-:func:`square_products`, a witness's square; the solver also runs it on the
-masses of a signed root.  mu * t(mu) is never materialized.
+once, squares a measure: :func:`square_products` tables a witness's
+square, and the solver runs it on the masses of a signed root.
 :func:`convolve` multiplies measures on any two supports with its own loop
-over the ordered pairs.
+over the ordered pairs; the solver tables convolve(mu, t_weight(mu)) for
+radical positions only.
 
 Real-mode branches get :mod:`alsq.reals` from ``real_arithmetic`` once per
 call; rational ones never load mpmath.
@@ -533,41 +532,23 @@ def _product_radius(eps: Fraction, k: int, bits: int) -> Fraction:
     return (1 + eps) ** 2 * (1 + g) - 1
 
 
-def t_products(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,
-               eps: Fraction = Fraction(0)) -> Table:
-    """The table of mu * t(mu), t(mu) = ``t_weight(mu, bits)``, from the
-    pair loop (:func:`_pair_table`).  ``aluthge_subnormal`` peels it for
-    radical positions only; on rational positions a measure, with rational
-    or real masses, is decided from its signed square root instead."""
-    mu.require_no_zero_atom("t_weight")
-    masses, den = numerators(mu.weights, mu.mode, bits)
-    # t_weight refuses a radical position in rational mode
-    weighted, t_den = numerators(t_weight(mu, bits).weights, mu.mode, bits)
-    return _pair_table(mu, masses, weighted, den * t_den, bits, eps)
-
-
 def square_products(mu: AtomicMeasure,
                     bits: int = DEFAULT_PRECISION_BITS) -> Table:
-    """The table of mu * mu (:func:`_pair_table`), which the witness check
-    compares with the target the witness was peeled from."""
+    """The table of mu * mu from the pair loop (:func:`_pair_products`),
+    which the witness check compares with the target the witness was
+    peeled from.  A real sum is rounded once at ``bits``; the radius
+    covers the roundings the factor masses carry and that of the sum."""
     mu.require_no_zero_atom("convolve")
     masses, den = numerators(mu.weights, mu.mode, bits)
-    return _pair_table(mu, masses, masses, den * den, bits, Fraction(0))
-
-
-def _pair_table(mu: AtomicMeasure, left: List[int], right: List[int],
-                den: int, bits: int, eps: Fraction) -> Table:
-    """The table of the masses ``left`` times ``right``, int numerators
-    over ``den`` on the support of ``mu``.  A real sum is rounded once at
-    ``bits``; the radius covers the relative ``eps`` of each factor mass,
-    the roundings the factor masses carry and that of the sum."""
     keys, scale = support_keys(mu)
-    order, masses = _pair_products(keys, left, right)
+    order, squares = _pair_products(keys, masses, masses)
+    den *= den
     radius = Fraction(0)
     if mu.mode == REAL:
-        masses, den = real_arithmetic().round_dyadic(masses, den, bits)
-        radius = _product_radius(eps, 2 * _FACTOR_ROUNDINGS + 1, bits)
-    return Table(mu.base, mu.mode, order, scale * scale, masses, den, radius)
+        squares, den = real_arithmetic().round_dyadic(squares, den, bits)
+        radius = _product_radius(Fraction(0), 2 * _FACTOR_ROUNDINGS + 1,
+                                 bits)
+    return Table(mu.base, mu.mode, order, scale * scale, squares, den, radius)
 
 
 def _pair_products(keys: List[int], left: List[int],
@@ -802,12 +783,24 @@ def measure_to_json_dict(mu: AtomicMeasure) -> dict:
     }
 
 
+# the JSON names of the types ``json.loads`` returns
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
+               float: "number", bool: "boolean", type(None): "null"}
+
+
+def _require_object(value, where: str) -> None:
+    if not isinstance(value, dict):
+        name = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise MeasureError(f"{where}: expected a JSON object, got {name}")
+
+
 def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
+    _require_object(data, "malformed measure document")
     try:
         base = parse_rational(str(data["radical_base"]))
         mode = data["mode"]
         raw_atoms = data["atoms"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise MeasureError(f"malformed measure document: missing {exc}") from exc
     if mode not in (RATIONAL, REAL):
         raise MeasureError(f"unknown scalar mode {mode!r}")
@@ -822,11 +815,14 @@ def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> At
     valid_base = base > 0
     root = sqrt_fraction(base) if valid_base else None
     for index, atom in enumerate(raw_atoms):
+        _require_object(atom, f"atom {index}")
         try:
             q = parse_rational(str(atom["pos_q"]))
             k = atom["pos_k"]
             weight = convert(str(atom["weight"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except KeyError as exc:
+            raise MeasureError(f"atom {index}: missing {exc}") from exc
+        except (ValueError, OverflowError) as exc:
             raise MeasureError(f"atom {index}: {exc}") from exc
         if type(k) is not int:  # bool is a subclass of int
             raise MeasureError(

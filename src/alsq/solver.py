@@ -46,13 +46,12 @@ the radius reaches the masses themselves, the signed root passes its cap
 on atoms, or an atom of N has a negative midpoint inside its ball.
 
 The peel reads tables (:class:`alsq.measures.Table`): that of mu, or, on
-radical positions, the product table of mu * t(mu)
-(:func:`alsq.measures.t_products`), which is never materialized as a
-measure.  The witness check compares the table of the witness's square
+radical positions, that of convolve(mu, t_weight(mu)).  The witness check
+compares the table of the witness's square
 (:func:`alsq.measures.square_products`) with the target's; the transform
 of the signed peel re-squares Q against mu instead, and both end in one
-comparison of masses (:func:`_matches`).  Every product table
-comes from one pair loop, which forms each unordered pair of atoms once.
+comparison of masses (:func:`_matches`).  Both squares come from one pair
+loop, which forms each unordered pair of atoms once.
 A position or a Fraction is built only for what a verdict prints.
 
 The decision path takes its precision explicitly from ``SolverConfig``:
@@ -81,14 +80,17 @@ from .measures import (
     AtomicMeasure,
     MeasureError,
     Table,
+    _FACTOR_ROUNDINGS,
     _key_position,
     _pair_products,
     _position,
+    _product_radius,
+    convolve,
     make_measure,
     measure_to_json_dict,
     square_products,
     support_keys,
-    t_products,
+    t_weight,
     table,
     with_weights,
 )
@@ -295,10 +297,14 @@ def _peel(target: Table, config: SolverConfig,
     N = Q * t(Q), relative to its first mass and times R_1, is accumulated
     once the square-root verdict is final, the pairs of earlier root atoms
     back-filled, so that every atom of N is checked; an overflow before
-    that verdict forms none, as Q >= 0 there.  For a root atom of key K,
-    R = sqrt(K) is the int that its y*y1 is times the lcm of the target's
-    denominators; root atoms a, b add c_a c_b (R_a + R_b) (c_a^2 R_a for
-    a = b) at K_a*K_b, the key of y_a*y_b*x_1 in the table of mu * t(mu).
+    that verdict forms none, as Q >= 0 there.  N grows with Q, and is not
+    formed once Q stops, because its first negative atom comes much
+    earlier: after 5 root atoms on ``generate(GeneratorSpec(400,
+    "arbitrary", 1))``, whose Q overflows only after 200.  For a root atom
+    of key K, R = sqrt(K) is the int that its y*y1 is times the lcm of the
+    target's denominators; root atoms a, b add c_a c_b (R_a + R_b) (c_a^2
+    R_a for a = b) at K_a*K_b, the key of y_a*y_b*x_1 in the table of
+    mu * t(mu).
     Later pairs meet at the next root atom's z or beyond, so the atoms of
     N below z are final: the root that peel of that table finds there.
     The first negative one refutes with its certificate
@@ -788,7 +794,7 @@ def aluthge_subnormal(
     mu = Q * Q, Q signed, and no N exists when mu is no signed square.  No
     product table of mu * t(mu) is formed, and a witness pairs the atoms
     of Q.  Radical positions read the first verdict of the peel of the
-    table of mu * t(mu) (:func:`t_products`), in real mode.
+    table of convolve(mu, t_weight(mu)), in real mode.
     """
     mu.require_no_zero_atom("aluthge_subnormal")
     if not any(pos.k == 1 for pos in mu.support):
@@ -797,10 +803,13 @@ def aluthge_subnormal(
         next(peels)
         return _transform(mu, target, next(peels), config)
     notes = []
+    bits = config.precision_bits
     if mu.mode == RATIONAL:
-        mu = mu.to_real(config.precision_bits)
+        mu = mu.to_real(bits)
         notes.append("irrational positions: masses analysed numerically")
-    target = t_products(mu, config.precision_bits, config.radius)
+    target = table(convolve(mu, t_weight(mu, bits), bits), bits,
+                   _product_radius(config.radius, 2 * _FACTOR_ROUNDINGS + 1,
+                                   bits))
     return _transform(mu, target, next(_peel(target, config))(), config,
                       notes, target)
 

@@ -41,10 +41,10 @@ def test_analyze_decides_the_root_once(monkeypatch, bits):
     # is made once: for rational and real masses alike one signed peel of mu
     # gives both, and one square table re-checks the square root's witness
     # by convolution (the transform re-squares its signed root itself); the
-    # product table of mu * t(mu) (t_products) is never built
+    # product mu * t(mu) (convolve) is never formed
     from alsq import solver
 
-    calls = {"_peel": 0, "square_products": 0, "t_products": 0}
+    calls = {"_peel": 0, "square_products": 0, "convolve": 0}
 
     def spy(name):
         original = getattr(solver, name)
@@ -61,7 +61,7 @@ def test_analyze_decides_the_root_once(monkeypatch, bits):
     if bits:
         mu, options = mu.to_real(bits), AnalyzeOptions(SolverConfig(bits))
     report = analyze(mu, options)
-    assert calls == {"_peel": 1, "square_products": 1, "t_products": 0}
+    assert calls == {"_peel": 1, "square_products": 1, "convolve": 0}
     assert report.small_verdict.outcome == WITNESS
     assert report.small_verdict.witness == report.sqrt_verdict.witness
 

@@ -384,6 +384,25 @@ def test_unreadable_document_gives_no_traceback(tmp_path, name, content):
         load_measure(str(path))
 
 
+@pytest.mark.parametrize("document, message", [
+    ("[[[1]]]", "malformed measure document: expected a JSON object, "
+     "got array"),
+    ('"x"', "malformed measure document: expected a JSON object, got string"),
+    ("3", "malformed measure document: expected a JSON object, got number"),
+    ("null", "malformed measure document: expected a JSON object, got null"),
+    ('{"radical_base": "1", "mode": "rational", "atoms": [5]}',
+     "atom 0: expected a JSON object, got number"),
+    ('{"radical_base": "1", "mode": "rational", "atoms": '
+     '[{"pos_k": 0, "weight": "1"}]}', "atom 0: missing 'pos_q'"),
+], ids=["array", "string", "number", "null", "atom-number", "atom-no-pos_q"])
+def test_document_that_is_no_object_is_named(tmp_path, document, message):
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    result = _cli("analyze", str(path))
+    _assert_usage_error(result)
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_recurrence_quotes_oversized_coefficients_by_size(tmp_path):
     # each square prints, but the recurrence coefficients are products of
     # up to five positions, more digits than the interpreter prints

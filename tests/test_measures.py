@@ -21,9 +21,7 @@ from alsq.measures import (
     MeasureError,
     Position,
     ZeroAtomError,
-    _FACTOR_ROUNDINGS,
     _common_base,
-    _product_radius,
     convolve,
     dirac,
     dumps_measure,
@@ -37,7 +35,6 @@ from alsq.measures import (
     scale_positions,
     square_products,
     strip_zero_atom,
-    t_products,
     t_weight,
     table,
 )
@@ -295,33 +292,13 @@ def test_product_table_matches_its_measure(pair):
             assert 0 < table.radius < F(1, 2 ** 50)
 
 
-@settings(max_examples=150)
-@given(st.sampled_from((F(1), F(7), F(5, 2))).flatmap(
-    lambda base: keyed_measures(base, False, 12, _wide_weights)))
-def test_t_products_is_the_table_of_mu_times_t_mu(mu):
-    # the table holds the products, masses and positions of
-    # convolve(mu, t_weight(mu)), and a real one the radius of a product of
-    # masses within 2^-70
-    eps = F(1, 2 ** 70)
-    got = t_products(mu, 128, eps)
-    expected = table(convolve(mu, t_weight(mu, 128), 128), 128)
-    assert (got.base, got.mode, got.keys, got.scale) == \
-        (expected.base, expected.mode, expected.keys, expected.scale)
-    assert got.radius == (0 if mu.mode == RATIONAL else _product_radius(
-        eps, 2 * _FACTOR_ROUNDINGS + 1, 128))
-    assert [F(n, got.den) for n in got.masses] == \
-        [F(n, expected.den) for n in expected.masses]
-    if mu.mode == REAL:
-        assert (got.masses, got.den) == (expected.masses, expected.den)
-    assert [got.position(j) for j in range(got.p)] == \
-        [expected.position(j) for j in range(expected.p)]
-
-
 def test_t_products_refuses_a_radical_rational_position():
+    # mu * t(mu) is convolve(mu, t_weight(mu)); t_weight refuses what the
+    # product cannot hold
     mu = make_measure([(Position(F(1), 1, F(2)), F(1, 2)), (2, F(1, 2))],
                       base=F(2))
     with pytest.raises(MeasureError, match="t_weight at irrational position"):
-        t_products(mu)
+        t_weight(mu)
 
 
 @pytest.mark.parametrize("bits", [None, 128])
@@ -331,7 +308,7 @@ def test_t_products_refuses_mass_at_the_origin(bits):
         mu = mu.to_real(bits)
     with pytest.raises(ZeroAtomError, match="t_weight requires a measure "
                        "without mass at the origin"):
-        t_products(mu)
+        t_weight(mu)
 
 
 @settings(max_examples=150)

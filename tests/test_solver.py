@@ -24,6 +24,8 @@ from alsq.measures import (
     MeasureError,
     Position,
     ZeroAtomError,
+    _FACTOR_ROUNDINGS,
+    _product_radius,
     convolve,
     dirac,
     int_keys,
@@ -35,7 +37,6 @@ from alsq.measures import (
     save_measure,
     scale_positions,
     square_products,
-    t_products,
     t_weight,
     table,
 )
@@ -454,8 +455,8 @@ def test_peel_matches_fraction_reference_at_cancellation(bits):
 
 @st.composite
 def _product_targets(draw):
-    """Factors of mu * t(mu) or mu * mu, rational or real, with the
-    configuration to peel them at."""
+    """The factor of mu * mu, rational or real, with the configuration to
+    peel it at."""
     if draw(st.booleans()):
         mu = draw(_small_measures())
     else:
@@ -464,16 +465,9 @@ def _product_targets(draw):
             position_style=draw(st.sampled_from(["geometric",
                                                  "random"])))).measure
     bits = draw(st.sampled_from([None, 64, 128]))
-    radical = any(pos.k for pos in mu.support)
-    if bits is None and radical:
-        bits = 128  # t_weight at a radical position needs real masses
-    config = SolverConfig() if bits is None else SolverConfig(bits)
-    if bits is not None:
-        mu = mu.to_real(bits)
-    prec = config.precision_bits
-    if draw(st.booleans()):
-        return mu, t_weight(mu, prec), config
-    return mu, mu, config
+    if bits is None:
+        return mu, SolverConfig()
+    return mu.to_real(bits), SolverConfig(bits)
 
 
 @settings(max_examples=120, deadline=None)
@@ -482,11 +476,10 @@ def test_peel_of_product_table_matches_peel_of_measure(case):
     # the peel that reads the product table of the pair loop gives, field
     # for field, the peel of the measure convolve builds, tabled with the
     # product table's radius (0 in rational mode)
-    mu, nu, config = case
+    mu, config = case
     bits = config.precision_bits
-    tabled = (square_products(mu, bits) if nu is mu
-              else t_products(mu, bits))
-    again = table(convolve(mu, nu, bits), bits, tabled.radius)
+    tabled = square_products(mu, bits)
+    again = table(convolve(mu, mu, bits), bits, tabled.radius)
     assert _peel_fields(next(solver._peel(tabled, config))()) == \
         _peel_fields(next(solver._peel(again, config))())
     assert (tabled.keys, tabled.scale) == (again.keys, again.scale)
@@ -537,7 +530,7 @@ def test_transform_refutation_forms_no_product_table(monkeypatch):
     # gen --p 400 --seed 1 is refuted from the signed root of mu: neither
     # the table of mu * t(mu) nor a witness's square is formed
     calls = []
-    for name in ("t_products", "square_products"):
+    for name in ("convolve", "square_products"):
         monkeypatch.setattr(solver, name,
                             lambda *args, name=name: calls.append(name))
     mu = generate(GeneratorSpec(400, "arbitrary", 1)).measure
@@ -1376,6 +1369,84 @@ def test_verdict_output_is_pinned():
             digest.update(_verdict_record(mu.to_real(bits),
                                           SolverConfig(bits)).encode())
     assert digest.hexdigest() == VERDICT_DIGEST
+
+
+# SHA-256 of the transform verdict, JSON and text, of each measure of
+# :func:`_radical_cases`, exact and at 24 and 128 bits: the output of the
+# radical-position branch, which a change in how the table of mu * t(mu)
+# is built must not move
+RADICAL_TRANSFORM_DIGEST = (
+    "5a43c335f8934985c4155ac498edf29104613fc07b0a68686aeca88b400b1468")
+
+
+def _radical_cases():
+    """Seeded measures over the radical bases 2, 3 and 5/2: uniformly
+    radical and mixed supports, and squares of roots on the powers of
+    c*sqrt(b) with their top-doubled twins."""
+    rng = random.Random(32)
+    cases = []
+    for base in (F(2), F(3), F(5, 2)):
+        for uniform in (True, False):
+            for _ in range(8):
+                atoms = {}
+                for n in range(rng.randint(1, 6)):
+                    k = 1 if uniform or not n else rng.randint(0, 1)
+                    q = F(rng.randint(1, 12), rng.randint(1, 3))
+                    atoms[Position(q, k, base)] = F(rng.randint(1, 9),
+                                                    rng.randint(1, 5))
+                cases.append(make_measure(list(atoms.items()), base=base))
+        for _ in range(4):
+            step = Position(rng.choice((F(1), F(3, 2), F(2))), 1, base)
+            root = make_measure(
+                [(step.power(i + 1), F(rng.randint(1, 9), rng.randint(1, 5)))
+                 for i in range(rng.randint(2, 5))], base=base)
+            square = convolve(root, root)
+            atoms = list(square.atoms)
+            atoms[-1] = (atoms[-1][0], 2 * atoms[-1][1])
+            cases += [square, make_measure(atoms, base=base)]
+    return cases
+
+
+def test_radical_transform_output_is_pinned():
+    # verdicts refuses radical positions, so the pin above does not reach
+    # the branch of aluthge_subnormal that peels the table of mu * t(mu)
+    digest = hashlib.sha256()
+    outcomes = set()
+    for mu in _radical_cases():
+        for bits in (None, 24, 128):
+            verdict = (aluthge_subnormal(mu) if bits is None else
+                       aluthge_subnormal(mu.to_real(bits), SolverConfig(bits)))
+            outcomes.add(verdict.outcome)
+            digest.update((json.dumps(verdict.to_json_dict(), sort_keys=True)
+                           + verdict.render() + "\n").encode())
+    assert outcomes == {WITNESS, IMPOSSIBLE, UNDETERMINED}
+    assert digest.hexdigest() == RADICAL_TRANSFORM_DIGEST
+
+
+def test_radical_transform_peels_the_table_of_its_product(monkeypatch):
+    # the table peeled for radical positions is that of
+    # convolve(mu, t_weight(mu)), with the radius of a sum of products of
+    # two masses within eps, the roundings its factors carry and its own
+    peeled = []
+    peel = solver._peel
+
+    def spy(target, config, signed=True):
+        peeled.append(target)
+        return peel(target, config, signed)
+
+    monkeypatch.setattr(solver, "_peel", spy)
+    eps = F(1, 2 ** 70)
+    for mu in _radical_cases()[::3]:
+        mu = mu.to_real(128)
+        peeled.clear()
+        aluthge_subnormal(mu, SolverConfig(128, eps))
+        expected = table(convolve(mu, t_weight(mu, 128), 128), 128,
+                         _product_radius(eps, 2 * _FACTOR_ROUNDINGS + 1, 128))
+        [got] = peeled
+        assert (got.keys, got.scale, got.radius) == \
+            (expected.keys, expected.scale, expected.radius)
+        assert [F(n, got.den) for n in got.masses] == \
+            [F(n, expected.den) for n in expected.masses]
 
 
 def test_real_square_root_verdict_is_the_first_verdict_peel(monkeypatch):

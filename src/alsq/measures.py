@@ -20,11 +20,10 @@ fills it while it sorts the atoms, and the operations that keep the
 support (:func:`with_weights`, :func:`t_weight`, :func:`strip_zero_atom`)
 pass it on.  Positions are read off keys (:func:`_key_position`).  One pair
 loop (:func:`_pair_products`), which forms each unordered pair of atoms
-once, squares a measure: :func:`square_products` tables a witness's
-square, and the solver runs it on the masses of a signed root.
-:func:`convolve` multiplies measures on any two supports with its own loop
-over the ordered pairs; the solver tables convolve(mu, t_weight(mu)) for
-radical positions only.
+once, forms every product: :func:`square_products` tables a witness's
+square, the solver runs it on the masses of a signed root, and
+:func:`convolve` runs it on the union of any two supports.  The solver
+tables convolve(mu, t_weight(mu)) for radical positions only.
 
 Real-mode branches get :mod:`alsq.reals` from ``real_arithmetic`` once per
 call; rational ones never load mpmath.
@@ -521,13 +520,14 @@ _FACTOR_ROUNDINGS = 10
 
 
 @lru_cache(maxsize=256)
-def _product_radius(eps: Fraction, k: int, bits: int) -> Fraction:
+def _product_radius(eps: Fraction, bits: int) -> Fraction:
     """The relative radius of a sum of products of two masses, each within
-    relative ``eps`` of its value, computed with k roundings to nearest at
-    ``bits``: (1 + eps)^2 (1 + g) - 1, where g bounds |y - x| / y for y the
-    result of k such roundings on x, (1 - 2^-bits)^-k - 1 <= k / (2^bits -
-    k)."""
-    n = 1 << bits
+    relative ``eps`` of its value, computed with the k = 2 *
+    ``_FACTOR_ROUNDINGS`` + 1 roundings to nearest at ``bits`` that its
+    factors and the sum carry: (1 + eps)^2 (1 + g) - 1, where g bounds
+    |y - x| / y for y the result of k such roundings on x,
+    (1 - 2^-bits)^-k - 1 <= k / (2^bits - k)."""
+    n, k = 1 << bits, 2 * _FACTOR_ROUNDINGS + 1
     g = Fraction(k, n - k) if n > k else Fraction(n, n - 1) ** k - 1
     return (1 + eps) ** 2 * (1 + g) - 1
 
@@ -546,8 +546,7 @@ def square_products(mu: AtomicMeasure,
     radius = Fraction(0)
     if mu.mode == REAL:
         squares, den = real_arithmetic().round_dyadic(squares, den, bits)
-        radius = _product_radius(Fraction(0), 2 * _FACTOR_ROUNDINGS + 1,
-                                 bits)
+        radius = _product_radius(Fraction(0), bits)
     return Table(mu.base, mu.mode, order, scale * scale, squares, den, radius)
 
 
@@ -556,11 +555,11 @@ def _pair_products(keys: List[int], left: List[int],
     """The product table of the masses a = ``left`` and b = ``right`` on
     one support of int ``keys``: the product keys in ascending order and
     their masses.  Each unordered pair i < j is formed once, with mass
-    a_i b_j + a_j b_i, each atom with itself with mass a_j b_j, and
-    products on one key merge; a merged mass may be 0.  K_i*K_j needs no
-    gcd to reach the scale scale^2: for each prime, an atom whose squared
-    denominator carries the scale's full power of it has a key prime to
-    it."""
+    a_i b_j + a_j b_i, each atom with itself with mass a_j b_j, products
+    on one key merge, and a merged mass of 0 is dropped.  On the support of
+    one measure K_i*K_j needs no gcd to reach the scale scale^2: for each
+    prime, an atom whose squared denominator carries the scale's full power
+    of it has a key prime to it."""
     merged = {}
     rows = list(zip(keys, left, right))
     for j, (kj, aj, bj) in enumerate(rows):
@@ -572,7 +571,7 @@ def _pair_products(keys: List[int], left: List[int],
                 merged[key] = ai * bj + aj * bi
         # the keys ascend strictly, so K_j^2 exceeds every key formed so far
         merged[kj * kj] = aj * bj
-    order = sorted(merged)
+    order = sorted([key for key, mass in merged.items() if mass])
     return order, [merged[key] for key in order]
 
 
@@ -582,11 +581,13 @@ def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION
 
     No scalar object is built per pair, and one position and one mass per
     product.  The masses of each factor are int numerators over one
-    denominator (:func:`numerators`), so every sum of pair products is
-    exact; in real mode each sum is then rounded once to nearest at
-    ``bits``.  A product's key is the product of its factors' keys, divided
-    by the gcd that brings the keys to the scale :func:`int_keys` gives
-    them, and its position is read off that key (:func:`_key_position`)."""
+    denominator (:func:`numerators`), multiplied by the pair loop
+    (:func:`_pair_products`) on the union of the two supports, so every sum
+    of pair products is exact; in real mode each sum is then rounded once
+    to nearest at ``bits``.  A product's key is the product of its factors'
+    keys, divided by the gcd that brings the keys to the scale
+    :func:`int_keys` gives them, and its position is read off that key
+    (:func:`_key_position`)."""
     mu.require_no_zero_atom("convolve")
     nu.require_no_zero_atom("convolve")
     base = _common_base(mu, nu)
@@ -602,16 +603,12 @@ def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION
         scale = lcm(mu_scale, nu_scale)
         mu_keys = [key * (scale // mu_scale) for key in mu_keys]
         nu_keys = [key * (scale // nu_scale) for key in nu_keys]
-    merged = {}
-    for kx, wx in zip(mu_keys, mu_masses):
-        for ky, wy in zip(nu_keys, nu_masses):
-            key = kx * ky
-            if key in merged:
-                merged[key] += wx * wy
-            else:
-                merged[key] = wx * wy
-    order = sorted(merged)
-    masses, den = [merged[key] for key in order], mu_den * nu_den
+    # both factors on the union of the supports, of mass 0 off their own
+    keys = sorted({*mu_keys, *nu_keys})
+    left, right = [[by_key.get(key, 0) for key in keys] for by_key in (
+        dict(zip(mu_keys, mu_masses)), dict(zip(nu_keys, nu_masses)))]
+    order, masses = _pair_products(keys, left, right)
+    den = mu_den * nu_den
     # the squares of the products are the keys over scale^2, so the lcm of
     # their denominators is scale^2 / g (g = 1 when nu has the support of mu)
     g = gcd(scale * scale, *order) if scale > 1 else 1

@@ -50,8 +50,9 @@ radical positions, that of convolve(mu, t_weight(mu)).  The witness check
 compares the table of the witness's square
 (:func:`alsq.measures.square_products`) with the target's; the transform
 of the signed peel re-squares Q against mu instead, and both end in one
-comparison of masses (:func:`_matches`).  Both squares come from one pair
-loop, which forms each unordered pair of atoms once.
+comparison of masses (:func:`_matches`).  Both squares, and the product
+convolve(mu, t_weight(mu)), come from one pair loop, which forms each
+unordered pair of atoms once and drops a product of merged mass 0.
 A position or a Fraction is built only for what a verdict prints.
 
 The decision path takes its precision explicitly from ``SolverConfig``:
@@ -80,7 +81,6 @@ from .measures import (
     AtomicMeasure,
     MeasureError,
     Table,
-    _FACTOR_ROUNDINGS,
     _key_position,
     _pair_products,
     _position,
@@ -528,11 +528,9 @@ def _squares_back(root: list, keys: List[int], nums: List[int],
     masses = [n * powers[top - e] for _, n, e in live]
     order, squares = _pair_products([key for key, _, _ in live], masses,
                                     masses)
-    square = [(key, m) for key, m in zip(order, squares) if m]
-    if [key for key, _ in square] != [k * keys[0] for k in keys]:
+    if order != [k * keys[0] for k in keys]:
         return False
-    return _matches([m for _, m in square], powers[2 * top], nums, nums[0],
-                    radii, 0)
+    return _matches(squares, powers[2 * top], nums, nums[0], radii, 0)
 
 
 def _matches(square: List[int], sden: int, target: List[int], tden: int,
@@ -808,8 +806,7 @@ def aluthge_subnormal(
         mu = mu.to_real(bits)
         notes.append("irrational positions: masses analysed numerically")
     target = table(convolve(mu, t_weight(mu, bits), bits), bits,
-                   _product_radius(config.radius, 2 * _FACTOR_ROUNDINGS + 1,
-                                   bits))
+                   _product_radius(config.radius, bits))
     return _transform(mu, target, next(_peel(target, config))(), config,
                       notes, target)
 

@@ -267,6 +267,39 @@ def test_int_keyed_convolve_matches_position_products(pair):
         assert [w for _, w in out.atoms] == [w for _, w in expected]
 
 
+def _random_factor(rng, base, top_den):
+    """2..8 atoms q*sqrt(base)^k, k mixed, q of denominator up to
+    ``top_den``, with rational masses."""
+    atoms = {}
+    for _ in range(rng.randint(2, 8)):
+        pos = Position(F(rng.randint(1, 30), rng.randint(1, top_den)),
+                       rng.randint(0, 1), base)
+        atoms[pos.squared()] = (pos, F(rng.randint(1, 20), rng.randint(1, 9)))
+    return make_measure(list(atoms.values()), base=base)
+
+
+def test_convolve_on_distinct_supports_matches_dict_products():
+    # convolve puts both factors on the union of their supports, with mass
+    # 0 off their own; the reference multiplies plain Fraction dicts keyed
+    # by squared position, as the benchmark oracle keys measures
+    rng = random.Random(33)
+    for base in (F(1), F(2), F(5, 2)):
+        for _ in range(40):
+            mu = _random_factor(rng, base, 2)
+            nu = _random_factor(rng, base, 7)
+            expected = {}
+            for x, a in mu.atoms:
+                for y, b in nu.atoms:
+                    key = x.squared() * y.squared()
+                    expected[key] = expected.get(key, 0) + a * b
+            for out in (convolve(mu, nu), convolve(nu, mu)):
+                assert [(pos.squared(), w) for pos, w in out.atoms] == \
+                    sorted(expected.items())
+            real_mu, real_nu = mu.to_real(24), nu.to_real(24)
+            assert dumps_measure(convolve(real_mu, real_nu, 24)) == \
+                dumps_measure(convolve(real_nu, real_mu, 24))
+
+
 @settings(max_examples=150)
 @given(keyed_pairs())
 def test_product_table_matches_its_measure(pair):
@@ -496,6 +529,47 @@ def test_zero_atom_blocks_other_operations():
                lambda m: power_positions(m, 2)):
         with pytest.raises(ZeroAtomError):
             op(mu)
+
+
+_ROOT2, _ROOT3 = Position(F(1), 1, F(2)), Position(F(1), 1, F(3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: make_measure([(1, 0)]), MeasureError,
+     "weight at 1 must be positive, got 0"),
+    (lambda: make_measure([(1, -1)]), MeasureError,
+     "weight at 1 must be positive, got -1"),
+    (lambda: make_measure([(1, 1)], mode="x"), MeasureError,
+     "unknown scalar mode 'x'"),
+    (lambda: make_measure([(0, -1), (1, 1)]), MeasureError,
+     "mass at the origin must be positive"),
+    (lambda: make_measure([(1, mpf(1))]), MeasureError,
+     "rational mode cannot hold floating weights"),
+    (lambda: _ROOT2.rebase(F(3)), IncompatibleBasesError,
+     r"cannot move radical position sqrt\(2\) to base 3"),
+    (lambda: _ROOT2 / _ROOT3, IncompatibleBasesError,
+     "positions over different radical bases: 2 vs 3"),
+    (lambda: _ROOT2.power(0), MeasureError,
+     "positions admit positive integer powers only"),
+    (lambda: _ROOT2.as_fraction(), MeasureError,
+     r"sqrt\(2\) is irrational"),
+    (lambda: moment(dirac(1), -1), MeasureError,
+     "moment order must be nonnegative"),
+    (lambda: strip_zero_atom(AtomicMeasure(F(1), RATIONAL, (), F(1))),
+     MeasureError, "measure carries mass only at the origin"),
+], ids=["weight-0", "weight-negative", "mode", "origin-negative",
+        "floating-weight", "rebase", "quotient", "power-0", "as-fraction",
+        "moment-order", "origin-only"])
+def test_measure_api_errors_name_their_cause(call, error, message):
+    # the loader checks documents before these, so the CLI never reaches them
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_position_order_and_origin_mass_print():
+    assert Position.of(1) <= Position.of(2)
+    assert not Position.of(2) <= Position.of(1)
+    assert str(make_measure([(0, F(1, 2)), (1, 1)])) == "1/2*d(0) + 1*d(1)"
 
 
 def test_normalize_examples():

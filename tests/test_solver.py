@@ -24,7 +24,6 @@ from alsq.measures import (
     MeasureError,
     Position,
     ZeroAtomError,
-    _FACTOR_ROUNDINGS,
     _product_radius,
     convolve,
     dirac,
@@ -718,6 +717,43 @@ def test_transform_separates_from_the_square_root_at_p9():
         (Position.of(ratio ** k), F(m)) for k, m in enumerate(berger)]
     assert berger == [1, 5, F(11, 4), F(45, 8), F(349, 8), F(75, 8),
                       F(63, 4), F(405, 8), F(81, 4)]
+
+
+# signed Q at 2^0..2^6 whose square mu has 13 positive atoms
+_Q13 = {F(2) ** k: F(m) for k, m in
+        enumerate([5, F(5, 2), 5, F(-5, 3), 3, 4, 2])}
+
+
+def test_transform_separates_at_p13_where_n_cancels_exactly():
+    # mu = Q * Q has no square root; the transform is subnormal with
+    # Berger measure N = Q * t(Q), whose atom at 8 cancels exactly
+    q = _Q13
+    square = _dict_product(q, q)
+    assert len(square) == 13 and all(m > 0 for m in square.values())
+    berger = _dict_product(q, {x: m * x for x, m in q.items()})
+    assert sorted(berger) == [2 ** k for k in range(13) if k != 3]
+    mu = make_measure(list(square.items()))
+    root = sqrt_of(mu)
+    assert root.outcome == IMPOSSIBLE
+    assert root.certificate.rule == "peel-nonpositive-mass"
+    verdict = aluthge_subnormal(mu)
+    assert verdict.outcome == WITNESS
+    assert list(verdict.witness.atoms) == [
+        (Position.of(x), berger[x]) for x in sorted(berger)]
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24, 32])
+def test_real_transform_with_a_negative_midpoint_of_n_is_undetermined(bits):
+    # at these precisions the ball of N's exact zero at 8 has a negative
+    # midpoint, so the real transform cannot tell N >= 0 from N < 0 there
+    mu = make_measure(list(_dict_product(_Q13, _Q13).items())).to_real(bits)
+    root, transform = verdicts(mu, SolverConfig(bits))
+    assert root.outcome == IMPOSSIBLE
+    assert root.certificate.rule == "peel-nonpositive-mass"
+    assert transform.outcome == UNDETERMINED
+    assert transform.notes == (
+        "an atom of N = Q*t(Q) has a negative midpoint and a mass bound "
+        "that includes 0",)
 
 
 def _decision_cases():
@@ -1441,7 +1477,7 @@ def test_radical_transform_peels_the_table_of_its_product(monkeypatch):
         peeled.clear()
         aluthge_subnormal(mu, SolverConfig(128, eps))
         expected = table(convolve(mu, t_weight(mu, 128), 128), 128,
-                         _product_radius(eps, 2 * _FACTOR_ROUNDINGS + 1, 128))
+                         _product_radius(eps, 128))
         [got] = peeled
         assert (got.keys, got.scale, got.radius) == \
             (expected.keys, expected.scale, expected.radius)

@@ -664,9 +664,9 @@ def power_sums(mu: AtomicMeasure, count: int,
     # order a radical term gains sqrt(s)^2 = s
     steps = [[c.numerator * (scale // c.denominator) * s ** (k & odd)
               for c, k in zip(cs, ks)] for odd in (0, 1)]
-    terms, sums = masses, []
+    terms, sums, radical = masses, [], any(ks)
     for n in range(count):
-        b = sum([t for t, k in zip(terms, ks) if k]) if n & 1 else 0
+        b = sum([t for t, k in zip(terms, ks) if k]) if radical and n & 1 else 0
         sums.append((sum(terms) - b, b))
         if n < count - 1:
             terms = [t * a for t, a in zip(terms, steps[n & 1])]

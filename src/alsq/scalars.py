@@ -84,6 +84,18 @@ class Record:
         return f"{self.__class__.__qualname__}({shown})"
 
 
+class Powers(dict):
+    """The powers of one int, each computed on first use."""
+
+    def __init__(self, base: int):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, exponent: int) -> int:
+        value = self[exponent] = self.base ** exponent
+        return value
+
+
 @functools.cache
 def real_arithmetic():
     """The module :mod:`alsq.reals`, imported on the first call.
@@ -222,58 +234,6 @@ def float_str(man: int, exp: int, digits: int = 15) -> str:
     n += 2 * rem >= den
     if n == 10 * low:
         n, e = low, e + 1
-    return _decimal_text(n, e, digits)
-
-
-# the largest x or y whose root :func:`root_str` takes in decimal: beyond
-# it scaling by a power of ten costs more than the binary rounding saves
-# (on the 100-row table of `gen --p 400 --seed 1`, without this bound the
-# entries took 0.10 s in decimal against 0.06 s rounded in binary)
-_ROOT_STR_BITS = 2048
-
-
-def root_str(x: tuple, y: tuple, r: int, bits: int, s: int = 1) -> str:
-    """``float_str`` of ``round_root(x, y, r, bits, s)``, the text of the
-    value rounded at ``bits``, mostly without rounding at ``bits``.
-
-    For rational x / y one integer root gives t = floor(v 10^f), the exact
-    v = (x / y)^(1/r) to 15 + 3 (or 4) decimal digits.  The value rounded
-    at ``bits`` lies within v 2^-bits of v, that is within m =
-    floor(t 2^-bits) + 1 units of t.  Unless that band reaches the tie of
-    the 3 (or 4) digits after the 15th, or reaches below 10^e when t is
-    10^17 (or 10^18) and a little, it rounds to 15 digits as v does.
-    Otherwise, for a radical x or y, and for an x or y of more than
-    ``_ROOT_STR_BITS`` bits, this is ``float_str(round_root(...))``."""
-    (x0, x1), (y0, y1) = x, y
-    if not (x1 or y1) and max(x0, y0).bit_length() <= _ROOT_STR_BITS:
-        # e <= floor(log10(v)) <= e + 1 (log10 of ints of up to 2048 bits
-        # is off by under 1e-12), so t has 18 or 19 digits, and n 15
-        e = math.floor((math.log10(x0) - math.log10(y0)) / r - 1e-9)
-        up = r * (17 - e)
-        q = x0 * 10 ** up // y0 if up >= 0 else x0 // (y0 * 10 ** -up)
-        t = q if r == 1 else math.isqrt(q) if r == 2 else math.isqrt(math.isqrt(q))
-        if t < 10 ** 18:
-            (n, rem), half = divmod(t, 1000), 500
-        else:
-            (n, rem), half, e = divmod(t, 10000), 5000, e + 1
-        m = (t >> bits) + 1
-        # the value at bits is within m units of t: its text is that of n
-        # or n + 1 unless that band reaches the tie at half, or for n = 10^14
-        # reaches below 10^e where 10^e is no bits-bit binary value
-        if rem + 1 + m <= half:
-            if rem >= m or n > 10 ** 14 or 0 <= e and 5 ** e >> bits == 0:
-                return _decimal_text(n, e, 15)
-        elif rem - m >= half:
-            n += 1
-            return (_decimal_text(n, e, 15) if n < 10 ** 15
-                    else _decimal_text(n // 10, e + 1, 15))
-    _, man, exp, _ = round_root(x, y, r, bits, s)
-    return float_str(man, exp)
-
-
-def _decimal_text(n: int, e: int, digits: int) -> str:
-    """The value n 10^(e + 1 - digits), n of ``digits`` digits, in mpmath's
-    ``to_str`` layout."""
     text = str(n).rstrip("0")
     if 0 <= e < digits:
         if len(text) > e + 1:

@@ -7,9 +7,11 @@ Aluthge transform is again a shift with weights sqrt(alpha_n alpha_{n+1}),
 shift-table entry is such a closed form in the moments, summed exactly on
 ints (a real mass is dyadic; an odd moment at radical positions lies in
 sqrt(s)*Q), and is the exact value rounded once to nearest at the working
-precision; a rational measure's tables load no mpmath.  The printed tables
-(:func:`shift_text_rows`) hold 15 digits of those rounded values, read off
-the exact value where the rounding cannot change them.  Positive
+precision; a rational measure's tables load no mpmath.  The closed forms
+of a table are built once, row by row (:func:`_entries`).  The printed
+tables (:func:`shift_text_rows`) hold 15 digits of those rounded values,
+all made in one call of ``root_texts``, which reads them off the exact
+value where the rounding cannot change them.  Positive
 semidefiniteness of Hankel matrices of moments is decided exactly, and
 the minimal recurrence of the moments is read off the support: p atoms of
 positive mass make the p x p Hankel matrix positive definite, so no
@@ -30,8 +32,8 @@ from .measures import (
     numerators,
     power_sums,
 )
-from .scalars import (DEFAULT_PRECISION_BITS, real_arithmetic, root_str,
-                      round_root)
+from .scalars import (DEFAULT_PRECISION_BITS, Powers, float_str,
+                      real_arithmetic, round_root)
 
 # how far below 0 :func:`hankel_psd` lets the least eigenvalue go, per trace
 HANKEL_TOLERANCE = Fraction(1, 2 ** 64)
@@ -42,52 +44,124 @@ def _times(x: tuple, y: tuple, s: int) -> tuple:
     return x[0] * y[0] + x[1] * y[1] * s, x[0] * y[1] + x[1] * y[0]
 
 
-# entry n of the columns alpha, transformed alpha, g_n / g_0 and transformed
-# g_n as (x, y, r), the r-th root of x / y, for the moment numerators G
-_COLUMNS = (
-    lambda G, s, n: (G[n + 1], G[n], 2),
-    lambda G, s, n: (G[n + 2], G[n], 4),
-    lambda G, s, n: (G[n], G[0], 1),
-    lambda G, s, n: (_times(G[n], G[n + 1], s), _times(G[0], G[1], s), 2),
-)
-
-
-def _column(sums: tuple, column: int, count: int, bits: int,
-            entry=round_root) -> list:
-    """Entries 0 .. count-1 of a column, each ``entry(x, y, r, bits, s)``
-    of its closed form: by default the exact value rounded once."""
-    if count < 1:
+def _entries(mu: AtomicMeasure, terms: int, bits: int) -> tuple:
+    """The closed forms (x, y, r), the r-th root of x / y, of rows
+    0 .. terms-1 row by row: alpha_n, transformed alpha_n, g_n / g_0 and
+    transformed g_n in the moment numerators; and s."""
+    if terms < 1:
         raise MeasureError("at least one weight must be requested")
-    gammas, _, s = sums
-    return [entry(*_COLUMNS[column](gammas, s, n), bits, s)
-            for n in range(count)]
+    G, _, s = power_sums(mu, terms + 2, bits)
+    g0g1 = _times(G[0], G[1], s)
+    entries = []
+    for n in range(terms):
+        entries += [(G[n + 1], G[n], 2), (G[n + 2], G[n], 4), (G[n], G[0], 1),
+                    (_times(G[n], G[n + 1], s), g0g1, 2)]
+    return entries, s
 
 
 def shift_rows(mu: AtomicMeasure, terms: int,
                bits: int = DEFAULT_PRECISION_BITS) -> List[Tuple[tuple, ...]]:
     """Rows n < terms of (alpha_n, transformed alpha_n, g_n / g_0,
     transformed g_n): raw mpf values built on ints, each rounded once."""
-    return _rows(mu, terms, bits, round_root)
+    entries, s = _entries(mu, terms, bits)
+    values = [round_root(x, y, r, bits, s) for x, y, r in entries]
+    return list(zip(*[iter(values)] * 4))
 
 
 def shift_text_rows(mu: AtomicMeasure, terms: int,
                     bits: int = DEFAULT_PRECISION_BITS) -> List[Tuple[str, ...]]:
     """:func:`shift_rows` with each entry as ``float_str`` prints it to 15
-    digits, made by ``root_str`` mostly without rounding at ``bits``."""
-    return _rows(mu, terms, bits, root_str)
+    digits, made by ``root_texts`` mostly without rounding at ``bits``."""
+    entries, s = _entries(mu, terms, bits)
+    return list(zip(*[iter(root_texts(entries, bits, s))] * 4))
 
 
-def _rows(mu: AtomicMeasure, terms: int, bits: int, entry) -> list:
-    sums = power_sums(mu, terms + 2, bits)
-    return list(zip(*[_column(sums, column, terms, bits, entry)
-                      for column in range(4)]))
+# the largest x or y whose root :func:`root_texts` takes in decimal: it
+# keeps the powers of ten in ``_TENS`` below 10^700, about 100 KB in all.
+# Decimal is not slower beyond it (on a 2-core host the 400 texts of the
+# 100-row table of `gen --p 400 --seed 1` at 128 bits take 54 ms with this
+# bound and 23 ms without), but that one table would leave 1.4 MiB of
+# powers of ten in the cache
+_ROOT_STR_BITS = 2048
+
+# the powers of ten :func:`root_texts` scales by, kept across calls (each
+# key only ever gets its one value, so threads may share it)
+_TENS = Powers(10)
+
+
+def root_texts(entries, bits: int, s: int = 1) -> List[str]:
+    """``float_str`` of ``round_root(x, y, r, bits, s)`` for each closed
+    form (x, y, r) of ``entries``: the text of each value rounded at
+    ``bits``, mostly without rounding at ``bits``.
+
+    For rational x / y one integer root gives t = floor(v 10^f), the exact
+    v = (x / y)^(1/r) to 15 + 3 (or 4) decimal digits.  The value rounded
+    at ``bits`` lies within v 2^-bits of v, that is within m =
+    floor(t 2^-bits) + 1 units of t.  Unless that band reaches the tie of
+    the 3 (or 4) digits after the 15th, or reaches below 10^e when t is
+    10^17 (or 10^18) and a little, it rounds to 15 digits as v does.
+    Otherwise, for a radical x or y, and for an x or y of more than
+    ``_ROOT_STR_BITS`` bits, the text is ``float_str(round_root(...))``.
+    The entries of a shift table share their moments, so the log10 of
+    each int, or False past ``_ROOT_STR_BITS``, is taken once per call."""
+    log10, isqrt, tens = math.log10, math.isqrt, _TENS
+    logs, texts = {}, []
+    for x, y, r in entries:
+        (x0, x1), (y0, y1) = x, y
+        if x1 or y1:
+            lx = ly = False
+        else:
+            lx = logs.get(x0)
+            if lx is None:
+                lx = logs[x0] = x0.bit_length() <= _ROOT_STR_BITS and log10(x0)
+            ly = logs.get(y0)
+            if ly is None:
+                ly = logs[y0] = y0.bit_length() <= _ROOT_STR_BITS and log10(y0)
+        if lx is not False and ly is not False:
+            # e <= floor(log10(v)) <= e + 1 (log10 of ints of up to 2048
+            # bits is off by under 1e-12), so t has 18 or 19 digits, and n 15
+            e = math.floor((lx - ly) / r - 1e-9)
+            up = r * (17 - e)
+            q = x0 * tens[up] // y0 if up >= 0 else x0 // (y0 * tens[-up])
+            t = q if r == 1 else isqrt(q) if r == 2 else isqrt(isqrt(q))
+            if t < 10 ** 18:
+                (n, rem), half = divmod(t, 1000), 500
+            else:
+                (n, rem), half, e = divmod(t, 10000), 5000, e + 1
+            m = (t >> bits) + 1
+            # the value at bits is within m units of t: its text is that of
+            # n or n + 1 unless that band reaches the tie at half, or for
+            # n = 10^14 reaches below 10^e where 10^e is no bits-bit value
+            if rem + 1 + m <= half:
+                done = rem >= m or n > 10 ** 14 or 0 <= e and 5 ** e >> bits == 0
+            else:
+                done = rem - m >= half
+                if done:
+                    n += 1
+                    if n == 10 ** 15:
+                        n, e = 10 ** 14, e + 1
+            if done:
+                # n 10^(e - 14) as :func:`float_str` lays it out
+                text = str(n).rstrip("0")
+                if 0 <= e < 15:
+                    if len(text) > e + 1:
+                        texts.append(f"{text[:e + 1]}.{text[e + 1:]}")
+                    else:
+                        texts.append(text.ljust(e + 1, "0") + ".0")
+                elif -5 < e < 0:
+                    texts.append("0." + "0" * (-e - 1) + text)
+                else:
+                    texts.append(f"{text[0]}.{text[1:] or '0'}e{e:+d}")
+                continue
+        _, man, exp, _ = round_root(x, y, r, bits, s)
+        texts.append(float_str(man, exp))
+    return texts
 
 
 def weights_from_measure(mu: AtomicMeasure, count: int,
                          bits: int = DEFAULT_PRECISION_BITS) -> List["mpf"]:
     """Shift weights alpha_0 .. alpha_{count-1} of the normalized measure."""
-    return list(map(real_arithmetic().from_raw, _column(
-        power_sums(mu, count + 1, bits), 0, count, bits)))
+    return _column(mu, 0, count, bits)
 
 
 def aluthge_weights(alpha: Sequence["mpf"],
@@ -118,8 +192,15 @@ def moments_from_weights(alpha: Sequence["mpf"],
 def aluthge_moment_sequence(mu: AtomicMeasure, count: int,
                             bits: int = DEFAULT_PRECISION_BITS) -> List["mpf"]:
     """Moments of the Aluthge-transformed shift, g~_0 .. g~_{count-1}."""
-    return list(map(real_arithmetic().from_raw, _column(
-        power_sums(mu, count + 1, bits), 3, count, bits)))
+    return _column(mu, 3, count, bits)
+
+
+def _column(mu: AtomicMeasure, column: int, count: int, bits: int) -> list:
+    """Entries 0 .. count-1 of one column as mpfs, each rounded once."""
+    entries, s = _entries(mu, count, bits)
+    from_raw = real_arithmetic().from_raw
+    return [from_raw(round_root(x, y, r, bits, s))
+            for x, y, r in entries[column::4]]
 
 
 def hankel_psd(

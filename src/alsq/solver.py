@@ -97,6 +97,7 @@ from .measures import (
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
+    Powers,
     Record,
     Scalar,
     real_arithmetic,
@@ -218,18 +219,6 @@ class Peel(Record):
         object.__setattr__(self, "maybe", maybe)
 
 
-class _Powers(dict):
-    """The powers of one int, each computed on first use."""
-
-    def __init__(self, base: int):
-        super().__init__()
-        self.base = base
-
-    def __missing__(self, exponent: int) -> int:
-        value = self[exponent] = self.base ** exponent
-        return value
-
-
 # the atoms the signed root of real masses may have per atom of mu; seeded
 # squares, their twins and perturbed squares, at 64 and 128 bits and boxes
 # up to 1/1000, needed at most 1.6
@@ -251,7 +240,7 @@ def _spread(top: int, bottom: int) -> Tuple[int, int]:
 
 
 def _add(acc: dict, heap: list, key: int, n: int, e: int,
-         powers: _Powers) -> None:
+         powers: Powers) -> None:
     """Add n / D^e to the mass at ``key`` in ``acc``, a dict of int pairs
     (n, e) whose keys are also in ``heap``."""
     if key in acc:
@@ -376,7 +365,7 @@ def _peel(target: Table, config: SolverConfig,
         nums = [n << shift for n in nums]
     n1 = nums[0]
     d = 2 * n1
-    powers = _Powers(d)
+    powers = Powers(d)
     k1 = keys[0]
     # target atom j sits at K_j*K_1 with mass 2*N_j / D relative to a_1;
     # atom 0 is the square of the first root atom.  The keys ascend, so
@@ -517,7 +506,7 @@ def _peel(target: Table, config: SolverConfig,
 
 
 def _squares_back(root: list, keys: List[int], nums: List[int],
-                  powers: _Powers, radii: tuple) -> bool:
+                  powers: Powers, radii: tuple) -> bool:
     """Whether the root atoms (key, n, e, R) of nonzero mass n / D^e square
     back to the target of int keys ``keys`` and numerators ``nums``, whose
     masses relative to a_1 are N_j / N_1: exactly for no ``radii``, or
@@ -553,7 +542,7 @@ def _matches(square: List[int], sden: int, target: List[int], tden: int,
 
 
 def _add_pairs(found: dict, heap: list, root: list, start: int,
-               powers: _Powers, balls: Optional[tuple] = None) -> dict:
+               powers: Powers, balls: Optional[tuple] = None) -> dict:
     """Add the pairs a <= b of root atoms with b >= start to N, ``found``;
     for balls, ``balls`` holds N's radii, a spare heap and the radii of
     the root atoms, and the radii of the terms go to N's."""
@@ -573,7 +562,7 @@ def _add_pairs(found: dict, heap: list, root: list, start: int,
 
 
 def _finalize(target: Table, found: dict, heap: list, bound: Optional[int],
-              final: list, powers: _Powers, balls: Optional[tuple] = None,
+              final: list, powers: Powers, balls: Optional[tuple] = None,
               value: Callable = Fraction) -> Optional[Violation]:
     """Move the atoms of N below ``bound`` (all for None) to ``final`` as
     (key, n, e), dropping 0s, and refute at the first negative one (for

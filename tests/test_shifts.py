@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import mpmath
 import pytest
 from mpmath import mpf, workprec
 
-from alsq import scalars, selftest
+from alsq import selftest, shifts
 from alsq.analyze import shift_table
 from alsq.generator import GeneratorSpec, generate
 from alsq.measures import (
@@ -18,7 +20,7 @@ from alsq.measures import (
 )
 from alsq.reals import (from_raw, mpf_pos, mpf_to_fraction, round_nearest,
                         to_mpf)
-from alsq.scalars import float_str, root_str, round_root
+from alsq.scalars import float_str, round_root
 from alsq.shifts import (
     HANKEL_TOLERANCE,
     aluthge_moment_sequence,
@@ -26,6 +28,7 @@ from alsq.shifts import (
     hankel_psd,
     moment_sequence,
     moments_from_weights,
+    root_texts,
     shift_rows,
     support_characteristic,
     weights_from_measure,
@@ -235,11 +238,11 @@ def _planted_entries():
 def test_shift_table_text_is_float_str_of_the_rounded_entry(monkeypatch):
     """``analyze.shift_table`` prints each entry as ``float_str`` prints the
     value ``shift_rows`` rounds at ``bits``, byte for byte, though
-    ``root_str`` rounds at ``bits`` only near a decimal tie: on rational,
+    ``root_texts`` rounds at ``bits`` only near a decimal tie: on rational,
     radical and real-mode measures and on planted ties, with both of its
     paths taken at 53 bits and up."""
     exact = []
-    monkeypatch.setattr(scalars, "round_root",
+    monkeypatch.setattr(shifts, "round_root",
                         lambda *args: exact.append(args) or round_root(*args))
     planted = _planted_entries()
     for bits in (1, 48, 53, 64, 128, 200):
@@ -248,12 +251,80 @@ def test_shift_table_text_is_float_str_of_the_rounded_entry(monkeypatch):
             assert texts == [tuple(float_str(man, exp) for _, man, exp, _ in row)
                              for row in shift_rows(mu, 12, bits)], (mu, bits)
         del exact[:]
-        for x, y, r in planted:
-            assert root_str(x, y, r, bits) == \
+        texts = root_texts(planted, bits)
+        assert len(texts) == len(planted)
+        for (x, y, r), text in zip(planted, texts):
+            assert text == \
                 float_str(*round_root(x, y, r, bits)[1:3]), (x, y, r, bits)
         assert 0 < len(exact) <= len(planted)
         assert len(exact) == len(planted) if bits == 1 else bits < 53 \
             or len(exact) < len(planted), bits
+
+
+def test_root_texts_keep_the_order_of_a_mixed_batch(monkeypatch):
+    """One ``root_texts`` call on the planted ties and on values laid out
+    in each of ``float_str``'s forms (e <= -5, -5 < e < 0, 0 <= e < 15 and
+    e >= 15), shuffled among radical entries and entries of over
+    ``_ROOT_STR_BITS`` bits that take the exact path: text i is that of
+    entry i."""
+    exact = []
+    monkeypatch.setattr(shifts, "round_root",
+                        lambda *args: exact.append(args) or round_root(*args))
+    rng = random.Random(34)
+    values = [F(rng.randrange(10 ** 8, 10 ** 9), 10 ** 8) * F(10) ** e
+              for e in (-12, -6, -5, -4, -3, -1, 0, 3, 9, 14, 15, 16, 22, 40)]
+    decimal = [((v.numerator ** r, 0), (v.denominator ** r, 0), r)
+               for v in values for r in (1, 2, 4)]
+    radical = [((rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 6)),
+                (rng.randrange(1, 10 ** 6), rng.randrange(0, 10 ** 3)), r)
+               for r in (1, 2, 4) for _ in range(6)]
+    big = [((3 ** 1400 * v.numerator, 0), (3 ** 1400 * v.denominator, 0), 2)
+           for v in values[::3]]
+    entries = _planted_entries() + decimal + radical + big
+    rng.shuffle(entries)
+    for bits in (24, 53, 128):
+        del exact[:]
+        texts = root_texts(entries, bits, 2)
+        assert len(texts) == len(entries)
+        for (x, y, r), text in zip(entries, texts):
+            assert text == float_str(*round_root(x, y, r, bits, 2)[1:3]), \
+                (x, y, r, bits)
+        assert len(radical) + len(big) <= len(exact) <= len(entries)
+        assert bits < 53 or len(exact) < len(entries), bits
+    laid_out = [text for entry, text in zip(entries, texts) if entry in decimal]
+    for form in (lambda t: "e-" in t, lambda t: t.startswith("0."),
+                 lambda t: "e" not in t and not t.startswith("0."),
+                 lambda t: "e+" in t):
+        assert any(map(form, laid_out))
+
+
+# SHA-256 of the shift tables test_shift_text_output_is_pinned prints
+SHIFT_TEXT_DIGEST = \
+    "1c215ba18ee4c9a6d56ee2a6138afa292ac725848538bbc579c624e7174338ce"
+
+
+def test_shift_text_output_is_pinned():
+    """The text of ``analyze.shift_table``, 20 rows, byte for byte, on a
+    seeded p = 3..6 mix of every generator mode at geometric and random
+    positions, each also at radical positions q*sqrt(2): rational masses
+    at 64 bits, ``to_real(53)`` at 53 and ``to_real(128)`` at 128."""
+    digest = hashlib.sha256()
+    for seed in range(16):
+        p = 3 + seed % 4
+        kind = ("with-root", "perturbed", "with-aluthge-root",
+                "arbitrary")[seed // 4]
+        if p == 4 and kind in ("with-root", "with-aluthge-root"):
+            kind = "arbitrary"
+        mu = generate(GeneratorSpec(p, kind, 900 + seed, position_style=(
+            "geometric", "random")[seed % 2])).measure
+        radical = make_measure([(Position(pos.q, 1, F(2)), w)
+                                for pos, w in mu.atoms])
+        for nu in (mu, radical):
+            for masses, bits in ((nu, 64), (nu.to_real(53), 53),
+                                 (nu.to_real(128), 128)):
+                digest.update(json.dumps(shift_table(masses, 20, bits))
+                              .encode() + b"\n")
+    assert digest.hexdigest() == SHIFT_TEXT_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ and real-mode values use :mod:`alsq.reals`, which loads mpmath."""
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Optional
 
 from .closed_forms import classify_small
@@ -25,6 +24,14 @@ from .measures import (
 from .scalars import Record, scalar_str
 from .solver import (DEFAULT_CONFIG, UNDETERMINED, WITNESS, SolverConfig,
                      Verdict, aluthge_subnormal, verdicts)
+
+try:  # the builtin SHA-256: importing hashlib also loads OpenSSL (_hashlib)
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 class AnalyzeOptions(Record):
@@ -132,7 +139,7 @@ class AnalysisReport(Record):
 
 
 def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> AnalysisReport:
-    digest = hashlib.sha256(dumps_measure(mu).encode("utf-8")).hexdigest()
+    digest = sha256(dumps_measure(mu).encode("utf-8")).hexdigest()
     zero_note: Optional[str] = None
     zero, body = strip_zero_atom(mu)
     if mu.has_zero_atom():

@@ -14,8 +14,8 @@ Products are compared on the int keys of :func:`alsq.measures.int_keys`; a
 measure's keys are the ones kept on it (:func:`alsq.measures.support_keys`),
 so no support is keyed twice.  :func:`pair_diagram` groups the key products
 and builds no position: an entry builds its product the first time its
-``position`` is read, which the decision path does only for what it prints
-(the shared products of ``analyze``'s report, a rule's message).  Every
+``position`` is read, which the decision path does only for a rule's
+message (:func:`ur_summary` prints from int numerators).  Every
 function that reads a support accepts a :class:`ProductDiagram` in place of
 a measure or a position sequence, so one diagram can serve them all.
 
@@ -29,11 +29,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
-from .measures import (AtomicMeasure, MeasureError, Position, int_keys,
-                       support_keys)
+from .measures import (AtomicMeasure, MeasureError, Position,
+                       _position_text, int_keys, support_keys)
 from .scalars import Record
 
 Pair = Tuple[int, int]  # 0-based, i <= j
@@ -179,8 +180,21 @@ def classify_ur(diagram: ProductDiagram) -> URClassification:
 
 def ur_summary(diagram: ProductDiagram) -> dict:
     """The numbers of uniquely represented and of shared products, and the
-    shared products as text, the only ones whose positions are built."""
-    nur = [str(e.position) for e in diagram.entries if not e.is_ur]
+    shared products as ``str`` prints their positions, read off the int
+    numerators and denominators of the first pair of each: no position is
+    built."""
+    support, nur = diagram.support, []
+    for entry in diagram.entries:
+        if len(entry.pairs) > 1:
+            x, y = [support[i] for i in entry.pairs[0]]
+            num = x.q.numerator * y.q.numerator
+            den = x.q.denominator * y.q.denominator
+            if x.k and y.k:  # sqrt(base)^2
+                num, den = num * x.base.numerator, den * x.base.denominator
+            common = gcd(num, den)
+            num, den = num // common, den // common
+            nur.append(_position_text(str(num) if den == 1 else
+                                      f"{num}/{den}", x.k != y.k, x.base))
     return {"ur_count": diagram.card - len(nur), "nur_count": len(nur),
             "nur_products": nur}
 

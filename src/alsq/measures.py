@@ -16,7 +16,8 @@ its support, its masses as int numerators over one denominator (a power of
 two in real mode, where each mass is a dyadic rational) and the relative
 radius of the masses.  The keys of a support are computed once: a measure
 keeps them in a hidden slot (:func:`support_keys`), :func:`make_measure`
-fills it while it sorts the atoms, and the operations that keep the
+and the loader fill it from the squares of the positions, sorting only
+atoms that do not ascend already, and the operations that keep the
 support (:func:`with_weights`, :func:`t_weight`, :func:`strip_zero_atom`)
 pass it on.  Positions are read off keys (:func:`_key_position`).  One pair
 loop (:func:`_pair_products`), which forms each unordered pair of atoms
@@ -178,14 +179,17 @@ class Position(Record):
         return self.squared() <= other.squared()
 
     def __str__(self):
-        if self.k == 0:
-            return format_rational(self.q)
-        if self.q == 1:
-            return f"sqrt({format_rational(self.base)})"
-        return f"{format_rational(self.q)}*sqrt({format_rational(self.base)})"
+        return _position_text(format_rational(self.q), self.k, self.base)
 
     def __repr__(self):
         return f"Position({self})"
+
+
+def _position_text(q: str, k: int, base: Fraction) -> str:
+    """The text of the position q * sqrt(base)^k, from the text of q."""
+    if not k:
+        return q
+    return f"sqrt({base})" if q == "1" else f"{q}*sqrt({base})"
 
 
 def _position(q: Fraction, k: int, base: Fraction) -> Position:
@@ -301,7 +305,7 @@ def support_keys(mu: AtomicMeasure) -> Tuple[List[int], int]:
     the measures on the same support."""
     keyed = mu._keys
     if keyed is None:
-        keyed = _scaled_keys(mu.support)
+        keyed = _scaled_keys(list(map(_square, mu.support)))
         object.__setattr__(mu, "_keys", keyed)
     return keyed
 
@@ -317,15 +321,10 @@ def make_measure(
     if mode not in (RATIONAL, REAL):
         raise MeasureError(f"unknown scalar mode {mode!r}")
     pairs = list(atoms)
-    inferred = (base if base is None or type(base) is Fraction
-                else Fraction(base))
-    if inferred is None:
-        for pos_like, _ in pairs:
-            if isinstance(pos_like, Position):
-                inferred = pos_like.base
-                break
-    if inferred is None:
-        inferred = Fraction(1)
+    if base is None:
+        base = next((pos.base for pos, _ in pairs if isinstance(pos, Position)),
+                    Fraction(1))
+    inferred = base if type(base) is Fraction else Fraction(base)
 
     built: List[Tuple[Position, Weight]] = []
     convert = _weight_converter(mode, bits)
@@ -340,30 +339,45 @@ def make_measure(
             if raw == 0:
                 if weight <= 0:
                     raise MeasureError("mass at the origin must be positive")
-                if mode == RATIONAL:
-                    zero += weight
-                else:
-                    reals = real_arithmetic()
-                    zero = reals.from_raw(reals.mpf_add(
-                        zero._mpf_, weight._mpf_, bits, reals.round_nearest))
+                zero = _plus(zero, weight, bits)
                 continue
             pos = Position(raw, 0, inferred)
         if weight <= 0:
             raise MeasureError(f"weight at {pos} must be positive, got {weight}")
         built.append((pos, weight))
 
-    # int keys order like the positions and are equal exactly when the
-    # positions are; the stable sort names the first of two duplicates
-    keys, scale = _scaled_keys([pos for pos, _ in built])
-    keyed = sorted(zip(keys, built), key=lambda item: item[0])
-    for (left_key, (left, _)), (right_key, _) in zip(keyed, keyed[1:]):
-        if left_key == right_key:
-            raise MeasureError(f"duplicate position {left}")
-    if not built:
+    return _keyed_measure(inferred, mode, built,
+                          [_square(pos) for pos, _ in built], zero)
+
+
+def _plus(zero: Weight, weight: Weight, bits: int) -> Weight:
+    """The mass at the origin ``zero`` plus ``weight``, rounded to nearest
+    at ``bits`` in real mode."""
+    if type(zero) is Fraction:
+        return zero + weight
+    reals = real_arithmetic()
+    return reals.from_raw(reals.mpf_add(zero._mpf_, weight._mpf_, bits,
+                                        reals.round_nearest))
+
+
+def _keyed_measure(base: Fraction, mode: str, atoms: list, squares: list,
+                   zero: Weight) -> AtomicMeasure:
+    """The measure of ``atoms``, whose positions have the reduced
+    ``squares``, keeping the int keys of its support.  Atoms whose keys do
+    not ascend already are sorted and scanned for two on one position."""
+    keys, scale = _scaled_keys(squares)
+    if not all(map(int.__lt__, keys, keys[1:])):
+        # int keys order like the positions and are equal exactly when the
+        # positions are; the stable sort names the first of two duplicates
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys, atoms = [keys[i] for i in order], [atoms[i] for i in order]
+        for j in range(1, len(keys)):
+            if keys[j - 1] == keys[j]:
+                raise MeasureError(f"duplicate position {atoms[j - 1][0]}")
+    if not atoms:
         raise MeasureError("a measure needs at least one atom on (0, inf)")
-    mu = AtomicMeasure(inferred, mode, tuple([atom for _, atom in keyed]),
-                       zero)
-    object.__setattr__(mu, "_keys", ([key for key, _ in keyed], scale))
+    mu = AtomicMeasure(base, mode, tuple(atoms), zero)
+    object.__setattr__(mu, "_keys", (keys, scale))
     return mu
 
 
@@ -420,24 +434,24 @@ def int_keys(positions: Sequence[Position]) -> List[int]:
     denominators.  Over a common base x_i*x_j = x_k*x_l exactly when
     key_i*key_j = key_k*key_l, and keys order like the positions, because
     ``squared`` is injective there."""
-    return _scaled_keys(positions)[0]
+    return _scaled_keys(list(map(_square, positions)))[0]
 
 
-def _scaled_keys(positions: Sequence[Position]) -> Tuple[List[int], int]:
-    """The int keys of ``positions`` and the lcm that scales them."""
-    # the reduced squares as int pairs; q^2 is reduced already, so only a
-    # radical's q^2 * base needs a gcd (no Fraction is built: this runs per
-    # product diagram, product table and witness check)
-    squares = []
-    for pos in positions:
-        q = pos.q
-        num, den = q.numerator * q.numerator, q.denominator * q.denominator
-        if pos.k:
-            num *= pos.base.numerator
-            den *= pos.base.denominator
-            common = gcd(num, den)
-            num, den = num // common, den // common
-        squares.append((num, den))
+def _square(pos: Position) -> Tuple[int, int]:
+    """The square of ``pos`` as a reduced int pair, built without a
+    Fraction: q^2 is reduced already, a radical's q^2 * base takes a gcd."""
+    q = pos.q
+    num, den = q.numerator * q.numerator, q.denominator * q.denominator
+    if pos.k:
+        num, den = num * pos.base.numerator, den * pos.base.denominator
+        common = gcd(num, den)
+        return num // common, den // common
+    return num, den
+
+
+def _scaled_keys(squares: List[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """The int keys of the positions with the reduced ``squares``
+    (:func:`_square`) and the lcm that scales them."""
     scale = lcm(*[den for _, den in squares])
     return [num * (scale // den) for num, den in squares], scale
 
@@ -792,6 +806,9 @@ def _require_object(value, where: str) -> None:
 
 
 def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
+    """The measure of a document, built in one pass over its atoms.  The
+    square of each position, read as its key, has at most
+    ``sys.get_int_max_str_digits()`` digits, so every product prints."""
     _require_object(data, "malformed measure document")
     try:
         base = parse_rational(str(data["radical_base"]))
@@ -806,11 +823,12 @@ def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> At
     if len(raw_atoms) > MAX_ATOMS:
         raise MeasureError(f"a measure document holds at most {MAX_ATOMS} "
                            f"atoms, this one {len(raw_atoms)}")
-    atoms: List[AtomLike] = []
     convert = _weight_converter(mode, bits)
+    rational, zero = mode == RATIONAL, convert(0)
     # the base is checked once: Position names the fault of an atom
-    valid_base = base > 0
-    root = sqrt_fraction(base) if valid_base else None
+    root = sqrt_fraction(base) if base.numerator > 0 else None
+    limit = sys.get_int_max_str_digits()
+    built, squares = [], []
     for index, atom in enumerate(raw_atoms):
         _require_object(atom, f"atom {index}")
         try:
@@ -824,44 +842,34 @@ def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> At
         if type(k) is not int:  # bool is a subclass of int
             raise MeasureError(
                 f"atom {index}: pos_k must be the JSON integer 0 or 1")
-        if q == 0 and k != 0:
+        # sign tests read numerators: comparing a Fraction with an int
+        # checks the numbers.Rational ABC first
+        sign = q.numerator
+        if not sign and k:
             raise MeasureError(f"atom {index}: the origin cannot carry a radical")
-        if weight <= 0:
+        if (weight.numerator if rational else weight) <= 0:
             raise MeasureError(f"atom {index}: weight must be positive")
-        if q == 0:  # make_measure sums the masses at the origin
-            atoms.append((q, weight))
+        if not sign:
+            zero = _plus(zero, weight, bits)
             continue
-        if valid_base and q > 0 and k in (0, 1):
-            # a radical over a square base collapses, as Position does it
-            pos = (_position(q * root, 0, base) if k and root is not None
-                   else _position(q, k, base))
-        else:
+        if base.numerator <= 0 or sign < 0 or k not in (0, 1):
             try:
-                pos = Position(q, k, base)
+                Position(q, k, base)
             except MeasureError as exc:
                 raise MeasureError(f"atom {index}: {exc}") from exc
-        if not _square_prints(pos):
+        if k and root is not None:
+            q, k = q * root, 0  # a radical over a square base collapses
+        pos = _position(q, k, base)
+        square = _square(pos)
+        # 2^(3 * limit) < 10^limit: the power is built only for long values
+        if limit and max(square).bit_length() > 3 * limit \
+                and max(square) >= 10 ** limit:
             raise MeasureError(
                 f"atom {index}: the square of the position has more than "
-                f"{sys.get_int_max_str_digits()} digits")
-        atoms.append((pos, weight))
-    return make_measure(atoms, mode=mode, base=base, bits=bits)
-
-
-def _square_prints(pos: Position) -> bool:
-    """Whether the numerator and the denominator of the square of ``pos``
-    have at most ``sys.get_int_max_str_digits()`` digits (for a rational
-    position: pos_q at most half of them), so that every product of two
-    positions prints."""
-    limit = sys.get_int_max_str_digits()
-    if pos.k:
-        square = pos.squared()
-        num, den = square.numerator, square.denominator
-    else:
-        num, den = pos.q.numerator ** 2, pos.q.denominator ** 2
-    # 2^(3 * limit) < 10^limit: the power is built only for long values
-    return not limit or all(n.bit_length() <= 3 * limit or n < 10 ** limit
-                            for n in (num, den))
+                f"{limit} digits")
+        built.append((pos, weight))
+        squares.append(square)
+    return _keyed_measure(base, mode, built, squares, zero)
 
 
 def dumps_measure(mu: AtomicMeasure) -> str:

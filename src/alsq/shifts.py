@@ -94,20 +94,25 @@ def root_texts(entries, bits: int, s: int = 1) -> List[str]:
     form (x, y, r) of ``entries``: the text of each value rounded at
     ``bits``, mostly without rounding at ``bits``.
 
-    For rational x / y one integer root gives t = floor(v 10^f), the exact
+    For rational x / y (also x = b_x sqrt(s) over y = b_y sqrt(s), an
+    odd moment or a product of two over another at radical positions, read
+    as b_x / b_y) one integer root gives t = floor(v 10^f), the exact
     v = (x / y)^(1/r) to 15 + 3 (or 4) decimal digits.  The value rounded
     at ``bits`` lies within v 2^-bits of v, that is within m =
     floor(t 2^-bits) + 1 units of t.  Unless that band reaches the tie of
     the 3 (or 4) digits after the 15th, or reaches below 10^e when t is
     10^17 (or 10^18) and a little, it rounds to 15 digits as v does.
-    Otherwise, for a radical x or y, and for an x or y of more than
-    ``_ROOT_STR_BITS`` bits, the text is ``float_str(round_root(...))``.
+    Otherwise, for any other x or y with a radical part, and for an x or
+    y of more than ``_ROOT_STR_BITS`` bits, the text is
+    ``float_str(round_root(...))``.
     The entries of a shift table share their moments, so the log10 of
     each int, or False past ``_ROOT_STR_BITS``, is taken once per call."""
     log10, isqrt, tens = math.log10, math.isqrt, _TENS
     logs, texts = {}, []
     for x, y, r in entries:
         (x0, x1), (y0, y1) = x, y
+        if not (x0 or y0):  # x / y = x1 sqrt(s) / (y1 sqrt(s)) is rational
+            x0, x1, y0, y1 = x1, 0, y1, 0
         if x1 or y1:
             lx = ly = False
         else:

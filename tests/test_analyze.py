@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 
 from alsq.analyze import AnalyzeOptions, analyze
 from alsq.generator import GeneratorSpec, generate
-from alsq.measures import Position, convolve, make_measure, t_weight
+from alsq.measures import (Position, convolve, dumps_measure, make_measure,
+                           t_weight)
 from alsq.solver import WITNESS, SolverConfig, aluthge_subnormal
 
 F = Fraction
@@ -86,6 +88,14 @@ def test_report_is_deterministic(six_atom_exact):
     a = analyze(six_atom_exact).to_json_dict()
     b = analyze(six_atom_exact).to_json_dict()
     assert a == b
+
+
+def test_input_digest_is_the_sha256_of_the_document(six_atom_exact):
+    # the digest comes from the builtin SHA-256 module, not from hashlib
+    for mu in (six_atom_exact, six_atom_exact.to_real(128),
+               make_measure([(0, F(1, 3)), (Position(F(3), 1, F(2)), 1)])):
+        assert analyze(mu).digest == hashlib.sha256(
+            dumps_measure(mu).encode("utf-8")).hexdigest()
 
 
 def test_zero_atom_is_stripped_and_noted():
@@ -188,13 +198,14 @@ def test_analyze_keys_each_support_once(monkeypatch, six_atom_exact):
     from alsq.measures import dumps_measure, loads_measure
 
     keyed = []
-    original = measures._scaled_keys
+    original = measures._keyed_measure
 
-    def counting(positions):
-        keyed.append(tuple(positions))
-        return original(positions)
+    def counting(*args):
+        mu = original(*args)
+        keyed.append(mu.support)
+        return mu
 
-    monkeypatch.setattr(measures, "_scaled_keys", counting)
+    monkeypatch.setattr(measures, "_keyed_measure", counting)
     report = analyze(loads_measure(dumps_measure(six_atom_exact)))
     assert report.sqrt_verdict.outcome == report.aluthge_verdict.outcome \
         == WITNESS
@@ -205,6 +216,7 @@ def test_analyze_keys_each_support_once(monkeypatch, six_atom_exact):
 def test_analyze_builds_positions_only_for_what_it_prints(monkeypatch,
                                                           six_atom_exact):
     # 15 distinct products, 6 of them shared: the report prints those 6
+    # from int numerators, and builds no product position
     built = []
     original = Position.__mul__
 
@@ -215,7 +227,7 @@ def test_analyze_builds_positions_only_for_what_it_prints(monkeypatch,
     monkeypatch.setattr(Position, "__mul__", counting)
     report = analyze(six_atom_exact)
     assert report.card == 15 and report.ur_summary["nur_count"] == 6
-    assert len(built) == 6
+    assert len(built) == 0
     shared = [entry for entry in report.diagram.entries if not entry.is_ur]
     assert report.ur_summary["nur_products"] == \
         [str(entry.position) for entry in shared]

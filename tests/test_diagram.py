@@ -77,6 +77,33 @@ def test_classification_six_atom_coincidences(six_atom_exact):
     assert diagram.entry_of_pair(2, 2).pairs == ((0, 5), (2, 2))  # value 36
 
 
+def test_ur_summary_prints_shared_products_as_positions_do():
+    # seeded supports from a small pool of c * r^a * sqrt(base)^b, so that
+    # many products coincide: rational, radical (sqrt(base) itself too),
+    # and k = 1 + 1 products
+    rng = random.Random(35)
+    texts = []
+    for _ in range(200):
+        base = rng.choice([F(2), F(3, 5), F(7, 3), F(1), F(9, 4)])
+        c, r = rng.choice([F(1), F(2, 3), F(5, 2)]), rng.choice([F(2), F(3, 2)])
+        pool = {Position(c * r ** a * base ** (b // 2), b % 2, base)
+                for a in range(-2, 3) for b in range(-1, 3)}
+        # a square base collapses the radicals: fewer distinct points
+        points = rng.sample(sorted(pool, key=Position.squared),
+                            min(len(pool), rng.randint(1, 7)))
+        diagram = pair_diagram(sorted(points, key=Position.squared))
+        shared = [e for e in diagram.entries if not e.is_ur]
+        summary = ur_summary(diagram)
+        assert summary["nur_products"] == [str(e.position) for e in shared]
+        assert summary["nur_count"] == len(shared)
+        assert summary["ur_count"] == diagram.card - len(shared)
+        texts += summary["nur_products"]
+    assert any(t.startswith("sqrt(") for t in texts)
+    assert any("*sqrt(" in t and "/" in t.split("*")[0] for t in texts)
+    assert any("/" in t and "sqrt" not in t for t in texts)
+    assert any(t.isdecimal() for t in texts)
+
+
 def test_two_atoms_all_unique():
     c = classify_ur(pair_diagram(_support([1, 2])))
     assert len(c.ur) == 3 and not c.nur

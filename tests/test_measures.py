@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -864,3 +865,140 @@ def test_loader_rejects_hostile_documents_cleanly(text, bits):
     assert all(type(atom["pos_k"]) is int
                for atom in json.loads(text)["atoms"])
     assert loads_measure(dumps_measure(mu), bits) == mu
+
+
+# ---------------------------------------------------------------------------
+# loader output
+# ---------------------------------------------------------------------------
+
+def _loader_corpus():
+    """Seeded (document, bits) pairs: generated documents of every mode,
+    in order and shuffled, with atoms at the origin, at radical positions
+    over square and non-square bases and in real mode, and a fixed draw of
+    documents with hostile fields."""
+    from alsq.generator import MODES, GeneratorSpec, generate
+
+    rng = random.Random(35)
+    half = _LIMIT // 2
+    corpus = []
+
+    def add(base, mode, atoms, shuffle=False):
+        atoms = list(atoms)
+        if shuffle:
+            rng.shuffle(atoms)
+        text = json.dumps({"radical_base": base, "mode": mode,
+                           "atoms": atoms})
+        corpus.extend((text, bits) for bits in (64, 128))
+
+    def with_origin(atoms, weights):
+        atoms = list(atoms)
+        for weight in weights:
+            atoms.insert(rng.randrange(len(atoms) + 1),
+                         {"pos_q": "0", "pos_k": 0, "weight": weight})
+        return atoms
+
+    generated = []
+    for seed in range(32):
+        mode = MODES[seed % 4]
+        p = rng.choice((3, 5, 6) if mode != "arbitrary" else (1, 2, 4, 7))
+        mu = generate(GeneratorSpec(p, mode, 35_000 + seed, position_style=(
+            "geometric", "random")[seed // 4 % 2])).measure
+        doc = measure_to_json_dict(mu)
+        generated.append(doc)
+        add("1", "rational", doc["atoms"])
+        add("1", "rational", doc["atoms"], shuffle=True)
+        add("1", "real", doc["atoms"], shuffle=seed % 2)
+        real = measure_to_json_dict(mu.to_real((64, 128)[seed % 2]))
+        add("1", "real", real["atoms"], shuffle=True)
+        origin = with_origin(doc["atoms"], ["1/7", "3/11"][:1 + seed % 2])
+        add("1", ("rational", "real")[seed % 2], origin, shuffle=seed % 3 == 0)
+
+    # radicals over square and non-square bases, mixed with rational atoms
+    for index in range(48):
+        base = ("2", "3/5", "7", "12", "9/4", "4", "1", "25/9")[index % 8]
+        qs = rng.sample(range(1, 40), rng.randint(1, 6))
+        atoms = [{"pos_q": f"{q}/{rng.choice((1, 2, 3, 5))}",
+                  "pos_k": rng.randint(0, 1),
+                  "weight": f"{rng.randint(1, 30)}/{rng.randint(1, 30)}"}
+                 for q in qs]
+        if index % 5 == 0:
+            atoms = with_origin(atoms, ["2/9"])
+        add(base, ("rational", "real")[index % 3 == 0], atoms,
+            shuffle=index % 2)
+
+    # hostile fields, one or two per document
+    def hostile(atoms):
+        at = rng.randrange(len(atoms))
+        atom = atoms[at] = dict(atoms[at])
+        kind = rng.randrange(10)
+        if kind == 0:
+            atom["weight"] = rng.choice(["0", "-1/3", "-0.5", "0/7"])
+        elif kind == 1:
+            atoms.insert(rng.randrange(len(atoms) + 1), dict(atom))
+        elif kind == 2:  # the same position written another way
+            q = parse_rational(atom["pos_q"])
+            atoms.append({"pos_q": f"{q.numerator * 3}/{q.denominator * 3}",
+                          "pos_k": atom["pos_k"], "weight": "1/2"})
+        elif kind == 3:
+            atom["pos_k"] = rng.choice([2, True, False, -1, 1.0])
+        elif kind == 4:
+            atom["pos_q"] = rng.choice(["9" * (half + 1),
+                                        "1/" + "3" * (half + 1),
+                                        f"{rng.randint(1, 9)}e{half}"])
+        elif kind == 5:  # a radical whose q^2 * base exceeds the limit
+            atom["pos_q"], atom["pos_k"] = "9" * half, 1
+        elif kind == 6:
+            atom["pos_q"], atom["pos_k"] = "0", rng.choice([0, 1])
+        elif kind == 7:
+            atom["pos_q"] = rng.choice(["-3", "-1/2"])
+        elif kind == 8:
+            atoms.insert(rng.randrange(len(atoms) + 1), {
+                "pos_q": "0", "pos_k": 0,
+                "weight": rng.choice(["0", "-2", "1/5"])})
+        else:  # 2 sqrt(9/4) = 3
+            atoms.append({"pos_q": "2", "pos_k": 1, "weight": "1"})
+            atoms.append({"pos_q": "3", "pos_k": 0, "weight": "1"})
+        return atoms
+
+    for index in range(160):
+        doc = generated[index % len(generated)]
+        atoms = list(doc["atoms"])
+        for _ in range(1 + index % 2):
+            atoms = hostile(atoms)
+        base = (("1", "11", "9/4", "2")[index % 4] if index % 16
+                else ("0", "-2")[index // 16 % 2])
+        add(base, ("rational", "real")[index % 3 == 0], atoms,
+            shuffle=index % 4 == 1)
+    # no atom on (0, inf)
+    add("1", "rational", [{"pos_q": "0", "pos_k": 0, "weight": "1"}])
+    add("1", "real", [])
+    return corpus
+
+
+def _loaded_text(text, bits):
+    """The measure a document loads to, its keys (in hex: a key may pass
+    the digit limit), its positions' fields and its raw masses; or the
+    loader's error."""
+    try:
+        mu = loads_measure(text, bits)
+    except (MeasureError, ScalarError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    keys, scale = mu._keys
+    return repr((mu, [hex(key) for key in keys], hex(scale),
+                 [(pos.q, pos.k, pos.base) for pos in mu.support],
+                 [getattr(w, "_mpf_", w) for w in (mu.zero_mass,) + mu.weights]))
+
+
+# SHA-256 of what test_loader_output_is_pinned loads
+LOADER_DIGEST = \
+    "6bdf17889e40ea8fb194db9b4c7f7c24bf5e3960cadcd9cb2b27d8d6622dd3e4"
+
+
+def test_loader_output_is_pinned():
+    """Every measure and every error of ``loads_measure`` on a seeded
+    corpus (:func:`_loader_corpus`), byte for byte."""
+    digest = hashlib.sha256()
+    with workprec(53):
+        for text, bits in _loader_corpus():
+            digest.update(_loaded_text(text, bits).encode() + b"\n")
+    assert digest.hexdigest() == LOADER_DIGEST

@@ -327,6 +327,47 @@ def test_shift_text_output_is_pinned():
     assert digest.hexdigest() == SHIFT_TEXT_DIGEST
 
 
+def test_radical_entries_of_rational_value_take_the_decimal_path(
+        monkeypatch):
+    """On the radical half of the mix of test_shift_text_output_is_pinned
+    half of the entries with a radical part have x and y of the form
+    (0, b), so x / y is rational: ``root_texts`` prints them as (b_x, 0) /
+    (b_y, 0), with the same texts and the same fallbacks to
+    ``round_root``."""
+    exact = []
+    monkeypatch.setattr(shifts, "round_root",
+                        lambda *args: exact.append(args) or round_root(*args))
+    radical = both = fallbacks = total = 0
+    for seed in range(16):
+        p = 3 + seed % 4
+        kind = ("with-root", "perturbed", "with-aluthge-root",
+                "arbitrary")[seed // 4]
+        if p == 4 and kind in ("with-root", "with-aluthge-root"):
+            kind = "arbitrary"
+        mu = generate(GeneratorSpec(p, kind, 900 + seed, position_style=(
+            "geometric", "random")[seed % 2])).measure
+        nu = make_measure([(Position(pos.q, 1, F(2)), w)
+                           for pos, w in mu.atoms])
+        for masses, bits in ((nu, 64), (nu.to_real(53), 53),
+                             (nu.to_real(128), 128)):
+            entries, s = shifts._entries(masses, 20, bits)
+            ratios = [(x, y, r) for x, y, r in entries if not (x[0] or y[0])]
+            if bits == 64:
+                radical += sum(1 for x, y, _ in entries if x[1] or y[1])
+                both += len(ratios)
+            del exact[:]
+            texts = root_texts(ratios, bits, s)
+            fell = len(exact)
+            del exact[:]
+            assert root_texts([((x[1], 0), (y[1], 0), r)
+                               for x, y, r in ratios], bits) == texts
+            assert len(exact) == fell
+            fallbacks, total = fallbacks + fell, total + len(ratios)
+    assert (radical, both) == (960, 480)
+    # near a decimal tie, or past _ROOT_STR_BITS
+    assert fallbacks < total // 10
+
+
 # ---------------------------------------------------------------------------
 # Hankel positivity
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ Products are compared on the int keys of :func:`alsq.measures.int_keys`; a
 measure's keys are the ones kept on it (:func:`alsq.measures.support_keys`),
 so no support is keyed twice.  :func:`pair_diagram` groups the key products
 and builds no position: an entry builds its product the first time its
-``position`` is read, which the decision path does only for a rule's
-message (:func:`ur_summary` prints from int numerators).  Every
-function that reads a support accepts a :class:`ProductDiagram` in place of
-a measure or a position sequence, so one diagram can serve them all.
+``position`` is read, which the decision path never does; the rules'
+messages and :func:`ur_summary` print products from int numerators
+(:func:`_product_text`).  Every function that reads a support accepts a
+:class:`ProductDiagram` in place of a measure or a position sequence, so
+one diagram can serve them all.
 
 The rules read which products x_i*x_j are uniquely represented (the sets
 ``ur[i]``) and whether two pairs have the same key product (``coincide``),
@@ -29,12 +30,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
 from .measures import (AtomicMeasure, MeasureError, Position,
-                       _position_text, int_keys, support_keys)
+                       _position_text, _ratio_text, int_keys, support_keys)
 from .scalars import Record
 
 Pair = Tuple[int, int]  # 0-based, i <= j
@@ -183,20 +183,21 @@ def ur_summary(diagram: ProductDiagram) -> dict:
     shared products as ``str`` prints their positions, read off the int
     numerators and denominators of the first pair of each: no position is
     built."""
-    support, nur = diagram.support, []
-    for entry in diagram.entries:
-        if len(entry.pairs) > 1:
-            x, y = [support[i] for i in entry.pairs[0]]
-            num = x.q.numerator * y.q.numerator
-            den = x.q.denominator * y.q.denominator
-            if x.k and y.k:  # sqrt(base)^2
-                num, den = num * x.base.numerator, den * x.base.denominator
-            common = gcd(num, den)
-            num, den = num // common, den // common
-            nur.append(_position_text(str(num) if den == 1 else
-                                      f"{num}/{den}", x.k != y.k, x.base))
+    nur = [_product_text(diagram.support, *entry.pairs[0])
+           for entry in diagram.entries if len(entry.pairs) > 1]
     return {"ur_count": diagram.card - len(nur), "nur_count": len(nur),
             "nur_products": nur}
+
+
+def _product_text(support: Tuple[Position, ...], i: int, j: int) -> str:
+    """``str(support[i] * support[j])``, read off the int numerators and
+    denominators of the two positions: no position is built."""
+    x, y = support[i], support[j]
+    num = x.q.numerator * y.q.numerator
+    den = x.q.denominator * y.q.denominator
+    if x.k and y.k:  # sqrt(base)^2
+        num, den = num * x.base.numerator, den * x.base.denominator
+    return _position_text(_ratio_text(num, den), x.k != y.k, x.base)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +300,9 @@ def _check_boundary_products(diagram: ProductDiagram) -> Iterator[Violation]:
         if pair[1] in diagram.ur[pair[0]]:
             yield _v(
                 "boundary-products", pair,
-                f"{label} ({diagram.product(*pair)}) coincides with no other "
-                "pairwise product, but a square root requires it to")
+                f"{label} ({_product_text(diagram.support, *pair)}) "
+                "coincides with no other pairwise product, but a square root "
+                "requires it to")
 
 
 def _check_cardinality(diagram: ProductDiagram) -> Iterator[Violation]:

@@ -19,7 +19,9 @@ keeps them in a hidden slot (:func:`support_keys`), :func:`make_measure`
 and the loader fill it from the squares of the positions, sorting only
 atoms that do not ascend already, and the operations that keep the
 support (:func:`with_weights`, :func:`t_weight`, :func:`strip_zero_atom`)
-pass it on.  Positions are read off keys (:func:`_key_position`).  One pair
+pass it on.  Positions are read off keys (:func:`_key_position`), and
+so is the text of a position a message prints (:func:`_key_text`), with
+no position built for a rational one.  One pair
 loop (:func:`_pair_products`), which forms each unordered pair of atoms
 once, forms every product: :func:`square_products` tables a witness's
 square, the solver runs it on the masses of a signed root, and
@@ -44,9 +46,11 @@ from .scalars import (
     Record,
     Scalar,
     format_rational,
+    oversized_str,
     parse_rational,
     real_arithmetic,
     round_root,
+    scalar_str,
     sqrt_fraction,
 )
 
@@ -456,16 +460,50 @@ def _scaled_keys(squares: List[Tuple[int, int]]) -> Tuple[List[int], int]:
     return [num * (scale // den) for num, den in squares], scale
 
 
-def _key_position(key: int, scale: int, base: Fraction) -> Position:
-    """The position over ``base`` whose int key at ``scale`` is ``key``,
-    the inverse of :func:`_scaled_keys`: key / scale is q^2, or q^2 * base
-    for a radical, whose base is no square."""
+def _key_root(key: int, scale: int) -> Optional[Tuple[int, int]]:
+    """sqrt(key / scale) as an int pair in lowest terms, from one gcd and
+    two ``isqrt`` calls, or None when it is irrational: the position whose
+    key at ``scale`` is ``key`` is then a radical."""
     common = gcd(key, scale)
     num, den = key // common, scale // common
     n, d = isqrt(num), isqrt(den)
     if n * n == num and d * d == den:
-        return _position(Fraction(n, d), 0, base)
-    return _position(sqrt_fraction(Fraction(num, den) / base), 1, base)
+        return n, d
+    return None
+
+
+def _key_position(key: int, scale: int, base: Fraction) -> Position:
+    """The position over ``base`` whose int key at ``scale`` is ``key``,
+    the inverse of :func:`_scaled_keys`: key / scale is q^2, or q^2 * base
+    for a radical, whose base is no square."""
+    root = _key_root(key, scale)
+    if root is not None:
+        return _position(Fraction(*root), 0, base)
+    return _position(sqrt_fraction(Fraction(key, scale) / base), 1, base)
+
+
+def _key_text(key: int, scale: int, base: Fraction) -> str:
+    """``scalar_str(_key_position(key, scale, base))``, with no position
+    built for a rational one."""
+    root = _key_root(key, scale)
+    if root is None:
+        return scalar_str(_key_position(key, scale, base))
+    return _lowest_text(*root)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """``scalar_str(Fraction(num, den))`` for den > 0, from one gcd."""
+    common = gcd(num, den)
+    return _lowest_text(num // common, den // common)
+
+
+def _lowest_text(num: int, den: int) -> str:
+    """``scalar_str`` of the Fraction num / den in lowest terms, den > 0,
+    with no Fraction built."""
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # more digits than the interpreter converts
+        return oversized_str()
 
 
 class Table:
@@ -511,8 +549,9 @@ def numerators(weights: Sequence[Weight], mode: str,
     if mode == REAL:
         reals = real_arithmetic()
         return reals.to_dyadic([reals.operand(w, bits) for w in weights])
-    den = lcm(*[w.denominator for w in weights])
-    return [w.numerator * (den // w.denominator) for w in weights], den
+    ratios = [w.as_integer_ratio() for w in weights]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def table(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,

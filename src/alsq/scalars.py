@@ -252,4 +252,10 @@ def scalar_str(value) -> str:
     try:
         return str(value)
     except ValueError:
-        return f"(a number of more than {sys.get_int_max_str_digits()} digits)"
+        return oversized_str()
+
+
+def oversized_str() -> str:
+    """How a message quotes a value with more digits than the interpreter
+    converts to a string."""
+    return f"(a number of more than {sys.get_int_max_str_digits()} digits)"

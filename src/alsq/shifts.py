@@ -21,6 +21,7 @@ recurrence shorter than prod(t - x_i) holds.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -76,17 +77,33 @@ def shift_text_rows(mu: AtomicMeasure, terms: int,
     return list(zip(*[iter(root_texts(entries, bits, s))] * 4))
 
 
-# the largest x or y whose root :func:`root_texts` takes in decimal: it
-# keeps the powers of ten in ``_TENS`` below 10^700, about 100 KB in all.
-# Decimal is not slower beyond it (on a 2-core host the 400 texts of the
-# 100-row table of `gen --p 400 --seed 1` at 128 bits take 54 ms with this
-# bound and 23 ms without), but that one table would leave 1.4 MiB of
-# powers of ten in the cache
-_ROOT_STR_BITS = 2048
-
-# the powers of ten :func:`root_texts` scales by, kept across calls (each
-# key only ever gets its one value, so threads may share it)
+# the powers of ten below 10^700 that :func:`root_texts` scales by, about
+# 100 KB in all, kept across calls (each key only ever gets its one value,
+# so threads may share it); larger ones, which only entries of over about
+# 2000 bits need, are kept for one call (:class:`_LargeTens`)
 _TENS = Powers(10)
+_TENS_KEPT = 700
+
+
+class _LargeTens(dict):
+    """Powers of ten of at least ``_TENS_KEPT`` digits, each computed on
+    first use as the largest one computed before it times a smaller power:
+    the entries of one column of a shift table scale by powers some
+    hundreds of digits apart, and one product with a short factor costs a
+    fraction of a power computed from scratch."""
+
+    def __init__(self):
+        super().__init__()
+        self.known = [0]  # the exponents computed, ascending
+        self[0] = 1
+
+    def __missing__(self, exponent: int) -> int:
+        known = self.known
+        at = bisect(known, exponent)
+        gap = exponent - known[at - 1]
+        value = self[exponent] = self[known[at - 1]] * 10 ** gap
+        known.insert(at, exponent)
+        return value
 
 
 def root_texts(entries, bits: int, s: int = 1) -> List[str]:
@@ -102,32 +119,32 @@ def root_texts(entries, bits: int, s: int = 1) -> List[str]:
     floor(t 2^-bits) + 1 units of t.  Unless that band reaches the tie of
     the 3 (or 4) digits after the 15th, or reaches below 10^e when t is
     10^17 (or 10^18) and a little, it rounds to 15 digits as v does.
-    Otherwise, for any other x or y with a radical part, and for an x or
-    y of more than ``_ROOT_STR_BITS`` bits, the text is
+    Otherwise, and for any other x or y with a radical part, the text is
     ``float_str(round_root(...))``.
     The entries of a shift table share their moments, so the log10 of
-    each int, or False past ``_ROOT_STR_BITS``, is taken once per call."""
-    log10, isqrt, tens = math.log10, math.isqrt, _TENS
+    each int is taken once per call."""
+    log10, isqrt, tens, large = math.log10, math.isqrt, _TENS, _LargeTens()
     logs, texts = {}, []
     for x, y, r in entries:
         (x0, x1), (y0, y1) = x, y
         if not (x0 or y0):  # x / y = x1 sqrt(s) / (y1 sqrt(s)) is rational
             x0, x1, y0, y1 = x1, 0, y1, 0
-        if x1 or y1:
-            lx = ly = False
-        else:
+        if not (x1 or y1):
             lx = logs.get(x0)
             if lx is None:
-                lx = logs[x0] = x0.bit_length() <= _ROOT_STR_BITS and log10(x0)
+                lx = logs[x0] = log10(x0)
             ly = logs.get(y0)
             if ly is None:
-                ly = logs[y0] = y0.bit_length() <= _ROOT_STR_BITS and log10(y0)
-        if lx is not False and ly is not False:
-            # e <= floor(log10(v)) <= e + 1 (log10 of ints of up to 2048
-            # bits is off by under 1e-12), so t has 18 or 19 digits, and n 15
+                ly = logs[y0] = log10(y0)
+            # e <= floor(log10(v)) <= e + 1, so t has 18 or 19 digits and
+            # n 15, while log10 of an int of B bits is off by under
+            # B * 2^-53 (2e-11 at the 160,000 bits of the moments of `gen
+            # --p 400 --seed 1`); ints of millions of bits can miss that
+            # margin, and take the exact path
             e = math.floor((lx - ly) / r - 1e-9)
             up = r * (17 - e)
-            q = x0 * tens[up] // y0 if up >= 0 else x0 // (y0 * tens[-up])
+            ten = tens[abs(up)] if abs(up) < _TENS_KEPT else large[abs(up)]
+            q = x0 * ten // y0 if up >= 0 else x0 // (y0 * ten)
             t = q if r == 1 else isqrt(q) if r == 2 else isqrt(isqrt(q))
             if t < 10 ** 18:
                 (n, rem), half = divmod(t, 1000), 500
@@ -137,7 +154,9 @@ def root_texts(entries, bits: int, s: int = 1) -> List[str]:
             # the value at bits is within m units of t: its text is that of
             # n or n + 1 unless that band reaches the tie at half, or for
             # n = 10^14 reaches below 10^e where 10^e is no bits-bit value
-            if rem + 1 + m <= half:
+            if not 10 ** 17 <= t < 10 ** 19:
+                done = False
+            elif rem + 1 + m <= half:
                 done = rem >= m or n > 10 ** 14 or 0 <= e and 5 ** e >> bits == 0
             else:
                 done = rem - m >= half

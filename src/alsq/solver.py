@@ -53,7 +53,11 @@ of the signed peel re-squares Q against mu instead, and both end in one
 comparison of masses (:func:`_matches`).  Both squares, and the product
 convolve(mu, t_weight(mu)), come from one pair loop, which forms each
 unordered pair of atoms once and drops a product of merged mass 0.
-A position or a Fraction is built only for what a verdict prints.
+Once the peel has decided, no position or Fraction is multiplied or
+divided on rational positions: a certificate prints its positions and
+masses from the table's int keys and numerators
+(:func:`alsq.measures._key_text`), and a witness atom is one Fraction of
+ints (:func:`_placed`); only radical positions fall back to positions.
 
 The decision path takes its precision explicitly from ``SolverConfig``:
 ``t_weight`` and the witness masses round raw libmp values at
@@ -74,6 +78,7 @@ from heapq import heappop, heappush
 from math import isqrt
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
+from . import measures
 from .diagram import Violation
 from .measures import (
     RATIONAL,
@@ -82,11 +87,14 @@ from .measures import (
     MeasureError,
     Table,
     _key_position,
+    _key_root,
+    _key_text,
     _pair_products,
     _position,
     _product_radius,
+    _ratio_text,
+    _square,
     convolve,
-    make_measure,
     measure_to_json_dict,
     square_products,
     support_keys,
@@ -602,20 +610,21 @@ def _negative(target: Table, count: int, w: int, mass: Scalar,
                 at = at or key == w
                 break
             below.add(key)
-    a1 = _first_product_mass(target, target.position(0).q)
-    if target.mode == REAL:
-        a1 = value(a1.numerator, a1.denominator)
+    a1 = _first_product_mass(target)
     return _nonpositive(
         len(below) if at else None, count, _at(w, scale * scale, base, at),
-        scalar_str(_key_position(keys[0] ** 2, scale * scale, base)),
-        scalar_str(a1), mass, bound)
+        _ratio_text(keys[0], scale),  # x_1^2, the first atom of mu * t(mu)
+        scalar_str(value(*a1)) if target.mode == REAL else _ratio_text(*a1),
+        mass, bound)
 
 
-def _first_product_mass(target: Table, x1: Fraction) -> Fraction:
-    """a_1^2 x_1, the first mass of mu * t(mu), exactly, for the measure mu
-    on rational positions tabled in ``target`` with first position x_1."""
+def _first_product_mass(target: Table) -> Tuple[int, int]:
+    """a_1^2 x_1, the first mass of mu * t(mu), exactly as an int pair n, q
+    for n / q, not in lowest terms, for the measure mu on rational
+    positions tabled in ``target``."""
+    n1, d1 = _key_root(target.keys[0], target.scale)
     m, d = target.masses[0], target.den
-    return Fraction(m * m * x1.numerator, d * d * x1.denominator)
+    return m * m * n1, d * d * d1
 
 
 def _no_signed_square(target: Table, count: int, z: int, j: Optional[int],
@@ -626,12 +635,11 @@ def _no_signed_square(target: Table, count: int, z: int, j: Optional[int],
     mu is then no signed square, for the atoms y, y' of a signed root have
     y*y' on those multiples: for each prime, the lowest power of it in
     Q * Q is twice that in Q."""
-    k1, scale = target.keys[0], target.scale
-    first = target.position(0)
+    keys, scale, base = target.keys, target.scale, target.base
+    k1 = keys[0]
     if beyond:
-        why = (f"would square to "
-               f"{scalar_str(Fraction(z, k1 * scale) / first.q)}, beyond the "
-               f"top atom {scalar_str(target.position(target.p - 1))}")
+        why = (f"would square to {_over_first(target, z, k1 * scale)}, "
+               f"beyond the top atom {_key_text(keys[-1], scale, base)}")
     else:
         why = (f"makes y*y1 no multiple of 1/{isqrt(scale)}, the reciprocal "
                "of the lcm of the denominators of mu's positions, as every "
@@ -640,36 +648,47 @@ def _no_signed_square(target: Table, count: int, z: int, j: Optional[int],
         "peel-overflow", (j + 1,) if j is not None else (),
         f"mu is no signed square: after {count} atoms of its signed root Q "
         f"the smallest atom of mu - Q^2 sits at "
-        f"{scalar_str(_key_position(z, k1 * scale, target.base))}; the atom "
-        f"y of Q with y*y1 there (y1^2 = {scalar_str(first)}) {why}")
+        f"{_key_text(z, k1 * scale, base)}; the atom y of Q with y*y1 there "
+        f"(y1^2 = {_key_text(k1, scale, base)}) {why}")
 
 
 def _at(key: int, scale: int, base: Fraction, atom: bool) -> str:
     """The position whose square is key / scale: printed when the target
     has an atom there, else named by its square."""
     if atom:
-        return scalar_str(_key_position(key, scale, base))
-    return f"the position with square {scalar_str(Fraction(key, scale))}"
+        return _key_text(key, scale, base)
+    return f"the position with square {_ratio_text(key, scale)}"
+
+
+def _over_first(target: Table, num: int, den: int) -> str:
+    """The text of (num / den) / x_1, x_1 the first position of
+    ``target``: one int pair for a rational x_1."""
+    root = _key_root(target.keys[0], target.scale)
+    if root is None:  # a radical x_1
+        return scalar_str(_position(Fraction(num, den), 0, target.base)
+                          / target.position(0))
+    return _ratio_text(num * root[1], den * root[0])
 
 
 def _overflow(target: Table, j: int) -> Peel:
-    y, first = target.position(j), target.position(0)
+    keys, scale, base = target.keys, target.scale, target.base
     return Peel(IMPOSSIBLE, certificate=Violation(
         "peel-overflow", (j + 1,),
-        f"the root atom y with y*y1 = {scalar_str(y)} (y1^2 = "
-        f"{scalar_str(first)}) would square to "
-        f"{scalar_str(y * y / first)}, beyond the top atom "
-        f"{scalar_str(target.position(target.p - 1))}"))
+        f"the root atom y with y*y1 = {_key_text(keys[j], scale, base)} "
+        f"(y1^2 = {_key_text(keys[0], scale, base)}) would square to "
+        f"{_over_first(target, keys[j], scale)}, beyond the top atom "
+        f"{_key_text(keys[-1], scale, base)}"))
 
 
 def _forced(target: Table, j: Optional[int], count: int, z: int, c: Scalar,
             bound: Optional[Scalar] = None) -> Peel:
     """``peel-nonpositive-mass`` of a peel of the table of mu, at z."""
+    keys, scale, base = target.keys, target.scale, target.base
+    a1 = (scalar_str(target.weight(0)) if target.mode == REAL
+          else _ratio_text(target.masses[0], target.den))
     return Peel(IMPOSSIBLE, certificate=_nonpositive(
-        j, count, _at(z, target.keys[0] * target.scale, target.base,
-                      j is not None),
-        scalar_str(target.position(0)), scalar_str(target.weight(0)), c,
-        bound))
+        j, count, _at(z, keys[0] * scale, base, j is not None),
+        _key_text(keys[0], scale, base), a1, c, bound))
 
 
 def _nonpositive(j: Optional[int], count: int, at: str, first: str, a1: str,
@@ -689,8 +708,10 @@ def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
     """The root's masses c * sqrt(a_1), exact when sqrt(a_1) is rational."""
     if mode == RATIONAL:
         root = sqrt_fraction(a1)
-        if root is not None:
-            return RATIONAL, [c * root for c in cs], []
+        if root is not None:  # each mass one Fraction of ints
+            rn, rd = root.as_integer_ratio()
+            return RATIONAL, [Fraction(n * rn, d * rd) for n, d in
+                              map(Fraction.as_integer_ratio, cs)], []
     bits = config.precision_bits
     reals = real_arithmetic()
     from_raw, mpf_mul, to_raw = reals.from_raw, reals.mpf_mul, reals.to_raw
@@ -734,6 +755,19 @@ def _decide(peel: Peel, a1: Scalar, mode: str,
                 if peel.residual else "0.0")
     return Verdict(WITNESS, witness=witness, residual=residual,
                    precision_bits=bits, notes=tuple(notes + extra))
+
+
+def _placed(positions: list, weights: list, mode: str,
+            base: Fraction, config: SolverConfig) -> AtomicMeasure:
+    """The witness of ``weights`` at ``positions``, built without the check
+    of each atom in ``make_measure``: the positions ascend and the masses
+    are positive by construction.  Its keys come from its own positions
+    (``measures._keyed_measure``), so the re-square of :func:`_verify`
+    does not read the peel's."""
+    zero = (_EXACT if mode == RATIONAL
+            else real_arithmetic().to_mpf(_EXACT, config.precision_bits))
+    return measures._keyed_measure(base, mode, list(zip(positions, weights)),
+                                   list(map(_square, positions)), zero)
 
 
 def verify_witness(
@@ -810,7 +844,7 @@ def _transform(mu: AtomicMeasure, target: Table, peel: Peel,
     if check is not None:
         a1, at = target.weight(0), [target.keys[j] for j, _ in peel.root]
     else:
-        a1 = _first_product_mass(target, mu.support[0].q)
+        a1 = Fraction(*_first_product_mass(target))
         at = [w for w, _ in peel.root]
 
     def place(weights, mode):
@@ -821,11 +855,17 @@ def _transform(mu: AtomicMeasure, target: Table, peel: Peel,
         if len(at) == mu.p and all(
                 w == k0 * key for w, key in zip(at, keys)):
             return with_weights(mu, weights, mode)
-        x1 = mu.support[0]
-        positions = [_key_position(w, scale * scale, mu.base) / x1
-                     for w in at]
-        return make_measure(list(zip(positions, weights)), mode=mode,
-                            base=mu.base, bits=config.precision_bits)
+        if check is None:
+            # a rational x has the key (x*L)^2 at scale L^2, so n*x_1 is
+            # sqrt(w) / L^2 and x_1 is sqrt(K_0) / L
+            den = isqrt(scale) * isqrt(k0)
+            positions = [_position(Fraction(isqrt(w), den), 0, mu.base)
+                         for w in at]
+        else:
+            x1 = mu.atoms[0][0]
+            positions = [_key_position(w, scale * scale, mu.base) / x1
+                         for w in at]
+        return _placed(positions, weights, mode, mu.base, config)
     return _decide(peel, a1, mu.mode, place, check, config, list(notes))
 
 
@@ -851,17 +891,19 @@ def verdicts(mu: AtomicMeasure,
     target = table(mu, config.precision_bits, config.radius)
     peels = _peel(target, config)
     peel = next(peels)()
-    support = mu.support
-    base = support[0].q
 
     def place(weights, mode):
+        # x_j = R_j / L for R_j = sqrt(K_j) and L^2 the scale, so the root
+        # atom x_j / sqrt(x_1) is R_j / R_1 times sqrt(x_1), over the
+        # radical base x_1
+        keys, base = target.keys, mu.atoms[0][0].q
         root = sqrt_fraction(base)  # checked once, as Position checks it
-        positions = [_position(support[j].q / base * root, 0, base)
-                     if root is not None else
-                     _position(support[j].q / base, 1, base)
+        k, num, den = 1, 1, isqrt(keys[0])
+        if root is not None:
+            k, num, den = 0, root.numerator, den * root.denominator
+        positions = [_position(Fraction(isqrt(keys[j]) * num, den), k, base)
                      for j, _ in peel.root]
-        return make_measure(list(zip(positions, weights)), mode=mode,
-                            base=base, bits=config.precision_bits)
+        return _placed(positions, weights, mode, base, config)
     yield _decide(peel, target.weight(0), target.mode, place, target, config,
                   [])
     yield _transform(mu, target, next(peels), config)

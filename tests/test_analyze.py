@@ -9,7 +9,7 @@ from alsq.analyze import AnalyzeOptions, analyze
 from alsq.generator import GeneratorSpec, generate
 from alsq.measures import (Position, convolve, dumps_measure, make_measure,
                            t_weight)
-from alsq.solver import WITNESS, SolverConfig, aluthge_subnormal
+from alsq.solver import WITNESS, SolverConfig, aluthge_subnormal, verdicts
 
 F = Fraction
 
@@ -213,21 +213,39 @@ def test_analyze_keys_each_support_once(monkeypatch, six_atom_exact):
                      report.sqrt_verdict.witness.support]
 
 
+def _spy_positions(monkeypatch):
+    """Record each product and quotient of positions and each position
+    read off an int key."""
+    from alsq import measures, solver
+
+    built = []
+    for name in ("__mul__", "__truediv__"):
+        original = getattr(Position, name)
+
+        def counting(self, other, original=original, name=name):
+            built.append((name, self, other))
+            return original(self, other)
+        monkeypatch.setattr(Position, name, counting)
+    for module in (measures, solver):
+        original = module._key_position
+
+        def keyed(*args, original=original):
+            built.append(("_key_position",) + args)
+            return original(*args)
+        monkeypatch.setattr(module, "_key_position", keyed)
+    return built
+
+
 def test_analyze_builds_positions_only_for_what_it_prints(monkeypatch,
                                                           six_atom_exact):
     # 15 distinct products, 6 of them shared: the report prints those 6
     # from int numerators, and builds no product position
-    built = []
-    original = Position.__mul__
-
-    def counting(self, other):
-        built.append((self, other))
-        return original(self, other)
-
-    monkeypatch.setattr(Position, "__mul__", counting)
+    built = _spy_positions(monkeypatch)
     report = analyze(six_atom_exact)
     assert report.card == 15 and report.ur_summary["nur_count"] == 6
-    assert len(built) == 0
+    assert report.sqrt_verdict.outcome == report.aluthge_verdict.outcome \
+        == WITNESS
+    assert built == []
     shared = [entry for entry in report.diagram.entries if not entry.is_ur]
     assert report.ur_summary["nur_products"] == \
         [str(entry.position) for entry in shared]
@@ -236,6 +254,64 @@ def test_analyze_builds_positions_only_for_what_it_prints(monkeypatch,
     positions = [entry.position for entry in report.diagram.entries]
     assert len(built) == 15
     assert positions == sorted(positions)
+    # a structural rule prints its product from int numerators too: 2
+    # squares to 4, which no other pair of 1, 2, 3, 9 multiplies to
+    built.clear()
+    report = analyze(make_measure([(x, 1) for x in (1, 2, 3, 9)]))
+    assert report.structural["rule"] == "boundary-products"
+    assert "the square of atom 2 (4)" in report.structural["message"]
+    assert built == []
+
+
+# one instance per certificate of the peel, its two verdicts in order, and
+# witnesses on mu's support, on radicals and off mu's support
+_PRINTED = [
+    # the root overflows, and mu is no signed square beyond the top
+    ([(16, F(8, 7)), (64, F(5, 8))], "peel-overflow", "peel-overflow"),
+    # a negative forced mass, then an overflow beyond the top
+    ([(1, F(49, 64)), (F(17, 4), F(21, 80)), (F(289, 16), F(1, 64))],
+     "peel-nonpositive-mass", "peel-overflow"),
+    # a negative forced mass, then a negative atom of N
+    ([(1, F(1, 4)), (4, F(11, 5)), (16, F(1, 2)), (64, F(2, 5)),
+      (256, F(1, 10))], "peel-nonpositive-mass", "peel-nonpositive-mass"),
+    # a residual atom off the multiples of 1/L, L the lcm of the
+    # denominators of the positions
+    ([(4, F(8, 11)), (F(9, 2), F(7, 4)), (F(17, 2), F(1, 4))],
+     "peel-nonpositive-mass", "peel-overflow"),
+    # the square of 1/2 at 2/7 and 1/2 at 4/7: x_1 = 4/49
+    ([(F(4, 49), F(1, 4)), (F(8, 49), F(1, 2)), (F(16, 49), F(1, 4))],
+     WITNESS, WITNESS),
+    # (d(sqrt 2) + d(2 sqrt 2))^2: the root sits on radicals over x_1 = 2
+    ([(2, 1), (4, 2), (8, 1)], WITNESS, WITNESS),
+    # the square of the signed Q = 1, 2, -1, 2, 1 at 1, 2, 4, 8, 16 has no
+    # atom at 8, where N = Q * t(Q) has one
+    ([(1, 1), (2, 4), (4, 2), (16, 11), (64, 2), (128, 4), (256, 1)],
+     "peel-nonpositive-mass", WITNESS),
+]
+
+
+@pytest.mark.parametrize("bits", [None, 128])
+@pytest.mark.parametrize("atoms, first, second", _PRINTED, ids=[
+    "overflow", "forced-then-beyond-top", "forced-then-negative-n",
+    "off-the-lattice", "witness-at-4-49", "witness-on-radicals",
+    "witness-off-support"])
+def test_verdicts_build_positions_only_for_what_they_print(
+        monkeypatch, atoms, first, second, bits):
+    # each certificate prints its values and each witness places its atoms
+    # from int keys and numerators: no product, quotient or keyed position
+    mu = make_measure(atoms)
+    if bits is not None:
+        mu = mu.to_real(bits)
+    built = _spy_positions(monkeypatch)
+    both = list(verdicts(mu, SolverConfig(bits or 128)))
+    assert [v.certificate.rule if v.certificate else v.outcome
+            for v in both] == [first, second]
+    assert built == []
+    for verdict in both:
+        if verdict.witness is not None:
+            assert all(w > 0 for w in verdict.witness.weights)
+            assert list(verdict.witness.support) == \
+                sorted(verdict.witness.support)
 
 
 def test_analysis_ignores_global_precision():

@@ -23,6 +23,9 @@ from alsq.measures import (
     Position,
     ZeroAtomError,
     _common_base,
+    _key_position,
+    _key_text,
+    _ratio_text,
     convolve,
     dirac,
     dumps_measure,
@@ -40,7 +43,7 @@ from alsq.measures import (
     table,
 )
 from alsq.reals import mpf_to_fraction, to_mpf
-from alsq.scalars import ScalarError, parse_rational
+from alsq.scalars import ScalarError, parse_rational, scalar_str
 
 F = Fraction
 
@@ -324,6 +327,37 @@ def test_product_table_matches_its_measure(pair):
             assert [F(n, table.den) for n in table.masses] == \
                 [mpf_to_fraction(w) for w in out.weights]
             assert 0 < table.radius < F(1, 2 ** 50)
+
+
+@settings(max_examples=150)
+@given(keyed_pairs())
+def test_key_text_is_the_text_of_the_keyed_position(pair):
+    # certificates print positions off int keys and values off int pairs
+    # as scalar_str prints the position and the Fraction: on the keys of
+    # rational and radical supports and of their squares
+    for mu in pair:
+        for keyed in (table(mu), square_products(mu)):
+            scale, base = keyed.scale, keyed.base
+            for key in keyed.keys:
+                assert _key_text(key, scale, base) == \
+                    scalar_str(_key_position(key, scale, base))
+                assert _ratio_text(key, scale) == scalar_str(F(key, scale))
+                assert _ratio_text(-key, 3 * scale) == \
+                    scalar_str(F(-key, 3 * scale))
+
+
+def test_key_text_of_a_value_beyond_the_digit_limit():
+    # a value with more digits than the interpreter prints is quoted by its
+    # size, as scalar_str quotes it, for a rational and a radical position
+    # and for a ratio
+    big = 10 ** (sys.get_int_max_str_digits() + 1)
+    for key, scale, base in ((big * big, 3 * 3, F(1)), (4, big * big, F(1)),
+                             (2 * big * big, 1, F(2))):
+        text = _key_text(key, scale, base)
+        assert text == scalar_str(_key_position(key, scale, base))
+        assert text.startswith("(a number of more than")
+    assert _ratio_text(big, 7) == scalar_str(F(big, 7)) == \
+        _ratio_text(7, big)
 
 
 def test_t_products_refuses_a_radical_rational_position():

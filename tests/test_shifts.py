@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import random
+from types import SimpleNamespace
 from fractions import Fraction
 
 import mpmath
@@ -261,12 +263,26 @@ def test_shift_table_text_is_float_str_of_the_rounded_entry(monkeypatch):
             or len(exact) < len(planted), bits
 
 
+def test_root_texts_survive_a_wrong_decimal_exponent(monkeypatch):
+    """An estimate of the decimal exponent off by one or two either way,
+    as log10 of ints of millions of bits could make it, sends the entry to
+    the exact path instead of printing a digit too few or too many."""
+    def log10(x):  # off by up to 1.3 either way, by the int
+        return math.log10(x) + (1.3, 0, -1.3)[x % 3]
+    monkeypatch.setattr(shifts, "math", SimpleNamespace(
+        log10=log10, floor=math.floor, isqrt=math.isqrt))
+    planted = _planted_entries()
+    for bits in (53, 128):
+        assert root_texts(planted, bits) == \
+            [float_str(*round_root(x, y, r, bits)[1:3]) for x, y, r in planted]
+
+
 def test_root_texts_keep_the_order_of_a_mixed_batch(monkeypatch):
     """One ``root_texts`` call on the planted ties and on values laid out
     in each of ``float_str``'s forms (e <= -5, -5 < e < 0, 0 <= e < 15 and
-    e >= 15), shuffled among radical entries and entries of over
-    ``_ROOT_STR_BITS`` bits that take the exact path: text i is that of
-    entry i."""
+    e >= 15), shuffled among radical entries, which take the exact path,
+    entries of over 2048 bits and values beyond 10^+-700, whose powers of
+    ten are kept for the call only: text i is that of entry i."""
     exact = []
     monkeypatch.setattr(shifts, "round_root",
                         lambda *args: exact.append(args) or round_root(*args))
@@ -280,7 +296,11 @@ def test_root_texts_keep_the_order_of_a_mixed_batch(monkeypatch):
                for r in (1, 2, 4) for _ in range(6)]
     big = [((3 ** 1400 * v.numerator, 0), (3 ** 1400 * v.denominator, 0), 2)
            for v in values[::3]]
-    entries = _planted_entries() + decimal + radical + big
+    huge = [((v.numerator ** r, 0), (v.denominator ** r, 0), r)
+            for e in (-3100, -2400, -760, 700, 710, 1600, 3500)
+            for v in [F(rng.randrange(10 ** 8, 10 ** 9), 10 ** 8) * F(10) ** e]
+            for r in (1, 2, 4)]
+    entries = _planted_entries() + decimal + radical + big + huge
     rng.shuffle(entries)
     for bits in (24, 53, 128):
         del exact[:]
@@ -289,8 +309,12 @@ def test_root_texts_keep_the_order_of_a_mixed_batch(monkeypatch):
         for (x, y, r), text in zip(entries, texts):
             assert text == float_str(*round_root(x, y, r, bits, 2)[1:3]), \
                 (x, y, r, bits)
-        assert len(radical) + len(big) <= len(exact) <= len(entries)
+        assert len(radical) <= len(exact) <= len(entries)
         assert bits < 53 or len(exact) < len(entries), bits
+        # from 53 bits the long entries, far from a tie, take the decimal
+        # path
+        assert bits < 53 or not [
+            args for args in exact if args[:3] in big + huge], bits
     laid_out = [text for entry, text in zip(entries, texts) if entry in decimal]
     for form in (lambda t: "e-" in t, lambda t: t.startswith("0."),
                  lambda t: "e" not in t and not t.startswith("0."),
@@ -364,7 +388,7 @@ def test_radical_entries_of_rational_value_take_the_decimal_path(
             assert len(exact) == fell
             fallbacks, total = fallbacks + fell, total + len(ratios)
     assert (radical, both) == (960, 480)
-    # near a decimal tie, or past _ROOT_STR_BITS
+    # near a decimal tie
     assert fallbacks < total // 10
 
 

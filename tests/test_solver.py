@@ -1459,6 +1459,38 @@ def test_radical_transform_output_is_pinned():
     assert digest.hexdigest() == RADICAL_TRANSFORM_DIGEST
 
 
+# SHA-256 of both verdicts, JSON and text, of `gen --p 400 --seed 1` (two
+# peel-nonpositive-mass certificates), `gen --p 300 --mode arbitrary --style
+# random --seed 1` (peel-nonpositive-mass and peel-overflow) and the 204-atom
+# square of `gen --p 20 --style random --seed 1` (two witnesses, x_1 = 4/49),
+# taken before certificates were printed from int keys: large supports must
+# print the same values
+LARGE_VERDICT_DIGEST = (
+    "f8b73b7da19038376b7bbd5b31a1edab52f4d83b7f11818eb6553e41334ad0ab")
+
+
+def test_large_verdict_output_is_pinned():
+    random20 = generate(GeneratorSpec(20, "arbitrary", 1,
+                                      position_style="random")).measure
+    cases = [generate(GeneratorSpec(400, "arbitrary", 1)).measure,
+             generate(GeneratorSpec(300, "arbitrary", 1,
+                                    position_style="random")).measure,
+             convolve(random20, random20)]
+    digest = hashlib.sha256()
+    rules = []
+    for mu in cases:
+        both = list(verdicts(mu))
+        rules.append([v.certificate.rule if v.certificate else v.outcome
+                      for v in both])
+        digest.update((json.dumps([v.to_json_dict() for v in both],
+                                  sort_keys=True)
+                       + "".join(v.render() for v in both) + "\n").encode())
+    assert rules == [["peel-nonpositive-mass"] * 2,
+                     ["peel-nonpositive-mass", "peel-overflow"],
+                     [WITNESS, WITNESS]]
+    assert digest.hexdigest() == LARGE_VERDICT_DIGEST
+
+
 def test_radical_transform_peels_the_table_of_its_product(monkeypatch):
     # the table peeled for radical positions is that of
     # convolve(mu, t_weight(mu)), with the radius of a sum of products of

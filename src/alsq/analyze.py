@@ -19,6 +19,7 @@ from .measures import (
     AtomicMeasure,
     MeasureError,
     dumps_measure,
+    has_radical,
     strip_zero_atom,
 )
 from .scalars import Record, scalar_str
@@ -161,7 +162,7 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
 
     small_verdict = None
     agreement = None
-    if 3 <= body.p <= 6 and all(pos.k == 0 for pos in body.support):
+    if 3 <= body.p <= 6 and not has_radical(body):
         # rational positions, so sqrt_of decided: reuse its root
         small_verdict = classify_small(body, config, root=sqrt_verdict)
         # an undetermined verdict neither agrees nor disagrees

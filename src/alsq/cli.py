@@ -22,6 +22,7 @@ from .measures import (
     MeasureError,
     convolve,
     dumps_measure,
+    has_radical,
     load_measure,
     measure_to_json_dict,
     save_measure,
@@ -164,7 +165,7 @@ def cmd_recurrence(args) -> int:
 
     # only the support is read; radical positions are refused
     _, mu = strip_zero_atom(load_measure(args.measure))
-    if any(pos.k == 1 for pos in mu.support):
+    if has_radical(mu):
         print("error: the recurrence needs rational positions", file=sys.stderr)
         return EXIT_ERROR
     # the moments g_n = sum w_i x_i^n, with p distinct atoms x_i of positive

@@ -38,8 +38,8 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from .diagram import Violation, geometric_profile
-from .measures import (RATIONAL, REAL, AtomicMeasure, MeasureError, numerators,
-                       support_keys)
+from .measures import (RATIONAL, REAL, AtomicMeasure, MeasureError,
+                       has_radical, numerators, support_keys)
 from .solver import (
     IMPOSSIBLE,
     UNDETERMINED,
@@ -61,14 +61,17 @@ class _Checker:
     In real mode each mass a stands for the values within a*(1 +- eps), so
     a positive x made of k masses stands for the values between
     x*(1 - eps)^k and x*(1 + eps)^k (its span); an identity holds when the
-    spans of its sides meet.  In rational mode eps = 0 and the tests are
-    exact."""
+    spans of its sides meet.  For eps = t / b a span is kept as two ints,
+    its ends times b^k, and compared so with spans of the same k, or of
+    degree 2k against its square.  In rational mode eps = 0 and the tests
+    are exact."""
 
     def __init__(self, mu: AtomicMeasure, config: SolverConfig):
         self.a = numerators(mu.weights, mu.mode, config.precision_bits)[0]
         self.eps = config.radius if mu.mode == REAL else Fraction(0)
 
-    def span(self, x: int, k: int) -> Tuple[Fraction, Fraction]:
+    def span(self, x: int, k: int) -> Tuple[int, int]:
+        """x*(1 - eps)^k and x*(1 + eps)^k, each times b^k."""
         if not self.eps:
             return x, x
         low, high = _span_factors(self.eps.numerator, self.eps.denominator, k)
@@ -83,11 +86,10 @@ class _Checker:
 
 
 @lru_cache(maxsize=64)
-def _span_factors(top: int, bottom: int, k: int) -> Tuple[Fraction, Fraction]:
-    """(1 - eps)^k and (1 + eps)^k for eps = top / bottom (keyed on ints:
-    hashing a Fraction takes a modular inverse)."""
-    return (Fraction(bottom - top, bottom) ** k,
-            Fraction(bottom + top, bottom) ** k)
+def _span_factors(top: int, bottom: int, k: int) -> Tuple[int, int]:
+    """(1 - eps)^k and (1 + eps)^k for eps = top / bottom, each times
+    bottom^k: (bottom - top)^k and (bottom + top)^k."""
+    return (bottom - top) ** k, (bottom + top) ** k
 
 
 def classify_small(
@@ -105,7 +107,7 @@ def classify_small(
     if not 3 <= p <= 6:
         raise MeasureError(
             f"closed forms cover 3 to 6 atoms, not p={p}; use the generic solver")
-    if any(pos.k == 1 for pos in mu.support):
+    if has_radical(mu):
         raise MeasureError(
             "closed forms require rational atom positions; apply "
             "power_positions(mu, 2) first")

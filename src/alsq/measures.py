@@ -260,7 +260,8 @@ class AtomicMeasure(Record):
         return real_arithmetic().from_dyadic(sum(masses), den)
 
     def has_zero_atom(self) -> bool:
-        return self.zero_mass != 0
+        # truth, not a comparison with 0: that converts 0 to an mpf
+        return bool(self.zero_mass)
 
     def require_no_zero_atom(self, op: str) -> None:
         if self.has_zero_atom():
@@ -360,8 +361,7 @@ def _plus(zero: Weight, weight: Weight, bits: int) -> Weight:
     if type(zero) is Fraction:
         return zero + weight
     reals = real_arithmetic()
-    return reals.from_raw(reals.mpf_add(zero._mpf_, weight._mpf_, bits,
-                                        reals.round_nearest))
+    return reals.from_raw(reals.total(zero._mpf_, weight._mpf_, bits))
 
 
 def _keyed_measure(base: Fraction, mode: str, atoms: list, squares: list,
@@ -422,12 +422,21 @@ def dirac(position, weight=1, mode: str = RATIONAL, base: Fraction = Fraction(1)
 # algebra
 # ---------------------------------------------------------------------------
 
+def has_radical(mu: AtomicMeasure) -> bool:
+    """Whether some position of ``mu`` is a radical q*sqrt(base), read off
+    its atoms with no support tuple built."""
+    for pos, _ in mu.atoms:
+        if pos.k:
+            return True
+    return False
+
+
 def _common_base(mu: AtomicMeasure, nu: AtomicMeasure) -> Fraction:
     if mu.base == nu.base:
         return mu.base
-    if all(pos.k == 0 for pos in mu.support):
+    if not has_radical(mu):
         return nu.base
-    if all(pos.k == 0 for pos in nu.support):
+    if not has_radical(nu):
         return mu.base
     raise IncompatibleBasesError(
         f"radical bases {mu.base} and {nu.base} are incompatible")
@@ -697,8 +706,8 @@ def t_weight(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMea
         reals = real_arithmetic()
         for pos, w in mu.atoms:
             x = reals.position_raw(pos, bits)
-            weights.append(reals.from_raw(reals.mpf_mul(
-                reals.operand(w, bits), x, bits, reals.round_nearest)))
+            weights.append(reals.from_raw(reals.product(
+                reals.operand(w, bits), x, bits)))
     return with_weights(mu, weights, mu.mode)
 
 
@@ -776,7 +785,7 @@ def strip_zero_atom(mu: AtomicMeasure) -> Tuple[Weight, AtomicMeasure]:
         if mu.mode == RATIONAL:
             return Fraction(0), mu
         reals = real_arithmetic()
-        return reals.from_raw(reals.fzero), mu
+        return reals.from_raw(reals.ZERO), mu
     body = AtomicMeasure(mu.base, mu.mode, mu.atoms)
     object.__setattr__(body, "_keys", mu._keys)
     return mu.zero_mass, body
@@ -784,7 +793,7 @@ def strip_zero_atom(mu: AtomicMeasure) -> Tuple[Weight, AtomicMeasure]:
 
 def normalize(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure:
     total = mu.total_mass()
-    if total == 0:
+    if not total:
         raise MeasureError("cannot normalize a measure with zero total mass")
 
     if mu.mode == RATIONAL:
@@ -794,10 +803,10 @@ def normalize(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMe
         reals = real_arithmetic()
 
         def share(w):  # rounded to nearest at bits
-            return reals.from_raw(reals.mpf_div(
-                reals.operand(w, bits), total._mpf_, bits, reals.round_nearest))
+            return reals.from_raw(reals.quotient(
+                reals.operand(w, bits), total._mpf_, bits))
 
-    zero = share(mu.zero_mass) if mu.zero_mass != 0 else mu.zero_mass
+    zero = share(mu.zero_mass) if mu.zero_mass else mu.zero_mass
     return with_weights(mu, [share(w) for w in mu.weights], mu.mode, zero)
 
 
@@ -810,13 +819,13 @@ def _atom_fields(mu: AtomicMeasure) -> List[Tuple[str, int, str]]:
     origin first."""
     weight = format_rational
     if mu.mode == REAL:
-        mpf_to_fraction = real_arithmetic().mpf_to_fraction
+        dyadic_text = real_arithmetic().dyadic_text
 
         def weight(w):
             # exact dyadic form: parses back to the identical mpf, so
             # emission is byte-stable under reload
-            return format_rational(w if type(w) is Fraction
-                                   else mpf_to_fraction(w))
+            return (format_rational(w) if type(w) is Fraction
+                    else dyadic_text(w))
 
     atoms = [("0", 0, weight(mu.zero_mass))] if mu.has_zero_atom() else []
     atoms += [(format_rational(pos.q), pos.k, weight(w))

@@ -60,14 +60,16 @@ masses from the table's int keys and numerators
 ints (:func:`_placed`); only radical positions fall back to positions.
 
 The decision path takes its precision explicitly from ``SolverConfig``:
-``t_weight`` and the witness masses round raw libmp values at
-``precision_bits``, ``convolve`` sums exactly and rounds each real sum once
-there, the peel and the witness check are exact, and none of them enters
-mpmath's global context, so threads may decide at different
-precisions at once.  The same holds for the closed forms, the loader,
-``analyze`` and ``shifts.hankel_psd``; only ``selftest`` still switches that
-context.  mpmath belongs to :mod:`alsq.reals`, which the real-mode branches
-get from ``scalars.real_arithmetic``; a rational decision never loads it.
+``t_weight`` and the witness masses are rounded at ``precision_bits``,
+``convolve`` sums exactly and rounds each real sum once there, the peel
+and the witness check are exact, and none of them enters mpmath's global
+context, so threads may decide at different precisions at once.  The
+same holds for the closed forms, the loader, ``analyze`` and
+``shifts.hankel_psd``; only ``selftest`` still switches that context.
+Each rounding runs on ints (:mod:`alsq.reals`), as libmp would round it;
+a real mass is still an mpf, which mpmath holds and prints.  mpmath
+belongs to :mod:`alsq.reals`, which the real-mode branches get from
+``scalars.real_arithmetic``; a rational decision never loads it.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ from .measures import (
     _ratio_text,
     _square,
     convolve,
+    has_radical,
     measure_to_json_dict,
     square_products,
     support_keys,
@@ -362,8 +365,7 @@ def _peel(target: Table, config: SolverConfig,
         reals, bits = real_arithmetic(), config.precision_bits
 
         def value(n, q):  # as to_mpf rounds Fraction(n, q), with no gcd
-            return reals.from_raw(reals.from_rational(n, q, bits,
-                                                      reals.round_down))
+            return reals.from_raw(reals.quotient_down(n, q, bits))
     if ball:
         top, bottom = _spread(rho.numerator, rho.denominator)
         # over a denominator that makes the smallest radius about 2^32 units,
@@ -714,12 +716,11 @@ def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
                               map(Fraction.as_integer_ratio, cs)], []
     bits = config.precision_bits
     reals = real_arithmetic()
-    from_raw, mpf_mul, to_raw = reals.from_raw, reals.mpf_mul, reals.to_raw
+    from_raw, product, to_raw = reals.from_raw, reals.product, reals.to_raw
     # rounded to nearest at bits, as mpmath.sqrt and the mpf product at that
     # working precision round them
-    scale = reals.mpf_sqrt(to_raw(a1, bits), bits, reals.round_nearest)
-    weights = [from_raw(mpf_mul(to_raw(c, bits), scale, bits,
-                                reals.round_nearest)) for c in cs]
+    scale = reals.sqrt_raw(to_raw(a1, bits), bits)
+    weights = [from_raw(product(to_raw(c, bits), scale, bits)) for c in cs]
     notes = []
     if mode == RATIONAL:
         notes.append(f"witness masses lie in Q(sqrt({scalar_str(a1)})); "
@@ -818,7 +819,7 @@ def aluthge_subnormal(
     table of convolve(mu, t_weight(mu)), in real mode.
     """
     mu.require_no_zero_atom("aluthge_subnormal")
-    if not any(pos.k == 1 for pos in mu.support):
+    if not has_radical(mu):
         target = table(mu, config.precision_bits, config.radius)
         peels = _peel(target, config)
         next(peels)
@@ -884,7 +885,7 @@ def verdicts(mu: AtomicMeasure,
     """Yield ``sqrt_of(mu)``, then ``aluthge_subnormal(mu)``, each when
     asked for, both from one peel of mu."""
     mu.require_no_zero_atom("sqrt_of")
-    if any(pos.k == 1 for pos in mu.support):
+    if has_radical(mu):
         raise MeasureError(
             "square-root search requires rational atom positions; apply "
             "power_positions(mu, 2) first")

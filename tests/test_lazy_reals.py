@@ -267,3 +267,44 @@ def test_only_reals_and_selftest_import_mpmath_at_module_level():
              else found)[path.name] = imports
     assert set(allowed) == {"reals.py", "selftest.py"}  # the scan sees them
     assert found == {}
+
+
+# what ``alsq.reals`` keeps of mpmath: the mpf container and its context's
+# ``make_mpf``, and the parser and the printer of decimal text
+_REALS_MPMATH = {"mpf", "mp", "from_str", "to_str"}
+# libmp's rounding modes, by the names libmp exports them under
+_ROUNDING_MODES = {"round_ceiling", "round_down", "round_fast", "round_floor",
+                   "round_nearest", "round_up"}
+
+
+def test_reals_keeps_only_the_mpf_container_and_the_decimal_text():
+    from mpmath import libmp
+
+    tree = ast.parse((PACKAGE / "reals.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "mpmath":
+                    imported[alias.name] = "import"
+        elif isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[0] == "mpmath":
+            imported.update((alias.name, node.module) for alias in node.names)
+    assert set(imported) == _REALS_MPMATH
+    # no module of the package names libmp's arithmetic, its conversions
+    # that round or its rounding modes, through alsq.reals or otherwise
+    forbidden = ({name for name in dir(libmp) if name.startswith("mpf_")}
+                 | {"from_rational", "from_man_exp"} | _ROUNDING_MODES)
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        if names & forbidden:
+            found[path.name] = sorted(names & forbidden)
+    assert found == {}

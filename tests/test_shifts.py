@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import mpf, workprec
+from mpmath.libmp import mpf_pos, round_nearest
 
 from alsq import selftest, shifts
 from alsq.analyze import shift_table
@@ -20,8 +21,7 @@ from alsq.measures import (
     moment,
     normalize,
 )
-from alsq.reals import (from_raw, mpf_pos, mpf_to_fraction, round_nearest,
-                        to_mpf)
+from alsq.reals import from_raw, mpf_to_fraction, to_mpf
 from alsq.scalars import float_str, round_root
 from alsq.shifts import (
     HANKEL_TOLERANCE,

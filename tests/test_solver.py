@@ -21,12 +21,15 @@ from alsq.closed_forms import classify_small
 from alsq.diagram import Violation, cardinality_check, structural_certificate
 from alsq.generator import MODES, GeneratorSpec, generate
 from alsq.measures import (
+    AtomicMeasure,
     MeasureError,
     Position,
     ZeroAtomError,
     _product_radius,
     convolve,
     dirac,
+    dumps_measure,
+    has_radical,
     int_keys,
     loads_measure,
     make_measure,
@@ -36,6 +39,7 @@ from alsq.measures import (
     save_measure,
     scale_positions,
     square_products,
+    strip_zero_atom,
     t_weight,
     table,
 )
@@ -1381,11 +1385,8 @@ def _verdict_record(mu, config):
         cert.to_json_dict() if cert else None)) + "\n"
 
 
-def test_verdict_output_is_pinned():
-    # seeded instances of every mode and style for p = 1..12 and signed
-    # squares, with exact masses and at 3, 24 and 128 bits, where radius
-    # 1/4 leaves many balls holding 0 and the signed peel parts from the
-    # square-root peel
+def _seeded_mix():
+    """Seeded instances of every mode and style for p = 1..12."""
     cases = []
     for seed in range(8):
         for p in range(1, 13):
@@ -1396,7 +1397,14 @@ def test_verdict_output_is_pinned():
                             p, mode, seed, position_style=style)).measure)
                     except MeasureError:
                         pass
-    cases += _signed_squares(80, 28) + [make_measure(list(
+    return cases
+
+
+def test_verdict_output_is_pinned():
+    # the seeded mix and signed squares, with exact masses and at 3, 24 and
+    # 128 bits, where radius 1/4 leaves many balls holding 0 and the signed
+    # peel parts from the square-root peel
+    cases = _seeded_mix() + _signed_squares(80, 28) + [make_measure(list(
         _dict_square(q).items())) for _, q, _ in _OFF_SUPPORT]
     digest = hashlib.sha256()
     for mu in cases:
@@ -1459,6 +1467,42 @@ def test_radical_transform_output_is_pinned():
     assert digest.hexdigest() == RADICAL_TRANSFORM_DIGEST
 
 
+# SHA-256 of real-mode analysis, at 3, 24, 53, 128 and 256 bits, of the
+# real twins of the seeded mix and of :func:`_radical_cases`: the JSON and
+# text of ``analyze`` with 5 shift terms, the measure document, convolve(mu,
+# mu), t_weight, normalize and the total mass, taken while real mode still
+# rounded through mpmath's libmp: rounding on ints must not move any of it
+REAL_ANALYZE_DIGEST = (
+    "d666e80af5516969eb6e78794e5c2123865e44275acc3613b25de0d531d5d942")
+
+
+def _real_record(mu, bits):
+    def exact(op, *args):
+        try:
+            value = op(*args)
+        except MeasureError as exc:
+            return f"error: {exc}"
+        return (dumps_measure(value) if hasattr(value, "atoms")
+                else repr(value._mpf_))
+
+    report = analyze(mu, AnalyzeOptions(SolverConfig(bits), 5))
+    body = strip_zero_atom(mu)[1]
+    return "\n".join([
+        json.dumps(report.to_json_dict(), sort_keys=True), report.render(),
+        dumps_measure(mu), exact(convolve, body, body, bits),
+        exact(t_weight, body, bits), exact(normalize, mu, bits),
+        exact(mu.total_mass)]) + "\n"
+
+
+def test_real_analyze_output_is_pinned():
+    # no other pin reaches real analyze, convolve, t_weight or normalize
+    digest = hashlib.sha256()
+    for mu in _seeded_mix() + _radical_cases():
+        for bits in (3, 24, 53, 128, 256):
+            digest.update(_real_record(mu.to_real(bits), bits).encode())
+    assert digest.hexdigest() == REAL_ANALYZE_DIGEST
+
+
 # SHA-256 of both verdicts, JSON and text, of `gen --p 400 --seed 1` (two
 # peel-nonpositive-mass certificates), `gen --p 300 --mode arbitrary --style
 # random --seed 1` (peel-nonpositive-mass and peel-overflow) and the 204-atom
@@ -1489,6 +1533,23 @@ def test_large_verdict_output_is_pinned():
                      ["peel-nonpositive-mass", "peel-overflow"],
                      [WITNESS, WITNESS]]
     assert digest.hexdigest() == LARGE_VERDICT_DIGEST
+
+
+def test_the_radical_test_builds_no_support(monkeypatch):
+    # has_radical reads the atoms; a refuted rational measure places no
+    # witness, so deciding it reads no support tuple at all
+    for mu in _radical_cases() + _seeded_mix()[:100]:
+        assert has_radical(mu) == any(pos.k == 1 for pos in mu.support)
+    mu = make_measure([(1, F(1, 3)), (2, F(1, 3)), (4, F(1, 3))])
+    cases = mu, mu.to_real(128)
+    reads = []
+    support = AtomicMeasure.support.fget
+    monkeypatch.setattr(AtomicMeasure, "support",
+                        property(lambda mu: reads.append(mu) or support(mu)))
+    for case in cases:
+        assert [v.outcome for v in verdicts(case)] == [IMPOSSIBLE] * 2
+        assert aluthge_subnormal(case).outcome == IMPOSSIBLE
+    assert reads == []
 
 
 def test_radical_transform_peels_the_table_of_its_product(monkeypatch):

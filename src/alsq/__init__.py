@@ -8,7 +8,6 @@ from .measures import (
     Position,
     ZeroAtomError,
     convolve,
-    dirac,
     dumps_measure,
     load_measure,
     loads_measure,
@@ -60,10 +59,10 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(("GeneratedInstance", "GeneratorSpec", "generate"),
                     "generator"),
-    **dict.fromkeys(("aluthge_moment_sequence", "aluthge_weights",
-                     "hankel_psd", "moment_sequence", "moments_from_weights",
-                     "shift_rows", "shifts", "support_characteristic",
-                     "weights_from_measure"), "shifts"),
+    **dict.fromkeys(("aluthge_weights", "hankel_psd", "moment_sequence",
+                     "moments_from_weights", "shift_rows", "shifts",
+                     "support_characteristic", "weights_from_measure"),
+                    "shifts"),
 }
 
 
@@ -88,9 +87,9 @@ __all__ = [
     "IncompatibleBasesError", "InternalError", "MeasureError", "Peel",
     "Position", "ProductDiagram", "SolverConfig", "UNDETERMINED",
     "URClassification", "Verdict", "Violation", "WITNESS", "ZeroAtomError",
-    "aluthge_moment_sequence", "aluthge_subnormal", "aluthge_weights",
-    "analyze", "cardinality_check", "classify_small", "classify_ur",
-    "closed_forms", "convolve", "diagram", "dirac", "dumps_measure",
+    "aluthge_subnormal", "aluthge_weights", "analyze", "cardinality_check",
+    "classify_small", "classify_ur", "closed_forms", "convolve", "diagram",
+    "dumps_measure",
     "generate", "geometric_profile", "hankel_psd", "load_measure",
     "loads_measure", "make_measure", "measure_from_json_dict",
     "measure_to_json_dict", "measures", "moment", "moment_sequence",

@@ -26,7 +26,7 @@ loop (:func:`_pair_products`), which forms each unordered pair of atoms
 once, forms every product: :func:`square_products` tables a witness's
 square, the solver runs it on the masses of a signed root, and
 :func:`convolve` runs it on the union of any two supports.  The solver
-tables convolve(mu, t_weight(mu)) for radical positions only.
+forms no product of mu with t_weight(mu), on any support.
 
 Real-mode branches get :mod:`alsq.reals` from ``real_arithmetic`` once per
 call; rational ones never load mpmath.
@@ -270,6 +270,7 @@ class AtomicMeasure(Record):
                 "apply strip_zero_atom first")
 
     def to_real(self, bits: int = DEFAULT_PRECISION_BITS) -> "AtomicMeasure":
+        _check_precision(bits)
         if self.mode == REAL:
             return self
         to_mpf = real_arithmetic().to_mpf
@@ -292,6 +293,13 @@ class AtomicMeasure(Record):
             parts.append(f"{show(self.zero_mass)}*d(0)")
         parts.extend(f"{show(w)}*d({pos})" for pos, w in self.atoms)
         return " + ".join(parts) if parts else "0"
+
+
+def _check_precision(bits: int) -> None:
+    """Refuse a precision below one bit, which would round every mass to 0
+    (the rounding helpers of :mod:`alsq.reals` assume at least 1)."""
+    if bits < 1:
+        raise MeasureError(f"precision must be at least 1 bit, got {bits}")
 
 
 def with_weights(mu: AtomicMeasure, weights: Sequence[Weight], mode: str,
@@ -388,7 +396,8 @@ def _keyed_measure(base: Fraction, mode: str, atoms: list, squares: list,
 def _weight_converter(mode: str, bits: int):
     """The function that makes each weight of a ``mode`` measure.  A string
     is parsed as an exact rational (a non-finite one raises
-    ``ScalarError``), rounded toward zero at ``bits`` in real mode."""
+    ``ScalarError``), rounded toward zero at ``bits`` in real mode; a
+    non-finite mpf raises ``MeasureError``."""
     if mode == RATIONAL:
         return _rational_weight
     reals = real_arithmetic()
@@ -398,6 +407,9 @@ def _weight_converter(mode: str, bits: int):
         if isinstance(w, str):
             w = parse_rational(w)
         if isinstance(w, mpf):
+            _, man, exp, _ = w._mpf_
+            if exp and not man:  # +-inf or nan
+                raise MeasureError(f"a real weight must be finite, got {w}")
             return w
         return to_mpf(Fraction(w), bits)
 
@@ -412,10 +424,6 @@ def _rational_weight(w) -> Fraction:
     if hasattr(w, "_mpf_"):  # an mpf
         raise MeasureError("rational mode cannot hold floating weights")
     return Fraction(w)
-
-
-def dirac(position, weight=1, mode: str = RATIONAL, base: Fraction = Fraction(1)) -> AtomicMeasure:
-    return make_measure([(position, weight)], mode=mode, base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +534,20 @@ class Table:
     The masses are the int numerators ``masses`` over the one denominator
     ``den``, a power of two in real mode.  Every mass stands for the values
     within ``radius`` times it, a Fraction that is 0 in rational mode.
+    ``surd`` is s = u*v for the base u/v when some position is a radical
+    (its key has no :func:`_key_root`), else 0.
     """
 
-    __slots__ = ("base", "mode", "keys", "scale", "masses", "den", "radius")
+    __slots__ = ("base", "mode", "keys", "scale", "masses", "den", "radius",
+                 "surd")
 
     def __init__(self, base: Fraction, mode: str, keys: List[int],
                  scale: int, masses: List[int], den: int, radius: Fraction):
         self.base, self.mode, self.keys, self.scale = base, mode, keys, scale
         self.masses, self.den, self.radius = masses, den, radius
+        s = base.numerator * base.denominator
+        self.surd = s if s > 1 and None in [
+            _key_root(key, scale) for key in keys] else 0
 
     @property
     def p(self) -> int:
@@ -574,24 +588,22 @@ def table(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,
 
 
 # the roundings at bits a real factor mass may carry into a product table,
-# counting a conversion toward zero as three: a ``t_weight`` mass at a
-# radical position carries nine, a witness mass six and a rational mass
-# that ``numerators`` converts three; a product's mass adds one rounding
-# of its sum to those of its two factors
+# counting a conversion toward zero as three: a witness mass carries six
+# and a rational mass that ``numerators`` converts three, so ten bounds
+# both; a product's mass adds one rounding of its sum to those of its two
+# factors
 _FACTOR_ROUNDINGS = 10
 
 
 @lru_cache(maxsize=256)
-def _product_radius(eps: Fraction, bits: int) -> Fraction:
-    """The relative radius of a sum of products of two masses, each within
-    relative ``eps`` of its value, computed with the k = 2 *
-    ``_FACTOR_ROUNDINGS`` + 1 roundings to nearest at ``bits`` that its
-    factors and the sum carry: (1 + eps)^2 (1 + g) - 1, where g bounds
-    |y - x| / y for y the result of k such roundings on x,
-    (1 - 2^-bits)^-k - 1 <= k / (2^bits - k)."""
+def _square_radius(bits: int) -> Fraction:
+    """The relative radius of a sum of products of two masses, computed
+    with the k = 2 * ``_FACTOR_ROUNDINGS`` + 1 roundings to nearest at
+    ``bits`` that its factors and the sum carry: g bounds |y - x| / y for
+    y the result of k such roundings on x, (1 - 2^-bits)^-k - 1 <=
+    k / (2^bits - k)."""
     n, k = 1 << bits, 2 * _FACTOR_ROUNDINGS + 1
-    g = Fraction(k, n - k) if n > k else Fraction(n, n - 1) ** k - 1
-    return (1 + eps) ** 2 * (1 + g) - 1
+    return Fraction(k, n - k) if n > k else Fraction(n, n - 1) ** k - 1
 
 
 def square_products(mu: AtomicMeasure,
@@ -608,7 +620,7 @@ def square_products(mu: AtomicMeasure,
     radius = Fraction(0)
     if mu.mode == REAL:
         squares, den = real_arithmetic().round_dyadic(squares, den, bits)
-        radius = _product_radius(Fraction(0), bits)
+        radius = _square_radius(bits)
     return Table(mu.base, mu.mode, order, scale * scale, squares, den, radius)
 
 
@@ -650,6 +662,7 @@ def convolve(mu: AtomicMeasure, nu: AtomicMeasure, bits: int = DEFAULT_PRECISION
     keys, divided by the gcd that brings the keys to the scale
     :func:`int_keys` gives them, and its position is read off that key
     (:func:`_key_position`)."""
+    _check_precision(bits)
     mu.require_no_zero_atom("convolve")
     nu.require_no_zero_atom("convolve")
     base = _common_base(mu, nu)

@@ -172,6 +172,37 @@ def sqrt_fraction(q: Fraction) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
+class Surd:
+    """a + b*sqrt(s) for ints a, b and an int s > 0, no square where b is
+    nonzero: exact under sums and int multiples, with an exact sign."""
+
+    __slots__ = ("a", "b", "s")
+
+    def __init__(self, a: int, b: int, s: int):
+        self.a, self.b, self.s = a, b, s
+
+    def __add__(self, x):
+        a, b = (x, 0) if type(x) is int else (x.a, x.b)
+        return Surd(self.a + a, self.b + b, self.s)
+
+    def __mul__(self, k: int):
+        return Surd(self.a * k, self.b * k, self.s)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __lt__(self, k: int):
+        return (self + -k).sign() < 0
+
+    def sign(self) -> int:  # by a^2 against b^2 s where a and b differ
+        a, b = self.a, self.b
+        if a * b < 0:
+            return (1 if a > 0 else -1) * (1 if a * a > b * b * self.s else -1)
+        return (a > 0 or b > 0) - (a < 0 or b < 0)
+
+
 def round_root(x: tuple, y: tuple, r: int, bits: int,
                s: int = 1) -> Tuple[int, int, int, int]:
     """(x / y)^(1/r), r in (1, 2, 4), rounded once to nearest even at
@@ -194,12 +225,10 @@ def round_root(x: tuple, y: tuple, r: int, bits: int,
     if x1 or y1:
         up, down = max(up, 0), max(-up, 0)
 
-        def excess(t):  # the sign of x 2^(rk) - t^r y = a + b sqrt(s)
+        def excess(t):  # the sign of x 2^(rk) - t^r y
             c = t ** r
-            a, b = (x0 << up) - (c * y0 << down), (x1 << up) - (c * y1 << down)
-            if a * b < 0:
-                return (1 if a > 0 else -1) * (1 if a * a > b * b * s else -1)
-            return (a > 0 or b > 0) - (a < 0 or b < 0)
+            return Surd((x0 << up) - (c * y0 << down),
+                        (x1 << up) - (c * y1 << down), s).sign()
         t = t - 1 if excess(t) < 0 else t + (excess(t + 1) >= 0)
         inexact = excess(t) != 0
     t |= bool(inexact)

@@ -33,12 +33,12 @@ from .measures import (
     make_measure,
     t_weight,
 )
-from .reals import mpf_to_fraction, to_mpf
+from .reals import from_raw, mpf_to_fraction, to_mpf
 from .scalars import Record
 from .shifts import (
-    aluthge_moment_sequence,
     hankel_psd,
     moment_sequence,
+    shift_rows,
     support_characteristic,
 )
 from .solver import (
@@ -413,7 +413,7 @@ def criterion_9() -> CriterionResult:
                                     position_style=style)).measure
         if i % 3 == 2:
             mu = mu.to_real()
-        tilde = aluthge_moment_sequence(mu, 21)
+        tilde = [from_raw(row[3]) for row in shift_rows(mu, 21)]
         exact = [(pos.q, w if mu.mode == RATIONAL else mpf_to_fraction(w))
                  for pos, w in mu.atoms]
         with workprec(256):
@@ -442,7 +442,7 @@ def criterion_10() -> CriterionResult:
     failures = 0
     count = 0
     for mu in list(good3) + list(good5) + list(case_one) + list(case_two):
-        tilde = aluthge_moment_sequence(mu, 14)
+        tilde = [from_raw(row[3]) for row in shift_rows(mu, 14)]
         # positivity at order six implies it for every smaller order
         ok_a, ok_b = hankel_psd(tilde, 6)
         count += 1

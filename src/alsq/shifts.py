@@ -184,8 +184,12 @@ def root_texts(entries, bits: int, s: int = 1) -> List[str]:
 
 def weights_from_measure(mu: AtomicMeasure, count: int,
                          bits: int = DEFAULT_PRECISION_BITS) -> List["mpf"]:
-    """Shift weights alpha_0 .. alpha_{count-1} of the normalized measure."""
-    return _column(mu, 0, count, bits)
+    """Shift weights alpha_0 .. alpha_{count-1} of the normalized measure,
+    as mpfs, each rounded once (column 0 of :func:`shift_rows`)."""
+    entries, s = _entries(mu, count, bits)
+    from_raw = real_arithmetic().from_raw
+    return [from_raw(round_root(x, y, r, bits, s))
+            for x, y, r in entries[::4]]
 
 
 def aluthge_weights(alpha: Sequence["mpf"],
@@ -211,20 +215,6 @@ def moments_from_weights(alpha: Sequence["mpf"],
         product, power = product * a * a, power * den * den
         out.append(from_raw(round_root((product, 0), (power, 0), 1, bits)))
     return out
-
-
-def aluthge_moment_sequence(mu: AtomicMeasure, count: int,
-                            bits: int = DEFAULT_PRECISION_BITS) -> List["mpf"]:
-    """Moments of the Aluthge-transformed shift, g~_0 .. g~_{count-1}."""
-    return _column(mu, 3, count, bits)
-
-
-def _column(mu: AtomicMeasure, column: int, count: int, bits: int) -> list:
-    """Entries 0 .. count-1 of one column as mpfs, each rounded once."""
-    entries, s = _entries(mu, count, bits)
-    from_raw = real_arithmetic().from_raw
-    return [from_raw(round_root(x, y, r, bits, s))
-            for x, y, r in entries[column::4]]
 
 
 def hankel_psd(

@@ -24,19 +24,20 @@ two certificates that re-running the peel re-checks:
 * ``peel-nonpositive-mass``: the forced mass of the next root atom is <= 0;
 * ``peel-overflow``: the next root atom would square beyond the top atom.
 
-One peel (:func:`_peel`) answers both questions, a verdict each; a caller
-that needs the first alone does not resume it.  On rational positions it
-peels the signed square root Q of mu, for rational and real masses alike:
-mu has a root iff Q >= 0, and mu * t(mu) iff mu = Q * Q and Q * t(Q) >= 0,
-where ``peel-overflow`` also says that mu is no signed square; the argument
-holds over any field, so over R as well.  The transform of radical
-positions peels the product table of mu * t(mu) instead.
+One peel (:func:`_peel`) of the table of mu answers both questions, a
+verdict each; a caller that needs the first alone does not resume it.  It
+peels the signed square root Q of mu, on any positions and for rational
+and real masses alike: mu has a root iff Q >= 0, and mu * t(mu) iff
+mu = Q * Q and Q * t(Q) >= 0, where ``peel-overflow`` also says that mu is
+no signed square; the argument holds over any field, so over R as well.
 
-Relative to the first root atom every forced mass is rational for rational
-input, and the root masses are those values times sqrt(a_1); so rational
-input is always decided exactly.  A real mass is a dyadic rational standing
-for every value within relative eps = max(tolerance, 2^(1 - precision_bits))
-of it (``SolverConfig.radius``).  The peel carries an exact error radius
+Relative to the first root atom every mass of Q is rational for rational
+input, and every mass of N = Q * t(Q) lies in Q(sqrt(s)), s = u*v for the
+base u/v, with an exact sign; so rational input is always decided exactly
+(the root masses are those values times sqrt(a_1)).  A real mass is a
+dyadic rational standing for every value within relative
+eps = max(tolerance, 2^(1 - precision_bits)) of it
+(``SolverConfig.radius``).  The peel carries an exact error radius
 beside each mass, so ``impossible`` holds for every measure in that box and
 a witness squares back within the error carried to each atom; an exact
 mass is a ball of radius 0 in the same loop.
@@ -45,14 +46,12 @@ root atoms whose mass bound includes 0, fails its independent re-check,
 the radius reaches the masses themselves, the signed root passes its cap
 on atoms, or an atom of N has a negative midpoint inside its ball.
 
-The peel reads tables (:class:`alsq.measures.Table`): that of mu, or, on
-radical positions, that of convolve(mu, t_weight(mu)).  The witness check
-compares the table of the witness's square
-(:func:`alsq.measures.square_products`) with the target's; the transform
-of the signed peel re-squares Q against mu instead, and both end in one
-comparison of masses (:func:`_matches`).  Both squares, and the product
-convolve(mu, t_weight(mu)), come from one pair loop, which forms each
-unordered pair of atoms once and drops a product of merged mass 0.
+The square root's witness check compares the table of the witness's
+square (:func:`alsq.measures.square_products`) with that of mu; the
+transform re-squares Q against mu instead, and both end in one comparison
+of masses (:func:`_matches`).  Both squares come from one pair loop, which
+forms each unordered pair of atoms once and drops a product of merged
+mass 0.
 Once the peel has decided, no position or Fraction is multiplied or
 divided on rational positions: a certificate prints its positions and
 masses from the table's int keys and numerators
@@ -60,9 +59,8 @@ masses from the table's int keys and numerators
 ints (:func:`_placed`); only radical positions fall back to positions.
 
 The decision path takes its precision explicitly from ``SolverConfig``:
-``t_weight`` and the witness masses are rounded at ``precision_bits``,
-``convolve`` sums exactly and rounds each real sum once there, the peel
-and the witness check are exact, and none of them enters mpmath's global
+the witness masses are rounded at ``precision_bits``, the peel and the
+witness check are exact, and none of them enters mpmath's global
 context, so threads may decide at different precisions at once.  The
 same holds for the closed forms, the loader, ``analyze`` and
 ``shifts.hankel_psd``; only ``selftest`` still switches that context.
@@ -88,20 +86,17 @@ from .measures import (
     AtomicMeasure,
     MeasureError,
     Table,
+    _check_precision,
     _key_position,
     _key_root,
     _key_text,
     _pair_products,
     _position,
-    _product_radius,
     _ratio_text,
     _square,
-    convolve,
-    has_radical,
     measure_to_json_dict,
     square_products,
     support_keys,
-    t_weight,
     table,
     with_weights,
 )
@@ -111,7 +106,9 @@ from .scalars import (
     Powers,
     Record,
     Scalar,
+    Surd,
     real_arithmetic,
+    round_root,
     scalar_str,
     sqrt_fraction,
 )
@@ -139,6 +136,7 @@ class SolverConfig(Record):
 
     def __init__(self, precision_bits: int = DEFAULT_PRECISION_BITS,
                  tolerance: Fraction = DEFAULT_TOLERANCE):
+        _check_precision(precision_bits)
         object.__setattr__(self, "precision_bits", precision_bits)
         object.__setattr__(self, "tolerance", tolerance)
         object.__setattr__(self, "radius", max(
@@ -304,15 +302,17 @@ def _peel(target: Table, config: SolverConfig,
     of key K, R = sqrt(K) is the int that its y*y1 is times the lcm of the
     target's denominators; root atoms a, b add c_a c_b (R_a + R_b) (c_a^2
     R_a for a = b) at K_a*K_b, the key of y_a*y_b*x_1 in the table of
-    mu * t(mu).
-    Later pairs meet at the next root atom's z or beyond, so the atoms of
-    N below z are final: the root that peel of that table finds there.
-    The first negative one refutes with its certificate
+    mu * t(mu).  On radical positions R = s*sqrt(K*K_1) (:func:`_rooted`),
+    an int or a :class:`Surd` int*sqrt(s), and so is each mass of N, whose
+    sign is exact.  Later pairs meet at the next root atom's z or beyond,
+    so the atoms of N below z are final: the root that peel of that table
+    finds there.  The first negative one refutes with its certificate
     (:func:`_negative`).  A nonzero residual atom beyond the top, or at a
     z that K_1 does not divide, refutes with
     ``peel-overflow``: mu is no signed square (:func:`_no_signed_square`).
-    z / K_1 is (L*y*y1)^2, L the lcm of the denominators of mu's positions,
-    so K_1 divides z exactly when y*y1 is a multiple of 1/L.
+    z / K_1 is scale*(y*y1)^2, so K_1 divides z exactly when (y*y1)^2 is a
+    multiple of 1/scale; on rational positions, when y*y1 is one of 1/L,
+    L^2 = scale.
 
     A real target mass of relative radius rho stands for a ball: its
     midpoint n / D^e and radius r / D^e, r kept beside (n, e) at the same
@@ -360,12 +360,17 @@ def _peel(target: Table, config: SolverConfig,
         yield peel
         return
     nums, keys = target.masses, target.keys
-    value = Fraction
+    k1, s = keys[0], target.surd
+    value, rooted = Fraction, isqrt
     if target.mode == REAL:
         reals, bits = real_arithmetic(), config.precision_bits
 
         def value(n, q):  # as to_mpf rounds Fraction(n, q), with no gcd
             return reals.from_raw(reals.quotient_down(n, q, bits))
+    surd = value  # of a mass of N, in Q(sqrt(s)) on radical positions
+    if s:
+        rooted = partial(_rooted, k1, s)
+        surd = partial(_surd_value, s=s, bits=config.precision_bits)
     if ball:
         top, bottom = _spread(rho.numerator, rho.denominator)
         # over a denominator that makes the smallest radius about 2^32 units,
@@ -376,7 +381,6 @@ def _peel(target: Table, config: SolverConfig,
     n1 = nums[0]
     d = 2 * n1
     powers = Powers(d)
-    k1 = keys[0]
     # target atom j sits at K_j*K_1 with mass 2*N_j / D relative to a_1;
     # atom 0 is the square of the first root atom.  The keys ascend, so
     # they are a heap
@@ -386,7 +390,8 @@ def _peel(target: Table, config: SolverConfig,
     # the root atom y with y*y1 at z squares to (z/K_1)^2; it overflows
     # beyond the top target atom K_top*K_1 when z^2 > K_top*K_1^3
     limit = keys[-1] * k1 ** 3
-    root = [(k1, 1, 0, isqrt(k1))]
+    root = [(k1, 1, 0, rooted(k1))]
+    r1 = root[0][3]
     found, found_heap, final = None, [], []
     balls, maybe, radii = None, [], ()
     if ball:
@@ -436,7 +441,7 @@ def _peel(target: Table, config: SolverConfig,
                 raise InternalError("positive residual off the target's atoms")
         if found is not None:
             negative = _finalize(target, found, found_heap, z, final, powers,
-                                 balls, value)
+                                 r1, balls, surd)
             if negative:
                 yield Peel(IMPOSSIBLE, certificate=negative)
                 return
@@ -475,7 +480,7 @@ def _peel(target: Table, config: SolverConfig,
         for other, m, f, _ in root[1:]:
             _add(residual, heap, other * key, -2 * n * m, e + f, powers)
         _add(residual, heap, key * key, -n * n, 2 * e, powers)
-        root.append((key, n, e, isqrt(key)))
+        root.append((key, n, e, rooted(key)))
         if found is not None:
             _add_pairs(found, found_heap, root, len(root) - 1, powers, balls)
     worst = _EXACT
@@ -495,8 +500,8 @@ def _peel(target: Table, config: SolverConfig,
             for key, n, e, _ in root if n]), residual=worst, radii=radii,
             maybe=tuple(maybe))
         found = _add_pairs({}, found_heap, root, 0, powers, balls)
-    negative = _finalize(target, found, found_heap, None, final, powers,
-                         balls, value)
+    negative = _finalize(target, found, found_heap, None, final, powers, r1,
+                         balls, surd)
     if negative:
         yield Peel(IMPOSSIBLE, certificate=negative)
         return
@@ -505,8 +510,7 @@ def _peel(target: Table, config: SolverConfig,
             raise InternalError("the signed root does not square back to mu")
         yield Peel(UNDETERMINED, note=UNVERIFIED)
         return
-    r1 = root[0][3]
-    witness = tuple([(w, value(m, powers[f] * r1)) for w, m, f in final])
+    witness = tuple([(w, surd(m, powers[f] * r1)) for w, m, f in final])
     if ball and any(m < 0 for _, m, _ in final):
         yield Peel(UNDETERMINED, note=(
             "an atom of N = Q*t(Q) has a negative midpoint and a mass bound "
@@ -572,17 +576,18 @@ def _add_pairs(found: dict, heap: list, root: list, start: int,
 
 
 def _finalize(target: Table, found: dict, heap: list, bound: Optional[int],
-              final: list, powers: Powers, balls: Optional[tuple] = None,
+              final: list, powers: Powers, r1: int,
+              balls: Optional[tuple] = None,
               value: Callable = Fraction) -> Optional[Violation]:
     """Move the atoms of N below ``bound`` (all for None) to ``final`` as
     (key, n, e), dropping 0s, and refute at the first negative one (for
-    balls, at the first wholly below 0)."""
+    balls, at the first wholly below 0), of mass n / (D^e * r1)."""
     while heap and (bound is None or heap[0] < bound):
         w = heappop(heap)
         m, f = found.pop(w)
         r = balls[0].pop(w)[0] if balls else 0
         if m + r < 0:
-            q = powers[f] * isqrt(target.keys[0])
+            q = powers[f] * r1
             return _negative(target, len(final), w, value(m, q),
                              value(r, q) if r else None, value)
         if m:
@@ -616,36 +621,39 @@ def _negative(target: Table, count: int, w: int, mass: Scalar,
     return _nonpositive(
         len(below) if at else None, count, _at(w, scale * scale, base, at),
         _ratio_text(keys[0], scale),  # x_1^2, the first atom of mu * t(mu)
-        scalar_str(value(*a1)) if target.mode == REAL else _ratio_text(*a1),
+        _ratio_text(*a1) if value is Fraction else scalar_str(value(*a1)),
         mass, bound)
 
 
-def _first_product_mass(target: Table) -> Tuple[int, int]:
-    """a_1^2 x_1, the first mass of mu * t(mu), exactly as an int pair n, q
-    for n / q, not in lowest terms, for the measure mu on rational
-    positions tabled in ``target``."""
-    n1, d1 = _key_root(target.keys[0], target.scale)
+def _first_product_mass(target: Table) -> tuple:
+    """a_1^2 x_1, the first mass of mu * t(mu) for mu tabled in ``target``,
+    as n / q, not in lowest terms, from x_1 = s*sqrt(K_1 * scale) /
+    (s * scale) (:func:`_rooted`): n is a :class:`Surd` for a radical x_1."""
+    s, scale = target.surd or 1, target.scale
     m, d = target.masses[0], target.den
-    return m * m * n1, d * d * d1
+    return m * m * _rooted(target.keys[0], s, scale), d * d * s * scale
 
 
 def _no_signed_square(target: Table, count: int, z: int, j: Optional[int],
                       beyond: bool) -> Violation:
     """``peel-overflow`` of the signed peel: a nonzero residual atom at z,
-    where the atom y of Q has a rational y*y1, beyond the top or off the
-    multiples of 1/L, L the lcm of the denominators of mu's positions.
-    mu is then no signed square, for the atoms y, y' of a signed root have
-    y*y' on those multiples: for each prime, the lowest power of it in
-    Q * Q is twice that in Q."""
+    where the atom y of Q has a rational (y*y1)^2, beyond the top or off
+    the multiples of 1/scale (y*y1 off those of 1/L, L^2 = scale, on
+    rational positions).  mu is then no signed square, for the atoms y, y'
+    of a signed root have (y*y')^2 on them: for each prime, the lowest
+    power of it in the rational y^4 over Q * Q is twice that over Q."""
     keys, scale, base = target.keys, target.scale, target.base
     k1 = keys[0]
     if beyond:
         why = (f"would square to {_over_first(target, z, k1 * scale)}, "
                f"beyond the top atom {_key_text(keys[-1], scale, base)}")
     else:
-        why = (f"makes y*y1 no multiple of 1/{isqrt(scale)}, the reciprocal "
-               "of the lcm of the denominators of mu's positions, as every "
-               "product of two atoms of a signed root of mu is")
+        what, unit, squares = (("(y*y1)^2", scale, "the squares of ")
+                               if target.surd else ("y*y1", isqrt(scale), ""))
+        why = (f"makes {what} no multiple of 1/{unit}, the reciprocal of the "
+               f"lcm of the denominators of {squares}mu's positions, as "
+               "every product of two atoms of a signed root of mu is"
+               + (", squared" if squares else ""))
     return Violation(
         "peel-overflow", (j + 1,) if j is not None else (),
         f"mu is no signed square: after {count} atoms of its signed root Q "
@@ -660,6 +668,23 @@ def _at(key: int, scale: int, base: Fraction, atom: bool) -> str:
     if atom:
         return _key_text(key, scale, base)
     return f"the position with square {_ratio_text(key, scale)}"
+
+
+def _rooted(k1: int, s: int, key: int):
+    """s*sqrt(key * K_1): an int, or a :class:`Surd` int*sqrt(s) when the
+    key at scale^2 is that of c*sqrt(u/v), c rational and u/v the base."""
+    t = key * k1
+    r = isqrt(t)
+    return s * r if r * r == t else Surd(0, isqrt(t * s), s)
+
+
+def _surd_value(n, q: int, s: int, bits: int):
+    """n / q for an int or nonzero :class:`Surd` n and an int q > 0,
+    rounded once to nearest at ``bits`` (``round_root``), as an mpf."""
+    n = n if type(n) is Surd else Surd(n, 0, s)
+    sign = n.sign()
+    _, man, exp, bc = round_root((sign * n.a, sign * n.b), (q, 0), 1, bits, s)
+    return real_arithmetic().from_raw((int(sign < 0), man, exp, bc))
 
 
 def _over_first(target: Table, num: int, den: int) -> str:
@@ -730,8 +755,7 @@ def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
 
 def _decide(peel: Peel, a1: Scalar, mode: str,
             place: Callable[[list, str], AtomicMeasure],
-            check: Optional[Table], config: SolverConfig,
-            notes: List[str]) -> Verdict:
+            check: Optional[Table], config: SolverConfig) -> Verdict:
     """Turn a peel into a verdict: the root's masses are its c times
     sqrt(a1), and ``place(weights, mode)`` puts them on its support.  A
     witness is re-checked by convolving it with itself and comparing with
@@ -739,15 +763,14 @@ def _decide(peel: Peel, a1: Scalar, mode: str,
     its root itself."""
     bits = config.precision_bits
     if peel.outcome != WITNESS:
-        extra = [peel.note] if peel.note else []
         return Verdict(peel.outcome, certificate=peel.certificate,
-                       precision_bits=bits, notes=tuple(notes + extra))
+                       precision_bits=bits,
+                       notes=(peel.note,) if peel.note else ())
     mode, weights, extra = _root_masses([c for _, c in peel.root], a1, mode,
                                         config)
     witness = place(weights, mode)
     if check is not None and not _verify(witness, check, peel.radii, config):
-        return Verdict(UNDETERMINED, precision_bits=bits,
-                       notes=tuple(notes + [UNVERIFIED]))
+        return Verdict(UNDETERMINED, precision_bits=bits, notes=(UNVERIFIED,))
     if peel.maybe:
         extra.append(f"{len(peel.maybe)} root atoms whose mass bound "
                      "includes 0 were left out")
@@ -755,7 +778,7 @@ def _decide(peel: Peel, a1: Scalar, mode: str,
     residual = (real_arithmetic().decimal_str(peel.residual)
                 if peel.residual else "0.0")
     return Verdict(WITNESS, witness=witness, residual=residual,
-                   precision_bits=bits, notes=tuple(notes + extra))
+                   precision_bits=bits, notes=tuple(extra))
 
 
 def _placed(positions: list, weights: list, mode: str,
@@ -811,42 +834,30 @@ def aluthge_subnormal(
     to ``mu`` is subnormal: whether mu * t(mu) has a nonnegative square
     root N, on any support.
 
-    On rational positions the second verdict of :func:`_peel` on mu
-    decides it, for rational and real masses alike: N = Q * t(Q) when
-    mu = Q * Q, Q signed, and no N exists when mu is no signed square.  No
-    product table of mu * t(mu) is formed, and a witness pairs the atoms
-    of Q.  Radical positions read the first verdict of the peel of the
-    table of convolve(mu, t_weight(mu)), in real mode.
+    The second verdict of :func:`_peel` on mu decides it, for rational
+    and real masses and on rational and radical positions alike:
+    N = Q * t(Q) when mu = Q * Q, Q signed, and no N exists when mu is no
+    signed square.  No product table of mu * t(mu) is formed, and a
+    witness pairs the atoms of Q.
     """
     mu.require_no_zero_atom("aluthge_subnormal")
-    if not has_radical(mu):
-        target = table(mu, config.precision_bits, config.radius)
-        peels = _peel(target, config)
-        next(peels)
-        return _transform(mu, target, next(peels), config)
-    notes = []
-    bits = config.precision_bits
-    if mu.mode == RATIONAL:
-        mu = mu.to_real(bits)
-        notes.append("irrational positions: masses analysed numerically")
-    target = table(convolve(mu, t_weight(mu, bits), bits), bits,
-                   _product_radius(config.radius, bits))
-    return _transform(mu, target, next(_peel(target, config))(), config,
-                      notes, target)
+    target = table(mu, config.precision_bits, config.radius)
+    peels = _peel(target, config)
+    next(peels)
+    return _transform(mu, target, next(peels), config)
 
 
 def _transform(mu: AtomicMeasure, target: Table, peel: Peel,
-               config: SolverConfig, notes: Sequence[str] = (),
-               check: Optional[Table] = None) -> Verdict:
+               config: SolverConfig) -> Verdict:
     """The transform verdict of the peel of mu, which re-squared its root
-    itself, or, with ``check`` the table of mu * t(mu) on radical
-    positions, of the first verdict of its peel."""
+    itself.  On radical positions the masses of N relative to the first
+    and a_1^2 x_1 come rounded once at the working precision
+    (:func:`_surd_value`), and the witness is real."""
     keys, scale = support_keys(mu)
-    if check is not None:
-        a1, at = target.weight(0), [target.keys[j] for j, _ in peel.root]
-    else:
-        a1 = Fraction(*_first_product_mass(target))
-        at = [w for w, _ in peel.root]
+    at = [w for w, _ in peel.root]
+    s, (n, q) = target.surd, _first_product_mass(target)
+    a1, mode = ((_surd_value(n, q, s, config.precision_bits), REAL) if s
+                else (Fraction(n, q), mu.mode))
 
     def place(weights, mode):
         # N's atom n sits at key at[i] = key of n*x_1 in the table of
@@ -856,18 +867,18 @@ def _transform(mu: AtomicMeasure, target: Table, peel: Peel,
         if len(at) == mu.p and all(
                 w == k0 * key for w, key in zip(at, keys)):
             return with_weights(mu, weights, mode)
-        if check is None:
+        if s:
+            x1 = mu.atoms[0][0]
+            positions = [_key_position(w, scale * scale, mu.base) / x1
+                         for w in at]
+        else:
             # a rational x has the key (x*L)^2 at scale L^2, so n*x_1 is
             # sqrt(w) / L^2 and x_1 is sqrt(K_0) / L
             den = isqrt(scale) * isqrt(k0)
             positions = [_position(Fraction(isqrt(w), den), 0, mu.base)
                          for w in at]
-        else:
-            x1 = mu.atoms[0][0]
-            positions = [_key_position(w, scale * scale, mu.base) / x1
-                         for w in at]
         return _placed(positions, weights, mode, mu.base, config)
-    return _decide(peel, a1, mu.mode, place, check, config, list(notes))
+    return _decide(peel, a1, mode, place, None, config)
 
 
 def sqrt_of(
@@ -885,11 +896,11 @@ def verdicts(mu: AtomicMeasure,
     """Yield ``sqrt_of(mu)``, then ``aluthge_subnormal(mu)``, each when
     asked for, both from one peel of mu."""
     mu.require_no_zero_atom("sqrt_of")
-    if has_radical(mu):
+    target = table(mu, config.precision_bits, config.radius)
+    if target.surd:
         raise MeasureError(
             "square-root search requires rational atom positions; apply "
             "power_positions(mu, 2) first")
-    target = table(mu, config.precision_bits, config.radius)
     peels = _peel(target, config)
     peel = next(peels)()
 
@@ -905,6 +916,5 @@ def verdicts(mu: AtomicMeasure,
         positions = [_position(Fraction(isqrt(keys[j]) * num, den), k, base)
                      for j, _ in peel.root]
         return _placed(positions, weights, mode, base, config)
-    yield _decide(peel, target.weight(0), target.mode, place, target, config,
-                  [])
+    yield _decide(peel, target.weight(0), target.mode, place, target, config)
     yield _transform(mu, target, next(peels), config)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from math import lcm
@@ -27,7 +28,6 @@ from alsq.measures import (
     _key_text,
     _ratio_text,
     convolve,
-    dirac,
     dumps_measure,
     int_keys,
     loads_measure,
@@ -150,7 +150,7 @@ def test_position_validation():
 
 def test_convolve_identity_element():
     mu = make_measure([(2, F(1, 3)), (3, F(2, 3))])
-    assert convolve(dirac(1), mu).atoms == mu.atoms
+    assert convolve(make_measure([(1, 1)]), mu).atoms == mu.atoms
 
 
 def test_convolve_three_atom_root_squares_to_six_atoms():
@@ -465,7 +465,8 @@ def test_t_weight_doubles_mass_at_two():
 
 
 def test_t_weight_fixes_unit_position():
-    assert t_weight(dirac(1)).atoms == dirac(1).atoms
+    assert t_weight(make_measure([(1, 1)])).atoms == \
+        make_measure([(1, 1)]).atoms
 
 
 @settings(max_examples=40)
@@ -588,7 +589,7 @@ _ROOT2, _ROOT3 = Position(F(1), 1, F(2)), Position(F(1), 1, F(3))
      "positions admit positive integer powers only"),
     (lambda: _ROOT2.as_fraction(), MeasureError,
      r"sqrt\(2\) is irrational"),
-    (lambda: moment(dirac(1), -1), MeasureError,
+    (lambda: moment(make_measure([(1, 1)]), -1), MeasureError,
      "moment order must be nonnegative"),
     (lambda: strip_zero_atom(AtomicMeasure(F(1), RATIONAL, (), F(1))),
      MeasureError, "measure carries mass only at the origin"),
@@ -601,6 +602,33 @@ def test_measure_api_errors_name_their_cause(call, error, message):
         call()
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_make_measure_refuses_a_non_finite_real_weight(value):
+    # inf and nan pass "<= 0"; refused here, the document and the digest of
+    # analyze are never asked to print them
+    weight = mpf(value)
+    for atoms, zero in (([(1, weight)], 0), ([(1, 1)], weight),
+                        ([(1, 1), (2, weight)], 0)):
+        with pytest.raises(MeasureError,
+                           match=f"a real weight must be finite, got "
+                                 f"{re.escape(str(weight))}"):
+            make_measure(atoms, mode=REAL, zero_mass=zero)
+
+
+@pytest.mark.parametrize("bits", [0, -1])
+def test_a_precision_below_one_bit_is_refused(bits):
+    # at 0 bits to_real rounded every mass to 0; each entry point checks once
+    from alsq.solver import SolverConfig
+
+    mu = make_measure([(1, F(1, 3)), (2, F(2, 3))])
+    for call in (lambda: SolverConfig(bits), lambda: mu.to_real(bits),
+                 lambda: mu.to_real(128).to_real(bits),
+                 lambda: convolve(mu, mu, bits)):
+        with pytest.raises(MeasureError, match=(
+                f"precision must be at least 1 bit, got {bits}")):
+            call()
+
+
 def test_position_order_and_origin_mass_print():
     assert Position.of(1) <= Position.of(2)
     assert not Position.of(2) <= Position.of(1)
@@ -608,7 +636,7 @@ def test_position_order_and_origin_mass_print():
 
 
 def test_normalize_examples():
-    assert normalize(dirac(1, 2)).weights == (F(1),)
+    assert normalize(make_measure([(1, 2)])).weights == (F(1),)
     mu = normalize(make_measure([(1, 1), (2, 1)]))
     assert mu.weights == (F(1, 2), F(1, 2))
 

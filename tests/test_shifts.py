@@ -16,7 +16,6 @@ from alsq.generator import GeneratorSpec, generate
 from alsq.measures import (
     MeasureError,
     Position,
-    dirac,
     make_measure,
     moment,
     normalize,
@@ -25,7 +24,6 @@ from alsq.reals import from_raw, mpf_to_fraction, to_mpf
 from alsq.scalars import float_str, round_root
 from alsq.shifts import (
     HANKEL_TOLERANCE,
-    aluthge_moment_sequence,
     aluthge_weights,
     hankel_psd,
     moment_sequence,
@@ -38,6 +36,12 @@ from alsq.shifts import (
 from alsq.solver import WITNESS, aluthge_subnormal
 
 F = Fraction
+
+
+def _transformed(mu, count):
+    """The transformed moments g~_0 .. g~_{count-1}, column 3 of
+    ``shift_rows``, as mpfs."""
+    return [from_raw(row[3]) for row in shift_rows(mu, count)]
 
 
 def _close(x, y, bits=128, tol_exp=-100):
@@ -60,7 +64,7 @@ def test_shift_weights_two_atoms():
 
 
 def test_shift_weights_of_point_mass_are_constant():
-    alpha = weights_from_measure(dirac(F(9, 4), 3), 6)
+    alpha = weights_from_measure(make_measure([(F(9, 4), 3)]), 6)
     with workprec(128):
         for a in alpha:
             assert _close(a, mpf(3) / 2)
@@ -109,7 +113,7 @@ def test_transformed_moment_identity_sample():
         mu = generate(GeneratorSpec(1 + seed % 6, "arbitrary", 800 + seed,
                                     position_style="random")).measure
         with workprec(128):
-            tilde = aluthge_moment_sequence(mu, 12)
+            tilde = _transformed(mu, 12)
             gammas = [to_mpf(g, 128) for g in
                       moment_sequence(normalize(mu), 13)]
             for n in range(12):
@@ -123,7 +127,7 @@ def test_witness_moments_match_transformed_moments(three_atom_square):
     verdict = aluthge_subnormal(three_atom_square)
     assert verdict.outcome == WITNESS
     nu = normalize(verdict.witness)
-    tilde = aluthge_moment_sequence(three_atom_square, 10)
+    tilde = _transformed(three_atom_square, 10)
     for n in range(10):
         assert _close(to_mpf(moment(nu, n), 128), tilde[n])
 
@@ -192,9 +196,9 @@ def test_moment_sequence_equals_per_moment_values():
 
 def test_shift_entries_are_the_exact_values_rounded_once():
     """Every entry of ``shift_rows``, at rational and radical positions in
-    both modes, is the exact value rounded once to nearest; the column
-    functions give the same values, and ``aluthge_weights`` and
-    ``moments_from_weights`` round their exact values once as well."""
+    both modes, is the exact value rounded once to nearest;
+    ``weights_from_measure`` gives the same values, and ``aluthge_weights``
+    and ``moments_from_weights`` round their exact values once as well."""
     rng = random.Random(16)
     measures = _pin_mix() + [
         generate(GeneratorSpec(rng.randint(1, 6), "arbitrary",
@@ -207,8 +211,6 @@ def test_shift_entries_are_the_exact_values_rounded_once():
             assert rows == _reference_rows(mu, 9, bits), (mu, bits)
             alpha = weights_from_measure(mu, 10, bits=bits)
             assert [a._mpf_ for a in alpha[:9]] == [row[0] for row in rows]
-            assert [g._mpf_ for g in aluthge_moment_sequence(mu, 9, bits)] \
-                == [row[3] for row in rows]
             with workprec(600):
                 means = [mpmath.sqrt(a * b) for a, b in zip(alpha, alpha[1:])]
                 products = [mpmath.fprod(a * a for a in alpha[:k])
@@ -501,7 +503,7 @@ def _criterion_10_sequences():
     good3, _ = selftest._corpus_p3()
     good5, _ = selftest._corpus_p5()
     case_one, case_two, _ = selftest._corpus_p6()
-    return [aluthge_moment_sequence(mu, 14) for mu in
+    return [_transformed(mu, 14) for mu in
             list(good3) + list(good5) + list(case_one) + list(case_two)]
 
 

@@ -25,9 +25,7 @@ from alsq.measures import (
     MeasureError,
     Position,
     ZeroAtomError,
-    _product_radius,
     convolve,
-    dirac,
     dumps_measure,
     has_radical,
     int_keys,
@@ -43,9 +41,9 @@ from alsq.measures import (
     t_weight,
     table,
 )
-from alsq.reals import mpf_to_fraction, to_mpf
+from alsq.reals import from_raw, mpf_to_fraction, to_mpf
 from alsq.scalars import DEFAULT_TOLERANCE, scalar_str
-from alsq.shifts import aluthge_moment_sequence, hankel_psd
+from alsq.shifts import hankel_psd, shift_rows
 from alsq.solver import (
     IMPOSSIBLE,
     UNDETERMINED,
@@ -78,7 +76,7 @@ def test_propagation_resolves_three_atom_system(three_atom_square):
 
 
 def test_propagation_single_atom():
-    peel = _transform_peel(dirac(1))
+    peel = _transform_peel(make_measure([(1, 1)]))
     assert peel.outcome == WITNESS
     assert peel.root == ((0, F(1)),)
 
@@ -531,11 +529,12 @@ def test_transform_builds_positions_only_for_the_verdict(monkeypatch):
 
 def test_transform_refutation_forms_no_product_table(monkeypatch):
     # gen --p 400 --seed 1 is refuted from the signed root of mu: neither
-    # the table of mu * t(mu) nor a witness's square is formed
+    # the table of mu * t(mu) nor a witness's square is formed: the solver
+    # has no convolve
+    assert not hasattr(solver, "convolve")
     calls = []
-    for name in ("convolve", "square_products"):
-        monkeypatch.setattr(solver, name,
-                            lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(solver, "square_products",
+                        lambda *args: calls.append("square_products"))
     mu = generate(GeneratorSpec(400, "arbitrary", 1)).measure
     verdict = aluthge_subnormal(mu)
     assert verdict.outcome == IMPOSSIBLE
@@ -571,7 +570,7 @@ def _table_verdict(mu):
                              in zip(peel.root, weights)], mode=mode,
                             base=mu.base)
     return solver._decide(peel, target.weight(0), target.mode, place, target,
-                          config, [])
+                          config)
 
 
 def _signed_squares(count, seed):
@@ -893,7 +892,7 @@ def test_decisions_enter_no_working_precision(monkeypatch, bits):
         normalize(mu, prec)
         mu.total_mass()
         moment(mu, 3, prec)
-        hankel_psd(aluthge_moment_sequence(mu, 8, prec), 3)
+        hankel_psd([from_raw(row[3]) for row in shift_rows(mu, 8, prec)], 3)
     loads_measure('''{"radical_base": "1", "mode": "real", "atoms": [
         {"pos_q": "1", "pos_k": 0, "weight": "0.125"},
         {"pos_q": "2", "pos_k": 0, "weight": "1.1e-3"},
@@ -1032,7 +1031,7 @@ def test_sqrt_of_two_atoms_impossible():
 
 
 def test_sqrt_of_single_atom_radical_witness():
-    verdict = sqrt_of(dirac(2, 1))
+    verdict = sqrt_of(make_measure([(2, 1)]))
     assert verdict.outcome == WITNESS
     pos = verdict.witness.support[0]
     assert pos.squared() == 2  # the atom sits at sqrt(2)
@@ -1416,11 +1415,11 @@ def test_verdict_output_is_pinned():
 
 
 # SHA-256 of the transform verdict, JSON and text, of each measure of
-# :func:`_radical_cases`, exact and at 24 and 128 bits: the output of the
-# radical-position branch, which a change in how the table of mu * t(mu)
-# is built must not move
+# :func:`_radical_cases`, exact and at 24 and 128 bits: the signed peel of
+# mu on radical positions, N's masses in Q(sqrt b), recorded when that
+# peel replaced the peel of the table of mu * t(mu)
 RADICAL_TRANSFORM_DIGEST = (
-    "5a43c335f8934985c4155ac498edf29104613fc07b0a68686aeca88b400b1468")
+    "ed632a368a699c3e2ac862c2403a31ba3ddb15875e841efa693ab09b357bc10c")
 
 
 def _radical_cases():
@@ -1453,7 +1452,7 @@ def _radical_cases():
 
 def test_radical_transform_output_is_pinned():
     # verdicts refuses radical positions, so the pin above does not reach
-    # the branch of aluthge_subnormal that peels the table of mu * t(mu)
+    # the transform on them; every case is decided, at 24 bits too
     digest = hashlib.sha256()
     outcomes = set()
     for mu in _radical_cases():
@@ -1463,17 +1462,21 @@ def test_radical_transform_output_is_pinned():
             outcomes.add(verdict.outcome)
             digest.update((json.dumps(verdict.to_json_dict(), sort_keys=True)
                            + verdict.render() + "\n").encode())
-    assert outcomes == {WITNESS, IMPOSSIBLE, UNDETERMINED}
+    assert outcomes == {WITNESS, IMPOSSIBLE}
     assert digest.hexdigest() == RADICAL_TRANSFORM_DIGEST
 
 
 # SHA-256 of real-mode analysis, at 3, 24, 53, 128 and 256 bits, of the
-# real twins of the seeded mix and of :func:`_radical_cases`: the JSON and
-# text of ``analyze`` with 5 shift terms, the measure document, convolve(mu,
-# mu), t_weight, normalize and the total mass, taken while real mode still
-# rounded through mpmath's libmp: rounding on ints must not move any of it
+# real twins of the seeded mix: the JSON and text of ``analyze`` with 5
+# shift terms, the measure document, convolve(mu, mu), t_weight, normalize
+# and the total mass, taken while real mode still rounded through mpmath's
+# libmp: rounding on ints must not move any of it
 REAL_ANALYZE_DIGEST = (
-    "d666e80af5516969eb6e78794e5c2123865e44275acc3613b25de0d531d5d942")
+    "9f4817ca8f643ded41332766b4e224cdf0e0dbac4a390e878ea4522f99bcfe2c")
+# the same of the real twins of :func:`_radical_cases`, recorded when the
+# transform on radical positions moved to the signed peel of mu
+RADICAL_REAL_ANALYZE_DIGEST = (
+    "ebca294d3c780d48e9090397c6f98db4d8ebab68761414db08c8eb17979b5ee2")
 
 
 def _real_record(mu, bits):
@@ -1494,13 +1497,21 @@ def _real_record(mu, bits):
         exact(mu.total_mass)]) + "\n"
 
 
-def test_real_analyze_output_is_pinned():
-    # no other pin reaches real analyze, convolve, t_weight or normalize
+def _real_digest(cases):
     digest = hashlib.sha256()
-    for mu in _seeded_mix() + _radical_cases():
+    for mu in cases:
         for bits in (3, 24, 53, 128, 256):
             digest.update(_real_record(mu.to_real(bits), bits).encode())
-    assert digest.hexdigest() == REAL_ANALYZE_DIGEST
+    return digest.hexdigest()
+
+
+def test_real_analyze_output_is_pinned():
+    # no other pin reaches real analyze, convolve, t_weight or normalize
+    assert _real_digest(_seeded_mix()) == REAL_ANALYZE_DIGEST
+
+
+def test_radical_real_analyze_output_is_pinned():
+    assert _real_digest(_radical_cases()) == RADICAL_REAL_ANALYZE_DIGEST
 
 
 # SHA-256 of both verdicts, JSON and text, of `gen --p 400 --seed 1` (two
@@ -1552,10 +1563,9 @@ def test_the_radical_test_builds_no_support(monkeypatch):
     assert reads == []
 
 
-def test_radical_transform_peels_the_table_of_its_product(monkeypatch):
-    # the table peeled for radical positions is that of
-    # convolve(mu, t_weight(mu)), with the radius of a sum of products of
-    # two masses within eps, the roundings its factors carry and its own
+def test_radical_transform_peels_the_table_of_mu(monkeypatch):
+    # radical positions are peeled as rational ones are: the one table
+    # peeled is that of mu itself, at the configured radius
     peeled = []
     peel = solver._peel
 
@@ -1569,13 +1579,147 @@ def test_radical_transform_peels_the_table_of_its_product(monkeypatch):
         mu = mu.to_real(128)
         peeled.clear()
         aluthge_subnormal(mu, SolverConfig(128, eps))
-        expected = table(convolve(mu, t_weight(mu, 128), 128), 128,
-                         _product_radius(eps, 128))
+        expected = table(mu, 128, eps)
         [got] = peeled
-        assert (got.keys, got.scale, got.radius) == \
-            (expected.keys, expected.scale, expected.radius)
-        assert [F(n, got.den) for n in got.masses] == \
-            [F(n, expected.den) for n in expected.masses]
+        assert (got.keys, got.scale, got.radius, got.masses, got.den) == \
+            (expected.keys, expected.scale, expected.radius,
+             expected.masses, expected.den)
+
+
+def _radical_reference(atoms, base):
+    """The transform verdict of the measure {(q, k): mass} on the positions
+    q*sqrt(base)^k, from plain Fractions and dict products: the root N of
+    T = mu * t(mu), peeled smallest atom first relative to its first mass,
+    over Q(sqrt(base)) held as pairs (a, b) for a + b*sqrt(base).  None
+    when T has no nonnegative root, else N's atoms {(q, k): (a, b)}, each
+    mass over a_1*sqrt(x_1)."""
+    def times(x, y):
+        (p, j), (q, k) = x, y
+        return (p * q * base, 0) if j + k == 2 else (p * q, j + k)
+
+    def over(x, y):
+        (p, j), (q, k) = x, y
+        return (p / q / base, 1) if j < k else (p / q, j - k)
+
+    def square(x):
+        return x[0] * x[0] * base ** x[1]
+
+    def mul(u, v):
+        return u[0] * v[0] + u[1] * v[1] * base, u[0] * v[1] + u[1] * v[0]
+
+    def add(acc, x, u):
+        old = acc.get(x, (F(0), F(0)))
+        acc[x] = old[0] + u[0], old[1] + u[1]
+
+    def sign(u):
+        if u[0] * u[1] >= 0:
+            return (u[0] > 0 or u[1] > 0) - (u[0] < 0 or u[1] < 0)
+        larger = u[0] if u[0] * u[0] > u[1] * u[1] * base else u[1]
+        return 1 if larger > 0 else -1
+
+    product = {}
+    for x, a in atoms.items():
+        for y, c in atoms.items():
+            add(product, times(x, y), (a * c * (1 - y[1]) * y[0],
+                                       a * c * y[1] * y[0]))
+    order = sorted([x for x, m in product.items() if any(m)], key=square)
+    first, top = product[order[0]], square(order[-1])
+    norm = first[0] * first[0] - first[1] * first[1] * base
+    residual = {x: mul(product[x], (first[0] / norm, -first[1] / norm))
+                for x in order[1:]}
+    x1 = min(atoms, key=square)
+    root = {x1: (F(1), F(0))}
+    while True:
+        live = [x for x, m in residual.items() if any(m)]
+        if not live:
+            return root
+        z = min(live, key=square)
+        # pairs with the first atom too: that of y clears z
+        c, y = (residual[z][0] / 2, residual[z][1] / 2), over(z, x1)
+        if sign(c) < 0 or square(times(y, y)) > top:
+            return None
+        for other, d in root.items():
+            add(residual, times(y, other), mul((-2 * c[0], -2 * c[1]), d))
+        add(residual, times(y, y), mul((-c[0], -c[1]), c))
+        root[y] = c
+
+
+def _radical_reference_cases():
+    """Seeded squares of roots on c*sqrt(b)^k, each with its top-doubled
+    twin, signed squares on the powers of sqrt(b), the measures of
+    :func:`_radical_cases`, and the 27-atom square of CI's radical family
+    with its twin; as ({(q, k): mass}, base)."""
+    rng = random.Random(38)
+
+    def squared(q, base):
+        out = {}
+        for (p, j), a in q.items():
+            for (r, k), b in q.items():
+                x = (p * r * base, 0) if j + k == 2 else (p * r, j + k)
+                out[x] = out.get(x, 0) + a * b
+        return {x: m for x, m in out.items() if m}
+
+    def with_twin(square, base):
+        top = max(square, key=lambda x: x[0] * x[0] * base ** x[1])
+        return [(square, base), ({**square, top: 2 * square[top]}, base)]
+
+    cases = []
+    for base in (F(2), F(3), F(5, 2)):
+        for _ in range(6):
+            root = {(F(rng.randint(1, 12), rng.randint(1, 3)),
+                     rng.randint(0, 1)): F(rng.randint(1, 9), rng.randint(1, 5))
+                    for _ in range(rng.randint(2, 6))}
+            cases += with_twin(squared(root, base), base)
+        found = 0
+        while found < 6:
+            signed = {(F(1), 0): F(1)}
+            for i in range(1, rng.randint(3, 6)):
+                signed[(base ** (i // 2), i % 2)] = F(
+                    rng.choice((-2, -1, 1, 2, 3)), rng.randint(1, 3))
+            square = squared(signed, base)
+            if all(m > 0 for m in square.values()):
+                cases.append((square, base))
+                found += 1
+    for mu in _radical_cases():
+        cases.append(({(pos.q, pos.k): w for pos, w in mu.atoms}, mu.base))
+    family = {(F(3, 2) ** i, i % 2): F(1 + i % 7, 1 + i % 5)
+              for i in range(10)}
+    return cases + with_twin(squared(family, F(2)), F(2))
+
+
+def test_radical_transform_matches_fraction_reference():
+    # N over Q(sqrt b) from dict products decides every case, with rational
+    # masses and at to_real(128) alike: the same outcome, and a witness on
+    # its support with its masses a_1*sqrt(x_1)*N_j/N_1, rounded at 128
+    # bits or within the error carried; both certificates occur
+    rules = Counter()
+    for atoms, base in _radical_reference_cases():
+        mu = make_measure([(Position(q, k, base), w)
+                           for (q, k), w in atoms.items()], base=base)
+        reference = _radical_reference(atoms, base)
+        for real in (False, True):
+            verdict = (aluthge_subnormal(mu.to_real(128), SolverConfig(128))
+                       if real else aluthge_subnormal(mu))
+            cert = verdict.certificate
+            rules[real, cert.rule if cert else verdict.outcome] += 1
+            assert verdict.outcome == (
+                IMPOSSIBLE if reference is None else WITNESS), (atoms, real)
+            if reference is None:
+                continue
+            got = dict(verdict.witness.atoms)
+            assert set(got) == {Position(q, k, base) for q, k in reference}
+            with workprec(256):
+                root = mpmath.sqrt(to_mpf(base, 256))
+                scale = to_mpf(mu.atoms[0][1], 256) * mpmath.sqrt(
+                    mu.atoms[0][0].to_mpf(256))
+                bound = mpf(2) ** (-50 if real else -120)
+                for (q, k), (a, b) in reference.items():
+                    want = (a + b * root) * scale
+                    assert abs(to_mpf(got[Position(q, k, base)], 256)
+                               - want) <= bound * want, (atoms, real)
+    for real in (False, True):
+        assert all(rules[real, rule] for rule in (
+            WITNESS, "peel-overflow", "peel-nonpositive-mass"))
 
 
 def test_real_square_root_verdict_is_the_first_verdict_peel(monkeypatch):

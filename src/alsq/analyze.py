@@ -202,11 +202,11 @@ def analyze(mu: AtomicMeasure, options: AnalyzeOptions = AnalyzeOptions()) -> An
 def shift_table(mu: AtomicMeasure, terms: int, bits: int) -> dict:
     """Rows n < terms of the shift tables, numbered: each entry is the
     exact value rounded once at ``bits`` and printed to 15 digits as
-    ``float_str`` prints it (:func:`shift_text_rows`).  All 4 x terms
-    texts come from one call of ``shifts.root_texts``: each from one
-    integer root of the exact value, rounded at ``bits`` only where that
-    could change the text: near a decimal tie of the 15th digit, and at
-    radical or very large entries."""
+    ``float_str`` prints it (:func:`shift_text_rows`).  The texts come
+    from ``shifts.root_texts``, a column at a time: each from one integer
+    root of the exact value, rounded at ``bits`` only where that could
+    change the text: near a decimal tie of the 15th digit, and at radical
+    or very large entries."""
     from .shifts import shift_text_rows
 
     rows = [(n,) + row

@@ -64,9 +64,10 @@ MAX_PRECISION_BITS = 65536
 
 # the most rows of shift tables (--terms, --shift-terms): exact moments of
 # the geometric 400-atom `gen --p 400 --seed 1` (ratio 4) reach 80000 bits
-# at row 100, where `alsq shift` takes 0.9 to 1.4 s on a 2-core host, most
-# of it in the moments' big-int products; the cost grows faster than
-# linearly in the rows (4.4 s at 200, 10 s at 300)
+# at row 100, where the `alsq shift` process takes 0.61 s on a 2-core host
+# (median of 20 runs), most of it in the moments' big-int products; the
+# cost grows faster than linearly in the rows (the tables alone 2.4 s at
+# 200, 4.9 s at 300)
 MAX_SHIFT_TERMS = 100
 
 

@@ -38,7 +38,9 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, cycle, islice, repeat
 from math import gcd, isqrt, lcm
+from operator import add, mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (
@@ -725,44 +727,50 @@ def t_weight(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMea
 
 
 def power_sums(mu: AtomicMeasure, count: int,
-               bits: int = DEFAULT_PRECISION_BITS) -> Tuple[list, int, int]:
-    """g_0 .. g_{count-1} exactly on ints over one denominator: pairs
-    (a_n, b_n), den and s with g_n = (a_n + b_n sqrt(s)) / den.  A position
-    is c or c*sqrt(s) for a rational c, s = u*v for the base u/v."""
+               bits: int = DEFAULT_PRECISION_BITS) -> Tuple[list, list, int, int]:
+    """g_0 .. g_{count-1} exactly on ints over one denominator: the lists
+    (a_n) and (b_n), den and s with g_n = (a_n + b_n sqrt(s)) / den.  A
+    position is c or c*sqrt(s) for a rational c, s = u*v for the base u/v.
+
+    Each atom's terms m x^n scale^n, n < count, come from ``accumulate``
+    over int multiplies and are added into running totals by ``map``, one
+    list per atom kind, so no Python loop runs per moment and, beside the
+    totals, one power is live at a time."""
     mu.require_no_zero_atom("moment")
     masses, den = numerators(mu.weights, mu.mode, bits)
-    base, ks = mu.base, [pos.k for pos in mu.support]
+    base = mu.base
     s = base.numerator * base.denominator
     cs = [pos.q / base.denominator if pos.k else pos.q for pos in mu.support]
     scale = lcm(*[c.denominator for c in cs])
-    # x_i^n times scale^n by an int multiply alone; from an odd to an even
-    # order a radical term gains sqrt(s)^2 = s
-    steps = [[c.numerator * (scale // c.denominator) * s ** (k & odd)
-              for c, k in zip(cs, ks)] for odd in (0, 1)]
-    terms, sums, radical = masses, [], any(ks)
-    for n in range(count):
-        b = sum([t for t, k in zip(terms, ks) if k]) if radical and n & 1 else 0
-        sums.append((sum(terms) - b, b))
-        if n < count - 1:
-            terms = [t * a for t, a in zip(terms, steps[n & 1])]
+    top = max(count - 1, 0)
+    totals = [[0] * count, [0] * count]  # rational and radical atoms
+    for mass, c, pos in zip(masses, cs, mu.support):
+        step = c.numerator * (scale // c.denominator)
+        # from an odd to an even order a radical term gains sqrt(s)^2 = s
+        steps = cycle((step, step * s)) if pos.k else repeat(step)
+        totals[pos.k] = list(map(add, totals[pos.k], accumulate(
+            islice(steps, top), mul, initial=mass)))
     if scale > 1:
-        # the n-th sum over scale^n, brought to the common scale^(count - 1)
-        lift = 1
-        for n in range(count - 1, -1, -1):
-            a, b = sums[n]
-            sums[n] = a * lift, b * lift
-            lift *= scale
-    return sums, den * scale ** max(count - 1, 0), s
+        # the n-th sum is over scale^n: lift it to the common scale^top
+        lifts = list(accumulate(repeat(scale, top), mul, initial=1))[::-1]
+        totals = [list(map(mul, sums, lifts)) if any(sums) else sums
+                  for sums in totals]
+    a, b = totals
+    if any(b):
+        # an even power of a radical position is rational
+        a[::2] = map(add, a[::2], b[::2])
+        b[::2] = [0] * len(b[::2])
+    return a, b, den * scale ** top, s
 
 
 def moments(mu: AtomicMeasure, count: int,
             bits: int = DEFAULT_PRECISION_BITS) -> list:
     """g_0 .. g_{count-1} (:func:`power_sums`): exact Fractions where the
     value is rational in rational mode, else mpfs, each rounded once."""
-    sums, den, s = power_sums(mu, count, bits)
+    a_n, b_n, den, s = power_sums(mu, count, bits)
     return [Fraction(a, den) if mu.mode == RATIONAL and not b else
             real_arithmetic().from_raw(round_root((a, b), (den, 0), 1, bits, s))
-            for a, b in sums]
+            for a, b in zip(a_n, b_n)]
 
 
 def moment(mu: AtomicMeasure, n: int, bits: int = DEFAULT_PRECISION_BITS):

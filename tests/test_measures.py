@@ -36,6 +36,7 @@ from alsq.measures import (
     moment,
     normalize,
     power_positions,
+    power_sums,
     scale_positions,
     square_products,
     strip_zero_atom,
@@ -516,6 +517,70 @@ def test_moment_radical_positions_even_orders_exact():
                        (Position(F(2), 0, F(2)), F(1, 2))])
     assert moment(mu, 2) == F(1, 2) * 2 + F(1, 2) * 4
     assert isinstance(moment(mu, 1), mpf)
+
+
+def _plain_power_sums(mu, count):
+    """The rational part and the sqrt(base) coefficient of each moment
+    g_0 .. g_{count-1}, by a plain loop over the moments and the atoms on
+    Fractions."""
+    out = []
+    for n in range(count):
+        parts = [F(0), F(0)]
+        for pos, w in mu.atoms:
+            parts[pos.k * n % 2] += w * pos.q ** n * pos.base ** (pos.k * n // 2)
+        out.append(tuple(parts))
+    return out
+
+
+def _as_parts(a_n, b_n, den, s, base):
+    """(a + b sqrt(s)) / den as the rational part and the coefficient of
+    sqrt(base) = sqrt(s) / base.denominator."""
+    return [(F(a, den), F(b * base.denominator, den))
+            for a, b in zip(a_n, b_n)]
+
+
+# the most power_sums may hold at once on `gen --p 200` to 102 moments: the
+# sums themselves take about 0.3 MB there (moments of up to 40,215 bits),
+# running totals of one atom at a time peaked at 0.6 MB and a loop over the
+# moments at 1.4 MB, and the 200 x 102 powers held at once would take tens
+# of MB
+POWER_SUMS_PEAK_BYTES = 2_000_000
+
+
+def test_power_sums_peak_memory_stays_bounded():
+    """``power_sums`` on the 200-atom `gen --p 200 --seed 1` to 102 moments
+    peaks below a fixed bound under tracemalloc and equals a plain loop."""
+    import tracemalloc
+
+    from alsq.generator import GeneratorSpec, generate
+
+    mu = generate(GeneratorSpec(200, "arbitrary", 1)).measure
+    tracemalloc.start()
+    try:
+        sums = power_sums(mu, 102)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < POWER_SUMS_PEAK_BYTES, peak
+    assert _as_parts(*sums, mu.base) == _plain_power_sums(mu, 102)
+
+
+def test_power_sums_match_a_plain_loop_at_mixed_positions():
+    """Rational, radical and mixed supports, rational and real masses, and
+    counts 0 to 23: the same sums as the plain loop (a real mass is the
+    dyadic rational it holds)."""
+    rng = random.Random(39)
+    for case in range(24):
+        ks = [(0, 1, case % 2 or i % 2)[case % 3] for i in range(1 + case % 6)]
+        atoms = [(Position(F(rng.randint(1, 40), rng.randint(1, 9)), k, F(3, 2)),
+                  F(rng.randint(1, 20), rng.randint(1, 7))) for k in ks]
+        mu = make_measure(atoms, base=F(3, 2))
+        for nu in (mu, mu.to_real(64)):
+            exact = make_measure([(pos, mpf_to_fraction(w) if nu.mode == REAL
+                                   else w) for pos, w in nu.atoms], base=nu.base)
+            for count in (0, 1, 2, 23):
+                assert _as_parts(*power_sums(nu, count), nu.base) == \
+                    _plain_power_sums(exact, count), (atoms, count)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from alsq.measures import (
     make_measure,
     moment,
     normalize,
+    power_sums,
 )
 from alsq.reals import from_raw, mpf_to_fraction, to_mpf
 from alsq.scalars import float_str, round_root
@@ -30,6 +31,7 @@ from alsq.shifts import (
     moments_from_weights,
     root_texts,
     shift_rows,
+    shift_text_rows,
     support_characteristic,
     weights_from_measure,
 )
@@ -239,6 +241,27 @@ def _planted_entries():
             for v in values for r in (1, 2, 4)]
 
 
+def _logs(column, log10=math.log10):
+    """The log10 of the int ``root_texts`` reads of each pair (a, b) of a
+    column, as ``shift_text_rows`` takes it: of a, or of b where a = 0."""
+    return [log10(a or b) for a, b in column]
+
+
+def _column_texts(entries, bits, s=1, log10=math.log10):
+    """``root_texts`` on closed forms (x, y, r) a column per r, each in
+    the order of ``entries``; the texts back in that order."""
+    texts = [None] * len(entries)
+    for r in (1, 2, 4):
+        at = [i for i, entry in enumerate(entries) if entry[2] == r]
+        xs, ys = [entries[i][0] for i in at], [entries[i][1] for i in at]
+        column = root_texts(xs, ys, (_logs(xs, log10), _logs(ys, log10)), r,
+                            bits, s)
+        assert len(column) == len(at)
+        for i, text in zip(at, column):
+            texts[i] = text
+    return texts
+
+
 def test_shift_table_text_is_float_str_of_the_rounded_entry(monkeypatch):
     """``analyze.shift_table`` prints each entry as ``float_str`` prints the
     value ``shift_rows`` rounds at ``bits``, byte for byte, though
@@ -255,7 +278,7 @@ def test_shift_table_text_is_float_str_of_the_rounded_entry(monkeypatch):
             assert texts == [tuple(float_str(man, exp) for _, man, exp, _ in row)
                              for row in shift_rows(mu, 12, bits)], (mu, bits)
         del exact[:]
-        texts = root_texts(planted, bits)
+        texts = _column_texts(planted, bits)
         assert len(texts) == len(planted)
         for (x, y, r), text in zip(planted, texts):
             assert text == \
@@ -275,16 +298,22 @@ def test_root_texts_survive_a_wrong_decimal_exponent(monkeypatch):
         log10=log10, floor=math.floor, isqrt=math.isqrt))
     planted = _planted_entries()
     for bits in (53, 128):
-        assert root_texts(planted, bits) == \
+        assert _column_texts(planted, bits, log10=log10) == \
             [float_str(*round_root(x, y, r, bits)[1:3]) for x, y, r in planted]
+        # shift tables sum the logs of the moments
+        for mu in _pin_mix():
+            assert shift_text_rows(mu, 12, bits) == \
+                [tuple(float_str(man, exp) for _, man, exp, _ in row)
+                 for row in shift_rows(mu, 12, bits)], (mu, bits)
 
 
 def test_root_texts_keep_the_order_of_a_mixed_batch(monkeypatch):
-    """One ``root_texts`` call on the planted ties and on values laid out
-    in each of ``float_str``'s forms (e <= -5, -5 < e < 0, 0 <= e < 15 and
-    e >= 15), shuffled among radical entries, which take the exact path,
-    entries of over 2048 bits and values beyond 10^+-700, whose powers of
-    ten are kept for the call only: text i is that of entry i."""
+    """``root_texts``, a column per r, on the planted ties and on values
+    laid out in each of ``float_str``'s forms (e <= -5, -5 < e < 0,
+    0 <= e < 15 and e >= 15), shuffled among radical entries, which take
+    the exact path, entries of over 2048 bits and values beyond 10^+-700,
+    whose powers of ten are kept for the column only: text i is that of
+    entry i."""
     exact = []
     monkeypatch.setattr(shifts, "round_root",
                         lambda *args: exact.append(args) or round_root(*args))
@@ -306,7 +335,7 @@ def test_root_texts_keep_the_order_of_a_mixed_batch(monkeypatch):
     rng.shuffle(entries)
     for bits in (24, 53, 128):
         del exact[:]
-        texts = root_texts(entries, bits, 2)
+        texts = _column_texts(entries, bits, 2)
         assert len(texts) == len(entries)
         for (x, y, r), text in zip(entries, texts):
             assert text == float_str(*round_root(x, y, r, bits, 2)[1:3]), \
@@ -376,22 +405,62 @@ def test_radical_entries_of_rational_value_take_the_decimal_path(
                            for pos, w in mu.atoms])
         for masses, bits in ((nu, 64), (nu.to_real(53), 53),
                              (nu.to_real(128), 128)):
-            entries, s = shifts._entries(masses, 20, bits)
-            ratios = [(x, y, r) for x, y, r in entries if not (x[0] or y[0])]
-            if bits == 64:
-                radical += sum(1 for x, y, _ in entries if x[1] or y[1])
-                both += len(ratios)
-            del exact[:]
-            texts = root_texts(ratios, bits, s)
-            fell = len(exact)
-            del exact[:]
-            assert root_texts([((x[1], 0), (y[1], 0), r)
-                               for x, y, r in ratios], bits) == texts
-            assert len(exact) == fell
-            fallbacks, total = fallbacks + fell, total + len(ratios)
+            _, columns, s = shifts._pair_columns(masses, 20, bits)
+            for xs, ys, r in columns:
+                ratios = [(x, y) for x, y in zip(xs, ys) if not (x[0] or y[0])]
+                if bits == 64:
+                    radical += sum(1 for x, y in zip(xs, ys) if x[1] or y[1])
+                    both += len(ratios)
+                xs, ys = [x for x, _ in ratios], [y for _, y in ratios]
+                logs = _logs(xs), _logs(ys)
+                del exact[:]
+                texts = root_texts(xs, ys, logs, r, bits, s)
+                fell = len(exact)
+                del exact[:]
+                assert root_texts([(x[1], 0) for x in xs],
+                                  [(y[1], 0) for y in ys], logs, r,
+                                  bits) == texts
+                assert len(exact) == fell
+                fallbacks, total = fallbacks + fell, total + len(ratios)
     assert (radical, both) == (960, 480)
     # near a decimal tie
     assert fallbacks < total // 10
+
+
+def _mixed_radical_measures():
+    """p = 3..6 supports of c and c*sqrt(2) mixed, whose odd moments are
+    a + b sqrt(2) with a and b nonzero, and wholly radical ones, whose odd
+    moments are b sqrt(2); rational masses and ``to_real(128)``."""
+    out = []
+    for seed in range(6):
+        mu = generate(GeneratorSpec(3 + seed % 4, "arbitrary", 950 + seed,
+                                    position_style=("geometric", "random")[
+                                        seed % 2])).measure
+        mixed = make_measure([(Position(pos.q, i % 2, F(2)), w)
+                              for i, (pos, w) in enumerate(mu.atoms)],
+                             base=F(2))
+        radical = make_measure([(Position(pos.q, 1, F(2)), w)
+                                for pos, w in mu.atoms])
+        a, b, _, _ = power_sums(mixed, 2)
+        assert a[1] and b[1]
+        assert power_sums(radical, 2)[0][1] == 0
+        out += [mixed, radical, mixed.to_real(128), radical.to_real(128)]
+    return out
+
+
+def test_mixed_radical_columns_print_the_rounded_entries():
+    """On supports that mix c and c*sqrt(2) and on wholly radical ones, at
+    1 to 128 bits and 30 rows, every text of ``shift_text_rows`` is
+    ``float_str`` of the entry ``shift_rows`` rounds, and
+    ``weights_from_measure`` is column 0."""
+    for mu in _mixed_radical_measures():
+        for bits in (1, 24, 53, 64, 128):
+            rows = shift_rows(mu, 30, bits)
+            assert shift_text_rows(mu, 30, bits) == \
+                [tuple(float_str(man, exp) for _, man, exp, _ in row)
+                 for row in rows], (mu, bits)
+            assert [a._mpf_ for a in weights_from_measure(mu, 30, bits)] == \
+                [row[0] for row in rows], (mu, bits)
 
 
 # ---------------------------------------------------------------------------

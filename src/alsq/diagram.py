@@ -76,22 +76,19 @@ class ProductDiagram(Record):
     """The distinct pairwise products of ``support``, ascending; ``keys``
     are the support's int keys.  ``ur[i]`` is the frozenset of the j for
     which x_i*x_j is uniquely represented, so j is in ``ur[i]`` exactly
-    when i is in ``ur[j]``; ``by_key`` maps each product key to its
-    entry."""
+    when i is in ``ur[j]``."""
 
-    __slots__ = _fields = ("support", "keys", "entries", "ur", "by_key")
-    _hidden = ("ur", "by_key")
+    __slots__ = _fields = ("support", "keys", "entries", "ur")
+    _hidden = ("ur",)
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, support: Tuple[Position, ...], keys: Tuple[int, ...],
                  entries: Tuple[DiagramEntry, ...],
-                 ur: Tuple[FrozenSet[int], ...],
-                 by_key: Dict[int, DiagramEntry]):
+                 ur: Tuple[FrozenSet[int], ...]):
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "ur", ur)
-        object.__setattr__(self, "by_key", by_key)
 
     @property
     def p(self) -> int:
@@ -100,9 +97,6 @@ class ProductDiagram(Record):
     @property
     def card(self) -> int:
         return len(self.entries)
-
-    def entry_of_pair(self, i: int, j: int) -> DiagramEntry:
-        return self.by_key[self.keys[i] * self.keys[j]]
 
     def product(self, i: int, j: int) -> Position:
         return self.support[i] * self.support[j]
@@ -156,20 +150,20 @@ def pair_diagram(support: Union[AtomicMeasure, Sequence[Position]]) -> ProductDi
     for i, ki in enumerate(keys):
         for j in range(i, len(keys)):
             grouped.setdefault(ki * keys[j], []).append((i, j))
-    by_key: Dict[int, DiagramEntry] = {}  # ascending keys, so in entry order
+    entries = []
     ur: List[set] = [set() for _ in keys]
     for key in sorted(grouped):
         pairs = tuple(grouped[key])  # ascending, as generated
         entry = object.__new__(DiagramEntry)  # its position built when read
         object.__setattr__(entry, "pairs", pairs)
         object.__setattr__(entry, "_support", points)
-        by_key[key] = entry
+        entries.append(entry)
         if len(pairs) == 1:
             (a, b), = pairs
             ur[a].add(b)
             ur[b].add(a)
-    return ProductDiagram(points, keys, tuple(by_key.values()),
-                          tuple(map(frozenset, ur)), by_key)
+    return ProductDiagram(points, keys, tuple(entries),
+                          tuple(map(frozenset, ur)))
 
 
 def classify_ur(diagram: ProductDiagram) -> URClassification:

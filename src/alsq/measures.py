@@ -47,9 +47,11 @@ from .scalars import (
     DEFAULT_PRECISION_BITS,
     Record,
     Scalar,
+    ScalarError,
     format_rational,
     oversized_str,
     parse_rational,
+    ratio_text,
     real_arithmetic,
     round_root,
     scalar_str,
@@ -320,7 +322,7 @@ def support_keys(mu: AtomicMeasure) -> Tuple[List[int], int]:
     the measures on the same support."""
     keyed = mu._keys
     if keyed is None:
-        keyed = _scaled_keys(list(map(_square, mu.support)))
+        keyed = _over_lcm(list(map(_square, mu.support)))
         object.__setattr__(mu, "_keys", keyed)
     return keyed
 
@@ -350,7 +352,8 @@ def make_measure(
             pos = (pos_like if pos_like.base is inferred
                    or pos_like.base == inferred else pos_like.rebase(inferred))
         else:
-            raw = parse_rational(pos_like) if isinstance(pos_like, str) else Fraction(pos_like)
+            raw = (parse_rational(pos_like) if isinstance(pos_like, str)
+                   else _finite(pos_like, "a position"))
             if raw == 0:
                 if weight <= 0:
                     raise MeasureError("mass at the origin must be positive")
@@ -379,7 +382,7 @@ def _keyed_measure(base: Fraction, mode: str, atoms: list, squares: list,
     """The measure of ``atoms``, whose positions have the reduced
     ``squares``, keeping the int keys of its support.  Atoms whose keys do
     not ascend already are sorted and scanned for two on one position."""
-    keys, scale = _scaled_keys(squares)
+    keys, scale = _over_lcm(squares)
     if not all(map(int.__lt__, keys, keys[1:])):
         # int keys order like the positions and are equal exactly when the
         # positions are; the stable sort names the first of two duplicates
@@ -399,7 +402,7 @@ def _weight_converter(mode: str, bits: int):
     """The function that makes each weight of a ``mode`` measure.  A string
     is parsed as an exact rational (a non-finite one raises
     ``ScalarError``), rounded toward zero at ``bits`` in real mode; a
-    non-finite mpf raises ``MeasureError``."""
+    non-finite float or mpf raises ``MeasureError``."""
     if mode == RATIONAL:
         return _rational_weight
     reals = real_arithmetic()
@@ -413,7 +416,7 @@ def _weight_converter(mode: str, bits: int):
             if exp and not man:  # +-inf or nan
                 raise MeasureError(f"a real weight must be finite, got {w}")
             return w
-        return to_mpf(Fraction(w), bits)
+        return to_mpf(_finite(w, "a real weight"), bits)
 
     return real_weight
 
@@ -425,7 +428,16 @@ def _rational_weight(w) -> Fraction:
         return parse_rational(w)
     if hasattr(w, "_mpf_"):  # an mpf
         raise MeasureError("rational mode cannot hold floating weights")
-    return Fraction(w)
+    return _finite(w, "a weight")
+
+
+def _finite(value, what: str) -> Fraction:
+    """``Fraction(value)``; a ``MeasureError`` naming a value, such as a
+    float inf or nan, that is not finite."""
+    try:
+        return Fraction(value)
+    except (OverflowError, ValueError):
+        raise MeasureError(f"{what} must be finite, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +469,7 @@ def int_keys(positions: Sequence[Position]) -> List[int]:
     denominators.  Over a common base x_i*x_j = x_k*x_l exactly when
     key_i*key_j = key_k*key_l, and keys order like the positions, because
     ``squared`` is injective there."""
-    return _scaled_keys(list(map(_square, positions)))[0]
+    return _over_lcm(list(map(_square, positions)))[0]
 
 
 def _square(pos: Position) -> Tuple[int, int]:
@@ -472,11 +484,13 @@ def _square(pos: Position) -> Tuple[int, int]:
     return num, den
 
 
-def _scaled_keys(squares: List[Tuple[int, int]]) -> Tuple[List[int], int]:
-    """The int keys of the positions with the reduced ``squares``
-    (:func:`_square`) and the lcm that scales them."""
-    scale = lcm(*[den for _, den in squares])
-    return [num * (scale // den) for num, den in squares], scale
+def _over_lcm(ratios: List[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """The fractions n / d of the int pairs ``ratios`` over one
+    denominator, the lcm of theirs: their numerators and that lcm.  Over
+    the reduced squares of positions (:func:`_square`) these are the int
+    keys and their scale."""
+    scale = lcm(*[den for _, den in ratios])
+    return [num * (scale // den) for num, den in ratios], scale
 
 
 def _key_root(key: int, scale: int) -> Optional[Tuple[int, int]]:
@@ -493,7 +507,7 @@ def _key_root(key: int, scale: int) -> Optional[Tuple[int, int]]:
 
 def _key_position(key: int, scale: int, base: Fraction) -> Position:
     """The position over ``base`` whose int key at ``scale`` is ``key``,
-    the inverse of :func:`_scaled_keys`: key / scale is q^2, or q^2 * base
+    the inverse of :func:`_over_lcm`: key / scale is q^2, or q^2 * base
     for a radical, whose base is no square."""
     root = _key_root(key, scale)
     if root is not None:
@@ -520,8 +534,8 @@ def _lowest_text(num: int, den: int) -> str:
     """``scalar_str`` of the Fraction num / den in lowest terms, den > 0,
     with no Fraction built."""
     try:
-        return str(num) if den == 1 else f"{num}/{den}"
-    except ValueError:  # more digits than the interpreter converts
+        return ratio_text(num, den)
+    except ScalarError:  # more digits than the interpreter converts
         return oversized_str()
 
 
@@ -574,9 +588,7 @@ def numerators(weights: Sequence[Weight], mode: str,
     if mode == REAL:
         reals = real_arithmetic()
         return reals.to_dyadic([reals.operand(w, bits) for w in weights])
-    ratios = [w.as_integer_ratio() for w in weights]
-    den = lcm(*[d for _, d in ratios])
-    return [n * (den // d) for n, d in ratios], den
+    return _over_lcm([w.as_integer_ratio() for w in weights])
 
 
 def table(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS,
@@ -740,16 +752,16 @@ def power_sums(mu: AtomicMeasure, count: int,
     masses, den = numerators(mu.weights, mu.mode, bits)
     base = mu.base
     s = base.numerator * base.denominator
-    cs = [pos.q / base.denominator if pos.k else pos.q for pos in mu.support]
-    scale = lcm(*[c.denominator for c in cs])
+    steps, scale = _over_lcm([
+        (pos.q / base.denominator if pos.k else pos.q).as_integer_ratio()
+        for pos in mu.support])
     top = max(count - 1, 0)
     totals = [[0] * count, [0] * count]  # rational and radical atoms
-    for mass, c, pos in zip(masses, cs, mu.support):
-        step = c.numerator * (scale // c.denominator)
+    for mass, step, pos in zip(masses, steps, mu.support):
         # from an odd to an even order a radical term gains sqrt(s)^2 = s
-        steps = cycle((step, step * s)) if pos.k else repeat(step)
+        factors = cycle((step, step * s)) if pos.k else repeat(step)
         totals[pos.k] = list(map(add, totals[pos.k], accumulate(
-            islice(steps, top), mul, initial=mass)))
+            islice(factors, top), mul, initial=mass)))
     if scale > 1:
         # the n-th sum is over scale^n: lift it to the common scale^top
         lifts = list(accumulate(repeat(scale, top), mul, initial=1))[::-1]
@@ -974,5 +986,6 @@ def load_measure(path: str, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMeasure
 
 
 def save_measure(mu: AtomicMeasure, path: str) -> None:
+    text = dumps_measure(mu)  # a measure that does not print opens no file
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_measure(mu))
+        handle.write(text)

@@ -3,14 +3,15 @@
 A real-mode mass is an ``mpmath.mpf``: a dyadic rational, held as its raw
 value ``mpf._mpf_`` = (sign, man, exp, bc) for (-1)^sign * man * 2^exp, man
 odd with bc bits, or (0, 0, 0, 0) for zero.  Every rounding real mode does
-runs on ints here, with its precision and its rounding given explicitly,
-and gives the raw value that the libmp call with the same precision and
-rounding gives: each result is the exact value rounded once, to nearest
-with ties to even, or toward zero where mpmath converts a Fraction so.  No
-result depends on mpmath's global context.  A precision ``bits`` is at
-least 1; libmp reads 0 as exact.  mpmath stays as the container of a raw
-value (:data:`from_raw`), the parser of decimal text (``from_str``) and
-the printer of 12-digit text (``to_str``).
+runs on ints, here or in :mod:`alsq.scalars` (nearest rounding), with its
+precision and its rounding given explicitly, and gives the raw value that
+the libmp call with the same precision and rounding gives: each result is
+the exact value rounded once, to nearest with ties to even, or toward zero
+where mpmath converts a Fraction so.  No result depends on mpmath's global
+context.  A precision ``bits`` is at least 1; libmp reads 0 as exact.
+mpmath stays as the container of a raw value (:data:`from_raw`), the
+parser of decimal text (``from_str``) and the printer of 12-digit text
+(``to_str``).
 
 ``import alsq`` does not import this module.  Each real-mode branch gets it
 from ``alsq.scalars.real_arithmetic`` once per call, so a process that only
@@ -24,7 +25,8 @@ from fractions import Fraction
 from mpmath import mp, mpf
 from mpmath.libmp import from_str, to_str
 
-from .scalars import ScalarError, round_root
+from .scalars import (ScalarError, normalized, ratio_text, round_root,
+                      rounded)
 
 ZERO = (0, 0, 0, 0)  # the raw value of zero
 # libmp's raw values of +inf, -inf and nan; a value with man = 0 and exp
@@ -33,30 +35,6 @@ _SPECIALS = {float("inf"): (0, 0, -456, -2), float("-inf"): (1, 0, -789, -3)}
 _NAN = (0, 0, -123, -1)
 
 from_raw = mp.make_mpf  # an mpf holding a raw value, unrounded
-
-
-def normalized(sign: int, man: int, exp: int) -> tuple:
-    """The raw value of (-1)^sign * man * 2^exp for an int man >= 0, exact:
-    trailing zero bits move into the exponent."""
-    if not man:
-        return ZERO
-    zeros = (man & -man).bit_length() - 1
-    man >>= zeros
-    return sign, man, exp + zeros, man.bit_length()
-
-
-def rounded(sign: int, man: int, exp: int, bits: int) -> tuple:
-    """The raw value of (-1)^sign * man * 2^exp, man >= 0, rounded to
-    nearest at ``bits``, ties to even: libmp's ``from_man_exp`` with
-    ``round_nearest``."""
-    drop = man.bit_length() - bits
-    if drop > 0:
-        half = 1 << drop - 1
-        low = man & 2 * half - 1
-        man >>= drop
-        man += low > half or low == half and man & 1
-        exp += drop
-    return normalized(sign, man, exp)
 
 
 def quotient_down(n: int, d: int, bits: int) -> tuple:
@@ -173,15 +151,17 @@ def mpf_to_fraction(x: mpf) -> Fraction:
 
 def dyadic_text(x: mpf) -> str:
     """The exact value of a finite mpf as ``str(mpf_to_fraction(x))``
-    prints it, from its mantissa, which is odd, and its exponent."""
+    prints it, from its mantissa, which is odd, and its exponent; a
+    ``ScalarError`` when it has more digits than the interpreter converts
+    to a string."""
     sign, man, exp, _ = x._mpf_
     if not man:
         if exp:
             raise ScalarError(
                 f"cannot convert non-finite value {x!r} to a rational")
         return "0"
-    text = str(man << exp) if exp >= 0 else f"{man}/{1 << -exp}"
-    return "-" + text if sign else text
+    man = -man if sign else man
+    return ratio_text(*((man << exp, 1) if exp >= 0 else (man, 1 << -exp)))
 
 
 def decimal_str(x: mpf, digits: int = 12) -> str:

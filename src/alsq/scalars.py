@@ -7,7 +7,8 @@ Two kinds of scalars appear:
   precision, used whenever a value genuinely leaves the rational field.
 
 Positions of atoms are always exact; only masses may be floating.  This
-module holds the rational helpers and imports no mpmath.  Real-mode
+module holds the rational helpers, the int rounding of binary values to
+nearest and their 15-digit text, and imports no mpmath.  Real-mode
 arithmetic lives in :mod:`alsq.reals`, the one module that loads mpmath;
 a rational run never imports it.
 """
@@ -149,7 +150,20 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(value if type(value) is Fraction else Fraction(value))
+    """``str`` of the rational ``value``; a ``ScalarError`` when it has more
+    digits than the interpreter converts to a string."""
+    value = value if type(value) is Fraction else Fraction(value)
+    return ratio_text(*value.as_integer_ratio())
+
+
+def ratio_text(num: int, den: int) -> str:
+    """``str`` of the Fraction num / den in lowest terms, den > 0, with no
+    Fraction built; a ``ScalarError`` when it has more digits than the
+    interpreter converts to a string."""
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        raise ScalarError(f"cannot write {oversized_str()}") from None
 
 
 def isqrt_exact(n: int) -> Optional[int]:
@@ -206,7 +220,7 @@ class Surd:
 def round_root(x: tuple, y: tuple, r: int, bits: int,
                s: int = 1) -> Tuple[int, int, int, int]:
     """(x / y)^(1/r), r in (1, 2, 4), rounded once to nearest even at
-    ``bits``: the raw mpf value (0, man, exp, bc), built without mpmath.
+    ``bits`` by :func:`rounded`: the raw mpf value (0, man, exp, bc).
     x and y are pairs (a, b) of ints for the positive a + b*sqrt(s), with s
     no square where a b is nonzero.  ``math.isqrt`` takes the root to bits + 2 bits or more, with a
     sticky last bit, so rounding it is rounding the exact value.  With
@@ -232,45 +246,66 @@ def round_root(x: tuple, y: tuple, r: int, bits: int,
         t = t - 1 if excess(t) < 0 else t + (excess(t + 1) >= 0)
         inexact = excess(t) != 0
     t |= bool(inexact)
-    drop = t.bit_length() - bits
-    half = 1 << (drop - 1)
-    man, low = t >> drop, t & (2 * half - 1)
-    man += low > half or low == half and man & 1
+    return rounded(0, t, -k, bits)  # t has more than bits bits
+
+
+def normalized(sign: int, man: int, exp: int) -> tuple:
+    """The raw value of (-1)^sign * man * 2^exp for an int man >= 0, exact:
+    trailing zero bits move into the exponent."""
+    if not man:
+        return 0, 0, 0, 0
     zeros = (man & -man).bit_length() - 1
     man >>= zeros
-    return 0, man, drop - k + zeros, man.bit_length()
+    return sign, man, exp + zeros, man.bit_length()
 
 
-def float_str(man: int, exp: int, digits: int = 15) -> str:
-    """The positive man * 2^exp rounded once to ``digits`` significant
-    digits, ties away from zero, in the layout of mpmath's
-    ``to_str(x, digits)``: fixed point for decimal exponents e with
-    -max(digits // 3, 5) < e < digits, else one digit before the point and
-    the exponent.  It is not ``to_str``, which first cuts the value toward
-    zero to int(3.32 * (digits + 3)) + 10 bits and digits + 3 digits, so
-    the two can differ in the last digit near a decimal tie: at 12 digits
-    ``to_str`` prints 787.256642812 where this gives 787.256642813."""
-    low = 10 ** (digits - 1)
+def rounded(sign: int, man: int, exp: int, bits: int) -> tuple:
+    """The raw value of (-1)^sign * man * 2^exp, man >= 0, rounded to
+    nearest at ``bits``, ties to even: libmp's ``from_man_exp`` with
+    ``round_nearest``."""
+    drop = man.bit_length() - bits
+    if drop > 0:
+        half = 1 << drop - 1
+        low = man & 2 * half - 1
+        man >>= drop
+        man += low > half or low == half and man & 1
+        exp += drop
+    return normalized(sign, man, exp)
+
+
+def float_str(man: int, exp: int) -> str:
+    """The positive man * 2^exp rounded once to 15 significant digits,
+    ties away from zero, laid out by :func:`float_layout`.  It is not
+    mpmath's ``to_str(x, 15)``, which first cuts the value toward zero to
+    69 bits and 18 digits, so the two can differ in the last digit near a
+    decimal tie."""
     e = math.floor(math.log10(man) + exp * 0.30102999566398120)  # about log10
-    while True:  # n + rem / den = man 2^exp 10^(digits - 1 - e)
-        f = digits - 1 - e
+    while True:  # n + rem / den = man 2^exp 10^(14 - e)
+        f = 14 - e
         num, den = (man * 10 ** f, 1) if f >= 0 else (man, 10 ** -f)
         num, den = (num << exp, den) if exp >= 0 else (num, den << -exp)
         n, rem = divmod(num, den)
-        if low <= n < 10 * low:
+        if 10 ** 14 <= n < 10 ** 15:
             break
-        e += 1 if n >= low else -1
-    n += 2 * rem >= den
-    if n == 10 * low:
-        n, e = low, e + 1
+        e += 1 if n >= 10 ** 14 else -1
+    return float_layout(n + (2 * rem >= den), e)
+
+
+def float_layout(n: int, e: int) -> str:
+    """n 10^(e - 14), for n of 15 digits or 10^15 (rounded up from 15
+    nines), in the layout of mpmath's ``to_str(x, 15)``: fixed point for
+    decimal exponents -5 < e < 15, else one digit before the point and the
+    exponent."""
+    if n == 10 ** 15:
+        n, e = 10 ** 14, e + 1
     text = str(n).rstrip("0")
-    if 0 <= e < digits:
+    if 0 <= e < 15:
         if len(text) > e + 1:
-            return text[:e + 1] + "." + text[e + 1:]
+            return f"{text[:e + 1]}.{text[e + 1:]}"
         return text.ljust(e + 1, "0") + ".0"
-    if -max(digits // 3, 5) < e < 0:
+    if -5 < e < 0:
         return "0." + "0" * (-e - 1) + text
-    return text[0] + "." + (text[1:] or "0") + f"e{e:+d}"
+    return f"{text[0]}.{text[1:] or '0'}e{e:+d}"
 
 
 def scalar_str(value) -> str:
@@ -280,7 +315,7 @@ def scalar_str(value) -> str:
         return real_arithmetic().decimal_str(value)
     try:
         return str(value)
-    except ValueError:
+    except ValueError:  # from a Fraction, or the ScalarError of a position
         return oversized_str()
 
 

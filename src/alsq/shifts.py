@@ -28,6 +28,7 @@ from operator import add
 from typing import List, Sequence, Tuple
 
 from .measures import (
+    RATIONAL,
     REAL,
     AtomicMeasure,
     MeasureError,
@@ -35,8 +36,8 @@ from .measures import (
     numerators,
     power_sums,
 )
-from .scalars import (DEFAULT_PRECISION_BITS, Powers, float_str,
-                      real_arithmetic, round_root)
+from .scalars import (DEFAULT_PRECISION_BITS, Powers, float_layout,
+                      float_str, real_arithmetic, round_root)
 
 # how far below 0 :func:`hankel_psd` lets the least eigenvalue go, per trace
 HANKEL_TOLERANCE = Fraction(1, 2 ** 64)
@@ -134,7 +135,8 @@ def root_texts(xs: Sequence, ys: Sequence, logs: tuple, r: int, bits: int,
     at ``bits`` lies within v 2^-bits of v, that is within m =
     floor(t 2^-bits) + 1 units of t.  Unless that band reaches the tie of
     the 3 (or 4) digits after the 15th, or reaches below 10^e when t is
-    10^17 (or 10^18) and a little, it rounds to 15 digits as v does.
+    10^17 (or 10^18) and a little, it rounds to 15 digits as v does, and
+    ``float_layout``, the layout of ``float_str``, prints them.
     Otherwise, and for any other x or y with a radical part, the text is
     ``float_str(round_root(...))``, in its place in the column.
     The decimal exponents, quotients and roots are made a column at a
@@ -176,24 +178,12 @@ def root_texts(xs: Sequence, ys: Sequence, logs: tuple, r: int, bits: int,
         elif rem + 1 + m <= half:
             done = rem >= m or n > 10 ** 14 or 0 <= e and 5 ** e >> bits == 0
         else:
-            done = rem - m >= half
-            if done:
-                n += 1
-                if n == 10 ** 15:
-                    n, e = 10 ** 14, e + 1
-        if not done:
+            n, done = n + 1, rem - m >= half
+        if done:
+            append(float_layout(n, e))
+        else:
             _, man, exp, _ = round_root(x, y, r, bits, s)
             append(float_str(man, exp))
-            continue
-        # n 10^(e - 14) as :func:`float_str` lays it out
-        text = str(n).rstrip("0")
-        if 0 <= e < 15:
-            append(f"{text[:e + 1]}.{text[e + 1:]}" if len(text) > e + 1
-                   else text.ljust(e + 1, "0") + ".0")
-        elif -5 < e < 0:
-            append("0." + "0" * (-e - 1) + text)
-        else:
-            append(f"{text[0]}.{text[1:] or '0'}e{e:+d}")
     return texts
 
 
@@ -248,9 +238,7 @@ def hankel_psd(
         mpf_to_fraction = real_arithmetic().mpf_to_fraction
         values = [mpf_to_fraction(g) if hasattr(g, "_mpf_") else g
                   for g in values]
-    values = [Fraction(g) for g in values]
-    common = math.lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (common // v.denominator) for v in values]
+    ints, _ = numerators(list(map(Fraction, values)), RATIONAL)
     return tuple(_shifted_positive_definite(ints[offset:], n, tol) for offset in (0, 1))
 
 

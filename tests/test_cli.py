@@ -368,6 +368,42 @@ def test_oversized_products_give_no_traceback(tmp_path):
     message = json.loads(result.stdout)["certificate"]["message"]
     assert "(a number of more than" in message
     assert _cli("analyze", path).returncode == 2
+    # the same with x_1 radical: the certificate quotes a position, whose
+    # text raises ScalarError where a Fraction's raises ValueError
+    wide = json.loads((tmp_path / "wide.json").read_text())
+    wide["radical_base"], wide["atoms"][0]["pos_k"] = "2", 1
+    (tmp_path / "wide.json").write_text(json.dumps(wide))
+    for command in ("aluthge", "analyze"):
+        result = _cli(command, "--json", path)
+        assert result.returncode == 2 and not result.stderr
+        report = json.loads(result.stdout)
+        certificate = report.get("aluthge", report)["certificate"]
+        assert "(a number of more than" in certificate["message"]
+
+
+@pytest.mark.parametrize("mode, flags", [
+    ("rational", []), ("rational", ["--json"]), ("rational", ["--out"]),
+    ("real", ["--json"]), ("real", ["--out"])],
+    ids=["rational-text", "rational-json", "rational-out", "real-json",
+         "real-out"])
+def test_convolution_beyond_the_digit_limit_is_usage_error(
+        capsys, tmp_path, mode, flags):
+    # each mass has 2500 digits, but the masses of the square at 1 and at
+    # 4 have 5000, more than the interpreter prints (in real mode the
+    # exact dyadic value at 128 bits)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"radical_base": "1", "mode": mode, "atoms": [
+        {"pos_q": "1", "pos_k": 0, "weight": "9" * 2500},
+        {"pos_q": "2", "pos_k": 0, "weight": "1/" + "9" * 2500}]}))
+    out = tmp_path / "out.json"
+    if flags == ["--out"]:
+        flags = ["--out", str(out)]
+    assert main(["convolve", *flags, str(path), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot write (a number of more than "
+                            f"{sys.get_int_max_str_digits()} digits)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, content", [

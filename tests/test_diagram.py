@@ -18,10 +18,18 @@ from alsq.diagram import (
     structural_certificate,
     ur_summary,
 )
-from alsq.measures import MeasureError, Position, make_measure, scale_positions
+from alsq.measures import (MeasureError, Position, convolve, make_measure,
+                           scale_positions)
 from alsq.solver import IMPOSSIBLE, aluthge_subnormal, sqrt_of
 
 F = Fraction
+
+
+def _entry_of_pair(diagram):
+    """The entry of each index pair (i, j), in both orders, read off the
+    diagram's entries."""
+    return {pair: entry for entry in diagram.entries
+            for i, j in entry.pairs for pair in ((i, j), (j, i))}
 
 
 def _support(values):
@@ -72,9 +80,9 @@ def test_classification_powers_of_two():
 
 
 def test_classification_six_atom_coincidences(six_atom_exact):
-    diagram = pair_diagram(six_atom_exact)
-    assert diagram.entry_of_pair(1, 2).pairs == ((0, 4), (1, 2))  # value 18
-    assert diagram.entry_of_pair(2, 2).pairs == ((0, 5), (2, 2))  # value 36
+    entry_of = _entry_of_pair(pair_diagram(six_atom_exact))
+    assert entry_of[1, 2].pairs == ((0, 4), (1, 2))  # value 18
+    assert entry_of[2, 2].pairs == ((0, 5), (2, 2))  # value 36
 
 
 def test_ur_summary_prints_shared_products_as_positions_do():
@@ -114,16 +122,16 @@ def test_two_atoms_all_unique():
 def test_corner_products_always_unique(values):
     support = _support(sorted(values))
     diagram = pair_diagram(support)
-    p = diagram.p
+    entry_of, p = _entry_of_pair(diagram), diagram.p
     for pair in ((0, 0), (0, 1), (p - 2, p - 1), (p - 1, p - 1)):
-        assert diagram.entry_of_pair(*pair).is_ur
+        assert entry_of[pair].is_ur
 
 
 @settings(max_examples=100)
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=9, unique=True))
 def test_pair_tables_match_entries(values):
-    # the UR partner sets, coincide and entry_of_pair are read in both
-    # orders by the rules; each must agree with the entry lists
+    # the UR partner sets and coincide are read in both orders by the
+    # rules; each must agree with the entry lists
     diagram = pair_diagram(_support(sorted(values)))
     p = diagram.p
     holder = {pair: entry for entry in diagram.entries
@@ -133,7 +141,6 @@ def test_pair_tables_match_entries(values):
             entry = holder[min(i, j), max(i, j)]
             assert (j in diagram.ur[i]) == (i in diagram.ur[j]) == \
                 (len(entry.pairs) == 1)
-            assert diagram.entry_of_pair(i, j) is entry
             for k in range(p):
                 for l in range(p):
                     assert diagram.coincide((i, j), (k, l)) == \
@@ -187,6 +194,40 @@ def test_profile_iff_minimal_product_count(style, ratio, base, p, perturb,
         assert profile[0] == support[0]
         assert all(right == left * profile[1]
                    for left, right in zip(support, support[1:]))
+
+
+def test_seven_atom_square_of_a_nonnegative_root_is_geometric():
+    """mu = rho * rho for rho >= 0 on 4 atoms has 7 atoms exactly when
+    supp(rho) is geometric, and then supp(mu) is a 7-term geometric
+    progression.  supp(mu) = A*A for A = supp(rho), and |A*A| >= 2|A| - 1
+    with equality iff A is geometric (Freiman's 2k - 1 theorem, in the
+    torsion-free group (0, inf)).  A root of q atoms gives 2q - 1 to
+    q(q + 1)/2 atoms, so q = 3 gives at most 6 and q >= 5 at least 9:
+    every 7-atom square of a nonnegative root is one of these."""
+    rng = random.Random(7)
+    for geometric in (True, False) * 100:
+        if geometric:
+            first = F(rng.randint(1, 9), rng.randint(1, 4))
+            top = rng.randint(2, 12)
+            ratio = F(top, rng.randint(1, top - 1))
+            points = [first * ratio ** k for k in range(4)]
+        else:
+            points = set()
+            while len(points) < 4:
+                points.add(F(rng.randint(1, 60), rng.randint(1, 4)))
+            points = sorted(points)
+        rho = make_measure([(x, F(rng.randint(1, 9), rng.randint(1, 9)))
+                            for x in points])
+        mu = convolve(rho, rho)
+        if not geometric:  # no two of these products coincide
+            assert mu.p == 10, points
+            continue
+        a, r = geometric_profile(mu)
+        assert mu.p == 7
+        assert (a.q, r.q) == (points[0] ** 2, points[1] / points[0])
+        witness = sqrt_of(mu).witness
+        assert [(pos.q, w) for pos, w in witness.atoms] == \
+            [(pos.q, w) for pos, w in rho.atoms]
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +332,13 @@ def test_exhaustive_mode_lists_rules_the_first_rule_hides(support, rule,
 
 def _brute_force_rectangles(diagram):
     """Every 4-subset, with its three four-cycles in turn."""
-    out = []
+    out, entry_of = [], _entry_of_pair(diagram)
     for quad in combinations(range(diagram.p), 4):
         a, b, c, d = quad
         cycles = (((a, b), (b, c), (c, d), (d, a)),
                   ((a, b), (b, d), (d, c), (c, a)),
                   ((a, c), (c, b), (b, d), (d, a)))
-        if any(all(diagram.entry_of_pair(*pair).is_ur for pair in cycle)
+        if any(all(entry_of[pair].is_ur for pair in cycle)
                for cycle in cycles):
             out.append(quad)
     return out
@@ -410,7 +451,8 @@ def _diagram_record(support):
     diagram = pair_diagram(support)
     first = structural_certificate(diagram)
     every = structural_certificate(diagram, exhaustive=True)
-    cells = [(diagram.entry_of_pair(i, j).pairs, str(diagram.product(i, j)))
+    entry_of = _entry_of_pair(diagram)
+    cells = [(entry_of[i, j].pairs, str(diagram.product(i, j)))
              for i in range(diagram.p) for j in range(diagram.p)]
     return json.dumps([None if first is None else first.to_json_dict(),
                        [v.to_json_dict() for v in every],

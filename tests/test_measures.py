@@ -680,6 +680,19 @@ def test_make_measure_refuses_a_non_finite_real_weight(value):
             make_measure(atoms, mode=REAL, zero_mass=zero)
 
 
+@pytest.mark.parametrize("mode", [RATIONAL, REAL])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
+                         ids=["inf", "-inf", "nan"])
+def test_make_measure_refuses_a_non_finite_float(mode, value):
+    # Fraction raises OverflowError on +-inf and ValueError on nan
+    weight = "a real weight" if mode == REAL else "a weight"
+    for atoms, what in (([(1, value)], weight), ([(value, 1)], "a position"),
+                        ([(1, 1), (2, value)], weight)):
+        with pytest.raises(MeasureError, match=f"{what} must be finite, "
+                                               f"got {value!r}"):
+            make_measure(atoms, mode=mode)
+
+
 @pytest.mark.parametrize("bits", [0, -1])
 def test_a_precision_below_one_bit_is_refused(bits):
     # at 0 bits to_real rounded every mass to 0; each entry point checks once

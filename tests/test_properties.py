@@ -84,9 +84,11 @@ def test_doubly_unique_column_theory_on_witnesses():
             continue
         diagram = pair_diagram(mu)
         p = diagram.p
+        # the entry of each index pair (i, j), i <= j
+        entry_of = {pair: entry for entry in diagram.entries
+                    for pair in entry.pairs}
         full = [k for k in range(1, p - 1)
-                if diagram.entry_of_pair(0, k).is_ur
-                and diagram.entry_of_pair(p - 1, k).is_ur]
+                if entry_of[0, k].is_ur and entry_of[k, p - 1].is_ur]
         assert len(full) <= 1
         for k in full:
             assert diagram.product(k, k).squared() == \

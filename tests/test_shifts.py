@@ -509,6 +509,15 @@ def test_hankel_psd_point_mass_all_orders():
         assert hankel_psd(gammas, n) == (True, True)
 
 
+def test_hankel_psd_reads_what_fraction_reads():
+    # ints, strings and floats are lifted as Fraction lifts them
+    gammas = [F(1), F(5), F(2), F(30), F(3), F(40), F(4), F(50)]
+    for values in ([int(g) for g in gammas], [str(g) for g in gammas],
+                   [float(g) for g in gammas], ["1", "3/2", "9/4", "27/8"]):
+        assert hankel_psd(values, 1) == hankel_psd(list(map(F, values)), 1)
+    assert hankel_psd(["1", "3/2", "9/4", "27/8"], 1) == (True, True)
+
+
 def test_hankel_psd_rejects_non_moment_sequence():
     gammas = [F(1), F(5), F(2), F(30), F(3), F(40), F(4), F(50)]
     ok_a, _ = hankel_psd(gammas, 1)

@@ -745,6 +745,53 @@ def test_transform_separates_at_p13_where_n_cancels_exactly():
         (Position.of(x), berger[x]) for x in sorted(berger)]
 
 
+def test_radical_transform_witness_off_the_support():
+    # Q = d(1) + 2d(sqrt2) - d(2) + 2d(2sqrt2) + d(4) on base 2: mu = Q * Q
+    # has 7 atoms, its 2sqrt2 and 4sqrt2 cancel, and N = Q * t(Q) has 9,
+    # there too, so the witness is placed off supp(mu) by key.  The
+    # reference is over Z[sqrt2]: a position q*sqrt2^k is (q, k), a mass
+    # a + b*sqrt2 is (a, b), and products are dict products of int pairs
+    def times(x, y):
+        (p, j), (q, k) = x, y
+        return (2 * p * q, 0) if j + k == 2 else (p * q, j + k)
+
+    def product(left, right):
+        out = {}
+        for x, (a, b) in left.items():
+            for y, (c, d) in right.items():
+                e, f = out.get(times(x, y), (0, 0))
+                out[times(x, y)] = e + a * c + 2 * b * d, f + a * d + b * c
+        return {x: m for x, m in out.items() if m != (0, 0)}
+
+    def t_of(atoms):  # each mass times its position
+        return {(q, k): (a * q, b * q) if k == 0 else (2 * b * q, a * q)
+                for (q, k), (a, b) in atoms.items()}
+
+    q = {(1, 0): (1, 0), (1, 1): (2, 0), (2, 0): (-1, 0), (2, 1): (2, 0),
+         (4, 0): (1, 0)}
+    square = product(q, q)
+    assert square == {(1, 0): (1, 0), (1, 1): (4, 0), (2, 0): (2, 0),
+                      (4, 0): (11, 0), (8, 0): (2, 0), (8, 1): (4, 0),
+                      (16, 0): (1, 0)}
+    n = product(q, t_of(q))
+    assert len(n) == 9 and not set(n) <= set(square)
+    assert product(n, n) == product(square, t_of(square))
+    mu = make_measure([(Position(F(x), k, F(2)), F(a))
+                       for (x, k), (a, _) in square.items()], base=F(2))
+    for nu in (mu, mu.to_real(128)):
+        verdict = aluthge_subnormal(nu)
+        assert verdict.outcome == WITNESS
+        # a_1 = x_1 = 1 and N_1 = 1: the witness is N, rounded at 128 bits
+        got = dict(verdict.witness.atoms)
+        assert set(got) == {Position(F(x), k, F(2)) for x, k in n}
+        with workprec(256):
+            root = mpmath.sqrt(2)
+            for (x, k), (a, b) in n.items():
+                want = a + b * root
+                assert abs(to_mpf(got[Position(F(x), k, F(2))], 256) - want) \
+                    <= mpf(2) ** -120 * want, (x, k)
+
+
 @pytest.mark.parametrize("bits", [8, 16, 24, 32])
 def test_real_transform_with_a_negative_midpoint_of_n_is_undetermined(bits):
     # at these precisions the ball of N's exact zero at 8 has a negative

@@ -16,7 +16,7 @@ so no support is keyed twice.  :func:`pair_diagram` groups the key products
 and builds no position: an entry builds its product the first time its
 ``position`` is read, which the decision path never does; the rules'
 messages and :func:`ur_summary` print products from int numerators
-(:func:`_product_text`).  Every function that reads a support accepts a
+(:func:`_product`).  Every function that reads a support accepts a
 :class:`ProductDiagram` in place of a measure or a position sequence, so
 one diagram can serve them all.
 
@@ -33,9 +33,9 @@ from itertools import combinations
 from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
-from .measures import (AtomicMeasure, MeasureError, Position,
-                       _position_text, _ratio_text, int_keys, support_keys)
-from .scalars import Record
+from .measures import (AtomicMeasure, MeasureError, Position, int_keys,
+                       support_keys)
+from .scalars import Record, scalar_str
 
 Pair = Tuple[int, int]  # 0-based, i <= j
 
@@ -177,21 +177,22 @@ def ur_summary(diagram: ProductDiagram) -> dict:
     shared products as ``str`` prints their positions, read off the int
     numerators and denominators of the first pair of each: no position is
     built."""
-    nur = [_product_text(diagram.support, *entry.pairs[0])
+    nur = [scalar_str(*_product(diagram.support, *entry.pairs[0]))
            for entry in diagram.entries if len(entry.pairs) > 1]
     return {"ur_count": diagram.card - len(nur), "nur_count": len(nur),
             "nur_products": nur}
 
 
-def _product_text(support: Tuple[Position, ...], i: int, j: int) -> str:
-    """``str(support[i] * support[j])``, read off the int numerators and
-    denominators of the two positions: no position is built."""
+def _product(support: Tuple[Position, ...], i: int, j: int) -> tuple:
+    """support[i] * support[j] as the int parts (num, den, k, base) that
+    ``scalar_str`` quotes, read off the int numerators and denominators of
+    the two positions: no position is built."""
     x, y = support[i], support[j]
     num = x.q.numerator * y.q.numerator
     den = x.q.denominator * y.q.denominator
     if x.k and y.k:  # sqrt(base)^2
         num, den = num * x.base.numerator, den * x.base.denominator
-    return _position_text(_ratio_text(num, den), x.k != y.k, x.base)
+    return num, den, x.k != y.k, x.base
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def _check_boundary_products(diagram: ProductDiagram) -> Iterator[Violation]:
         if pair[1] in diagram.ur[pair[0]]:
             yield _v(
                 "boundary-products", pair,
-                f"{label} ({_product_text(diagram.support, *pair)}) "
+                f"{label} ({scalar_str(*_product(diagram.support, *pair))}) "
                 "coincides with no other pairwise product, but a square root "
                 "requires it to")
 

@@ -20,8 +20,8 @@ and the loader fill it from the squares of the positions, sorting only
 atoms that do not ascend already, and the operations that keep the
 support (:func:`with_weights`, :func:`t_weight`, :func:`strip_zero_atom`)
 pass it on.  Positions are read off keys (:func:`_key_position`), and
-so is the text of a position a message prints (:func:`_key_text`), with
-no position built for a rational one.  One pair
+so are the int parts of a position a message prints (:func:`_key_parts`),
+with no position built.  One pair
 loop (:func:`_pair_products`), which forms each unordered pair of atoms
 once, forms every product: :func:`square_products` tables a witness's
 square, the solver runs it on the masses of a signed root, and
@@ -47,10 +47,8 @@ from .scalars import (
     DEFAULT_PRECISION_BITS,
     Record,
     Scalar,
-    ScalarError,
-    format_rational,
-    oversized_str,
     parse_rational,
+    position_text,
     ratio_text,
     real_arithmetic,
     round_root,
@@ -109,8 +107,8 @@ class Position(Record):
         if isinstance(value, Position):
             return value
         if isinstance(value, str):
-            value = parse_rational(value)
-        return Position(Fraction(value), 0, base)
+            return Position(parse_rational(value), 0, base)
+        return Position(_finite(value, "a position"), 0, base)
 
     def squared(self) -> Fraction:
         """value^2, always rational; the canonical comparison key.
@@ -187,17 +185,11 @@ class Position(Record):
         return self.squared() <= other.squared()
 
     def __str__(self):
-        return _position_text(format_rational(self.q), self.k, self.base)
+        q = self.q
+        return position_text(q.numerator, q.denominator, self.k, self.base)
 
     def __repr__(self):
         return f"Position({self})"
-
-
-def _position_text(q: str, k: int, base: Fraction) -> str:
-    """The text of the position q * sqrt(base)^k, from the text of q."""
-    if not k:
-        return q
-    return f"sqrt({base})" if q == "1" else f"{q}*sqrt({base})"
 
 
 def _position(q: Fraction, k: int, base: Fraction) -> Position:
@@ -284,13 +276,9 @@ class AtomicMeasure(Record):
                             REAL, zero)
 
     def __str__(self):
-        show = format_rational
-        if self.mode == REAL:
-            decimal_str = real_arithmetic().decimal_str
-
-            def show(w):
-                return (format_rational(w) if type(w) is Fraction
-                        else decimal_str(w))
+        def show(w):  # an exact mass past the digit limit raises
+            return (scalar_str(w) if hasattr(w, "_mpf_")
+                    else ratio_text(w.numerator, w.denominator))
 
         parts = []
         if self.has_zero_atom():
@@ -341,7 +329,9 @@ def make_measure(
     if base is None:
         base = next((pos.base for pos, _ in pairs if isinstance(pos, Position)),
                     Fraction(1))
-    inferred = base if type(base) is Fraction else Fraction(base)
+    if isinstance(base, str):
+        base = parse_rational(base)
+    inferred = base if type(base) is Fraction else _finite(base, "a radical base")
 
     built: List[Tuple[Position, Weight]] = []
     convert = _weight_converter(mode, bits)
@@ -505,38 +495,21 @@ def _key_root(key: int, scale: int) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _key_position(key: int, scale: int, base: Fraction) -> Position:
-    """The position over ``base`` whose int key at ``scale`` is ``key``,
-    the inverse of :func:`_over_lcm`: key / scale is q^2, or q^2 * base
-    for a radical, whose base is no square."""
+def _key_parts(key: int, scale: int, base: Fraction) -> tuple:
+    """The position over ``base`` whose int key at ``scale`` is ``key``, the
+    inverse of :func:`_over_lcm`, as the int parts (num, den, k, base) that
+    ``scalar_str`` quotes: key / scale is q^2, or q^2 * base for a
+    radical, whose base is no square, and q = num / den in lowest terms."""
     root = _key_root(key, scale)
     if root is not None:
-        return _position(Fraction(*root), 0, base)
-    return _position(sqrt_fraction(Fraction(key, scale) / base), 1, base)
+        return root + (0, base)
+    return _key_root(key * base.denominator, scale * base.numerator) + (1, base)
 
 
-def _key_text(key: int, scale: int, base: Fraction) -> str:
-    """``scalar_str(_key_position(key, scale, base))``, with no position
-    built for a rational one."""
-    root = _key_root(key, scale)
-    if root is None:
-        return scalar_str(_key_position(key, scale, base))
-    return _lowest_text(*root)
-
-
-def _ratio_text(num: int, den: int) -> str:
-    """``scalar_str(Fraction(num, den))`` for den > 0, from one gcd."""
-    common = gcd(num, den)
-    return _lowest_text(num // common, den // common)
-
-
-def _lowest_text(num: int, den: int) -> str:
-    """``scalar_str`` of the Fraction num / den in lowest terms, den > 0,
-    with no Fraction built."""
-    try:
-        return ratio_text(num, den)
-    except ScalarError:  # more digits than the interpreter converts
-        return oversized_str()
+def _key_position(key: int, scale: int, base: Fraction) -> Position:
+    """The position of :func:`_key_parts`."""
+    num, den, k, _ = _key_parts(key, scale, base)
+    return _position(Fraction(num, den), k, base)
 
 
 class Table:
@@ -793,7 +766,8 @@ def moment(mu: AtomicMeasure, n: int, bits: int = DEFAULT_PRECISION_BITS):
 
 
 def scale_positions(mu: AtomicMeasure, x: Union[Fraction, int, str]) -> AtomicMeasure:
-    x = parse_rational(x) if isinstance(x, str) else Fraction(x)
+    x = (parse_rational(x) if isinstance(x, str)
+         else _finite(x, "a scale factor"))
     if x <= 0:
         raise MeasureError(f"scale factor must be positive, got {x}")
     mu.require_no_zero_atom("scale_positions")
@@ -850,25 +824,22 @@ def normalize(mu: AtomicMeasure, bits: int = DEFAULT_PRECISION_BITS) -> AtomicMe
 def _atom_fields(mu: AtomicMeasure) -> List[Tuple[str, int, str]]:
     """pos_q, pos_k and weight of each atom of the measure document, the
     origin first."""
-    weight = format_rational
-    if mu.mode == REAL:
-        dyadic_text = real_arithmetic().dyadic_text
-
-        def weight(w):
-            # exact dyadic form: parses back to the identical mpf, so
-            # emission is byte-stable under reload
-            return (format_rational(w) if type(w) is Fraction
-                    else dyadic_text(w))
+    def weight(w):
+        if hasattr(w, "_mpf_"):
+            # a real mass in exact dyadic form: it parses back to the
+            # identical mpf, so emission is byte-stable under reload
+            return ratio_text(*real_arithmetic().mpf_ratio(w))
+        return ratio_text(w.numerator, w.denominator)
 
     atoms = [("0", 0, weight(mu.zero_mass))] if mu.has_zero_atom() else []
-    atoms += [(format_rational(pos.q), pos.k, weight(w))
-              for pos, w in mu.atoms]
+    atoms += [(ratio_text(pos.q.numerator, pos.q.denominator), pos.k,
+               weight(w)) for pos, w in mu.atoms]
     return atoms
 
 
 def measure_to_json_dict(mu: AtomicMeasure) -> dict:
     return {
-        "radical_base": format_rational(mu.base),
+        "radical_base": ratio_text(mu.base.numerator, mu.base.denominator),
         "mode": mu.mode,
         "atoms": [{"pos_q": q, "pos_k": k, "weight": w}
                   for q, k, w in _atom_fields(mu)],
@@ -961,7 +932,8 @@ def dumps_measure(mu: AtomicMeasure) -> str:
     atoms = ",\n".join([
         f'    {{\n      "pos_q": "{q}",\n      "pos_k": {k},\n'
         f'      "weight": "{w}"\n    }}' for q, k, w in _atom_fields(mu)])
-    return (f'{{\n  "radical_base": "{format_rational(mu.base)}",\n'
+    base = ratio_text(mu.base.numerator, mu.base.denominator)
+    return (f'{{\n  "radical_base": "{base}",\n'
             f'  "mode": {json.dumps(mu.mode)},\n'
             + (f'  "atoms": [\n{atoms}\n  ]\n}}\n' if atoms
                else '  "atoms": []\n}\n'))

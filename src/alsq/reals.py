@@ -9,9 +9,9 @@ the libmp call with the same precision and rounding gives: each result is
 the exact value rounded once, to nearest with ties to even, or toward zero
 where mpmath converts a Fraction so.  No result depends on mpmath's global
 context.  A precision ``bits`` is at least 1; libmp reads 0 as exact.
-mpmath stays as the container of a raw value (:data:`from_raw`), the
-parser of decimal text (``from_str``) and the printer of 12-digit text
-(``to_str``).
+mpmath stays as the container of a raw value (:data:`from_raw`) and the
+parser of decimal text (``from_str``); the package prints real values on
+ints (``alsq.scalars.float_str`` and ``ratio_text``).
 
 ``import alsq`` does not import this module.  Each real-mode branch gets it
 from ``alsq.scalars.real_arithmetic`` once per call, so a process that only
@@ -23,10 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_str, to_str
+from mpmath.libmp import from_str
 
-from .scalars import (ScalarError, normalized, ratio_text, round_root,
-                      rounded)
+from .scalars import ScalarError, normalized, round_root, rounded
 
 ZERO = (0, 0, 0, 0)  # the raw value of zero
 # libmp's raw values of +inf, -inf and nan; a value with man = 0 and exp
@@ -137,36 +136,19 @@ def position_raw(pos, bits: int) -> tuple:
     return value
 
 
+def mpf_ratio(x: mpf) -> tuple:
+    """The exact value of a finite mpf as ints (num, den) in lowest terms,
+    den a power of two: its mantissa is odd."""
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise ScalarError(f"cannot convert non-finite value {x!r} to a rational")
+    man = -man if sign else man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
 def mpf_to_fraction(x: mpf) -> Fraction:
     """Exact dyadic rational equal to a finite mpf."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        if not exp:
-            return Fraction(0)
-        raise ScalarError(f"cannot convert non-finite value {x!r} to a rational")
-    if sign:
-        man = -man
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def dyadic_text(x: mpf) -> str:
-    """The exact value of a finite mpf as ``str(mpf_to_fraction(x))``
-    prints it, from its mantissa, which is odd, and its exponent; a
-    ``ScalarError`` when it has more digits than the interpreter converts
-    to a string."""
-    sign, man, exp, _ = x._mpf_
-    if not man:
-        if exp:
-            raise ScalarError(
-                f"cannot convert non-finite value {x!r} to a rational")
-        return "0"
-    man = -man if sign else man
-    return ratio_text(*((man << exp, 1) if exp >= 0 else (man, 1 << -exp)))
-
-
-def decimal_str(x: mpf, digits: int = 12) -> str:
-    """``x`` to ``digits`` significant digits, as ``mpmath.nstr`` prints it."""
-    return to_str(x._mpf_, digits)
+    return Fraction(*mpf_ratio(x))
 
 
 def to_dyadic(raws) -> tuple:

@@ -8,9 +8,13 @@ Two kinds of scalars appear:
 
 Positions of atoms are always exact; only masses may be floating.  This
 module holds the rational helpers, the int rounding of binary values to
-nearest and their 15-digit text, and imports no mpmath.  Real-mode
-arithmetic lives in :mod:`alsq.reals`, the one module that loads mpmath;
-a rational run never imports it.
+nearest and the package's only number printers, all on ints:
+:func:`ratio_text` (the one refusal of a number past the interpreter's
+digit limit), :func:`position_text`, :func:`float_str` with its layout
+:func:`float_layout` (15 digits in shift tables, 12 in messages) and
+:func:`scalar_str`, the quote of a number in a message.  It imports no
+mpmath.  Real-mode arithmetic lives in :mod:`alsq.reals`, the one module
+that loads mpmath; a rational run never imports it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ Scalar = Union[Fraction, "mpf"]
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = Fraction(1, 2 ** 64)
+# how a message quotes a number with more digits than the interpreter
+# converts to a string
+_OVERSIZED = "(a number of more than {} digits)"
 
 
 class ScalarError(ValueError):
@@ -149,21 +156,28 @@ def parse_rational(text: str) -> Fraction:
     raise ScalarError(f"rational {text[:40]!r} has more than {limit} digits")
 
 
-def format_rational(value: Fraction) -> str:
-    """``str`` of the rational ``value``; a ``ScalarError`` when it has more
-    digits than the interpreter converts to a string."""
-    value = value if type(value) is Fraction else Fraction(value)
-    return ratio_text(*value.as_integer_ratio())
-
-
 def ratio_text(num: int, den: int) -> str:
-    """``str`` of the Fraction num / den in lowest terms, den > 0, with no
-    Fraction built; a ``ScalarError`` when it has more digits than the
+    """The text of the Fraction num / den, den > 0, reduced by one gcd with
+    no Fraction built; a ``ScalarError`` when it has more digits than the
     interpreter converts to a string."""
+    common = math.gcd(num, den)
+    if common != 1:
+        num, den = num // common, den // common
     try:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
-        raise ScalarError(f"cannot write {oversized_str()}") from None
+        raise ScalarError("cannot write " + _OVERSIZED.format(
+            sys.get_int_max_str_digits())) from None
+
+
+def position_text(num: int, den: int, k: int, base: Fraction) -> str:
+    """The text of the position (num / den) * sqrt(base)^k, den > 0 and k
+    0 or 1, from its int parts, as ``str`` of a ``Position`` prints it."""
+    q = ratio_text(num, den)
+    if not k:
+        return q
+    root = f"sqrt({ratio_text(base.numerator, base.denominator)})"
+    return root if q == "1" else f"{q}*{root}"
 
 
 def isqrt_exact(n: int) -> Optional[int]:
@@ -273,33 +287,36 @@ def rounded(sign: int, man: int, exp: int, bits: int) -> tuple:
     return normalized(sign, man, exp)
 
 
-def float_str(man: int, exp: int) -> str:
-    """The positive man * 2^exp rounded once to 15 significant digits,
-    ties away from zero, laid out by :func:`float_layout`.  It is not
-    mpmath's ``to_str(x, 15)``, which first cuts the value toward zero to
-    69 bits and 18 digits, so the two can differ in the last digit near a
-    decimal tie."""
+def float_str(man: int, exp: int, digits: int = 15) -> str:
+    """The positive man * 2^exp rounded once to ``digits`` significant
+    digits, ties away from zero, laid out by :func:`float_layout`.  It is
+    not mpmath's ``to_str(x, digits)``, which first cuts the value toward
+    zero to a few bits more than the digits need (59 bits for 12 digits,
+    69 for 15), so the two can differ in the last digit near a decimal
+    tie."""
+    low = 10 ** (digits - 1)
     e = math.floor(math.log10(man) + exp * 0.30102999566398120)  # about log10
-    while True:  # n + rem / den = man 2^exp 10^(14 - e)
-        f = 14 - e
+    while True:  # n + rem / den = man 2^exp 10^(digits - 1 - e)
+        f = digits - 1 - e
         num, den = (man * 10 ** f, 1) if f >= 0 else (man, 10 ** -f)
         num, den = (num << exp, den) if exp >= 0 else (num, den << -exp)
         n, rem = divmod(num, den)
-        if 10 ** 14 <= n < 10 ** 15:
+        if low <= n < 10 * low:
             break
-        e += 1 if n >= 10 ** 14 else -1
-    return float_layout(n + (2 * rem >= den), e)
+        e += 1 if n >= low else -1
+    return float_layout(n + (2 * rem >= den), e, digits)
 
 
-def float_layout(n: int, e: int) -> str:
-    """n 10^(e - 14), for n of 15 digits or 10^15 (rounded up from 15
-    nines), in the layout of mpmath's ``to_str(x, 15)``: fixed point for
-    decimal exponents -5 < e < 15, else one digit before the point and the
-    exponent."""
-    if n == 10 ** 15:
-        n, e = 10 ** 14, e + 1
-    text = str(n).rstrip("0")
-    if 0 <= e < 15:
+def float_layout(n: int, e: int, digits: int = 15) -> str:
+    """n 10^(e + 1 - digits), for n of ``digits`` digits or 10^digits
+    (rounded up from all nines), in the layout of mpmath's ``to_str(x,
+    digits)``: fixed point for decimal exponents -5 < e < digits, else one
+    digit before the point and the exponent."""
+    text = str(n)
+    if len(text) > digits:  # 10^digits
+        text, e = "1", e + 1
+    text = text.rstrip("0")
+    if 0 <= e < digits:
         if len(text) > e + 1:
             return f"{text[:e + 1]}.{text[e + 1:]}"
         return text.ljust(e + 1, "0") + ".0"
@@ -308,18 +325,23 @@ def float_layout(n: int, e: int) -> str:
     return f"{text[0]}.{text[1:] or '0'}e{e:+d}"
 
 
-def scalar_str(value) -> str:
-    """A scalar or a position as a message quotes it: a rational with more
-    digits than the interpreter converts to a string by its size only."""
-    if hasattr(value, "_mpf_"):  # a real: mpmath is loaded already
-        return real_arithmetic().decimal_str(value)
+def scalar_str(value, den: int = 0, k: int = 0,
+               base: Optional[Fraction] = None) -> str:
+    """A number as a message quotes it: a Fraction, an int or a position
+    exactly, an mpf to 12 significant digits (:func:`float_str`), and with
+    ``den`` the position (value / den) * sqrt(base)^k of ints
+    (:func:`position_text`).  A value with more digits than the interpreter
+    converts to a string is quoted by its size only."""
     try:
-        return str(value)
-    except ValueError:  # from a Fraction, or the ScalarError of a position
-        return oversized_str()
-
-
-def oversized_str() -> str:
-    """How a message quotes a value with more digits than the interpreter
-    converts to a string."""
-    return f"(a number of more than {sys.get_int_max_str_digits()} digits)"
+        if den:
+            return position_text(value, den, k, base)
+        if isinstance(value, (Fraction, int)):
+            return ratio_text(value.numerator, value.denominator)
+        if hasattr(value, "_mpf_"):  # a real, printed from its raw value
+            sign, man, exp, _ = value._mpf_
+            if not man:  # zero, or +-inf or nan as mpmath prints them
+                return str(value) if exp else "0.0"
+            return "-" * sign + float_str(man, exp, 12)
+        return str(value)  # a position
+    except ScalarError:
+        return _OVERSIZED.format(sys.get_int_max_str_digits())

@@ -55,8 +55,8 @@ mass 0.
 Once the peel has decided, no position or Fraction is multiplied or
 divided on rational positions: a certificate prints its positions and
 masses from the table's int keys and numerators
-(:func:`alsq.measures._key_text`), and a witness atom is one Fraction of
-ints (:func:`_placed`); only radical positions fall back to positions.
+(:func:`alsq.measures._key_parts`, quoted by ``scalar_str``), and a
+witness atom is one Fraction of ints (:func:`_placed`).
 
 The decision path takes its precision explicitly from ``SolverConfig``:
 the witness masses are rounded at ``precision_bits``, the peel and the
@@ -87,12 +87,10 @@ from .measures import (
     MeasureError,
     Table,
     _check_precision,
+    _key_parts,
     _key_position,
-    _key_root,
-    _key_text,
     _pair_products,
     _position,
-    _ratio_text,
     _square,
     measure_to_json_dict,
     square_products,
@@ -620,8 +618,8 @@ def _negative(target: Table, count: int, w: int, mass: Scalar,
     a1 = _first_product_mass(target)
     return _nonpositive(
         len(below) if at else None, count, _at(w, scale * scale, base, at),
-        _ratio_text(keys[0], scale),  # x_1^2, the first atom of mu * t(mu)
-        _ratio_text(*a1) if value is Fraction else scalar_str(value(*a1)),
+        scalar_str(keys[0], scale),  # x_1^2, the first atom of mu * t(mu)
+        scalar_str(*a1) if value is Fraction else scalar_str(value(*a1)),
         mass, bound)
 
 
@@ -645,8 +643,9 @@ def _no_signed_square(target: Table, count: int, z: int, j: Optional[int],
     keys, scale, base = target.keys, target.scale, target.base
     k1 = keys[0]
     if beyond:
-        why = (f"would square to {_over_first(target, z, k1 * scale)}, "
-               f"beyond the top atom {_key_text(keys[-1], scale, base)}")
+        why = ("would square to "
+               f"{scalar_str(*_over_first(target, z, k1 * scale))}, beyond "
+               f"the top atom {scalar_str(*_key_parts(keys[-1], scale, base))}")
     else:
         what, unit, squares = (("(y*y1)^2", scale, "the squares of ")
                                if target.surd else ("y*y1", isqrt(scale), ""))
@@ -658,16 +657,17 @@ def _no_signed_square(target: Table, count: int, z: int, j: Optional[int],
         "peel-overflow", (j + 1,) if j is not None else (),
         f"mu is no signed square: after {count} atoms of its signed root Q "
         f"the smallest atom of mu - Q^2 sits at "
-        f"{_key_text(z, k1 * scale, base)}; the atom y of Q with y*y1 there "
-        f"(y1^2 = {_key_text(k1, scale, base)}) {why}")
+        f"{scalar_str(*_key_parts(z, k1 * scale, base))}; the atom y of Q "
+        f"with y*y1 there (y1^2 = {scalar_str(*_key_parts(k1, scale, base))})"
+        f" {why}")
 
 
 def _at(key: int, scale: int, base: Fraction, atom: bool) -> str:
     """The position whose square is key / scale: printed when the target
     has an atom there, else named by its square."""
     if atom:
-        return _key_text(key, scale, base)
-    return f"the position with square {_ratio_text(key, scale)}"
+        return scalar_str(*_key_parts(key, scale, base))
+    return f"the position with square {scalar_str(key, scale)}"
 
 
 def _rooted(k1: int, s: int, key: int):
@@ -687,24 +687,24 @@ def _surd_value(n, q: int, s: int, bits: int):
     return real_arithmetic().from_raw((int(sign < 0), man, exp, bc))
 
 
-def _over_first(target: Table, num: int, den: int) -> str:
-    """The text of (num / den) / x_1, x_1 the first position of
-    ``target``: one int pair for a rational x_1."""
-    root = _key_root(target.keys[0], target.scale)
-    if root is None:  # a radical x_1
-        return scalar_str(_position(Fraction(num, den), 0, target.base)
-                          / target.position(0))
-    return _ratio_text(num * root[1], den * root[0])
+def _over_first(target: Table, num: int, den: int) -> tuple:
+    """(num / den) / x_1, x_1 the first position of ``target``, as the int
+    parts (num, den, k, base) that ``scalar_str`` quotes."""
+    n1, d1, k, base = _key_parts(target.keys[0], target.scale, target.base)
+    if k:  # 1 / sqrt(base) = sqrt(base) / base
+        n1, d1 = n1 * base.numerator, d1 * base.denominator
+    return num * d1, den * n1, k, base
 
 
 def _overflow(target: Table, j: int) -> Peel:
     keys, scale, base = target.keys, target.scale, target.base
     return Peel(IMPOSSIBLE, certificate=Violation(
         "peel-overflow", (j + 1,),
-        f"the root atom y with y*y1 = {_key_text(keys[j], scale, base)} "
-        f"(y1^2 = {_key_text(keys[0], scale, base)}) would square to "
-        f"{_over_first(target, keys[j], scale)}, beyond the top atom "
-        f"{_key_text(keys[-1], scale, base)}"))
+        "the root atom y with y*y1 = "
+        f"{scalar_str(*_key_parts(keys[j], scale, base))} (y1^2 = "
+        f"{scalar_str(*_key_parts(keys[0], scale, base))}) would square to "
+        f"{scalar_str(*_over_first(target, keys[j], scale))}, beyond the top "
+        f"atom {scalar_str(*_key_parts(keys[-1], scale, base))}"))
 
 
 def _forced(target: Table, j: Optional[int], count: int, z: int, c: Scalar,
@@ -712,10 +712,10 @@ def _forced(target: Table, j: Optional[int], count: int, z: int, c: Scalar,
     """``peel-nonpositive-mass`` of a peel of the table of mu, at z."""
     keys, scale, base = target.keys, target.scale, target.base
     a1 = (scalar_str(target.weight(0)) if target.mode == REAL
-          else _ratio_text(target.masses[0], target.den))
+          else scalar_str(target.masses[0], target.den))
     return Peel(IMPOSSIBLE, certificate=_nonpositive(
         j, count, _at(z, keys[0] * scale, base, j is not None),
-        _key_text(keys[0], scale, base), a1, c, bound))
+        scalar_str(*_key_parts(keys[0], scale, base)), a1, c, bound))
 
 
 def _nonpositive(j: Optional[int], count: int, at: str, first: str, a1: str,
@@ -774,9 +774,8 @@ def _decide(peel: Peel, a1: Scalar, mode: str,
     if peel.maybe:
         extra.append(f"{len(peel.maybe)} root atoms whose mass bound "
                      "includes 0 were left out")
-    # an exact 0 as decimal_str prints a zero mpf
-    residual = (real_arithmetic().decimal_str(peel.residual)
-                if peel.residual else "0.0")
+    # an exact 0 as scalar_str prints a zero mpf
+    residual = scalar_str(peel.residual) if peel.residual else "0.0"
     return Verdict(WITNESS, witness=witness, residual=residual,
                    precision_bits=bits, notes=tuple(extra))
 

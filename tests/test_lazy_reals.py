@@ -270,8 +270,8 @@ def test_only_reals_and_selftest_import_mpmath_at_module_level():
 
 
 # what ``alsq.reals`` keeps of mpmath: the mpf container and its context's
-# ``make_mpf``, and the parser and the printer of decimal text
-_REALS_MPMATH = {"mpf", "mp", "from_str", "to_str"}
+# ``make_mpf``, and the parser of decimal text
+_REALS_MPMATH = {"mpf", "mp", "from_str"}
 # libmp's rounding modes, by the names libmp exports them under
 _ROUNDING_MODES = {"round_ceiling", "round_down", "round_fast", "round_floor",
                    "round_nearest", "round_up"}

@@ -24,9 +24,8 @@ from alsq.measures import (
     Position,
     ZeroAtomError,
     _common_base,
+    _key_parts,
     _key_position,
-    _key_text,
-    _ratio_text,
     convolve,
     dumps_measure,
     int_keys,
@@ -333,17 +332,20 @@ def test_product_table_matches_its_measure(pair):
 @settings(max_examples=150)
 @given(keyed_pairs())
 def test_key_text_is_the_text_of_the_keyed_position(pair):
-    # certificates print positions off int keys and values off int pairs
-    # as scalar_str prints the position and the Fraction: on the keys of
-    # rational and radical supports and of their squares
+    # certificates quote positions off int keys and values off int pairs
+    # (scalar_str of int parts) as scalar_str quotes the position and the
+    # Fraction: on the keys of rational and radical supports and of their
+    # squares
     for mu in pair:
         for keyed in (table(mu), square_products(mu)):
             scale, base = keyed.scale, keyed.base
             for key in keyed.keys:
-                assert _key_text(key, scale, base) == \
+                assert _key_position(key, scale, base).squared() == \
+                    F(key, scale)
+                assert scalar_str(*_key_parts(key, scale, base)) == \
                     scalar_str(_key_position(key, scale, base))
-                assert _ratio_text(key, scale) == scalar_str(F(key, scale))
-                assert _ratio_text(-key, 3 * scale) == \
+                assert scalar_str(key, scale) == scalar_str(F(key, scale))
+                assert scalar_str(-key, 3 * scale) == \
                     scalar_str(F(-key, 3 * scale))
 
 
@@ -354,11 +356,11 @@ def test_key_text_of_a_value_beyond_the_digit_limit():
     big = 10 ** (sys.get_int_max_str_digits() + 1)
     for key, scale, base in ((big * big, 3 * 3, F(1)), (4, big * big, F(1)),
                              (2 * big * big, 1, F(2))):
-        text = _key_text(key, scale, base)
+        text = scalar_str(*_key_parts(key, scale, base))
         assert text == scalar_str(_key_position(key, scale, base))
         assert text.startswith("(a number of more than")
-    assert _ratio_text(big, 7) == scalar_str(F(big, 7)) == \
-        _ratio_text(7, big)
+    assert scalar_str(big, 7) == scalar_str(F(big, 7)) == \
+        scalar_str(7, big)
 
 
 def test_t_products_refuses_a_radical_rational_position():
@@ -691,6 +693,20 @@ def test_make_measure_refuses_a_non_finite_float(mode, value):
         with pytest.raises(MeasureError, match=f"{what} must be finite, "
                                                f"got {value!r}"):
             make_measure(atoms, mode=mode)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
+                         ids=["inf", "-inf", "nan"])
+def test_a_non_finite_base_scale_or_position_is_named(value):
+    # Fraction raised a bare OverflowError or ValueError from each
+    mu = make_measure([(1, 1), (2, 1)])
+    for call, what in ((lambda: make_measure([(1, 1)], base=value),
+                        "a radical base"),
+                       (lambda: scale_positions(mu, value), "a scale factor"),
+                       (lambda: Position.of(value), "a position")):
+        with pytest.raises(MeasureError, match=f"{what} must be finite, "
+                                               f"got {value!r}"):
+            call()
 
 
 @pytest.mark.parametrize("bits", [0, -1])

@@ -1,7 +1,10 @@
+import ast
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -12,7 +15,9 @@ from mpmath.libmp import from_man_exp, to_str
 
 from alsq.reals import (from_dyadic, from_raw, mpf_to_fraction, to_dyadic,
                         to_mpf)
-from alsq.scalars import ScalarError, float_str, parse_rational, sqrt_fraction
+import alsq
+from alsq.scalars import (ScalarError, float_str, parse_rational, scalar_str,
+                          sqrt_fraction)
 
 F = Fraction
 
@@ -105,6 +110,76 @@ def test_float_str_rounds_the_binary_value_in_to_str_layout():
              (3, -20): "2.86102294921875e-6", (1, -14): "6.103515625e-5"}
     for (man, exp), text in cases.items():
         assert float_str(man, exp) == text, (man, exp)
+
+
+def _decimal_exponent(text: str) -> int:
+    """The decimal exponent of a value as ``to_str`` lays it out."""
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    if exponent:
+        return int(exponent)
+    whole, _, decimals = mantissa.partition(".")
+    if whole != "0":
+        return len(whole) - 1
+    return len(decimals.lstrip("0")) - len(decimals) - 1
+
+
+def test_scalar_str_of_a_real_is_to_str_at_12_digits():
+    # a message quotes an mpf as float_str prints it to 12 digits, on ints,
+    # and that is mpmath's to_str(x, 12): on seeded values of 24 to 256
+    # bits, both signs, in each layout, and with binary exponents past
+    # 3500 both ways, where to_str divides by a power of ten that it
+    # computes from logarithms
+    rng = random.Random(41)
+    seen = Counter()
+    for bits in (24, 53, 128, 256):
+        for _ in range(300):
+            top = rng.choice((rng.randint(-60, 60), rng.randint(3501, 20000),
+                              -rng.randint(3501, 20000)))
+            man = rng.getrandbits(bits) | 1 | 1 << bits - 1
+            raw = (rng.randint(0, 1), man, top - bits, bits)
+            text = to_str(raw, 12)
+            assert scalar_str(from_raw(raw)) == text, raw
+            e = _decimal_exponent(text)
+            seen[e <= -5, -5 < e < 0, 0 <= e < 12, e >= 12] += 1
+            seen["sign", raw[0]] += 1
+            seen["far", (top > 3500) - (top < -3500)] += 1
+    assert len(seen) == 4 + 2 + 3 and min(seen.values()) > 20, seen
+    assert scalar_str(mpf(0)) == to_str(mpf(0)._mpf_, 12) == "0.0"
+    # the one named difference: to_str first cuts the value toward zero to
+    # 59 bits, so a value just above a 12-digit decimal tie can fall below
+    # it there.  This 128-bit value exceeds the tie 1.000000000005 by about
+    # 2.5e-39; it rounds up to 1.00000000001, where to_str(x, 12) prints
+    # "1.0"
+    man = 170141183461319937648989649874542542247
+    x = from_raw((0, man, -127, 128))
+    assert mpf_to_fraction(x) - Fraction("1.000000000005") < Fraction(1, 10 ** 38)
+    assert to_str(x._mpf_, 12) == "1.0"
+    assert scalar_str(x) == "1.00000000001"
+    assert scalar_str(-x) == "-1.00000000001"
+
+
+# the number printers of the package, all in alsq.scalars
+_PRINTERS = ("ratio_text", "position_text", "float_str", "float_layout",
+             "scalar_str")
+
+
+def test_the_package_prints_numbers_through_one_set_of_printers():
+    # every function named like a printer (*_text, *_str, *_layout) is one
+    # of the printers of alsq.scalars, apart from __str__ methods, and no
+    # module reads mpmath's decimal printer to_str
+    printers, readers = {}, []
+    for path in sorted(Path(alsq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name != "__str__" \
+                    and node.name.endswith(("_text", "_str", "_layout")):
+                printers.setdefault(node.name, []).append(path.name)
+            elif isinstance(node, ast.alias) and \
+                    node.name.split(".")[-1] == "to_str" or \
+                    isinstance(node, ast.Attribute) and node.attr == "to_str":
+                readers.append(path.name)
+    assert printers == {name: ["scalars.py"] for name in _PRINTERS}
+    assert readers == []
 
 
 def _reference_parse_rational(text: str) -> Fraction:

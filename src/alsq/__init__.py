@@ -14,7 +14,6 @@ from .measures import (
     make_measure,
     measure_from_json_dict,
     measure_to_json_dict,
-    moment,
     normalize,
     power_positions,
     save_measure,
@@ -25,10 +24,8 @@ from .measures import (
 from .diagram import (
     CardinalityCheck,
     ProductDiagram,
-    URClassification,
     Violation,
     cardinality_check,
-    classify_ur,
     geometric_profile,
     pair_diagram,
     render_diagram,
@@ -39,11 +36,9 @@ from .solver import (
     UNDETERMINED,
     WITNESS,
     InternalError,
-    Peel,
     SolverConfig,
     Verdict,
     aluthge_subnormal,
-    peel_root,
     sqrt_of,
     verify_witness,
 )
@@ -84,18 +79,17 @@ def __getattr__(name: str):
 __all__ = [
     "AnalysisReport", "AnalyzeOptions", "AtomicMeasure", "CardinalityCheck",
     "GeneratedInstance", "GeneratorSpec", "IMPOSSIBLE",
-    "IncompatibleBasesError", "InternalError", "MeasureError", "Peel",
-    "Position", "ProductDiagram", "SolverConfig", "UNDETERMINED",
-    "URClassification", "Verdict", "Violation", "WITNESS", "ZeroAtomError",
+    "IncompatibleBasesError", "InternalError", "MeasureError", "Position",
+    "ProductDiagram", "SolverConfig", "UNDETERMINED", "Verdict", "Violation",
+    "WITNESS", "ZeroAtomError",
     "aluthge_subnormal", "aluthge_weights", "analyze", "cardinality_check",
-    "classify_small", "classify_ur", "closed_forms", "convolve", "diagram",
-    "dumps_measure",
+    "classify_small", "closed_forms", "convolve", "diagram", "dumps_measure",
     "generate", "geometric_profile", "hankel_psd", "load_measure",
     "loads_measure", "make_measure", "measure_from_json_dict",
-    "measure_to_json_dict", "measures", "moment", "moment_sequence",
-    "moments_from_weights", "normalize", "pair_diagram", "peel_root",
-    "power_positions", "render_diagram", "save_measure", "scalars",
-    "scale_positions", "shift_rows", "shifts", "solver", "sqrt_of",
-    "strip_zero_atom", "structural_certificate", "support_characteristic",
-    "t_weight", "verify_witness", "weights_from_measure",
+    "measure_to_json_dict", "measures", "moment_sequence",
+    "moments_from_weights", "normalize", "pair_diagram", "power_positions",
+    "render_diagram", "save_measure", "scalars", "scale_positions",
+    "shift_rows", "shifts", "solver", "sqrt_of", "strip_zero_atom",
+    "structural_certificate", "support_characteristic", "t_weight",
+    "verify_witness", "weights_from_measure",
 ]

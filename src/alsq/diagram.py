@@ -13,10 +13,10 @@ transform witnesses whose Berger measure leaves supp(mu).
 Products are compared on the int keys of :func:`alsq.measures.int_keys`; a
 measure's keys are the ones kept on it (:func:`alsq.measures.support_keys`),
 so no support is keyed twice.  :func:`pair_diagram` groups the key products
-and builds no position: an entry builds its product the first time its
-``position`` is read, which the decision path never does; the rules'
-messages and :func:`ur_summary` print products from int numerators
-(:func:`_product`).  Every function that reads a support accepts a
+and builds no position: an entry holds the index pairs of one product,
+whose position ``ProductDiagram.product`` builds from its first pair, and
+the rules' messages and :func:`ur_summary` print products from int
+numerators (:func:`_product`).  Every function that reads a support accepts a
 :class:`ProductDiagram` in place of a measure or a position sequence, so
 one diagram can serve them all.
 
@@ -41,31 +41,18 @@ Pair = Tuple[int, int]  # 0-based, i <= j
 
 
 # ---------------------------------------------------------------------------
-# diagram and classification
+# diagram
 # ---------------------------------------------------------------------------
 
 class DiagramEntry(Record):
-    """The product ``position`` of each index pair in ``pairs``.  An entry
-    of :func:`pair_diagram` holds the support instead and builds the
-    product of its first pair when ``position`` is first read."""
+    """The index pairs ``pairs`` (i, j), i <= j, ascending, whose products
+    x_i*x_j are one value of the diagram."""
 
-    _fields = ("position", "pairs")
-    __slots__ = ("_position", "pairs", "_support")
+    __slots__ = _fields = ("pairs",)
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, position: Position, pairs: Tuple[Pair, ...]):
-        object.__setattr__(self, "_position", position)
+    def __init__(self, pairs: Tuple[Pair, ...]):
         object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def position(self) -> Position:
-        try:
-            return self._position
-        except AttributeError:
-            i, j = self.pairs[0]
-            position = self._support[i] * self._support[j]
-            object.__setattr__(self, "_position", position)
-            return position
 
     @property
     def is_ur(self) -> bool:
@@ -108,15 +95,6 @@ class ProductDiagram(Record):
         return keys[i] * keys[j] == keys[k] * keys[l]
 
 
-class URClassification(Record):
-    __slots__ = _fields = ("ur", "nur")
-    __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, ur: Tuple[Position, ...], nur: Tuple[Position, ...]):
-        object.__setattr__(self, "ur", ur)
-        object.__setattr__(self, "nur", nur)
-
-
 Source = Union[ProductDiagram, AtomicMeasure, Sequence[Position]]
 
 
@@ -154,9 +132,8 @@ def pair_diagram(support: Union[AtomicMeasure, Sequence[Position]]) -> ProductDi
     ur: List[set] = [set() for _ in keys]
     for key in sorted(grouped):
         pairs = tuple(grouped[key])  # ascending, as generated
-        entry = object.__new__(DiagramEntry)  # its position built when read
+        entry = object.__new__(DiagramEntry)  # no __init__ call per entry
         object.__setattr__(entry, "pairs", pairs)
-        object.__setattr__(entry, "_support", points)
         entries.append(entry)
         if len(pairs) == 1:
             (a, b), = pairs
@@ -164,12 +141,6 @@ def pair_diagram(support: Union[AtomicMeasure, Sequence[Position]]) -> ProductDi
             ur[b].add(a)
     return ProductDiagram(points, keys, tuple(entries),
                           tuple(map(frozenset, ur)))
-
-
-def classify_ur(diagram: ProductDiagram) -> URClassification:
-    ur = tuple(e.position for e in diagram.entries if e.is_ur)
-    nur = tuple(e.position for e in diagram.entries if not e.is_ur)
-    return URClassification(ur, nur)
 
 
 def ur_summary(diagram: ProductDiagram) -> dict:
@@ -514,7 +485,7 @@ def render_diagram(source: Source) -> str:
         lines.append("coincidence classes:")
         for entry in classes:
             refs = " = ".join(f"({i + 1},{j + 1})" for i, j in entry.pairs)
-            lines.append(f"  {entry.position}: {refs}")
+            lines.append(f"  {diagram.product(*entry.pairs[0])}: {refs}")
     else:
         lines.append("all products uniquely represented")
     return "\n".join(lines)

@@ -97,11 +97,16 @@ def _random_support(rng: random.Random, p: int) -> List[Fraction]:
 
 
 def generate(spec: GeneratorSpec) -> GeneratedInstance:
+    if type(spec.p) is not int:  # a bool is an int too
+        raise MeasureError(f"the atom count must be an int, got {spec.p!r}")
     if not 1 <= spec.p <= MAX_ATOMS:  # what a measure document may hold
         raise MeasureError(
             f"a generated measure has 1 to {MAX_ATOMS} atoms, got {spec.p}")
     if spec.mode not in MODES:
         raise MeasureError(f"unknown generator mode {spec.mode!r}")
+    if spec.position_style not in ("geometric", "random"):
+        raise MeasureError(
+            f"unknown position style {spec.position_style!r}")
     # refused before any draw, so valid specs draw as they always have
     if spec.case is not None and (
             spec.p != 6 or spec.mode not in (WITH_ALUTHGE_ROOT, PERTURBED)):

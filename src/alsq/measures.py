@@ -39,7 +39,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, cycle, islice, repeat
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -53,7 +53,7 @@ from .scalars import (
     real_arithmetic,
     round_root,
     scalar_str,
-    sqrt_fraction,
+    sqrt_ratio,
 )
 
 RATIONAL = "rational"
@@ -86,7 +86,7 @@ class Position(Record):
     __slots__ = _fields = ("q", "k", "base")
 
     def __init__(self, q: Fraction, k: int, base: Fraction):
-        q, base = Fraction(q), Fraction(base)
+        q, base = _finite(q, "a position"), _finite(base, "a radical base")
         if q <= 0:
             raise MeasureError(f"position must be positive, got {q}")
         if k not in (0, 1):
@@ -94,10 +94,10 @@ class Position(Record):
         if base <= 0:
             raise MeasureError(f"radical base must be positive, got {base}")
         if k == 1:
-            root = sqrt_fraction(base)
+            root = sqrt_ratio(base.numerator, base.denominator)
             if root is not None:
                 # collapse sqrt of a perfect square so equality stays syntactic
-                q, k = q * root, 0
+                q, k = q * Fraction(*root), 0
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "k", int(k))  # a bool or float 1 as an int
         object.__setattr__(self, "base", base)
@@ -108,7 +108,7 @@ class Position(Record):
             return value
         if isinstance(value, str):
             return Position(parse_rational(value), 0, base)
-        return Position(_finite(value, "a position"), 0, base)
+        return Position(value, 0, base)
 
     def squared(self) -> Fraction:
         """value^2, always rational; the canonical comparison key.
@@ -153,7 +153,7 @@ class Position(Record):
         return Position(q, k % 2, self.base)
 
     def scale(self, x: Fraction) -> "Position":
-        x = Fraction(x)
+        x = _finite(x, "a scale factor")
         if x <= 0:
             raise MeasureError(f"scale factor must be positive, got {x}")
         return Position(self.q * x, self.k, self.base)
@@ -162,10 +162,6 @@ class Position(Record):
         if self.k != 0:
             raise MeasureError(f"{self} is irrational")
         return self.q
-
-    def to_mpf(self, bits: int = DEFAULT_PRECISION_BITS) -> "mpf":
-        reals = real_arithmetic()
-        return reals.from_raw(reals.position_raw(self, bits))
 
     def _key(self):
         return (self.q, self.k, self.base if self.k else None)
@@ -483,27 +479,16 @@ def _over_lcm(ratios: List[Tuple[int, int]]) -> Tuple[List[int], int]:
     return [num * (scale // den) for num, den in ratios], scale
 
 
-def _key_root(key: int, scale: int) -> Optional[Tuple[int, int]]:
-    """sqrt(key / scale) as an int pair in lowest terms, from one gcd and
-    two ``isqrt`` calls, or None when it is irrational: the position whose
-    key at ``scale`` is ``key`` is then a radical."""
-    common = gcd(key, scale)
-    num, den = key // common, scale // common
-    n, d = isqrt(num), isqrt(den)
-    if n * n == num and d * d == den:
-        return n, d
-    return None
-
-
 def _key_parts(key: int, scale: int, base: Fraction) -> tuple:
     """The position over ``base`` whose int key at ``scale`` is ``key``, the
     inverse of :func:`_over_lcm`, as the int parts (num, den, k, base) that
     ``scalar_str`` quotes: key / scale is q^2, or q^2 * base for a
     radical, whose base is no square, and q = num / den in lowest terms."""
-    root = _key_root(key, scale)
+    root = sqrt_ratio(key, scale)
     if root is not None:
         return root + (0, base)
-    return _key_root(key * base.denominator, scale * base.numerator) + (1, base)
+    return (sqrt_ratio(key * base.denominator, scale * base.numerator)
+            + (1, base))
 
 
 def _key_position(key: int, scale: int, base: Fraction) -> Position:
@@ -519,12 +504,13 @@ class Table:
 
     ``keys`` are the int keys of the support (:func:`int_keys`) and
     ``scale`` the lcm that scales them, so equal keys at an equal scale are
-    equal positions, and :meth:`position` reads a position off its key.
+    equal positions.
     The masses are the int numerators ``masses`` over the one denominator
     ``den``, a power of two in real mode.  Every mass stands for the values
     within ``radius`` times it, a Fraction that is 0 in rational mode.
     ``surd`` is s = u*v for the base u/v when some position is a radical
-    (its key has no :func:`_key_root`), else 0.
+    (its key has no rational root, :func:`alsq.scalars.sqrt_ratio`), else
+    0.
     """
 
     __slots__ = ("base", "mode", "keys", "scale", "masses", "den", "radius",
@@ -536,14 +522,11 @@ class Table:
         self.masses, self.den, self.radius = masses, den, radius
         s = base.numerator * base.denominator
         self.surd = s if s > 1 and None in [
-            _key_root(key, scale) for key in keys] else 0
+            sqrt_ratio(key, scale) for key in keys] else 0
 
     @property
     def p(self) -> int:
         return len(self.keys)
-
-    def position(self, j: int) -> Position:
-        return _key_position(self.keys[j], self.scale, self.base)
 
     def weight(self, j: int) -> Weight:
         if self.mode == REAL:
@@ -758,13 +741,6 @@ def moments(mu: AtomicMeasure, count: int,
             for a, b in zip(a_n, b_n)]
 
 
-def moment(mu: AtomicMeasure, n: int, bits: int = DEFAULT_PRECISION_BITS):
-    """n-th power moment, as :func:`moments` gives it."""
-    if n < 0:
-        raise MeasureError("moment order must be nonnegative")
-    return moments(mu, n + 1, bits)[n]
-
-
 def scale_positions(mu: AtomicMeasure, x: Union[Fraction, int, str]) -> AtomicMeasure:
     x = (parse_rational(x) if isinstance(x, str)
          else _finite(x, "a scale factor"))
@@ -878,7 +854,8 @@ def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> At
     convert = _weight_converter(mode, bits)
     rational, zero = mode == RATIONAL, convert(0)
     # the base is checked once: Position names the fault of an atom
-    root = sqrt_fraction(base) if base.numerator > 0 else None
+    root = (sqrt_ratio(base.numerator, base.denominator)
+            if base.numerator > 0 else None)
     limit = sys.get_int_max_str_digits()
     built, squares = [], []
     for index, atom in enumerate(raw_atoms):
@@ -909,8 +886,8 @@ def measure_from_json_dict(data: dict, bits: int = DEFAULT_PRECISION_BITS) -> At
                 Position(q, k, base)
             except MeasureError as exc:
                 raise MeasureError(f"atom {index}: {exc}") from exc
-        if k and root is not None:
-            q, k = q * root, 0  # a radical over a square base collapses
+        if k and root is not None:  # a radical over a square base collapses
+            q, k = Fraction(q.numerator * root[0], q.denominator * root[1]), 0
         pos = _position(q, k, base)
         square = _square(pos)
         # 2^(3 * limit) < 10^limit: the power is built only for long values

@@ -180,24 +180,17 @@ def position_text(num: int, den: int, k: int, base: Fraction) -> str:
     return root if q == "1" else f"{q}*{root}"
 
 
-def isqrt_exact(n: int) -> Optional[int]:
-    if n < 0:
+def sqrt_ratio(num: int, den: int) -> Optional[Tuple[int, int]]:
+    """sqrt(num / den), den > 0, as an int pair in lowest terms, from one
+    gcd and two ``isqrt`` calls; None when it is irrational or num < 0."""
+    if num < 0:
         return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def sqrt_fraction(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    num = isqrt_exact(q.numerator)
-    if num is None:
-        return None
-    den = isqrt_exact(q.denominator)
-    if den is None:
-        return None
-    return Fraction(num, den)
+    common = math.gcd(num, den)
+    num, den = num // common, den // common
+    n, d = math.isqrt(num), math.isqrt(den)
+    if n * n == num and d * d == den:
+        return n, d
+    return None
 
 
 class Surd:

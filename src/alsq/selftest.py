@@ -556,7 +556,7 @@ def _oracle_finds_root(target: AtomicMeasure, support: Sequence[Position],
         masses[pos.squared()] = float(to_mpf(w, 64))
     equations = []
     for entry in diagram.entries:
-        key = entry.position.squared()
+        key = diagram.product(*entry.pairs[0]).squared()
         if key not in masses:
             return False  # support cannot carry a root at all
         equations.append((entry.pairs, masses[key]))
@@ -652,7 +652,8 @@ def _confirm_root(target: AtomicMeasure, support, b, bits: int = 256) -> bool:
     diagram = pair_diagram(list(support))
     with workprec(bits):
         masses = {pos.squared(): to_mpf(w, bits) for pos, w in target.atoms}
-        equations = [(entry.pairs, masses[entry.position.squared()])
+        equations = [(entry.pairs,
+                      masses[diagram.product(*entry.pairs[0]).squared()])
                      for entry in diagram.entries]
         values = [mpf(x) for x in b]
         q = len(values)

@@ -87,6 +87,7 @@ from .measures import (
     MeasureError,
     Table,
     _check_precision,
+    _finite,
     _key_parts,
     _key_position,
     _pair_products,
@@ -108,7 +109,7 @@ from .scalars import (
     real_arithmetic,
     round_root,
     scalar_str,
-    sqrt_fraction,
+    sqrt_ratio,
 )
 
 WITNESS = "witness"
@@ -127,7 +128,8 @@ class InternalError(RuntimeError):
 
 class SolverConfig(Record):
     """``radius`` is eps = max(tolerance, 2^(1 - precision_bits)): every
-    real mass stands for the values within relative eps of it."""
+    real mass stands for the values within relative eps of it.  The
+    tolerance is a finite number >= 0."""
 
     _fields = ("precision_bits", "tolerance")
     __slots__ = _fields + ("radius",)
@@ -135,10 +137,13 @@ class SolverConfig(Record):
     def __init__(self, precision_bits: int = DEFAULT_PRECISION_BITS,
                  tolerance: Fraction = DEFAULT_TOLERANCE):
         _check_precision(precision_bits)
+        tol = _finite(tolerance, "a tolerance")
+        if tol < 0:
+            raise MeasureError(f"a tolerance must be nonnegative, got {tol}")
         object.__setattr__(self, "precision_bits", precision_bits)
         object.__setattr__(self, "tolerance", tolerance)
         object.__setattr__(self, "radius", max(
-            Fraction(tolerance), Fraction(2, 1 << precision_bits)))
+            tol, Fraction(2, 1 << precision_bits)))
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -192,7 +197,7 @@ _EXACT = Fraction(0)
 
 
 class Peel(Record):
-    """Result of a verdict of :func:`_peel`, such as :func:`peel_root`.
+    """A verdict of :func:`_peel`.
 
     When ``outcome`` is a witness, ``root`` lists one ``(j, c)`` per root
     atom, smallest first: the atom y satisfies y * y1 = (target atom j) and
@@ -230,13 +235,6 @@ class Peel(Record):
 # squares, their twins and perturbed squares, at 64 and 128 bits and boxes
 # up to 1/1000, needed at most 1.6
 _ROOT_CAP = 4
-
-
-def peel_root(target: AtomicMeasure, config: SolverConfig = DEFAULT_CONFIG) -> Peel:
-    """Peel the unique root of ``target`` off its smallest atoms: the first
-    verdict of :func:`_peel` on its :func:`table`."""
-    return next(_peel(table(target, config.precision_bits, config.radius),
-                      config, False))()
 
 
 @lru_cache(maxsize=64)
@@ -734,9 +732,9 @@ def _root_masses(cs: Sequence[Scalar], a1: Scalar, mode: str,
                  config: SolverConfig) -> Tuple[str, list, List[str]]:
     """The root's masses c * sqrt(a_1), exact when sqrt(a_1) is rational."""
     if mode == RATIONAL:
-        root = sqrt_fraction(a1)
+        root = sqrt_ratio(a1.numerator, a1.denominator)
         if root is not None:  # each mass one Fraction of ints
-            rn, rd = root.as_integer_ratio()
+            rn, rd = root
             return RATIONAL, [Fraction(n * rn, d * rd) for n, d in
                               map(Fraction.as_integer_ratio, cs)], []
     bits = config.precision_bits
@@ -908,10 +906,11 @@ def verdicts(mu: AtomicMeasure,
         # atom x_j / sqrt(x_1) is R_j / R_1 times sqrt(x_1), over the
         # radical base x_1
         keys, base = target.keys, mu.atoms[0][0].q
-        root = sqrt_fraction(base)  # checked once, as Position checks it
+        # checked once, as Position checks it
+        root = sqrt_ratio(base.numerator, base.denominator)
         k, num, den = 1, 1, isqrt(keys[0])
         if root is not None:
-            k, num, den = 0, root.numerator, den * root.denominator
+            k, num, den = 0, root[0], den * root[1]
         positions = [_position(Fraction(isqrt(keys[j]) * num, den), k, base)
                      for j, _ in peel.root]
         return _placed(positions, weights, mode, base, config)

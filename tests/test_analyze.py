@@ -247,14 +247,13 @@ def test_analyze_builds_positions_only_for_what_it_prints(monkeypatch,
     assert report.sqrt_verdict.outcome == report.aluthge_verdict.outcome \
         == WITNESS
     assert built == []
-    shared = [entry for entry in report.diagram.entries if not entry.is_ur]
-    assert report.ur_summary["nur_products"] == \
-        [str(entry.position) for entry in shared]
-    assert len(built) == 6  # each position is built once and kept
-    # reading every entry builds the rest, as classify_ur does
-    positions = [entry.position for entry in report.diagram.entries]
-    assert len(built) == 15
+    diagram = report.diagram
+    positions = [diagram.product(*entry.pairs[0])
+                 for entry in diagram.entries]
     assert positions == sorted(positions)
+    assert report.ur_summary["nur_products"] == [
+        str(pos) for pos, entry in zip(positions, diagram.entries)
+        if not entry.is_ur]
     # a structural rule prints its product from int numerators too: 2
     # squares to 4, which no other pair of 1, 2, 3, 9 multiplies to
     built.clear()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from alsq import diagram as diagram_module
 from alsq.diagram import (
     cardinality_check,
-    classify_ur,
     geometric_profile,
     pair_diagram,
     render_diagram,
@@ -32,6 +31,11 @@ def _entry_of_pair(diagram):
             for i, j in entry.pairs for pair in ((i, j), (j, i))}
 
 
+def _products(diagram):
+    """The product of each entry, built from its first pair."""
+    return [diagram.product(*e.pairs[0]) for e in diagram.entries]
+
+
 def _support(values):
     return [Position(F(v), 0, F(1)) for v in values]
 
@@ -43,19 +47,20 @@ def _support(values):
 def test_powers_of_two_give_nine_products():
     diagram = pair_diagram(_support([1, 2, 4, 8, 16]))
     assert diagram.card == 9
-    assert [e.position.q for e in diagram.entries] == [2 ** k for k in range(9)]
+    assert [pos.q for pos in _products(diagram)] == [2 ** k for k in range(9)]
 
 
 def test_six_atom_example_gives_fifteen_products(six_atom_exact):
     diagram = pair_diagram(six_atom_exact)
     assert diagram.card == 15
-    assert [int(e.position.q) for e in diagram.entries] == [
+    assert [int(pos.q) for pos in _products(diagram)] == [
         1, 3, 6, 9, 18, 27, 36, 54, 81, 108, 162, 216, 324, 648, 1296]
 
 
 def test_two_atom_diagram_complete():
     diagram = pair_diagram(_support([1, 2]))
-    assert [(e.position.q, e.pairs) for e in diagram.entries] == [
+    assert [(pos.q, e.pairs) for pos, e in
+            zip(_products(diagram), diagram.entries)] == [
         (1, ((0, 0),)), (2, ((0, 1),)), (4, ((1, 1),))]
 
 
@@ -75,8 +80,9 @@ def test_duplicate_support_rejected():
 # ---------------------------------------------------------------------------
 
 def test_classification_powers_of_two():
-    c = classify_ur(pair_diagram(_support([1, 2, 4, 8, 16])))
-    assert sorted(pos.q for pos in c.ur) == [1, 2, 128, 256]
+    diagram = pair_diagram(_support([1, 2, 4, 8, 16]))
+    ur = [diagram.product(*e.pairs[0]) for e in diagram.entries if e.is_ur]
+    assert sorted(pos.q for pos in ur) == [1, 2, 128, 256]
 
 
 def test_classification_six_atom_coincidences(six_atom_exact):
@@ -102,7 +108,8 @@ def test_ur_summary_prints_shared_products_as_positions_do():
         diagram = pair_diagram(sorted(points, key=Position.squared))
         shared = [e for e in diagram.entries if not e.is_ur]
         summary = ur_summary(diagram)
-        assert summary["nur_products"] == [str(e.position) for e in shared]
+        assert summary["nur_products"] == [
+            str(diagram.product(*e.pairs[0])) for e in shared]
         assert summary["nur_count"] == len(shared)
         assert summary["ur_count"] == diagram.card - len(shared)
         texts += summary["nur_products"]
@@ -113,8 +120,8 @@ def test_ur_summary_prints_shared_products_as_positions_do():
 
 
 def test_two_atoms_all_unique():
-    c = classify_ur(pair_diagram(_support([1, 2])))
-    assert len(c.ur) == 3 and not c.nur
+    summary = ur_summary(pair_diagram(_support([1, 2])))
+    assert summary["ur_count"] == 3 and not summary["nur_products"]
 
 
 @settings(max_examples=50)

@@ -155,6 +155,23 @@ def test_case_outside_the_six_atom_closed_forms_is_refused(spec):
         generate(spec)
 
 
+@pytest.mark.parametrize("spec, message", [
+    (GeneratorSpec(7, "arbitrary", 1, position_style="weird"),
+     "unknown position style 'weird'"),
+    (GeneratorSpec(7, "arbitrary", 1, position_style="Random"),
+     "unknown position style 'Random'"),
+    (GeneratorSpec(3.0, "arbitrary", 1), "the atom count must be an int, "
+                                         "got 3.0"),
+    (GeneratorSpec(True, "arbitrary", 1), "the atom count must be an int, "
+                                          "got True"),
+], ids=["style", "style-case", "float-count", "bool-count"])
+def test_a_spec_the_generator_cannot_honour_is_refused(spec, message):
+    # an unknown style drew a random support, a float count raised a bare
+    # TypeError from range and True drew one atom
+    with pytest.raises(MeasureError, match=message):
+        generate(spec)
+
+
 def test_closed_form_meta_names_the_case_it_drew():
     drawn = set()
     for seed in range(12):

@@ -32,7 +32,7 @@ from alsq.measures import (
     loads_measure,
     make_measure,
     measure_to_json_dict,
-    moment,
+    moments,
     normalize,
     power_positions,
     power_sums,
@@ -42,7 +42,7 @@ from alsq.measures import (
     t_weight,
     table,
 )
-from alsq.reals import mpf_to_fraction, to_mpf
+from alsq.reals import from_raw, mpf_to_fraction, position_raw, to_mpf
 from alsq.scalars import ScalarError, parse_rational, scalar_str
 
 F = Fraction
@@ -313,7 +313,8 @@ def test_product_table_matches_its_measure(pair):
         table = square_products(mu)
         out = convolve(mu, mu)
         assert table.keys == int_keys(out.support)
-        assert [table.position(j) for j in range(table.p)] == \
+        assert [_key_position(key, table.scale, table.base)
+                for key in table.keys] == \
             list(out.support)
         assert [table.weight(j) for j in range(table.p)] == list(out.weights)
         if out.mode == RATIONAL:
@@ -393,7 +394,8 @@ def test_int_keyed_diagram_matches_position_products(mu):
             grouped.setdefault(points[i] * points[j], []).append((i, j))
     expected = sorted(grouped.items(), key=lambda item: item[0].squared())
     diagram = pair_diagram(mu)
-    assert [(e.position, list(e.pairs)) for e in diagram.entries] == expected
+    assert [(diagram.product(*e.pairs[0]), list(e.pairs))
+            for e in diagram.entries] == expected
     keys = int_keys(points)
     assert all(isinstance(k, int) for k in keys) and keys == sorted(set(keys))
     squares = [pos.squared() for pos in points]
@@ -455,7 +457,8 @@ def test_convolve_power_compatibility(mu, nu, k):
 @settings(max_examples=40)
 @given(measures(max_atoms=3), measures(max_atoms=3), st.integers(0, 6))
 def test_moment_homomorphism(mu, nu, n):
-    assert moment(convolve(mu, nu), n) == moment(mu, n) * moment(nu, n)
+    assert moments(convolve(mu, nu), n + 1)[n] == \
+        moments(mu, n + 1)[n] * moments(nu, n + 1)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +478,13 @@ def test_t_weight_fixes_unit_position():
 @settings(max_examples=40)
 @given(measures())
 def test_t_weight_total_mass_is_first_moment(mu):
-    assert t_weight(mu).total_mass() == moment(mu, 1)
+    assert t_weight(mu).total_mass() == moments(mu, 2)[1]
 
 
 @settings(max_examples=40)
 @given(measures(), st.integers(0, 5))
 def test_t_weight_shifts_moments(mu, n):
-    assert moment(t_weight(mu), n) == moment(mu, n + 1)
+    assert moments(t_weight(mu), n + 1)[n] == moments(mu, n + 2)[n + 1]
 
 
 def test_t_weight_radical_position_requires_real_mode():
@@ -497,28 +500,30 @@ def test_t_weight_radical_position_requires_real_mode():
                       mode="real")
     out = t_weight(mu)
     with workprec(128):
-        expected = [w * pos.to_mpf(128) for pos, w in mu.atoms]
+        expected = [w * from_raw(position_raw(pos, 128))
+                    for pos, w in mu.atoms]
     assert [w._mpf_ for w in out.weights] == [w._mpf_ for w in expected]
 
 
 def test_moment_values():
     mu = make_measure([(1, F(1, 2)), (2, F(1, 2))])
-    assert moment(mu, 2) == F(5, 2)
-    assert moment(mu, 0) == 1
+    assert moments(mu, 3)[2] == F(5, 2)
+    assert moments(mu, 1)[0] == 1
 
 
 def test_moment_of_sharp_five_atom_example(five_atom_real):
     # first moment is 33/8 + sqrt(2)
     with workprec(128):
         expected = mpf(33) / 8 + mpmath.sqrt(2)
-        assert abs(moment(five_atom_real, 1) - expected) < mpf(2) ** -100
+        assert abs(moments(five_atom_real, 2)[1] - expected) < \
+            mpf(2) ** -100
 
 
 def test_moment_radical_positions_even_orders_exact():
     mu = make_measure([(Position(F(1), 1, F(2)), F(1, 2)),
                        (Position(F(2), 0, F(2)), F(1, 2))])
-    assert moment(mu, 2) == F(1, 2) * 2 + F(1, 2) * 4
-    assert isinstance(moment(mu, 1), mpf)
+    assert moments(mu, 3)[2] == F(1, 2) * 2 + F(1, 2) * 4
+    assert isinstance(moments(mu, 2)[1], mpf)
 
 
 def _plain_power_sums(mu, count):
@@ -628,7 +633,7 @@ def test_measure_cannot_live_at_origin_alone():
 def test_zero_atom_blocks_other_operations():
     mu = make_measure([(0, F(1, 2)), (1, F(1, 2))])
     for op in (lambda m: convolve(m, m), t_weight,
-               lambda m: moment(m, 1), lambda m: scale_positions(m, 2),
+               lambda m: moments(m, 2), lambda m: scale_positions(m, 2),
                lambda m: power_positions(m, 2)):
         with pytest.raises(ZeroAtomError):
             op(mu)
@@ -656,13 +661,11 @@ _ROOT2, _ROOT3 = Position(F(1), 1, F(2)), Position(F(1), 1, F(3))
      "positions admit positive integer powers only"),
     (lambda: _ROOT2.as_fraction(), MeasureError,
      r"sqrt\(2\) is irrational"),
-    (lambda: moment(make_measure([(1, 1)]), -1), MeasureError,
-     "moment order must be nonnegative"),
     (lambda: strip_zero_atom(AtomicMeasure(F(1), RATIONAL, (), F(1))),
      MeasureError, "measure carries mass only at the origin"),
 ], ids=["weight-0", "weight-negative", "mode", "origin-negative",
         "floating-weight", "rebase", "quotient", "power-0", "as-fraction",
-        "moment-order", "origin-only"])
+        "origin-only"])
 def test_measure_api_errors_name_their_cause(call, error, message):
     # the loader checks documents before these, so the CLI never reaches them
     with pytest.raises(error, match=message):
@@ -703,7 +706,13 @@ def test_a_non_finite_base_scale_or_position_is_named(value):
     for call, what in ((lambda: make_measure([(1, 1)], base=value),
                         "a radical base"),
                        (lambda: scale_positions(mu, value), "a scale factor"),
-                       (lambda: Position.of(value), "a position")):
+                       (lambda: Position.of(value), "a position"),
+                       (lambda: Position(value, 0, 1), "a position"),
+                       (lambda: Position(1, 1, value), "a radical base"),
+                       (lambda: Position(1, 0, value), "a radical base"),
+                       (lambda: Position.of(1, base=value), "a radical base"),
+                       (lambda: Position.of(2).scale(value),
+                        "a scale factor")):
         with pytest.raises(MeasureError, match=f"{what} must be finite, "
                                                f"got {value!r}"):
             call()
@@ -721,6 +730,20 @@ def test_a_precision_below_one_bit_is_refused(bits):
         with pytest.raises(MeasureError, match=(
                 f"precision must be at least 1 bit, got {bits}")):
             call()
+
+
+@pytest.mark.parametrize("tolerance, message", [
+    (float("nan"), "a tolerance must be finite, got nan"),
+    (float("inf"), "a tolerance must be finite, got inf"),
+    (F(-1), "a tolerance must be nonnegative, got -1"),
+], ids=["nan", "inf", "negative"])
+def test_a_non_finite_or_negative_tolerance_is_refused(tolerance, message):
+    # the CLI's --tol refuses these; the library raised a bare ValueError or
+    # OverflowError, or took a negative tolerance as 2^(1 - precision)
+    from alsq.solver import SolverConfig
+
+    with pytest.raises(MeasureError, match=message):
+        SolverConfig(128, tolerance)
 
 
 def test_position_order_and_origin_mass_print():

@@ -10,7 +10,7 @@ import pytest
 
 from alsq.analyze import AnalysisReport, AnalyzeOptions, analyze
 from alsq.diagram import (CardinalityCheck, DiagramEntry, Violation,
-                          cardinality_check, classify_ur, pair_diagram)
+                          cardinality_check, pair_diagram)
 from alsq.generator import GeneratedInstance, GeneratorSpec
 from alsq.measures import AtomicMeasure, Position, make_measure, support_keys
 from alsq.scalars import DEFAULT_TOLERANCE
@@ -93,11 +93,9 @@ def test_reprs_are_the_dataclass_reprs():
     # the UR partner sets and the key map stay out of the diagram's repr
     assert repr(_diagram()) == (
         "ProductDiagram(support=(Position(1), Position(2)), keys=(1, 4), "
-        "entries=(DiagramEntry(position=Position(1), pairs=((0, 0),)), "
-        "DiagramEntry(position=Position(2), pairs=((0, 1),)), "
-        "DiagramEntry(position=Position(4), pairs=((1, 1),))))")
-    assert repr(classify_ur(_diagram())) == (
-        "URClassification(ur=(Position(1), Position(2), Position(4)), nur=())")
+        "entries=(DiagramEntry(pairs=((0, 0),)), "
+        "DiagramEntry(pairs=((0, 1),)), DiagramEntry(pairs=((1, 1),))))")
+    assert repr(DiagramEntry(((0, 1),))) == "DiagramEntry(pairs=((0, 1),))"
     assert repr(cardinality_check(_diagram())) == (
         "CardinalityCheck(p=2, card=3, lower=3, upper=None, ok=True)")
     assert repr(_square()) == (
@@ -131,9 +129,10 @@ def test_analysis_report_hides_its_diagram():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: DiagramEntry(Position(F(2), 0, F(1)), ((0, 1),)),
+    lambda: DiagramEntry(((0, 1),)),
     _diagram,
-    lambda: classify_ur(_diagram())])
+    # an entry as pair_diagram builds it, with no __init__ call
+    lambda: _diagram().entries[1]])
 def test_diagram_records_compare_by_identity(build):
     first, second = build(), build()
     assert first == first and first != second
@@ -161,17 +160,6 @@ def test_cached_support_keys_are_not_a_field():
     assert support_keys(bare) == keyed._keys and bare._keys == keyed._keys
     with pytest.raises(AttributeError, match="cannot assign"):
         keyed._keys = None
-
-
-def test_diagram_entries_build_their_position_when_read():
-    diagram = _diagram()
-    entry = diagram.entries[1]
-    assert entry.pairs == ((0, 1),)
-    assert entry.position == Position(F(2), 0, F(1))
-    assert entry.position is entry.position
-    built = DiagramEntry(Position(F(2), 0, F(1)), ((0, 1),))
-    assert repr(built) == repr(entry) == \
-        "DiagramEntry(position=Position(2), pairs=((0, 1),))"
 
 
 def test_mutable_records_take_assignment_and_are_unhashable():

@@ -17,7 +17,7 @@ from alsq.reals import (from_dyadic, from_raw, mpf_to_fraction, to_dyadic,
                         to_mpf)
 import alsq
 from alsq.scalars import (ScalarError, float_str, parse_rational, scalar_str,
-                          sqrt_fraction)
+                          sqrt_ratio)
 
 F = Fraction
 
@@ -48,10 +48,11 @@ def test_parse_rational_bounds_digits_before_building():
         assert len(str(caught.value)) < 100  # quotes a prefix only
 
 
-def test_sqrt_fraction():
-    assert sqrt_fraction(F(9, 4)) == F(3, 2)
-    assert sqrt_fraction(F(2)) is None
-    assert sqrt_fraction(F(-1)) is None
+def test_sqrt_ratio():
+    assert sqrt_ratio(9, 4) == (3, 2)
+    assert sqrt_ratio(2, 1) is None
+    assert sqrt_ratio(-1, 1) is None
+    assert sqrt_ratio(18, 8) == (3, 2)  # in lowest terms
 
 
 def test_mpf_fraction_round_trip():

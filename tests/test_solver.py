@@ -31,7 +31,7 @@ from alsq.measures import (
     int_keys,
     loads_measure,
     make_measure,
-    moment,
+    moments,
     normalize,
     power_positions,
     save_measure,
@@ -41,7 +41,7 @@ from alsq.measures import (
     t_weight,
     table,
 )
-from alsq.reals import from_raw, mpf_to_fraction, to_mpf
+from alsq.reals import from_raw, mpf_to_fraction, position_raw, to_mpf
 from alsq.scalars import DEFAULT_TOLERANCE, scalar_str
 from alsq.shifts import hankel_psd, shift_rows
 from alsq.solver import (
@@ -51,7 +51,6 @@ from alsq.solver import (
     Peel,
     SolverConfig,
     aluthge_subnormal,
-    peel_root,
     sqrt_of,
     verdicts,
     verify_witness,
@@ -60,8 +59,14 @@ from alsq.solver import (
 F = Fraction
 
 
+def _first_verdict(target, config=solver.DEFAULT_CONFIG):
+    """The first verdict of the peel of ``target``, its square root's."""
+    return next(solver._peel(table(target, config.precision_bits,
+                                   config.radius), config, False))()
+
+
 def _transform_peel(mu):
-    return peel_root(convolve(mu, t_weight(mu)))
+    return _first_verdict(convolve(mu, t_weight(mu)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +338,7 @@ def _peel_fields(peel):
 
 
 def _assert_peel_matches_reference(target, config=SolverConfig()):
-    assert _peel_fields(peel_root(target, config)) == \
+    assert _peel_fields(_first_verdict(target, config)) == \
         _peel_fields(_reference_peel(target, config))
 
 
@@ -438,7 +443,7 @@ def test_peel_matches_fraction_reference_at_cancellation(bits):
     cases = _cancellation_targets(bits)
     for target, config in cases:
         _assert_peel_matches_reference(target, config)
-    peels = [peel_root(target, config) for target, config in cases]
+    peels = [_first_verdict(target, config) for target, config in cases]
     # the peel itself refutes or gives a root; maybe atoms sat where a
     # residual held 0 (the cancelled atom at 4, the cross terms of the tiny
     # atom at 4 of the transform target)
@@ -566,7 +571,7 @@ def _table_verdict(mu):
     x1 = mu.support[0]
 
     def place(weights, mode):
-        return make_measure([(target.position(j) / x1, w) for (j, _), w
+        return make_measure([(product.support[j] / x1, w) for (j, _), w
                              in zip(peel.root, weights)], mode=mode,
                             base=mu.base)
     return solver._decide(peel, target.weight(0), target.mode, place, target,
@@ -930,15 +935,15 @@ def test_decisions_enter_no_working_precision(monkeypatch, bits):
             mu = mu.to_real(bits)
         if mu.support[0].k == 0:  # rational positions
             sqrt_of(mu, config)
-            peel_root(mu, config)
-            peel_root(convolve(mu, t_weight(mu, prec), bits=prec), config)
+            _first_verdict(mu, config)
+            _first_verdict(convolve(mu, t_weight(mu, prec), bits=prec), config)
             if mu.p <= 6:
                 classify_small(mu, config)
         aluthge_subnormal(mu, config)
         analyze(mu, AnalyzeOptions(config, shift_terms=20))
         normalize(mu, prec)
         mu.total_mass()
-        moment(mu, 3, prec)
+        moments(mu, 4, prec)
         hankel_psd([from_raw(row[3]) for row in shift_rows(mu, 8, prec)], 3)
     loads_measure('''{"radical_base": "1", "mode": "real", "atoms": [
         {"pos_q": "1", "pos_k": 0, "weight": "0.125"},
@@ -984,10 +989,9 @@ def test_peel_refutes_four_atoms_as_the_closed_form_does(style):
 
 def test_transform_mass_convention(three_atom_square):
     # the witness carries total mass sqrt(gamma_1) when mu is a probability
-    from alsq.measures import moment
     verdict = aluthge_subnormal(three_atom_square)
     mass = verdict.witness.total_mass()
-    assert mass * mass == moment(three_atom_square, 1)
+    assert mass * mass == moments(three_atom_square, 2)[1]
 
 
 def test_transform_rejects_zero_atom():
@@ -1014,7 +1018,7 @@ def test_transform_nonunit_first_atom_nonsquare():
     with workprec(128):
         scale = mpmath.sqrt(target.weights[0])
         expected = [mpmath.mpmathify(c) * scale
-                    for _, c in peel_root(target).root]
+                    for _, c in _first_verdict(target).root]
     assert [w._mpf_ for w in verdict.witness.weights] == \
         [w._mpf_ for w in expected]
 
@@ -1128,7 +1132,7 @@ def test_build_system_detects_missing_product():
     # a root on {1,2,3} would put the product 2*2 = 4 into its square, and
     # the target has no atom there: the mass forced at 4 is negative
     target = make_measure([(v, F(1, 6)) for v in (1, 2, 3, 6, 9)])
-    peel = peel_root(target)
+    peel = _first_verdict(target)
     assert peel.outcome == IMPOSSIBLE
     assert peel.certificate.rule == "peel-nonpositive-mass"
     assert peel.certificate.indices == ()
@@ -1407,9 +1411,9 @@ def test_overflow_before_the_first_verdict_forms_no_atom_of_n(monkeypatch):
     assert calls == []
 
 
-# SHA-256 of both verdicts of each measure below and of its ``peel_root``,
-# taken before exact masses ran the ball loop of the peel at radius 0:
-# that merge must not move a verdict, a certificate or a radius
+# SHA-256 of both verdicts of each measure below and of the first verdict
+# of its peel, taken before exact masses ran the ball loop of the peel at
+# radius 0: that merge must not move a verdict, a certificate or a radius
 VERDICT_DIGEST = (
     "322ba6dffb80905445d620d18f13a12eda1b83d24ff9117257770931f5630226")
 
@@ -1423,7 +1427,7 @@ def _verdict_record(mu, config):
         both = [verdict.to_json_dict() for verdict in verdicts(mu, config)]
     except MeasureError as exc:
         return f"error: {exc}\n"
-    peel = peel_root(mu, config)
+    peel = _first_verdict(mu, config)
     cert = peel.certificate
     return json.dumps(both, sort_keys=True) + repr((
         peel.outcome, [(j, _exact(c)) for j, c in peel.root],
@@ -1758,7 +1762,7 @@ def test_radical_transform_matches_fraction_reference():
             with workprec(256):
                 root = mpmath.sqrt(to_mpf(base, 256))
                 scale = to_mpf(mu.atoms[0][1], 256) * mpmath.sqrt(
-                    mu.atoms[0][0].to_mpf(256))
+                    from_raw(position_raw(mu.atoms[0][0], 256)))
                 bound = mpf(2) ** (-50 if real else -120)
                 for (q, k), (a, b) in reference.items():
                     want = (a + b * root) * scale
